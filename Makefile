@@ -3,8 +3,8 @@
 PYTHON ?= python
 
 .PHONY: install test check chaos lint bench bench-quick report examples \
-	introspect-smoke service-smoke telemetry-smoke columnar-smoke \
-	blackbox-smoke clean help
+	introspect-smoke service-smoke telemetry-smoke blackbox-smoke \
+	ledger ledger-selftest clean help
 
 help:
 	@echo "install      editable install (offline-friendly)"
@@ -18,8 +18,9 @@ help:
 	@echo "introspect-smoke  census -> validate -> self-diff -> explain"
 	@echo "service-smoke  boot the analysis service, 3 tenants, chaos + verify"
 	@echo "telemetry-smoke  serve --telemetry-out -> validate stream -> top --once"
-	@echo "columnar-smoke  differential fingerprint check, columnar on vs off"
 	@echo "blackbox-smoke  chaos serve with flight recorder -> validate dump -> render"
+	@echo "ledger       the layer ledger: four workloads, every metric (benchmarks/ledger)"
+	@echo "ledger-selftest  the ledger's <20 s self-test + its own tests"
 	@echo "clean        remove build/caches/results"
 
 install:
@@ -35,8 +36,6 @@ check: lint
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
 	PYTHONPATH=src $(PYTHON) -m pytest -q --benchmark-disable \
 		benchmarks/test_micro_analysis.py
-	PYTHONPATH=src $(PYTHON) -m pytest -q \
-		tests/distributed/test_precedence_differential.py -k "not Sharded"
 
 chaos:
 	PYTHONPATH=src $(PYTHON) -m pytest -m chaos -q
@@ -75,12 +74,6 @@ telemetry-smoke:
 		print('telemetry-out: repro.telemetry/1 schema valid')"
 	PYTHONPATH=src $(PYTHON) -m repro top telemetry-out --once --window 5m
 
-columnar-smoke:
-	PYTHONPATH=src $(PYTHON) -m pytest -q \
-		tests/distributed/test_columnar_differential.py -k "not sharded"
-	PYTHONPATH=src $(PYTHON) -m repro analyze --app stencil --pieces 4 \
-		--iterations 2 --shards 2 --parallel 2 --no-columnar --profile
-
 blackbox-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest -q tests/obs/test_flight.py \
 		tests/obs/test_doctor.py tests/service/test_blackbox.py
@@ -98,6 +91,13 @@ blackbox-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro doctor
 	PYTHONPATH=src sh -c '$(PYTHON) -m repro blackbox \
 		"$$(ls blackbox-out/blackbox-*.json | tail -1)" --top 3'
+
+ledger:
+	$(PYTHON) benchmarks/ledger/run.py
+
+ledger-selftest:
+	$(PYTHON) benchmarks/ledger/run.py --selftest
+	PYTHONPATH=src $(PYTHON) -m pytest -q benchmarks/ledger/test_ledger.py
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only

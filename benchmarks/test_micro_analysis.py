@@ -19,8 +19,7 @@ import pytest
 
 from repro import Runtime
 from repro.apps import CircuitApp
-from repro.distributed.verify import analysis_fingerprint
-from repro.geometry.fastpath import geometry_cache, reset_geometry_cache
+from repro.geometry.fastpath import reset_geometry_cache
 
 PIECES = 32
 ALGOS = ("tree_painter", "warnock", "raycast", "painter")
@@ -52,154 +51,70 @@ def test_cold_start_analysis(benchmark, algorithm):
 
 
 # ----------------------------------------------------------------------
-# geometry fast path: cached vs uncached on the repeated-stream workload
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("cache", ("cached", "uncached"))
-@pytest.mark.parametrize("algorithm", ("raycast", "warnock"))
-def test_repeated_stream_geom_cache(benchmark, algorithm, cache):
-    """The fast path's target workload: the same iteration stream over and
-    over (every iterative application's steady state).  Compare the
-    ``cached`` and ``uncached`` rows — EXPERIMENTS.md records the ratio.
-    Larger spaces than the constants benchmarks above: the raw set-algebra
-    cost grows with index-array size while a cache hit stays O(1)."""
-    app = CircuitApp(pieces=PIECES, nodes_per_piece=64, wires_per_piece=96)
-    rt = Runtime(app.tree, app.initial, algorithm=algorithm)
-    reset_geometry_cache(enabled=(cache == "cached"))
-    try:
-        rt.replay(app.init_stream())
-        rt.replay(app.iteration_stream())  # warm structures and the cache
-        benchmark(rt.replay, app.iteration_stream())
-    finally:
-        reset_geometry_cache()
-
-
-@pytest.mark.parametrize("algorithm", ALGOS)
-def test_geom_cache_differential_smoke(algorithm):
-    """CI's cache-correctness gate: cached and uncached analysis of the
-    same program must produce bit-identical fingerprints (structure AND
-    meter counts), and the cache must have actually been exercised.  Runs
-    in smoke mode too (no ``benchmark`` fixture), so
-    ``--benchmark-disable`` keeps the differential check alive."""
-    app = CircuitApp(pieces=8, nodes_per_piece=8, wires_per_piece=12)
-
-    def analyze():
-        rt = Runtime(app.tree, app.initial, algorithm=algorithm)
-        rt.replay(app.init_stream())
-        for _ in range(2):
-            rt.replay(app.iteration_stream())
-        return analysis_fingerprint(rt)
-
-    reset_geometry_cache(enabled=True)
-    t0 = time.perf_counter()
-    cached = analyze()
-    cached_s = time.perf_counter() - t0
-    stats = geometry_cache().stats()
-    assert stats["hits"] > 0, "repeated streams must hit the cache"
-
-    reset_geometry_cache(enabled=False)
-    t0 = time.perf_counter()
-    uncached = analyze()
-    uncached_s = time.perf_counter() - t0
-    reset_geometry_cache()
-
-    assert cached == uncached, \
-        f"{algorithm}: geometry fast path changed the analysis fingerprint"
-    print(f"{algorithm}: cached {cached_s:.3f}s vs uncached {uncached_s:.3f}s "
-          f"({uncached_s / max(cached_s, 1e-9):.2f}x), "
-          f"{stats['hits']} hits / {stats['misses']} misses")
-
-
-# ----------------------------------------------------------------------
-# precedence oracle: scan pruning + O(1) soundness checks on a long
-# steady-state stream (>= 2k tasks)
+# order labels: O(1) soundness checks on a long steady-state stream
+# (>= 2k tasks)
 # ----------------------------------------------------------------------
 PREC_PIECES = 32
 PREC_ITERATIONS = 32  # 32 init + 32 * 64 steady tasks = 2080 >= 2k
-PREC_SOUNDNESS_TAIL = 2080  # tasks whose edges the soundness rows check
 _PREC_CACHE: dict = {}
 
 
 def _precedence_data() -> dict:
-    """Analyze a 2080-task Stencil stream with the order-maintenance
-    oracle on and off, then time the closure soundness check answered by
-    order labels vs. plain BFS.  Built once and shared by the smoke test
-    and the bench-document emission (the runtimes are the expensive
-    part)."""
+    """Analyze a 2080-task Stencil stream, then time the closure
+    soundness check answered by order labels vs. plain BFS.  Built once
+    and shared by the smoke test and the bench-document emission (the
+    runtime is the expensive part)."""
     if _PREC_CACHE:
         return _PREC_CACHE
     from repro import DependenceGraph
     from repro.apps import StencilApp
 
-    def analyze(oracle_on):
-        app = StencilApp(pieces=PREC_PIECES, tile=2)
-        rt = Runtime(app.tree, app.initial, algorithm="raycast",
-                     precedence_oracle=oracle_on)
-        t0 = time.perf_counter()
-        rt.replay(app.init_stream())
-        for _ in range(PREC_ITERATIONS):
-            rt.replay(app.iteration_stream())
-        return rt, time.perf_counter() - t0
+    app = StencilApp(pieces=PREC_PIECES, tile=2)
+    rt = Runtime(app.tree, app.initial, algorithm="raycast")
+    rt.replay(app.init_stream())
+    for _ in range(PREC_ITERATIONS):
+        rt.replay(app.iteration_stream())
 
-    on_rt, on_s = analyze(True)
-    off_rt, off_s = analyze(False)
-
-    # Soundness-check rows: "are all these known-true orderings present
-    # transitively?" over the direct edges of the newest tasks.  The
-    # label-backed graph answers each pair with O(1) bit tests; the
-    # BFS graph re-walks ancestors.  This is where the oracle's O(1)
-    # `precedes` pays off at stream scale.
-    pairs = [(dep, tid)
-             for tid in off_rt.graph.task_ids[-PREC_SOUNDNESS_TAIL:]
-             for dep in off_rt.graph.dependences_of(tid)]
+    # "Are all these known-true orderings present transitively?" over
+    # every direct edge.  The label-backed graph answers each pair with
+    # O(1) bit tests; the BFS graph re-walks ancestors.
+    pairs = [(dep, tid) for tid in rt.graph.task_ids
+             for dep in rt.graph.dependences_of(tid)]
     reps = 3
     t0 = time.perf_counter()
     for _ in range(reps):
-        assert on_rt.graph.missing_pairs(pairs) == []
+        assert rt.graph.missing_pairs(pairs) == []
     labels_s = (time.perf_counter() - t0) / reps
 
-    bfs_graph = DependenceGraph(maintain_labels=False)
-    for tid in off_rt.graph.task_ids:
-        bfs_graph.add_task(tid, off_rt.graph.dependences_of(tid))
+    bfs_graph = DependenceGraph()
+    bfs_graph.add_task(-1, [])  # a negative id drops the labels: BFS only
+    for tid in rt.graph.task_ids:
+        bfs_graph.add_task(tid, rt.graph.dependences_of(tid))
     t0 = time.perf_counter()
     assert bfs_graph.missing_pairs(pairs) == []
     bfs_s = time.perf_counter() - t0
 
-    _PREC_CACHE.update(on_rt=on_rt, off_rt=off_rt, on_s=on_s, off_s=off_s,
-                       labels_s=labels_s, bfs_s=bfs_s, pairs=len(pairs))
+    _PREC_CACHE.update(tasks=len(rt.tasks), labels_s=labels_s, bfs_s=bfs_s,
+                       pairs=len(pairs))
     return _PREC_CACHE
 
 
-def test_precedence_oracle_smoke():
-    """CI's precedence-correctness gate, in smoke mode like the geometry
-    differential above: on the 2080-task stream the oracle must actually
-    prune (fewer direct edges), must not change the transitive closure,
-    and the label-backed soundness check must beat repeated BFS."""
+def test_precedence_soundness_smoke():
+    """On the 2080-task stream the label-backed soundness check must beat
+    repeated BFS."""
     data = _precedence_data()
-    on, off = data["on_rt"], data["off_rt"]
-    assert len(on.tasks) >= 2000 and len(on.tasks) == len(off.tasks)
-
-    stats = on.order.stats()
-    assert stats["hits"] > 0, "the oracle never pruned anything"
-    assert on.graph.edge_count() < off.graph.edge_count()
-
-    # closure equality on a sample of the newest tasks (full equality is
-    # covered by tests/distributed/test_precedence_differential.py)
-    for tid in off.graph.task_ids[-64:]:
-        assert on.graph.ancestors_of(tid) == off.graph.ancestors_of(tid)
-
+    assert data["tasks"] >= 2000
     assert data["labels_s"] < data["bfs_s"], (
         f"labels {data['labels_s']:.4f}s vs bfs {data['bfs_s']:.4f}s")
-    print(f"precedence: {len(on.tasks)} tasks, edges "
-          f"{off.graph.edge_count()} -> {on.graph.edge_count()}, "
-          f"analyze on {data['on_s']:.3f}s / off {data['off_s']:.3f}s, "
-          f"soundness ({data['pairs']} pairs) labels "
+    print(f"precedence: {data['tasks']} tasks, soundness "
+          f"({data['pairs']} pairs) labels "
           f"{data['labels_s'] * 1e3:.2f}ms vs bfs "
           f"{data['bfs_s'] * 1e3:.2f}ms "
           f"({data['bfs_s'] / max(data['labels_s'], 1e-9):.0f}x)")
 
 
 # ----------------------------------------------------------------------
-# columnar histories: vectorized whole-history scan vs the object walk
+# columnar histories: one whole-history scan on the vector front-end
 # ----------------------------------------------------------------------
 COLUMNAR_ENTRIES = 2048
 COLUMNAR_REPS = 5
@@ -209,16 +124,14 @@ _COLUMNAR_CACHE: dict = {}
 def _columnar_scan_data() -> dict:
     """Time one whole-history dependence scan over a long reduction
     history (Pennant's ``dt`` pattern: one write, then same-operator
-    reductions forever) with the columnar sweep on and off, checking the
-    two modes agree on dependences and meter totals."""
+    reductions forever)."""
     if _COLUMNAR_CACHE:
         return _COLUMNAR_CACHE
     import numpy as np
     from repro.geometry.index_space import IndexSpace
     from repro.privileges import READ_WRITE, reduce as reduce_priv
     from repro.visibility.history import (ColumnarHistory, HistoryEntry,
-                                          RegionValues, columnar_disabled,
-                                          scan_dependences)
+                                          RegionValues, scan_dependences)
     from repro.visibility.meter import CostMeter
 
     n = 4096
@@ -234,88 +147,31 @@ def _columnar_scan_data() -> dict:
     history = ColumnarHistory(entries)
     query = IndexSpace.from_indices(range(128, 256))
 
-    def run(columnar: bool):
-        from contextlib import nullcontext
-        reset_geometry_cache()
-        with (nullcontext() if columnar else columnar_disabled()):
-            meter = CostMeter()
-            deps: set = set()
-            scan_dependences(priv, query, history, deps, meter)  # warm
-            t0 = time.perf_counter()
-            for _ in range(COLUMNAR_REPS):
-                deps = set()
-                scan_dependences(priv, query, history, deps, meter)
-            seconds = (time.perf_counter() - t0) / COLUMNAR_REPS
-        reset_geometry_cache()
-        return deps, meter.snapshot(), seconds
-
-    deps_on, meter_on, on_s = run(True)
-    deps_off, meter_off, off_s = run(False)
-    _COLUMNAR_CACHE.update(deps_on=deps_on, deps_off=deps_off,
-                           meter_on=meter_on, meter_off=meter_off,
-                           on_s=on_s, off_s=off_s,
-                           entries=len(history))
+    reset_geometry_cache()
+    meter = CostMeter()
+    scan_dependences(priv, query, history, set(), meter)  # warm
+    t0 = time.perf_counter()
+    for _ in range(COLUMNAR_REPS):
+        deps: set = set()
+        scan_dependences(priv, query, history, deps, meter)
+    seconds = (time.perf_counter() - t0) / COLUMNAR_REPS
+    reset_geometry_cache()
+    _COLUMNAR_CACHE.update(deps=deps, meter=meter.snapshot(),
+                           seconds=seconds, entries=len(history))
     return _COLUMNAR_CACHE
 
 
-_REFINE_CACHE: dict = {}
-
-
-def _refinement_batch_data() -> dict:
-    """Warnock's refinement-heavy cold start (every split the stream
-    forces) with batched refinement rounds on and off, fingerprints
-    compared — the round batching must be invisible too."""
-    if _REFINE_CACHE:
-        return _REFINE_CACHE
-    from contextlib import nullcontext
-    from repro.visibility.history import columnar_disabled
-
-    app = CircuitApp(pieces=16, nodes_per_piece=16, wires_per_piece=24)
-
-    def run(columnar: bool):
-        reset_geometry_cache()
-        with (nullcontext() if columnar else columnar_disabled()):
-            rt = Runtime(app.tree, app.initial, algorithm="warnock")
-            t0 = time.perf_counter()
-            rt.replay(app.init_stream())
-            rt.replay(app.iteration_stream())
-            seconds = time.perf_counter() - t0
-        reset_geometry_cache()
-        return analysis_fingerprint(rt), seconds
-
-    fp_on, on_s = run(True)
-    fp_off, off_s = run(False)
-    _REFINE_CACHE.update(fp_on=fp_on, fp_off=fp_off, on_s=on_s,
-                         off_s=off_s)
-    return _REFINE_CACHE
-
-
 def test_columnar_scan_smoke():
-    """CI's columnar-correctness gate, in smoke mode like the geometry
-    differential above: on the long-reduction-history scan the columnar
-    sweep must agree with the object walk on dependences *and* meter
-    totals, and must beat it by at least 2x (the tentpole's bar — the
-    object walk pays two locked meter increments and one interference
-    call per entry; the sweep pays one mask and one batched kernel)."""
+    """Only the opening write interferes with a same-operator reduction:
+    one dependence, one intersection test per scan, every entry
+    counted."""
     data = _columnar_scan_data()
-    assert data["deps_on"] == data["deps_off"] == {0}
-    assert data["meter_on"] == data["meter_off"]
-    speedup = data["off_s"] / max(data["on_s"], 1e-9)
-    assert speedup >= 2.0, (
-        f"columnar scan only {speedup:.2f}x over the object walk "
-        f"({data['on_s'] * 1e3:.3f}ms vs {data['off_s'] * 1e3:.3f}ms)")
+    scans = COLUMNAR_REPS + 1
+    assert data["deps"] == {0}
+    assert data["meter"] == {"entries_scanned": scans * COLUMNAR_ENTRIES,
+                             "intersection_tests": scans}
     print(f"columnar_scan: {data['entries']} entries, "
-          f"on {data['on_s'] * 1e3:.3f}ms vs off "
-          f"{data['off_s'] * 1e3:.3f}ms ({speedup:.1f}x)")
-
-
-def test_refinement_batch_smoke():
-    data = _refinement_batch_data()
-    assert data["fp_on"] == data["fp_off"], \
-        "batched refinement rounds changed the analysis fingerprint"
-    print(f"refinement_batch: on {data['on_s']:.3f}s vs off "
-          f"{data['off_s']:.3f}s "
-          f"({data['off_s'] / max(data['on_s'], 1e-9):.2f}x)")
+          f"{data['seconds'] * 1e3:.3f}ms")
 
 
 # ----------------------------------------------------------------------
@@ -343,35 +199,17 @@ def test_bench_json_emission():
         rows.append({"name": f"steady_iteration[{algorithm}]",
                      "seconds": seconds, "tasks": len(rt.tasks)})
 
-    # precedence-oracle rows: long-stream analysis with the oracle on and
-    # off, plus the labels-vs-BFS soundness-check timing (the measured
-    # O(1)-precedes speedup on a >= 2k-task stream)
+    # the labels-vs-BFS soundness-check timing (the measured O(1)-precedes
+    # speedup on a >= 2k-task stream)
     prec = _precedence_data()
-    rows.append({"name": "precedence_scan[raycast+oracle]",
-                 "seconds": prec["on_s"],
-                 "tasks": len(prec["on_rt"].tasks),
-                 "edges": prec["on_rt"].graph.edge_count()})
-    rows.append({"name": "precedence_scan[raycast]",
-                 "seconds": prec["off_s"],
-                 "tasks": len(prec["off_rt"].tasks),
-                 "edges": prec["off_rt"].graph.edge_count()})
     rows.append({"name": "precedence_soundness[labels]",
                  "seconds": prec["labels_s"], "pairs": prec["pairs"]})
     rows.append({"name": "precedence_soundness[bfs]",
                  "seconds": prec["bfs_s"], "pairs": prec["pairs"]})
 
-    # columnar-history rows: the vectorized whole-history scan vs the
-    # object walk, and Warnock's batched refinement rounds on/off
     col = _columnar_scan_data()
     rows.append({"name": "columnar_scan[columnar]",
-                 "seconds": col["on_s"], "entries": col["entries"]})
-    rows.append({"name": "columnar_scan[object]",
-                 "seconds": col["off_s"], "entries": col["entries"]})
-    refine = _refinement_batch_data()
-    rows.append({"name": "refinement_batch[columnar]",
-                 "seconds": refine["on_s"]})
-    rows.append({"name": "refinement_batch[object]",
-                 "seconds": refine["off_s"]})
+                 "seconds": col["seconds"], "entries": col["entries"]})
 
     out = write_bench_json(RESULTS_DIR / "BENCH_micro_analysis.json",
                            "micro_analysis", rows,
@@ -381,10 +219,8 @@ def test_bench_json_emission():
     assert doc["bench"] == "micro_analysis"
     assert {row["name"] for row in doc["rows"]} \
         == ({f"steady_iteration[{a}]" for a in ALGOS}
-            | {"precedence_scan[raycast+oracle]", "precedence_scan[raycast]",
-               "precedence_soundness[labels]", "precedence_soundness[bfs]",
-               "columnar_scan[columnar]", "columnar_scan[object]",
-               "refinement_batch[columnar]", "refinement_batch[object]"})
+            | {"precedence_soundness[labels]", "precedence_soundness[bfs]",
+               "columnar_scan[columnar]"})
     assert all(row["seconds"] > 0 for row in doc["rows"])
     assert "python" in doc["environment"]
 

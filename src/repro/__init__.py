@@ -27,9 +27,8 @@ from repro.regions.dependent import (difference_partition, equal_partition,
                                      partition_by_predicate,
                                      preimage_partition, union_partition)
 from repro.runtime import (DependenceGraph, OrderMaintainer,
-                           PrecedenceOracle, RegionRequirement, Runtime,
-                           SequentialExecutor, Task, TaskStream,
-                           oracle_dependences)
+                           RegionRequirement, Runtime, SequentialExecutor,
+                           Task, TaskStream, oracle_dependences)
 from repro.runtime.parallel import ExecutionLog, ParallelExecutor
 from repro.visibility import (ALGORITHMS, CoherenceAlgorithm, CostMeter,
                               PainterAlgorithm, RayCastAlgorithm,
@@ -58,7 +57,6 @@ __all__ = [
     "PainterAlgorithm",
     "ParallelExecutor",
     "Partition",
-    "PrecedenceOracle",
     "Privilege",
     "PrivilegeError",
     "RayCastAlgorithm",

@@ -128,21 +128,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      default=None,
                      help="force a backend (default: process when "
                           "--parallel > 1, else serial)")
-    ana.add_argument("--no-geom-cache", action="store_true",
-                     help="disable the geometry fast path (interning + "
-                          "operation cache); sets REPRO_NO_GEOM_CACHE so "
-                          "worker processes inherit the setting")
-    ana.add_argument("--no-columnar", action="store_true",
-                     help="disable the columnar history scan (vectorized "
-                          "interference + batched overlap sweep); sets "
-                          "REPRO_NO_COLUMNAR so worker processes inherit "
-                          "the setting")
-    ana.add_argument("--precedence-oracle", action="store_true",
-                     help="prune history scans with the O(1) order-"
-                          "maintenance precedence oracle (skips entries "
-                          "already transitively ordered; changes meter "
-                          "counts, so opt-in); sets REPRO_PRECEDENCE so "
-                          "worker processes inherit the setting")
     ana.add_argument("--profile", action="store_true",
                      help="print per-phase perf counters")
     ana.add_argument("--chaos", type=int, default=None, metavar="SEED",
@@ -454,29 +439,8 @@ def _cmd_analyze(args) -> int:
     from repro.distributed import (DeterminismError, FaultPlan,
                                    ShardedRuntime)
     from repro.errors import MachineError
-    from repro.geometry.fastpath import (ENV_DISABLE, geometry_cache,
-                                         reset_geometry_cache)
+    from repro.geometry.fastpath import geometry_cache
     from repro.runtime.tracing import signature_digest
-
-    if args.no_geom_cache:
-        # Through the environment so forked worker processes (which reset
-        # their caches on spawn) pick the setting up too.
-        os.environ[ENV_DISABLE] = "1"
-        reset_geometry_cache()
-    if args.no_columnar:
-        from repro.visibility.history import (ENV_DISABLE as COL_DISABLE,
-                                              set_columnar_enabled)
-
-        # Same channel: histories consult the environment at scan time,
-        # and workers re-read it on spawn.
-        os.environ[COL_DISABLE] = "1"
-        set_columnar_enabled(None)
-    if args.precedence_oracle:
-        from repro.runtime.order import ENV_ENABLE as PREC_ENABLE
-
-        # Same channel: every shard's Runtime (including ones built in
-        # worker processes) reads this at construction.
-        os.environ[PREC_ENABLE] = "1"
 
     backend = args.backend
     if backend is None:
@@ -534,9 +498,6 @@ def _cmd_analyze(args) -> int:
                 print()
                 print(srt.profile.render())
                 print(geometry_cache().render())
-                reference = srt.backend.reference
-                if getattr(reference, "order", None) is not None:
-                    print(reference.order)
             if tracing:
                 buffer = obs.active_tracer().snapshot()
                 if args.trace_out:
@@ -544,9 +505,6 @@ def _cmd_analyze(args) -> int:
                     srt.backend.reference.meter.publish_to(registry)
                     srt.profile.publish_to(registry)
                     geometry_cache().publish_to(registry)
-                    if getattr(srt.backend.reference, "order",
-                               None) is not None:
-                        srt.backend.reference.order.publish_to(registry)
                     if srt.recovery is not None:
                         srt.recovery.publish_to(registry)
                     seconds_hist = registry.histogram(

@@ -37,7 +37,6 @@ import numpy as np
 
 from repro.errors import MachineError
 from repro.geometry.fastpath import reset_geometry_cache
-from repro.visibility.history import set_columnar_enabled
 from repro.geometry.index_space import IndexSpace
 from repro.obs import provenance as prov
 from repro.obs import tracer as obs
@@ -429,12 +428,8 @@ def _worker_main(conn, payload: bytes) -> None:  # pragma: no cover - subprocess
     # Same hygiene for the geometry fast path: the fork start method
     # copies the driver's cache into the child; per-process cache state
     # is rebuilt from scratch on every (re)spawn instead of leaking
-    # across workers.  Re-reads REPRO_NO_GEOM_CACHE so the CLI escape
-    # hatch propagates.
+    # across workers.
     reset_geometry_cache()
-    # And for the columnar scan path: drop any driver-side override so the
-    # worker defers to REPRO_NO_COLUMNAR (inherited through the fork).
-    set_columnar_enabled(None)
     if spec["mode"] == "restore":
         hostings = _restore_hostings(spec["state"])
     else:

@@ -197,10 +197,9 @@ class ShardedRuntime:
         :class:`~repro.obs.metrics.MetricsRegistry` — the telemetry
         hub's per-tick sampler hook.
 
-        Covers the per-phase profile (including ``recover.*`` phases),
-        the supervision :class:`RecoveryReport` (faults, respawns,
-        checkpoint restores — ``None`` for in-process backends), and the
-        precedence oracle's ``order.*`` counters when one is attached.
+        Covers the per-phase profile (including ``recover.*`` phases)
+        and the supervision :class:`RecoveryReport` (faults, respawns,
+        checkpoint restores — ``None`` for in-process backends).
         Everything published is a cumulative total through idempotent
         ``publish_to`` bridges, so re-sampling every tick is safe; the
         hub turns the totals into windowed deltas.
@@ -209,10 +208,6 @@ class ShardedRuntime:
         recovery = self.recovery
         if recovery is not None:
             recovery.publish_to(registry, **labels)
-        reference = getattr(self._backend, "reference", None)
-        order = getattr(reference, "order", None)
-        if order is not None:
-            order.publish_to(registry, **labels)
 
     def close(self) -> None:
         """Release backend workers (no-op for in-process backends)."""

@@ -26,10 +26,7 @@ from repro.geometry.bvh import BVH, BVHNode
 from repro.geometry.kdtree import KDTree
 # Imported last: installs the operation-cache hook into index_space.
 from repro.geometry.fastpath import (GeometryCache, batch_overlaps,
-                                     geometry_cache,
-                                     geometry_cache_disabled,
-                                     reset_geometry_cache,
-                                     set_geometry_cache_enabled)
+                                     geometry_cache, reset_geometry_cache)
 
 __all__ = [
     "Extent",
@@ -43,7 +40,5 @@ __all__ = [
     "GeometryCache",
     "batch_overlaps",
     "geometry_cache",
-    "geometry_cache_disabled",
     "reset_geometry_cache",
-    "set_geometry_cache_enabled",
 ]

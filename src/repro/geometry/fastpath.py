@@ -28,15 +28,13 @@ Cached results are value-equal to recomputed ones (immutability makes
 sharing safe), the batched kernel computes exactly the per-pair
 ``overlaps`` answers, and nothing here touches a
 :class:`~repro.visibility.meter.CostMeter` — so analysis fingerprints
-(which hash both structure and meter counts) stay bit-identical with the
-cache on or off.  ``tests/distributed/test_cache_differential.py`` proves
-this for all five algorithms across the sharded backends.
+(which hash both structure and meter counts) cannot see it.
+``tests/geometry/test_fastpath.py`` holds every cached operator equal to
+its ``_*_raw`` body, the computation the cache runs on a miss.
 
 Process hygiene: the cache is per-process state.  Sharded worker processes
 call :func:`reset_geometry_cache` on (re)spawn so driver-side contents
-never leak across workers; the ``REPRO_NO_GEOM_CACHE`` environment
-variable (set by ``repro-cli analyze --no-geom-cache``) disables the fast
-path and propagates to forked workers.
+never leak across workers.
 
 Thread note: the thread backend shares this process-wide cache across
 replica analyses.  Individual dict operations are atomic under the GIL and
@@ -50,7 +48,6 @@ fingerprint.
 from __future__ import annotations
 
 import hashlib
-import os
 import threading
 from contextlib import contextmanager
 from typing import Iterator, Optional, Sequence
@@ -59,10 +56,6 @@ import numpy as np
 
 from repro.geometry import index_space as _ixmod
 from repro.geometry.index_space import IndexSpace
-
-#: Environment escape hatch: any truthy value disables the fast path
-#: (read at cache construction/reset so forked workers inherit it).
-ENV_DISABLE = "REPRO_NO_GEOM_CACHE"
 
 _MISS = object()  # sentinel: cached False must be distinguishable
 
@@ -73,11 +66,6 @@ _MISS = object()  # sentinel: cached False must be distinguishable
 #: assignment by another (tenant caches in the analysis service coexist
 #: with the process-wide cache over the same interned spaces).
 _GENERATIONS = iter(range(1 << 62)).__next__
-
-
-def _env_enabled() -> bool:
-    return os.environ.get(ENV_DISABLE, "").strip().lower() not in (
-        "1", "true", "yes", "on")
 
 
 class GeometryCache:
@@ -91,17 +79,15 @@ class GeometryCache:
     table can only lose sharing, never correctness.
     """
 
-    def __init__(self, capacity: int = 1 << 16,
-                 enabled: Optional[bool] = None) -> None:
+    def __init__(self, capacity: int = 1 << 16) -> None:
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
         self._generation = _GENERATIONS()
         self._next_uid = 0
-        self._init_state(enabled)
+        self._init_state()
 
-    def _init_state(self, enabled: Optional[bool]) -> None:
-        self.enabled = _env_enabled() if enabled is None else bool(enabled)
+    def _init_state(self) -> None:
         self._intern: dict[tuple, int] = {}
         #: monotonically increasing; bumped by :meth:`invalidate`
         self.version = 0
@@ -151,8 +137,6 @@ class GeometryCache:
         table[key] = value
 
     def intersection(self, a: IndexSpace, b: IndexSpace) -> IndexSpace:
-        if not self.enabled:
-            return a._intersection_raw(b)
         ua, ub = self.uid_of(a), self.uid_of(b)
         key = (ua, ub) if ua <= ub else (ub, ua)
         got = self._and.get(key)
@@ -165,8 +149,6 @@ class GeometryCache:
         return out
 
     def union(self, a: IndexSpace, b: IndexSpace) -> IndexSpace:
-        if not self.enabled:
-            return a._union_raw(b)
         ua, ub = self.uid_of(a), self.uid_of(b)
         key = (ua, ub) if ua <= ub else (ub, ua)
         got = self._or.get(key)
@@ -179,8 +161,6 @@ class GeometryCache:
         return out
 
     def difference(self, a: IndexSpace, b: IndexSpace) -> IndexSpace:
-        if not self.enabled:
-            return a._difference_raw(b)
         key = (self.uid_of(a), self.uid_of(b))  # ordered: a - b != b - a
         got = self._sub.get(key)
         if got is not None:
@@ -192,8 +172,6 @@ class GeometryCache:
         return out
 
     def overlaps(self, a: IndexSpace, b: IndexSpace) -> bool:
-        if not self.enabled:
-            return a._overlaps_raw(b)
         ua, ub = self.uid_of(a), self.uid_of(b)
         key = (ua, ub) if ua <= ub else (ub, ua)
         got = self._ovl.get(key, _MISS)
@@ -224,16 +202,15 @@ class GeometryCache:
         self.version += 1
         self.invalidations += 1
 
-    def reset(self, enabled: Optional[bool] = None) -> None:
+    def reset(self) -> None:
         """Return to a pristine state, distrusting every per-instance memo.
 
         Sharded worker processes call this on (re)spawn: a forked worker
         inherits the driver's cache by memory copy, and per-process cache
-        state must be rebuilt, not leaked.  Re-reads ``REPRO_NO_GEOM_CACHE``
-        unless ``enabled`` is given explicitly.
+        state must be rebuilt, not leaked.
         """
         self._generation = _GENERATIONS()
-        self._init_state(enabled)
+        self._init_state()
 
     # ------------------------------------------------------------------
     # observability
@@ -248,7 +225,6 @@ class GeometryCache:
             "interned": len(self._intern),
             "entries": (len(self._and) + len(self._or)
                         + len(self._sub) + len(self._ovl)),
-            "enabled": int(self.enabled),
         }
 
     def publish_to(self, registry, **labels) -> None:
@@ -261,15 +237,13 @@ class GeometryCache:
                 s[event])
         registry.gauge("geom.cache.interned", **labels).set(s["interned"])
         registry.gauge("geom.cache.entries", **labels).set(s["entries"])
-        registry.gauge("geom.cache.enabled", **labels).set(s["enabled"])
 
     def render(self) -> str:
         """One-line summary for the CLI ``--profile`` output."""
         s = self.stats()
         total = s["hits"] + s["misses"]
         rate = (100.0 * s["hits"] / total) if total else 0.0
-        state = "on" if s["enabled"] else "off"
-        return (f"geometry cache [{state}]: {s['hits']} hits / "
+        return (f"geometry cache: {s['hits']} hits / "
                 f"{s['misses']} misses ({rate:.1f}% hit rate), "
                 f"{s['interned']} interned, {s['entries']} entries, "
                 f"{s['evictions']} evicted, "
@@ -360,25 +334,9 @@ def geometry_cache() -> GeometryCache:
     return _CACHE
 
 
-def reset_geometry_cache(enabled: Optional[bool] = None) -> None:
+def reset_geometry_cache() -> None:
     """Reset the process-wide cache (worker spawn/respawn hygiene)."""
-    _CACHE.reset(enabled)
-
-
-def set_geometry_cache_enabled(flag: bool) -> None:
-    """Turn the fast path on or off without dropping its contents."""
-    _CACHE.enabled = bool(flag)
-
-
-@contextmanager
-def geometry_cache_disabled() -> Iterator[None]:
-    """Temporarily run uncached (differential harness / ablations)."""
-    prev = _CACHE.enabled
-    _CACHE.enabled = False
-    try:
-        yield
-    finally:
-        _CACHE.enabled = prev
+    _CACHE.reset()
 
 
 # ----------------------------------------------------------------------
@@ -432,22 +390,18 @@ def batch_overlaps(query: IndexSpace,
         return out
 
     cache = active_geometry_cache()
-    cache = cache if cache.enabled else None
-    unresolved: list[tuple[int, Optional[tuple[int, int]]]] = []
-    if cache is not None:
-        uq = cache.uid_of(query)
-        table = cache._ovl
-        for i in live:
-            uc = cache.uid_of(candidates[i])
-            key = (uq, uc) if uq <= uc else (uc, uq)
-            got = table.get(key, _MISS)
-            if got is _MISS:
-                unresolved.append((int(i), key))
-            else:
-                cache.hits += 1
-                out[i] = got
-    else:
-        unresolved = [(int(i), None) for i in live]
+    unresolved: list[tuple[int, tuple[int, int]]] = []
+    uq = cache.uid_of(query)
+    table = cache._ovl
+    for i in live:
+        uc = cache.uid_of(candidates[i])
+        key = (uq, uc) if uq <= uc else (uc, uq)
+        got = table.get(key, _MISS)
+        if got is _MISS:
+            unresolved.append((int(i), key))
+        else:
+            cache.hits += 1
+            out[i] = got
     if not unresolved:
         return out
 
@@ -465,7 +419,6 @@ def batch_overlaps(query: IndexSpace,
     for (i, key), verdict in zip(unresolved, verdicts):
         hit = bool(verdict)
         out[i] = hit
-        if cache is not None:
-            cache.misses += 1
-            cache._store(cache._ovl, key, hit)
+        cache.misses += 1
+        cache._store(cache._ovl, key, hit)
     return out

@@ -47,9 +47,6 @@ CENSUS_SCHEMA = {
     "distribution": ("count", "min", "max", "mean", "total"),
     "derived": ("occlusion_kill_rate", "entries_occluded",
                 "eqsets_coalesced", "eqsets_created"),
-    # optional block, present only when the runtime carries a precedence
-    # oracle (see repro.runtime.order); published as order.* gauges
-    "order": ("labels", "queries", "comparisons", "hits", "misses"),
     # optional block, attached when the census is taken under the
     # analysis service (repro.service); published as service.* gauges
     "service": ("tenants", "sessions", "admitted", "rejected",
@@ -139,9 +136,6 @@ def census(runtime, registry=None, service=None, **labels) -> dict:
             "eqsets_created": created,
         },
     }
-    order = getattr(runtime, "order", None)
-    if order is not None:
-        doc["order"] = order.stats()
     if service is not None:
         doc["service"] = dict(service)
     if registry is not None:
@@ -196,18 +190,17 @@ def validate_census(doc: dict) -> None:
     for req in CENSUS_SCHEMA["derived"]:
         if req not in doc["derived"]:
             raise ValueError(f"census derived block missing {req!r}")
-    for block in ("order", "service"):
-        if block not in doc:
-            continue
-        if not isinstance(doc[block], dict):
-            raise ValueError(f"census {block} block must be a dict")
-        for req in CENSUS_SCHEMA[block]:
-            if req not in doc[block]:
-                raise ValueError(f"census {block} block missing {req!r}")
-            if not isinstance(doc[block][req], int):
+    if "service" in doc:
+        service = doc["service"]
+        if not isinstance(service, dict):
+            raise ValueError("census service block must be a dict")
+        for req in CENSUS_SCHEMA["service"]:
+            if req not in service:
+                raise ValueError(f"census service block missing {req!r}")
+            if not isinstance(service[req], int):
                 raise ValueError(
-                    f"census {block} counter {req!r} must be an int, "
-                    f"got {type(doc[block][req]).__name__}")
+                    f"census service counter {req!r} must be an int, "
+                    f"got {type(service[req]).__name__}")
 
 
 def _flatten(prefix: str, value, out: dict) -> None:
@@ -245,9 +238,8 @@ def publish_census(doc: dict, registry, **labels) -> None:
     flat: dict = {}
     numeric = {"fields": doc["fields"], "derived": doc["derived"],
                "tasks": doc["tasks"], "edges": doc["edges"]}
-    for block in ("order", "service"):
-        if block in doc:
-            numeric[block] = doc[block]
+    if "service" in doc:
+        numeric["service"] = doc["service"]
     _flatten("", numeric, flat)
     for path, value in flat.items():
         if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -296,12 +288,6 @@ def render_census(doc: dict) -> str:
         f"  occlusion: kill rate {derived['occlusion_kill_rate']} "
         f"({derived['eqsets_coalesced']}/{derived['eqsets_created']} "
         f"eqsets), {derived['entries_occluded']} entries occluded")
-    if "order" in doc:
-        order = doc["order"]
-        lines.append(
-            f"  precedence oracle: {order['labels']} labels, "
-            f"{order['hits']} hits / {order['misses']} misses "
-            f"({order['queries']} queries)")
     if "service" in doc:
         svc = doc["service"]
         lines.append(

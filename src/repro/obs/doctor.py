@@ -1,15 +1,15 @@
 """``repro doctor`` — one table of every ``REPRO_*`` escape hatch.
 
-Every performance subsystem in this repository ships with an
-environment escape hatch (disable the geometry operation cache, the
-columnar scan path, the precedence oracle, ...).  During an incident the
-first question is always "which of these was actually in effect?", so
-this module keeps the authoritative registry: each :class:`Hatch` knows
-its environment variable, what the subsystem does when the variable is
-unset, and how a set value changes that.  ``repro doctor`` renders the
-table; the flight recorder embeds :func:`config_snapshot` in every
-``repro.blackbox/1`` dump so the exact configuration travels with the
-evidence.
+The observability subsystems of ``repro serve`` and the benchmark sweep
+are steered by a few environment variables (arm the provenance ledger,
+suppress telemetry, forbid the flight recorder, cap the sweep).  During
+an incident the first question is always "which of these was actually
+in effect?", so this module keeps the authoritative registry: each
+:class:`Hatch` knows its environment variable, what the subsystem does
+when the variable is unset, and how a set value changes that.  ``repro
+doctor`` renders the table; the flight recorder embeds
+:func:`config_snapshot` in every ``repro.blackbox/1`` dump so the exact
+configuration travels with the evidence.
 
 The registry is *declarative on purpose*: resolving a hatch only reads
 ``os.environ`` (no subsystem imports), so ``doctor`` can run — and dumps
@@ -22,9 +22,7 @@ import os
 from dataclasses import dataclass
 from typing import Optional
 
-#: Values treated as "set" for toggle hatches — mirrors
-#: ``repro.runtime.order._TRUTHY`` and the ``_env_enabled`` helpers in
-#: ``geometry.fastpath`` / ``visibility.history``.
+#: Values treated as "set" for toggle hatches.
 TRUTHY = ("1", "true", "yes", "on")
 
 #: Hatch kinds: ``disable`` (truthy turns a default-on feature off),
@@ -74,21 +72,6 @@ class Hatch:
 #: escape hatches MUST be appended here — ``repro doctor`` and the
 #: blackbox config snapshot are only as complete as this list.
 HATCHES = (
-    Hatch("geometry operation cache", "REPRO_NO_GEOM_CACHE", "disable",
-          "enabled", "disabled",
-          "memoized interval intersect/union fast path"),
-    Hatch("columnar dependence scan", "REPRO_NO_COLUMNAR", "disable",
-          "enabled", "disabled",
-          "structure-of-arrays batched dependence scan"),
-    Hatch("precedence order labels", "REPRO_NO_PRECEDENCE", "disable",
-          "maintained", "disabled",
-          "O(1) order-maintenance precedence oracle"),
-    Hatch("precedence scan pruning", "REPRO_PRECEDENCE", "enable",
-          "opt-in (off)", "on",
-          "prune dependence scans with the precedence oracle"),
-    Hatch("precedence differential", "REPRO_PRECEDENCE_DIFFERENTIAL",
-          "enable", "off", "on",
-          "cross-check every label answer against BFS"),
     Hatch("provenance ledger (serve)", "REPRO_PROVENANCE", "enable",
           "off", "recording",
           "arm the dependence-provenance ledger in repro serve"),

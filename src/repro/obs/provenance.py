@@ -98,10 +98,8 @@ class PruneRecord:
     ``trimmed`` (equivalence set killed or carved by a dominating
     write), ``view_occluded`` (entry subsumed by a composite view's
     write set), ``commit_occluded`` (node history cleared by a write
-    commit), ``transitive`` (the precedence oracle proved the entry
-    already ordered through an existing dependence path — see
-    :mod:`repro.runtime.order`), ``same_operator`` (reducer with the
-    task's own reduction operator; section 4 non-interference).
+    commit), ``same_operator`` (reducer with the task's own reduction
+    operator; section 4 non-interference).
     """
 
     src: int

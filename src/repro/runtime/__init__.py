@@ -15,8 +15,7 @@ exact pairwise interference relation.
 """
 
 from repro.runtime.task import RegionRequirement, Task, TaskStream
-from repro.runtime.order import (OrderLabel, OrderMaintainer,
-                                 PrecedenceOracle)
+from repro.runtime.order import OrderLabel, OrderMaintainer
 from repro.runtime.dependence import DependenceGraph, oracle_dependences
 from repro.runtime.executor import SequentialExecutor
 from repro.runtime.context import Runtime
@@ -25,7 +24,6 @@ __all__ = [
     "DependenceGraph",
     "OrderLabel",
     "OrderMaintainer",
-    "PrecedenceOracle",
     "RegionRequirement",
     "Runtime",
     "SequentialExecutor",

@@ -28,7 +28,6 @@ from repro.privileges import Privilege
 from repro.regions.partition import Partition
 from repro.regions.tree import RegionTree
 from repro.runtime.dependence import DependenceGraph
-from repro.runtime.order import PrecedenceOracle, scan_pruning_enabled
 from repro.runtime.task import (RegionRequirement, Task, TaskBody,
                                 validate_requirements)
 from repro.visibility.base import CoherenceAlgorithm, make_algorithm
@@ -46,28 +45,19 @@ class Runtime:
         Initial values per field, aligned with the root space.
     algorithm:
         Registry name of the coherence algorithm: ``painter``,
-        ``tree_painter``, ``warnock`` or ``raycast`` (the default — the
-        algorithm the paper's results put in production).
+        ``tree_painter``, ``warnock``, ``zbuffer`` or ``raycast`` (the
+        default — the algorithm the paper's results put in production).
     meter:
         Optional shared :class:`CostMeter`; created when omitted.
     record_costs:
         When True, keep a per-task :class:`TaskCost` log (used by the
         machine simulator).
-    precedence_oracle:
-        Opt-in O(1) precedence pruning (see :mod:`repro.runtime.order`):
-        the visibility algorithms skip history entries already
-        transitively ordered, recording them as ``"transitive"`` prune
-        records.  Changes meter counts (fewer intersection tests) and
-        prunes redundant edges — transitive closures stay identical.
-        ``None`` (the default) defers to the ``REPRO_PRECEDENCE``
-        environment default; ``REPRO_NO_PRECEDENCE`` force-disables.
     """
 
     def __init__(self, tree: RegionTree, initial: Mapping[str, np.ndarray],
                  algorithm: str = "raycast",
                  meter: Optional[CostMeter] = None,
-                 record_costs: bool = False,
-                 precedence_oracle: Optional[bool] = None) -> None:
+                 record_costs: bool = False) -> None:
         self.tree = tree
         self.algorithm_name = algorithm
         self.meter = meter if meter is not None else CostMeter()
@@ -84,16 +74,6 @@ class Runtime:
             self._algorithms[name] = make_algorithm(
                 algorithm, tree, name, values, self.meter)
         self.graph = DependenceGraph()
-        # Order labels are assigned as launch/_launch_traced record each
-        # task (graph.add_task); the oracle view is handed to every
-        # algorithm only when scan pruning is opted in, because skipping
-        # entries changes meter counts.
-        self.order: Optional[PrecedenceOracle] = None
-        if scan_pruning_enabled(precedence_oracle) \
-                and self.graph.order_maintainer is not None:
-            self.order = PrecedenceOracle(self.graph.order_maintainer)
-            for alg in self._algorithms.values():
-                alg.order = self.order
         self._tasks: list[Task] = []
         self._record_costs = record_costs
         self.cost_log: list[TaskCost] = []

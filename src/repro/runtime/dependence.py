@@ -19,7 +19,6 @@ from collections import deque
 from typing import Iterable, Mapping, Optional, Sequence
 
 from repro.obs import tracer as obs
-from repro.runtime import order as order_mod
 from repro.runtime.order import OrderMaintainer
 from repro.runtime.task import Task
 
@@ -33,23 +32,14 @@ class DependenceGraph:
     bitwise OR per edge on ``add_task``), so the transitive-closure
     helpers (``contains_transitively`` / ``missing_pairs``) answer from
     labels instead of repeated BFS — pure acceleration, bit-identical
-    answers, with a BFS fallback when labels are absent
-    (``maintain_labels=False`` or the ``REPRO_NO_PRECEDENCE`` escape
-    hatch) and a differential mode cross-checking both paths
-    (``differential=True`` or ``REPRO_PRECEDENCE_DIFFERENTIAL``).
+    answers.  :meth:`ancestors_of` stays the public BFS reference, and
+    the fallback for graphs holding a negative task id (no bit position).
     """
 
-    def __init__(self, maintain_labels: Optional[bool] = None,
-                 differential: Optional[bool] = None) -> None:
+    def __init__(self) -> None:
         self._deps: dict[int, frozenset[int]] = {}
         self._levels: Optional[dict[int, int]] = None
-        if maintain_labels is None:
-            maintain_labels = order_mod.order_maintenance_enabled()
-        self._order: Optional[OrderMaintainer] = (
-            OrderMaintainer() if maintain_labels else None)
-        if differential is None:
-            differential = order_mod.differential_enabled()
-        self._differential = bool(differential)
+        self._order: Optional[OrderMaintainer] = OrderMaintainer()
 
     # ------------------------------------------------------------------
     def add_task(self, task_id: int, dependences: Iterable[int]) -> None:
@@ -77,7 +67,7 @@ class DependenceGraph:
     @property
     def order_maintainer(self) -> Optional[OrderMaintainer]:
         """The label store backing the O(1) precedence fast path (None
-        when label maintenance is disabled)."""
+        once a negative task id degraded the graph to BFS)."""
         return self._order
 
     def dependences_of(self, task_id: int) -> frozenset[int]:
@@ -151,20 +141,10 @@ class DependenceGraph:
     def _covers(self, earlier: int, later: int,
                 cache: dict[int, set[int]]) -> bool:
         """One (earlier, later) path query: O(1) label test when labels
-        are available, cached BFS otherwise (and, in differential mode,
-        both — asserting they agree)."""
+        are available, cached BFS otherwise."""
         if self._order is not None:
             answer = self._order.precedes(earlier, later)
             if answer is not None:
-                if self._differential:
-                    if later not in cache:
-                        cache[later] = self.ancestors_of(later)
-                    bfs = earlier in cache[later]
-                    if bfs != answer:
-                        raise AssertionError(
-                            f"precedence differential: labels say "
-                            f"{earlier} precedes {later} is {answer}, "
-                            f"BFS says {bfs}")
                 return answer
         if later not in cache:
             cache[later] = self.ancestors_of(later)

@@ -1,9 +1,9 @@
 """Order maintenance: O(1) precedence queries over the dependence DAG.
 
-Dependence pruning repeatedly asks "does task A already precede task B?"
-— and before this module every such query was a BFS over the dependence
-graph (``DependenceGraph.ancestors_of``), which makes the soundness
-harness and transitive-edge reasoning quadratic-ish on long task streams.
+The soundness checks repeatedly ask "does task A already precede task
+B?" — and before this module every such query was a BFS over the
+dependence graph (``DependenceGraph.ancestors_of``), which makes them
+quadratic-ish on long task streams.
 DePa [Westrick, Wang & Acar, *DePa: Simple, Provably Efficient, and
 Practical Order Maintenance for Task Parallelism*, PAPERS.md] shows that
 fork-join ordering can be maintained with compact per-task labels
@@ -23,84 +23,21 @@ is a DePa-flavoured hybrid:
   single shift-and-mask; no graph traversal, ever.
 
 The first three fields answer the common negative queries without
-touching the bitmap; the bitmap makes the oracle *exact* on arbitrary
+touching the bitmap; the bitmap makes the answer *exact* on arbitrary
 DAGs (where interval-only labellings cannot be).  Maintenance is O(1)
 amortized label work per dependence edge (one bitwise OR per edge —
 word-parallel over the stream length); queries never walk the graph.
 
-Two cooperating consumers:
-
-* :class:`~repro.runtime.dependence.DependenceGraph` maintains an
-  :class:`OrderMaintainer` on ``add_task`` and answers
-  ``contains_transitively`` / ``missing_pairs`` from labels instead of
-  repeated BFS (pure acceleration — answers are bit-identical, with an
-  opt-in differential mode cross-checking both paths).
-* :class:`PrecedenceOracle` — the query front-end the visibility
-  algorithms use (behind the opt-in ``precedence_oracle`` runtime flag)
-  to *skip* history entries already transitively ordered during
-  ``scan_dependences``.  Skipping changes meter counts (fewer
-  intersection tests) and prunes redundant edges, so it is off by
-  default; pruned candidates are recorded as ``"transitive"``
-  :class:`~repro.obs.provenance.PruneRecord` entries and hit/miss
-  counters publish as ``order.*`` metrics.
-
-Environment knobs (mirroring the geometry fast path's hygiene):
-
-* ``REPRO_NO_PRECEDENCE`` — hard escape hatch: disables label
-  maintenance *and* scan pruning everywhere (graphs fall back to BFS).
-* ``REPRO_PRECEDENCE`` — turns scan pruning on by default for every
-  :class:`~repro.runtime.context.Runtime` (set by ``repro-cli analyze
-  --precedence-oracle`` so forked worker processes inherit it).
-* ``REPRO_PRECEDENCE_DIFFERENTIAL`` — cross-check every label answer
-  against BFS inside the soundness helpers (tests/debugging).
+The one consumer is :class:`~repro.runtime.dependence.DependenceGraph`,
+which maintains an :class:`OrderMaintainer` on ``add_task`` and answers
+``contains_transitively`` / ``missing_pairs`` from labels instead of
+repeated BFS (pure acceleration: ``ancestors_of`` stays the public BFS
+reference the tests compare the labels against).
 """
 
 from __future__ import annotations
 
-import os
 from typing import Iterable, Optional
-
-#: Hard escape hatch: any truthy value disables label maintenance and
-#: scan pruning everywhere.
-ENV_DISABLE = "REPRO_NO_PRECEDENCE"
-
-#: Opt-in default for scan pruning (``repro-cli analyze
-#: --precedence-oracle`` sets this so worker processes inherit it).
-ENV_ENABLE = "REPRO_PRECEDENCE"
-
-#: Cross-check label answers against BFS in the soundness helpers.
-ENV_DIFFERENTIAL = "REPRO_PRECEDENCE_DIFFERENTIAL"
-
-_TRUTHY = ("1", "true", "yes", "on")
-
-
-def _truthy(name: str) -> bool:
-    return os.environ.get(name, "").strip().lower() in _TRUTHY
-
-
-def order_maintenance_enabled() -> bool:
-    """Whether graphs maintain order labels (default on; pure
-    acceleration, bit-identical answers)."""
-    return not _truthy(ENV_DISABLE)
-
-
-def scan_pruning_enabled(flag: Optional[bool] = None) -> bool:
-    """Resolve the opt-in scan-pruning setting for one runtime.
-
-    ``flag`` is the explicit ``Runtime(precedence_oracle=...)`` argument;
-    ``None`` defers to the :data:`ENV_ENABLE` environment default.  The
-    :data:`ENV_DISABLE` escape hatch wins over everything.
-    """
-    if _truthy(ENV_DISABLE):
-        return False
-    if flag is None:
-        return _truthy(ENV_ENABLE)
-    return bool(flag)
-
-
-def differential_enabled() -> bool:
-    """Whether the soundness helpers cross-check labels against BFS."""
-    return _truthy(ENV_DIFFERENTIAL)
 
 
 class OrderLabel:
@@ -187,8 +124,8 @@ class OrderMaintainer:
 
     def ancestors(self, task_id: int) -> Optional[set[int]]:
         """The full ancestor set decoded from the bitmap (None when
-        unlabelled).  Used by differential checks and tests — the hot
-        paths only ever test single bits."""
+        unlabelled).  Used by the tests that hold labels equal to BFS —
+        the hot paths only ever test single bits."""
         label = self._labels.get(task_id)
         if label is None:
             return None
@@ -204,106 +141,3 @@ class OrderMaintainer:
             mask >>= 32
             index += 32
         return out
-
-    def reach_mask(self, task_id: int) -> int:
-        """``ancestors(task_id) | {task_id}`` as a packed bitmap; 0 for
-        unlabelled ids (including the pre-program ``INITIAL_TASK_ID``)."""
-        label = self._labels.get(task_id)
-        return 0 if label is None else label.reach
-
-
-class PrecedenceOracle:
-    """O(1) precedence queries plus the scan-pruning bookkeeping.
-
-    Wraps an :class:`OrderMaintainer` (usually the one owned by the
-    runtime's :class:`~repro.runtime.dependence.DependenceGraph`) with
-    the counters the observability layer publishes as ``order.*``
-    metrics:
-
-    * ``queries``/``comparisons`` — ``precedes`` calls and the label
-      comparisons they cost (one per query: the operation-counting test
-      asserts the ratio stays exactly 1, i.e. no hidden traversal);
-    * ``hits``/``misses`` — scan-pruning coverage tests that did / did
-      not prove an entry transitively ordered (a hit skips the
-      intersection test and prunes the candidate edge).
-    """
-
-    def __init__(self, maintainer: OrderMaintainer) -> None:
-        self.maintainer = maintainer
-        self.queries = 0
-        self.comparisons = 0
-        self.hits = 0
-        self.misses = 0
-
-    # ------------------------------------------------------------------
-    def precedes(self, a: int, b: int) -> bool:
-        """Whether task ``a`` strictly precedes task ``b`` in the
-        recorded partial order.  O(1) label comparison, no traversal."""
-        self.queries += 1
-        self.comparisons += 1
-        answer = self.maintainer.precedes(a, b)
-        return bool(answer)
-
-    def label(self, task_id: int) -> Optional[OrderLabel]:
-        return self.maintainer.label(task_id)
-
-    def reach_mask(self, task_id: int) -> int:
-        """Closure bitmap of one task (0 when unlabelled) — scan loops
-        accumulate these into a running coverage mask."""
-        return self.maintainer.reach_mask(task_id)
-
-    def covered(self, mask: int, task_id: int) -> bool:
-        """Whether ``task_id`` lies under a coverage mask built from
-        :meth:`reach_mask` calls.  Counts as one oracle hit or miss."""
-        if task_id >= 0 and (mask >> task_id) & 1:
-            self.hits += 1
-            return True
-        self.misses += 1
-        return False
-
-    def transitive_reduce(self, deps: set[int]) -> tuple[set[int], list[int]]:
-        """Drop every dependence already implied by another one.
-
-        Returns ``(kept, dropped)``.  A dependence ``d`` is redundant
-        when it precedes some other collected dependence — the closure is
-        unchanged because precedence is transitive and acyclic (dropped
-        ids always lead to a kept maximal element).  Used by the Z-buffer,
-        whose element tables collect dependences wholesale rather than
-        entry by entry.
-        """
-        if len(deps) < 2:
-            return deps, []
-        combined = 0
-        for d in deps:
-            label = self.maintainer.label(d)
-            if label is not None:
-                # ancestors only: d must never knock itself out
-                combined |= label.reach & ~(1 << d)
-        dropped = [d for d in deps
-                   if d >= 0 and self.covered(combined, d)]
-        if not dropped:
-            return deps, dropped
-        return deps.difference(dropped), dropped
-
-    # ------------------------------------------------------------------
-    def stats(self) -> dict:
-        """Counter snapshot (all plain ints, JSON-ready)."""
-        return {
-            "labels": len(self.maintainer),
-            "queries": int(self.queries),
-            "comparisons": int(self.comparisons),
-            "hits": int(self.hits),
-            "misses": int(self.misses),
-        }
-
-    def publish_to(self, registry, **labels) -> None:
-        """Publish the counters as ``order.*`` gauges (idempotent,
-        last-value-wins — same contract as the other bridges)."""
-        for key, value in self.stats().items():
-            registry.gauge(f"order.{key}", **labels).set(value)
-
-    def __repr__(self) -> str:
-        s = self.stats()
-        return (f"PrecedenceOracle(labels={s['labels']}, "
-                f"queries={s['queries']}, hits={s['hits']}, "
-                f"misses={s['misses']})")

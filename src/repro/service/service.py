@@ -579,8 +579,8 @@ class AnalysisService:
         """A :meth:`~repro.obs.telemetry.TelemetryHub.add_sampler`
         callable publishing live runtime internals into the registry
         before each tick: per-tenant geometry-cache counters and every
-        live slot's analysis profile / recovery / precedence-oracle
-        state (via :meth:`~repro.distributed.sharded.ShardedRuntime
+        live slot's analysis profile / recovery state (via
+        :meth:`~repro.distributed.sharded.ShardedRuntime
         .publish_telemetry`).
 
         Must run on the service's event loop (``repro serve`` ticks the

@@ -53,7 +53,8 @@ class AnalysisOutcome:
 
 
 class CoherenceAlgorithm(ABC):
-    """Base class for the three visibility algorithms.
+    """Base class for the five visibility algorithms (``painter``,
+    ``tree_painter``, ``warnock``, ``raycast``, ``zbuffer``).
 
     Parameters
     ----------
@@ -69,11 +70,6 @@ class CoherenceAlgorithm(ABC):
 
     #: Short registry name, overridden by each subclass.
     name: str = "abstract"
-
-    #: Optional :class:`~repro.runtime.order.PrecedenceOracle` installed
-    #: by the runtime when scan pruning is opted in; ``None`` keeps every
-    #: scan on the exact legacy path (bit-identical meter counts).
-    order = None
 
     def __init__(self, tree: RegionTree, field: str,
                  initial: np.ndarray,
@@ -197,7 +193,8 @@ def make_algorithm(name: str, tree: RegionTree, field: str,
                    meter: Optional[CostMeter] = None) -> CoherenceAlgorithm:
     """Instantiate a coherence algorithm by registry name.
 
-    Known names: ``painter``, ``tree_painter``, ``warnock``, ``raycast``.
+    Known names: ``painter``, ``tree_painter``, ``warnock``, ``raycast``,
+    ``zbuffer``.
     """
     from repro.visibility import ALGORITHMS
 

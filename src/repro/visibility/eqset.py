@@ -35,7 +35,7 @@ from repro.regions.partition import Partition
 from repro.regions.region import Region
 from repro.visibility.history import (ColumnarHistory, HistoryEntry,
                                       PrivilegeColumns, RegionValues,
-                                      columnar_enabled, paint_entry)
+                                      paint_entry)
 from repro.visibility.meter import CostMeter
 
 _eqset_uid = itertools.count()
@@ -218,21 +218,15 @@ class EqSetStore:
 # Warnock: monotone refinement tree (the BVH of section 6.1)
 # ----------------------------------------------------------------------
 class _RefNode:
-    """A node of the refinement tree; leaves carry live equivalence sets.
+    """A node of the refinement tree; leaves carry live equivalence sets."""
 
-    ``depth`` is the node's refinement depth (root 0) — the dependence
-    depth of the split that produced it, used to order batched
-    refinement rounds.
-    """
+    __slots__ = ("lo", "hi", "space", "eqset", "children")
 
-    __slots__ = ("lo", "hi", "space", "eqset", "children", "depth")
-
-    def __init__(self, eqset: EquivalenceSet, depth: int = 0) -> None:
+    def __init__(self, eqset: EquivalenceSet) -> None:
         self.space = eqset.space
         self.lo, self.hi = eqset.space.bounds
         self.eqset: Optional[EquivalenceSet] = eqset
         self.children: list["_RefNode"] = []
-        self.depth = depth
 
     @property
     def is_leaf(self) -> bool:
@@ -242,7 +236,7 @@ class _RefNode:
         """Turn this leaf into an interior node with the given parts."""
         assert self.is_leaf
         self.eqset = None
-        self.children = [_RefNode(p, self.depth + 1) for p in parts]
+        self.children = [_RefNode(p) for p in parts]
         return self.children
 
 
@@ -274,23 +268,12 @@ class RefinementTreeStore(EqSetStore):
         leaves: list[_RefNode] = []
         for node in roots:
             self._descend(node, space, leaves)
-        if columnar_enabled() and len(leaves) > 1:
-            out, out_nodes = self._refine_batched(leaves, space)
-        else:
-            out, out_nodes = self._refine_interleaved(leaves, space)
-        if region_uid is not None and self._memoize:
-            self._memo[region_uid] = out_nodes
-        return out
-
-    def _refine_interleaved(self, leaves: list[_RefNode], space: IndexSpace
-                            ) -> tuple[list[EquivalenceSet], list[_RefNode]]:
-        """The original classify-and-split-as-you-go walk (escape hatch)."""
+        if self.meter is not None and leaves:
+            self.meter.count("intersection_tests", len(leaves))
         out: list[EquivalenceSet] = []
         out_nodes: list[_RefNode] = []
         for leaf in leaves:
             assert leaf.eqset is not None
-            if self.meter is not None:
-                self.meter.count("intersection_tests")
             common = leaf.space & space
             if common.is_empty:
                 continue
@@ -303,41 +286,9 @@ class RefinementTreeStore(EqSetStore):
             children = leaf.split_to([inside, outside])
             out.append(inside)
             out_nodes.append(children[0])
-        return out, out_nodes
-
-    def _refine_batched(self, leaves: list[_RefNode], space: IndexSpace
-                        ) -> tuple[list[EquivalenceSet], list[_RefNode]]:
-        """One refinement *round*: classify every touched leaf first, then
-        execute the independent splits together in dependence-depth order
-        (Blelloch-style batching — the leaves are pairwise disjoint, so
-        the splits commute and shallower refinements go first).  Meter
-        totals match the interleaved walk exactly: one bulk
-        ``intersection_tests`` charge for the classification pass, the
-        per-split counters unchanged inside :meth:`EquivalenceSet.split`.
-        """
-        if self.meter is not None:
-            self.meter.count("intersection_tests", len(leaves))
-        results: list[Optional[tuple[EquivalenceSet, _RefNode]]] = \
-            [None] * len(leaves)
-        pending: list[tuple[int, _RefNode]] = []
-        for slot, leaf in enumerate(leaves):
-            assert leaf.eqset is not None
-            common = leaf.space & space
-            if common.is_empty:
-                continue
-            if common.size == leaf.space.size:
-                results[slot] = (leaf.eqset, leaf)
-            else:
-                pending.append((slot, leaf))
-        pending.sort(key=lambda sl: (sl[1].depth, sl[0]))
-        for slot, leaf in pending:
-            assert leaf.eqset is not None
-            inside, outside = leaf.eqset.split(space, self.meter)
-            assert outside is not None
-            children = leaf.split_to([inside, outside])
-            results[slot] = (inside, children[0])
-        kept = [r for r in results if r is not None]
-        return [eqset for eqset, _ in kept], [node for _, node in kept]
+        if region_uid is not None and self._memoize:
+            self._memo[region_uid] = out_nodes
+        return out
 
     def _descend(self, node: _RefNode, space: IndexSpace,
                  leaves: list[_RefNode]) -> None:

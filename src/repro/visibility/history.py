@@ -16,10 +16,8 @@ shared by every algorithm.  The blending function ``b`` of section 3.1
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -229,45 +227,6 @@ def paint_entry(current: RegionValues, entry: HistoryEntry,
 # ----------------------------------------------------------------------
 # columnar histories: structure-of-arrays backing for dependence scans
 # ----------------------------------------------------------------------
-ENV_DISABLE = "REPRO_NO_COLUMNAR"
-"""Environment escape hatch: any of ``1/true/yes/on`` disables the
-columnar scan path (set by ``repro-cli analyze --no-columnar``; inherited
-by forked sharded workers)."""
-
-_COLUMNAR_OVERRIDE: Optional[bool] = None
-
-
-def _env_enabled() -> bool:
-    return os.environ.get(ENV_DISABLE, "").strip().lower() not in (
-        "1", "true", "yes", "on")
-
-
-def columnar_enabled() -> bool:
-    """Whether scans take the vectorized columnar path."""
-    if _COLUMNAR_OVERRIDE is not None:
-        return _COLUMNAR_OVERRIDE
-    return _env_enabled()
-
-
-def set_columnar_enabled(flag: Optional[bool]) -> None:
-    """Force the columnar path on/off; ``None`` defers to the
-    :data:`ENV_DISABLE` environment default (worker-spawn hygiene)."""
-    global _COLUMNAR_OVERRIDE
-    _COLUMNAR_OVERRIDE = None if flag is None else bool(flag)
-
-
-@contextmanager
-def columnar_disabled() -> Iterator[None]:
-    """Temporarily run the object-walk scan (differential harness)."""
-    global _COLUMNAR_OVERRIDE
-    prev = _COLUMNAR_OVERRIDE
-    _COLUMNAR_OVERRIDE = False
-    try:
-        yield
-    finally:
-        _COLUMNAR_OVERRIDE = prev
-
-
 #: Privilege-kind codes in the ``kind`` column.
 KIND_READ, KIND_WRITE, KIND_REDUCE = 0, 1, 2
 
@@ -312,18 +271,18 @@ class PrivilegeColumns:
 
     The backing Python list stays authoritative — iteration, indexing,
     painting and pickling all see ordinary entry objects — while the
-    privilege kind, reduction-operator code, task id and collapsed-summary
-    flag are maintained in parallel structure-of-arrays columns (amortized
-    O(1) append via capacity doubling).  Dependence scans consume the
-    columns; everything else is oblivious to them.
+    privilege kind and reduction-operator code are maintained in parallel
+    structure-of-arrays columns (amortized O(1) append via capacity
+    doubling).  Dependence scans consume the columns; everything else is
+    oblivious to them.
 
     This base class fits :class:`~repro.visibility.eqset.EqEntry`-style
     records (no per-entry domain).  :class:`ColumnarHistory` adds the
     domain-bounds columns the batched overlap kernel prefilters on.
     """
 
-    __slots__ = ("_entries", "_kind", "_redop", "_task", "_collapsed", "_n")
-    _COLUMN_NAMES = ("_kind", "_redop", "_task", "_collapsed")
+    __slots__ = ("_entries", "_kind", "_redop", "_n")
+    _COLUMN_NAMES = ("_kind", "_redop")
 
     def __init__(self, entries: Iterable = ()) -> None:
         self._entries: list = []
@@ -336,11 +295,9 @@ class PrivilegeColumns:
     def _alloc(self, cap: int) -> None:
         self._kind = np.empty(cap, dtype=np.int8)
         self._redop = np.empty(cap, dtype=np.int64)
-        self._task = np.empty(cap, dtype=np.int64)
-        self._collapsed = np.empty(cap, dtype=bool)
 
     def _grow(self, needed: int) -> None:
-        cap = max(needed, 2 * self._task.size)
+        cap = max(needed, 2 * self._kind.size)
         n = self._n
         for name in self._COLUMN_NAMES:
             old = getattr(self, name)
@@ -353,13 +310,11 @@ class PrivilegeColumns:
         self._kind[n] = (KIND_REDUCE if p.is_reduce
                          else KIND_READ if p.is_read else KIND_WRITE)
         self._redop[n] = _redop_code(p.redop)
-        self._task[n] = entry.task_id
-        self._collapsed[n] = bool(entry.collapsed_ids)
 
     # -- mutation ------------------------------------------------------
     def append(self, entry) -> None:
         n = self._n
-        if n == self._task.size:
+        if n == self._kind.size:
             self._grow(n + 1)
         self._fill(n, entry)
         self._entries.append(entry)
@@ -377,10 +332,10 @@ class PrivilegeColumns:
         """A new container with ``fn`` applied entry-by-entry, reusing
         this container's privilege columns wholesale.
 
-        ``fn`` must preserve privilege, task id and collapsed ids 1:1 —
-        positional history splits (``EqEntry.restricted``) do, which is
-        what makes a refinement round a column copy plus one value
-        gather per entry instead of a rebuild.
+        ``fn`` must preserve each entry's privilege — positional history
+        splits (``EqEntry.restricted``) do, which is what makes a
+        refinement a column copy plus one value gather per entry instead
+        of a rebuild.
         """
         out = type(self).__new__(type(self))
         n = self._n
@@ -402,14 +357,6 @@ class PrivilegeColumns:
     @property
     def redops(self) -> np.ndarray:
         return self._redop[:self._n]
-
-    @property
-    def task_ids(self) -> np.ndarray:
-        return self._task[:self._n]
-
-    @property
-    def collapsed_flags(self) -> np.ndarray:
-        return self._collapsed[:self._n]
 
     # -- list protocol -------------------------------------------------
     def __len__(self) -> int:
@@ -485,126 +432,82 @@ class ColumnarHistory(PrivilegeColumns):
         return self._nonempty[:self._n]
 
 
+#: Shortest history the vector front-end takes.  ``interference_mask``
+#: costs a fixed handful of NumPy calls (~2.5 us) where the scalar
+#: privilege test costs ~0.06 us an entry, so the two meet between 32 and
+#: 40 entries (EXPERIMENTS.md, "Fork decisions").  Equivalence-set
+#: histories hold 1-3 entries in steady state and never outgrow
+#: ``HISTORY_COMPACTION_LIMIT``; the painter's global history holds
+#: hundreds.
+SCAN_VECTOR_MIN = 32
+
+
+def interfering_indices(privilege: Privilege, entries) -> list[int]:
+    """Positions of the entries whose privilege interferes with
+    ``privilege`` — the front-end of every dependence scan.
+
+    ``entries`` is a :class:`PrivilegeColumns` or a list; which of the two
+    equivalent tests runs is decided by what the history is and how long
+    it has grown, never by a setting.
+    """
+    if isinstance(entries, PrivilegeColumns) \
+            and len(entries) >= SCAN_VECTOR_MIN:
+        return np.flatnonzero(interference_mask(
+            privilege, entries.kinds, entries.redops)).tolist()
+    return [i for i, e in enumerate(entries)
+            if privilege.interferes(e.privilege)]
+
+
 def scan_dependences(privilege: Privilege, space: IndexSpace,
                      entries: Iterable[HistoryEntry],
                      deps: set[int],
-                     meter: Optional[CostMeter] = None,
-                     oracle=None) -> None:
+                     meter: Optional[CostMeter] = None) -> None:
     """Collect task ids of entries that interfere with a new access.
 
     A dependence exists when the privileges interfere *and* the domains
     truly overlap (content-based coherence, section 3.2).
 
     The exact overlap answers are precomputed for every
-    privilege-interfering entry in one :func:`batch_overlaps` pass; the
-    loop below then replays the original control flow — including the
-    already-a-dependence skip, which consults ``deps`` as it grows — so
-    the meter counts are bit-identical to the unbatched scan (analysis
-    fingerprints hash those counts).
-    The provenance ledger (``repro.obs.provenance``) observes the same
-    loop: one hoisted enabled-check, then edge/prune records that never
-    touch the meter or alter control flow.
-
-    With an ``oracle`` (a :class:`~repro.runtime.order.PrecedenceOracle`,
-    opt-in via ``Runtime(precedence_oracle=True)``) the scan runs
-    *newest-to-oldest* and maintains a coverage bitmap over the closure
-    of the dependences found so far: an interfering entry whose task
-    already precedes a collected dependence is transitively ordered, so
-    its intersection test is skipped and the candidate edge is pruned
-    (recorded as a ``"transitive"`` prune).  Meter counts differ on this
-    path (fewer intersection tests) but the graph's transitive closure —
-    and therefore the soundness criterion — is unchanged.
+    privilege-interfering entry the loop can reach in one
+    :func:`batch_overlaps` pass (fed the bounds columns when the history
+    has them); the loop then replays the already-a-dependence skip, which
+    consults ``deps`` as it grows, so the meter totals are those of an
+    entry-at-a-time walk (analysis fingerprints hash them).  The
+    provenance ledger (``repro.obs.provenance``) observes the same loop:
+    one hoisted enabled-check, then edge/prune records that never touch
+    the meter or alter control flow.
     """
     led = prov._LEDGER
     led = led if led.enabled else None
-    cols = entries if isinstance(entries, ColumnarHistory) \
-        and columnar_enabled() else None
-    entries = cols.entries if cols is not None else list(entries)
-    if oracle is not None:
-        _scan_pruned(privilege, space, entries, deps, meter, oracle, led,
-                     cols=cols)
-        return
-    if cols is not None:
-        _scan_columnar(privilege, space, cols, deps, meter, led)
-        return
-    interfering = [privilege.interferes(e.privilege) for e in entries]
-    # Only entries the loop can actually test go to the kernel: the
-    # already-a-dependence skip consults deps *at scan start* here (the
-    # loop's growing-deps skip replays below), so pre-collected tasks
-    # don't cost kernel work or op-cache churn.
-    test_idx = [i for i, ok in enumerate(interfering)
-                if ok and (entries[i].collapsed_ids
-                           or entries[i].task_id not in deps)]
-    overlap: dict[int, bool] = {}
-    if len(test_idx) > 1:
-        verdicts = batch_overlaps(space,
-                                  [entries[i].domain for i in test_idx])
-        overlap = dict(zip(test_idx, (bool(v) for v in verdicts)))
-    for i, entry in enumerate(entries):
-        if meter is not None:
-            meter.count("entries_scanned")
-        if entry.task_id in deps and not entry.collapsed_ids:
-            continue
-        if not interfering[i]:
-            continue
-        if meter is not None:
-            meter.count("intersection_tests")
-        hit = overlap[i] if i in overlap else space.overlaps(entry.domain)
-        if hit:
-            deps.add(entry.task_id)
-            if entry.collapsed_ids:
-                deps.update(entry.collapsed_ids)
-            if led is not None:
-                led.edge(entry.task_id,
-                         "summary" if entry.collapsed_ids else "history",
-                         prov.privilege_label(entry.privilege),
-                         prov.domain_desc(entry.domain),
-                         collapsed=entry.collapsed_ids)
-        elif led is not None:
-            led.prune(entry.task_id, "disjoint",
-                      prov.domain_desc(entry.domain))
-
-
-def _scan_columnar(privilege: Privilege, space: IndexSpace,
-                   cols: ColumnarHistory, deps: set[int], meter,
-                   led) -> None:
-    """The vectorized whole-history sweep over a :class:`ColumnarHistory`.
-
-    One :func:`interference_mask` call replaces the per-entry privilege
-    test, one :func:`batch_overlaps` call (fed the precomputed bounds
-    columns) answers every surviving overlap, and the meter is bulk-fed
-    the same totals the object walk produces one locked increment at a
-    time.  The residual loop runs only over interfering entries and
-    replays the growing-``deps`` skip, so dependences, meter totals and
-    provenance records are bit-identical to the object path (the
-    differential suites prove it per algorithm and backend).
-    """
-    n = len(cols)
-    if meter is not None and n:
-        meter.count("entries_scanned", n)
+    if isinstance(entries, PrivilegeColumns):
+        items = entries.entries
+    else:  # the tree painter hands over a generator
+        items = entries = list(entries)
+    n = len(items)
     if n == 0:
         return
-    idx = np.flatnonzero(interference_mask(privilege, cols.kinds,
-                                           cols.redops))
-    if idx.size == 0:
-        # non-interfering entries never reach the test, the ledger, or
-        # the intersection counter on the object path either
-        return
-    entries = cols.entries
-    test_idx = [i for i in map(int, idx)
-                if entries[i].collapsed_ids
-                or entries[i].task_id not in deps]
+    if meter is not None:
+        meter.count("entries_scanned", n)
+    idx = interfering_indices(privilege, entries)
+    # Only entries the loop can actually test go to the kernel: tasks that
+    # are dependences already at scan start cost no kernel work or
+    # op-cache churn (summaries are always tested).
+    test_idx = [i for i in idx
+                if items[i].collapsed_ids or items[i].task_id not in deps]
     overlap: dict[int, bool] = {}
     if len(test_idx) > 1:
-        sel = np.asarray(test_idx, dtype=np.int64)
-        verdicts = batch_overlaps(space,
-                                  [entries[i].domain for i in test_idx],
-                                  lo=cols.los[sel], hi=cols.his[sel],
-                                  nonempty=cols.nonempty[sel])
-        overlap = dict(zip(test_idx, (bool(v) for v in verdicts)))
+        domains = [items[i].domain for i in test_idx]
+        if isinstance(entries, ColumnarHistory):
+            sel = np.asarray(test_idx, dtype=np.int64)
+            verdicts = batch_overlaps(space, domains, lo=entries.los[sel],
+                                      hi=entries.his[sel],
+                                      nonempty=entries.nonempty[sel])
+        else:
+            verdicts = batch_overlaps(space, domains)
+        overlap = dict(zip(test_idx, verdicts.tolist()))
     tested = 0
-    for i in map(int, idx):
-        entry = entries[i]
+    for i in idx:
+        entry = items[i]
         if entry.task_id in deps and not entry.collapsed_ids:
             continue
         tested += 1
@@ -624,84 +527,3 @@ def _scan_columnar(privilege: Privilege, space: IndexSpace,
                       prov.domain_desc(entry.domain))
     if meter is not None and tested:
         meter.count("intersection_tests", tested)
-
-
-def _scan_pruned(privilege: Privilege, space: IndexSpace, entries: list,
-                 deps: set[int], meter, oracle, led,
-                 cols: Optional[ColumnarHistory] = None) -> None:
-    """The oracle-pruned scan: newest-to-oldest, coverage-masked.
-
-    Histories are ordered oldest first, so walking them backwards finds
-    the *newest* interfering entries first; once those are dependences,
-    every older entry they transitively cover is skipped in one O(1)
-    bitmap test instead of an intersection test.  Summary entries
-    (``collapsed_ids``) are never skipped — they aggregate many tasks
-    conservatively, exactly like the already-a-dependence skip.
-
-    Overlap verdicts are batched up front exactly like the unpruned scan:
-    every entry that survives the *initial* deps and coverage masks is a
-    candidate (the loop's live masks only shrink that set, so each tested
-    entry finds its verdict precomputed).  The precompute reads the
-    coverage bitmap directly rather than through :meth:`oracle.covered`
-    so the oracle's hit/miss statistics still count only the loop's real
-    coverage tests.
-    """
-    covered = 0
-    for d in deps:
-        covered |= oracle.reach_mask(d)
-    if cols is not None:
-        interfering = interference_mask(privilege, cols.kinds, cols.redops)
-    else:
-        interfering = [privilege.interferes(e.privilege) for e in entries]
-    candidates = [i for i in range(len(entries))
-                  if interfering[i]
-                  and (entries[i].collapsed_ids
-                       or (entries[i].task_id not in deps
-                           and not (entries[i].task_id >= 0
-                                    and (covered >> entries[i].task_id)
-                                    & 1)))]
-    overlap: dict[int, bool] = {}
-    if len(candidates) > 1:
-        if cols is not None:
-            sel = np.asarray(candidates, dtype=np.int64)
-            verdicts = batch_overlaps(
-                space, [entries[i].domain for i in candidates],
-                lo=cols.los[sel], hi=cols.his[sel],
-                nonempty=cols.nonempty[sel])
-        else:
-            verdicts = batch_overlaps(
-                space, [entries[i].domain for i in candidates])
-        overlap = dict(zip(candidates, (bool(v) for v in verdicts)))
-    for i in range(len(entries) - 1, -1, -1):
-        entry = entries[i]
-        if meter is not None:
-            meter.count("entries_scanned")
-        if entry.task_id in deps and not entry.collapsed_ids:
-            continue
-        if not interfering[i]:
-            continue
-        if not entry.collapsed_ids and oracle.covered(covered,
-                                                      entry.task_id):
-            if led is not None:
-                led.prune(entry.task_id, "transitive",
-                          prov.domain_desc(entry.domain))
-            continue
-        if meter is not None:
-            meter.count("intersection_tests")
-        hit = overlap[i] if i in overlap else space.overlaps(entry.domain)
-        if hit:
-            deps.add(entry.task_id)
-            covered |= oracle.reach_mask(entry.task_id)
-            if entry.collapsed_ids:
-                deps.update(entry.collapsed_ids)
-                for cid in entry.collapsed_ids:
-                    covered |= oracle.reach_mask(cid)
-            if led is not None:
-                led.edge(entry.task_id,
-                         "summary" if entry.collapsed_ids else "history",
-                         prov.privilege_label(entry.privilege),
-                         prov.domain_desc(entry.domain),
-                         collapsed=entry.collapsed_ids)
-        elif led is not None:
-            led.prune(entry.task_id, "disjoint",
-                      prov.domain_desc(entry.domain))

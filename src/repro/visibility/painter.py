@@ -63,7 +63,7 @@ class PainterAlgorithm(CoherenceAlgorithm):
             led.set_source(("painter", len(self._history)))
             led.visit("history_entries", len(self._history))
         scan_dependences(privilege, region.space, self._history, deps,
-                         self.meter, oracle=self.order)
+                         self.meter)
         if track:
             led.clear_source()
         deps.discard(INITIAL_TASK_ID)

@@ -360,7 +360,7 @@ class TreePainterAlgorithm(CoherenceAlgorithm):
         deps: set[int] = set()
         scan_dependences(privilege, region.space,
                          self._iter_path_entries(region, privilege), deps,
-                         self.meter, oracle=self.order)
+                         self.meter)
         deps.discard(INITIAL_TASK_ID)
 
         if track:

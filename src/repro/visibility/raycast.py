@@ -99,7 +99,7 @@ class RayCastAlgorithm(CoherenceAlgorithm):
             if track:
                 led.set_source(("eqset",) + prov.domain_desc(eqset.space))
             scan_dependences(privilege, region.space, eqset.history, deps,
-                             self.meter, oracle=self.order)
+                             self.meter)
         if track:
             led.clear_source()
         deps.discard(INITIAL_TASK_ID)

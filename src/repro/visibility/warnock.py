@@ -25,7 +25,7 @@ from repro.visibility.base import (AnalysisOutcome, CoherenceAlgorithm,
                                    INITIAL_TASK_ID)
 from repro.visibility.eqset import (EqEntry, EquivalenceSet, EqSetStore,
                                     RefinementTreeStore)
-from repro.visibility.history import (columnar_enabled, interference_mask)
+from repro.visibility.history import interfering_indices
 from repro.visibility.meter import CostMeter
 from repro.obs import provenance as prov
 from repro.obs.tracer import traced
@@ -67,86 +67,25 @@ class EqSetAlgorithmBase(CoherenceAlgorithm):
             led.visit("eqsets", len(sets))
 
         deps: set[int] = set()
-        oracle = self.order
-        if oracle is None:
-            columnar = columnar_enabled()
-            for eqset in sets:
-                self.meter.count("eqsets_visited")
-                self.meter.touch(("eqset", eqset.uid,
-                                  eqset.space.bounds[0]))
-                if track:
-                    led.set_source(("eqset",)
-                                   + prov.domain_desc(eqset.space))
-                hist = eqset.history
-                if columnar:
-                    # the eqset invariant makes the overlap test implicit
-                    # (every entry is relevant to every element), so the
-                    # whole scan is one vectorized interference mask; the
-                    # residual loop replays the growing-deps skip over the
-                    # interfering entries only
-                    n = len(hist)
-                    if n:
-                        self.meter.count("entries_scanned", n)
-                    scan = (hist.entries[i] for i in np.flatnonzero(
-                        interference_mask(privilege, hist.kinds,
-                                          hist.redops)))
-                else:
-                    scan = (e for e in hist
-                            if privilege.interferes(e.privilege))
-                    for entry in hist:
-                        self.meter.count("entries_scanned")
-                for entry in scan:
-                    if entry.task_id in deps and not entry.collapsed_ids:
-                        continue
-                    deps.add(entry.task_id)
-                    if entry.collapsed_ids:
-                        deps.update(entry.collapsed_ids)
-                    if track:
-                        led.edge(
-                            entry.task_id,
-                            "summary" if entry.collapsed_ids
-                            else "eqset",
-                            prov.privilege_label(entry.privilege),
-                            prov.domain_desc(eqset.space),
-                            collapsed=entry.collapsed_ids)
-        else:
-            # Oracle path: precedence is a property of the global task
-            # graph, not of any one set, so gather every candidate and
-            # walk them newest-to-oldest *across* eqsets (task ids are
-            # program order) — the coverage bitmap accumulated from
-            # already-collected deps then suppresses every older entry
-            # they transitively dominate, regardless of which set holds
-            # it.
-            candidates: list = []
-            for eqset in sets:
-                self.meter.count("eqsets_visited")
-                self.meter.touch(("eqset", eqset.uid,
-                                  eqset.space.bounds[0]))
-                for entry in eqset.history:
-                    candidates.append((entry, eqset))
-            candidates.sort(key=lambda ce: ce[0].task_id, reverse=True)
-            covered = 0
-            for entry, eqset in candidates:
-                self.meter.count("entries_scanned")
+        for eqset in sets:
+            self.meter.count("eqsets_visited")
+            self.meter.touch(("eqset", eqset.uid, eqset.space.bounds[0]))
+            if track:
+                led.set_source(("eqset",) + prov.domain_desc(eqset.space))
+            # the eqset invariant makes the overlap test implicit (every
+            # entry is relevant to every element), so the scan is the
+            # privilege front-end plus the growing-deps skip
+            hist = eqset.history
+            if hist:
+                self.meter.count("entries_scanned", len(hist))
+            entries = hist.entries
+            for i in interfering_indices(privilege, hist):
+                entry = entries[i]
                 if entry.task_id in deps and not entry.collapsed_ids:
                     continue
-                if not privilege.interferes(entry.privilege):
-                    continue
-                if track:
-                    led.set_source(("eqset",)
-                                   + prov.domain_desc(eqset.space))
-                if not entry.collapsed_ids and oracle.covered(
-                        covered, entry.task_id):
-                    if track:
-                        led.prune(entry.task_id, "transitive",
-                                  prov.domain_desc(eqset.space))
-                    continue
                 deps.add(entry.task_id)
-                covered |= oracle.reach_mask(entry.task_id)
                 if entry.collapsed_ids:
                     deps.update(entry.collapsed_ids)
-                    for cid in entry.collapsed_ids:
-                        covered |= oracle.reach_mask(cid)
                 if track:
                     led.edge(
                         entry.task_id,

@@ -155,17 +155,6 @@ class ZBufferAlgorithm(CoherenceAlgorithm):
             # reducer set) that held it.  Never touches the meter.
             self._emit_witnesses(led, privilege, region, pos)
         deps.discard(INITIAL_TASK_ID)
-        if self.order is not None and len(deps) > 1:
-            # The element tables collect dependences wholesale, so prune
-            # after the fact: drop every dep that precedes another one
-            # (the closure is unchanged — see transitive_reduce).
-            deps, dropped = self.order.transitive_reduce(deps)
-            if dropped and led.enabled:
-                led.set_source(("zbuffer",))
-                rdesc = prov.domain_desc(region.space)
-                for t in sorted(dropped):
-                    led.prune(int(t), "transitive", rdesc)
-                led.clear_source()
         return AnalysisOutcome(values, frozenset(deps))
 
     def _emit_witnesses(self, led, privilege: Privilege, region: Region,

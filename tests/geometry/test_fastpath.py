@@ -8,10 +8,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import IndexSpace
-from repro.geometry.fastpath import (ENV_DISABLE, GeometryCache,
-                                     batch_overlaps, geometry_cache,
-                                     geometry_cache_disabled,
-                                     reset_geometry_cache)
+from repro.geometry.fastpath import (GeometryCache, batch_overlaps,
+                                     geometry_cache, reset_geometry_cache)
 from repro.obs import MetricsRegistry
 
 from tests.conftest import index_spaces
@@ -19,8 +17,8 @@ from tests.conftest import index_spaces
 
 @pytest.fixture(autouse=True)
 def fresh_cache():
-    """Every test starts (and leaves behind) a pristine enabled cache."""
-    reset_geometry_cache(enabled=True)
+    """Every test starts (and leaves behind) a pristine cache."""
+    reset_geometry_cache()
     yield
     reset_geometry_cache()
 
@@ -53,7 +51,7 @@ class TestInterning:
         cache = geometry_cache()
         a = IndexSpace.from_range(0, 10)
         old = cache.uid_of(a)
-        cache.reset(enabled=True)
+        cache.reset()
         assert cache.uid_of(a) is not None
         # fresh generation: the memo was recomputed, not trusted
         assert a._uid[0] == cache._generation
@@ -112,14 +110,6 @@ class TestOperationCache:
             assert a.overlaps(b) == a._overlaps_raw(b)
             assert a.isdisjoint(b) == (not a._overlaps_raw(b))
 
-    def test_disabled_cache_computes_fresh(self):
-        a, b = spaces((0, 100), (50, 150))
-        with geometry_cache_disabled():
-            r1 = a & b
-            r2 = a & b
-            assert r1 is not r2
-            assert r1 == r2
-
     def test_false_overlap_is_cached(self):
         cache = geometry_cache()
         a, b = spaces((0, 10), (20, 30))
@@ -141,20 +131,12 @@ class TestOperationCache:
         assert cache.uid_of(a) == uid
 
     def test_eviction_clears_full_table(self):
-        cache = GeometryCache(capacity=4, enabled=True)
+        cache = GeometryCache(capacity=4)
         sps = spaces(*[(i, i + 10) for i in range(8)])
         for s in sps:
             cache.overlaps(sps[0], s)
         assert cache.evictions > 0
         assert len(cache._ovl) <= 4
-
-    def test_env_var_disables(self, monkeypatch):
-        monkeypatch.setenv(ENV_DISABLE, "1")
-        cache = GeometryCache()
-        assert not cache.enabled
-        monkeypatch.delenv(ENV_DISABLE)
-        cache.reset()
-        assert cache.enabled
 
     def test_stats_and_publish(self):
         cache = geometry_cache()
@@ -165,7 +147,6 @@ class TestOperationCache:
         cache.publish_to(registry)
         assert registry.find("geom.cache.hits").value == cache.hits
         assert registry.find("geom.cache.misses").value == cache.misses
-        assert registry.find("geom.cache.enabled").value == 1
         assert "hits" in cache.render()
 
 
@@ -206,14 +187,6 @@ class TestBatchOverlaps:
         misses = cache.misses
         assert query.overlaps(candidate)
         assert cache.misses == misses
-
-    def test_disabled_cache_still_batches_correctly(self, rng):
-        query = IndexSpace(rng.choice(200, size=30, replace=False))
-        candidates = [IndexSpace(rng.choice(200, size=10, replace=False))
-                      for _ in range(10)]
-        with geometry_cache_disabled():
-            got = batch_overlaps(query, candidates)
-        assert list(got) == [query._overlaps_raw(c) for c in candidates]
 
     @settings(max_examples=60,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

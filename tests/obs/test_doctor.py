@@ -16,26 +16,27 @@ def test_defaults_have_default_origin():
     for row in rows.values():
         assert row["origin"] == "default"
         assert row["raw"] is None
-    assert rows["REPRO_NO_GEOM_CACHE"]["value"] == "enabled"
-    assert rows["REPRO_PRECEDENCE"]["value"] == "opt-in (off)"
+    assert len(rows) == 4
+    assert rows["REPRO_NO_TELEMETRY"]["value"] == "enabled"
+    assert rows["REPRO_PROVENANCE"]["value"] == "off"
     assert rows["REPRO_NO_FLIGHT"]["value"] == "armable"
 
 
 def test_truthy_override_flips_value_and_origin():
-    rows = by_env({"REPRO_NO_GEOM_CACHE": "1", "REPRO_PRECEDENCE": "yes"})
-    assert rows["REPRO_NO_GEOM_CACHE"]["value"] == "disabled"
-    assert rows["REPRO_NO_GEOM_CACHE"]["origin"] == "env"
-    assert rows["REPRO_PRECEDENCE"]["value"] == "on"
-    assert rows["REPRO_PRECEDENCE"]["origin"] == "env"
+    rows = by_env({"REPRO_NO_TELEMETRY": "1", "REPRO_PROVENANCE": "yes"})
+    assert rows["REPRO_NO_TELEMETRY"]["value"] == "disabled"
+    assert rows["REPRO_NO_TELEMETRY"]["origin"] == "env"
+    assert rows["REPRO_PROVENANCE"]["value"] == "recording"
+    assert rows["REPRO_PROVENANCE"]["origin"] == "env"
 
 
 def test_falsey_string_is_still_the_default_outcome():
-    # REPRO_NO_COLUMNAR=0 does not disable anything: the subsystems only
+    # REPRO_NO_TELEMETRY=0 does not disable anything: the subsystems only
     # honor truthy strings, and doctor must agree with them
-    rows = by_env({"REPRO_NO_COLUMNAR": "0"})
-    assert rows["REPRO_NO_COLUMNAR"]["value"] == "enabled"
-    assert rows["REPRO_NO_COLUMNAR"]["origin"] == "default"
-    assert rows["REPRO_NO_COLUMNAR"]["raw"] == "0"
+    rows = by_env({"REPRO_NO_TELEMETRY": "0"})
+    assert rows["REPRO_NO_TELEMETRY"]["value"] == "enabled"
+    assert rows["REPRO_NO_TELEMETRY"]["origin"] == "default"
+    assert rows["REPRO_NO_TELEMETRY"]["raw"] == "0"
 
 
 def test_value_kind_reports_the_raw_setting():
@@ -51,7 +52,7 @@ def test_config_snapshot_is_keyed_by_env_var():
     assert set(snap) == {h.env for h in HATCHES}
     assert snap["REPRO_NO_FLIGHT"] == {
         "value": "hard-disabled", "origin": "env", "raw": "true"}
-    assert "raw" not in snap["REPRO_NO_GEOM_CACHE"]
+    assert "raw" not in snap["REPRO_NO_TELEMETRY"]
 
 
 def test_render_lists_every_hatch_with_header():

@@ -24,7 +24,7 @@ from repro.obs import provenance as prov
 from repro.obs.provenance import explain_task
 
 
-def _run_golden(algo: str, oracle: bool = False):
+def _run_golden(algo: str):
     tree = RegionTree(Extent((16,)), {"x": np.float64}, name="R")
     P = tree.root.create_partition(
         "P", [IndexSpace.from_range(0, 8), IndexSpace.from_range(8, 16)],
@@ -33,8 +33,7 @@ def _run_golden(algo: str, oracle: bool = False):
     led = prov.ProvenanceLedger(enabled=True)
     previous = prov.set_ledger(led)
     try:
-        rt = Runtime(tree, {"x": np.zeros(16)}, algorithm=algo,
-                     precedence_oracle=oracle)
+        rt = Runtime(tree, {"x": np.zeros(16)}, algorithm=algo)
         rt.launch("init", [RegionRequirement(tree.root, "x", READ_WRITE)])
         rt.launch("left", [RegionRequirement(P[0], "x", READ_WRITE)])
         rt.launch("ghost-read", [RegionRequirement(G[0], "x", READ)])
@@ -113,29 +112,6 @@ def test_raycast_records_dominating_write_prunes():
     assert "pruned" in text
     assert "dominated" in text
     assert "via eqset" in text
-
-
-@pytest.mark.parametrize("algo", list(ALGORITHMS))
-def test_oracle_records_transitive_prunes(algo):
-    """With the precedence oracle on, ``final``'s root-wide scan needs
-    only ``ghost-read``: the chain final ← ghost-read ← left ← init
-    makes the older writers transitively ordered, and every candidate
-    edge the oracle kills must land in the ledger as a ``transitive``
-    prune (and render in the explain text)."""
-    rt, led = _run_golden(algo, oracle=True)
-    records = led.records_for(3, phase="materialize")
-    assert records
-    pruned = [p for rec in records for p in rec.pruned
-              if p.reason == "transitive"]
-    assert pruned, f"{algo}: no transitive prunes recorded"
-    # the killed candidates are exactly the dominated older writers
-    assert {p.src for p in pruned} <= {0, 1}, (algo, pruned)
-    # the pruned edges left the graph but not the closure
-    assert rt.graph.dependences_of(3) == frozenset({2}), algo
-    assert rt.graph.ancestors_of(3) == {0, 1, 2}, algo
-    text = explain_task(led, 3, tasks=rt.tasks)
-    assert "transitive" in text
-    assert "pruned" in text
 
 
 def test_painter_witnesses_via_global_history():

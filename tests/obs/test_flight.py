@@ -271,12 +271,12 @@ def test_render_blackbox_sections():
 
 def test_render_config_section_names_overrides():
     rec = make_recorder(
-        config_source=lambda: {"REPRO_NO_COLUMNAR":
+        config_source=lambda: {"REPRO_NO_TELEMETRY":
                                {"value": "disabled", "origin": "env"}})
     report = render_blackbox(rec.snapshot())
-    assert "REPRO_NO_COLUMNAR=disabled" in report
+    assert "REPRO_NO_TELEMETRY=disabled" in report
     rec = make_recorder(
-        config_source=lambda: {"REPRO_NO_COLUMNAR":
+        config_source=lambda: {"REPRO_NO_TELEMETRY":
                                {"value": "enabled", "origin": "default"}})
     report = render_blackbox(rec.snapshot())
     assert "all escape hatches at defaults" in report

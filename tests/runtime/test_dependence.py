@@ -135,25 +135,6 @@ class TestLevelsCache:
         assert g.computes == 2
 
 
-class TestTransitivePruning:
-    """The precedence oracle drops direct edges but never paths."""
-
-    def test_edge_count_shrinks_closure_does_not(self):
-        tree, P, G = make_fig1_tree()
-        stream = fig1_stream(tree, P, G, 2)
-        plain = Runtime(tree, fig1_initial(tree), algorithm="painter")
-        plain.replay(stream)
-        pruned = Runtime(tree, fig1_initial(tree), algorithm="painter",
-                         precedence_oracle=True)
-        pruned.replay(stream)
-        assert pruned.graph.edge_count() < plain.graph.edge_count()
-        want = oracle_dependences(list(stream))
-        assert pruned.graph.missing_pairs(want) == []
-        for tid in plain.graph.task_ids:
-            assert pruned.graph.ancestors_of(tid) == \
-                plain.graph.ancestors_of(tid)
-
-
 class TestOracle:
     def test_read_read_not_dependent(self):
         tree, P, _ = make_fig1_tree()

@@ -1,4 +1,4 @@
-"""Property suite for the order-maintenance precedence oracle.
+"""Property suite for the order-maintenance labels.
 
 The central claims under test, mirroring the module contract of
 ``repro.runtime.order``:
@@ -9,8 +9,7 @@ The central claims under test, mirroring the module contract of
   through the real runtime.
 * **No traversal** — a ``precedes`` query costs a constant number of
   label-store lookups (at most two ``dict.get`` calls) and zero BFS
-  walks, independent of graph size; the oracle's ``comparisons`` counter
-  stays exactly equal to ``queries``.
+  walks, independent of graph size.
 * **Scaling** — the soundness-harness helpers (``missing_pairs`` /
   ``contains_transitively``) stop issuing per-pair BFS traversals once
   labels are available: a 2k-task check performs zero ``ancestors_of``
@@ -26,12 +25,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import Runtime
-from repro.obs.metrics import MetricsRegistry
 from repro.runtime.dependence import DependenceGraph
-from repro.runtime.order import (ENV_DISABLE, ENV_ENABLE, OrderMaintainer,
-                                 PrecedenceOracle, differential_enabled,
-                                 order_maintenance_enabled,
-                                 scan_pruning_enabled)
+from repro.runtime.order import OrderMaintainer
 from repro.visibility.base import INITIAL_TASK_ID
 
 from tests.conftest import random_programs
@@ -55,8 +50,14 @@ def random_dags(draw, max_tasks: int = 28):
     return edges
 
 
-def build_graph(edges, **kwargs) -> DependenceGraph:
-    g = DependenceGraph(**kwargs)
+def build_graph(edges, graph: DependenceGraph | None = None,
+                bfs_only: bool = False) -> DependenceGraph:
+    """``bfs_only`` first records a negative task id, which has no bit
+    position: the graph drops its labels and answers by BFS."""
+    g = DependenceGraph() if graph is None else graph
+    if bfs_only:
+        g.add_task(INITIAL_TASK_ID, [])
+        assert g.order_maintainer is None
     for tid, deps in enumerate(edges):
         g.add_task(tid, deps)
     return g
@@ -66,8 +67,8 @@ class CountingGraph(DependenceGraph):
     """DependenceGraph that counts BFS traversals (the operation the
     label fast path exists to eliminate)."""
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
+    def __init__(self) -> None:
+        super().__init__()
         self.bfs_calls = 0
 
     def ancestors_of(self, task_id: int) -> set[int]:
@@ -92,7 +93,7 @@ class CountingLabelStore(dict):
 class TestExactness:
     @given(random_dags())
     def test_precedes_matches_bfs_on_random_dags(self, edges):
-        g = build_graph(edges, maintain_labels=True)
+        g = build_graph(edges)
         om = g.order_maintainer
         assert om is not None
         n = len(edges)
@@ -106,7 +107,7 @@ class TestExactness:
 
     @given(random_dags())
     def test_label_invariants(self, edges):
-        g = build_graph(edges, maintain_labels=True)
+        g = build_graph(edges)
         om = g.order_maintainer
         levels = g.levels()
         for tid, deps in enumerate(edges):
@@ -125,11 +126,10 @@ class TestExactness:
         """Labels assigned during real launches (through every coherence
         algorithm's reported dependences) decode to the BFS closure."""
         tree, initial, stream = program
-        rt = Runtime(tree, initial, algorithm="raycast",
-                     precedence_oracle=True)
+        rt = Runtime(tree, initial, algorithm="raycast")
         rt.replay(stream)
         om = rt.graph.order_maintainer
-        assert om is not None and rt.order is not None
+        assert om is not None
         for tid in rt.graph.task_ids:
             assert om.ancestors(tid) == rt.graph.ancestors_of(tid)
 
@@ -139,7 +139,6 @@ class TestExactness:
         assert om.precedes(0, 5) is None       # unlabelled target: fall back
         assert om.precedes(5, 0) is False      # unlabelled source: exact no
         assert om.precedes(INITIAL_TASK_ID, 0) is False
-        assert om.reach_mask(INITIAL_TASK_ID) == 0
         assert om.ancestors(7) is None
         assert om.precedes(0, 0) is False      # strict order: irreflexive
 
@@ -165,15 +164,11 @@ class TestNoTraversal:
         assert CountingLabelStore.gets <= 2 * queries
 
     def test_oracle_never_walks_the_graph(self):
-        g = CountingGraph(maintain_labels=True)
-        for t in range(200):
-            g.add_task(t, [t - 1] if t else [])
-        oracle = PrecedenceOracle(g.order_maintainer)
-        for a in range(0, 200, 3):
-            for b in range(0, 200, 3):
-                oracle.precedes(a, b)
+        g = build_graph([[t - 1] if t else [] for t in range(200)],
+                        CountingGraph())
+        pairs = [(a, b) for a in range(0, 200, 3) for b in range(0, 200, 3)]
+        assert g.missing_pairs(pairs) == [(a, b) for a, b in pairs if a >= b]
         assert g.bfs_calls == 0
-        assert oracle.comparisons == oracle.queries > 0
 
     def test_soundness_check_scaling_2k_chain(self):
         """The 2k-task soundness check: zero BFS with labels, one BFS per
@@ -182,17 +177,13 @@ class TestNoTraversal:
         chain = [[t - 1] if t else [] for t in range(n)]
         pairs = [(0, j) for j in range(1, n)]
 
-        labelled = CountingGraph(maintain_labels=True)
-        for t, deps in enumerate(chain):
-            labelled.add_task(t, deps)
+        labelled = build_graph(chain, CountingGraph())
         t0 = time.perf_counter()
         assert labelled.missing_pairs(pairs) == []
         labelled_seconds = time.perf_counter() - t0
         assert labelled.bfs_calls == 0
 
-        plain = CountingGraph(maintain_labels=False)
-        for t, deps in enumerate(chain):
-            plain.add_task(t, deps)
+        plain = build_graph(chain, CountingGraph(), bfs_only=True)
         t0 = time.perf_counter()
         assert plain.missing_pairs(pairs) == []
         plain_seconds = time.perf_counter() - t0
@@ -204,109 +195,11 @@ class TestNoTraversal:
 
 
 # ----------------------------------------------------------------------
-# the PrecedenceOracle front-end
-# ----------------------------------------------------------------------
-class TestPrecedenceOracle:
-    def _diamond_oracle(self):
-        g = build_graph([[], [0], [0], [1, 2]], maintain_labels=True)
-        return PrecedenceOracle(g.order_maintainer)
-
-    def test_covered_counts_hits_and_misses(self):
-        oracle = self._diamond_oracle()
-        mask = oracle.reach_mask(3)
-        assert oracle.covered(mask, 0) and oracle.covered(mask, 3)
-        assert not oracle.covered(mask, 4)
-        assert not oracle.covered(mask, INITIAL_TASK_ID)
-        assert oracle.hits == 2 and oracle.misses == 2
-
-    def test_transitive_reduce_diamond(self):
-        oracle = self._diamond_oracle()
-        kept, dropped = oracle.transitive_reduce({0, 1, 2, 3})
-        assert kept == {3}
-        assert sorted(dropped) == [0, 1, 2]
-
-    def test_transitive_reduce_keeps_incomparable(self):
-        oracle = self._diamond_oracle()
-        kept, dropped = oracle.transitive_reduce({1, 2})
-        assert kept == {1, 2} and dropped == []
-
-    def test_transitive_reduce_short_circuits(self):
-        oracle = self._diamond_oracle()
-        assert oracle.transitive_reduce(set()) == (set(), [])
-        assert oracle.transitive_reduce({2}) == ({2}, [])
-
-    def test_transitive_reduce_ignores_unlabelled(self):
-        oracle = self._diamond_oracle()
-        kept, dropped = oracle.transitive_reduce({3, 99})
-        assert kept == {3, 99} and dropped == []
-
-    @given(random_dags())
-    @settings(max_examples=30)
-    def test_transitive_reduce_preserves_closure(self, edges):
-        """Dropping covered deps never changes the transitive closure:
-        the closure of (kept ∪ their ancestors) equals the original."""
-        g = build_graph(edges, maintain_labels=True)
-        oracle = PrecedenceOracle(g.order_maintainer)
-        deps = set(range(0, len(edges), 2))
-        kept, dropped = oracle.transitive_reduce(set(deps))
-
-        def closure(ids):
-            out = set(ids)
-            for t in ids:
-                out |= g.ancestors_of(t)
-            return out
-
-        assert closure(deps) == closure(kept)
-        assert kept.isdisjoint(dropped)
-        assert kept | set(dropped) == deps
-
-    def test_stats_and_publish(self):
-        oracle = self._diamond_oracle()
-        oracle.precedes(0, 3)
-        oracle.covered(oracle.reach_mask(3), 1)
-        registry = MetricsRegistry()
-        oracle.publish_to(registry)
-        snap = registry.snapshot()
-        assert snap["order.labels"] == 4
-        assert snap["order.queries"] == 1
-        assert snap["order.hits"] == 1
-        assert "PrecedenceOracle" in repr(oracle)
-
-
-# ----------------------------------------------------------------------
-# environment knobs and graph integration
+# graph integration
 # ----------------------------------------------------------------------
 class TestConfiguration:
-    def test_env_flags(self, monkeypatch):
-        monkeypatch.delenv(ENV_DISABLE, raising=False)
-        monkeypatch.delenv(ENV_ENABLE, raising=False)
-        assert order_maintenance_enabled()
-        assert not scan_pruning_enabled(None)
-        assert scan_pruning_enabled(True)
-        assert not scan_pruning_enabled(False)
-        assert not differential_enabled()
-
-        monkeypatch.setenv(ENV_ENABLE, "1")
-        assert scan_pruning_enabled(None)
-
-        monkeypatch.setenv(ENV_DISABLE, "1")
-        assert not order_maintenance_enabled()
-        assert not scan_pruning_enabled(True)  # escape hatch wins
-
-    def test_disable_env_reaches_graphs_and_runtimes(self, monkeypatch,
-                                                     fig1):
-        monkeypatch.setenv(ENV_DISABLE, "1")
-        g = DependenceGraph()
-        g.add_task(0, [])
-        assert g.order_maintainer is None
-        tree, P, G = fig1
-        from tests.conftest import fig1_initial
-        rt = Runtime(tree, fig1_initial(tree), algorithm="painter",
-                     precedence_oracle=True)
-        assert rt.order is None
-
     def test_negative_ids_degrade_to_bfs(self):
-        g = DependenceGraph(maintain_labels=True)
+        g = DependenceGraph()
         g.add_task(-1, [])
         assert g.order_maintainer is None
         g.add_task(0, [])
@@ -318,28 +211,11 @@ class TestConfiguration:
     @given(random_dags())
     @settings(max_examples=25)
     def test_helpers_agree_with_and_without_labels(self, edges):
-        with_labels = build_graph(edges, maintain_labels=True)
-        without = build_graph(edges, maintain_labels=False)
+        with_labels = build_graph(edges)
+        without = build_graph(edges, bfs_only=True)
         n = len(edges)
         pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
         assert with_labels.missing_pairs(pairs) == without.missing_pairs(pairs)
         covered = [p for p in pairs if p not in set(without.missing_pairs(pairs))]
         if covered:
             assert with_labels.contains_transitively(covered)
-
-    @given(random_dags())
-    @settings(max_examples=25)
-    def test_differential_mode_passes_on_correct_labels(self, edges):
-        g = build_graph(edges, maintain_labels=True, differential=True)
-        n = len(edges)
-        pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
-        g.missing_pairs(pairs)  # must not raise
-
-    def test_differential_mode_catches_corrupt_labels(self):
-        g = build_graph([[], [0], [1]], maintain_labels=True,
-                        differential=True)
-        # sabotage: claim task 0 does not reach task 2
-        label = g.order_maintainer.label(2)
-        label.reach &= ~1
-        with pytest.raises(AssertionError, match="precedence differential"):
-            g.contains_transitively([(0, 2)])

@@ -1,19 +1,17 @@
-"""Columnar histories: the vectorized scan is observationally invisible.
+"""Columnar histories: one dependence scan, two equivalent front-ends.
 
 The tentpole property: for any privilege mix (reads, writes, reductions
-with distinct operators, collapsed summaries), any query space, and any
-pre-collected dependence set, the columnar sweep and the object walk
-produce the same dependences, the same meter totals, and the same
-provenance edge/prune records.  Plus the scan-path regressions the
-refactor's audit surfaced:
-
-* the oracle-pruned scan must feed its post-coverage-mask survivors
-  through ``batch_overlaps`` instead of scalar ``overlaps`` calls;
-* entries already collected in ``deps`` at scan start must not reach the
-  batched kernel at all.
+with distinct operators, collapsed summaries), any query space, any
+pre-collected dependence set and any history container (list, generator,
+``ColumnarHistory``), ``scan_dependences`` produces the dependences, meter
+totals and provenance edge/prune records of a brute-force entry-at-a-time
+spec.  History lengths straddle ``SCAN_VECTOR_MIN``, so both the scalar
+and the vector front-end are covered.  Plus the scan-path regression the
+columnar refactor's audit surfaced: entries already collected in ``deps``
+at scan start must not reach the batched kernel at all.
 """
 
-from contextlib import nullcontext
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,17 +21,16 @@ import repro.visibility.history as hist_mod
 from repro.geometry.index_space import IndexSpace
 from repro.obs import provenance as prov
 from repro.privileges import READ, READ_WRITE, reduce
-from repro.runtime.order import OrderMaintainer, PrecedenceOracle
-from repro.visibility.history import (ColumnarHistory, HistoryEntry,
-                                      PrivilegeColumns, RegionValues,
-                                      columnar_disabled, columnar_enabled,
-                                      interference_mask, scan_dependences,
-                                      set_columnar_enabled)
+from repro.visibility.history import (SCAN_VECTOR_MIN, ColumnarHistory,
+                                      HistoryEntry, PrivilegeColumns,
+                                      RegionValues, interference_mask,
+                                      scan_dependences)
 from repro.visibility.meter import CostMeter
 
 from tests.conftest import index_spaces
 
 PRIVILEGES = [READ, READ_WRITE, reduce("sum"), reduce("max")]
+CONTAINERS = {"list": list, "generator": iter, "columnar": ColumnarHistory}
 
 
 def make_entry(privilege, indices, task_id, collapsed=frozenset()):
@@ -46,38 +43,74 @@ def make_entry(privilege, indices, task_id, collapsed=frozenset()):
     return HistoryEntry(privilege, domain, values, task_id, collapsed)
 
 
-def run_scan(entries, privilege, space, columnar, seed_deps=(),
-             oracle=None):
+def spec_scan(entries, privilege, space, seed_deps=()):
+    """Figure 7's dependence scan, one entry at a time — the spec."""
+    deps, counts, edges, pruned = set(seed_deps), Counter(), [], []
+    points = set(space.indices.tolist())
+    for e in entries:
+        counts["entries_scanned"] += 1
+        if e.task_id in deps and not e.collapsed_ids:
+            continue
+        if not privilege.interferes(e.privilege):
+            continue
+        counts["intersection_tests"] += 1
+        if points & set(e.domain.indices.tolist()):
+            deps |= {e.task_id} | e.collapsed_ids
+            edges.append(e)
+        else:
+            pruned.append(e)
+    return deps, dict(counts), edges, pruned
+
+
+def run_spec(entries, privilege, space, seed_deps=()):
+    """The spec's observables in the shape :func:`run_scan` reports."""
+    deps, counts, edges, pruned = spec_scan(entries, privilege, space,
+                                            seed_deps)
+    return (deps, counts,
+            [(e.task_id, "summary" if e.collapsed_ids else "history",
+              prov.privilege_label(e.privilege), prov.domain_desc(e.domain),
+              tuple(sorted(e.collapsed_ids))) for e in edges],
+            [(e.task_id, "disjoint", prov.domain_desc(e.domain))
+             for e in pruned])
+
+
+def run_scan(entries, privilege, space, container="columnar", seed_deps=()):
     """One scan under a fresh meter and ledger; returns every observable."""
-    history = ColumnarHistory(entries)
     deps = set(seed_deps)
     meter = CostMeter()
     led = prov.ProvenanceLedger(enabled=True)
     prev = prov.set_ledger(led)
     try:
         led.begin_access(10**6, "x", "test", privilege, space)
-        with (nullcontext() if columnar else columnar_disabled()):
-            scan_dependences(privilege, space, history, deps, meter,
-                             oracle=oracle)
+        scan_dependences(privilege, space, CONTAINERS[container](entries),
+                         deps, meter)
         led.end_access()
     finally:
         prov.set_ledger(prev)
     (record,) = led.snapshot()
-    return deps, meter.snapshot(), record.edges, record.pruned
+    return (deps, meter.snapshot(),
+            [(w.src, w.kind, w.privilege, w.domain, w.collapsed)
+             for w in record.edges],
+            [(p.src, p.reason, p.domain) for p in record.pruned])
 
 
 # ----------------------------------------------------------------------
-# the equivalence property (satellite: hypothesis coverage)
+# the equivalence property
 # ----------------------------------------------------------------------
-entry_specs = st.lists(
-    st.tuples(st.integers(0, len(PRIVILEGES) - 1),
-              st.lists(st.integers(0, 40), min_size=0, max_size=10),
-              st.booleans(),   # collapsed summary?
-              st.booleans()),  # reuse the previous task id?
-    min_size=0, max_size=24)
+entry_spec = st.tuples(st.integers(0, len(PRIVILEGES) - 1),
+                       st.lists(st.integers(0, 40), min_size=0, max_size=10),
+                       st.booleans(),   # collapsed summary?
+                       st.booleans())   # reuse the previous task id?
 
 
-def build_history(specs):
+@st.composite
+def histories(draw):
+    """Entry lists whose lengths sit on both sides of the front-end
+    switch."""
+    n = draw(st.sampled_from([0, 1, 2, 3, SCAN_VECTOR_MIN - 1,
+                              SCAN_VECTOR_MIN, SCAN_VECTOR_MIN + 1,
+                              2 * SCAN_VECTOR_MIN]))
+    specs = draw(st.lists(entry_spec, min_size=n, max_size=n))
     entries = []
     for i, (pk, indices, collapsed, dup) in enumerate(specs):
         task_id = max(0, i - 1) if dup else i
@@ -91,51 +124,29 @@ def build_history(specs):
 
 
 class TestColumnarEquivalence:
-    @given(specs=entry_specs,
+    @given(entries=histories(),
            pk=st.integers(0, len(PRIVILEGES) - 1),
            space=index_spaces(max_index=48, min_size=0, max_size=16),
-           seed=st.lists(st.integers(0, 23), max_size=4))
-    def test_scan_matches_object_walk(self, specs, pk, space, seed):
-        entries = build_history(specs)
+           seed=st.lists(st.integers(0, 2 * SCAN_VECTOR_MIN), max_size=4))
+    def test_scan_matches_object_walk(self, entries, pk, space, seed):
         privilege = PRIVILEGES[pk]
-        on = run_scan(entries, privilege, space, columnar=True,
-                      seed_deps=seed)
-        off = run_scan(entries, privilege, space, columnar=False,
-                       seed_deps=seed)
-        assert on == off
-
-    @given(specs=entry_specs,
-           pk=st.integers(0, len(PRIVILEGES) - 1),
-           space=index_spaces(max_index=48, min_size=0, max_size=16),
-           seed=st.lists(st.integers(0, 23), max_size=4))
-    def test_pruned_scan_matches_object_walk(self, specs, pk, space, seed):
-        """The oracle path too (unlabelled oracle: coverage never hits,
-        so its deps must equal the unpruned scan's order-insensitively)."""
-        entries = build_history(specs)
-        privilege = PRIVILEGES[pk]
-        on = run_scan(entries, privilege, space, columnar=True,
-                      seed_deps=seed,
-                      oracle=PrecedenceOracle(OrderMaintainer()))
-        off = run_scan(entries, privilege, space, columnar=False,
-                       seed_deps=seed,
-                       oracle=PrecedenceOracle(OrderMaintainer()))
-        assert on == off
+        want = run_spec(entries, privilege, space, seed)
+        for container in CONTAINERS:
+            assert run_scan(entries, privilege, space, container,
+                            seed) == want, container
 
     def test_empty_history(self):
         space = IndexSpace.from_indices([1, 2, 3])
-        for columnar in (True, False):
-            deps, counts, edges, pruned = run_scan(
-                [], READ_WRITE, space, columnar)
-            assert deps == set()
-            assert counts == {}
-            assert edges == [] and pruned == []
+        for container in CONTAINERS:
+            assert run_scan([], READ_WRITE, space, container) == \
+                (set(), {}, [], [])
 
     def test_single_entry(self):
         space = IndexSpace.from_indices([1, 2, 3])
         entry = make_entry(READ_WRITE, [2, 5], 7)
-        for columnar in (True, False):
+        for container in CONTAINERS:
             deps, counts, edges, pruned = run_scan(
-                [entry], READ, space, columnar)
+                [entry], READ, space, container)
             assert deps == {7}
             assert counts == {"entries_scanned": 1,
                               "intersection_tests": 1}
@@ -144,9 +155,9 @@ class TestColumnarEquivalence:
     def test_single_disjoint_entry(self):
         space = IndexSpace.from_indices([10, 11])
         entry = make_entry(READ_WRITE, [2, 5], 7)
-        for columnar in (True, False):
+        for container in CONTAINERS:
             deps, counts, edges, pruned = run_scan(
-                [entry], READ, space, columnar)
+                [entry], READ, space, container)
             assert deps == set()
             assert counts == {"entries_scanned": 1,
                               "intersection_tests": 1}
@@ -155,10 +166,10 @@ class TestColumnarEquivalence:
     def test_empty_query_space(self):
         space = IndexSpace.from_indices([])
         entries = [make_entry(READ_WRITE, [1, 2], i) for i in range(3)]
-        on = run_scan(entries, READ, space, columnar=True)
-        off = run_scan(entries, READ, space, columnar=False)
-        assert on == off
-        assert on[0] == set()
+        want = run_spec(entries, READ, space)
+        assert want[0] == set()
+        for container in CONTAINERS:
+            assert run_scan(entries, READ, space, container) == want
 
 
 # ----------------------------------------------------------------------
@@ -179,8 +190,6 @@ class TestColumnarHistory:
         assert hist.kinds.tolist() == [hist_mod.KIND_READ,
                                        hist_mod.KIND_REDUCE,
                                        hist_mod.KIND_WRITE]
-        assert hist.task_ids.tolist() == [0, 1, 2]
-        assert hist.collapsed_flags.tolist() == [False, False, True]
         assert hist.los.tolist() == [1, 2, 4]
         assert hist.his.tolist() == [1, 3, 4]
 
@@ -189,10 +198,11 @@ class TestColumnarHistory:
         for i in range(50):
             hist.append(make_entry(READ_WRITE, [i], i))
         assert len(hist) == 50
-        assert hist.task_ids.tolist() == list(range(50))
+        assert hist.los.tolist() == list(range(50))
+        assert hist.kinds.tolist() == [hist_mod.KIND_WRITE] * 50
         hist.reset([make_entry(READ, [3], 99)])
         assert len(hist) == 1
-        assert hist.task_ids.tolist() == [99]
+        assert hist.los.tolist() == [3]
         assert hist.kinds.tolist() == [hist_mod.KIND_READ]
 
     def test_pickle_roundtrip_rebuilds_columns(self):
@@ -205,7 +215,6 @@ class TestColumnarHistory:
         assert isinstance(clone, ColumnarHistory)
         assert len(clone) == 2
         assert clone.kinds.tolist() == hist.kinds.tolist()
-        assert clone.task_ids.tolist() == hist.task_ids.tolist()
         # the rebuilt redop column must still match the live operator
         mask = interference_mask(reduce("sum"), clone.kinds, clone.redops)
         assert mask.tolist() == [False, True]
@@ -220,22 +229,7 @@ class TestColumnarHistory:
             expected = [privilege.interferes(e.privilege) for e in hist]
             assert mask.tolist() == expected, privilege
 
-    def test_flag_plumbing(self):
-        assert columnar_enabled()  # default on
-        with columnar_disabled():
-            assert not columnar_enabled()
-        assert columnar_enabled()
-        set_columnar_enabled(False)
-        try:
-            assert not columnar_enabled()
-        finally:
-            set_columnar_enabled(None)
-        assert columnar_enabled()
 
-
-# ----------------------------------------------------------------------
-# regression: the oracle-pruned scan batches its survivors (satellite 1)
-# ----------------------------------------------------------------------
 def _spy_kernel(monkeypatch):
     calls = []
     real = hist_mod.batch_overlaps
@@ -248,62 +242,8 @@ def _spy_kernel(monkeypatch):
     return calls
 
 
-def _spy_scalar(monkeypatch):
-    calls = []
-    real = IndexSpace.overlaps
-
-    def spy(self, other):
-        calls.append(1)
-        return real(self, other)
-
-    monkeypatch.setattr(IndexSpace, "overlaps", spy)
-    return calls
-
-
-class TestPrunedScanBatching:
-    @pytest.mark.parametrize("columnar", (True, False))
-    def test_survivors_go_through_the_kernel(self, monkeypatch, columnar):
-        """With the oracle on, every surviving candidate's overlap answer
-        must come from one ``batch_overlaps`` call — zero scalar
-        ``overlaps`` calls (pre-fix: zero kernel calls, one scalar call
-        per survivor)."""
-        entries = [make_entry(READ_WRITE, [i, i + 1], i) for i in range(6)]
-        history = ColumnarHistory(entries) if columnar else entries
-        space = IndexSpace.from_indices([2, 3, 4])
-        oracle = PrecedenceOracle(OrderMaintainer())  # nothing covered
-        deps: set = set()
-        kernel = _spy_kernel(monkeypatch)
-        scalar = _spy_scalar(monkeypatch)
-        ctx = nullcontext() if columnar else columnar_disabled()
-        with ctx:
-            scan_dependences(READ, space, history, deps, CostMeter(),
-                             oracle=oracle)
-        assert kernel == [6], "survivors must be batched in one kernel call"
-        assert scalar == [], "no per-candidate scalar overlap tests"
-        assert deps == {1, 2, 3, 4}
-
-    def test_oracle_stats_unchanged_by_precompute(self):
-        """The candidate precompute must not inflate the oracle's
-        hit/miss statistics — only the loop's real coverage tests count."""
-        entries = [make_entry(READ_WRITE, [i], i) for i in range(4)]
-        space = IndexSpace.from_indices([0, 1, 2, 3])
-
-        def run(history):
-            oracle = PrecedenceOracle(OrderMaintainer())
-            deps: set = set()
-            scan_dependences(READ, space, history, deps, CostMeter(),
-                             oracle=oracle)
-            return oracle.hits + oracle.misses
-
-        # the loop coverage-tests each of the 4 interfering entries once;
-        # the precompute must add zero
-        assert run(ColumnarHistory(entries)) == 4
-        with columnar_disabled():
-            assert run(list(entries)) == 4
-
-
 # ----------------------------------------------------------------------
-# regression: pre-collected deps never reach the kernel (satellite 2)
+# regression: pre-collected deps never reach the kernel
 # ----------------------------------------------------------------------
 class TestDepsAtStartMasking:
     @pytest.mark.parametrize("columnar", (True, False))
@@ -318,12 +258,10 @@ class TestDepsAtStartMasking:
         deps = {0, 1, 2, 3}
         kernel = _spy_kernel(monkeypatch)
         meter = CostMeter()
-        ctx = nullcontext() if columnar else columnar_disabled()
-        with ctx:
-            scan_dependences(READ, space, history, deps, meter)
+        scan_dependences(READ, space, history, deps, meter)
         assert kernel == [2], "pre-collected deps must be masked out"
         assert deps == {0, 1, 2, 3, 4, 5}
-        # meter counts replay the unmasked control flow bit-identically
+        # meter totals are those of the unmasked entry-at-a-time walk
         assert meter.snapshot() == {"entries_scanned": 6,
                                     "intersection_tests": 2}
 
@@ -354,10 +292,11 @@ class TestEqsetColumns:
         assert isinstance(s.history, PrivilegeColumns)
         s.record(READ_WRITE, np.zeros(3), 1)
         s.record(reduce("sum"), np.ones(3), 2)
-        assert s.history.task_ids.tolist() == [1, 2]
+        assert s.history.kinds.tolist() == [hist_mod.KIND_WRITE,
+                                            hist_mod.KIND_REDUCE]
         inside, outside = s.split(IndexSpace.from_indices([0]))
         assert outside is not None
-        assert inside.history.task_ids.tolist() == [1, 2]
+        assert [e.task_id for e in inside.history] == [1, 2]
         assert outside.history.kinds.tolist() == s.history.kinds.tolist()
 
     def test_loose_set_history_is_columnar(self):
@@ -368,9 +307,8 @@ class TestEqsetColumns:
         assert isinstance(s.history, ColumnarHistory)
         s.record(make_entry(READ_WRITE, [0, 1, 2, 3], 1))
         s.record(make_entry(reduce("sum"), [1, 2], 2))
-        assert s.history.task_ids.tolist() == [1, 2]
         assert s.history.los.tolist() == [0, 1]
         remainder = s.minus(IndexSpace.from_indices([0, 1]))
         assert remainder is not None
         assert isinstance(remainder.history, ColumnarHistory)
-        assert remainder.history.task_ids.tolist() == [1, 2]
+        assert remainder.history.los.tolist() == [2, 2]

@@ -38,11 +38,6 @@ class RuntimeVsReference(RuleBasedStateMachine):
         self.reference = SequentialExecutor(self.tree, initial)
         self.runtimes = {name: Runtime(self.tree, initial, algorithm=name)
                          for name in ALGORITHMS}
-        # a sixth runtime with the precedence oracle on: its pruned graph
-        # must keep the same transitive closure and values as raycast's
-        self.runtimes["raycast+oracle"] = Runtime(
-            self.tree, initial, algorithm="raycast",
-            precedence_oracle=True)
         self.sharded = {shards: ShardedRuntime(self.tree, initial,
                                                shards=shards)
                         for shards in SHARD_COUNTS}
@@ -169,7 +164,7 @@ class RuntimeVsReference(RuleBasedStateMachine):
     def structural_invariants_hold(self):
         if not hasattr(self, "runtimes"):
             return
-        for name in ("warnock", "raycast", "raycast+oracle"):
+        for name in ("warnock", "raycast"):
             for field in ("x", "y"):
                 self.runtimes[name].algorithm_for(field).check_invariants()
 
@@ -177,19 +172,17 @@ class RuntimeVsReference(RuleBasedStateMachine):
     def precedence_labels_and_closure_hold(self):
         """Order labels stay exact under arbitrary interleavings: the
         newest task's decoded ancestor bitmap equals the BFS closure,
-        scan pruning preserves that closure relative to the unpruned
-        raycast runtime, and levels respect every recorded edge."""
+        and levels respect every recorded edge."""
         if not hasattr(self, "runtimes"):
             return
-        pruned = self.runtimes["raycast+oracle"].graph
-        if len(pruned) == 0:
+        graph = self.runtimes["raycast"].graph
+        if len(graph) == 0:
             return
-        newest = pruned.task_ids[-1]
-        bfs = pruned.ancestors_of(newest)
-        assert pruned.order_maintainer.ancestors(newest) == bfs
-        assert self.runtimes["raycast"].graph.ancestors_of(newest) == bfs
-        levels = pruned.levels()
-        for dep in pruned.dependences_of(newest):
+        newest = graph.task_ids[-1]
+        assert graph.order_maintainer.ancestors(newest) == \
+            graph.ancestors_of(newest)
+        levels = graph.levels()
+        for dep in graph.dependences_of(newest):
             assert levels[dep] < levels[newest]
 
 
