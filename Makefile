@@ -4,7 +4,7 @@ PYTHON ?= python
 
 .PHONY: install test check chaos lint bench bench-quick report examples \
 	introspect-smoke service-smoke telemetry-smoke blackbox-smoke \
-	ledger ledger-selftest clean help
+	ledger ledger-selftest loc clean help
 
 help:
 	@echo "install      editable install (offline-friendly)"
@@ -21,6 +21,7 @@ help:
 	@echo "blackbox-smoke  chaos serve with flight recorder -> validate dump -> render"
 	@echo "ledger       the layer ledger: four workloads, every metric (benchmarks/ledger)"
 	@echo "ledger-selftest  the ledger's <20 s self-test + its own tests"
+	@echo "loc          lines of Python per src/repro package, plus tests/ and benchmarks/"
 	@echo "clean        remove build/caches/results"
 
 install:
@@ -98,6 +99,15 @@ ledger:
 ledger-selftest:
 	$(PYTHON) benchmarks/ledger/run.py --selftest
 	PYTHONPATH=src $(PYTHON) -m pytest -q benchmarks/ledger/test_ledger.py
+
+# The ROADMAP's size bars ("obs/ vs visibility/", "net negative LOC")
+# as one printed table; nothing gates on it.
+loc:
+	@for d in $$(ls -d src/repro/*/ | grep -v __pycache__) \
+			src/repro tests benchmarks; do \
+		printf '%7d  %s\n' \
+			"$$(find $$d -name '*.py' -exec cat {} + | wc -l)" "$$d"; \
+	done
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only

@@ -37,6 +37,10 @@ runs = compare_algorithms(app.tree, app.initial, stream, exact=False)
 print("\nall algorithms match the sequential reference; "
       "dependence graphs sound\n")
 
+STRUCTURES = {"eqsets": "{count} eqsets",
+              "tree_painter": "{total_items} history items",
+              "painter": "{history_length} entries",
+              "zbuffer": "{interned_sets} interned sets"}
 header = f"{'algorithm':>14} {'edges':>7} {'critical':>9} {'structures'}"
 print(header)
 print("-" * len(header))
@@ -45,13 +49,9 @@ for name, run in runs.items():
     rt: Runtime = run.runtime
     details = []
     for field in app.tree.field_space.names:
-        algo = rt.algorithm_for(field)
-        if hasattr(algo, "num_equivalence_sets"):
-            details.append(f"{field}: {algo.num_equivalence_sets()} eqsets")
-        elif hasattr(algo, "total_items"):
-            details.append(f"{field}: {algo.total_items()} history items")
-        elif hasattr(algo, "history_length"):
-            details.append(f"{field}: {algo.history_length} entries")
+        state = rt.algorithm_for(field).describe()
+        details.append(f"{field}: "
+                       + STRUCTURES[state["kind"]].format(**state))
     print(f"{name:>14} {profile.edges:>7} {profile.critical_path:>9} "
           f"{'; '.join(details)}")
 

@@ -399,6 +399,15 @@ def _cmd_artifact(args) -> int:
     return 0
 
 
+#: One line per census kind (``CoherenceAlgorithm.describe``).
+_INSPECT_LINES = {
+    "eqsets": "{count} equivalence sets",
+    "tree_painter": "{total_items} history items",
+    "painter": "{history_length} history entries",
+    "zbuffer": "{interned_sets} interned access sets (z-buffer)",
+}
+
+
 def _cmd_inspect(args) -> int:
     from repro import Runtime
     from repro.analysis.render import (dependence_dot, render_eqset_map,
@@ -414,17 +423,11 @@ def _cmd_inspect(args) -> int:
           f"({args.pieces} pieces, {args.iterations} iterations)\n")
     for field in app.tree.field_space.names:
         algo = rt.algorithm_for(field)
-        if hasattr(algo, "num_equivalence_sets"):
-            print(f"field {field!r}: {algo.num_equivalence_sets()} "
-                  f"equivalence sets")
+        state = algo.describe()
+        print(f"field {field!r}: "
+              + _INSPECT_LINES[state["kind"]].format(**state))
+        if state["kind"] == "eqsets":
             print(render_eqset_map(algo))
-        elif hasattr(algo, "total_items"):
-            print(f"field {field!r}: {algo.total_items()} history items")
-        elif hasattr(algo, "history_length"):
-            print(f"field {field!r}: {algo.history_length} history entries")
-        else:
-            print(f"field {field!r}: {algo.interned_sets()} interned "
-                  f"access sets (z-buffer)")
         print()
     print("metered operations:")
     print(summarize_costs(rt.meter.counters))

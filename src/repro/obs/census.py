@@ -17,8 +17,6 @@ publishes into a :class:`~repro.obs.metrics.MetricsRegistry` as
 
 from __future__ import annotations
 
-from typing import Optional
-
 #: Version tag carried in every census document.
 SCHEMA_ID = "repro.census/1"
 
@@ -55,52 +53,11 @@ CENSUS_SCHEMA = {
 }
 
 
-def _dist(values) -> dict:
-    """Summary distribution of a list of ints: count/min/max/mean/total."""
-    values = [int(v) for v in values]
-    if not values:
-        return {"count": 0, "min": 0, "max": 0, "mean": 0.0, "total": 0}
-    total = sum(values)
-    return {"count": len(values), "min": min(values), "max": max(values),
-            "mean": round(total / len(values), 4), "total": total}
-
-
 def _field_census(algo) -> dict:
-    """Stat block for one coherence-algorithm instance, selected by its
-    public diagnostics surface."""
-    stats: dict = {"algorithm": algo.name}
-    if hasattr(algo, "num_equivalence_sets"):
-        sets = algo.store.all_sets()
-        stats["kind"] = "eqsets"
-        stats["count"] = len(sets)
-        stats["sizes"] = _dist(s.space.size for s in sets)
-        stats["history"] = _dist(len(s.history) for s in sets)
-        store = algo.store
-        if hasattr(store, "tree_depth"):
-            stats["tree_depth"] = int(store.tree_depth())
-        if hasattr(store, "partition"):
-            part = store.partition
-            stats["buckets"] = (0 if part is None
-                                else len(part.subregions))
-            stats["kd_fallback"] = part is None
-    elif hasattr(algo, "view_stats"):
-        views, captured = algo.view_stats()
-        stats["kind"] = "tree_painter"
-        stats["total_items"] = int(algo.total_items())
-        stats["views"] = int(views)
-        stats["captured_entries"] = int(captured)
-        stats["compaction_ratio"] = (
-            round(captured / views, 4) if views else 0.0)
-    elif hasattr(algo, "interned_sets"):
-        stats["kind"] = "zbuffer"
-        stats["interned_sets"] = int(algo.interned_sets())
-        stats["elements"] = int(algo.tree.root.space.size)
-    elif hasattr(algo, "history_length"):
-        stats["kind"] = "painter"
-        stats["history_length"] = int(algo.history_length)
-    else:  # pragma: no cover - every shipped algorithm matches above
-        stats["kind"] = "unknown"
-    return stats
+    """Stat block for one coherence-algorithm instance: the algorithm
+    describes its own state (a ``kind`` plus the numbers
+    ``CENSUS_SCHEMA["field_kinds"]`` requires of that kind)."""
+    return {"algorithm": algo.name, **algo.describe()}
 
 
 def census(runtime, registry=None, service=None, **labels) -> dict:

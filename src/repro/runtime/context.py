@@ -17,7 +17,7 @@ The runtime is the public entry point applications use::
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -117,10 +117,22 @@ class Runtime:
             if req.region.tree is not self.tree:
                 raise TaskError(
                     f"task {name!r} names a region from a different tree")
+        return self._run(name, requirements, body, point)
+
+    def _run(self, name: str, requirements: tuple[RegionRequirement, ...],
+             body: Optional[TaskBody], point: Optional[int],
+             replayed: Optional[frozenset[int]] = None) -> Task:
+        """Figure 6's ``run_task`` over validated requirements.
+
+        ``replayed`` is a traced replay's memoized dependence set
+        (:mod:`repro.runtime.tracing`): the same path, with every
+        materialize told to skip its dependence scan.
+        """
+        scan = replayed is None
         task_id = self.next_task_id
 
         self.meter.begin_task()
-        deps: set[int] = set()
+        deps: set[int] = set() if scan else set(replayed)
         buffers: list[np.ndarray] = []
         # One enabled-check for the whole launch; when recording, every
         # materialize/commit gets its own provenance access record.
@@ -133,17 +145,20 @@ class Runtime:
             for req in requirements:
                 if recording:
                     led.begin_access(task_id, req.field, self.algorithm_name,
-                                     req.privilege, req.region.space)
+                                     req.privilege, req.region.space,
+                                     phase="materialize" if scan else "replay")
                 outcome = self._algorithms[req.field].materialize(
-                    req.privilege, req.region)
+                    req.privilege, req.region, scan)
                 if recording:
-                    led.end_access()
+                    led.end_access(keep_empty=scan)
                 deps.update(outcome.dependences)
                 buf = outcome.values
                 if req.privilege.is_read:
                     buf.setflags(write=False)
                 buffers.append(buf)
             sp.set(deps=sorted(deps))
+            if not scan:
+                sp.set(replayed=True)
 
             if body is not None:
                 body(*buffers)
@@ -164,6 +179,7 @@ class Runtime:
         task = Task(task_id, name, requirements, body, point)
         self._tasks.append(task)
         # records the task and assigns its order label from these deps
+        # (a replayed task's label comes from the memoized ones)
         self.graph.add_task(task_id, deps)
         return task
 
@@ -209,48 +225,6 @@ class Runtime:
     def tracer(self):
         """The trace registry, if any trace has been executed."""
         return self._tracer
-
-    def _launch_traced(self, template: Task, deps: frozenset[int]) -> Task:
-        """Replay one task with memoized dependences (tracing fast path)."""
-        task_id = self.next_task_id
-        self.meter.begin_task()
-        buffers: list[np.ndarray] = []
-        led = prov._LEDGER
-        recording = led.enabled
-        with obs.span(template.name, "task", task_id=task_id,
-                      deps=sorted(deps), replayed=True):
-            for req in template.requirements:
-                if recording:
-                    led.begin_access(task_id, req.field, self.algorithm_name,
-                                     req.privilege, req.region.space,
-                                     phase="replay")
-                buf = self._algorithms[req.field].materialize_values(
-                    req.privilege, req.region)
-                if recording:
-                    led.end_access(keep_empty=False)
-                if req.privilege.is_read:
-                    buf.setflags(write=False)
-                buffers.append(buf)
-            if template.body is not None:
-                template.body(*buffers)
-            for req, buf in zip(template.requirements, buffers):
-                commit_values = None if req.privilege.is_read else buf
-                if recording:
-                    led.begin_access(task_id, req.field, self.algorithm_name,
-                                     req.privilege, req.region.space,
-                                     phase="commit")
-                self._algorithms[req.field].commit(
-                    req.privilege, req.region, commit_values, task_id)
-                if recording:
-                    led.end_access(keep_empty=False)
-        if self._record_costs:
-            self.cost_log.append(self.meter.end_task())
-        task = Task(task_id, template.name, template.requirements,
-                    template.body, template.point)
-        self._tasks.append(task)
-        # replayed tasks get order labels too — from the memoized deps
-        self.graph.add_task(task_id, deps)
-        return task
 
     # ------------------------------------------------------------------
     def read_field(self, field: str) -> np.ndarray:

@@ -1,9 +1,11 @@
-"""The three visibility-based coherence algorithms of the paper.
+"""The visibility-based coherence algorithms: the paper's four and a fifth.
 
-Every algorithm implements the same two-call protocol of Figure 6 —
-``materialize`` (produce coherent values for a region argument and the
-dependences of the task about to run) and ``commit`` (record the task's
-effects for future materializations):
+All share the two-call protocol of Figure 6 — ``materialize`` (produce
+coherent values for a region argument and the dependences of the task
+about to run) and ``commit`` (record the task's effects for future
+materializations) — written once in
+:class:`~repro.visibility.base.CoherenceAlgorithm`; each algorithm is the
+store policy that driver runs over:
 
 * :class:`~repro.visibility.painter.PainterAlgorithm` — the naive global
   history of Figure 7.
@@ -17,6 +19,9 @@ effects for future materializations):
   dominating writes that coalesce occluded equivalence sets (Figure 11),
   bucketed over a disjoint-and-complete partition with a K-d tree
   fallback (section 7.1).
+* :class:`~repro.visibility.zbuffer.ZBufferAlgorithm` — beyond the paper:
+  a per-element z-buffer table, maximally precise and inherently
+  centralized.
 
 All algorithms are *per field*: the runtime owns one instance per field of
 the region tree.  All are instrumented through

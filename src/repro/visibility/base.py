@@ -1,13 +1,18 @@
-"""The common coherence-algorithm protocol (Figure 6).
+"""The common coherence-algorithm protocol (Figure 6) and its one driver.
 
 ``run_task`` in the paper is parameterized by two functions plus a state
-representation; here each algorithm is a class with
+representation.  The two functions are written once, here:
 
 * :meth:`CoherenceAlgorithm.materialize` — returns the coherent values of a
   region argument *and* the set of earlier tasks the new task depends on
   (section 3.2 shows dependence analysis is a sub-problem of coherence, so
-  both come out of the same history scan), and
+  both come out of the same traversal), and
 * :meth:`CoherenceAlgorithm.commit` — records the task's effect.
+
+Each algorithm is a *store policy* — the state representation — supplying
+only the hooks the driver sequences: ``_locate``, ``_collect``, ``_paint``,
+an optional ``_settle``, and ``_record`` (their docstrings below are the
+contract).  A traced replay is the same path with ``_collect`` skipped.
 
 An algorithm instance tracks exactly one field of one region tree; the
 runtime owns one instance per field.
@@ -22,6 +27,8 @@ from typing import Optional, Type
 import numpy as np
 
 from repro.errors import CoherenceError
+from repro.obs import provenance as prov
+from repro.obs.tracer import traced
 from repro.privileges import Privilege, READ
 from repro.regions.region import Region
 from repro.regions.tree import RegionTree
@@ -89,12 +96,45 @@ class CoherenceAlgorithm(ABC):
         self._obs_cat = f"visibility.{type(self).name}"
 
     # ------------------------------------------------------------------
-    @abstractmethod
-    def materialize(self, privilege: Privilege, region: Region) -> AnalysisOutcome:
+    # the Figure 6 protocol
+    # ------------------------------------------------------------------
+    @traced("materialize")
+    def materialize(self, privilege: Privilege, region: Region,
+                    scan: bool = True) -> AnalysisOutcome:
         """Coherent values for ``region`` plus the dependences of the task
-        about to run with ``privilege`` on it."""
+        about to run with ``privilege`` on it.
 
-    @abstractmethod
+        ``scan=False`` is the traced-replay form
+        (:mod:`repro.runtime.tracing`): the dependences come from a
+        memoized template, so ``_collect`` is skipped and the outcome
+        reports none.  Every structural side effect (hoisting, refinement,
+        dominating writes) still happens — they are what keeps future
+        materializations correct.
+        """
+        if region.tree is not self.tree:
+            raise CoherenceError("region belongs to a different tree")
+        led = prov._LEDGER
+        led = led if led.enabled else None
+        found = self._locate(privilege, region, led)
+        deps: set[int] = set()
+        if scan:
+            self._collect(privilege, region, found, deps, led)
+            if led is not None:
+                led.clear_source()
+            deps.discard(INITIAL_TASK_ID)
+        if privilege.is_reduce:
+            # Lazy reductions (section 5): never look at values, hand
+            # back an identity-filled accumulation buffer.
+            assert privilege.redop is not None
+            values = privilege.redop.identity_array(region.space.size,
+                                                    self.dtype)
+        else:
+            values = self._paint(region, found)
+            if privilege.is_write:
+                self._settle(region, found, values, led)
+        return AnalysisOutcome(values, frozenset(deps))
+
+    @traced("commit")
     def commit(self, privilege: Privilege, region: Region,
                values: Optional[np.ndarray], task_id: int) -> None:
         """Record a finished task's effect on ``region``.
@@ -103,20 +143,50 @@ class CoherenceAlgorithm(ABC):
         accumulated partial reductions for reduce privileges, and ``None``
         for reads.
         """
+        if region.tree is not self.tree:
+            raise CoherenceError("region belongs to a different tree")
+        self._record(privilege, region,
+                     self._check_commit_values(privilege, region, values),
+                     task_id)
 
-    def materialize_values(self, privilege: Privilege,
-                           region: Region) -> np.ndarray:
-        """Values-only materialization for traced replays.
+    # ------------------------------------------------------------------
+    # the store policy
+    # ------------------------------------------------------------------
+    # ``led`` is the provenance ledger while it is recording, else None;
+    # ``found`` is whatever ``_locate`` returned.
+    @abstractmethod
+    def _locate(self, privilege: Privilege, region: Region, led):
+        """The structural step of an access to ``region`` — hoist, refine,
+        localize buckets, or find element positions — with its meter
+        touches.  Runs on every materialize, replays included."""
 
-        Dynamic tracing (:mod:`repro.runtime.tracing`) replays a memoized
-        dependence template, so only the value side of ``materialize`` is
-        needed.  The default runs the full analysis and discards the
-        dependences; subclasses override with a fast path that skips the
-        dependence scan.  All structural side effects (hoisting,
-        refinement, dominating writes) must still happen — they are what
-        keeps future materializations correct.
-        """
-        return self.materialize(privilege, region).values
+    @abstractmethod
+    def _collect(self, privilege: Privilege, region: Region, found,
+                 deps: set[int], led) -> None:
+        """The dependence scan: add to ``deps`` the id of every earlier
+        task the access interferes with.  Skipped on a traced replay, so
+        it must not change the store."""
+
+    @abstractmethod
+    def _paint(self, region: Region, found) -> np.ndarray:
+        """Current values of ``region``, aligned with its space (not
+        called for reductions, which get an identity buffer)."""
+
+    def _settle(self, region: Region, found, values: np.ndarray,
+                led) -> None:
+        """Reshape the store once a write has materialized ``values``
+        (ray casting's dominating write; nothing elsewhere)."""
+
+    @abstractmethod
+    def _record(self, privilege: Privilege, region: Region,
+                values: Optional[np.ndarray], task_id: int) -> None:
+        """Store one committed operation; ``values`` is already validated
+        and must be copied before it is kept."""
+
+    @abstractmethod
+    def describe(self) -> dict:
+        """This field's census block (:mod:`repro.obs.census`): a
+        ``kind`` key plus the numbers that kind requires."""
 
     # ------------------------------------------------------------------
     def read_root(self) -> np.ndarray:
@@ -127,11 +197,6 @@ class CoherenceAlgorithm(ABC):
         """
         return self.materialize(READ, self.tree.root).values
 
-    def identity_buffer(self, privilege: Privilege, n: int) -> np.ndarray:
-        """Identity-filled accumulation buffer for a reduce privilege."""
-        assert privilege.redop is not None
-        return privilege.redop.identity_array(n, self.dtype)
-
     def structure_tokens(self) -> tuple:
         """Stable, hashable description of the current analysis structure.
 
@@ -139,33 +204,16 @@ class CoherenceAlgorithm(ABC):
         to evolve *identical* analysis state, not merely identical
         dependence graphs; the parallel shard-analysis executor hashes
         these tokens (see :mod:`repro.distributed.verify`) to enforce it.
-        The default introspects the structures each algorithm exposes:
-        equivalence-set stores (Warnock, ray casting — the set
-        decomposition plus the refinement trace each history encodes),
-        history lengths (painter), composite-view item counts
-        (tree painter) and interned access sets (z-buffer).
+        Each policy extends this prefix with its own state: the set
+        decomposition plus the refinement trace each history encodes
+        (Warnock, ray casting), the history length (painter), the live
+        item count (tree painter), the intern-table size (z-buffer).
         """
-        tokens: list = [type(self).name, self.field]
-        store = getattr(self, "store", None)
-        if store is not None and hasattr(store, "all_sets"):
-            for eqset in sorted(store.all_sets(),
-                                key=lambda s: (s.space.bounds, s.space.size)):
-                entries = tuple(
-                    (repr(entry.privilege), entry.task_id,
-                     tuple(sorted(entry.collapsed_ids)),
-                     entry.domain.bounds if hasattr(entry, "domain")
-                     else None)
-                    for entry in eqset.history)
-                tokens.append(("eqset", eqset.space.bounds,
-                               eqset.space.size,
-                               eqset.space.indices.tobytes(), entries))
-        elif hasattr(self, "total_items"):
-            tokens.append(("view_items", self.total_items()))
-        elif hasattr(self, "history_length"):
-            tokens.append(("history", self.history_length))
-        elif hasattr(self, "interned_sets"):
-            tokens.append(("interned", self.interned_sets()))
-        return tuple(tokens)
+        return (type(self).name, self.field)
+
+    def check_invariants(self) -> None:
+        """Raise :class:`CoherenceError` if the store's redundant state
+        (columns, counts, indexes) disagrees with what it mirrors."""
 
     def _check_commit_values(self, privilege: Privilege,
                              region: Region,

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -183,37 +183,6 @@ class EquivalenceSet:
                 f"hist={len(self.history)})")
 
 
-class EqSetStore:
-    """Interface shared by the Warnock and ray-cast stores."""
-
-    def locate(self, space: IndexSpace, region_uid: Optional[int] = None
-               ) -> list[EquivalenceSet]:
-        """Refine as needed and return the equivalence sets whose union is
-        exactly ``space``.  ``region_uid`` keys memoization when the query
-        comes from a named region."""
-        raise NotImplementedError
-
-    def all_sets(self) -> list[EquivalenceSet]:
-        """Every live equivalence set (diagnostics / invariant checks)."""
-        raise NotImplementedError
-
-    def check_invariants(self, root_space: IndexSpace) -> None:
-        """Assert the section 6 invariants: sets pairwise disjoint, union
-        covers the root, histories aligned."""
-        sets = self.all_sets()
-        total = 0
-        union = IndexSpace.union_all([s.space for s in sets])
-        for s in sets:
-            total += s.space.size
-            for e in s.history:
-                if e.values is not None and e.values.shape != (s.space.size,):
-                    raise CoherenceError(f"misaligned history in {s!r}")
-        if total != union.size:
-            raise CoherenceError("equivalence sets overlap")
-        if union != root_space:
-            raise CoherenceError("equivalence sets do not cover the root")
-
-
 # ----------------------------------------------------------------------
 # Warnock: monotone refinement tree (the BVH of section 6.1)
 # ----------------------------------------------------------------------
@@ -240,7 +209,7 @@ class _RefNode:
         return self.children
 
 
-class RefinementTreeStore(EqSetStore):
+class RefinementTreeStore:
     """Equivalence sets organized by their own refinement history.
 
     Since Warnock's algorithm only ever refines, the history of splits is a
@@ -260,6 +229,9 @@ class RefinementTreeStore(EqSetStore):
     # ------------------------------------------------------------------
     def locate(self, space: IndexSpace, region_uid: Optional[int] = None
                ) -> list[EquivalenceSet]:
+        """Refine as needed and return the equivalence sets whose union is
+        exactly ``space``.  ``region_uid`` keys memoization when the query
+        comes from a named region."""
         if space.is_empty:
             return []
         starts = self._memo.get(region_uid, None) \
@@ -306,6 +278,7 @@ class RefinementTreeStore(EqSetStore):
                 stack.extend(cur.children)
 
     def all_sets(self) -> list[EquivalenceSet]:
+        """Every live equivalence set (diagnostics / invariant checks)."""
         out: list[EquivalenceSet] = []
         stack = [self._root]
         while stack:
@@ -326,6 +299,17 @@ class RefinementTreeStore(EqSetStore):
             return 1 + max(depth(c) for c in node.children)
 
         return depth(self._root)
+
+    def check_invariants(self, root_space: IndexSpace) -> None:
+        """Assert the section 6 invariants: sets pairwise disjoint, union
+        covers the root, histories aligned (and columns ≡ entries)."""
+        sets = self.all_sets()
+        _check_partition(sets, root_space)
+        for s in sets:
+            s.history.check_columns()
+            for e in s.history:
+                if e.values is not None and e.values.shape != (s.space.size,):
+                    raise CoherenceError(f"misaligned history in {s!r}")
 
 
 # ----------------------------------------------------------------------
@@ -402,11 +386,7 @@ class LooseEquivalenceSet:
         remaining = self.space - space
         if remaining.is_empty:
             return None
-        entries = []
-        for e in self.history:
-            r = e.restricted(remaining)
-            if r is not None:
-                entries.append(r)
+        entries = self.history.restricted(remaining)
         if meter is not None:
             meter.count("eqsets_split")
             meter.count("elements_moved",
@@ -556,12 +536,8 @@ class BucketStore:
             common = eqset.space & region.space
             if common.is_empty:
                 continue
-            entries = []
-            for e in eqset.history:
-                r = e.restricted(common)
-                if r is not None:
-                    entries.append(r)
-            carved.append(LooseEquivalenceSet(common, entries))
+            carved.append(LooseEquivalenceSet(
+                common, eqset.history.restricted(common)))
             carved_union = carved_union | common
         if not carved:
             return []
@@ -570,12 +546,8 @@ class BucketStore:
         for piece in carved:
             self._index_insert(piece)
         if not remainder_space.is_empty:
-            entries = []
-            for e in eqset.history:
-                r = e.restricted(remainder_space)
-                if r is not None:
-                    entries.append(r)
-            self._index_insert(LooseEquivalenceSet(remainder_space, entries))
+            self._index_insert(LooseEquivalenceSet(
+                remainder_space, eqset.history.restricted(remainder_space)))
         if self.meter is not None:
             self.meter.count("eqsets_split", len(carved))
             self.meter.count("eqsets_created", len(carved))
@@ -651,15 +623,11 @@ class BucketStore:
 
     def check_invariants(self, root_space: IndexSpace) -> None:
         """Assert: sets pairwise disjoint, union covers the root, every
-        history entry contained in its set."""
+        history entry contained in its set (and columns ≡ entries)."""
         sets = self.all_sets()
-        union = IndexSpace.union_all([s.space for s in sets])
-        total = sum(s.space.size for s in sets)
-        if total != union.size:
-            raise CoherenceError("equivalence sets overlap")
-        if union != root_space:
-            raise CoherenceError("equivalence sets do not cover the root")
+        _check_partition(sets, root_space)
         for s in sets:
+            s.history.check_columns()
             for e in s.history:
                 if not e.domain.issubset(s.space):
                     raise CoherenceError(f"entry escapes {s!r}")
@@ -702,3 +670,63 @@ class BucketStore:
     def num_sets(self) -> int:
         """Number of live equivalence sets."""
         return len(self._sets)
+
+
+# ----------------------------------------------------------------------
+# what Warnock and ray casting share above their stores
+# ----------------------------------------------------------------------
+def _check_partition(sets, root_space: IndexSpace) -> None:
+    """Assert the sets are pairwise disjoint and cover the root."""
+    union = IndexSpace.union_all([s.space for s in sets])
+    if sum(s.space.size for s in sets) != union.size:
+        raise CoherenceError("equivalence sets overlap")
+    if union != root_space:
+        raise CoherenceError("equivalence sets do not cover the root")
+
+
+def visit_sets(find, region: Region, meter: CostMeter, led=None) -> list:
+    """``find(region.space, region.uid)`` — a store's ``locate`` or
+    ``overlapping`` — plus what every caller owes for the answer: the
+    ``eqsets_visited`` count, one touch per set (each set is its own
+    distributed object) and, when the provenance ledger ``led`` is
+    recording, the BVH-node and set visit totals."""
+    if led is not None:
+        bvh_before = meter.counters.get("bvh_nodes_visited", 0)
+    sets = find(region.space, region.uid)
+    if led is not None:
+        led.visit("bvh_nodes",
+                  meter.counters.get("bvh_nodes_visited", 0) - bvh_before)
+        led.visit("eqsets", len(sets))
+    for eqset in sets:
+        meter.count("eqsets_visited")
+        meter.touch(("eqset", eqset.uid, eqset.space.bounds[0]))
+    return sets
+
+
+def set_tokens(sets, entry_bounds) -> tuple:
+    """Structure tokens of a set collection: the decomposition plus the
+    refinement trace each history encodes.  ``entry_bounds(entry)`` is an
+    entry's own domain bounds (``None`` where entries are aligned with
+    their set)."""
+    return tuple(
+        ("eqset", s.space.bounds, s.space.size, s.space.indices.tobytes(),
+         tuple((repr(e.privilege), e.task_id, tuple(sorted(e.collapsed_ids)),
+                entry_bounds(e)) for e in s.history))
+        for s in sorted(sets, key=lambda s: (s.space.bounds, s.space.size)))
+
+
+def _dist(values) -> dict:
+    """Summary distribution of a list of ints: count/min/max/mean/total."""
+    values = [int(v) for v in values]
+    if not values:
+        return {"count": 0, "min": 0, "max": 0, "mean": 0.0, "total": 0}
+    total = sum(values)
+    return {"count": len(values), "min": min(values), "max": max(values),
+            "mean": round(total / len(values), 4), "total": total}
+
+
+def describe_sets(sets) -> dict:
+    """The ``eqsets`` census block of a set collection."""
+    return {"kind": "eqsets", "count": len(sets),
+            "sizes": _dist(s.space.size for s in sets),
+            "history": _dist(len(s.history) for s in sets)}

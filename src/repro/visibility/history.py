@@ -345,6 +345,20 @@ class PrivilegeColumns:
             setattr(out, name, getattr(self, name)[:n].copy())
         return out
 
+    def check_columns(self) -> None:
+        """Assert columns ≡ entries: every column re-derived from the
+        entry list equals the stored one."""
+        n = self._n
+        fresh = type(self)(self._entries)
+        if fresh._n != n:
+            raise CoherenceError(
+                f"{self!r} holds {len(self._entries)} entries")
+        for name in self._COLUMN_NAMES:
+            if not np.array_equal(getattr(fresh, name)[:n],
+                                  getattr(self, name)[:n]):
+                raise CoherenceError(
+                    f"{self!r}: column {name} diverged from its entries")
+
     # -- trimmed column views ------------------------------------------
     @property
     def entries(self) -> list:
@@ -401,6 +415,12 @@ class ColumnarHistory(PrivilegeColumns):
         # geometry columns change under domain restriction, so a loose
         # history rebuilds instead of copying columns
         return type(self)(fn(e) for e in self._entries)
+
+    def restricted(self, space: IndexSpace) -> "ColumnarHistory":
+        """Every entry restricted to ``space``, the disjoint ones dropped
+        (how a loose equivalence set's history follows a split)."""
+        narrowed = (e.restricted(space) for e in self._entries)
+        return type(self)(e for e in narrowed if e is not None)
 
     __slots__ = ("_lo", "_hi", "_nonempty")
     _COLUMN_NAMES = PrivilegeColumns._COLUMN_NAMES + (

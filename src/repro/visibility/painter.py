@@ -17,17 +17,14 @@ from typing import Optional
 
 import numpy as np
 
-from repro.privileges import Privilege
+from repro.privileges import Privilege, READ_WRITE
 from repro.regions.region import Region
 from repro.regions.tree import RegionTree
-from repro.visibility.base import (AnalysisOutcome, CoherenceAlgorithm,
-                                   INITIAL_TASK_ID)
+from repro.visibility.base import CoherenceAlgorithm, INITIAL_TASK_ID
 from repro.visibility.history import (ColumnarHistory, HistoryEntry,
                                       RegionValues, paint_entry,
                                       scan_dependences)
 from repro.visibility.meter import CostMeter
-from repro.obs import provenance as prov
-from repro.obs.tracer import traced
 
 
 class PainterAlgorithm(CoherenceAlgorithm):
@@ -39,8 +36,6 @@ class PainterAlgorithm(CoherenceAlgorithm):
                  meter: Optional[CostMeter] = None) -> None:
         super().__init__(tree, field, initial, meter)
         root_values = RegionValues(tree.root.space, np.asarray(initial).copy())
-        from repro.privileges import READ_WRITE
-
         # columnar backing: list-like for painting/pickling, SoA columns
         # for the vectorized dependence sweep
         self._history = ColumnarHistory([
@@ -49,57 +44,45 @@ class PainterAlgorithm(CoherenceAlgorithm):
         ])
 
     # ------------------------------------------------------------------
-    @property
-    def history_length(self) -> int:
-        """Number of recorded entries (diagnostics/benchmarks)."""
-        return len(self._history)
-
-    @traced("materialize")
-    def materialize(self, privilege: Privilege, region: Region) -> AnalysisOutcome:
-        deps: set[int] = set()
-        led = prov._LEDGER
-        track = led.enabled
-        if track:
-            led.set_source(("painter", len(self._history)))
-            led.visit("history_entries", len(self._history))
-        scan_dependences(privilege, region.space, self._history, deps,
-                         self.meter)
-        if track:
-            led.clear_source()
-        deps.discard(INITIAL_TASK_ID)
+    # the store policy: everything lives in one list
+    # ------------------------------------------------------------------
+    def _locate(self, privilege: Privilege, region: Region,
+                led) -> ColumnarHistory:
         # The history is one distributed object rooted at the control node.
         self.meter.touch(("painter_history", 0))
+        return self._history
 
-        if privilege.is_reduce:
-            # Lazy reductions: never look at values, hand back identities.
-            values = self.identity_buffer(privilege, region.space.size)
-            return AnalysisOutcome(values, frozenset(deps))
+    def _collect(self, privilege: Privilege, region: Region,
+                 history: ColumnarHistory, deps: set[int], led) -> None:
+        if led is not None:
+            led.set_source(("painter", len(history)))
+            led.visit("history_entries", len(history))
+        scan_dependences(privilege, region.space, history, deps, self.meter)
 
-        painted = self._paint(region.space)
-        return AnalysisOutcome(painted.values, frozenset(deps))
-
-    def _paint(self, space) -> RegionValues:
-        """Replay the history oldest-to-newest onto ``space``."""
-        current = RegionValues.filled(space, 0, self.dtype)
-        for entry in self._history:
+    def _paint(self, region: Region, history: ColumnarHistory) -> np.ndarray:
+        """Replay the history oldest-to-newest onto ``region``."""
+        current = RegionValues.filled(region.space, 0, self.dtype)
+        for entry in history:
             self.meter.count("entries_scanned")
             current = paint_entry(current, entry, self.meter)
-        return current
+        return current.values
 
-    def materialize_values(self, privilege: Privilege,
-                           region: Region) -> np.ndarray:
-        """Traced-replay fast path: paint without the dependence scan."""
-        self.meter.touch(("painter_history", 0))
-        if privilege.is_reduce:
-            return self.identity_buffer(privilege, region.space.size)
-        return self._paint(region.space).values
-
-    @traced("commit")
-    def commit(self, privilege: Privilege, region: Region,
-               values: Optional[np.ndarray], task_id: int) -> None:
-        values = self._check_commit_values(privilege, region, values)
+    def _record(self, privilege: Privilege, region: Region,
+                values: Optional[np.ndarray], task_id: int) -> None:
         rv = None if values is None else RegionValues(region.space,
                                                       values.copy())
         self._history.append(
             HistoryEntry(privilege, region.space, rv, task_id))
         self.meter.touch(("painter_history", 0))
+
+    # ------------------------------------------------------------------
+    def structure_tokens(self) -> tuple:
+        return super().structure_tokens() + (
+            ("history", len(self._history)),)
+
+    def describe(self) -> dict:
+        return {"kind": "painter", "history_length": len(self._history)}
+
+    def check_invariants(self) -> None:
+        """Columns ≡ entries: the scan's columns match the entry list."""
+        self._history.check_columns()

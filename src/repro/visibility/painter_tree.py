@@ -33,13 +33,11 @@ from repro.geometry.index_space import IndexSpace
 from repro.privileges import Privilege, READ_WRITE
 from repro.regions.region import Region
 from repro.regions.tree import RegionTree
-from repro.visibility.base import (AnalysisOutcome, CoherenceAlgorithm,
-                                   INITIAL_TASK_ID)
+from repro.visibility.base import CoherenceAlgorithm, INITIAL_TASK_ID
 from repro.visibility.history import (HistoryEntry, RegionValues, paint_entry,
                                       scan_dependences)
 from repro.visibility.meter import CostMeter
 from repro.obs import provenance as prov
-from repro.obs.tracer import traced
 
 # A privilege summary key: "read", "rw", or ("reduce", opname).
 PrivKey = Union[str, tuple[str, str]]
@@ -173,10 +171,6 @@ class TreePainterAlgorithm(CoherenceAlgorithm):
             self._state(node).priv_summary.add(key)
             node = node.parent
 
-    def _check_region(self, region: Region) -> None:
-        if region.tree is not self.tree:
-            raise CoherenceError("region belongs to a different tree")
-
     # ------------------------------------------------------------------
     # composite view construction
     # ------------------------------------------------------------------
@@ -239,25 +233,21 @@ class TreePainterAlgorithm(CoherenceAlgorithm):
         self.meter.touch(("view", view.uid))
         return view
 
-    def _append_view(self, node: Region, view: CompositeView) -> None:
+    def _append_view(self, node: Region, view: CompositeView, led) -> None:
         st = self._state(node)
-        led = prov._LEDGER
-        led = led if led.enabled else None
         # conservative occlusion: the new view deletes earlier same-node
         # items it fully overwrites
         if not view.write_domain.is_empty:
             kept: list[PathItem] = []
             for item in st.entries:
-                item_domain = (item.domain if not isinstance(item, CompositeView)
-                               else item.domain)
                 self.meter.count("intersection_tests")
-                if item_domain.issubset(view.write_domain):
+                if item.domain.issubset(view.write_domain):
                     if led is not None:
                         src = (item.task_id
                                if isinstance(item, HistoryEntry)
                                else prov.AGGREGATE_SRC)
                         led.prune(src, "view_occluded",
-                                  prov.domain_desc(item_domain))
+                                  prov.domain_desc(item.domain))
                     self._bump_counts(node, -1)
                     continue
                 kept.append(item)
@@ -273,7 +263,7 @@ class TreePainterAlgorithm(CoherenceAlgorithm):
     # ------------------------------------------------------------------
     # launch-time hoisting (step 2 of section 5.1)
     # ------------------------------------------------------------------
-    def _hoist(self, privilege: Privilege, region: Region) -> None:
+    def _hoist(self, privilege: Privilege, region: Region, led) -> None:
         path = region.path_from_root()
         on_path = {r.uid for r in path}
         for node in path:
@@ -303,7 +293,7 @@ class TreePainterAlgorithm(CoherenceAlgorithm):
                     # composite view (Figure 8), not per-subregion views
                     view = self._capture_subtrees(open_children)
                     if view is not None:
-                        self._append_view(node, view)
+                        self._append_view(node, view, led)
 
     # ------------------------------------------------------------------
     # traversal
@@ -343,63 +333,36 @@ class TreePainterAlgorithm(CoherenceAlgorithm):
                 yield item
 
     # ------------------------------------------------------------------
-    # the Figure 6 protocol
+    # the store policy: hoist, then the path history is all that matters
     # ------------------------------------------------------------------
-    @traced("materialize")
-    def materialize(self, privilege: Privilege, region: Region) -> AnalysisOutcome:
-        self._check_region(region)
-        self._hoist(privilege, region)
+    def _locate(self, privilege: Privilege, region: Region, led) -> None:
+        # hoisting preserves the path-history invariant for later tasks,
+        # so it runs whether or not this access scans
+        self._hoist(privilege, region, led)
         self.meter.touch(("treenode", self.tree.root.uid))
 
-        led = prov._LEDGER
-        track = led.enabled
-        if track:
+    def _collect(self, privilege: Privilege, region: Region, found,
+                 deps: set[int], led) -> None:
+        if led is not None:
             led.set_source(("path",))
             scanned_before = self.meter.counters.get("entries_scanned", 0)
-
-        deps: set[int] = set()
         scan_dependences(privilege, region.space,
                          self._iter_path_entries(region, privilege), deps,
                          self.meter)
-        deps.discard(INITIAL_TASK_ID)
-
-        if track:
+        if led is not None:
             led.visit("path_entries",
                       self.meter.counters.get("entries_scanned", 0)
                       - scanned_before)
-            led.clear_source()
 
-        if privilege.is_reduce:
-            values = self.identity_buffer(privilege, region.space.size)
-            return AnalysisOutcome(values, frozenset(deps))
-
-        current = RegionValues.filled(region.space, 0, self.dtype)
-        for entry in self._iter_path_entries(region, None):
-            self.meter.count("entries_scanned")
-            current = paint_entry(current, entry, self.meter)
-        return AnalysisOutcome(current.values, frozenset(deps))
-
-    def materialize_values(self, privilege: Privilege,
-                           region: Region) -> np.ndarray:
-        """Traced-replay fast path: hoisting still runs (it preserves the
-        path-history invariant for later tasks) but the dependence scan is
-        skipped."""
-        self._check_region(region)
-        self._hoist(privilege, region)
-        self.meter.touch(("treenode", self.tree.root.uid))
-        if privilege.is_reduce:
-            return self.identity_buffer(privilege, region.space.size)
+    def _paint(self, region: Region, found) -> np.ndarray:
         current = RegionValues.filled(region.space, 0, self.dtype)
         for entry in self._iter_path_entries(region, None):
             self.meter.count("entries_scanned")
             current = paint_entry(current, entry, self.meter)
         return current.values
 
-    @traced("commit")
-    def commit(self, privilege: Privilege, region: Region,
-               values: Optional[np.ndarray], task_id: int) -> None:
-        self._check_region(region)
-        values = self._check_commit_values(privilege, region, values)
+    def _record(self, privilege: Privilege, region: Region,
+                values: Optional[np.ndarray], task_id: int) -> None:
         st = self._state(region)
         if privilege.is_write and st.entries:
             # a write at R occludes everything previously recorded at R
@@ -429,6 +392,38 @@ class TreePainterAlgorithm(CoherenceAlgorithm):
     def total_items(self) -> int:
         """Raw history items currently stored across the tree."""
         return self._state(self.tree.root).subtree_count
+
+    def structure_tokens(self) -> tuple:
+        return super().structure_tokens() + (
+            ("view_items", self.total_items()),)
+
+    def describe(self) -> dict:
+        views, captured = self.view_stats()
+        return {"kind": "tree_painter", "total_items": self.total_items(),
+                "views": views, "captured_entries": captured,
+                "compaction_ratio": (round(captured / views, 4)
+                                     if views else 0.0)}
+
+    def check_invariants(self) -> None:
+        """Counts ≡ entries: every ``subtree_count`` equals a recount of
+        its subtree's items, and ``open_children`` holds exactly the
+        children whose count is non-zero."""
+        count: dict[int, int] = {}
+        for node in reversed(self.tree.regions):  # children before parents
+            st = self._states.get(node.uid) or _NodeState()
+            total = len(st.entries)
+            for part in node.partitions.values():
+                opened = {c.uid for c in part.subregions if count[c.uid]}
+                if set(st.open_children.get(part.name, ())) != opened:
+                    raise CoherenceError(
+                        f"open-children index of {node!r} / {part.name!r} "
+                        "disagrees with its children's counts")
+                total += sum(count[c.uid] for c in part.subregions)
+            if st.subtree_count != total:
+                raise CoherenceError(
+                    f"{node!r} counts {st.subtree_count} subtree items, "
+                    f"holds {total}")
+            count[node.uid] = total
 
     def node_entries(self, region: Region) -> list[PathItem]:
         """The subhistory currently recorded at ``region`` (tests)."""

@@ -29,23 +29,21 @@ from typing import Optional
 
 import numpy as np
 
-from repro.errors import CoherenceError
 from repro.privileges import Privilege, READ_WRITE
 from repro.regions.partition import Partition
 from repro.regions.region import Region
 from repro.regions.tree import RegionTree
-from repro.visibility.base import (AnalysisOutcome, CoherenceAlgorithm,
-                                   INITIAL_TASK_ID)
-from repro.visibility.eqset import BucketStore, LooseEquivalenceSet
+from repro.visibility.base import CoherenceAlgorithm, INITIAL_TASK_ID
+from repro.visibility.eqset import (BucketStore, LooseEquivalenceSet,
+                                    describe_sets, set_tokens, visit_sets)
 from repro.visibility.history import (HistoryEntry, RegionValues,
                                       scan_dependences)
 from repro.visibility.meter import CostMeter
 from repro.obs import provenance as prov
-from repro.obs.tracer import traced
 
 
 class RayCastAlgorithm(CoherenceAlgorithm):
-    """Warnock's machinery plus dominating writes (Figure 11)."""
+    """Warnock's equivalence sets plus dominating writes (Figure 11)."""
 
     name = "raycast"
 
@@ -76,104 +74,59 @@ class RayCastAlgorithm(CoherenceAlgorithm):
             self._store.rebucket(partition)
 
     # ------------------------------------------------------------------
-    @traced("materialize")
-    def materialize(self, privilege: Privilege, region: Region) -> AnalysisOutcome:
-        if region.tree is not self.tree:
-            raise CoherenceError("region belongs to a different tree")
+    # the store policy: stable sets, precise entries, dominating writes
+    # ------------------------------------------------------------------
+    def _locate(self, privilege: Privilege, region: Region,
+                led) -> list[LooseEquivalenceSet]:
         self._refresh_buckets()
-        led = prov._LEDGER
-        track = led.enabled
-        if track:
-            bvh_before = self.meter.counters.get("bvh_nodes_visited", 0)
-        sets = self._store.overlapping(region.space, region.uid)
-        if track:
-            led.visit("bvh_nodes",
-                      self.meter.counters.get("bvh_nodes_visited", 0)
-                      - bvh_before)
-            led.visit("eqsets", len(sets))
+        return visit_sets(self._store.overlapping, region, self.meter, led)
 
-        deps: set[int] = set()
+    def _collect(self, privilege: Privilege, region: Region,
+                 sets: list[LooseEquivalenceSet], deps: set[int],
+                 led) -> None:
         for eqset in sets:
-            self.meter.count("eqsets_visited")
-            self.meter.touch(("eqset", eqset.uid, eqset.space.bounds[0]))
-            if track:
+            if led is not None:
                 led.set_source(("eqset",) + prov.domain_desc(eqset.space))
             scan_dependences(privilege, region.space, eqset.history, deps,
                              self.meter)
-        if track:
-            led.clear_source()
-        deps.discard(INITIAL_TASK_ID)
 
-        if privilege.is_reduce:
-            values = self.identity_buffer(privilege, region.space.size)
-        else:
-            values = np.zeros(region.space.size, dtype=self.dtype)
-            for eqset in sets:
-                painted = eqset.paint(region.space, self.dtype, self.meter)
-                painted.gather_into(region.space, values)
-
-        if privilege.is_write:
-            if track:
-                # A dominating write kills every occluded set (straddlers
-                # are trimmed to their outside part): record which earlier
-                # tasks lose their witness entries, before the store
-                # mutates.  Observation only — no meter counts.
-                for eqset in sets:
-                    led.set_source(
-                        ("eqset",) + prov.domain_desc(eqset.space))
-                    reason = ("dominated"
-                              if eqset.space.issubset(region.space)
-                              else "trimmed")
-                    for entry in eqset.history:
-                        led.prune(entry.task_id, reason,
-                                  prov.domain_desc(entry.domain))
-                led.clear_source()
-            # Figure 11 line 2: one fresh set for R, occluded sets pruned.
-            # Seed it with the values just materialized so the store stays
-            # coherent even if the task aborts before commit; the commit
-            # below replaces the seed with the task's real write.
-            fresh = self._store.dominate_write(region.space, sets, region.uid)
-            fresh.record(HistoryEntry(
-                READ_WRITE, region.space,
-                RegionValues(region.space, values.copy()), INITIAL_TASK_ID))
-            self.meter.touch(("eqset", fresh.uid, fresh.space.bounds[0]))
-        return AnalysisOutcome(values, frozenset(deps))
-
-    def materialize_values(self, privilege: Privilege,
-                           region: Region) -> np.ndarray:
-        """Traced-replay fast path: paint and (for writes) dominate, with
-        no per-entry dependence scan."""
-        if region.tree is not self.tree:
-            raise CoherenceError("region belongs to a different tree")
-        self._refresh_buckets()
-        sets = self._store.overlapping(region.space, region.uid)
+    def _paint(self, region: Region,
+               sets: list[LooseEquivalenceSet]) -> np.ndarray:
+        values = np.zeros(region.space.size, dtype=self.dtype)
         for eqset in sets:
-            self.meter.count("eqsets_visited")
-            self.meter.touch(("eqset", eqset.uid, eqset.space.bounds[0]))
-        if privilege.is_reduce:
-            values = self.identity_buffer(privilege, region.space.size)
-        else:
-            values = np.zeros(region.space.size, dtype=self.dtype)
-            for eqset in sets:
-                painted = eqset.paint(region.space, self.dtype, self.meter)
-                painted.gather_into(region.space, values)
-        if privilege.is_write:
-            fresh = self._store.dominate_write(region.space, sets, region.uid)
-            fresh.record(HistoryEntry(
-                READ_WRITE, region.space,
-                RegionValues(region.space, values.copy()), INITIAL_TASK_ID))
-            self.meter.touch(("eqset", fresh.uid, fresh.space.bounds[0]))
+            painted = eqset.paint(region.space, self.dtype, self.meter)
+            painted.gather_into(region.space, values)
         return values
 
-    @traced("commit")
-    def commit(self, privilege: Privilege, region: Region,
-               values: Optional[np.ndarray], task_id: int) -> None:
-        if region.tree is not self.tree:
-            raise CoherenceError("region belongs to a different tree")
-        values = self._check_commit_values(privilege, region, values)
-        for eqset in self._store.overlapping(region.space, region.uid):
-            self.meter.count("eqsets_visited")
-            self.meter.touch(("eqset", eqset.uid, eqset.space.bounds[0]))
+    def _settle(self, region: Region, sets: list[LooseEquivalenceSet],
+                values: np.ndarray, led) -> None:
+        if led is not None:
+            # A dominating write kills every occluded set (straddlers
+            # are trimmed to their outside part): record which earlier
+            # tasks lose their witness entries, before the store
+            # mutates.  Observation only — no meter counts.
+            for eqset in sets:
+                led.set_source(("eqset",) + prov.domain_desc(eqset.space))
+                reason = ("dominated"
+                          if eqset.space.issubset(region.space)
+                          else "trimmed")
+                for entry in eqset.history:
+                    led.prune(entry.task_id, reason,
+                              prov.domain_desc(entry.domain))
+            led.clear_source()
+        # Figure 11 line 2: one fresh set for R, occluded sets pruned.
+        # Seed it with the values just materialized so the store stays
+        # coherent even if the task aborts before commit; the commit
+        # replaces the seed with the task's real write.
+        fresh = self._store.dominate_write(region.space, sets, region.uid)
+        fresh.record(HistoryEntry(
+            READ_WRITE, region.space,
+            RegionValues(region.space, values.copy()), INITIAL_TASK_ID))
+        self.meter.touch(("eqset", fresh.uid, fresh.space.bounds[0]))
+
+    def _record(self, privilege: Privilege, region: Region,
+                values: Optional[np.ndarray], task_id: int) -> None:
+        for eqset in visit_sets(self._store.overlapping, region, self.meter):
             common = eqset.space & region.space
             if values is None:
                 entry = HistoryEntry(privilege, common, None, task_id)
@@ -195,6 +148,16 @@ class RayCastAlgorithm(CoherenceAlgorithm):
         """Live equivalence-set count — bounded by the partitions actually
         in use, thanks to coalescing."""
         return self._store.num_sets()
+
+    def structure_tokens(self) -> tuple:
+        return super().structure_tokens() + set_tokens(
+            self._store.all_sets(), lambda entry: entry.domain.bounds)
+
+    def describe(self) -> dict:
+        part = self._store.partition
+        return {**describe_sets(self._store.all_sets()),
+                "buckets": 0 if part is None else len(part.subregions),
+                "kd_fallback": part is None}
 
     def check_invariants(self) -> None:
         """Run the structural invariants (tests)."""

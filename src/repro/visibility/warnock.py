@@ -5,10 +5,6 @@ objects that partition the root region; materializing region ``R`` refines
 any partially-overlapping set (Figure 9's ``refine``), after which ``R``'s
 constituent sets hold *exactly* the relevant history and painting each one
 is trivial whole-array work.
-
-The shared materialize/commit logic lives in :class:`EqSetAlgorithmBase`
-so ray casting (Figure 11) can reuse it verbatim, exactly as the paper's
-pseudo-code calls ``warnock::materialize`` / ``warnock::commit``.
 """
 
 from __future__ import annotations
@@ -17,27 +13,29 @@ from typing import Optional
 
 import numpy as np
 
-from repro.errors import CoherenceError
 from repro.privileges import Privilege, READ_WRITE
 from repro.regions.region import Region
 from repro.regions.tree import RegionTree
-from repro.visibility.base import (AnalysisOutcome, CoherenceAlgorithm,
-                                   INITIAL_TASK_ID)
-from repro.visibility.eqset import (EqEntry, EquivalenceSet, EqSetStore,
-                                    RefinementTreeStore)
+from repro.visibility.base import CoherenceAlgorithm, INITIAL_TASK_ID
+from repro.visibility.eqset import (EqEntry, EquivalenceSet,
+                                    RefinementTreeStore, describe_sets,
+                                    set_tokens, visit_sets)
 from repro.visibility.history import interfering_indices
 from repro.visibility.meter import CostMeter
 from repro.obs import provenance as prov
-from repro.obs.tracer import traced
 
 
-class EqSetAlgorithmBase(CoherenceAlgorithm):
-    """Materialize/commit over an equivalence-set store.
+class WarnockAlgorithm(CoherenceAlgorithm):
+    """Warnock's algorithm: monotone refinement, BVH + memoization.
 
-    Subclasses provide the store (refinement tree for Warnock, partition
-    buckets for ray casting) and may hook :meth:`_after_materialize` —
-    that hook is where ray casting's dominating write lives.
+    ``memoize`` (class attribute) controls the section 6.1 memoization of
+    constituent equivalence sets per named region; subclass with
+    ``memoize = False`` to measure its contribution (see
+    ``benchmarks/test_ablation_memo.py``).
     """
+
+    name = "warnock"
+    memoize: bool = True
 
     def __init__(self, tree: RegionTree, field: str, initial: np.ndarray,
                  meter: Optional[CostMeter] = None) -> None:
@@ -45,32 +43,20 @@ class EqSetAlgorithmBase(CoherenceAlgorithm):
         root = EquivalenceSet(tree.root.space)
         root.history.append(
             EqEntry(READ_WRITE, np.asarray(initial).copy(), INITIAL_TASK_ID))
-        self._store = self._make_store(root)
-
-    def _make_store(self, root: EquivalenceSet) -> EqSetStore:
-        raise NotImplementedError
+        self._store = RefinementTreeStore(root, self.meter,
+                                          memoize=self.memoize)
 
     # ------------------------------------------------------------------
-    @traced("materialize")
-    def materialize(self, privilege: Privilege, region: Region) -> AnalysisOutcome:
-        if region.tree is not self.tree:
-            raise CoherenceError("region belongs to a different tree")
-        led = prov._LEDGER
-        track = led.enabled
-        if track:
-            bvh_before = self.meter.counters.get("bvh_nodes_visited", 0)
-        sets = self._store.locate(region.space, region.uid)
-        if track:
-            led.visit("bvh_nodes",
-                      self.meter.counters.get("bvh_nodes_visited", 0)
-                      - bvh_before)
-            led.visit("eqsets", len(sets))
+    # the store policy: refine, then every set is exactly relevant
+    # ------------------------------------------------------------------
+    def _locate(self, privilege: Privilege, region: Region,
+                led) -> list[EquivalenceSet]:
+        return visit_sets(self._store.locate, region, self.meter, led)
 
-        deps: set[int] = set()
+    def _collect(self, privilege: Privilege, region: Region,
+                 sets: list[EquivalenceSet], deps: set[int], led) -> None:
         for eqset in sets:
-            self.meter.count("eqsets_visited")
-            self.meter.touch(("eqset", eqset.uid, eqset.space.bounds[0]))
-            if track:
+            if led is not None:
                 led.set_source(("eqset",) + prov.domain_desc(eqset.space))
             # the eqset invariant makes the overlap test implicit (every
             # entry is relevant to every element), so the scan is the
@@ -86,59 +72,25 @@ class EqSetAlgorithmBase(CoherenceAlgorithm):
                 deps.add(entry.task_id)
                 if entry.collapsed_ids:
                     deps.update(entry.collapsed_ids)
-                if track:
+                if led is not None:
                     led.edge(
                         entry.task_id,
                         "summary" if entry.collapsed_ids else "eqset",
                         prov.privilege_label(entry.privilege),
                         prov.domain_desc(eqset.space),
                         collapsed=entry.collapsed_ids)
-        if track:
-            led.clear_source()
-        deps.discard(INITIAL_TASK_ID)
 
-        if privilege.is_reduce:
-            values = self.identity_buffer(privilege, region.space.size)
-        else:
-            values = np.zeros(region.space.size, dtype=self.dtype)
-            for eqset in sets:
-                painted = eqset.paint(self.dtype, self.meter)
-                values[region.space.positions_of(eqset.space)] = painted
-
-        self._after_materialize(privilege, region, sets)
-        return AnalysisOutcome(values, frozenset(deps))
-
-    def _after_materialize(self, privilege: Privilege, region: Region,
-                           sets: list[EquivalenceSet]) -> None:
-        """Hook for subclasses; no-op for Warnock."""
-
-    def materialize_values(self, privilege: Privilege,
-                           region: Region) -> np.ndarray:
-        """Traced-replay fast path: locate (and refine) the constituent
-        sets and paint them, skipping the per-entry dependence scan."""
-        if region.tree is not self.tree:
-            raise CoherenceError("region belongs to a different tree")
-        sets = self._store.locate(region.space, region.uid)
-        for eqset in sets:
-            self.meter.count("eqsets_visited")
-            self.meter.touch(("eqset", eqset.uid, eqset.space.bounds[0]))
-        if privilege.is_reduce:
-            return self.identity_buffer(privilege, region.space.size)
+    def _paint(self, region: Region,
+               sets: list[EquivalenceSet]) -> np.ndarray:
         values = np.zeros(region.space.size, dtype=self.dtype)
         for eqset in sets:
             painted = eqset.paint(self.dtype, self.meter)
             values[region.space.positions_of(eqset.space)] = painted
         return values
 
-    @traced("commit")
-    def commit(self, privilege: Privilege, region: Region,
-               values: Optional[np.ndarray], task_id: int) -> None:
-        if region.tree is not self.tree:
-            raise CoherenceError("region belongs to a different tree")
-        values = self._check_commit_values(privilege, region, values)
-        for eqset in self._store.locate(region.space, region.uid):
-            self.meter.count("eqsets_visited")
-            self.meter.touch(("eqset", eqset.uid, eqset.space.bounds[0]))
+    def _record(self, privilege: Privilege, region: Region,
+                values: Optional[np.ndarray], task_id: int) -> None:
+        for eqset in visit_sets(self._store.locate, region, self.meter):
             if values is None:
                 eqset.record(privilege, None, task_id)
             else:
@@ -148,7 +100,7 @@ class EqSetAlgorithmBase(CoherenceAlgorithm):
 
     # ------------------------------------------------------------------
     @property
-    def store(self) -> EqSetStore:
+    def store(self) -> RefinementTreeStore:
         """The underlying equivalence-set store (tests/benchmarks)."""
         return self._store
 
@@ -157,22 +109,14 @@ class EqSetAlgorithmBase(CoherenceAlgorithm):
         Warnock's scalability in section 8.1."""
         return len(self._store.all_sets())
 
+    def structure_tokens(self) -> tuple:
+        return super().structure_tokens() + set_tokens(
+            self._store.all_sets(), lambda entry: None)
+
+    def describe(self) -> dict:
+        return {**describe_sets(self._store.all_sets()),
+                "tree_depth": int(self._store.tree_depth())}
+
     def check_invariants(self) -> None:
         """Run the section 6 structural invariants (tests)."""
         self._store.check_invariants(self.tree.root.space)
-
-
-class WarnockAlgorithm(EqSetAlgorithmBase):
-    """Warnock's algorithm: monotone refinement, BVH + memoization.
-
-    ``memoize`` (class attribute) controls the section 6.1 memoization of
-    constituent equivalence sets per named region; subclass with
-    ``memoize = False`` to measure its contribution (see
-    ``benchmarks/test_ablation_memo.py``).
-    """
-
-    name = "warnock"
-    memoize: bool = True
-
-    def _make_store(self, root: EquivalenceSet) -> EqSetStore:
-        return RefinementTreeStore(root, self.meter, memoize=self.memoize)

@@ -39,11 +39,9 @@ from repro.errors import CoherenceError
 from repro.privileges import Privilege
 from repro.regions.region import Region
 from repro.regions.tree import RegionTree
-from repro.visibility.base import (AnalysisOutcome, CoherenceAlgorithm,
-                                   INITIAL_TASK_ID)
+from repro.visibility.base import CoherenceAlgorithm, INITIAL_TASK_ID
 from repro.visibility.meter import CostMeter
 from repro.obs import provenance as prov
-from repro.obs.tracer import traced
 
 _EMPTY_SET_ID = 0
 
@@ -70,6 +68,8 @@ class ZBufferAlgorithm(CoherenceAlgorithm):
         # reduction operators seen, by identity
         self._ops: list = []
         self._op_ids: dict[str, int] = {}
+        # ids of the tasks whose writes committed (check_invariants)
+        self._writers: set[int] = {INITIAL_TASK_ID}
 
     # ------------------------------------------------------------------
     # interning helpers
@@ -93,7 +93,7 @@ class ZBufferAlgorithm(CoherenceAlgorithm):
             sid_array[sel] = new_sid
             self.meter.count("entries_scanned")
 
-    def _collect(self, deps: set[int], sids: np.ndarray) -> None:
+    def _collect_readers(self, deps: set[int], sids: np.ndarray) -> None:
         """Add every reader task id in the given interned sets."""
         for sid in np.unique(sids):
             if sid != _EMPTY_SET_ID:
@@ -124,38 +124,38 @@ class ZBufferAlgorithm(CoherenceAlgorithm):
         return opid
 
     # ------------------------------------------------------------------
-    @traced("materialize")
-    def materialize(self, privilege: Privilege, region: Region) -> AnalysisOutcome:
-        if region.tree is not self.tree:
-            raise CoherenceError("region belongs to a different tree")
+    # the store policy: one per-element table
+    # ------------------------------------------------------------------
+    def _locate(self, privilege: Privilege, region: Region,
+                led) -> np.ndarray:
         pos = self.tree.root.space.positions_of(region.space)
         # the canonical table is one mutable, unreplicable object — the
         # centralization that makes this algorithm a distribution dead end
         self.meter.touch(("zbuffer_table", self.field))
         self.meter.count("elements_moved", pos.size)
+        return pos
 
-        deps: set[int] = set(np.unique(self._last_write[pos]).tolist())
+    def _collect(self, privilege: Privilege, region: Region,
+                 pos: np.ndarray, deps: set[int], led) -> None:
+        deps.update(np.unique(self._last_write[pos]).tolist())
         if privilege.is_read:
             self._collect_reducers(deps, self._reducer_sid[pos])
-            values = self._values[pos].copy()
         elif privilege.is_write:
             self._collect_reducers(deps, self._reducer_sid[pos])
-            self._collect(deps, self._reader_sid[pos])
-            values = self._values[pos].copy()
+            self._collect_readers(deps, self._reader_sid[pos])
         else:
             assert privilege.redop is not None
-            self._collect(deps, self._reader_sid[pos])
+            self._collect_readers(deps, self._reader_sid[pos])
             self._collect_reducers(deps, self._reducer_sid[pos],
                                    exclude_op=self._op_id(privilege.redop))
-            values = self.identity_buffer(privilege, pos.size)
-        led = prov._LEDGER
-        if led.enabled:
+        if led is not None:
             # Observation-only replay of the collection above: attribute
             # each dependence to the table (last write / reader set /
             # reducer set) that held it.  Never touches the meter.
             self._emit_witnesses(led, privilege, region, pos)
-        deps.discard(INITIAL_TASK_ID)
-        return AnalysisOutcome(values, frozenset(deps))
+
+    def _paint(self, region: Region, pos: np.ndarray) -> np.ndarray:
+        return self._values[pos].copy()
 
     def _emit_witnesses(self, led, privilege: Privilege, region: Region,
                         pos: np.ndarray) -> None:
@@ -187,14 +187,9 @@ class ZBufferAlgorithm(CoherenceAlgorithm):
                 else:
                     emit(int(task_id), "reducer", entry_priv)
         led.visit("elements", int(pos.size))
-        led.clear_source()
 
-    @traced("commit")
-    def commit(self, privilege: Privilege, region: Region,
-               values: Optional[np.ndarray], task_id: int) -> None:
-        if region.tree is not self.tree:
-            raise CoherenceError("region belongs to a different tree")
-        values = self._check_commit_values(privilege, region, values)
+    def _record(self, privilege: Privilege, region: Region,
+                values: Optional[np.ndarray], task_id: int) -> None:
         pos = self.tree.root.space.positions_of(region.space)
         self.meter.touch(("zbuffer_table", self.field))
         if privilege.is_read:
@@ -205,6 +200,7 @@ class ZBufferAlgorithm(CoherenceAlgorithm):
         if privilege.is_write:
             self._values[pos] = values
             self._last_write[pos] = task_id
+            self._writers.add(task_id)
             self._reader_sid[pos] = _EMPTY_SET_ID
             self._reducer_sid[pos] = _EMPTY_SET_ID
             return
@@ -218,3 +214,23 @@ class ZBufferAlgorithm(CoherenceAlgorithm):
     def interned_sets(self) -> int:
         """Size of the intern table (diagnostics)."""
         return len(self._sets)
+
+    def structure_tokens(self) -> tuple:
+        return super().structure_tokens() + (
+            ("interned", len(self._sets)),)
+
+    def describe(self) -> dict:
+        return {"kind": "zbuffer", "interned_sets": len(self._sets),
+                "elements": self.tree.root.space.size}
+
+    def check_invariants(self) -> None:
+        """The intern table is a bijection, every per-element set id
+        indexes it, and every last write is a task that committed."""
+        if self._intern != {m: sid for sid, m in enumerate(self._sets)}:
+            raise CoherenceError("intern table is not the inverse of _sets")
+        for sids in (self._reader_sid, self._reducer_sid):
+            if ((sids < 0) | (sids >= len(self._sets))).any():
+                raise CoherenceError("set id outside the intern table")
+        unknown = set(self._last_write.tolist()) - self._writers
+        if unknown:
+            raise CoherenceError(f"last writes by uncommitted {unknown}")

@@ -1,6 +1,6 @@
 """Stateful property test: the runtime tracks the reference *continuously*.
 
-A hypothesis rule-based state machine drives four runtimes (one per
+A hypothesis rule-based state machine drives five runtimes (one per
 algorithm), two :class:`ShardedRuntime` instances (2 and 4 shards, with
 replica verification on), and the sequential reference executor through
 an arbitrary interleaving of task launches, partition creations, and
@@ -164,9 +164,9 @@ class RuntimeVsReference(RuleBasedStateMachine):
     def structural_invariants_hold(self):
         if not hasattr(self, "runtimes"):
             return
-        for name in ("warnock", "raycast"):
+        for rt in self.runtimes.values():
             for field in ("x", "y"):
-                self.runtimes[name].algorithm_for(field).check_invariants()
+                rt.algorithm_for(field).check_invariants()
 
     @invariant()
     def precedence_labels_and_closure_hold(self):
