@@ -4,7 +4,7 @@ PYTHON ?= python
 
 .PHONY: install test check chaos lint bench bench-quick report examples \
 	introspect-smoke service-smoke telemetry-smoke blackbox-smoke \
-	ledger ledger-selftest loc clean help
+	ledger ledger-selftest ledger-pair loc clean help
 
 help:
 	@echo "install      editable install (offline-friendly)"
@@ -21,6 +21,7 @@ help:
 	@echo "blackbox-smoke  chaos serve with flight recorder -> validate dump -> render"
 	@echo "ledger       the layer ledger: four workloads, every metric (benchmarks/ledger)"
 	@echo "ledger-selftest  the ledger's <20 s self-test + its own tests"
+	@echo "ledger-pair  BASE=<rev> [N=10] [SEED=1]: N alternating ledger runs of BASE and this tree; wins, medians, quartiles"
 	@echo "loc          lines of Python per src/repro package, plus tests/ and benchmarks/"
 	@echo "clean        remove build/caches/results"
 
@@ -99,6 +100,63 @@ ledger:
 ledger-selftest:
 	$(PYTHON) benchmarks/ledger/run.py --selftest
 	PYTHONPATH=src $(PYTHON) -m pytest -q benchmarks/ledger/test_ledger.py
+
+# The choosing-metrics section-8 rule as one command: N pairs of full
+# ledger runs, BASE (a `git archive` export under .bench_build/, so nothing
+# is registered in .git) against this working tree, alternating which side
+# goes first; each pair goes through compare.py, then one table of
+# wins/ties, medians and quartiles per (workload, metric).
+N ?= 10
+SEED ?= 1
+PAIR_DIR = .bench_build/pair
+
+define LEDGER_PAIR_SUMMARY
+import json, statistics, sys
+sys.path.insert(0, "benchmarks/ledger")
+import catalogue
+out, n = sys.argv[1], int(sys.argv[2])
+docs = {side: [json.load(open(f"{out}/{side}-{i}.json"))["workloads"]
+               for i in range(1, n + 1)] for side in ("base", "head")}
+def quartiles(values):
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return f"{q2:>10.5g} [{q1:.5g}, {q3:.5g}]"
+print(f"{'workload':<12} {'metric':<24} {'wins/ties/n':<12} "
+      f"{'base median [q1, q3]':<36} {'head median [q1, q3]':<36} head/base")
+for workload in catalogue.WORKLOADS:
+    for name, _, better, _ in catalogue.END_TO_END:
+        a, b = ([run[workload]["end_to_end"]["metrics"][name]["value"]
+                 for run in docs[side]] for side in ("base", "head"))
+        sign = 1 if better == "higher" else -1
+        wins = sum(sign * (y - x) > 0 for x, y in zip(a, b))
+        ties = sum(x == y for x, y in zip(a, b))
+        ratio = statistics.median(b) / statistics.median(a)
+        print(f"{workload:<12} {name:<24} {f'{wins}/{ties}/{n}':<12} "
+              f"{quartiles(a):<36} {quartiles(b):<36} {ratio:.3f}")
+endef
+export LEDGER_PAIR_SUMMARY
+
+ledger-pair:
+	@test -n "$(BASE)" || { echo "usage: make ledger-pair BASE=<rev> [N=10] [SEED=1]"; exit 2; }
+	rm -rf $(PAIR_DIR) && mkdir -p $(PAIR_DIR)/base
+	git archive $(BASE) | tar -x -C $(PAIR_DIR)/base
+	@# both sides start from fresh bytecode, or setup_s compares compilers
+	$(PYTHON) -m compileall -q src benchmarks/ledger \
+		$(PAIR_DIR)/base/src $(PAIR_DIR)/base/benchmarks/ledger
+	@for i in $$(seq 1 $(N)); do \
+		if [ $$((i % 2)) -eq 1 ]; then order="base head"; \
+		else order="head base"; fi; \
+		for side in $$order; do \
+			if [ $$side = base ]; then dir=$(PAIR_DIR)/base; else dir=.; fi; \
+			echo "pair $$i/$(N): $$side"; \
+			$(PYTHON) $$dir/benchmarks/ledger/run.py --seed $(SEED) \
+				--out $(CURDIR)/$(PAIR_DIR)/$$side-$$i.json \
+				> $(PAIR_DIR)/$$side-$$i.log || exit 1; \
+		done; \
+		$(PYTHON) benchmarks/ledger/compare.py $(PAIR_DIR)/base-$$i.json \
+			$(PAIR_DIR)/head-$$i.json > $(PAIR_DIR)/compare-$$i.txt; \
+		tail -1 $(PAIR_DIR)/compare-$$i.txt; \
+	done
+	@$(PYTHON) -c "$$LEDGER_PAIR_SUMMARY" $(PAIR_DIR) $(N)
 
 # The ROADMAP's size bars ("obs/ vs visibility/", "net negative LOC")
 # as one printed table; nothing gates on it.

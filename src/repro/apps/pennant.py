@@ -77,7 +77,8 @@ class PennantApp(Application):
             # stay within the zone view's columns
             valid &= (nc[:, 0] >= lo_col) & (nc[:, 0] <= hi_col)
             flat = extent.linearize(nc[valid])
-            src = view.positions_of(IndexSpace(flat, trusted=True))
+            # built once against a throwaway space: raw, not via the cache
+            src = view._positions_raw(IndexSpace(flat, trusted=True))
             maps.append((np.flatnonzero(valid), src))
         return maps
 

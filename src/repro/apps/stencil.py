@@ -77,7 +77,8 @@ class StencilApp(Application):
             nc = coords + np.asarray([dx, dy], dtype=np.int64)
             valid = ((nc >= 0) & (nc < shape)).all(axis=1)
             flat = self.extent.linearize(nc[valid])
-            src = halo_space.positions_of(IndexSpace(flat, trusted=True))
+            # built once against a throwaway space: raw, not via the cache
+            src = halo_space._positions_raw(IndexSpace(flat, trusted=True))
             # `flat` is sorted because coords are sorted row-major and the
             # offset preserves order within the valid subset
             tgt = np.flatnonzero(valid)

@@ -12,12 +12,18 @@ over.  This module removes that redundancy with three cooperating pieces:
   content digest), memoized on the instance so repeat lookups are one
   attribute read.
 * A **versioned operation cache** keyed on uid pairs for intersection,
-  difference, union and the overlap test.  Public ``IndexSpace`` operators
-  consult it through a module-level hook, so every call site in the
-  repository benefits without change.  Spaces are immutable, which makes
-  cached results valid forever; :meth:`GeometryCache.invalidate` (wired to
-  store mutations such as :meth:`BucketStore.rebucket`) drops results the
-  stores no longer reference, bounding memory across phase changes.
+  difference, union, the overlap test and — the two relations the value
+  path asks every iteration — ``issubset`` and the ``positions_of`` gather
+  map.  Public ``IndexSpace`` operators consult it through a module-level
+  hook, so every call site in the repository benefits without change.
+  Spaces are immutable, which makes cached results valid forever;
+  :meth:`GeometryCache.invalidate` (wired to store mutations such as
+  :meth:`BucketStore.rebucket`) drops results the stores no longer
+  reference, bounding memory across phase changes.  Gather maps are the
+  only cached values with an element per index: they are stored read-only
+  (many call sites and threads index with one array), identity maps are
+  never stored, and the table is bounded in bytes
+  (:data:`POSITIONS_BYTES`) as well as in entries.
 * :func:`batch_overlaps` — a **batched interference kernel** testing one
   query space against N candidates in a single vectorized pass: a stacked
   bounds prefilter, cache lookups per surviving pair, then one merged
@@ -40,9 +46,10 @@ Thread note: the thread backend shares this process-wide cache across
 replica analyses.  Individual dict operations are atomic under the GIL and
 cached values are immutable, so races are benign — at worst two threads
 duplicate a miss computation (equal results; last write wins) or a counter
-increment is lost.  The hit/miss statistics are therefore approximate
-under the thread backend; they are observability data, never part of a
-fingerprint.
+increment is lost.  The hit/miss statistics — and the gather-map table's
+byte count, which restarts from zero at every clear — are therefore
+approximate under the thread backend; they are observability data and a
+memory bound, never part of a fingerprint.
 """
 
 from __future__ import annotations
@@ -58,6 +65,17 @@ from repro.geometry import index_space as _ixmod
 from repro.geometry.index_space import IndexSpace
 
 _MISS = object()  # sentinel: cached False must be distinguishable
+
+#: Bytes of gather maps the ``positions`` table may hold before it is
+#: cleared wholesale like any full table.  The maps an iteration asks for
+#: again (region vs. entry domain, region vs. root) total under 0.5 MiB on
+#: the ledger's widest cell (64 pieces); maps asked exactly once — a
+#: refinement split's (``EquivalenceSet.split``, ``RegionValues.restrict``),
+#: an application's build-time gathers — call ``_positions_raw`` and never
+#: come here (as partition construction calls ``_issubset_raw``).  The
+#: bound keeps a pathological stream of
+#: never-repeated pairs from showing in peak RSS.
+POSITIONS_BYTES = 2 << 20
 
 #: Globally unique generation tags.  Per-instance memos on IndexSpace
 #: objects (``space._uid``) are tagged with the assigning cache's
@@ -95,6 +113,9 @@ class GeometryCache:
         self._or: dict[tuple[int, int], IndexSpace] = {}
         self._sub: dict[tuple[int, int], IndexSpace] = {}
         self._ovl: dict[tuple[int, int], bool] = {}
+        self._subset: dict[tuple[int, int], bool] = {}
+        self._pos: dict[tuple[int, int], np.ndarray] = {}
+        self._pos_bytes = 0
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -183,6 +204,41 @@ class GeometryCache:
         self._store(self._ovl, key, out)
         return out
 
+    def issubset(self, a: IndexSpace, b: IndexSpace) -> bool:
+        key = (self.uid_of(a), self.uid_of(b))  # ordered: a <= b
+        got = self._subset.get(key)
+        if got is not None:
+            self.hits += 1
+            return got
+        self.misses += 1
+        out = a._issubset_raw(b)
+        self._store(self._subset, key, out)
+        return out
+
+    def positions(self, a: IndexSpace, subset: IndexSpace) -> np.ndarray:
+        """The gather map of ``subset`` within ``a``, read-only and shared
+        on a hit.  A non-subset raises from the miss path every time:
+        nothing is stored for it."""
+        if subset._indices.size == a._indices.size:
+            # the identity map: verified and built fresh, never stored
+            return a._positions_raw(subset)
+        key = (self.uid_of(a), self.uid_of(subset))
+        got = self._pos.get(key)
+        if got is not None:
+            self.hits += 1
+            return got
+        self.misses += 1
+        out = a._positions_raw(subset)
+        out.setflags(write=False)
+        if (len(self._pos) >= self.capacity
+                or self._pos_bytes + out.nbytes > POSITIONS_BYTES):
+            self.evictions += len(self._pos)
+            self._pos.clear()
+            self._pos_bytes = 0
+        self._pos[key] = out
+        self._pos_bytes += out.nbytes
+        return out
+
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
@@ -199,6 +255,9 @@ class GeometryCache:
         self._or.clear()
         self._sub.clear()
         self._ovl.clear()
+        self._subset.clear()
+        self._pos.clear()
+        self._pos_bytes = 0
         self.version += 1
         self.invalidations += 1
 
@@ -224,7 +283,8 @@ class GeometryCache:
             "invalidations": self.invalidations,
             "interned": len(self._intern),
             "entries": (len(self._and) + len(self._or)
-                        + len(self._sub) + len(self._ovl)),
+                        + len(self._sub) + len(self._ovl)
+                        + len(self._subset) + len(self._pos)),
         }
 
     def publish_to(self, registry, **labels) -> None:
@@ -286,6 +346,12 @@ class _CacheRouter:
 
     def overlaps(self, a, b):
         return active_geometry_cache().overlaps(a, b)
+
+    def issubset(self, a, b):
+        return active_geometry_cache().issubset(a, b)
+
+    def positions(self, a, subset):
+        return active_geometry_cache().positions(a, subset)
 
 
 _ROUTER = _CacheRouter()

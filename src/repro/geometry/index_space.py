@@ -260,6 +260,11 @@ class IndexSpace:
 
     def issubset(self, other: "IndexSpace") -> bool:
         """True when every element of this space is in ``other``."""
+        if _op_cache is not None:
+            return _op_cache.issubset(self, other)
+        return self._issubset_raw(other)
+
+    def _issubset_raw(self, other: "IndexSpace") -> bool:
         if self.is_empty:
             return True
         if other.is_empty or self.size > other.size:
@@ -284,8 +289,14 @@ class IndexSpace:
         ``subset`` must be a subset of this space; the result ``p`` satisfies
         ``self.indices[p] == subset.indices``.  This is the gather map used
         when blending region values (Figure 7's ``⊕`` lifted to value
-        arrays).
+        arrays).  Maps of proper subsets come from the operation cache and
+        are shared, hence read-only; index with them, never write to them.
         """
+        if _op_cache is not None:
+            return _op_cache.positions(self, subset)
+        return self._positions_raw(subset)
+
+    def _positions_raw(self, subset: "IndexSpace") -> np.ndarray:
         if subset._indices.size == self._indices.size:
             # a same-size subset is the space itself: identity gather
             # (verified cheaply — a memcmp beats two searchsorted passes)

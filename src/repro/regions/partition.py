@@ -100,4 +100,5 @@ def _compute_disjoint(subspaces: list[IndexSpace]) -> bool:
 def _compute_complete(parent: IndexSpace, subspaces: list[IndexSpace]) -> bool:
     """Whether the subregions cover the parent."""
     union = IndexSpace.union_all(list(subspaces))
-    return parent.issubset(union)
+    # asked once, of a throwaway union: raw, not via the cache
+    return parent._issubset_raw(union)

@@ -92,7 +92,8 @@ class Region:
         if not subspaces:
             raise RegionTreeError("partition requires at least one subregion")
         for i, sub in enumerate(subspaces):
-            if not sub.issubset(self.space):
+            # validated once, at construction: raw, not via the cache
+            if not sub._issubset_raw(self.space):
                 raise RegionTreeError(
                     f"subregion {i} of partition {name!r} is not a subset "
                     f"of region {self.name!r}")

@@ -35,7 +35,7 @@ from repro.regions.partition import Partition
 from repro.regions.region import Region
 from repro.visibility.history import (ColumnarHistory, HistoryEntry,
                                       PrivilegeColumns, RegionValues,
-                                      paint_entry)
+                                      paint_into)
 from repro.visibility.meter import CostMeter
 
 _eqset_uid = itertools.count()
@@ -109,8 +109,10 @@ class EquivalenceSet:
         if inside_space.size == self.space.size:
             return self, None
         outside_space = self.space - space
-        in_pos = self.space.positions_of(inside_space)
-        out_pos = self.space.positions_of(outside_space)
+        # asked once — the split retires the set these maps index — so
+        # they bypass the operation cache's gather-map table
+        in_pos = self.space._positions_raw(inside_space)
+        out_pos = self.space._positions_raw(outside_space)
         inside = EquivalenceSet(
             inside_space,
             self.history.map_entries(lambda e: e.restricted(in_pos)))
@@ -132,18 +134,7 @@ class EquivalenceSet:
         the "trivial sub-scene" rendering of Warnock's divide and conquer.
         """
         current = np.zeros(self.space.size, dtype=dtype)
-        for entry in self.history:
-            if meter is not None:
-                meter.count("entries_scanned")
-            if entry.values is None:
-                continue
-            if meter is not None:
-                meter.count("elements_moved", self.space.size)
-            if entry.privilege.is_write:
-                current = entry.values.astype(dtype, copy=True)
-            else:
-                assert entry.privilege.redop is not None
-                current = entry.privilege.redop.fold(current, entry.values)
+        paint_into(current, self.space, self.space, self.history, meter)
         return current
 
     def record(self, privilege: Privilege, values: Optional[np.ndarray],
@@ -398,12 +389,9 @@ class LooseEquivalenceSet:
         """Current values on ``space ∩ self.space`` via the blending
         kernel."""
         common = self.space & space
-        current = RegionValues.filled(common, 0, dtype)
-        for entry in self.history:
-            if meter is not None:
-                meter.count("entries_scanned")
-            current = paint_entry(current, entry, meter)
-        return current
+        current = np.zeros(common.size, dtype=dtype)
+        paint_into(current, common, common, self.history, meter)
+        return RegionValues(common, current)
 
     def __repr__(self) -> str:
         return (f"LooseEquivalenceSet(uid={self.uid}, n={self.space.size}, "
@@ -434,6 +422,10 @@ class BucketStore:
         self._kd: Optional[KDTree] = None
         self._kd_ids: dict[int, int] = {}
         self._buckets: dict[int, dict[int, LooseEquivalenceSet]] = {}
+        # per live set uid, what placing it found: (bounds-filter hits,
+        # the buckets it truly overlaps) — read back by every later
+        # localization and removal instead of being re-derived
+        self._span: dict[int, tuple[int, list[Region]]] = {}
         self._bucket_regions: list[Region] = []
         self._bucket_lo = np.empty(0, dtype=np.int64)
         self._bucket_hi = np.empty(0, dtype=np.int64)
@@ -470,18 +462,26 @@ class BucketStore:
         if self._kd is not None:
             self._kd_ids[eqset.uid] = self._kd.insert(eqset.space, eqset)
             return
-        placed = False
         regions = self._buckets_overlapping(eqset.space)
-        if regions:
-            hits = batch_overlaps(eqset.space, [r.space for r in regions])
-            for region, hit in zip(regions, hits):
-                if hit:
-                    self._buckets[region.uid][eqset.uid] = eqset
-                    placed = True
+        hits = batch_overlaps(eqset.space, [r.space for r in regions])
+        placed = [region for region, hit in zip(regions, hits) if hit]
         if not placed:
             # partition is complete, so this can only mean a stale bucket
             # list after rebucketing mid-flight
             raise CoherenceError("equivalence set fits no bucket")
+        for region in placed:
+            self._buckets[region.uid][eqset.uid] = eqset
+        self._span[eqset.uid] = (len(regions), placed)
+
+    def _span_of(self, eqset: LooseEquivalenceSet) -> list[Region]:
+        """The buckets a live set was placed in, charged the
+        ``bvh_nodes_visited`` that re-deriving them from the bucket bounds
+        would (fingerprints hash the meter); no buckets for a set that
+        was never placed."""
+        visited, placed = self._span.get(eqset.uid, (0, []))
+        if self.meter is not None and visited:
+            self.meter.count("bvh_nodes_visited", visited)
+        return placed
 
     def _index_remove(self, eqset: LooseEquivalenceSet) -> None:
         self._sets.pop(eqset.uid, None)
@@ -490,8 +490,9 @@ class BucketStore:
             if item is not None:
                 self._kd.remove(item)
             return
-        for region in self._buckets_overlapping(eqset.space):
+        for region in self._span_of(eqset):
             self._buckets[region.uid].pop(eqset.uid, None)
+        self._span.pop(eqset.uid, None)
 
     def _candidates(self, space: IndexSpace) -> list[LooseEquivalenceSet]:
         if self._kd is not None:
@@ -521,10 +522,7 @@ class BucketStore:
         this, a never-written field would accumulate every piece's history
         in one giant set.
         """
-        candidates = self._buckets_overlapping(eqset.space)  # bbox filter
-        exact = batch_overlaps(eqset.space,
-                               [r.space for r in candidates])
-        all_regions = [r for r, hit in zip(candidates, exact) if hit]
+        all_regions = self._span_of(eqset)
         if len(all_regions) <= 1:
             return [eqset]
         touched = batch_overlaps(space, [r.space for r in all_regions])
@@ -623,14 +621,24 @@ class BucketStore:
 
     def check_invariants(self, root_space: IndexSpace) -> None:
         """Assert: sets pairwise disjoint, union covers the root, every
-        history entry contained in its set (and columns ≡ entries)."""
+        history entry contained in its set (and columns ≡ entries), and
+        the span memo ≡ a re-derivation from the bucket bounds."""
         sets = self.all_sets()
         _check_partition(sets, root_space)
+        spans = {}
         for s in sets:
             s.history.check_columns()
             for e in s.history:
                 if not e.domain.issubset(s.space):
                     raise CoherenceError(f"entry escapes {s!r}")
+            if self._kd is None:
+                lo, hi = s.space.bounds
+                near = [r for r in self._bucket_regions
+                        if r.space.bounds[0] <= hi and r.space.bounds[1] >= lo]
+                spans[s.uid] = (len(near), [r for r in near
+                                            if r.space.overlaps(s.space)])
+        if self._span != spans:
+            raise CoherenceError("bucket-span memo diverged from the buckets")
 
     def rebucket(self, partition: Optional[Partition]) -> None:
         """Shift every equivalence set to a new disjoint-complete partition
@@ -645,6 +653,7 @@ class BucketStore:
         sets = list(self._sets.values())
         self.partition = partition
         self._buckets = {}
+        self._span = {}
         self._bucket_regions = []
         self._bucket_lo = np.empty(0, dtype=np.int64)
         self._bucket_hi = np.empty(0, dtype=np.int64)

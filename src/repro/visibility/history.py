@@ -1,17 +1,12 @@
 """Region values, history entries, and the blending kernel of section 3.1.
 
 A :class:`RegionValues` pairs an index-space domain with a value array
-aligned element-for-element with ``domain.indices``.  The three set-lifted
-operators of Figure 7 —
-
-* ``X/Y``  → :meth:`RegionValues.restrict`
-* ``X\\Y`` → :meth:`RegionValues.subtract`
-* ``X ⊕ Y`` → :meth:`RegionValues.overlay`
-
-— plus the pointwise-lifted reduction fold are implemented here once and
-shared by every algorithm.  The blending function ``b`` of section 3.1
-(writes opaque, reductions semi-transparent, reads transparent) appears as
-:func:`paint_entry`.
+aligned element-for-element with ``domain.indices``; ``X/Y`` of Figure 7 is
+:meth:`RegionValues.restrict`.  The blending function ``b`` of section 3.1
+(writes opaque, reductions semi-transparent, reads transparent) is
+:func:`paint_into`: one kernel that replays a history oldest-first straight
+into the buffer being materialized, shared by every algorithm that keeps
+histories, beside the one dependence scan :func:`scan_dependences`.
 """
 
 from __future__ import annotations
@@ -22,7 +17,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from repro.errors import CoherenceError
-from repro.geometry.fastpath import batch_overlaps
+from repro.geometry.fastpath import active_geometry_cache, batch_overlaps
 from repro.geometry.index_space import IndexSpace
 from repro.obs import provenance as prov
 from repro.privileges import Privilege
@@ -71,80 +66,15 @@ class RegionValues:
         """Deep copy (fresh value buffer)."""
         return RegionValues(self.domain, self.values.copy())
 
-    # ------------------------------------------------------------------
-    # Figure 7's set operators lifted to value arrays
-    # ------------------------------------------------------------------
     def restrict(self, space: IndexSpace) -> "RegionValues":
         """``X/Y``: the subset of this region sharing points with ``space``."""
         common = self.domain & space
         if common.size == self.domain.size:
             return self
-        pos = self.domain.positions_of(common)
+        # a restriction follows a split that retires this region: its map
+        # is asked once and bypasses the operation cache
+        pos = self.domain._positions_raw(common)
         return RegionValues(common, self.values[pos])
-
-    def subtract(self, space: IndexSpace) -> "RegionValues":
-        """``X\\Y``: the subset of this region not sharing points with
-        ``space``."""
-        remaining = self.domain - space
-        if remaining.size == self.domain.size:
-            return self
-        pos = self.domain.positions_of(remaining)
-        return RegionValues(remaining, self.values[pos])
-
-    def overlay(self, other: "RegionValues") -> "RegionValues":
-        """``X ⊕ Y``: union of domains, ``other``'s values winning on the
-        overlap."""
-        if self.is_empty:
-            return other
-        if other.is_empty:
-            return self
-        domain = self.domain | other.domain
-        out = np.empty(domain.size, dtype=np.result_type(self.values, other.values))
-        out[domain.positions_of(self.domain)] = self.values
-        out[domain.positions_of(other.domain)] = other.values
-        return RegionValues(domain, out)
-
-    def _same_domain(self, other: "RegionValues") -> bool:
-        """Cheap test for the blending fast path: identical domains."""
-        return other.domain is self.domain or (
-            other.domain.size == self.domain.size
-            and other.domain == self.domain)
-
-    def fold_in(self, op, other: "RegionValues") -> "RegionValues":
-        """``X ⊕ f(X/Y, Y/X)``: fold ``other`` into this region where the
-        domains overlap (Figure 7 line 8)."""
-        if self._same_domain(other):
-            # the common steady-state case: whole-domain fold, no gathers
-            return RegionValues(self.domain, op.fold(self.values,
-                                                     other.values))
-        common = self.domain & other.domain
-        if common.is_empty:
-            return self
-        out = self.values.copy()
-        mine = self.domain.positions_of(common)
-        theirs = other.domain.positions_of(common)
-        out[mine] = op.fold(out[mine], other.values[theirs])
-        return RegionValues(self.domain, out)
-
-    def write_onto(self, other: "RegionValues") -> "RegionValues":
-        """``(X ⊕ Y)/X``: overwrite this region with ``other``'s values on
-        the overlap, keeping this domain (Figure 7 line 6)."""
-        if self._same_domain(other):
-            # full overwrite: adopt the other buffer (copied — histories
-            # must never alias task buffers)
-            return RegionValues(self.domain, other.values.copy())
-        common = self.domain & other.domain
-        if common.is_empty:
-            return self
-        out = self.values.copy()
-        out[self.domain.positions_of(common)] = \
-            other.values[other.domain.positions_of(common)]
-        return RegionValues(self.domain, out)
-
-    def gather_into(self, target_domain: IndexSpace, out: np.ndarray) -> None:
-        """Scatter this region's values into a buffer aligned with
-        ``target_domain`` (which must contain this domain)."""
-        out[target_domain.positions_of(self.domain)] = self.values
 
     def __repr__(self) -> str:
         return f"RegionValues(size={self.size}, dtype={self.values.dtype})"
@@ -201,27 +131,6 @@ class HistoryEntry:
     def __repr__(self) -> str:
         return (f"HistoryEntry(t{self.task_id}, {self.privilege!r}, "
                 f"n={self.domain.size})")
-
-
-def paint_entry(current: RegionValues, entry: HistoryEntry,
-                meter: Optional[CostMeter] = None) -> RegionValues:
-    """Apply one history entry to a region being materialized.
-
-    This is the blending function ``b`` of section 3.1 applied in the
-    oldest-to-newest traversal of Figure 7: a write overlays, a reduction
-    folds, a read does nothing.
-    """
-    if entry.privilege.is_read or entry.values is None:
-        return current
-    common_hint = current.domain.bbox_overlaps(entry.domain)
-    if not common_hint:
-        return current
-    if meter is not None:
-        meter.count("elements_moved", min(current.size, entry.domain.size))
-    if entry.privilege.is_write:
-        return current.write_onto(entry.values)
-    assert entry.privilege.redop is not None
-    return current.fold_in(entry.privilege.redop, entry.values)
 
 
 # ----------------------------------------------------------------------
@@ -547,3 +456,81 @@ def scan_dependences(privilege: Privilege, space: IndexSpace,
                       prov.domain_desc(entry.domain))
     if meter is not None and tested:
         meter.count("intersection_tests", tested)
+
+
+def paint_into(out: np.ndarray, target: IndexSpace, clip: IndexSpace,
+               entries, meter: Optional[CostMeter] = None) -> None:
+    """Blend a history, oldest first, into the buffer being materialized.
+
+    This is the blending function ``b`` of section 3.1 applied in the
+    oldest-to-newest traversal of Figure 7 — a write overlays, a reduction
+    folds, a read does nothing — done in place: ``out`` is aligned with
+    ``target`` and only the elements of ``clip`` (a subset of ``target``)
+    are painted, ``out[dst] = src`` or ``out[dst] = fold(out[dst], src)``
+    per visible entry, both sides whole-buffer slices where the overlap is
+    the whole buffer and cached gather maps
+    (:meth:`GeometryCache.positions`, what :meth:`IndexSpace.positions_of`
+    returns) elsewhere.  No intermediate region is
+    built and nothing is copied but the painted elements; the result has
+    ``out``'s dtype whatever the entries hold.
+
+    An entry's values are either a :class:`RegionValues` on the entry's
+    own domain (:class:`HistoryEntry`) or a bare array aligned with
+    ``clip`` (an equivalence set's ``EqEntry``, whose domain *is* the
+    set).  A :class:`ColumnarHistory` of scan-kernel length is prefiltered
+    on its kind and bounds columns, like the dependence scan.
+
+    The meter is charged once, in bulk, what an entry-at-a-time walk
+    charges: ``entries_scanned`` per entry, ``elements_moved`` per visible
+    entry whose bounds meet ``clip``'s (the smaller of the two sizes).
+    """
+    if isinstance(entries, PrivilegeColumns):
+        items = entries.entries
+    else:  # the tree painter hands over a generator
+        items = list(entries)
+    if meter is not None and items:
+        meter.count("entries_scanned", len(items))
+    if clip.is_empty:
+        return
+    lo, hi = clip.bounds
+    if isinstance(entries, ColumnarHistory) \
+            and len(items) >= SCAN_VECTOR_MIN:
+        live = np.flatnonzero(
+            (entries.kinds != KIND_READ) & entries.nonempty
+            & (entries.los <= hi) & (entries.his >= lo))
+        items = [items[i] for i in live.tolist()]
+    # straight at the operation cache the IndexSpace operators dispatch
+    # to: a painter-length history asks it about dozens of entries a call
+    cache = active_geometry_cache()
+    size = clip.size
+    moved = 0
+    for entry in items:
+        values = entry.values
+        if values is None:
+            continue
+        if type(values) is RegionValues:
+            domain, values = values.domain, values.values
+            if domain is clip:
+                common = clip
+            else:
+                dlo, dhi = domain._lo, domain._hi
+                if dhi < lo or hi < dlo or dhi < dlo:  # disjoint or empty
+                    continue
+                common = cache.intersection(clip, domain)
+            moved += min(size, values.size)
+        else:
+            common = clip
+            moved += size
+        n = common.size
+        if n == 0:
+            continue
+        if n != values.size:
+            values = values[cache.positions(domain, common)]
+        dst = slice(None) if n == out.size else cache.positions(target,
+                                                                common)
+        if entry.privilege.is_write:
+            out[dst] = values
+        else:
+            out[dst] = entry.privilege.redop.fold(out[dst], values)
+    if meter is not None and moved:
+        meter.count("elements_moved", moved)

@@ -22,7 +22,7 @@ from repro.regions.region import Region
 from repro.regions.tree import RegionTree
 from repro.visibility.base import CoherenceAlgorithm, INITIAL_TASK_ID
 from repro.visibility.history import (ColumnarHistory, HistoryEntry,
-                                      RegionValues, paint_entry,
+                                      RegionValues, paint_into,
                                       scan_dependences)
 from repro.visibility.meter import CostMeter
 
@@ -61,11 +61,9 @@ class PainterAlgorithm(CoherenceAlgorithm):
 
     def _paint(self, region: Region, history: ColumnarHistory) -> np.ndarray:
         """Replay the history oldest-to-newest onto ``region``."""
-        current = RegionValues.filled(region.space, 0, self.dtype)
-        for entry in history:
-            self.meter.count("entries_scanned")
-            current = paint_entry(current, entry, self.meter)
-        return current.values
+        values = np.zeros(region.space.size, dtype=self.dtype)
+        paint_into(values, region.space, region.space, history, self.meter)
+        return values
 
     def _record(self, privilege: Privilege, region: Region,
                 values: Optional[np.ndarray], task_id: int) -> None:

@@ -34,7 +34,7 @@ from repro.privileges import Privilege, READ_WRITE
 from repro.regions.region import Region
 from repro.regions.tree import RegionTree
 from repro.visibility.base import CoherenceAlgorithm, INITIAL_TASK_ID
-from repro.visibility.history import (HistoryEntry, RegionValues, paint_entry,
+from repro.visibility.history import (HistoryEntry, RegionValues, paint_into,
                                       scan_dependences)
 from repro.visibility.meter import CostMeter
 from repro.obs import provenance as prov
@@ -355,11 +355,10 @@ class TreePainterAlgorithm(CoherenceAlgorithm):
                       - scanned_before)
 
     def _paint(self, region: Region, found) -> np.ndarray:
-        current = RegionValues.filled(region.space, 0, self.dtype)
-        for entry in self._iter_path_entries(region, None):
-            self.meter.count("entries_scanned")
-            current = paint_entry(current, entry, self.meter)
-        return current.values
+        values = np.zeros(region.space.size, dtype=self.dtype)
+        paint_into(values, region.space, region.space,
+                   self._iter_path_entries(region, None), self.meter)
+        return values
 
     def _record(self, privilege: Privilege, region: Region,
                 values: Optional[np.ndarray], task_id: int) -> None:

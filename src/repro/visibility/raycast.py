@@ -37,7 +37,7 @@ from repro.visibility.base import CoherenceAlgorithm, INITIAL_TASK_ID
 from repro.visibility.eqset import (BucketStore, LooseEquivalenceSet,
                                     describe_sets, set_tokens, visit_sets)
 from repro.visibility.history import (HistoryEntry, RegionValues,
-                                      scan_dependences)
+                                      paint_into, scan_dependences)
 from repro.visibility.meter import CostMeter
 from repro.obs import provenance as prov
 
@@ -94,8 +94,8 @@ class RayCastAlgorithm(CoherenceAlgorithm):
                sets: list[LooseEquivalenceSet]) -> np.ndarray:
         values = np.zeros(region.space.size, dtype=self.dtype)
         for eqset in sets:
-            painted = eqset.paint(region.space, self.dtype, self.meter)
-            painted.gather_into(region.space, values)
+            paint_into(values, region.space, eqset.space & region.space,
+                       eqset.history, self.meter)
         return values
 
     def _settle(self, region: Region, sets: list[LooseEquivalenceSet],

@@ -20,7 +20,7 @@ from repro.visibility.base import CoherenceAlgorithm, INITIAL_TASK_ID
 from repro.visibility.eqset import (EqEntry, EquivalenceSet,
                                     RefinementTreeStore, describe_sets,
                                     set_tokens, visit_sets)
-from repro.visibility.history import interfering_indices
+from repro.visibility.history import interfering_indices, paint_into
 from repro.visibility.meter import CostMeter
 from repro.obs import provenance as prov
 
@@ -84,8 +84,8 @@ class WarnockAlgorithm(CoherenceAlgorithm):
                sets: list[EquivalenceSet]) -> np.ndarray:
         values = np.zeros(region.space.size, dtype=self.dtype)
         for eqset in sets:
-            painted = eqset.paint(self.dtype, self.meter)
-            values[region.space.positions_of(eqset.space)] = painted
+            paint_into(values, region.space, eqset.space, eqset.history,
+                       self.meter)
         return values
 
     def _record(self, privilege: Privilege, region: Region,

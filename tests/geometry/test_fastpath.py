@@ -7,9 +7,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.geometry import IndexSpace
+from repro.errors import GeometryError
+from repro.geometry import IndexSpace, fastpath
 from repro.geometry.fastpath import (GeometryCache, batch_overlaps,
-                                     geometry_cache, reset_geometry_cache)
+                                     geometry_cache, reset_geometry_cache,
+                                     tenant_geometry_cache)
 from repro.obs import MetricsRegistry
 
 from tests.conftest import index_spaces
@@ -198,6 +200,127 @@ class TestBatchOverlaps:
 
 
 # ----------------------------------------------------------------------
+# the value path's two relations: the gather map and the subset test
+# ----------------------------------------------------------------------
+def _same_map(a, sub):
+    """``a.positions_of(sub)`` agrees with the raw body: same map, or the
+    same ``GeometryError`` for a non-subset."""
+    try:
+        want = a._positions_raw(sub)
+    except GeometryError:
+        with pytest.raises(GeometryError):
+            a.positions_of(sub)
+        return
+    got = a.positions_of(sub)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+class TestValuePathRelations:
+    @settings(max_examples=80,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(a=index_spaces(), b=index_spaces(), pick=st.data())
+    def test_equal_raw_on_miss_and_on_hit(self, a, b, pick):
+        sub = IndexSpace.from_indices(pick.draw(st.lists(
+            st.sampled_from(list(a)), max_size=a.size))) if a.size else a
+        pairs = ((a, b), (b, a), (sub, a), (a, a))
+
+        def check():
+            for _ in range(2):  # miss, then hit
+                for x, y in pairs:
+                    assert x.issubset(y) == x._issubset_raw(y)
+                    _same_map(y, x)
+
+        reset_geometry_cache()
+        check()
+        geometry_cache().invalidate()
+        check()  # from emptied tables
+        with tenant_geometry_cache(GeometryCache()):
+            check()  # routed to a tenant's cache
+
+    def test_proper_subset_map_is_shared_and_read_only(self):
+        cache = geometry_cache()
+        a = IndexSpace.from_indices([1, 3, 5, 7, 9])
+        sub = IndexSpace.from_indices([3, 9])
+        first = a.positions_of(sub)
+        hits = cache.hits
+        again = a.positions_of(IndexSpace.from_indices([9, 3]))  # by content
+        assert again is first and cache.hits == hits + 1
+        assert list(first) == [1, 4]
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0] = 0
+        # indexing with the shared map still copies: callers own the result
+        values = np.arange(5.0)
+        picked = values[first]
+        picked[:] = -1
+        assert list(values) == [0, 1, 2, 3, 4]
+
+    def test_identity_map_is_fresh_and_never_stored(self):
+        cache = geometry_cache()
+        a = IndexSpace.from_indices([2, 4, 6])
+        twin = IndexSpace.from_indices([6, 4, 2])
+        one, two = a.positions_of(twin), a.positions_of(twin)
+        assert list(one) == [0, 1, 2] and one is not two
+        assert one.flags.writeable
+        assert cache.stats()["entries"] == 0
+        with pytest.raises(GeometryError):  # same size, other content
+            a.positions_of(IndexSpace.from_indices([2, 4, 8]))
+
+    def test_non_subset_raises_every_time_and_stores_nothing(self):
+        cache = geometry_cache()
+        a = IndexSpace.from_indices([1, 2, 3, 4])
+        for bad in (IndexSpace.from_indices([4, 5]),
+                    IndexSpace.from_indices([9])):
+            for _ in range(2):
+                with pytest.raises(GeometryError):
+                    a.positions_of(bad)
+        assert cache._pos == {}
+
+    def test_subset_is_order_sensitive_and_false_is_cached(self):
+        cache = geometry_cache()
+        small, big = spaces((2, 5), (0, 10))
+        assert small.issubset(big) and not big.issubset(small)
+        misses = cache.misses
+        assert small.issubset(big) and not big.issubset(small)
+        assert big.issuperset(small)
+        assert cache.misses == misses
+
+    def test_tables_are_counted_cleared_and_routed(self):
+        cache = geometry_cache()
+        a = IndexSpace.from_range(0, 10)
+        sub = IndexSpace.from_range(2, 5)
+        a.positions_of(sub)
+        sub.issubset(a)
+        assert cache.stats()["entries"] == 2
+        registry = MetricsRegistry()
+        cache.publish_to(registry)
+        assert registry.find("geom.cache.entries").value == 2
+        cache.invalidate()
+        assert cache.stats()["entries"] == 0 and cache._pos_bytes == 0
+        a.positions_of(sub)
+        cache.reset()
+        assert cache.stats()["entries"] == 0 and cache._pos_bytes == 0
+        before = cache.stats()
+        tenant = GeometryCache()
+        with tenant_geometry_cache(tenant):
+            a.positions_of(sub)
+            sub.issubset(a)
+        assert tenant.stats()["entries"] == 2
+        assert cache.stats() == before
+
+    def test_map_table_is_bounded_in_bytes(self, monkeypatch):
+        monkeypatch.setattr(fastpath, "POSITIONS_BYTES", 64 * 8)
+        cache = geometry_cache()
+        a = IndexSpace.from_range(0, 200)
+        for start in range(0, 100, 10):
+            a.positions_of(IndexSpace.from_range(start, start + 20))
+            assert cache._pos_bytes <= 64 * 8
+            assert cache._pos_bytes == sum(
+                m.nbytes for m in cache._pos.values())
+        assert cache.evictions > 0
+
+
+# ----------------------------------------------------------------------
 # tenant routing: per-thread cache overrides (the analysis service seam)
 # ----------------------------------------------------------------------
 class TestTenantRouting:
@@ -264,3 +387,45 @@ class TestTenantRouting:
         uid2 = c2.uid_of(space)   # must miss c1's memo and re-intern
         assert c2.uid_of(IndexSpace.from_range(0, 10)) == uid2
         assert uid1 == c1.uid_of(space)
+
+
+class TestSharedMapsUnderThreads:
+    def test_hammered_maps_stay_correct_and_read_only(self):
+        """The thread backend shares one cache: eight threads asking for
+        the same maps while the tables are invalidated under them must
+        each get the raw body's answer, read-only."""
+        import sys
+        import threading
+
+        a = IndexSpace.from_range(0, 400)
+        subs = [IndexSpace.from_range(s, s + 40) for s in range(0, 360, 8)]
+        want = [a._positions_raw(sub) for sub in subs]
+        wrong: list = []
+        stop = threading.Event()
+
+        def worker(seed):
+            order = np.random.default_rng(seed).permutation(len(subs))
+            while not stop.is_set():
+                for i in order:
+                    got = a.positions_of(subs[i])
+                    if got.flags.writeable or \
+                            not np.array_equal(got, want[i]):
+                        wrong.append(i)
+                if seed == 0:
+                    geometry_cache().invalidate()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        threads = [threading.Thread(target=worker, args=(k,))
+                   for k in range(8)]
+        try:
+            for t in threads:
+                t.start()
+            stop.wait(0.5)
+        finally:
+            stop.set()
+            for t in threads:
+                t.join(timeout=10)
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []

@@ -5,9 +5,11 @@ import pytest
 
 from repro import (READ, READ_WRITE, CoherenceError, IndexSpace, RegionTree,
                    reduce)
+from repro.geometry.fastpath import batch_overlaps
 from repro.visibility.base import INITIAL_TASK_ID
 from repro.visibility.eqset import BucketStore, LooseEquivalenceSet
 from repro.visibility.history import HistoryEntry, RegionValues
+from repro.visibility.meter import CostMeter
 
 
 def entry(privilege, indices, values, task_id):
@@ -214,3 +216,86 @@ class TestBucketStoreEdges:
         sizes = sorted(s.space.size for s in store.all_sets())
         assert sizes == [4, 4, 8]
         store.check_invariants(tree.root.space)
+
+
+class RederivingStore(BucketStore):
+    """The spec of the span memo: the derivation it replaced, run afresh
+    (bounds filter, then the exact test) on every localization and
+    removal."""
+
+    def _span_of(self, eqset):
+        regions = self._buckets_overlapping(eqset.space)
+        hits = batch_overlaps(eqset.space, [r.space for r in regions])
+        return [r for r, hit in zip(regions, hits) if hit]
+
+
+class TestBucketSpanMemo:
+    """What placing a set found is read back, not re-derived: same sets,
+    same meter (fingerprints hash ``bvh_nodes_visited``)."""
+
+    def tiled(self, cls):
+        """4x4 grid, 2x2 tiles in row-major order: every tile's bounding
+        interval meets two buckets' bounds, its elements one bucket."""
+        tree = RegionTree(16, {"x": np.float64})
+        tiles = [IndexSpace.from_indices([r * 4 + c, r * 4 + c + 1,
+                                          r * 4 + c + 4, r * 4 + c + 5])
+                 for r in (0, 2) for c in (0, 2)]
+        P = tree.root.create_partition("P", tiles, disjoint=True,
+                                       complete=True)
+        halves = tree.root.create_partition(
+            "H", [IndexSpace.from_range(0, 8), IndexSpace.from_range(8, 16)],
+            disjoint=True, complete=True)
+        root = LooseEquivalenceSet(tree.root.space)
+        root.record(HistoryEntry(
+            READ_WRITE, tree.root.space,
+            RegionValues(tree.root.space, np.zeros(16)), INITIAL_TASK_ID))
+        return tree, P, halves, cls(root, P, CostMeter())
+
+    def drive(self, cls):
+        tree, P, halves, store = self.tiled(cls)
+        trace = []
+
+        def step(label):
+            store.check_invariants(tree.root.space)
+            trace.append((label, store.meter.snapshot(), sorted(
+                (tuple(s.space), len(s.history))
+                for s in store.all_sets())))
+
+        store.overlapping(P[1].space, P[1].uid)       # carve one tile
+        step("first touch")
+        store.overlapping(P[1].space, None)           # single-bucket: no churn
+        step("repeat")
+        straddle = IndexSpace.from_range(5, 11)       # rides all four tiles
+        sets = store.overlapping(straddle, None)
+        step("straddling query")
+        store.dominate_write(straddle, sets, None)    # trims four sets
+        step("dominating write")
+        store.overlapping(tree.root.space, tree.root.uid)
+        step("root query")
+        store.rebucket(halves)
+        step("rebucket")
+        store.overlapping(halves[0].space, halves[0].uid)
+        step("localize to the new buckets")
+        store.rebucket(None)                          # the K-d fallback
+        assert store._span == {}
+        store.overlapping(P[2].space, None)
+        step("k-d fallback")
+        store.rebucket(P)
+        store.overlapping(P[3].space, P[3].uid)
+        step("back to buckets")
+        return trace
+
+    def test_memo_equals_rederivation(self):
+        assert self.drive(BucketStore) == self.drive(RederivingStore)
+
+    def test_memo_follows_the_live_sets(self):
+        tree, P, halves, store = self.tiled(BucketStore)
+        assert set(store._span) == {s.uid for s in store.all_sets()}
+        visited, placed = store._span[store.all_sets()[0].uid]
+        assert visited == 4 and placed == list(P.subregions)
+        tile = store.overlapping(P[0].space, P[0].uid)[0]
+        # bounds meet tiles 0 and 1, elements only tile 0
+        assert store._span[tile.uid] == (2, [P[0]])
+        store.dominate_write(P[0].space, [tile], P[0].uid)
+        assert tile.uid not in store._span
+        assert set(store._span) == {s.uid for s in store.all_sets()}

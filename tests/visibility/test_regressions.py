@@ -7,8 +7,9 @@ cannot silently reintroduce it.
 import numpy as np
 import pytest
 
-from repro import (READ, READ_WRITE, IndexSpace, RegionRequirement,
-                   RegionTree, Runtime, reduce)
+from repro import (ALGORITHMS, READ, READ_WRITE, IndexSpace,
+                   RegionRequirement, RegionTree, Runtime, reduce)
+from repro.visibility import make_algorithm
 
 
 class TestSubregionPartitionBuckets:
@@ -148,3 +149,29 @@ class TestNeverWrittenFieldLocalization:
         for s in algo.store.all_sets():
             assert len(s.history) <= 1 + 3 * 2
         assert list(rt.read_field("dt")) == [1.0] * 16
+
+
+class TestMaterializedDtypeIsTheFieldDtype:
+    """On a ``float32`` field, a commit whose buffer was ``float64`` made
+    ``painter`` and ``tree_painter`` materialize ``float64``: the
+    same-domain arm of the old object walk adopted the entry's array
+    instead of writing into the region's.  Every algorithm paints into a
+    buffer of the field's dtype."""
+
+    @pytest.mark.parametrize("name", sorted(ALGORITHMS))
+    def test_wider_commit_buffers_do_not_widen_reads(self, name):
+        tree = RegionTree(8, {"x": np.float32})
+        P = tree.root.create_partition(
+            "P", [IndexSpace.from_range(0, 4), IndexSpace.from_range(4, 8)],
+            disjoint=True, complete=True)
+        algo = make_algorithm(name, tree, "x", np.zeros(8, dtype=np.float32))
+        algo.materialize(READ_WRITE, P[0])
+        algo.commit(READ_WRITE, P[0], np.arange(4, dtype=np.float64), 0)
+        algo.materialize(reduce("sum"), tree.root)
+        algo.commit(reduce("sum"), tree.root, np.ones(8), 1)
+        assert algo.dtype == np.float32
+        for region, want in ((P[0], [1, 2, 3, 4]), (P[1], [1, 1, 1, 1]),
+                             (tree.root, [1, 2, 3, 4, 1, 1, 1, 1])):
+            values = algo.materialize(READ, region).values
+            assert values.dtype == algo.dtype
+            assert list(values) == want

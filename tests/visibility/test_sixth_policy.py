@@ -17,7 +17,7 @@ from repro import (ALGORITHMS, READ_WRITE, Runtime, TaskStream,
                    oracle_dependences)
 from repro.analysis import compare_algorithms
 from repro.visibility.base import CoherenceAlgorithm, INITIAL_TASK_ID
-from repro.visibility.history import (HistoryEntry, RegionValues, paint_entry,
+from repro.visibility.history import (HistoryEntry, RegionValues, paint_into,
                                       scan_dependences)
 
 from tests.conftest import (fig1_initial, fig1_stream, make_fig1_tree,
@@ -43,10 +43,9 @@ class ListPolicy(CoherenceAlgorithm):
         scan_dependences(privilege, region.space, log, deps, self.meter)
 
     def _paint(self, region, log):
-        current = RegionValues.filled(region.space, 0, self.dtype)
-        for entry in log:
-            current = paint_entry(current, entry, self.meter)
-        return current.values
+        values = np.zeros(region.space.size, dtype=self.dtype)
+        paint_into(values, region.space, region.space, log, self.meter)
+        return values
 
     def _record(self, privilege, region, values, task_id):
         kept = None if values is None else RegionValues(region.space,
