@@ -4,7 +4,7 @@ PYTHON ?= python
 
 .PHONY: install test check chaos lint bench bench-quick report examples \
 	introspect-smoke service-smoke telemetry-smoke blackbox-smoke \
-	ledger ledger-selftest ledger-pair loc clean help
+	ledger ledger-selftest ledger-pair ledger-gate loc clean help
 
 help:
 	@echo "install      editable install (offline-friendly)"
@@ -22,8 +22,9 @@ help:
 	@echo "ledger       the layer ledger: four workloads, every metric (benchmarks/ledger)"
 	@echo "ledger-selftest  the ledger's <20 s self-test + its own tests"
 	@echo "ledger-pair  BASE=<rev> [N=10] [SEED=1]: N alternating ledger runs of BASE and this tree; wins, medians, quartiles"
+	@echo "ledger-gate  BASE=<rev> [SEED=1]: one ledger run of BASE, one of this tree, through compare.py; fails on a 'worse' row (the CI gate)"
 	@echo "loc          lines of Python per src/repro package, plus tests/ and benchmarks/"
-	@echo "clean        remove build/caches/results"
+	@echo "clean        remove build output, caches and untracked run output"
 
 install:
 	$(PYTHON) setup.py develop
@@ -36,8 +37,6 @@ lint:
 
 check: lint
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
-	PYTHONPATH=src $(PYTHON) -m pytest -q --benchmark-disable \
-		benchmarks/test_micro_analysis.py
 
 chaos:
 	PYTHONPATH=src $(PYTHON) -m pytest -m chaos -q
@@ -135,13 +134,18 @@ for workload in catalogue.WORKLOADS:
 endef
 export LEDGER_PAIR_SUMMARY
 
+# BASE as a `git archive` export; both sides start from fresh bytecode,
+# or setup_s compares compilers
+define LEDGER_EXPORT_BASE
+@test -n "$(BASE)" || { echo "usage: make $@ BASE=<rev>"; exit 2; }
+rm -rf $(PAIR_DIR) && mkdir -p $(PAIR_DIR)/base
+git archive $(BASE) | tar -x -C $(PAIR_DIR)/base
+$(PYTHON) -m compileall -q src benchmarks/ledger \
+	$(PAIR_DIR)/base/src $(PAIR_DIR)/base/benchmarks/ledger
+endef
+
 ledger-pair:
-	@test -n "$(BASE)" || { echo "usage: make ledger-pair BASE=<rev> [N=10] [SEED=1]"; exit 2; }
-	rm -rf $(PAIR_DIR) && mkdir -p $(PAIR_DIR)/base
-	git archive $(BASE) | tar -x -C $(PAIR_DIR)/base
-	@# both sides start from fresh bytecode, or setup_s compares compilers
-	$(PYTHON) -m compileall -q src benchmarks/ledger \
-		$(PAIR_DIR)/base/src $(PAIR_DIR)/base/benchmarks/ledger
+	$(LEDGER_EXPORT_BASE)
 	@for i in $$(seq 1 $(N)); do \
 		if [ $$((i % 2)) -eq 1 ]; then order="base head"; \
 		else order="head base"; fi; \
@@ -157,6 +161,23 @@ ledger-pair:
 		tail -1 $(PAIR_DIR)/compare-$$i.txt; \
 	done
 	@$(PYTHON) -c "$$LEDGER_PAIR_SUMMARY" $(PAIR_DIR) $(N)
+
+# The one performance gate (CI runs it): BASE then this tree, one ledger run
+# each, and compare.py's verdicts and exit status -- non-zero only when an
+# end-to-end row is `worse`; `unresolved` rows are a printed note.
+ledger-gate:
+	$(LEDGER_EXPORT_BASE)
+	$(PYTHON) $(PAIR_DIR)/base/benchmarks/ledger/run.py --seed $(SEED) \
+		--out $(CURDIR)/$(PAIR_DIR)/base.json > $(PAIR_DIR)/base.log
+	$(PYTHON) benchmarks/ledger/run.py --seed $(SEED) \
+		--out $(CURDIR)/$(PAIR_DIR)/head.json > $(PAIR_DIR)/head.log
+	@$(PYTHON) benchmarks/ledger/compare.py $(PAIR_DIR)/base.json \
+		$(PAIR_DIR)/head.json > $(PAIR_DIR)/compare.txt; status=$$?; \
+	cat $(PAIR_DIR)/compare.txt; \
+	unresolved=$$(grep -c unresolved $(PAIR_DIR)/compare.txt); \
+	[ $$unresolved -eq 0 ] || echo "note: $$unresolved unresolved row(s)" \
+		"(repetitions disagree by more than the bound): not a failure"; \
+	exit $$status
 
 # The ROADMAP's size bars ("obs/ vs visibility/", "net negative LOC")
 # as one printed table; nothing gates on it.
@@ -183,5 +204,6 @@ examples:
 
 clean:
 	rm -rf build dist src/*.egg-info .pytest_cache .hypothesis \
-		benchmarks/results telemetry-out blackbox-out census.json
+		.benchmarks .bench_build benchmarks/ledger/out \
+		telemetry-out blackbox-out census.json trace.json
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -1,8 +1,8 @@
 """Tracing-overhead proof for the disabled fast path.
 
 The acceptance bar: instrumenting the hot paths (task launch, executor,
-visibility materialize/commit, dependence analysis) must cost < 5% on
-the `test_micro_analysis.py` workloads when the tracer is disabled — the
+visibility materialize/commit, dependence analysis) must cost < 5% of a
+steady 32-piece circuit iteration when the tracer is disabled — the
 default state, so every un-traced run pays only this.
 
 Two complementary measurements:

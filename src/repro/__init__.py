@@ -16,7 +16,7 @@ system inventory.
 from repro.errors import (CoherenceError, GeometryError, MachineError,
                           PrivilegeError, RegionTreeError, ReproError,
                           TaskError)
-from repro.geometry import BVH, Extent, IndexSpace, IntervalSet, KDTree, Rect
+from repro.geometry import BVH, Extent, IndexSpace, KDTree, Rect
 from repro.privileges import READ, READ_WRITE, Privilege, interferes, reduce
 from repro.reductions import (ReductionOp, get_reduction, known_reductions,
                               register_reduction)
@@ -50,7 +50,6 @@ __all__ = [
     "FieldSpace",
     "GeometryError",
     "IndexSpace",
-    "IntervalSet",
     "KDTree",
     "MachineError",
     "OrderMaintainer",

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.apps.base import Application
 from repro.machine.costmodel import CostModel
@@ -105,17 +105,17 @@ def render_rows(rows: Sequence[BenchRow]) -> str:
 
 
 # ----------------------------------------------------------------------
-# machine-readable bench documents (BENCH_<bench>.json) and environment
+# environment block of a benchmark result file
 # ----------------------------------------------------------------------
-#: Version tag carried in every bench JSON document; checked by
-#: :mod:`repro.bench.gate`.
-BENCH_SCHEMA_ID = "repro.bench/1"
-
-
 def bench_environment() -> dict:
-    """Provenance block stamped into every bench document: interpreter,
-    platform, numpy version, CPU count, and (best effort) git commit —
-    enough to judge whether two documents are comparable at all."""
+    """Provenance block stamped into every benchmark result file:
+    interpreter, platform, numpy version, CPU count, and the git commit —
+    enough to judge whether two results are comparable at all.
+
+    ``commit`` is reported only when this file sits at its place in the
+    work tree git resolves: an export unpacked inside some other checkout
+    would otherwise be stamped with that checkout's HEAD.
+    """
     import os
     import platform
     import subprocess
@@ -128,47 +128,20 @@ def bench_environment() -> dict:
         "numpy": numpy.__version__,
         "cpus": os.cpu_count() or 1,
     }
+    here = Path(__file__).resolve()
     try:
         proc = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
+            ["git", "rev-parse", "--show-toplevel", "--short", "HEAD"],
             capture_output=True, text=True, timeout=5, check=False,
-            cwd=Path(__file__).resolve().parent)
-        if proc.returncode == 0 and proc.stdout.strip():
-            env["commit"] = proc.stdout.strip()
+            cwd=here.parent)
     except OSError:  # pragma: no cover - no git in the environment
-        pass
+        return env
+    top, _, commit = proc.stdout.strip().partition("\n")
+    # this file is <tree>/src/repro/bench/harness.py
+    if (proc.returncode == 0 and commit
+            and Path(top).resolve() == here.parents[3]):
+        env["commit"] = commit
     return env
-
-
-def write_bench_json(path, bench: str,
-                     rows: Sequence[Mapping[str, object]],
-                     extra: Optional[Mapping[str, object]] = None) -> Path:
-    """Write one ``BENCH_<bench>.json`` document.
-
-    ``rows`` is a list of dicts, each carrying a unique ``name`` plus
-    numeric metrics (``seconds`` is the one the gate compares).  The
-    document embeds :func:`bench_environment` so CI artifacts are
-    self-describing; ``extra`` merges additional top-level keys.
-    """
-    import json
-
-    names = [row.get("name") for row in rows]
-    if None in names:
-        raise ValueError("every bench row needs a 'name'")
-    if len(set(names)) != len(names):
-        raise ValueError(f"duplicate bench row names: {names}")
-    doc: dict = {
-        "schema": BENCH_SCHEMA_ID,
-        "bench": bench,
-        "environment": bench_environment(),
-        "rows": [dict(row) for row in rows],
-    }
-    if extra:
-        doc.update(extra)
-    out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return out
 
 
 # ----------------------------------------------------------------------

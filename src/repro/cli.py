@@ -45,9 +45,8 @@ Commands
     deadlines, circuit-breaker degradation, and (``--verify``) the
     cold-replay fingerprint differential over every completed session.
     ``--chaos SEED`` injects seeded worker faults while tenants are
-    live; ``--bench-out FILE`` writes a ``BENCH_service.json``;
-    ``--telemetry-out DIR`` streams windowed telemetry samples and SLO
-    burn-rate alerts as size-rotated ``repro.telemetry/1`` JSONL;
+    live; ``--telemetry-out DIR`` streams windowed telemetry samples
+    and SLO burn-rate alerts as size-rotated ``repro.telemetry/1`` JSONL;
     ``--flight-out DIR`` arms the flight recorder, which dumps a
     ``repro.blackbox/1`` incident file when an SLO fires, a breaker
     opens, a deadline expires, or a worker fault recovers.
@@ -234,8 +233,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="cold-replay every completed session and "
                           "require bit-identical fingerprints (exit 1 "
                           "on any mismatch)")
-    srv.add_argument("--bench-out", default=None, metavar="FILE",
-                     help="write a BENCH_service.json document to FILE")
     srv.add_argument("--json", action="store_true", dest="as_json",
                      help="emit the load summary as JSON")
     srv.add_argument("--telemetry-out", default=None, metavar="DIR",
@@ -819,18 +816,6 @@ def _cmd_serve(args) -> int:
         if svc_block.get("degraded_sessions"):
             print(f"  degraded sessions: {svc_block['degraded_sessions']} "
                   f"(breaker state {svc_block['breaker_state']})")
-
-    if args.bench_out:
-        from repro.bench.harness import write_bench_json
-
-        lat = summary["latency"]
-        rows = [{"name": f"service_load[{q}]", "seconds": lat[q]}
-                for q in ("p50", "p95", "p99", "mean")]
-        rows.append({"name": "service_load[wall]", "seconds": wall,
-                     "sessions": spec.sessions})
-        out = write_bench_json(args.bench_out, "service_load", rows,
-                               extra={"summary": summary})
-        print(f"wrote {out}", file=sys.stderr)
 
     if args.verify:
         ok = [r for r in results if r.ok]

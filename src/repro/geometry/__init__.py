@@ -9,8 +9,6 @@ every coherence algorithm is built on:
 * :class:`~repro.geometry.index_space.IndexSpace` — an immutable sorted set
   of linearized element indices with vectorized union / intersection /
   difference, the ``X/Y``, ``X\\Y`` and ``X ⊕ Y`` operators of Figure 7.
-* :mod:`~repro.geometry.intervals` — run-length interval views used for
-  compact summaries and fast disjointness tests.
 * :class:`~repro.geometry.bvh.BVH` — a bounding-volume hierarchy over index
   spaces (section 6.1 / 7.1 acceleration structure).
 * :class:`~repro.geometry.kdtree.KDTree` — the K-d tree fallback of
@@ -21,7 +19,6 @@ every coherence algorithm is built on:
 
 from repro.geometry.point import Extent, Rect
 from repro.geometry.index_space import IndexSpace
-from repro.geometry.intervals import IntervalSet, runs_of
 from repro.geometry.bvh import BVH, BVHNode
 from repro.geometry.kdtree import KDTree
 # Imported last: installs the operation-cache hook into index_space.
@@ -32,8 +29,6 @@ __all__ = [
     "Extent",
     "Rect",
     "IndexSpace",
-    "IntervalSet",
-    "runs_of",
     "BVH",
     "BVHNode",
     "KDTree",

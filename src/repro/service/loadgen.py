@@ -1,12 +1,11 @@
-"""Seeded multi-tenant load generator (bench + smoke driver).
+"""Seeded multi-tenant load generator (the ``serve`` and smoke driver).
 
 Builds a deterministic request schedule — mixed Stencil/Circuit/Pennant
 tenants with heavy zipf-style skew (tenant 0 submits ~half the traffic)
 — drives it through an :class:`~repro.service.service.AnalysisService`,
-and summarizes outcomes and latency percentiles for
-``BENCH_service.json``.  Same seed ⇒ same schedule, every run, every
-machine; the chaos smoke in CI leans on that to compare fingerprints
-against cold runs.
+and summarizes outcomes and latency percentiles.  Same seed ⇒ same
+schedule, every run, every machine; the chaos smoke in CI leans on that
+to compare fingerprints against cold runs.
 """
 
 from __future__ import annotations

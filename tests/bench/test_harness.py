@@ -1,8 +1,12 @@
 """Tests for the benchmark harness and figure specifications."""
 
+import shutil
+import subprocess
+
 import pytest
 
 from repro.apps import CircuitApp
+from repro.bench import harness
 from repro.bench.figures import (FIGURES, PAPER_NODE_COUNTS, check_shape,
                                  figure_series, render_series)
 from repro.bench.harness import (ARTIFACT_NAMES, PAPER_CONFIGS, BenchRow,
@@ -58,6 +62,50 @@ class TestArtifactRows:
         assert lines[0].split("\t") == ["system", "nodes", "procs_per_node",
                                         "rep", "init_time", "elapsed_time"]
         assert lines[1] == "neweqcr_dcr\t1\t1\t0\t0.063000\t1.668000"
+
+
+class TestBenchEnvironment:
+    """``commit`` names the work tree that holds ``harness.py``, or is
+    absent — never the HEAD of some checkout further up the path."""
+
+    @pytest.fixture()
+    def checkout(self, tmp_path):
+        if shutil.which("git") is None:
+            pytest.skip("git is not installed")
+
+        def git(*args):
+            return subprocess.run(
+                ["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                cwd=tmp_path, check=True, capture_output=True,
+                text=True).stdout.strip()
+
+        git("init", "-q")
+        git("commit", "-q", "--allow-empty", "-m", "root")
+        return tmp_path, git("rev-parse", "--short", "HEAD")
+
+    @staticmethod
+    def environment_at(tree, monkeypatch):
+        """``bench_environment()`` as ``harness.py`` placed under ``tree``
+        would report it (the function reads its module's ``__file__``)."""
+        path = tree / "src" / "repro" / "bench" / "harness.py"
+        path.parent.mkdir(parents=True)
+        monkeypatch.setattr(harness, "__file__", str(path))
+        env = harness.bench_environment()
+        assert set(env) >= {"python", "platform", "numpy", "cpus"}
+        assert env["cpus"] >= 1
+        return env
+
+    def test_checkout_reports_its_own_commit(self, checkout, monkeypatch):
+        tree, head = checkout
+        assert self.environment_at(tree, monkeypatch)["commit"] == head
+
+    def test_export_nested_in_a_checkout_reports_none(self, checkout,
+                                                      monkeypatch):
+        """``make ledger-pair`` unpacks BASE under ``.bench_build/`` inside
+        the checkout; git walks up and would answer with HEAD."""
+        tree, _ = checkout
+        assert "commit" not in self.environment_at(tree / "pair" / "base",
+                                                   monkeypatch)
 
 
 class TestFigureSpecs:

@@ -171,6 +171,27 @@ class TestColumnarEquivalence:
         for container in CONTAINERS:
             assert run_scan(entries, READ, space, container) == want
 
+    def test_long_same_operator_reduction_history(self):
+        """Pennant's ``dt`` pattern: one opening write, then 2047
+        same-operator reductions.  Only the write interferes: one
+        dependence and one intersection test per scan, every entry
+        counted, on a meter shared by all the scans."""
+        n, length, scans = 4096, 2048, 3
+        privilege = reduce("sum")
+        entries = [make_entry(READ_WRITE, range(n), 0)]
+        for i in range(1, length):
+            lo = (i * 17) % (n - 64)
+            entries.append(make_entry(privilege, range(lo, lo + 64), i))
+        history = ColumnarHistory(entries)
+        space = IndexSpace.from_indices(range(128, 256))
+        meter = CostMeter()
+        for _ in range(scans):
+            deps = set()
+            scan_dependences(privilege, space, history, deps, meter)
+            assert deps == {0}
+        assert meter.snapshot() == {"entries_scanned": scans * length,
+                                    "intersection_tests": scans}
+
 
 # ----------------------------------------------------------------------
 # the container itself
