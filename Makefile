@@ -18,7 +18,7 @@ help:
 	@echo "introspect-smoke  census -> validate -> self-diff -> explain"
 	@echo "service-smoke  boot the analysis service, 3 tenants, chaos + verify"
 	@echo "telemetry-smoke  serve --telemetry-out -> validate stream -> top --once"
-	@echo "blackbox-smoke  chaos serve with flight recorder -> validate dump -> render"
+	@echo "blackbox-smoke  chaos serve on a bounded, witness-recording tracer -> validate dump (shards, ids, witnesses) -> render"
 	@echo "ledger       the layer ledger: four workloads, every metric (benchmarks/ledger)"
 	@echo "ledger-selftest  the ledger's <20 s self-test + its own tests"
 	@echo "ledger-pair  BASE=<rev> [N=10] [SEED=1]: N alternating ledger runs of BASE and this tree; wins, medians, quartiles"
@@ -77,18 +77,28 @@ telemetry-smoke:
 
 blackbox-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest -q tests/obs/test_flight.py \
-		tests/obs/test_doctor.py tests/service/test_blackbox.py
+		tests/obs/test_tracer.py tests/obs/test_doctor.py \
+		tests/service/test_blackbox.py
 	rm -rf blackbox-out
-	PYTHONPATH=src $(PYTHON) -m repro serve --chaos 7 --fault-rate 0.3 \
-		--tenants 3 --sessions 24 --seed 2023 \
+	REPRO_PROVENANCE=1 PYTHONPATH=src $(PYTHON) -m repro serve --chaos 7 \
+		--fault-rate 0.3 --tenants 3 --sessions 24 --seed 2023 \
 		--max-inflight 32 --queue-limit 32 --rate 1000 --burst 64 \
 		--flight-out blackbox-out --flight-cooldown 0.1
 	PYTHONPATH=src $(PYTHON) -c "import glob, sys; \
-		from repro.obs.flight import load_blackbox; \
+		from repro.obs.flight import blackbox_spans, load_blackbox; \
 		paths = sorted(glob.glob('blackbox-out/blackbox-*.json')); \
 		assert paths, 'chaos run produced no blackbox dump'; \
-		[load_blackbox(p) for p in paths]; \
-		print(f'blackbox-out: {len(paths)} repro.blackbox/1 dump(s) valid')"
+		dumps = [load_blackbox(p) for p in paths]; \
+		print(f'blackbox-out: {len(paths)} repro.blackbox/1 dump(s) valid'); \
+		spans = blackbox_spans(dumps[-1]); \
+		ids = [s.span_id for s in spans]; \
+		shards = {s.tid for s in spans}; \
+		witnessed = sum('phase' in s.args for s in spans); \
+		assert len(set(ids)) == len(ids), 'span ids collide in the dump'; \
+		assert len(shards) >= 2, f'spans from one shard only: {shards}'; \
+		assert witnessed, 'no span carries a witness payload'; \
+		print(f'{paths[-1]}: {len(spans)} spans with unique ids from ' \
+			f'{len(shards)} shards, {witnessed} carrying witnesses')"
 	PYTHONPATH=src $(PYTHON) -m repro doctor
 	PYTHONPATH=src sh -c '$(PYTHON) -m repro blackbox \
 		"$$(ls blackbox-out/blackbox-*.json | tail -1)" --top 3'

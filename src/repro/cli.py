@@ -27,7 +27,7 @@ Commands
     Analyze a recorded trace file offline: span summary per category,
     per-phase duration histograms, recovery incidents, critical path.
 ``explain``
-    Re-run an application with the provenance ledger enabled and print
+    Re-run an application with the tracer recording witnesses and print
     the witness chain behind one task's dependences: which history
     entry, equivalence set, or Z-buffer cell produced each edge, and
     which candidate edges were pruned (and why).
@@ -248,8 +248,8 @@ def _build_parser() -> argparse.ArgumentParser:
                           "as repro.blackbox/1 JSON into DIR when an "
                           "SLO fires, a breaker opens, a deadline "
                           "expires, or a fault recovers (render with "
-                          "'repro blackbox FILE'; REPRO_NO_FLIGHT "
-                          "disables)")
+                          "'repro blackbox FILE'; REPRO_PROVENANCE=1 "
+                          "adds dependence witnesses to the spans)")
     srv.add_argument("--flight-cooldown", type=float, default=5.0,
                      metavar="SECONDS",
                      help="minimum seconds between flight-recorder "
@@ -581,7 +581,7 @@ def _cmd_prof(args) -> int:
 
 
 def _cmd_explain(args) -> int:
-    from repro import Runtime
+    from repro import Runtime, obs
     from repro.obs import provenance as prov
 
     edge = None
@@ -603,17 +603,18 @@ def _cmd_explain(args) -> int:
         print(f"error: task id {args.task} out of range "
               f"(stream has {len(stream)} tasks)", file=sys.stderr)
         return 2
-    ledger = prov.ProvenanceLedger(enabled=True)
-    previous = prov.set_ledger(ledger)
+    tracer = obs.Tracer(witnesses=True)
+    previous = obs.set_tracer(tracer)
     try:
         rt = Runtime(app.tree, app.initial, algorithm=args.algorithm)
         rt.replay(stream)
     finally:
-        prov.set_ledger(previous)
+        obs.set_tracer(previous)
     deps = sorted(rt.graph.dependences_of(args.task))
     print(f"{args.app} under {args.algorithm} ({args.pieces} pieces, "
           f"{len(stream)} tasks); task {args.task} depends on {deps}\n")
-    print(prov.explain_task(ledger, args.task, tasks=rt.tasks, edge=edge))
+    print(prov.explain_task(prov.Witnesses(tracer.snapshot()), args.task,
+                            tasks=rt.tasks, edge=edge))
     return 0
 
 
@@ -689,18 +690,16 @@ def _cmd_report(args) -> int:
 
 def _cmd_serve(args) -> int:
     import json
-    import os
     import time
 
+    from repro import obs
     from repro.distributed.faults import FaultPlan
     from repro.errors import MachineError
-    from repro.obs.doctor import TRUTHY
+    from repro.obs.doctor import config_snapshot
+    from repro.obs.flight import RING_CAPACITY, FlightRecorder
     from repro.obs.metrics import MetricsRegistry
     from repro.service import verify_sessions
     from repro.service.loadgen import LoadSpec, run_load
-
-    def _env_on(name: str) -> bool:
-        return os.environ.get(name, "").strip().lower() in TRUTHY
 
     faults = None
     backend = args.backend
@@ -716,10 +715,7 @@ def _cmd_serve(args) -> int:
                     deadline=args.deadline)
     registry = MetricsRegistry()
     hub = None
-    if args.telemetry_out and _env_on("REPRO_NO_TELEMETRY"):
-        print("telemetry: disabled by REPRO_NO_TELEMETRY",
-              file=sys.stderr)
-    elif args.telemetry_out:
+    if args.telemetry_out:
         from repro.obs.slo import SloEvaluator, default_service_slos
         from repro.obs.telemetry import (TelemetryHub, TelemetrySink,
                                          WINDOWS)
@@ -734,31 +730,24 @@ def _cmd_serve(args) -> int:
             evaluator=SloEvaluator(default_service_slos(),
                                    registry=registry))
 
-    from repro.obs import flight as flight_mod
-    from repro.obs import provenance as prov
-    from repro.obs import tracer as tracing
-
-    recorder = None
-    previous_recorder = previous_tracer = previous_ledger = None
+    # the doctor registry decides what counts as "set", so serve and
+    # `repro doctor` cannot disagree
+    witnesses = config_snapshot()["REPRO_PROVENANCE"]["origin"] == "env"
+    recorder = previous_tracer = None
     if args.flight_out:
-        recorder = flight_mod.FlightRecorder(
+        # the recorder reads a bounded tracer: session, task and worker
+        # spans are kept as a ring of the recent past, not for the
+        # process lifetime
+        recorder = FlightRecorder(
+            obs.Tracer(capacity=RING_CAPACITY, witnesses=witnesses),
             args.flight_out, cooldown=args.flight_cooldown,
             exemplar_source=registry.exemplars)
-        previous_recorder = flight_mod.set_recorder(recorder)
-        if recorder.arm():
-            # an enabled, non-retaining tracer: session and task spans
-            # reach the recorder's rings without unbounded buffering
-            previous_tracer = tracing.set_tracer(
-                tracing.Tracer(enabled=True, retain=False))
-        else:
-            print("flight recorder: disabled by REPRO_NO_FLIGHT",
-                  file=sys.stderr)
-            recorder = None
-    if _env_on("REPRO_PROVENANCE"):
-        previous_ledger = prov.set_ledger(
-            prov.ProvenanceLedger(enabled=True))
-        print("provenance: ledger recording (REPRO_PROVENANCE)",
-              file=sys.stderr)
+        previous_tracer = obs.set_tracer(recorder.tracer)
+    if witnesses:
+        print("witnesses: recorded on the flight ring's spans "
+              "(REPRO_PROVENANCE)" if recorder is not None else
+              "witnesses: REPRO_PROVENANCE has no effect without "
+              "--flight-out", file=sys.stderr)
     # exemplar reservoirs ride along whenever something will surface
     # them: the telemetry stream (top's offender rows) or a dump
     exemplar_seed = (args.seed if (hub is not None or recorder is not None)
@@ -778,11 +767,7 @@ def _cmd_serve(args) -> int:
         if hub is not None:
             hub.close()
         if previous_tracer is not None:
-            tracing.set_tracer(previous_tracer)
-        if previous_recorder is not None:
-            flight_mod.set_recorder(previous_recorder)
-        if previous_ledger is not None:
-            prov.set_ledger(previous_ledger)
+            obs.set_tracer(previous_tracer)
     wall = time.perf_counter() - t0
     summary["wall_seconds"] = round(wall, 6)
     if recorder is not None:

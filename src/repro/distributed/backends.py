@@ -38,7 +38,6 @@ import numpy as np
 from repro.errors import MachineError
 from repro.geometry.fastpath import reset_geometry_cache
 from repro.geometry.index_space import IndexSpace
-from repro.obs import provenance as prov
 from repro.obs import tracer as obs
 from repro.privileges import READ, READ_WRITE, Privilege, reduce
 from repro.regions.tree import RegionTree
@@ -130,6 +129,27 @@ def decode_requirements(task_record: tuple,
 # ----------------------------------------------------------------------
 # backend protocol
 # ----------------------------------------------------------------------
+def _analyze_replica(shard: int, runtime: Runtime, launches, base: int,
+                     count: int) -> tuple:
+    """One replica's analysis of ``(name, requirements, point)`` launches;
+    returns the ``(shard, fingerprint, seconds)`` row.
+
+    Everything it records is attributed to the shard — tid ``shard``
+    always, pid ``shard + 1`` for hosted replicas; the reference (shard
+    0) stays on the driver's pid — wherever the replica lives: driver,
+    pool thread, worker process or the parent-side fallback.
+    """
+    start = time.perf_counter()
+    with obs.active_tracer().scope(pid=shard + 1 if shard else None,
+                                   tid=shard), \
+            obs.span(f"analyze.shard{shard}", "distributed.replica",
+                     shard=shard, tasks=count):
+        for name, requirements, point in launches:
+            runtime.launch(name, requirements, None, point)
+    seconds = time.perf_counter() - start
+    return (shard, analysis_fingerprint(runtime, base, count), seconds)
+
+
 class AnalysisBackend(ABC):
     """Runs the N replicated analyses of each executed stream.
 
@@ -167,20 +187,14 @@ class AnalysisBackend(ABC):
         self._tasks_analyzed += count
         return reports
 
-    def _analyze_reference(self, stream: TaskStream, base: int,
-                           count: int) -> ShardReport:
-        start = time.perf_counter()
-        # The reference replica is always shard 0 on the driver: pin its
-        # span attribution so even serial runs carry shard-tagged events.
-        with obs.active_tracer().scope(tid=0), \
-                obs.span("analyze.shard0", "distributed.replica",
-                         shard=0, tasks=count):
-            for task in stream:
-                self.reference.launch(task.name, task.requirements, None,
-                                      task.point)
-        seconds = time.perf_counter() - start
-        return ShardReport(0, analysis_fingerprint(self.reference, base,
-                                                   count), seconds)
+    def _analyze_local(self, shard: int, runtime: Runtime,
+                       stream: TaskStream, base: int,
+                       count: int) -> ShardReport:
+        """Analyze ``stream`` on a replica living in this process."""
+        return ShardReport(*_analyze_replica(
+            shard, runtime,
+            ((t.name, t.requirements, t.point) for t in stream),
+            base, count))
 
     @abstractmethod
     def _analyze_replicas(self, stream: TaskStream, base: int,
@@ -229,23 +243,6 @@ class _InProcessBackend(AnalysisBackend):
     def _runtime_of(self, shard: int) -> Runtime:
         return self.reference if shard == 0 else self._others[shard - 1]
 
-    def _analyze_one(self, shard: int, stream: TaskStream, base: int,
-                     count: int) -> ShardReport:
-        if shard == 0:
-            return self._analyze_reference(stream, base, count)
-        runtime = self._others[shard - 1]
-        start = time.perf_counter()
-        with obs.active_tracer().scope(pid=shard + 1, tid=shard), \
-                prov.active_ledger().scope(shard=shard), \
-                obs.span(f"analyze.shard{shard}", "distributed.replica",
-                         shard=shard, tasks=count):
-            for task in stream:
-                runtime.launch(task.name, task.requirements, None,
-                               task.point)
-        seconds = time.perf_counter() - start
-        return ShardReport(shard, analysis_fingerprint(runtime, base, count),
-                           seconds)
-
     def dump_dependences(self, shard, base, count):
         graph = self._runtime_of(shard).graph
         return [tuple(sorted(graph.dependences_of(t)))
@@ -258,7 +255,8 @@ class SerialBackend(_InProcessBackend):
     name = "serial"
 
     def _analyze_replicas(self, stream, base, count):
-        return [self._analyze_one(shard, stream, base, count)
+        return [self._analyze_local(shard, self._runtime_of(shard), stream,
+                                    base, count)
                 for shard in range(self.replicas)]
 
 
@@ -280,8 +278,9 @@ class ThreadBackend(_InProcessBackend):
             max_workers=workers, thread_name_prefix="shard-analysis")
 
     def _analyze_replicas(self, stream, base, count):
-        futures = [self._pool.submit(self._analyze_one, shard, stream,
-                                     base, count)
+        futures = [self._pool.submit(self._analyze_local, shard,
+                                     self._runtime_of(shard), stream, base,
+                                     count)
                    for shard in range(self.replicas)]
         return [f.result() for f in futures]
 
@@ -317,26 +316,13 @@ class _Hosting:
     def analyze(self, structure, tasks) -> list[tuple]:
         apply_structure(self.regions, structure)
         count = len(tasks)
-        results = []
-        for shard, runtime in self.runtimes.items():
-            start = time.perf_counter()
-            # Shard attribution for the active tracer and the provenance
-            # ledger: hosted replicas record as pid shard+1 / tid shard,
-            # whether the hosting lives in a worker process or the parent
-            # fallback.
-            with obs.active_tracer().scope(pid=shard + 1, tid=shard), \
-                    prov.active_ledger().scope(shard=shard), \
-                    obs.span(f"analyze.shard{shard}", "distributed.replica",
-                             shard=shard, tasks=count):
-                for record in tasks:
-                    name, _, point = record
-                    runtime.launch(name,
-                                   decode_requirements(record, self.regions),
-                                   None, point)
-            seconds = time.perf_counter() - start
-            results.append((shard,
-                            analysis_fingerprint(runtime, self.base, count),
-                            seconds))
+        results = [
+            _analyze_replica(
+                shard, runtime,
+                ((record[0], decode_requirements(record, self.regions),
+                  record[2]) for record in tasks),
+                self.base, count)
+            for shard, runtime in self.runtimes.items()]
         self.base += count
         return results
 
@@ -363,15 +349,14 @@ def _checkpoint_hostings(hostings: Sequence[_Hosting]) -> tuple:
 
 
 def _dispatch(msg: tuple, hostings: list[_Hosting]) -> tuple:
-    """Handle one protocol message against a hosting set.  Shared by the
-    worker loop and the in-process fallback so degraded shards speak the
-    exact same protocol."""
+    """Handle one protocol message against a hosting set; returns
+    ``(status, result)``.  Shared by the worker loop and the in-process
+    fallback so degraded shards speak the exact same protocol."""
     try:
         if msg[0] == "analyze":
-            # msg[3]/msg[4], when present, are the tracing and provenance
-            # flags — consumed by the worker loop, irrelevant here
-            # (parent-side fallback hostings record straight into the
-            # parent's active tracer and ledger).
+            # msg[3] is the record level — consumed by the worker loop,
+            # irrelevant here (parent-side fallback hostings record
+            # straight into the parent's active tracer).
             structure, tasks = msg[1], msg[2]
             results = []
             for hosting in hostings:
@@ -418,13 +403,9 @@ def _worker_main(conn, payload: bytes) -> None:  # pragma: no cover - subprocess
     worker, incarnation = spec["worker"], spec["incarnation"]
     # A fresh, disabled tracer: under the fork start method the child
     # would otherwise inherit the parent's enabled tracer *and* its
-    # buffered events.  Analyze requests flip it on per message.
+    # buffered events.  Each analyze message sets its record level.
     worker_tracer = obs.Tracer(enabled=False)
     obs.set_tracer(worker_tracer)
-    # Same reasoning for the provenance ledger: fresh and disabled, flipped
-    # on per analyze message by the journaled provenance flag.
-    worker_ledger = prov.ProvenanceLedger(enabled=False)
-    prov.set_ledger(worker_ledger)
     # Same hygiene for the geometry fast path: the fork start method
     # copies the driver's cache into the child; per-process cache state
     # is rebuilt from scratch on every (re)spawn instead of leaking
@@ -451,21 +432,16 @@ def _worker_main(conn, payload: bytes) -> None:  # pragma: no cover - subprocess
                     os._exit(24)
                 if event.kind in ("delay", "slow"):
                     time.sleep(event.seconds or 0.01)
-            trace = msg[0] == "analyze" and len(msg) > 3 and bool(msg[3])
-            record = msg[0] == "analyze" and len(msg) > 4 and bool(msg[4])
-            worker_tracer.enabled = trace
-            worker_ledger.enabled = record
-            reply = _dispatch(msg, hostings)
-            if (trace or record) and reply[0] == "ok":
-                # Ship the recorded spans and provenance fragments with
-                # the reply, stamped with this worker's clock so the
-                # parent can align offsets.  Fragments are plain
-                # dataclasses of primitives — pickle-safe and stable
-                # across processes (no uids).
-                buffer = worker_tracer.drain()
-                reply = ("ok", (reply[1], tuple(buffer.spans),
-                                worker_tracer.clock.monotonic(),
-                                tuple(worker_ledger.drain())))
+            level = msg[3] if msg[0] == "analyze" else 0
+            worker_tracer.enabled = level > 0
+            worker_tracer.witnesses = level > 1
+            # Every reply is (status, result, fragment): what this
+            # request recorded (None when nothing was asked for), drained
+            # and stamped with this worker's clock for the driver's
+            # Tracer.absorb.  Spans are plain dataclasses of primitives —
+            # pickle-safe and stable across processes (no uids).
+            reply = _dispatch(msg, hostings) \
+                + (worker_tracer.drain() if level else None,)
             if event is not None and event.kind == "drop":
                 continue
             if event is not None and event.kind == "corrupt":
@@ -703,15 +679,19 @@ class ProcessBackend(AnalysisBackend):
                     f"{timeout}s")
 
     def _parse(self, handle: _WorkerHandle, blob: bytes):
+        """Decode one worker reply ``(status, result, fragment)``: the
+        fragment — what the worker's tracer recorded for the request — is
+        absorbed into the active tracer, the result returned."""
         try:
-            frame = pickle.loads(blob)
-            status, result = frame
+            status, result, fragment = pickle.loads(blob)
         except Exception as exc:
             raise CorruptReply(
                 f"worker {handle.worker_id} reply failed to decode: "
                 f"{exc!r}") from exc
         if status != "ok":
             raise MachineError(f"analysis worker failed: {result}")
+        if fragment is not None:
+            obs.active_tracer().absorb(fragment)
         return result
 
     def _roundtrip(self, handle: _WorkerHandle, message: tuple,
@@ -911,52 +891,20 @@ class ProcessBackend(AnalysisBackend):
     # ------------------------------------------------------------------
     # the analysis fan-out
     # ------------------------------------------------------------------
-    def _ingest_analyze(self, results):
-        """Normalize one analyze result: either the bare result rows
-        (parent-side hostings, adoption replays) or the worker-reply
-        tuple ``(rows, spans, worker_clock_now[, prov_fragments])``.
-        Shipped spans are clock-offset-aligned into the driver's
-        timeline, absorbed into the active tracer, and returned grouped
-        by shard; provenance fragments (already shard-tagged by the
-        worker's ledger scope) are absorbed into the active ledger."""
-        by_shard: dict[int, list] = {}
-        if (isinstance(results, tuple) and len(results) in (3, 4)
-                and isinstance(results[0], list)):
-            rows, spans, worker_now = results[:3]
-            fragments = results[3] if len(results) == 4 else ()
-            if fragments:
-                led = prov.active_ledger()
-                if led.enabled:
-                    led.absorb(fragments)
-            if spans:
-                tracer = obs.active_tracer()
-                offset = tracer.clock.monotonic() - worker_now
-                spans = [s.shifted(offset) for s in spans]
-                tracer.absorb(spans)
-                for span in spans:
-                    by_shard.setdefault(span.tid, []).append(span)
-        else:
-            rows = results
-        return rows, by_shard
-
-    def _append_reports(self, reports: list, results) -> None:
-        rows, spans_by_shard = self._ingest_analyze(results)
-        for shard, fingerprint, seconds in rows or ():
-            reports.append(ShardReport(
-                shard, fingerprint, seconds,
-                spans=tuple(spans_by_shard.get(shard, ()))))
+    @staticmethod
+    def _append_reports(reports: list, rows) -> None:
+        """``rows`` are ``(shard, fingerprint, seconds)``; None when a
+        recovery had nothing to replay."""
+        reports.extend(ShardReport(*row) for row in rows or ())
 
     def _analyze_replicas(self, stream, base, count):
         structure = encode_structure(self.tree, self._known_regions)
         self._known_regions = len(self.tree.regions)
-        # The trace flag also rides for an armed flight recorder: workers
-        # then record spans and ship them home in the reply, where
-        # Tracer.absorb clock-aligns them and offers them to the
-        # recorder's rings (no new wire messages).
-        from repro.obs.flight import active_recorder
+        # The active tracer's record level rides on the (journaled)
+        # message: workers record as much as the driver does and ship it
+        # home in the reply.
         entry = ("analyze", structure, encode_tasks(stream),
-                 obs.active_tracer().enabled or active_recorder().armed,
-                 prov.active_ledger().enabled)
+                 obs.active_tracer().level)
         if self.remote_handles:
             self._journal.append((entry, count))
         # phase 1: ship to every worker (failures recover later, in
@@ -973,7 +921,8 @@ class ProcessBackend(AnalysisBackend):
                 pending.append((handle, False))
         locals_before = [h for h in self._handles if not h.remote]
         # phase 2: the local reference analyzes while workers run
-        reports = [self._analyze_reference(stream, base, count)]
+        reports = [self._analyze_local(0, self.reference, stream, base,
+                                       count)]
         # phase 3: collect replies; remember who faulted
         faulted = []
         for handle, sent in pending:

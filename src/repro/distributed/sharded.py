@@ -42,7 +42,6 @@ from repro.distributed.faults import FaultPlan, RecoveryReport, RetryPolicy
 from repro.distributed.verify import ShardReport, check_reports
 from repro.errors import MachineError, TaskError
 from repro.machine.dcr import ShardingFunctor, dcr_sharding
-from repro.obs import provenance as prov
 from repro.obs import tracer as obs
 from repro.regions.tree import RegionTree
 from repro.runtime.task import Task, TaskStream
@@ -262,9 +261,6 @@ class ShardedRuntime:
                 self.profile.add_count(f"recover.{counter}", n)
         obs.counter("tasks_analyzed", self._backend.tasks_analyzed)
         obs.counter("shipped_bytes", self._backend.shipped_bytes)
-        led = prov.active_ledger()
-        if led.enabled:
-            obs.counter("provenance_records", len(led))
         return reports
 
     def execute(self, stream: TaskStream) -> list[ShardReport]:
@@ -328,12 +324,6 @@ class ShardedRuntime:
                 self._values[req.field][shard, pos] = \
                     req.privilege.redop.fold(current, buf)
                 self._owners[req.field][pos] = shard
-
-    def provenance_by_shard(self) -> dict[int, int]:
-        """``{shard: access-record count}`` from the active provenance
-        ledger (worker fragments arrive already shard-tagged).  Empty
-        when the ledger is disabled."""
-        return prov.active_ledger().by_shard()
 
     # ------------------------------------------------------------------
     def gather_field(self, name: str) -> np.ndarray:

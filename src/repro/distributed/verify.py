@@ -117,16 +117,12 @@ class ShardReport:
     ``seconds`` is the wall-clock analysis time measured where the replica
     lives (in-process or inside a worker); ``shipped_bytes`` counts the
     pickled payload that moved to reach it (0 for in-process replicas).
-    ``spans`` holds any :class:`repro.obs.tracer.Span` records the replica
-    recorded while analyzing, already clock-aligned to the driver and
-    pid/tid-attributed to this shard (empty unless tracing was enabled).
     """
 
     shard: int
     fingerprint: str
     seconds: float
     shipped_bytes: int = 0
-    spans: tuple = ()
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,17 @@
-"""repro.obs — unified observability: span tracing, metrics, Perfetto
-export, critical-path profiling, dependence provenance, and the
-analysis-state census.
+"""repro.obs — unified observability: one recorder, many views.
 
 One subsystem replaces three silos (`CostMeter`, `PhaseProfile`,
 `RecoveryReport` keep their APIs but publish into the shared
-:class:`MetricsRegistry`), adds the event timeline they lacked, answers
-"what was the critical path of this run?" offline from a trace file
-alone, and — via :mod:`repro.obs.provenance` / :mod:`repro.obs.census` —
-explains *why* every dependence edge exists and censuses the live
-analysis structures behind the paper's evaluation figures.
+:class:`MetricsRegistry`), and one recorder — :class:`Tracer`, the only
+process-global one — holds the event history every view reads: the
+Perfetto timeline (:mod:`repro.obs.export`), "what was the critical
+path of this run?" answered offline from a trace file alone
+(:mod:`repro.obs.critpath`), *why* every dependence edge exists
+(:mod:`repro.obs.provenance`, a typed reading of the witness payload on
+the materialize/commit spans) and the incident dump of a bounded
+tracer's recent past (:mod:`repro.obs.flight`).  :mod:`repro.obs.census`
+censuses the live analysis structures behind the paper's evaluation
+figures.
 """
 
 # note: the ``census`` *function* is aliased ``take_census`` here so the
@@ -19,18 +22,15 @@ from repro.obs.census import census as take_census
 from repro.obs.critpath import CritPathReport, critical_path, deps_from_spans
 from repro.obs.doctor import (HATCHES, Hatch, config_snapshot,
                               render_doctor, resolve_hatches)
-from repro.obs.export import (load_trace, telemetry_counter_events,
-                              telemetry_trace, to_chrome_trace,
-                              trace_events, validate_trace, write_trace)
+from repro.obs.export import (load_trace, to_chrome_trace, trace_events,
+                              validate_trace, write_trace)
 from repro.obs.flight import (BLACKBOX_SCHEMA, FlightRecorder,
-                              active_recorder, blackbox_spans,
-                              load_blackbox, render_blackbox,
-                              set_recorder, validate_blackbox)
+                              blackbox_spans, load_blackbox,
+                              render_blackbox, validate_blackbox)
 from repro.obs.metrics import (Counter, Gauge, Histogram, MetricsRegistry,
                                DEFAULT_BUCKETS)
 from repro.obs.provenance import (AccessRecord, EdgeWitness, PruneRecord,
-                                  ProvenanceLedger, active_ledger,
-                                  explain_task, set_ledger)
+                                  Witnesses, explain_task)
 from repro.obs.slo import (SloEvaluator, SloSpec, SloStatus,
                            default_service_slos)
 from repro.obs.telemetry import (TELEMETRY_SCHEMA, QuantileDigest,
@@ -48,14 +48,13 @@ __all__ = [
     "CritPathReport", "critical_path", "deps_from_spans",
     "HATCHES", "Hatch", "config_snapshot", "render_doctor",
     "resolve_hatches",
-    "load_trace", "telemetry_counter_events", "telemetry_trace",
-    "to_chrome_trace", "trace_events", "validate_trace", "write_trace",
-    "BLACKBOX_SCHEMA", "FlightRecorder", "active_recorder",
-    "blackbox_spans", "load_blackbox", "render_blackbox", "set_recorder",
-    "validate_blackbox",
+    "load_trace", "to_chrome_trace", "trace_events", "validate_trace",
+    "write_trace",
+    "BLACKBOX_SCHEMA", "FlightRecorder", "blackbox_spans", "load_blackbox",
+    "render_blackbox", "validate_blackbox",
     "Counter", "Gauge", "Histogram", "MetricsRegistry", "DEFAULT_BUCKETS",
-    "AccessRecord", "EdgeWitness", "PruneRecord", "ProvenanceLedger",
-    "active_ledger", "explain_task", "set_ledger",
+    "AccessRecord", "EdgeWitness", "PruneRecord", "Witnesses",
+    "explain_task",
     "SloEvaluator", "SloSpec", "SloStatus", "default_service_slos",
     "TELEMETRY_SCHEMA", "QuantileDigest", "TelemetryHub",
     "TelemetrySample", "TelemetrySink", "load_telemetry",

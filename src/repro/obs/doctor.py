@@ -1,9 +1,8 @@
 """``repro doctor`` — one table of every ``REPRO_*`` escape hatch.
 
-The observability subsystems of ``repro serve`` and the benchmark sweep
-are steered by a few environment variables (arm the provenance ledger,
-suppress telemetry, forbid the flight recorder, cap the sweep).  During
-an incident the first question is always "which of these was actually
+``repro serve`` and the benchmark sweep are steered by two environment
+variables (record dependence witnesses, cap the sweep) — everything else
+is a flag on the command line that asks for it.  During an incident the first question is always "which of these was actually
 in effect?", so this module keeps the authoritative registry: each
 :class:`Hatch` knows its environment variable, what the subsystem does
 when the variable is unset, and how a set value changes that.  ``repro
@@ -25,15 +24,12 @@ from typing import Optional
 #: Values treated as "set" for toggle hatches.
 TRUTHY = ("1", "true", "yes", "on")
 
-#: Hatch kinds: ``disable`` (truthy turns a default-on feature off),
-#: ``enable`` (truthy turns a default-off feature on), ``value`` (the
-#: raw string is the setting).
-KINDS = ("disable", "enable", "value")
-
 
 @dataclass(frozen=True)
 class Hatch:
-    """One environment escape hatch.
+    """One environment escape hatch.  ``kind`` is ``enable`` (a truthy
+    value turns a default-off feature on) or ``value`` (the raw string is
+    the setting).
 
     ``on_effect``/``off_effect`` are the human-readable in-effect values
     when the variable is set (truthy) respectively unset/falsey; for
@@ -72,15 +68,10 @@ class Hatch:
 #: escape hatches MUST be appended here — ``repro doctor`` and the
 #: blackbox config snapshot are only as complete as this list.
 HATCHES = (
-    Hatch("provenance ledger (serve)", "REPRO_PROVENANCE", "enable",
+    Hatch("dependence witnesses (serve)", "REPRO_PROVENANCE", "enable",
           "off", "recording",
-          "arm the dependence-provenance ledger in repro serve"),
-    Hatch("telemetry stream (serve)", "REPRO_NO_TELEMETRY", "disable",
-          "enabled", "disabled",
-          "suppress the telemetry hub/sink in repro serve"),
-    Hatch("flight recorder", "REPRO_NO_FLIGHT", "disable",
-          "armable", "hard-disabled",
-          "forbid arming the blackbox flight recorder"),
+          "record why each dependence edge exists on the spans of "
+          "repro serve --flight-out"),
     Hatch("benchmark node cap", "REPRO_BENCH_MAX_NODES", "value",
           "512 (full sweep)", "",
           "cap the node count of the benchmark sweep"),

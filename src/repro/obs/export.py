@@ -128,67 +128,6 @@ def write_trace(path: str | Path, buffer: TraceBuffer,
 
 
 # ----------------------------------------------------------------------
-# telemetry bridge: periodic samples as Perfetto counter tracks
-# ----------------------------------------------------------------------
-def telemetry_counter_events(samples, names: Optional[set] = None,
-                             pid: int = DRIVER_PID) -> list[dict]:
-    """Chrome counter (``"C"``) events from periodic telemetry samples.
-
-    Gauges (queue depth, inflight, breaker state, cache hit rate) emit
-    their sampled value; counter deltas emit as a ``<name>.rate``
-    per-second series — so Perfetto shows service load as time-series
-    tracks alongside the spans of the same run.  ``names`` (base metric
-    names, labels ignored) restricts the series; default is every gauge
-    plus the ``service.*`` counter rates.
-    """
-    from repro.obs.telemetry import parse_full_name
-
-    if not samples:
-        return []
-    base_ts = samples[0].ts
-    events: list[dict] = []
-    for sample in samples:
-        for name in sorted(sample.gauges):
-            if names is not None \
-                    and parse_full_name(name)[0] not in names:
-                continue
-            events.append({
-                "name": name, "cat": "telemetry", "ph": "C",
-                "ts": _us(sample.ts, base_ts), "pid": pid, "tid": 0,
-                "args": {"value": sample.gauges[name]},
-            })
-        for name in sorted(sample.counters):
-            base = parse_full_name(name)[0]
-            if names is None:
-                if not base.startswith("service."):
-                    continue
-            elif base not in names:
-                continue
-            rate = (sample.counters[name] / sample.interval
-                    if sample.interval > 0 else 0.0)
-            events.append({
-                "name": f"{name}.rate", "cat": "telemetry", "ph": "C",
-                "ts": _us(sample.ts, base_ts), "pid": pid, "tid": 0,
-                "args": {"value": round(rate, 6)},
-            })
-    events.sort(key=lambda e: (e["ts"], e["pid"], e["tid"], e["name"]))
-    return events
-
-
-def telemetry_trace(samples, names: Optional[set] = None) -> dict:
-    """A complete, schema-valid trace-event object holding only the
-    telemetry counter tracks (round-trips through
-    :func:`validate_trace`)."""
-    metadata = [{"name": "process_name", "ph": "M", "pid": DRIVER_PID,
-                 "tid": 0, "args": {"name": "telemetry"}}]
-    return {
-        "traceEvents": metadata + telemetry_counter_events(samples, names),
-        "displayTimeUnit": "ms",
-        "otherData": {"producer": "repro.obs.telemetry"},
-    }
-
-
-# ----------------------------------------------------------------------
 # schema validation
 # ----------------------------------------------------------------------
 def validate_trace(data) -> list[str]:

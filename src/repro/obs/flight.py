@@ -1,80 +1,59 @@
-"""The flight recorder — always-on tail-latency forensics.
+"""The flight recorder — tail-latency forensics.
 
 The obs stack *detects* trouble (SLO burn-rate alerts, breaker trips,
-deadline expiries, recovery instants) but, until this module, kept no
-evidence: by the time an alert fires the spans and ledger events that
-explain it are gone, because tracing is off in production and the
-service ledger only keeps counts.  The flight recorder closes that gap
-the way aircraft do — a bounded ring of the *recent past*, always
-recording, snapshotted to disk the moment something goes wrong.
+deadline expiries, recovery instants) but detection keeps no evidence: by
+the time an alert fires the spans and ledger events that explain it are
+gone.  The flight recorder closes that gap the way aircraft do — the
+*recent past* is always being recorded in bounded memory, and is
+snapshotted to disk the moment something goes wrong.
 
-Three pieces:
+The recording itself is the tracer's: a :class:`~repro.obs.tracer.Tracer`
+built with a ``capacity`` is the ring of recent spans (per shard) and
+instants, fed by the instrumentation that is already there — worker
+shards included, through the backends' reply fragments.  What is the
+recorder's own:
 
-* :class:`FlightRecorder` — lock-protected rings of recently finished
-  spans (keyed per shard), instant events, and ServiceLedger events
-  (keyed per tenant).  Disarmed cost is the same one-attribute-check
-  fast path as :func:`repro.obs.tracer.traced` and the provenance
-  ledger; the micro-benchmark in ``benchmarks/test_obs_overhead.py``
-  pins it under 1% of analysis time.
-* **Triggered dumps** — when an SLO transitions to firing, a breaker
-  opens, a deadline expires, or a recovery instant lands, the recorder
-  snapshots its rings plus the registry's histogram exemplars into a
-  schema-validated ``repro.blackbox/1`` JSON file.  Dumps are
-  size-capped (oldest half of each ring dropped until the payload
-  fits), rotated like :class:`~repro.obs.telemetry.TelemetrySink`
-  segments, and debounced by a cooldown so an alert storm produces a
-  handful of files, not thousands.
+* **Triggers** — when an SLO transitions to firing, a breaker opens, a
+  deadline expires, or a recovery instant lands, the recorder snapshots
+  the tracer's ring, its own per-tenant ring of ServiceLedger events and
+  the registry's histogram exemplars into a schema-validated
+  ``repro.blackbox/1`` JSON file.  Dumps are size-capped (oldest half of
+  each ring dropped until the payload fits), rotated like
+  :class:`~repro.obs.telemetry.TelemetrySink` segments, and debounced by
+  a cooldown so an alert storm produces a handful of files, not
+  thousands.
 * :func:`validate_blackbox` / :func:`render_blackbox` — the schema
   check and the ``repro blackbox FILE`` incident report (timeline,
   critical path over the dumped spans, exemplar offenders, ``repro
   explain`` cross-links).
-
-Worker-side spans arrive through the existing backend reply protocol:
-:meth:`repro.obs.tracer.Tracer.absorb` offers every clock-aligned span
-to the recorder, so process-backend shards contribute ring fragments
-with no new wire messages.
 """
 
 from __future__ import annotations
 
 import json
 import threading
-from collections import deque
+from collections import defaultdict, deque
 from pathlib import Path
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
-from repro.obs import tracer as tracer_mod
-from repro.obs.doctor import TRUTHY, config_snapshot
-from repro.obs.tracer import Instant, Span
+from repro.obs.doctor import config_snapshot
+from repro.obs.tracer import Instant, Span, Tracer
 
 #: Schema tag of every dump file.
 BLACKBOX_SCHEMA = "repro.blackbox/1"
 
-#: Environment hard-disable: when truthy the recorder refuses to arm
-#: (registered in :data:`repro.obs.doctor.HATCHES`).
-ENV_DISABLE = "REPRO_NO_FLIGHT"
-
 #: Trigger kinds a dump can carry.
 TRIGGER_KINDS = ("slo", "breaker", "deadline", "recovery", "manual")
 
-
-def _env_disabled(environ: Optional[dict] = None) -> bool:
-    import os
-    env = os.environ if environ is None else environ
-    return env.get(ENV_DISABLE, "").strip().lower() in TRUTHY
+#: Ring size of the tracer ``serve --flight-out`` records into: spans per
+#: shard, and instants.
+RING_CAPACITY = 256
 
 
-def _span_dict(span: Span) -> dict:
-    return {"name": span.name, "category": span.category,
-            "start": span.start, "end": span.end, "pid": span.pid,
-            "tid": span.tid, "span_id": span.span_id,
-            "parent_id": span.parent_id, "args": dict(span.args)}
-
-
-def _instant_dict(event: Instant) -> dict:
-    return {"name": event.name, "category": event.category,
-            "ts": event.ts, "pid": event.pid, "tid": event.tid,
-            "args": dict(event.args)}
+def _trigger(kind: str, name: str, ts: float, detail: str = "",
+             tenant: str = "", session: int = -1) -> dict:
+    return {"kind": kind, "name": name, "detail": detail, "tenant": tenant,
+            "session": session, "ts": ts}
 
 
 def _event_dict(event) -> dict:
@@ -86,17 +65,22 @@ def _event_dict(event) -> dict:
 
 
 class FlightRecorder:
-    """Bounded rings of the recent past, dumped on anomaly.
+    """Anomaly-triggered dumps of a bounded tracer's recent past.
 
     Parameters
     ----------
+    tracer:
+        The recorder whose spans and instants a dump holds — build it
+        with a ``capacity`` so it is a ring.  The flight recorder becomes
+        its instant listener (recovery instants trigger dumps) and uses
+        its clock.
     directory:
         Where dump files go.  ``None`` keeps the recorder purely
-        in-memory: rings fill and triggers are counted, but nothing is
-        written (the process-global default).
-    span_capacity / instant_capacity / event_capacity:
-        Ring sizes — spans per shard, instants globally, ledger events
-        per tenant.
+        in-memory: triggers are counted, but nothing is written.
+    event_capacity:
+        Ledger events kept per tenant.  This ring is the recorder's own:
+        ``ServiceLedger`` trims globally, so reading it at dump time
+        would let one noisy tenant evict another's evidence.
     max_bytes:
         Dump size cap.  Oversized payloads drop the oldest half of
         every ring (repeatedly) until they fit; the ``dropped`` section
@@ -105,9 +89,8 @@ class FlightRecorder:
         Rotation: at most this many ``blackbox-*.json`` files are kept,
         oldest deleted first.
     cooldown:
-        Minimum seconds between dumps (same injectable clock protocol
-        as the tracer) — an alert storm is one incident, not a dump per
-        event.  Suppressed triggers are counted in
+        Minimum seconds between dumps — an alert storm is one incident,
+        not a dump per event.  Suppressed triggers are counted in
         ``dumps_suppressed``.
     exemplar_source:
         Zero-argument callable returning exemplar rows (wire
@@ -116,34 +99,26 @@ class FlightRecorder:
         Zero-argument callable returning the configuration snapshot
         embedded in each dump; defaults to
         :func:`repro.obs.doctor.config_snapshot`.
-    armed:
-        Start recording immediately.  Arming is refused (silently — the
-        hatch exists for incident response, not for raising) when
-        ``REPRO_NO_FLIGHT`` is truthy.
     """
 
-    def __init__(self, directory=None, *, span_capacity: int = 256,
-                 instant_capacity: int = 128, event_capacity: int = 128,
+    def __init__(self, tracer: Tracer, directory=None, *,
+                 event_capacity: int = 128,
                  max_bytes: int = 256 * 1024, max_dumps: int = 8,
-                 cooldown: float = 5.0, clock=None,
+                 cooldown: float = 5.0,
                  exemplar_source: Optional[Callable[[], list]] = None,
-                 config_source: Optional[Callable[[], dict]] = None,
-                 armed: bool = False) -> None:
+                 config_source: Optional[Callable[[], dict]] = None) -> None:
+        self.tracer = tracer
+        tracer.listener = self.record_instant
+        self.clock = tracer.clock
         self.directory = Path(directory) if directory is not None else None
-        self.span_capacity = max(1, int(span_capacity))
-        self.instant_capacity = max(1, int(instant_capacity))
-        self.event_capacity = max(1, int(event_capacity))
         self.max_bytes = max(4096, int(max_bytes))
         self.max_dumps = max(1, int(max_dumps))
         self.cooldown = float(cooldown)
-        self.clock = clock if clock is not None \
-            else tracer_mod._DEFAULT_CLOCK
         self.exemplar_source = exemplar_source
         self.config_source = config_source or config_snapshot
         self._lock = threading.Lock()
-        self._spans: dict[int, deque] = {}
-        self._instants: deque = deque(maxlen=self.instant_capacity)
-        self._events: dict[str, deque] = {}
+        self._events: dict[str, deque] = defaultdict(
+            lambda: deque(maxlen=max(1, int(event_capacity))))
         self._paths: list[Path] = []
         self._dump_index = 0
         self._last_dump_at: Optional[float] = None
@@ -151,69 +126,22 @@ class FlightRecorder:
         self.dumps_suppressed = 0
         self.triggers_seen = 0
         self.last_dump: Optional[Path] = None
-        self.armed = bool(armed) and not _env_disabled()
 
     # ------------------------------------------------------------------
-    # arming
+    # triggers (the tracer's instant listener and the ledger's listener)
     # ------------------------------------------------------------------
-    def arm(self) -> bool:
-        """Start recording; returns whether arming took effect
-        (``REPRO_NO_FLIGHT`` wins)."""
-        if _env_disabled():
-            self.armed = False
-            return False
-        self.armed = True
-        return True
-
-    def disarm(self) -> None:
-        self.armed = False
-
-    # ------------------------------------------------------------------
-    # recording (hot path — called from tracer hooks and the ledger)
-    # ------------------------------------------------------------------
-    def record_span(self, span: Span) -> None:
-        if not self.armed:
-            return
-        with self._lock:
-            ring = self._spans.get(span.tid)
-            if ring is None:
-                ring = self._spans[span.tid] = \
-                    deque(maxlen=self.span_capacity)
-            ring.append(span)
-
-    def record_spans(self, spans: Iterable[Span]) -> None:
-        if not self.armed:
-            return
-        with self._lock:
-            for span in spans:
-                ring = self._spans.get(span.tid)
-                if ring is None:
-                    ring = self._spans[span.tid] = \
-                        deque(maxlen=self.span_capacity)
-                ring.append(span)
-
     def record_instant(self, event: Instant) -> None:
-        if not self.armed:
-            return
-        with self._lock:
-            self._instants.append(event)
+        """Offered every instant the tracer records; a recovery instant
+        trips a dump."""
         if event.category == "recovery":
-            self._maybe_dump({"kind": "recovery", "name": event.name,
-                              "detail": "", "tenant": "", "session": -1,
-                              "ts": event.ts})
+            self._maybe_dump(_trigger("recovery", event.name, event.ts))
 
     def record_event(self, event) -> None:
         """Offer one ServiceLedger event (wired as the ledger's
         listener); trips a dump on alert-firing / breaker-open /
         deadline events."""
-        if not self.armed:
-            return
         with self._lock:
-            ring = self._events.get(event.tenant)
-            if ring is None:
-                ring = self._events[event.tenant] = \
-                    deque(maxlen=self.event_capacity)
-            ring.append(event)
+            self._events[event.tenant].append(event)
         trigger = self._event_trigger(event)
         if trigger is not None:
             self._maybe_dump(trigger)
@@ -228,19 +156,16 @@ class FlightRecorder:
             kind = "deadline"
         else:
             return None
-        return {"kind": kind, "name": event.kind, "detail": event.detail,
-                "tenant": event.tenant, "session": event.session,
-                "ts": event.at}
+        return _trigger(kind, event.kind, event.at, event.detail,
+                        event.tenant, event.session)
 
     # ------------------------------------------------------------------
     # dumping
     # ------------------------------------------------------------------
     def dump(self, detail: str = "") -> Optional[Path]:
         """Force a dump now (``manual`` trigger; no cooldown)."""
-        return self._write_dump({"kind": "manual", "name": "manual",
-                                 "detail": detail, "tenant": "",
-                                 "session": -1,
-                                 "ts": self.clock.monotonic()})
+        return self._write_dump(
+            _trigger("manual", "manual", self.clock.monotonic(), detail))
 
     def _maybe_dump(self, trigger: dict) -> Optional[Path]:
         self.triggers_seen += 1
@@ -255,13 +180,17 @@ class FlightRecorder:
 
     def snapshot(self, trigger: Optional[dict] = None) -> dict:
         """The full ``repro.blackbox/1`` payload, without writing it."""
-        trigger = trigger or {"kind": "manual", "name": "manual",
-                              "detail": "", "tenant": "", "session": -1,
-                              "ts": self.clock.monotonic()}
+        trigger = trigger or _trigger("manual", "manual",
+                                      self.clock.monotonic())
+        # finished events are never mutated: a shallow field dict each
+        # (dataclasses.asdict would deep-copy every witness payload)
+        buffer = self.tracer.snapshot()
+        shards: dict[str, dict] = {}
+        for span in buffer.spans:
+            shards.setdefault(str(span.tid), {"spans": []})["spans"].append(
+                dict(vars(span)))
+        instants = [dict(vars(i)) for i in buffer.instants]
         with self._lock:
-            shards = {str(tid): {"spans": [_span_dict(s) for s in ring]}
-                      for tid, ring in sorted(self._spans.items())}
-            instants = [_instant_dict(i) for i in self._instants]
             tenants = {name: {"events": [_event_dict(e) for e in ring]}
                        for name, ring in sorted(self._events.items())}
         exemplars = []
@@ -334,32 +263,8 @@ class FlightRecorder:
         return encoded
 
     def __repr__(self) -> str:
-        state = "armed" if self.armed else "disarmed"
-        spans = sum(len(r) for r in self._spans.values())
-        return (f"FlightRecorder({state}, shards={len(self._spans)}, "
-                f"spans={spans}, dumps={self.dumps_written})")
-
-
-# ----------------------------------------------------------------------
-# the process-global recorder (mirrors tracer._ACTIVE / prov._LEDGER)
-# ----------------------------------------------------------------------
-_RECORDER = FlightRecorder()
-tracer_mod.set_flight_sink(_RECORDER)
-
-
-def active_recorder() -> FlightRecorder:
-    """The process-global recorder the tracer hooks feed."""
-    return _RECORDER
-
-
-def set_recorder(recorder: FlightRecorder) -> FlightRecorder:
-    """Install a recorder (and point the tracer hooks at it); returns
-    the previous one."""
-    global _RECORDER
-    previous = _RECORDER
-    _RECORDER = recorder
-    tracer_mod.set_flight_sink(recorder)
-    return previous
+        return (f"FlightRecorder({self.tracer!r}, "
+                f"dumps={self.dumps_written})")
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Structured span tracing — the event-timeline half of ``repro.obs``.
+"""The recorder: spans, dependence witnesses and the recent-past ring.
 
 Legion ships Legion Prof because the costs the paper measures (dependence
 analysis, equivalence-set refinement, shipping, recovery) are invisible
@@ -10,36 +10,43 @@ free-form ``args`` mapping.  Alongside spans a tracer buffers **instant
 events** (recovery incidents: crash, respawn, replay, adoption) and
 timestamped **counter samples**.
 
-The buffers export losslessly to the Chrome trace-event / Perfetto JSON
-format (:mod:`repro.obs.export`) and feed the offline critical-path
-analyzer (:mod:`repro.obs.critpath`).
+It is the only recorder and the only store on the recording side; every
+other view is a reading of its :class:`TraceBuffer`: the Chrome / Perfetto
+timeline (:mod:`repro.obs.export`), the critical path
+(:mod:`repro.obs.critpath`), the witness chain behind each dependence
+edge (:mod:`repro.obs.provenance` — at the witness level the
+``materialize``/``commit`` span *is* the access record and the store
+policies write edges and prunes into its args), and the incident dump
+(:mod:`repro.obs.flight`, which reads a bounded tracer when it fires).
 
 Design constraints, in order:
 
 1. **A disabled tracer is (almost) free.**  The process-global default
    tracer is disabled; every instrumentation point goes through
    :func:`span`/:func:`traced`, whose fast path is one attribute check
-   returning a shared no-op context manager.  The micro-benchmark in
-   ``benchmarks/test_obs_overhead.py`` holds this under 5% of analysis
-   time.
+   returning a shared no-op context manager.  That check is the only
+   switch: ``benchmarks/test_obs_overhead.py`` counts every guard a
+   launch evaluates and holds the sum under 5% of analysis time.
 2. **Injectable clock.**  Timestamps come from the same clock protocol as
    :class:`repro.distributed.faults.SystemClock` /
    :class:`~repro.distributed.faults.FakeClock`, so trace tests assert on
    exact synthetic times instead of real elapsed time.
 3. **Thread-safe, picklable payloads.**  Finished spans append under a
    lock (the thread backend interleaves replica analyses); the
-   :class:`Span` records themselves are plain dataclasses of primitives
-   so worker processes can ship their buffers back inside a
-   :class:`~repro.distributed.verify.ShardReport`.
+   :class:`Span` records themselves are plain dataclasses of primitives,
+   so a worker process ships its drained buffer home as the one wire
+   fragment and the driver's :meth:`Tracer.absorb` merges it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import threading
 import time
+from collections import defaultdict, deque
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional
+from typing import Callable, Optional
 
 #: pid used for the driver (control) process; workers use ``shard + 1``.
 DRIVER_PID = 0
@@ -80,12 +87,6 @@ class Span:
     def duration(self) -> float:
         return self.end - self.start
 
-    def shifted(self, offset: float) -> "Span":
-        """A copy with both timestamps moved by ``offset`` (clock-offset
-        alignment when merging worker buffers into the driver trace)."""
-        return replace(self, start=self.start + offset,
-                       end=self.end + offset)
-
 
 @dataclass
 class Instant:
@@ -111,29 +112,24 @@ class CounterSample:
 
 @dataclass
 class TraceBuffer:
-    """A self-contained snapshot of everything a tracer recorded."""
+    """A self-contained copy of what a tracer holds: spans track by track
+    (ascending ``tid``, finish order within a track), instants, counter
+    samples.  A drained buffer is also the wire fragment a worker ships
+    home; ``clock`` is the recording tracer's time when the copy was
+    taken, which :meth:`Tracer.absorb` aligns on."""
 
     spans: list[Span] = field(default_factory=list)
     instants: list[Instant] = field(default_factory=list)
     counters: list[CounterSample] = field(default_factory=list)
+    clock: Optional[float] = None
 
     def __len__(self) -> int:
         return len(self.spans) + len(self.instants) + len(self.counters)
 
 
+#: Span ids are unique within a process; :meth:`Tracer.absorb` re-numbers
+#: another process's spans into this sequence.
 _span_ids = itertools.count(1)
-
-#: Flight-recorder sink (:class:`repro.obs.flight.FlightRecorder`).
-#: Installed by :mod:`repro.obs.flight` at import; every finished span
-#: and instant is offered to it when armed.  The disarmed fast path is
-#: two attribute checks — see ``benchmarks/test_obs_overhead.py``.
-_FLIGHT = None
-
-
-def set_flight_sink(sink) -> None:
-    """Install the recorder finished spans/instants are offered to."""
-    global _FLIGHT
-    _FLIGHT = sink
 
 
 class _NoopSpan:
@@ -155,10 +151,18 @@ _NOOP = _NoopSpan()
 
 
 class _OpenSpan:
-    """An in-flight span: context manager and mutable handle."""
+    """An in-flight span: context manager and mutable handle.
+
+    At the witness level :func:`traced` hands it to the store-policy hooks
+    as their ``led``: ``edge``/``prune``/``visit`` write the witness
+    payload into ``args`` (``edges``, ``pruned``, ``visited``), which
+    :class:`repro.obs.provenance.Witnesses` reads back as typed records.
+    The hooks only observe — they never touch a meter or steer the
+    analysis.
+    """
 
     __slots__ = ("_tracer", "name", "category", "args", "start",
-                 "span_id", "parent_id", "pid", "tid")
+                 "span_id", "parent_id", "pid", "tid", "_source")
 
     def __init__(self, tracer: "Tracer", name: str, category: str,
                  args: dict) -> None:
@@ -166,11 +170,32 @@ class _OpenSpan:
         self.name = name
         self.category = category
         self.args = args
+        self._source = ("history",)
 
     def set(self, **args) -> None:
         """Attach or update args while the span is open (e.g. the
         dependence list, known only once the scan finishes)."""
         self.args.update(args)
+
+    def set_source(self, desc: tuple) -> None:
+        """Name the structure later edges/prunes are witnessed by (e.g.
+        ``("eqset", lo, hi, n)``)."""
+        self._source = desc
+
+    def edge(self, src: int, kind: str, privilege: str, domain: tuple,
+             collapsed=()) -> None:
+        self.args.setdefault("edges", []).append(
+            (int(src), kind, privilege, domain, self._source,
+             tuple(sorted(int(t) for t in collapsed))))
+
+    def prune(self, src: int, reason: str, domain: tuple) -> None:
+        self.args.setdefault("pruned", []).append(
+            (int(src), reason, domain, self._source))
+
+    def visit(self, kind: str, n: int = 1) -> None:
+        if n:
+            visited = self.args.setdefault("visited", {})
+            visited[kind] = visited.get(kind, 0) + int(n)
 
     def __enter__(self) -> "_OpenSpan":
         tracer = self._tracer
@@ -193,12 +218,8 @@ class _OpenSpan:
         finished = Span(self.name, self.category, self.start, end,
                         self.pid, self.tid, self.span_id, self.parent_id,
                         self.args)
-        if tracer.retain:
-            with tracer._lock:
-                tracer._buffer.spans.append(finished)
-        flight = _FLIGHT
-        if flight is not None and flight.armed:
-            flight.record_span(finished)
+        with tracer._lock:
+            tracer._spans[self.tid].append(finished)
         return False
 
 
@@ -241,24 +262,45 @@ class Tracer:
     pid:
         Default process attribution for recorded events
         (:data:`DRIVER_PID` for the control process).
-    retain:
-        When False, finished spans/instants/counters are *not* kept in
-        the tracer's own buffer — they are still offered to the flight
-        recorder.  A long-lived service arms the recorder with a
-        ``retain=False`` tracer so span memory stays bounded by the
-        recorder's rings instead of growing for the process lifetime.
+    capacity:
+        ``None`` keeps everything (``analyze --trace-out``).  A number
+        makes the store a ring of the recent past — at most that many
+        spans per track (``tid``: shard or thread), that many instants
+        and that many counter samples, oldest evicted first — so a
+        long-lived service (``serve --flight-out``) records in bounded
+        memory.
+    witnesses:
+        Also record why each dependence edge exists: :func:`traced` hands
+        the open ``materialize``/``commit`` span to the analysis as the
+        access record (see :class:`_OpenSpan`).
     """
 
+    #: Called with every recorded :class:`Instant` (the flight recorder's
+    #: recovery trigger; same shape as ``ServiceLedger.listener``).
+    listener: Optional[Callable[[Instant], None]] = None
+
     def __init__(self, clock=None, enabled: bool = True,
-                 pid: int = DRIVER_PID, retain: bool = True) -> None:
+                 pid: int = DRIVER_PID, capacity: Optional[int] = None,
+                 witnesses: bool = False) -> None:
         self.clock = clock if clock is not None else _DEFAULT_CLOCK
         self.enabled = enabled
         self.pid = pid
-        self.retain = retain
+        self.capacity = capacity
+        self.witnesses = witnesses
         self._lock = threading.Lock()
-        self._buffer = TraceBuffer()
+        self._spans: dict[int, deque] = defaultdict(
+            lambda: deque(maxlen=capacity))
+        self._instants: deque = deque(maxlen=capacity)
+        self._counters: deque = deque(maxlen=capacity)
         self._local = threading.local()
         self._tids: dict[int, int] = {}
+
+    @property
+    def level(self) -> int:
+        """What is being recorded, as one number (the field the analyze
+        message carries to workers): 0 nothing, 1 spans, 2 spans and
+        witnesses."""
+        return 1 + self.witnesses if self.enabled else 0
 
     # ------------------------------------------------------------------
     # per-thread state
@@ -313,65 +355,81 @@ class Tracer:
         pid, tid = self._attribution()
         event = Instant(name, category, self.clock.monotonic(), pid, tid,
                         args)
-        if self.retain:
-            with self._lock:
-                self._buffer.instants.append(event)
-        flight = _FLIGHT
-        if flight is not None and flight.armed:
-            flight.record_instant(event)
+        with self._lock:
+            self._instants.append(event)
+        if self.listener is not None:
+            self.listener(event)
 
     def counter(self, name: str, value: float) -> None:
         """Record one timestamped sample of a counter series."""
         if not self.enabled:
             return
-        if not self.retain:
-            return
         pid, _ = self._attribution()
         sample = CounterSample(name, self.clock.monotonic(), float(value),
                                pid)
         with self._lock:
-            self._buffer.counters.append(sample)
+            self._counters.append(sample)
 
     # ------------------------------------------------------------------
     # buffer management
     # ------------------------------------------------------------------
-    def absorb(self, spans: Iterable[Span] = (),
-               instants: Iterable[Instant] = (),
-               offset: float = 0.0) -> None:
-        """Merge externally recorded events (a worker's shipped buffer)
-        into this tracer, shifting times by ``offset`` for clock
-        alignment."""
-        spans = [s.shifted(offset) for s in spans]
-        instants = [replace(i, ts=i.ts + offset) for i in instants]
-        if self.retain:
-            with self._lock:
-                self._buffer.spans.extend(spans)
-                self._buffer.instants.extend(instants)
-        flight = _FLIGHT
-        if flight is not None and flight.armed:
-            flight.record_spans(spans)
+    def absorb(self, fragment: TraceBuffer) -> None:
+        """Merge another tracer's drained buffer (a worker's reply
+        fragment) into this one.
+
+        Times move by the offset between the two clocks.  Span ids are
+        per-process counters, so the fragment's spans are re-numbered into
+        this process's id space with their parent links remapped, and its
+        roots are parented under the calling thread's open span — the
+        merged buffer stays keyed by ``span_id`` and a worker span's
+        ancestry reaches the driver span that requested it.
+        """
+        offset = (0.0 if fragment.clock is None
+                  else self.clock.monotonic() - fragment.clock)
+        root = self.current()
+        root_id = None if root is None else root.span_id
+        ids = {s.span_id: next(_span_ids) for s in fragment.spans}
+        spans = [replace(s, start=s.start + offset, end=s.end + offset,
+                         span_id=ids[s.span_id],
+                         parent_id=ids.get(s.parent_id, root_id))
+                 for s in fragment.spans]
+        instants = [replace(i, ts=i.ts + offset) for i in fragment.instants]
+        with self._lock:
+            for s in spans:
+                self._spans[s.tid].append(s)
+            self._instants.extend(instants)
+            self._counters.extend(replace(c, ts=c.ts + offset)
+                                  for c in fragment.counters)
+        if self.listener is not None:
             for event in instants:
-                flight.record_instant(event)
+                self.listener(event)
+
+    def _copy(self) -> TraceBuffer:
+        return TraceBuffer([s for tid in sorted(self._spans)
+                            for s in self._spans[tid]],
+                           list(self._instants), list(self._counters),
+                           self.clock.monotonic())
 
     def snapshot(self) -> TraceBuffer:
-        """Copy of everything recorded so far."""
+        """Copy of everything held."""
         with self._lock:
-            return TraceBuffer(list(self._buffer.spans),
-                               list(self._buffer.instants),
-                               list(self._buffer.counters))
+            return self._copy()
 
     def drain(self) -> TraceBuffer:
-        """Remove and return everything recorded so far (workers drain
-        their buffer into each analyze reply)."""
+        """Remove and return everything held (workers drain their buffer
+        into each analyze reply)."""
         with self._lock:
-            out = self._buffer
-            self._buffer = TraceBuffer()
-            return out
+            out = self._copy()
+            self._spans.clear()
+            self._instants.clear()
+            self._counters.clear()
+        return out
 
     def __repr__(self) -> str:
-        state = "enabled" if self.enabled else "disabled"
-        return (f"Tracer({state}, spans={len(self._buffer.spans)}, "
-                f"instants={len(self._buffer.instants)})")
+        state = ("disabled", "spans", "spans+witnesses")[self.level]
+        return (f"Tracer({state}, capacity={self.capacity}, "
+                f"spans={sum(len(r) for r in self._spans.values())}, "
+                f"instants={len(self._instants)})")
 
 
 # ----------------------------------------------------------------------
@@ -424,10 +482,10 @@ def traced(name: str, category: Optional[str] = None):
     ``category=None`` resolves the instance's ``_obs_cat`` attribute at
     call time (set by :class:`~repro.visibility.base.CoherenceAlgorithm`
     to ``"visibility.<algorithm>"``), so one decorator serves every
-    subclass.  The disabled fast path adds a single attribute check.
+    subclass.  When the tracer records witnesses the open span is passed
+    to the method as ``led=`` — the access record its hooks write into.
+    The disabled fast path adds a single attribute check.
     """
-    import functools
-
     def decorate(fn):
         @functools.wraps(fn)
         def wrapper(self, *args, **kwargs):
@@ -436,7 +494,9 @@ def traced(name: str, category: Optional[str] = None):
                 return fn(self, *args, **kwargs)
             cat = category if category is not None \
                 else getattr(self, "_obs_cat", "")
-            with _OpenSpan(tracer, name, cat, {}):
+            with _OpenSpan(tracer, name, cat, {}) as sp:
+                if tracer.witnesses:
+                    kwargs["led"] = sp
                 return fn(self, *args, **kwargs)
         return wrapper
     return decorate

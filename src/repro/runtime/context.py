@@ -22,7 +22,6 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 
 from repro.errors import TaskError
-from repro.obs import provenance as prov
 from repro.obs import tracer as obs
 from repro.privileges import Privilege
 from repro.regions.partition import Partition
@@ -134,23 +133,14 @@ class Runtime:
         self.meter.begin_task()
         deps: set[int] = set() if scan else set(replayed)
         buffers: list[np.ndarray] = []
-        # One enabled-check for the whole launch; when recording, every
-        # materialize/commit gets its own provenance access record.
-        led = prov._LEDGER
-        recording = led.enabled
         # Task spans carry the task id and (once the scan finishes) the
         # dependence list, so the critical-path analyzer can rebuild the
-        # task DAG from a trace file alone.
+        # task DAG from a trace file alone; the materialize/commit spans
+        # under them are the dependence witnesses' access records.
         with obs.span(name, "task", task_id=task_id) as sp:
             for req in requirements:
-                if recording:
-                    led.begin_access(task_id, req.field, self.algorithm_name,
-                                     req.privilege, req.region.space,
-                                     phase="materialize" if scan else "replay")
                 outcome = self._algorithms[req.field].materialize(
                     req.privilege, req.region, scan)
-                if recording:
-                    led.end_access(keep_empty=scan)
                 deps.update(outcome.dependences)
                 buf = outcome.values
                 if req.privilege.is_read:
@@ -165,14 +155,8 @@ class Runtime:
 
             for req, buf in zip(requirements, buffers):
                 commit_values = None if req.privilege.is_read else buf
-                if recording:
-                    led.begin_access(task_id, req.field, self.algorithm_name,
-                                     req.privilege, req.region.space,
-                                     phase="commit")
                 self._algorithms[req.field].commit(
                     req.privilege, req.region, commit_values, task_id)
-                if recording:
-                    led.end_access(keep_empty=False)
         if self._record_costs:
             self.cost_log.append(self.meter.end_task())
 

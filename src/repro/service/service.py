@@ -28,9 +28,9 @@ Robustness is structural, not incidental:
   process backend automatically.
 * **Tenant isolation** — each tenant owns its geometry cache
   (:func:`~repro.geometry.fastpath.tenant_geometry_cache`) and its
-  provenance records are tenant-tagged
-  (:meth:`~repro.obs.provenance.ProvenanceLedger.scope`); worker
-  processes are per-tenant by construction (each slot owns its
+  dependence witnesses are tenant-tagged (everything a session records
+  sits under its ``service.session`` span, which names the tenant);
+  worker processes are per-tenant by construction (each slot owns its
   backend).
 
 Correctness bar: :func:`verify_sessions` cold-replays every completed
@@ -53,7 +53,6 @@ from repro.distributed.faults import FaultPlan, SystemClock
 from repro.distributed.sharded import ShardedRuntime
 from repro.errors import MachineError
 from repro.geometry.fastpath import GeometryCache, tenant_geometry_cache
-from repro.obs import provenance as prov
 from repro.obs import tracer as tracing
 from repro.runtime.task import TaskStream
 from repro.service.admission import DeadlineBudget, TokenBucket, WatermarkGate
@@ -187,6 +186,7 @@ class AnalysisService:
         if recorder is not None:
             # every control-plane event reaches the flight recorder; the
             # listener trips blackbox dumps on alert/breaker/deadline
+            # (session and task spans reach it through its tracer)
             self.ledger.listener = recorder.record_event
             if registry is not None and recorder.exemplar_source is None:
                 recorder.exemplar_source = registry.exemplars
@@ -489,10 +489,8 @@ class AnalysisService:
 
         def work() -> tuple:
             try:
-                ledger = prov.active_ledger()
                 with self._session_span(tenant, slot, pending) as sp, \
-                        tenant_geometry_cache(tenant.cache), \
-                        ledger.scope(tenant=tenant.name):
+                        tenant_geometry_cache(tenant.cache):
                     # stream construction builds tasks and region
                     # requirements — tenant-cache traffic as well
                     stream = session_stream(app, iterations, include_init)

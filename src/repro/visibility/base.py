@@ -100,7 +100,7 @@ class CoherenceAlgorithm(ABC):
     # ------------------------------------------------------------------
     @traced("materialize")
     def materialize(self, privilege: Privilege, region: Region,
-                    scan: bool = True) -> AnalysisOutcome:
+                    scan: bool = True, led=None) -> AnalysisOutcome:
         """Coherent values for ``region`` plus the dependences of the task
         about to run with ``privilege`` on it.
 
@@ -110,17 +110,21 @@ class CoherenceAlgorithm(ABC):
         reports none.  Every structural side effect (hoisting, refinement,
         dominating writes) still happens — they are what keeps future
         materializations correct.
+
+        ``led`` is supplied by :func:`~repro.obs.tracer.traced`, not by
+        callers: this call's open span while the tracer records
+        witnesses, else None.
         """
         if region.tree is not self.tree:
             raise CoherenceError("region belongs to a different tree")
-        led = prov._LEDGER
-        led = led if led.enabled else None
+        if led is not None:
+            prov.describe_access(led, self.field, type(self).name, privilege,
+                                 region.space,
+                                 "materialize" if scan else "replay")
         found = self._locate(privilege, region, led)
         deps: set[int] = set()
         if scan:
             self._collect(privilege, region, found, deps, led)
-            if led is not None:
-                led.clear_source()
             deps.discard(INITIAL_TASK_ID)
         if privilege.is_reduce:
             # Lazy reductions (section 5): never look at values, hand
@@ -136,24 +140,29 @@ class CoherenceAlgorithm(ABC):
 
     @traced("commit")
     def commit(self, privilege: Privilege, region: Region,
-               values: Optional[np.ndarray], task_id: int) -> None:
+               values: Optional[np.ndarray], task_id: int,
+               led=None) -> None:
         """Record a finished task's effect on ``region``.
 
         ``values`` is the task's final buffer for write privileges, the
         accumulated partial reductions for reduce privileges, and ``None``
-        for reads.
+        for reads; ``led`` as for :meth:`materialize`.
         """
         if region.tree is not self.tree:
             raise CoherenceError("region belongs to a different tree")
+        if led is not None:
+            prov.describe_access(led, self.field, type(self).name, privilege,
+                                 region.space, "commit")
         self._record(privilege, region,
                      self._check_commit_values(privilege, region, values),
-                     task_id)
+                     task_id, led)
 
     # ------------------------------------------------------------------
     # the store policy
     # ------------------------------------------------------------------
-    # ``led`` is the provenance ledger while it is recording, else None;
-    # ``found`` is whatever ``_locate`` returned.
+    # ``led`` is the open materialize/commit span while the tracer records
+    # witnesses (its edge/prune/visit/set_source write the access record),
+    # else None; ``found`` is whatever ``_locate`` returned.
     @abstractmethod
     def _locate(self, privilege: Privilege, region: Region, led):
         """The structural step of an access to ``region`` — hoist, refine,
@@ -179,7 +188,7 @@ class CoherenceAlgorithm(ABC):
 
     @abstractmethod
     def _record(self, privilege: Privilege, region: Region,
-                values: Optional[np.ndarray], task_id: int) -> None:
+                values: Optional[np.ndarray], task_id: int, led) -> None:
         """Store one committed operation; ``values`` is already validated
         and must be copied before it is kept."""
 

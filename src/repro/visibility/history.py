@@ -390,7 +390,8 @@ def interfering_indices(privilege: Privilege, entries) -> list[int]:
 def scan_dependences(privilege: Privilege, space: IndexSpace,
                      entries: Iterable[HistoryEntry],
                      deps: set[int],
-                     meter: Optional[CostMeter] = None) -> None:
+                     meter: Optional[CostMeter] = None,
+                     led=None) -> None:
     """Collect task ids of entries that interfere with a new access.
 
     A dependence exists when the privileges interfere *and* the domains
@@ -401,13 +402,11 @@ def scan_dependences(privilege: Privilege, space: IndexSpace,
     :func:`batch_overlaps` pass (fed the bounds columns when the history
     has them); the loop then replays the already-a-dependence skip, which
     consults ``deps`` as it grows, so the meter totals are those of an
-    entry-at-a-time walk (analysis fingerprints hash them).  The
-    provenance ledger (``repro.obs.provenance``) observes the same loop:
-    one hoisted enabled-check, then edge/prune records that never touch
-    the meter or alter control flow.
+    entry-at-a-time walk (analysis fingerprints hash them).  ``led`` —
+    the caller's open access span while witnesses are recorded, else None
+    — observes the same loop: edge/prune records that never touch the
+    meter or alter control flow.
     """
-    led = prov._LEDGER
-    led = led if led.enabled else None
     if isinstance(entries, PrivilegeColumns):
         items = entries.entries
     else:  # the tree painter hands over a generator

@@ -44,12 +44,14 @@ class TaskCost:
     """Per-task slice of the meter: operation counts plus touched objects.
 
     ``touches`` are keys of distributed objects this analysis step read or
-    wrote (e.g. ``("eqset", 17)``); the simulator maps keys to owner nodes
-    to charge messages.
+    wrote (e.g. ``("eqset", 17)``), each once, in first-touch order; the
+    simulator maps keys to owner nodes and charges the messages in the
+    order the analysis sent them (owner queues make the order matter, and
+    a hash-ordered set would tie it to ``PYTHONHASHSEED``).
     """
 
     counters: dict[str, int]
-    touches: frozenset[Hashable]
+    touches: tuple[Hashable, ...]
 
     @property
     def total_ops(self) -> int:
@@ -75,7 +77,8 @@ class CostMeter:
         self.counters: Counter[str] = Counter()
         self.touches: set[Hashable] = set()
         self._mark: Counter[str] = Counter()
-        self._task_touches: set[Hashable] = set()
+        # a dict for its insertion order: the task's first-touch sequence
+        self._task_touches: dict[Hashable, None] = {}
         self._lock = threading.Lock()
 
     def __getstate__(self):
@@ -95,13 +98,13 @@ class CostMeter:
         ``key``."""
         with self._lock:
             self.touches.add(key)
-            self._task_touches.add(key)
+            self._task_touches[key] = None
 
     def begin_task(self) -> None:
         """Mark the start of one task launch's analysis."""
         with self._lock:
             self._mark = Counter(self.counters)
-            self._task_touches = set()
+            self._task_touches = {}
 
     def end_task(self) -> TaskCost:
         """Return the counts and touches accumulated since
@@ -111,7 +114,7 @@ class CostMeter:
             delta.subtract(self._mark)
             counters = {k: v for k, v in delta.items() if v}
             return TaskCost(counters=counters,
-                            touches=frozenset(self._task_touches))
+                            touches=tuple(self._task_touches))
 
     def snapshot(self) -> dict[str, int]:
         """Copy of the lifetime counters."""

@@ -57,7 +57,8 @@ class PainterAlgorithm(CoherenceAlgorithm):
         if led is not None:
             led.set_source(("painter", len(history)))
             led.visit("history_entries", len(history))
-        scan_dependences(privilege, region.space, history, deps, self.meter)
+        scan_dependences(privilege, region.space, history, deps, self.meter,
+                         led)
 
     def _paint(self, region: Region, history: ColumnarHistory) -> np.ndarray:
         """Replay the history oldest-to-newest onto ``region``."""
@@ -66,7 +67,7 @@ class PainterAlgorithm(CoherenceAlgorithm):
         return values
 
     def _record(self, privilege: Privilege, region: Region,
-                values: Optional[np.ndarray], task_id: int) -> None:
+                values: Optional[np.ndarray], task_id: int, led) -> None:
         rv = None if values is None else RegionValues(region.space,
                                                       values.copy())
         self._history.append(

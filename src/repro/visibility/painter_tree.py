@@ -348,7 +348,7 @@ class TreePainterAlgorithm(CoherenceAlgorithm):
             scanned_before = self.meter.counters.get("entries_scanned", 0)
         scan_dependences(privilege, region.space,
                          self._iter_path_entries(region, privilege), deps,
-                         self.meter)
+                         self.meter, led)
         if led is not None:
             led.visit("path_entries",
                       self.meter.counters.get("entries_scanned", 0)
@@ -361,19 +361,17 @@ class TreePainterAlgorithm(CoherenceAlgorithm):
         return values
 
     def _record(self, privilege: Privilege, region: Region,
-                values: Optional[np.ndarray], task_id: int) -> None:
+                values: Optional[np.ndarray], task_id: int, led) -> None:
         st = self._state(region)
         if privilege.is_write and st.entries:
             # a write at R occludes everything previously recorded at R
-            led = prov._LEDGER
-            if led.enabled:
+            if led is not None:
                 led.set_source(("treenode", region.uid))
                 for item in st.entries:
                     src = (item.task_id if isinstance(item, HistoryEntry)
                            else prov.AGGREGATE_SRC)
                     led.prune(src, "commit_occluded",
                               prov.domain_desc(item.domain))
-                led.clear_source()
             self.meter.count("entries_occluded", len(st.entries))
             self._bump_counts(region, -len(st.entries))
             st.entries = []

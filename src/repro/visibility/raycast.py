@@ -88,7 +88,7 @@ class RayCastAlgorithm(CoherenceAlgorithm):
             if led is not None:
                 led.set_source(("eqset",) + prov.domain_desc(eqset.space))
             scan_dependences(privilege, region.space, eqset.history, deps,
-                             self.meter)
+                             self.meter, led)
 
     def _paint(self, region: Region,
                sets: list[LooseEquivalenceSet]) -> np.ndarray:
@@ -113,7 +113,6 @@ class RayCastAlgorithm(CoherenceAlgorithm):
                 for entry in eqset.history:
                     led.prune(entry.task_id, reason,
                               prov.domain_desc(entry.domain))
-            led.clear_source()
         # Figure 11 line 2: one fresh set for R, occluded sets pruned.
         # Seed it with the values just materialized so the store stays
         # coherent even if the task aborts before commit; the commit
@@ -125,7 +124,7 @@ class RayCastAlgorithm(CoherenceAlgorithm):
         self.meter.touch(("eqset", fresh.uid, fresh.space.bounds[0]))
 
     def _record(self, privilege: Privilege, region: Region,
-                values: Optional[np.ndarray], task_id: int) -> None:
+                values: Optional[np.ndarray], task_id: int, led) -> None:
         for eqset in visit_sets(self._store.overlapping, region, self.meter):
             common = eqset.space & region.space
             if values is None:

@@ -89,7 +89,7 @@ class WarnockAlgorithm(CoherenceAlgorithm):
         return values
 
     def _record(self, privilege: Privilege, region: Region,
-                values: Optional[np.ndarray], task_id: int) -> None:
+                values: Optional[np.ndarray], task_id: int, led) -> None:
         for eqset in visit_sets(self._store.locate, region, self.meter):
             if values is None:
                 eqset.record(privilege, None, task_id)

@@ -189,7 +189,7 @@ class ZBufferAlgorithm(CoherenceAlgorithm):
         led.visit("elements", int(pos.size))
 
     def _record(self, privilege: Privilege, region: Region,
-                values: Optional[np.ndarray], task_id: int) -> None:
+                values: Optional[np.ndarray], task_id: int, led) -> None:
         pos = self.tree.root.space.positions_of(region.space)
         self.meter.touch(("zbuffer_table", self.field))
         if privilege.is_read:

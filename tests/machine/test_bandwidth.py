@@ -14,7 +14,7 @@ def make_sim(bandwidth=10e9, nodes=2):
     return MachineSimulator(spec, tree)
 
 
-EMPTY = TaskCost(counters={}, touches=frozenset())
+EMPTY = TaskCost(counters={}, touches=())
 
 
 class TestBandwidth:

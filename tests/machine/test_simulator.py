@@ -62,7 +62,7 @@ class TestMachineSimulator:
         sim = self.make(nodes=2)
         sim.begin_epoch()
         local = TaskCost(counters={"entries_scanned": 1},
-                         touches=frozenset([("painter_history", 0)]))
+                         touches=(("painter_history", 0),))
         sim.process_task(local, origin=0, exec_node=None)
         assert sim.messages_sent == 0
         sim.process_task(local, origin=1, exec_node=None)
@@ -71,14 +71,14 @@ class TestMachineSimulator:
     def test_origin_out_of_range(self):
         sim = self.make(nodes=2)
         with pytest.raises(MachineError):
-            sim.process_task(TaskCost(counters={}, touches=frozenset()),
+            sim.process_task(TaskCost(counters={}, touches=()),
                              origin=5, exec_node=None)
 
     def test_epoch_elapsed_max_of_analysis_and_exec(self):
         sim = self.make(nodes=2)
         sim.begin_epoch()
         cost = TaskCost(counters={"entries_scanned": 100},
-                        touches=frozenset())
+                        touches=())
         sim.process_task(cost, origin=0, exec_node=1)
         elapsed = sim.end_epoch()
         spec = sim.spec
@@ -97,7 +97,7 @@ class TestMachineSimulator:
         sim = self.make(nodes=3)
         sim.begin_epoch()
         cost = TaskCost(counters={"entries_scanned": 500},
-                        touches=frozenset())
+                        touches=())
         sim.process_task(cost, origin=1, exec_node=None)
         sim.end_epoch()
         assert np.allclose(sim.clocks, sim.clocks[0])
@@ -141,6 +141,32 @@ class TestSimulateApp:
         assert init[("raycast", True)] <= init[("warnock", True)]
         assert init[("raycast", False)] <= init[("tree_painter", False)]
 
+    def test_result_does_not_depend_on_the_hash_seed(self):
+        """The simulator is deterministic: owner queues make the order
+        messages are charged in matter, so it must be the order the
+        analysis sent them, not the iteration order of a set of
+        ``str``-headed keys (which moves with ``PYTHONHASHSEED``).  This
+        cell — warnock under DCR at 8 nodes — moved in the third digit."""
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        cell = ("from repro.apps import StencilApp; "
+                "from repro.machine import simulate_app; "
+                "r = simulate_app(StencilApp(pieces=8), 'warnock', "
+                "dcr=True, steady_iterations=2); "
+                "print(repr(r.init_time), repr(r.elapsed_time), r.messages)")
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        outputs = set()
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            outputs.add(subprocess.run(
+                [sys.executable, "-c", cell], env=env, check=True,
+                capture_output=True, text=True).stdout)
+        assert len(outputs) == 1, outputs
+
     def test_single_node_configs_agree(self):
         """At one node there is no distribution: all systems should land
         within a small factor of each other (artifact section A.4 shows
@@ -159,7 +185,7 @@ class TestUtilization:
         sim = MachineSimulator(MachineSpec().with_nodes(2), tree)
         sim.begin_epoch()
         cost = TaskCost(counters={"entries_scanned": 50},
-                        touches=frozenset())
+                        touches=())
         sim.process_task(cost, origin=0, exec_node=1)
         util = sim.utilization()
         assert util["analysis"][0] > 0

@@ -32,21 +32,21 @@ class TestCostModel:
     def test_known_weights(self):
         model = CostModel()
         cost = TaskCost(counters={"entries_scanned": 10,
-                                  "eqsets_split": 2}, touches=frozenset())
+                                  "eqsets_split": 2}, touches=())
         want = 10 * DEFAULT_WEIGHTS["entries_scanned"] \
             + 2 * DEFAULT_WEIGHTS["eqsets_split"]
         assert model.ops(cost) == want
 
     def test_unknown_events_not_free(self):
         model = CostModel()
-        cost = TaskCost(counters={"brand_new_event": 5}, touches=frozenset())
+        cost = TaskCost(counters={"brand_new_event": 5}, touches=())
         assert model.ops(cost) == 5 * model.default_weight
 
     def test_seconds(self):
         model = CostModel(weights={"e": 2.0})
-        cost = TaskCost(counters={"e": 3}, touches=frozenset())
+        cost = TaskCost(counters={"e": 3}, touches=())
         assert model.seconds(cost, analysis_op=1e-6) == pytest.approx(6e-6)
 
     def test_total_ops(self):
-        cost = TaskCost(counters={"a": 1, "b": 2}, touches=frozenset([1]))
+        cost = TaskCost(counters={"a": 1, "b": 2}, touches=(1,))
         assert cost.total_ops == 3

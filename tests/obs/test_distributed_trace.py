@@ -1,15 +1,17 @@
 """End-to-end tracing through the sharded backends.
 
-Worker-side spans must ship back with the analyze replies, land in the
-driver tracer with shard-attributed pid/tid, and appear on the matching
-:class:`ShardReport`; recovery incidents must appear as instant events.
+Worker-side spans must ship back with the analyze replies and land in the
+driver tracer with shard-attributed pid/tid, re-numbered into the
+driver's span-id space; recovery incidents must appear as instant events.
 """
 
 import pytest
 
 from repro.distributed import ShardedRuntime
 from repro.distributed.faults import FaultEvent, FaultPlan, RetryPolicy
+from repro.apps import APPS
 from repro.obs import tracer as obs
+from repro.obs.critpath import critical_path
 
 from tests.conftest import fig1_initial, fig1_stream, make_fig1_tree
 
@@ -83,23 +85,54 @@ class TestProcessBackend:
         driver_start = min(s.start for s in buffer.spans if s.pid == 0)
         for shard in (1, 2):
             assert driver_start <= by_shard[shard].start <= driver_end
+        # every shard's task spans came home, on that shard's track
+        for shard in (1, 2):
+            tasks = [s for s in buffer.spans
+                     if s.category == "task" and s.tid == shard]
+            assert len(tasks) == 6, f"shard {shard} shipped no task spans"
 
-        for report in reports:
-            if report.shard == 0:
-                continue
-            assert report.spans, f"shard {report.shard} shipped no spans"
-            assert all(s.tid == report.shard for s in report.spans)
-
-    def test_disabled_tracer_ships_nothing(self):
+    def test_disabled_tracer_ships_nothing(self, monkeypatch):
         # The default process-global tracer is disabled — workers must
         # not pay for or ship span buffers.
+        absorbed = []
+        monkeypatch.setattr(obs.Tracer, "absorb",
+                            lambda self, fragment: absorbed.append(fragment))
         tree, P, G = make_fig1_tree()
         srt = ShardedRuntime(tree, fig1_initial(tree), shards=3,
                              backend="process", recv_timeout=10.0,
                              retry=FAST_RETRY)
         with srt:
-            reports = srt.analyze(fig1_stream(tree, P, G, iterations=1))
-        assert all(r.spans == () for r in reports)
+            srt.analyze(fig1_stream(tree, P, G, iterations=1))
+        assert absorbed == []
+
+    def test_merged_buffer_is_keyed_by_span_id(self, driver_tracer):
+        """Span ids are per-process counters; absorbing worker buffers
+        must leave the merged buffer keyed by ``span_id`` — unique ids,
+        every parent link resolving inside the buffer — or the critical
+        path credits one task's children to another process's task and
+        exemplar trace ids resolve against the wrong span."""
+        app = APPS["stencil"](pieces=4)
+        with ShardedRuntime(app.tree, app.initial, shards=3,
+                            backend="process", recv_timeout=10.0,
+                            retry=FAST_RETRY) as srt:
+            srt.analyze(app.init_stream())
+            srt.analyze(app.iteration_stream())
+        spans = driver_tracer.snapshot().spans
+        assert {s.pid for s in spans} == {0, 2, 3}
+        ids = [s.span_id for s in spans]
+        assert len(set(ids)) == len(ids)
+        known = set(ids)
+        assert all(s.parent_id in known for s in spans
+                   if s.parent_id is not None)
+        # a worker's replica span hangs under a driver span
+        by_id = {s.span_id: s for s in spans}
+        for s in spans:
+            if s.category == "distributed.replica" and s.pid != 0:
+                assert by_id[s.parent_id].pid == 0
+        report = critical_path(spans)
+        children = sum(seconds for phase, seconds in report.per_phase.items()
+                       if phase != "runtime.other")
+        assert 0.0 < children <= report.total
 
     def test_recovery_instants_for_pinned_crash(self, driver_tracer):
         # op 0 is the first (and only) analyze request this single-window

@@ -16,27 +16,23 @@ def test_defaults_have_default_origin():
     for row in rows.values():
         assert row["origin"] == "default"
         assert row["raw"] is None
-    assert len(rows) == 4
-    assert rows["REPRO_NO_TELEMETRY"]["value"] == "enabled"
+    assert len(rows) == 2
     assert rows["REPRO_PROVENANCE"]["value"] == "off"
-    assert rows["REPRO_NO_FLIGHT"]["value"] == "armable"
 
 
 def test_truthy_override_flips_value_and_origin():
-    rows = by_env({"REPRO_NO_TELEMETRY": "1", "REPRO_PROVENANCE": "yes"})
-    assert rows["REPRO_NO_TELEMETRY"]["value"] == "disabled"
-    assert rows["REPRO_NO_TELEMETRY"]["origin"] == "env"
+    rows = by_env({"REPRO_PROVENANCE": "yes"})
     assert rows["REPRO_PROVENANCE"]["value"] == "recording"
     assert rows["REPRO_PROVENANCE"]["origin"] == "env"
 
 
 def test_falsey_string_is_still_the_default_outcome():
-    # REPRO_NO_TELEMETRY=0 does not disable anything: the subsystems only
-    # honor truthy strings, and doctor must agree with them
-    rows = by_env({"REPRO_NO_TELEMETRY": "0"})
-    assert rows["REPRO_NO_TELEMETRY"]["value"] == "enabled"
-    assert rows["REPRO_NO_TELEMETRY"]["origin"] == "default"
-    assert rows["REPRO_NO_TELEMETRY"]["raw"] == "0"
+    # REPRO_PROVENANCE=0 does not enable anything: serve only honors
+    # truthy strings, and doctor must agree with it
+    rows = by_env({"REPRO_PROVENANCE": "0"})
+    assert rows["REPRO_PROVENANCE"]["value"] == "off"
+    assert rows["REPRO_PROVENANCE"]["origin"] == "default"
+    assert rows["REPRO_PROVENANCE"]["raw"] == "0"
 
 
 def test_value_kind_reports_the_raw_setting():
@@ -48,11 +44,11 @@ def test_value_kind_reports_the_raw_setting():
 
 
 def test_config_snapshot_is_keyed_by_env_var():
-    snap = config_snapshot({"REPRO_NO_FLIGHT": "true"})
+    snap = config_snapshot({"REPRO_PROVENANCE": "true"})
     assert set(snap) == {h.env for h in HATCHES}
-    assert snap["REPRO_NO_FLIGHT"] == {
-        "value": "hard-disabled", "origin": "env", "raw": "true"}
-    assert "raw" not in snap["REPRO_NO_TELEMETRY"]
+    assert snap["REPRO_PROVENANCE"] == {
+        "value": "recording", "origin": "env", "raw": "true"}
+    assert "raw" not in snap["REPRO_BENCH_MAX_NODES"]
 
 
 def test_render_lists_every_hatch_with_header():

@@ -21,6 +21,7 @@ import pytest
 from repro import (ALGORITHMS, READ, READ_WRITE, Extent, IndexSpace,
                    RegionRequirement, RegionTree, Runtime)
 from repro.obs import provenance as prov
+from repro.obs import tracer as obs
 from repro.obs.provenance import explain_task
 
 
@@ -30,8 +31,8 @@ def _run_golden(algo: str):
         "P", [IndexSpace.from_range(0, 8), IndexSpace.from_range(8, 16)],
         disjoint=True, complete=True)
     G = tree.root.create_partition("G", [IndexSpace.from_range(4, 12)])
-    led = prov.ProvenanceLedger(enabled=True)
-    previous = prov.set_ledger(led)
+    tracer = obs.Tracer(witnesses=True)
+    previous = obs.set_tracer(tracer)
     try:
         rt = Runtime(tree, {"x": np.zeros(16)}, algorithm=algo)
         rt.launch("init", [RegionRequirement(tree.root, "x", READ_WRITE)])
@@ -39,8 +40,8 @@ def _run_golden(algo: str):
         rt.launch("ghost-read", [RegionRequirement(G[0], "x", READ)])
         rt.launch("final", [RegionRequirement(tree.root, "x", READ_WRITE)])
     finally:
-        prov.set_ledger(previous)
-    return rt, led
+        obs.set_tracer(previous)
+    return rt, prov.Witnesses(tracer.snapshot())
 
 
 @pytest.mark.parametrize("algo", list(ALGORITHMS))

@@ -9,7 +9,6 @@ import pytest
 from repro.cli import main
 from repro.distributed.faults import FakeClock
 from repro.obs.export import (load_trace, spans_from_events,
-                              telemetry_counter_events, telemetry_trace,
                               to_chrome_trace, trace_events,
                               validate_trace, write_trace)
 from repro.obs.metrics import MetricsRegistry
@@ -163,56 +162,6 @@ class TestCliRoundTrip:
         bad.write_text("{\"traceEvents\": [{\"ph\": \"Z\"}]}")
         assert main(["prof", str(bad)]) == 1
         assert "not a valid trace" in capsys.readouterr().err
-
-
-class TestTelemetryBridge:
-    def make_samples(self):
-        from repro.obs.telemetry import QuantileDigest, TelemetrySample
-
-        digest = QuantileDigest((0.01, 0.1))
-        digest.observe(0.05, n=3)
-        return [
-            TelemetrySample(
-                ts=10.0, interval=1.0,
-                counters={'service.completed{tenant="t0"}': 4.0,
-                          "geom.cache.hits": 20.0},
-                gauges={"service.inflight": 2.0}),
-            TelemetrySample(
-                ts=11.0, interval=1.0,
-                counters={'service.completed{tenant="t0"}': 6.0,
-                          "geom.cache.hits": 10.0},
-                gauges={"service.inflight": 1.0},
-                digests={"service.latency_seconds": digest}),
-        ]
-
-    def test_counter_events_gauges_and_rates(self):
-        events = telemetry_counter_events(self.make_samples())
-        names = {e["name"] for e in events}
-        # gauges emit raw values; service counters emit .rate series;
-        # non-service counters are filtered by default
-        assert names == {"service.inflight",
-                         'service.completed{tenant="t0"}.rate'}
-        assert all(e["ph"] == "C" and e["cat"] == "telemetry"
-                   for e in events)
-        by_ts = {(e["name"], e["ts"]): e["args"]["value"] for e in events}
-        assert by_ts[("service.inflight", 0.0)] == 2.0
-        assert by_ts[('service.completed{tenant="t0"}.rate', 1e6)] == 6.0
-        assert telemetry_counter_events([]) == []
-
-    def test_names_filter_uses_base_names(self):
-        events = telemetry_counter_events(self.make_samples(),
-                                          names={"geom.cache.hits"})
-        assert {e["name"] for e in events} == {"geom.cache.hits.rate"}
-
-    def test_telemetry_trace_round_trips_validation(self, tmp_path):
-        trace = telemetry_trace(self.make_samples())
-        assert validate_trace(trace) == []
-        meta = [e for e in trace["traceEvents"] if e["ph"] == "M"]
-        assert meta[0]["args"]["name"] == "telemetry"
-        # the serialized object survives a disk round-trip as valid JSON
-        path = tmp_path / "telemetry-trace.json"
-        path.write_text(json.dumps(trace, separators=(",", ":")))
-        assert validate_trace(json.loads(path.read_text())) == []
 
 
 def test_validate_reports_offending_index_and_key_path():

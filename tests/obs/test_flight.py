@@ -1,19 +1,19 @@
-"""Flight recorder: rings, triggers, cooldown, rotation, size cap,
-schema validation, and the incident report.  Everything runs on a
-FakeClock — no sleeps, no real incidents required."""
+"""Flight recorder: the bounded tracer it reads, triggers, cooldown,
+rotation, size cap, schema validation, and the incident report.
+Everything runs on a FakeClock — no sleeps, no real incidents required."""
 
 import json
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
 
 from repro.distributed.faults import FakeClock
 from repro.obs import tracer as tracing
-from repro.obs.flight import (BLACKBOX_SCHEMA, ENV_DISABLE, FlightRecorder,
-                              active_recorder, blackbox_spans,
-                              load_blackbox, render_blackbox, set_recorder,
-                              validate_blackbox)
-from repro.obs.tracer import Instant, Span
+from repro.obs.flight import (BLACKBOX_SCHEMA, FlightRecorder,
+                              blackbox_spans, load_blackbox,
+                              render_blackbox, validate_blackbox)
+from repro.obs.tracer import Instant, Span, TraceBuffer, Tracer
 
 
 def make_span(n, tid=0, start=0.0, dur=0.01, category="task", **args):
@@ -32,37 +32,47 @@ def make_event(kind, tenant="t0", session=0, detail="", at=1.0):
                            detail=detail, at=at)
 
 
-def make_recorder(directory=None, **kw):
-    kw.setdefault("clock", FakeClock())
-    kw.setdefault("armed", True)
-    return FlightRecorder(directory, **kw)
+def make_recorder(directory=None, clock=None, capacity=256, **kw):
+    tracer = Tracer(clock=clock or FakeClock(), capacity=capacity)
+    return FlightRecorder(tracer, directory, **kw)
+
+
+def record(rec, *events):
+    """Put finished spans / instants on the recorder's tracer the way a
+    worker's reply fragment arrives (ids are re-issued on the way in)."""
+    rec.tracer.absorb(TraceBuffer(
+        spans=[e for e in events if isinstance(e, Span)],
+        instants=[e for e in events if isinstance(e, Instant)]))
 
 
 # ----------------------------------------------------------------------
 # rings
 # ----------------------------------------------------------------------
 def test_disarmed_recorder_records_nothing():
-    rec = make_recorder(armed=False)
-    rec.record_span(make_span(0))
-    rec.record_instant(make_instant())
-    rec.record_event(make_event("alert", detail="x firing"))
+    """The tracer's ``enabled`` is the one switch: over a disabled tracer
+    no span or instant is kept and no recovery instant reaches the
+    trigger."""
+    rec = FlightRecorder(Tracer(clock=FakeClock(), enabled=False,
+                                capacity=4))
+    with rec.tracer.span("work", "task"):
+        pass
+    rec.tracer.instant("crash", "recovery")
     snap = rec.snapshot()
     assert snap["shards"] == {}
     assert snap["instants"] == []
-    assert snap["tenants"] == {}
     assert rec.triggers_seen == 0
 
 
 def test_rings_are_bounded_per_shard():
-    rec = make_recorder(span_capacity=4)
+    rec = make_recorder(capacity=4)
     for n in range(10):
-        rec.record_span(make_span(n, tid=n % 2))
+        record(rec, make_span(n, tid=n % 2))
     snap = rec.snapshot()
     assert set(snap["shards"]) == {"0", "1"}
     for shard in snap["shards"].values():
         assert len(shard["spans"]) == 4
     # the ring kept the newest spans, oldest evicted
-    assert snap["shards"]["0"]["spans"][-1]["span_id"] == 8
+    assert snap["shards"]["0"]["spans"][-1]["name"] == "s8"
 
 
 def test_event_rings_are_keyed_per_tenant():
@@ -108,14 +118,16 @@ def test_benign_events_do_not_trigger(tmp_path):
 
 def test_recovery_instant_triggers(tmp_path):
     rec = make_recorder(tmp_path, cooldown=0.0)
-    rec.record_instant(make_instant("respawn", "recovery", ts=2.0))
+    rec.tracer.instant("respawn", "recovery")
     assert rec.dumps_written == 1
     data = load_blackbox(rec.last_dump)
     assert data["trigger"]["kind"] == "recovery"
     assert data["trigger"]["name"] == "respawn"
     # non-recovery instants land in the ring without dumping
-    rec.record_instant(make_instant("note", "service", ts=3.0))
+    rec.tracer.instant("note", "service")
     assert rec.dumps_written == 1
+    assert [i["name"] for i in rec.snapshot()["instants"]] \
+        == ["respawn", "note"]
 
 
 def test_cooldown_debounces_alert_storms(tmp_path):
@@ -153,16 +165,15 @@ def test_rotation_keeps_newest_max_dumps(tmp_path):
 
 
 def test_size_cap_sheds_oldest_evidence_and_accounts(tmp_path):
-    rec = make_recorder(tmp_path, span_capacity=512, max_bytes=4096)
-    for n in range(200):
-        rec.record_span(make_span(n, note="x" * 64))
+    rec = make_recorder(tmp_path, capacity=512, max_bytes=4096)
+    record(rec, *(make_span(n, note="x" * 64) for n in range(200)))
     path = rec.dump()
     assert path.stat().st_size <= 4096 + 2  # trailing newline
     data = load_blackbox(path)
     assert data["dropped"]["spans"] > 0
     kept = data["shards"]["0"]["spans"]
     assert kept  # newest spans survive the shedding
-    assert kept[-1]["span_id"] == 199
+    assert kept[-1]["name"] == "s199"
 
 
 # ----------------------------------------------------------------------
@@ -170,8 +181,7 @@ def test_size_cap_sheds_oldest_evidence_and_accounts(tmp_path):
 # ----------------------------------------------------------------------
 def valid_dump():
     rec = make_recorder()
-    rec.record_span(make_span(0))
-    rec.record_instant(make_instant())
+    record(rec, make_span(0), make_instant())
     rec.record_event(make_event("expired"))
     return rec.snapshot()
 
@@ -225,7 +235,7 @@ def test_snapshot_survives_a_raising_exemplar_source():
         raise RuntimeError("registry gone")
 
     rec = make_recorder(exemplar_source=broken)
-    rec.record_span(make_span(0))
+    record(rec, make_span(0))
     data = rec.snapshot()
     assert data["exemplars"] == []
     assert validate_blackbox(data) == []
@@ -237,20 +247,21 @@ def test_snapshot_survives_a_raising_exemplar_source():
 def test_render_blackbox_sections():
     rec = make_recorder()
     base = 0.0
-    for n in range(3):
-        rec.record_span(make_span(n, start=base + n * 0.01,
-                                  task_id=n, deps=[]))
-    rec.record_span(make_span(99, category="service.session",
-                              start=base, dur=0.05, tenant="t0",
-                              session=4, app="stencil", pieces=4,
-                              iterations=1, algorithm="raycast",
-                              backend="process"))
-    rec.record_instant(make_instant("fault.crash", "recovery", ts=0.02))
+    record(rec,
+           *(make_span(n, start=base + n * 0.01, task_id=n, deps=[])
+             for n in range(3)),
+           make_span(99, category="service.session", start=base, dur=0.05,
+                     tenant="t0", session=4, app="stencil", pieces=4,
+                     iterations=1, algorithm="raycast", backend="process"),
+           make_instant("fault.crash", "recovery", ts=0.02))
     rec.record_event(make_event("expired", tenant="t0", session=4,
                                 detail="expired in queue", at=0.03))
+    session = next(s for s in rec.tracer.snapshot().spans
+                   if s.category == "service.session")
     rec.exemplar_source = lambda: [
         {"metric": "service.latency_seconds", "value": 0.05, "seq": 1,
-         "trace": 99, "tenant": "t0", "session": 4, "bucket": 0.1},
+         "trace": session.span_id, "tenant": "t0", "session": 4,
+         "bucket": 0.1},
         {"metric": "service.latency_seconds", "value": 0.01, "seq": 2,
          "trace": 12345, "tenant": "t0", "session": 5, "bucket": 0.1},
     ]
@@ -271,13 +282,13 @@ def test_render_blackbox_sections():
 
 def test_render_config_section_names_overrides():
     rec = make_recorder(
-        config_source=lambda: {"REPRO_NO_TELEMETRY":
-                               {"value": "disabled", "origin": "env"}})
+        config_source=lambda: {"REPRO_PROVENANCE":
+                               {"value": "recording", "origin": "env"}})
     report = render_blackbox(rec.snapshot())
-    assert "REPRO_NO_TELEMETRY=disabled" in report
+    assert "REPRO_PROVENANCE=recording" in report
     rec = make_recorder(
-        config_source=lambda: {"REPRO_NO_TELEMETRY":
-                               {"value": "enabled", "origin": "default"}})
+        config_source=lambda: {"REPRO_PROVENANCE":
+                               {"value": "off", "origin": "default"}})
     report = render_blackbox(rec.snapshot())
     assert "all escape hatches at defaults" in report
 
@@ -285,57 +296,27 @@ def test_render_config_section_names_overrides():
 def test_blackbox_spans_round_trip():
     rec = make_recorder()
     original = make_span(7, tid=3, start=1.0, task_id=7)
-    rec.record_span(original)
+    record(rec, original)
     spans = blackbox_spans(rec.snapshot())
     assert len(spans) == 1
-    assert spans[0] == original
+    assert spans[0] == replace(original, span_id=spans[0].span_id)
 
 
 # ----------------------------------------------------------------------
-# arming + global plumbing
+# plumbing: the recorder reads the tracer the instrumentation feeds
 # ----------------------------------------------------------------------
-def test_env_hatch_refuses_arming(monkeypatch):
-    monkeypatch.setenv(ENV_DISABLE, "1")
-    rec = FlightRecorder(armed=True)
-    assert not rec.armed
-    assert rec.arm() is False
-    rec.record_span(make_span(0))
-    assert rec.snapshot()["shards"] == {}
-    monkeypatch.delenv(ENV_DISABLE)
-    assert rec.arm() is True
-
-
 def test_tracer_hooks_feed_the_installed_recorder():
     rec = make_recorder()
-    previous = set_recorder(rec)
-    prev_tracer = tracing.set_tracer(
-        tracing.Tracer(enabled=True, retain=False))
+    prev_tracer = tracing.set_tracer(rec.tracer)
     try:
-        assert active_recorder() is rec
         with tracing.span("work", "task", task_id=3):
             pass
         tracing.instant("note", "service")
     finally:
         tracing.set_tracer(prev_tracer)
-        set_recorder(previous)
     snap = rec.snapshot()
     spans = [s for shard in snap["shards"].values()
              for s in shard["spans"]]
     assert [s["name"] for s in spans] == ["work"]
     assert spans[0]["args"]["task_id"] == 3
     assert [i["name"] for i in snap["instants"]] == ["note"]
-
-
-def test_absorb_feeds_flight_even_without_retention():
-    rec = make_recorder()
-    previous = set_recorder(rec)
-    tracer = tracing.Tracer(enabled=True, retain=False)
-    try:
-        tracer.absorb([make_span(0, tid=5)],
-                      [make_instant("respawn", "recovery", ts=1.0)])
-    finally:
-        set_recorder(previous)
-    snap = rec.snapshot()
-    assert set(snap["shards"]) == {"5"}
-    assert snap["instants"][0]["name"] == "respawn"
-    assert tracer.snapshot().spans == []  # retain=False buffers nothing

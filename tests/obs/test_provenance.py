@@ -1,21 +1,38 @@
-"""Unit tests for the provenance ledger: record lifecycle, shard
-attribution, the stable (``id()``-free) wire format, and the
-``explain`` rendering."""
+"""Unit tests for dependence provenance: the witness payload the tracer
+records on access spans, the typed :class:`Witnesses` view over a trace
+buffer (shard / tenant attribution read off the surrounding spans), the
+stable (``id()``-free) wire format, and the ``explain`` rendering."""
 
 import pickle
 import threading
-
-import pytest
+from contextlib import contextmanager
 
 from repro import READ, READ_WRITE, IndexSpace, Runtime
 from repro import reduce as reduce_priv
-from repro.obs import provenance as prov
+from repro.obs import tracer as obs
 from repro.obs.provenance import (AGGREGATE_SRC, DRIVER_SHARD, INITIAL_SRC,
-                                  AccessRecord, EdgeWitness, ProvenanceLedger,
-                                  PruneRecord, domain_desc, explain_task,
-                                  format_domain, privilege_label)
+                                  AccessRecord, EdgeWitness, PruneRecord,
+                                  Witnesses, describe_access, domain_desc,
+                                  explain_task, format_domain,
+                                  privilege_label)
+from repro.obs.tracer import Tracer
 
 from tests.conftest import fig1_initial, fig1_stream, make_fig1_tree
+
+
+@contextmanager
+def access(tracer, task_id, field, algorithm, privilege, space,
+           phase="materialize"):
+    """One access the way the runtime records it: a ``task`` span whose
+    child — the algorithm's materialize/commit span — is the record."""
+    with tracer.span("t", "task", task_id=task_id):
+        with tracer.span(phase, f"visibility.{algorithm}") as led:
+            describe_access(led, field, algorithm, privilege, space, phase)
+            yield led
+
+
+def witnesses(tracer):
+    return Witnesses(tracer.snapshot())
 
 
 # ----------------------------------------------------------------------
@@ -36,28 +53,34 @@ def test_domain_desc_is_content_based():
 
 
 # ----------------------------------------------------------------------
-# ledger lifecycle
+# record lifecycle
 # ----------------------------------------------------------------------
 def test_disabled_ledger_records_nothing():
-    led = ProvenanceLedger(enabled=False)
-    led.begin_access(0, "x", "raycast", READ, IndexSpace.from_range(0, 4))
-    led.edge(1, "history", "read", (0, 3, 4))
-    led.end_access()
-    assert len(led) == 0
-    assert led.scope(3) is prov._NOOP_SCOPE
+    """Below the witness level the analysis is handed no ``led`` and the
+    view finds no records — spans-only and disabled tracers alike."""
+    tree, P, G = make_fig1_tree()
+    for tracer in (Tracer(), Tracer(enabled=False)):
+        previous = obs.set_tracer(tracer)
+        try:
+            rt = Runtime(tree, fig1_initial(tree), algorithm="raycast")
+            rt.replay(fig1_stream(tree, P, G, 1))
+        finally:
+            obs.set_tracer(previous)
+        assert len(witnesses(tracer)) == 0
+        assert not any("phase" in s.args for s in tracer.snapshot().spans)
 
 
 def test_record_lifecycle_and_queries():
-    led = ProvenanceLedger(enabled=True)
+    t = Tracer()
     space = IndexSpace.from_range(0, 8)
-    led.begin_access(5, "x", "raycast", READ_WRITE, space)
-    led.set_source(("eqset", 0, 7, 8))
-    led.edge(3, "eqset", "read", (0, 7, 8))
-    led.edge(4, "summary", "read-write", (0, 3, 4), collapsed=(1, 2))
-    led.prune(0, "dominated", (0, 7, 8))
-    led.visit("eqsets", 2)
-    led.visit("eqsets")
-    led.end_access()
+    with access(t, 5, "x", "raycast", READ_WRITE, space) as led:
+        led.set_source(("eqset", 0, 7, 8))
+        led.edge(3, "eqset", "read", (0, 7, 8))
+        led.edge(4, "summary", "read-write", (0, 3, 4), collapsed=(1, 2))
+        led.prune(0, "dominated", (0, 7, 8))
+        led.visit("eqsets", 2)
+        led.visit("eqsets")
+    led = witnesses(t)
     assert len(led) == 1
     (rec,) = led.records_for(5)
     assert rec.phase == "materialize"
@@ -73,88 +96,86 @@ def test_record_lifecycle_and_queries():
 
 
 def test_end_access_drops_empty_when_asked():
-    led = ProvenanceLedger(enabled=True)
+    """A commit (or replay) that witnessed nothing is not a record; an
+    empty materialize is ("no dependences" is an answer)."""
+    t = Tracer()
     space = IndexSpace.from_range(0, 4)
-    led.begin_access(0, "x", "painter", READ, space, phase="commit")
-    led.end_access(keep_empty=False)
-    assert len(led) == 0
-    led.begin_access(0, "x", "painter", READ, space, phase="commit")
-    led.end_access(keep_empty=True)
-    assert len(led) == 1
+    with access(t, 0, "x", "painter", READ, space, phase="commit"):
+        pass
+    with access(t, 0, "x", "painter", READ, space, phase="replay"):
+        pass
+    assert len(witnesses(t)) == 0
+    with access(t, 0, "x", "painter", READ, space):
+        pass
+    assert len(witnesses(t)) == 1
 
 
 def test_hooks_without_open_record_are_noops():
-    led = ProvenanceLedger(enabled=True)
-    led.edge(1, "history", "read", (0, 3, 4))
-    led.prune(1, "disjoint", (0, 3, 4))
-    led.visit("eqsets")
-    led.end_access()
-    assert len(led) == 0
+    """An access span outside any task (``read_field``'s observation) is
+    recorded as a span but is nobody's access record."""
+    t = Tracer()
+    with t.span("materialize", "visibility.raycast") as led:
+        describe_access(led, "x", "raycast", READ,
+                        IndexSpace.from_range(0, 4), "materialize")
+        led.edge(1, "history", "read", (0, 3, 4))
+        led.prune(1, "disjoint", (0, 3, 4))
+        led.visit("eqsets")
+    assert len(t.snapshot().spans) == 1
+    assert len(witnesses(t)) == 0
 
 
 def test_shard_scope_tags_and_restores():
-    led = ProvenanceLedger(enabled=True)
+    t = Tracer()
     space = IndexSpace.from_range(0, 4)
-    with led.scope(shard=2):
-        led.begin_access(0, "x", "warnock", READ, space)
-        led.end_access()
-        with led.scope(shard=5):
-            led.begin_access(1, "x", "warnock", READ, space)
-            led.end_access()
-        led.begin_access(2, "x", "warnock", READ, space)
-        led.end_access()
-    led.begin_access(3, "x", "warnock", READ, space)
-    led.end_access()
-    shards = [r.shard for r in led.snapshot()]
-    assert shards == [2, 5, 2, DRIVER_SHARD]
-    assert led.by_shard() == {2: 2, 5: 1, DRIVER_SHARD: 1}
+    with t.scope(tid=2):
+        with access(t, 0, "x", "warnock", READ, space):
+            pass
+        with t.scope(tid=5):
+            with access(t, 1, "x", "warnock", READ, space):
+                pass
+        with access(t, 2, "x", "warnock", READ, space):
+            pass
+    with access(t, 3, "x", "warnock", READ, space):
+        pass
+    led = witnesses(t)
+    shards = {r.task_id: r.shard for r in led.records}
+    assert shards == {0: 2, 1: 5, 2: 2, 3: DRIVER_SHARD}
 
 
 def test_drain_and_absorb():
-    led = ProvenanceLedger(enabled=True)
+    t = Tracer()
     space = IndexSpace.from_range(0, 4)
-    led.begin_access(0, "x", "painter", READ, space)
-    led.end_access()
-    drained = led.drain()
-    assert len(drained) == 1 and len(led) == 0
-    led.absorb(drained)
-    led.absorb([])
-    assert len(led) == 1
+    with access(t, 0, "x", "painter", READ, space):
+        pass
+    drained = t.drain()
+    assert len(Witnesses(drained)) == 1 and len(witnesses(t)) == 0
+    t.absorb(drained)
+    t.absorb(obs.TraceBuffer())
+    assert len(witnesses(t)) == 1
 
 
 def test_thread_local_open_records():
     """Two threads interleaving accesses never corrupt each other."""
-    led = ProvenanceLedger(enabled=True)
+    t = Tracer()
     space = IndexSpace.from_range(0, 4)
     barrier = threading.Barrier(2)
 
     def work(task_id):
-        with led.scope(shard=task_id):
-            led.begin_access(task_id, "x", "raycast", READ, space)
-            barrier.wait()
-            led.edge(100 + task_id, "eqset", "read", (0, 3, 4))
-            led.end_access()
+        with t.scope(tid=task_id):
+            with access(t, task_id, "x", "raycast", READ, space) as led:
+                barrier.wait()
+                led.edge(100 + task_id, "eqset", "read", (0, 3, 4))
 
     threads = [threading.Thread(target=work, args=(i,)) for i in (1, 2)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join()
+    led = witnesses(t)
     for task_id in (1, 2):
         (rec,) = led.records_for(task_id)
         assert rec.shard == task_id
         assert rec.dep_ids == {100 + task_id}
-
-
-def test_set_ledger_swaps_global():
-    led = ProvenanceLedger(enabled=True)
-    previous = prov.set_ledger(led)
-    try:
-        assert prov.active_ledger() is led
-        assert prov._LEDGER is led
-    finally:
-        prov.set_ledger(previous)
-    assert prov.active_ledger() is previous
 
 
 # ----------------------------------------------------------------------
@@ -192,15 +213,15 @@ def _sharded_records(backend, shards=2):
     from repro.distributed import ShardedRuntime
 
     tree, P, G = make_fig1_tree()
-    led = ProvenanceLedger(enabled=True)
-    previous = prov.set_ledger(led)
+    tracer = Tracer(witnesses=True)
+    previous = obs.set_tracer(tracer)
     try:
         with ShardedRuntime(tree, fig1_initial(tree), shards=shards,
                             algorithm="raycast", backend=backend) as srt:
             srt.analyze(fig1_stream(tree, P, G, 2))
     finally:
-        prov.set_ledger(previous)
-    return led.snapshot()
+        obs.set_tracer(previous)
+    return witnesses(tracer).records
 
 
 def test_records_are_primitive_and_pickle_stable():
@@ -233,21 +254,19 @@ def test_process_backend_round_trip_matches_serial():
 # explain rendering
 # ----------------------------------------------------------------------
 def test_explain_no_records_message():
-    led = ProvenanceLedger(enabled=True)
-    text = explain_task(led, 7)
+    text = explain_task(witnesses(Tracer()), 7)
     assert "no provenance recorded" in text
 
 
 def test_explain_renders_witnesses_and_sentinels():
-    led = ProvenanceLedger(enabled=True)
+    t = Tracer()
     space = IndexSpace.from_range(0, 8)
-    led.begin_access(3, "x", "tree_painter", READ_WRITE, space)
-    led.set_source(("treenode", 4))
-    led.edge(INITIAL_SRC, "history", "read-write", (0, 7, 8))
-    led.edge(2, "summary", "read", (0, 3, 4), collapsed=(0, 1))
-    led.prune(AGGREGATE_SRC, "view_occluded", (0, 7, 8))
-    led.end_access()
-    text = explain_task(led, 3)
+    with access(t, 3, "x", "tree_painter", READ_WRITE, space) as led:
+        led.set_source(("treenode", 4))
+        led.edge(INITIAL_SRC, "history", "read-write", (0, 7, 8))
+        led.edge(2, "summary", "read", (0, 3, 4), collapsed=(0, 1))
+        led.prune(AGGREGATE_SRC, "view_occluded", (0, 7, 8))
+    text = explain_task(witnesses(t), 3)
     assert "task 3" in text
     assert "[materialize] field 'x' read-write on [0,7] n=8" in text
     assert "initial write (pre-program state)" in text
@@ -258,13 +277,13 @@ def test_explain_renders_witnesses_and_sentinels():
 
 
 def test_explain_edge_filter():
-    led = ProvenanceLedger(enabled=True)
+    t = Tracer()
     space = IndexSpace.from_range(0, 8)
-    led.begin_access(5, "x", "raycast", READ, space)
-    led.set_source(("eqset", 0, 7, 8))
-    led.edge(1, "eqset", "read-write", (0, 7, 8))
-    led.edge(2, "eqset", "read-write", (0, 7, 8))
-    led.end_access()
+    with access(t, 5, "x", "raycast", READ, space) as led:
+        led.set_source(("eqset", 0, 7, 8))
+        led.edge(1, "eqset", "read-write", (0, 7, 8))
+        led.edge(2, "eqset", "read-write", (0, 7, 8))
+    led = witnesses(t)
     text = explain_task(led, 5, edge=(1, 5))
     assert "edge 5 <- 1" in text
     assert "edge 5 <- 2" not in text
@@ -274,15 +293,15 @@ def test_explain_edge_filter():
 
 def test_explain_uses_task_names():
     tree, P, G = make_fig1_tree()
-    led = ProvenanceLedger(enabled=True)
-    previous = prov.set_ledger(led)
+    tracer = Tracer(witnesses=True)
+    previous = obs.set_tracer(tracer)
     try:
         rt = Runtime(tree, fig1_initial(tree), algorithm="raycast")
         rt.replay(fig1_stream(tree, P, G, 1))
     finally:
-        prov.set_ledger(previous)
+        obs.set_tracer(previous)
     task_id = 5
-    text = explain_task(led, task_id, tasks=rt.tasks)
+    text = explain_task(witnesses(tracer), task_id, tasks=rt.tasks)
     assert f"task {task_id} ({rt.tasks[task_id].name})" in text
 
 
@@ -290,39 +309,40 @@ def test_explain_uses_task_names():
 # tenant attribution (the analysis-service isolation seam)
 # ----------------------------------------------------------------------
 def test_tenant_scope_stamps_records():
-    led = ProvenanceLedger(enabled=True)
+    """The tenant is read off the enclosing ``service.session`` span."""
+    t = Tracer()
     space = IndexSpace.from_range(0, 4)
-    with led.scope(tenant="alice"):
-        led.begin_access(0, "x", "raycast", READ, space)
-        led.end_access()
-        # shard scopes nest inside a tenant scope without clobbering it
-        with led.scope(shard=3):
-            led.begin_access(1, "x", "raycast", READ, space)
-            led.end_access()
-    led.begin_access(2, "x", "raycast", READ, space)
-    led.end_access()
-    records = led.snapshot()
-    assert [r.tenant for r in records] == ["alice", "alice", ""]
-    assert records[1].shard == 3
-    assert led.by_tenant() == {"alice": 2, "": 1}
+    with t.span("session", "service.session", tenant="alice"):
+        with access(t, 0, "x", "raycast", READ, space):
+            pass
+        # a replica's shard scope inside the session keeps the tenant
+        with t.scope(tid=3):
+            with access(t, 1, "x", "raycast", READ, space):
+                pass
+    with access(t, 2, "x", "raycast", READ, space):
+        pass
+    led = witnesses(t)
+    tenants = {r.task_id: r.tenant for r in led.records}
+    assert tenants == {0: "alice", 1: "alice", 2: ""}
+    assert led.records_for(1)[0].shard == 3
     assert len(led.records_for(1, tenant="alice")) == 1
     assert led.records_for(1, tenant="bob") == []
 
 
 def test_absorb_stamps_thread_local_tenant_on_untagged():
-    """Worker-shard fragments arrive untagged; absorbing them inside a
-    tenant scope claims them for that tenant (without overwriting
-    fragments another tenant already tagged)."""
-    led = ProvenanceLedger(enabled=True)
+    """Worker-shard fragments know no tenant; absorbing them inside a
+    session span hangs them under it, which claims them for that tenant
+    (without overwriting a tenant the fragment already names)."""
+    t = Tracer()
     space = IndexSpace.from_range(0, 4)
-    worker = ProvenanceLedger(enabled=True)
-    worker.begin_access(0, "x", "raycast", READ, space)
-    worker.end_access()
-    with worker.scope(tenant="bob"):
-        worker.begin_access(1, "x", "raycast", READ, space)
-        worker.end_access()
-    fragments = worker.drain()
-    with led.scope(tenant="alice"):
-        led.absorb(fragments)
-    tenants = sorted(r.tenant for r in led.snapshot())
+    worker = Tracer()
+    with access(worker, 0, "x", "raycast", READ, space):
+        pass
+    with worker.span("session", "service.session", tenant="bob"):
+        with access(worker, 1, "x", "raycast", READ, space):
+            pass
+    fragment = worker.drain()
+    with t.span("session", "service.session", tenant="alice"):
+        t.absorb(fragment)
+    tenants = sorted(r.tenant for r in witnesses(t).records)
     assert tenants == ["alice", "bob"]

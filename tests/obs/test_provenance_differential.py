@@ -16,18 +16,21 @@ from repro import ALGORITHMS, Runtime
 from repro.distributed import BACKENDS, ShardedRuntime
 from repro.distributed.verify import analysis_fingerprint
 from repro.obs import provenance as prov
+from repro.obs import tracer as obs
 
 from tests.conftest import fig1_initial, fig1_stream, make_fig1_tree
 
 
 def _with_ledger(enabled: bool, fn):
-    """Run ``fn`` under a fresh ledger; return (result, ledger)."""
-    led = prov.ProvenanceLedger(enabled=enabled)
-    previous = prov.set_ledger(led)
+    """Run ``fn`` under a fresh tracer, recording witnesses or only
+    spans; return (result, the witness view of what it recorded)."""
+    tracer = obs.Tracer(witnesses=enabled)
+    previous = obs.set_tracer(tracer)
     try:
-        return fn(), led
+        result = fn()
     finally:
-        prov.set_ledger(previous)
+        obs.set_tracer(previous)
+    return result, prov.Witnesses(tracer.snapshot())
 
 
 def _plain_fingerprint(algo: str) -> str:
@@ -64,7 +67,8 @@ class TestProvenanceDifferential:
             True, lambda: _sharded_fingerprints(algo, backend))
         assert len(recorded) == 1, (algo, backend, sorted(recorded))
         # every replica contributed shard-tagged records
-        assert sorted(led.by_shard()) == [0, 1, 2], (algo, backend)
+        assert {r.shard for r in led.records} == {0, 1, 2}, \
+            (algo, backend)
         silent, _ = _with_ledger(
             False, lambda: _sharded_fingerprints(algo, backend))
         assert recorded == silent, (algo, backend)

@@ -5,8 +5,8 @@ import threading
 import pytest
 
 from repro.distributed.faults import FakeClock
-from repro.obs.tracer import (DRIVER_PID, Span, Tracer, active_tracer,
-                              set_tracer, span, traced)
+from repro.obs.tracer import (DRIVER_PID, Span, TraceBuffer, Tracer,
+                              active_tracer, set_tracer, span, traced)
 
 
 def make_tracer(start=100.0):
@@ -120,10 +120,31 @@ class TestBuffers:
     def test_absorb_shifts_by_offset(self):
         t = make_tracer(start=50.0)
         foreign = [Span("remote", "cat", start=1.0, end=2.0, pid=3, tid=2)]
-        t.absorb(foreign, offset=49.0)
+        # the fragment was drained when its recorder's clock read 1.0
+        t.absorb(TraceBuffer(spans=foreign, clock=1.0))
         (s,) = t.snapshot().spans
         assert (s.start, s.end) == (50.0, 51.0)
         assert (s.pid, s.tid) == (3, 2)
+
+    def test_absorb_renumbers_and_reparents(self):
+        """Span ids are per-process counters: a fragment's ids may collide
+        with the absorber's, so they are re-issued, parent links follow,
+        and the fragment's roots hang under the absorbing span."""
+        t = make_tracer()
+        worker = make_tracer()
+        with worker.scope(pid=2, tid=1):
+            with worker.span("analyze.shard1") as outer:
+                with worker.span("task"):
+                    pass
+        fragment = worker.drain()
+        assert fragment.spans[1].span_id == outer.span_id
+        with t.span("analyze") as driver:
+            t.absorb(fragment)
+        by_name = {s.name: s for s in t.snapshot().spans}
+        assert len({s.span_id for s in by_name.values()}) == 3
+        assert by_name["analyze.shard1"].span_id != outer.span_id
+        assert by_name["task"].parent_id == by_name["analyze.shard1"].span_id
+        assert by_name["analyze.shard1"].parent_id == driver.span_id
 
     def test_drain_empties_buffer(self):
         t = make_tracer()
@@ -138,6 +159,47 @@ class TestBuffers:
         t.counter("tasks", 28)
         (c,) = t.snapshot().counters
         assert (c.name, c.value, c.ts) == ("tasks", 28.0, 100.0)
+
+
+class TestRing:
+    """``capacity`` makes the store a ring of the recent past."""
+
+    @staticmethod
+    def record(t):
+        for n in range(10):
+            with t.scope(tid=n % 2):
+                with t.span(f"s{n}"):
+                    t.clock.advance(1.0)
+                t.instant(f"i{n}")
+                t.counter("c", n)
+
+    def test_never_more_than_capacity_per_track_oldest_evicted(self):
+        t = Tracer(clock=FakeClock(0.0), capacity=3)
+        self.record(t)
+        buf = t.snapshot()
+        by_track = {}
+        for s in buf.spans:
+            by_track.setdefault(s.tid, []).append(s.name)
+        assert by_track == {0: ["s4", "s6", "s8"], 1: ["s5", "s7", "s9"]}
+        assert [i.name for i in buf.instants] == ["i7", "i8", "i9"]
+        assert [c.value for c in buf.counters] == [7.0, 8.0, 9.0]
+
+    @pytest.mark.parametrize("take", ["snapshot", "drain"])
+    def test_agrees_with_unbounded_on_the_retained_suffix(self, take):
+        ring = Tracer(clock=FakeClock(0.0), capacity=3)
+        full = Tracer(clock=FakeClock(0.0))
+        self.record(ring)
+        self.record(full)
+        kept, everything = getattr(ring, take)(), getattr(full, take)()
+
+        def rows(spans, tid):
+            return [(s.name, s.start, s.end, s.pid, s.args) for s in spans
+                    if s.tid == tid]
+
+        for tid in (0, 1):
+            assert rows(kept.spans, tid) == rows(everything.spans, tid)[-3:]
+        assert kept.instants == everything.instants[-3:]
+        assert kept.counters == everything.counters[-3:]
 
 
 class TestGlobalTracer:

@@ -15,8 +15,8 @@ import pytest
 from repro.distributed import ShardedRuntime
 from repro.distributed.faults import FakeClock, RetryPolicy
 from repro.obs import tracer as tracing
-from repro.obs.flight import (FlightRecorder, blackbox_spans,
-                              load_blackbox, set_recorder)
+from repro.obs.flight import (RING_CAPACITY, FlightRecorder,
+                              blackbox_spans, load_blackbox)
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import AVAILABILITY, SloEvaluator, SloSpec
 from repro.obs.telemetry import TelemetryHub
@@ -54,10 +54,10 @@ def run_incident(directory, seed):
     # fresh span ids so same-seed runs produce identical trace refs
     tracing._span_ids = itertools.count(1)
     registry = MetricsRegistry()
-    recorder = FlightRecorder(directory, clock=clock, cooldown=3600.0)
-    previous_recorder = set_recorder(recorder)
-    previous_tracer = tracing.set_tracer(
-        tracing.Tracer(enabled=True, retain=False, clock=clock))
+    recorder = FlightRecorder(
+        tracing.Tracer(clock=clock, capacity=RING_CAPACITY), directory,
+        cooldown=3600.0)
+    previous_tracer = tracing.set_tracer(recorder.tracer)
     hub = TelemetryHub(registry, clock=clock, interval=1.0,
                        windows=WINDOWS,
                        evaluator=SloEvaluator([AVAIL], registry=registry))
@@ -86,18 +86,14 @@ def run_incident(directory, seed):
                 hub.sample()
 
     try:
-        assert recorder.arm()
         run(scenario())
     finally:
         tracing.set_tracer(previous_tracer)
-        set_recorder(previous_recorder)
     return recorder
 
 
 class TestIncidentEndToEnd:
-    def test_outage_fires_alert_and_dumps_a_valid_blackbox(
-            self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_FLIGHT", raising=False)
+    def test_outage_fires_alert_and_dumps_a_valid_blackbox(self, tmp_path):
         recorder = run_incident(tmp_path, seed=7)
         assert recorder.dumps_written == 1
         assert recorder.triggers_seen >= 1
@@ -107,9 +103,7 @@ class TestIncidentEndToEnd:
         assert "firing" in data["trigger"]["detail"]
         assert "availability" in data["trigger"]["detail"]
 
-    def test_dump_attributes_the_offending_tenant(self, tmp_path,
-                                                  monkeypatch):
-        monkeypatch.delenv("REPRO_NO_FLIGHT", raising=False)
+    def test_dump_attributes_the_offending_tenant(self, tmp_path):
         recorder = run_incident(tmp_path, seed=7)
         data = load_blackbox(recorder.last_dump)
 
@@ -128,8 +122,7 @@ class TestIncidentEndToEnd:
         assert all(e["tenant"] == "victim" for e in events)
 
     def test_at_least_one_exemplar_resolves_to_a_dumped_span(
-            self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_FLIGHT", raising=False)
+            self, tmp_path):
         recorder = run_incident(tmp_path, seed=7)
         data = load_blackbox(recorder.last_dump)
 
@@ -147,18 +140,14 @@ class TestIncidentEndToEnd:
 
 
 class TestSeededDeterminism:
-    def test_same_seed_gives_byte_identical_dumps(self, tmp_path,
-                                                  monkeypatch):
-        monkeypatch.delenv("REPRO_NO_FLIGHT", raising=False)
+    def test_same_seed_gives_byte_identical_dumps(self, tmp_path):
         run_incident(tmp_path / "a", seed=11)
         run_incident(tmp_path / "b", seed=11)
         first = (tmp_path / "a" / "blackbox-00000.json").read_bytes()
         again = (tmp_path / "b" / "blackbox-00000.json").read_bytes()
         assert first == again
 
-    def test_different_seed_samples_different_exemplars(
-            self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_FLIGHT", raising=False)
+    def test_different_seed_samples_different_exemplars(self, tmp_path):
         a = run_incident(tmp_path / "a", seed=11)
         c = run_incident(tmp_path / "c", seed=12)
         rows_a = load_blackbox(a.last_dump)["exemplars"]
@@ -187,18 +176,18 @@ class TestObserverEffect:
     @pytest.mark.parametrize("backend,kwargs", BACKENDS,
                              ids=[b for b, _ in BACKENDS])
     def test_fingerprints_identical_recorder_on_and_off(
-            self, backend, kwargs, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_FLIGHT", raising=False)
+            self, backend, kwargs):
 
         def fingerprints(armed):
-            recorder = FlightRecorder()  # no directory: never writes
-            previous = set_recorder(recorder)
+            if not armed:
+                return fig1_fingerprints(backend, kwargs)
+            # no directory: triggers are counted, nothing is written
+            recorder = FlightRecorder(tracing.Tracer(capacity=RING_CAPACITY))
+            previous = tracing.set_tracer(recorder.tracer)
             try:
-                if armed:
-                    assert recorder.arm()
                 return fig1_fingerprints(backend, kwargs)
             finally:
-                set_recorder(previous)
+                tracing.set_tracer(previous)
 
         off = fingerprints(armed=False)
         on = fingerprints(armed=True)

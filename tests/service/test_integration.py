@@ -11,13 +11,14 @@ leak into analysis results.
 import asyncio
 
 import multiprocessing as mp
+from collections import Counter
 
 import pytest
 
 from repro import ALGORITHMS
 from repro.geometry.fastpath import geometry_cache
-from repro.obs import provenance as prov
-from repro.obs.provenance import ProvenanceLedger
+from repro.obs import tracer as obs
+from repro.obs.provenance import Witnesses
 from repro.service import (OK, AnalysisService, SessionRequest,
                            verify_sessions)
 
@@ -101,15 +102,17 @@ class TestProcessIsolation:
 
 class TestTenantIsolationSeams:
     def test_provenance_records_are_tenant_tagged(self):
-        previous = prov.set_ledger(ProvenanceLedger(enabled=True))
+        tracer = obs.Tracer(witnesses=True)
+        previous = obs.set_tracer(tracer)
         try:
             requests = [SessionRequest(tenant=t, algorithm="raycast")
                         for t in TENANTS]
             svc, results = run_sessions("serial", requests)
             assert all(r.status == OK for r in results)
-            by_tenant = prov.active_ledger().by_tenant()
+            by_tenant = Counter(
+                r.tenant for r in Witnesses(tracer.snapshot()).records)
         finally:
-            prov.set_ledger(previous)
+            obs.set_tracer(previous)
         assert set(TENANTS) <= set(by_tenant)
         for tenant in TENANTS:
             assert by_tenant[tenant] > 0

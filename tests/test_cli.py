@@ -166,11 +166,11 @@ class TestExplain:
         assert main(["explain", "9999", "--app", "stencil"]) == 2
 
     def test_ledger_restored_after_explain(self):
-        from repro.obs import provenance as prov
-        before = prov.active_ledger()
+        from repro.obs import tracer as obs
+        before = obs.active_tracer()
         assert main(["explain", "0", "--app", "stencil", "--pieces", "2",
                      "--iterations", "1"]) == 0
-        assert prov.active_ledger() is before
+        assert obs.active_tracer() is before
 
 
 class TestCensus:

@@ -20,6 +20,7 @@ from hypothesis import given, strategies as st
 import repro.visibility.history as hist_mod
 from repro.geometry.index_space import IndexSpace
 from repro.obs import provenance as prov
+from repro.obs.tracer import Tracer
 from repro.privileges import READ, READ_WRITE, reduce
 from repro.visibility.history import (SCAN_VECTOR_MIN, ColumnarHistory,
                                       HistoryEntry, PrivilegeColumns,
@@ -75,19 +76,18 @@ def run_spec(entries, privilege, space, seed_deps=()):
 
 
 def run_scan(entries, privilege, space, container="columnar", seed_deps=()):
-    """One scan under a fresh meter and ledger; returns every observable."""
+    """One scan under a fresh meter and access span; returns every
+    observable."""
     deps = set(seed_deps)
     meter = CostMeter()
-    led = prov.ProvenanceLedger(enabled=True)
-    prev = prov.set_ledger(led)
-    try:
-        led.begin_access(10**6, "x", "test", privilege, space)
+    tracer = Tracer()
+    with tracer.span("t", "task", task_id=10**6), \
+            tracer.span("materialize", "visibility.test") as led:
+        prov.describe_access(led, "x", "test", privilege, space,
+                             "materialize")
         scan_dependences(privilege, space, CONTAINERS[container](entries),
-                         deps, meter)
-        led.end_access()
-    finally:
-        prov.set_ledger(prev)
-    (record,) = led.snapshot()
+                         deps, meter, led)
+    (record,) = prov.Witnesses(tracer.snapshot()).records
     return (deps, meter.snapshot(),
             [(w.src, w.kind, w.privilege, w.domain, w.collapsed)
              for w in record.edges],

@@ -40,14 +40,15 @@ class ListPolicy(CoherenceAlgorithm):
         return self._log
 
     def _collect(self, privilege, region, log, deps, led):
-        scan_dependences(privilege, region.space, log, deps, self.meter)
+        scan_dependences(privilege, region.space, log, deps, self.meter,
+                         led)
 
     def _paint(self, region, log):
         values = np.zeros(region.space.size, dtype=self.dtype)
         paint_into(values, region.space, region.space, log, self.meter)
         return values
 
-    def _record(self, privilege, region, values, task_id):
+    def _record(self, privilege, region, values, task_id, led):
         kept = None if values is None else RegionValues(region.space,
                                                         values.copy())
         self._log.append(HistoryEntry(privilege, region.space, kept, task_id))
