@@ -21,7 +21,7 @@ help:
 	@echo "blackbox-smoke  chaos serve on a bounded, witness-recording tracer -> validate dump (shards, ids, witnesses) -> render"
 	@echo "ledger       the layer ledger: four workloads, every metric (benchmarks/ledger)"
 	@echo "ledger-selftest  the ledger's <20 s self-test + its own tests"
-	@echo "ledger-pair  BASE=<rev> [N=10] [SEED=1]: N alternating ledger runs of BASE and this tree; wins, medians, quartiles"
+	@echo "ledger-pair  BASE=<rev> [N=10] [SEED=1]: N alternating ledger runs of BASE and this tree; wins, medians, quartiles, verdict"
 	@echo "ledger-gate  BASE=<rev> [SEED=1]: one ledger run of BASE, one of this tree, through compare.py; fails on a 'worse' row (the CI gate)"
 	@echo "loc          lines of Python per src/repro package, plus tests/ and benchmarks/"
 	@echo "clean        remove build output, caches and untracked run output"
@@ -114,7 +114,8 @@ ledger-selftest:
 # ledger runs, BASE (a `git archive` export under .bench_build/, so nothing
 # is registered in .git) against this working tree, alternating which side
 # goes first; each pair goes through compare.py, then one table of
-# wins/ties, medians and quartiles per (workload, metric).
+# wins/ties, medians, quartiles and the rule's verdict (gain / loss /
+# no change) per (workload, metric).
 N ?= 10
 SEED ?= 1
 PAIR_DIR = .bench_build/pair
@@ -127,10 +128,12 @@ out, n = sys.argv[1], int(sys.argv[2])
 docs = {side: [json.load(open(f"{out}/{side}-{i}.json"))["workloads"]
                for i in range(1, n + 1)] for side in ("base", "head")}
 def quartiles(values):
-    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return f"{q2:>10.5g} [{q1:.5g}, {q3:.5g}]"
+    return statistics.quantiles(values, n=4, method="inclusive")
+def shown(q):
+    return f"{q[1]:>10.5g} [{q[0]:.5g}, {q[2]:.5g}]"
 print(f"{'workload':<12} {'metric':<24} {'wins/ties/n':<12} "
-      f"{'base median [q1, q3]':<36} {'head median [q1, q3]':<36} head/base")
+      f"{'base median [q1, q3]':<36} {'head median [q1, q3]':<36} "
+      f"{'head/base':<10} verdict")
 for workload in catalogue.WORKLOADS:
     for name, _, better, _ in catalogue.END_TO_END:
         a, b = ([run[workload]["end_to_end"]["metrics"][name]["value"]
@@ -138,9 +141,18 @@ for workload in catalogue.WORKLOADS:
         sign = 1 if better == "higher" else -1
         wins = sum(sign * (y - x) > 0 for x, y in zip(a, b))
         ties = sum(x == y for x, y in zip(a, b))
-        ratio = statistics.median(b) / statistics.median(a)
+        qa, qb = quartiles(a), quartiles(b)
+        # choosing-metrics section 8: a side wins >= 9/10 of the pairs it
+        # did not tie, and the medians differ by more than base's IQR
+        gap, decided, verdict = sign * (qb[1] - qa[1]), n - ties, "no change"
+        if abs(gap) > qa[2] - qa[0]:
+            if gap > 0 and 10 * wins >= 9 * decided:
+                verdict = "gain"
+            elif gap < 0 and 10 * (decided - wins) >= 9 * decided:
+                verdict = "loss"
         print(f"{workload:<12} {name:<24} {f'{wins}/{ties}/{n}':<12} "
-              f"{quartiles(a):<36} {quartiles(b):<36} {ratio:.3f}")
+              f"{shown(qa):<36} {shown(qb):<36} "
+              f"{qb[1] / qa[1]:<10.3f} {verdict}")
 endef
 export LEDGER_PAIR_SUMMARY
 

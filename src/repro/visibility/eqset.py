@@ -11,16 +11,16 @@ Two stores organize the live equivalence sets:
 * :class:`RefinementTreeStore` — Warnock's monotone refinement: splitting a
   set turns its tree node into an interior node with two children, and the
   refinement history doubles as the BVH of section 6.1 (with per-region
-  memoization of constituent sets).
+  memoization of constituent sets: the answer itself until a set splits).
 * :class:`BucketStore` — ray casting's structure: sets are bucketed under
   the leaves of a disjoint-and-complete partition (section 7.1) and may be
-  *removed* as well as split (dominating writes coalesce).  When no such
-  partition exists a K-d tree takes the buckets' place.
+  *removed* as well as split (dominating writes coalesce; one that moves
+  no boundary renews its set in place).  When no such partition exists a
+  K-d tree takes the buckets' place.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -36,9 +36,9 @@ from repro.regions.region import Region
 from repro.visibility.history import (ColumnarHistory, HistoryEntry,
                                       PrivilegeColumns, RegionValues,
                                       paint_into)
-from repro.visibility.meter import CostMeter
+from repro.visibility.meter import CostMeter, UidSource
 
-_eqset_uid = itertools.count()
+_eqset_uid = UidSource()
 
 
 @dataclass(frozen=True)
@@ -84,13 +84,16 @@ class EquivalenceSet:
                  ) -> None:
         if space.is_empty:
             raise CoherenceError("equivalence sets must be non-empty")
-        self.uid = next(_eqset_uid)
+        self.uid = _eqset_uid.take()
         self.space = space
         # columnar backing: the entry list stays authoritative, the
         # privilege/task columns feed the vectorized interference sweep
         self.history: PrivilegeColumns = (
             history if isinstance(history, PrivilegeColumns)
             else PrivilegeColumns(history if history is not None else ()))
+
+    def __setstate__(self, state) -> None:
+        _eqset_uid.restore(self, state)
 
     # ------------------------------------------------------------------
     def split(self, space: IndexSpace,
@@ -200,73 +203,100 @@ class _RefNode:
         return self.children
 
 
+#: what a store walk is charged in: nodes visited, exact tests made
+_WALK_EVENTS = ("bvh_nodes_visited", "intersection_tests")
+
+
+@dataclass(slots=True)
+class _Located:
+    """A named region's memoized answer: the list handed back for the
+    query ``space``, and the modelled ``cost`` of asking again (a
+    :meth:`CostMeter.charge` mapping, None until learned), good while the
+    store's generation is the one stamped here."""
+
+    space: IndexSpace
+    sets: list
+    generation: int
+    cost: Optional[dict]
+    #: Warnock: the leaves the sets hang from (a stale answer re-descends
+    #: from them); ray casting: the sets' uids as of the last walk
+    nodes: Optional[list] = None
+    uids: Optional[list] = None
+
+
 class RefinementTreeStore:
     """Equivalence sets organized by their own refinement history.
 
     Since Warnock's algorithm only ever refines, the history of splits is a
     stable search tree: a query descends from the root into children whose
     bounding interval overlaps, and per-region memoization lets repeat
-    queries start from the nodes found last time (section 6.1).
+    queries start from the nodes found last time (section 6.1).  While no
+    set has split since (``_generation`` counts splits) the memo *is* the
+    answer, charged what descending from its still-leaf nodes would be.
     """
 
     def __init__(self, root: EquivalenceSet,
                  meter: Optional[CostMeter] = None,
                  memoize: bool = True) -> None:
         self._root = _RefNode(root)
-        self._memo: dict[int, list[_RefNode]] = {}
+        self._memo: dict[int, _Located] = {}
         self._memoize = memoize
+        self._generation = 0
         self.meter = meter
 
     # ------------------------------------------------------------------
     def locate(self, space: IndexSpace, region_uid: Optional[int] = None
                ) -> list[EquivalenceSet]:
         """Refine as needed and return the equivalence sets whose union is
-        exactly ``space``.  ``region_uid`` keys memoization when the query
-        comes from a named region."""
+        exactly ``space`` (not to be mutated).  ``region_uid`` keys
+        memoization when the query comes from a named region."""
         if space.is_empty:
             return []
-        starts = self._memo.get(region_uid, None) \
+        memo = self._memo.get(region_uid) \
             if (region_uid is not None and self._memoize) else None
-        roots = starts if starts else [self._root]
-        leaves: list[_RefNode] = []
-        for node in roots:
-            self._descend(node, space, leaves)
-        if self.meter is not None and leaves:
-            self.meter.count("intersection_tests", len(leaves))
-        out: list[EquivalenceSet] = []
-        out_nodes: list[_RefNode] = []
+        if memo is not None and memo.generation == self._generation:
+            if self.meter is not None:
+                self.meter.charge(memo.cost)
+            return memo.sets
+        leaves = self._descend(memo.nodes if memo else [self._root], space)
+        nodes: list[_RefNode] = []
         for leaf in leaves:
-            assert leaf.eqset is not None
             common = leaf.space & space
             if common.is_empty:
                 continue
-            if common.size == leaf.space.size:
-                out.append(leaf.eqset)
-                out_nodes.append(leaf)
-                continue
-            inside, outside = leaf.eqset.split(space, self.meter)
-            assert outside is not None
-            children = leaf.split_to([inside, outside])
-            out.append(inside)
-            out_nodes.append(children[0])
-        if region_uid is not None and self._memoize:
-            self._memo[region_uid] = out_nodes
+            if common.size != leaf.space.size:
+                inside, outside = leaf.eqset.split(space, self.meter)
+                assert outside is not None
+                leaf = leaf.split_to([inside, outside])[0]
+                self._generation += 1
+            nodes.append(leaf)
+        out = [node.eqset for node in nodes]
+        if region_uid is not None and self._memoize and out:
+            # a repeat pops each memoized leaf and tests it, once
+            self._memo[region_uid] = _Located(
+                space, out, self._generation,
+                dict.fromkeys(_WALK_EVENTS, len(out)), nodes=nodes)
         return out
 
-    def _descend(self, node: _RefNode, space: IndexSpace,
-                 leaves: list[_RefNode]) -> None:
+    def _descend(self, roots: list[_RefNode],
+                 space: IndexSpace) -> list[_RefNode]:
+        """The leaves under ``roots`` (each in turn, depth first) whose
+        bounds meet ``space``'s; a node visit per pop, a test per leaf."""
         lo, hi = space.bounds
-        stack = [node]
+        stack, leaves, visited = roots[::-1], [], 0
         while stack:
             cur = stack.pop()
-            if self.meter is not None:
-                self.meter.count("bvh_nodes_visited")
+            visited += 1
             if cur.hi < lo or hi < cur.lo:
                 continue
             if cur.is_leaf:
                 leaves.append(cur)
             else:
                 stack.extend(cur.children)
+        if self.meter is not None:
+            self.meter.charge({"bvh_nodes_visited": visited,
+                               "intersection_tests": len(leaves)})
+        return leaves
 
     def all_sets(self) -> list[EquivalenceSet]:
         """Every live equivalence set (diagnostics / invariant checks)."""
@@ -282,20 +312,27 @@ class RefinementTreeStore:
         return out
 
     def tree_depth(self) -> int:
-        """Height of the refinement tree (diagnostics)."""
-
-        def depth(node: _RefNode) -> int:
-            if node.is_leaf:
-                return 1
-            return 1 + max(depth(c) for c in node.children)
-
-        return depth(self._root)
+        """Height of the refinement tree (diagnostics; a chain grows one
+        level per piece first touched, so no recursion)."""
+        height = 0
+        stack = [(self._root, 1)]
+        while stack:
+            node, depth = stack.pop()
+            height = max(height, depth)
+            stack.extend((child, depth + 1) for child in node.children)
+        return height
 
     def check_invariants(self, root_space: IndexSpace) -> None:
         """Assert the section 6 invariants: sets pairwise disjoint, union
-        covers the root, histories aligned (and columns ≡ entries)."""
+        covers the root, histories aligned (and columns ≡ entries), and
+        every memo whose sets are all live composes its region from
+        exactly the live sets overlapping it."""
         sets = self.all_sets()
         _check_partition(sets, root_space)
+        for memo in self._memo.values():
+            if all(node.is_leaf for node in memo.nodes):
+                _check_memo(memo, sets)
+                _check_partition(memo.sets, memo.space)
         for s in sets:
             s.history.check_columns()
             for e in s.history:
@@ -324,13 +361,16 @@ class LooseEquivalenceSet:
                  = None) -> None:
         if space.is_empty:
             raise CoherenceError("equivalence sets must be non-empty")
-        self.uid = next(_eqset_uid)
+        self.uid = _eqset_uid.take()
         self.space = space
         # columnar backing: per-entry domains ride along as bounds
         # columns, feeding the batched overlap kernel whole-history
         self.history: ColumnarHistory = (
             history if isinstance(history, ColumnarHistory)
             else ColumnarHistory(history if history is not None else ()))
+
+    def __setstate__(self, state) -> None:
+        _eqset_uid.restore(self, state)
 
     def record(self, entry: HistoryEntry,
                compaction_limit: Optional[int] = HISTORY_COMPACTION_LIMIT
@@ -415,10 +455,9 @@ class BucketStore:
         self.meter = meter
         self.partition = partition
         self._sets: dict[int, LooseEquivalenceSet] = {}
-        # per-named-region memo of overlapping sets: valid while every
-        # memoized set is still live — any dominating write that would
-        # change the answer removes at least one of them from _sets
-        self._memo: dict[int, list[LooseEquivalenceSet]] = {}
+        self._memo: dict[int, _Located] = {}  # see overlapping()
+        # counts boundary moves (placements, removals); a renewal is none
+        self._generation = 0
         self._kd: Optional[KDTree] = None
         self._kd_ids: dict[int, int] = {}
         self._buckets: dict[int, dict[int, LooseEquivalenceSet]] = {}
@@ -458,6 +497,7 @@ class BucketStore:
     # index maintenance
     # ------------------------------------------------------------------
     def _index_insert(self, eqset: LooseEquivalenceSet) -> None:
+        self._generation += 1
         self._sets[eqset.uid] = eqset
         if self._kd is not None:
             self._kd_ids[eqset.uid] = self._kd.insert(eqset.space, eqset)
@@ -484,6 +524,7 @@ class BucketStore:
         return placed
 
     def _index_remove(self, eqset: LooseEquivalenceSet) -> None:
+        self._generation += 1
         self._sets.pop(eqset.uid, None)
         if self._kd is not None:
             item = self._kd_ids.pop(eqset.uid, None)
@@ -556,30 +597,45 @@ class BucketStore:
     def overlapping(self, space: IndexSpace,
                     region_uid: Optional[int] = None
                     ) -> list[LooseEquivalenceSet]:
-        """The live sets truly overlapping ``space``.
+        """The live sets truly overlapping ``space`` (not to be mutated).
 
         Reads and reductions never refine sets below bucket granularity
         (no churn), but sets spanning several buckets are first localized
         to the partition leaves (section 7.1).  Memoized per named region:
         valid while every memoized set is still live, because any
         dominating write or localization changing the answer removes at
-        least one of them.
+        least one of them.  A renewal keeps its set live under a fresh
+        uid; the walk re-finding it is modelled, not made: the same sets
+        in the order the buckets now hold them, at the cost the one real
+        walk under this generation learned.
         """
         if space.is_empty:
             return []
-        if region_uid is not None:
-            memo = self._memo.get(region_uid)
-            if memo is not None and all(s.uid in self._sets for s in memo):
-                return list(memo)
+        memo = self._memo.get(region_uid) if region_uid is not None else None
+        uids = [s.uid for s in memo.sets] if memo is not None else None
+        if memo is not None and all(uid in self._sets for uid in uids):
+            if uids == memo.uids:
+                return memo.sets
+            if memo.cost and memo.generation == self._generation:
+                # buckets in partition order, each in insertion (= uid)
+                # order; a walked set sits in exactly one bucket
+                memo.sets = sorted(memo.sets, key=lambda s: (
+                    self._span[s.uid][1][0].uid, s.uid))
+                memo.uids = [s.uid for s in memo.sets]
+                self.meter.charge(memo.cost)
+                return memo.sets
+        generation = self._generation
+        paid = None if self.meter is None else [
+            self.meter.counters[event] for event in _WALK_EVENTS]
         out: list[LooseEquivalenceSet] = []
         candidates = self._candidates(space)
         # one batched pass answers every candidate's exact test up front;
-        # the loop keeps the per-candidate meter counts (and the localize-
-        # during-iteration semantics) exactly as the scalar path had them
+        # the loop keeps the localize-during-iteration semantics exactly
+        # as the scalar path had them
         hits = batch_overlaps(space, [c.space for c in candidates])
+        if self.meter is not None and candidates:
+            self.meter.count("intersection_tests", len(candidates))
         for eqset, hit in zip(candidates, hits):
-            if self.meter is not None:
-                self.meter.count("intersection_tests")
             if not hit:
                 continue
             if self._kd is None:
@@ -589,7 +645,14 @@ class BucketStore:
             else:
                 out.append(eqset)
         if region_uid is not None:
-            self._memo[region_uid] = list(out)
+            cost = None
+            if paid is not None and self._kd is None \
+                    and generation == self._generation:
+                # learned only from a bucket walk that carved nothing
+                cost = {event: self.meter.counters[event] - was
+                        for event, was in zip(_WALK_EVENTS, paid)}
+            self._memo[region_uid] = _Located(
+                space, out, generation, cost, uids=[s.uid for s in out])
         return out
 
     def dominate_write(self, space: IndexSpace,
@@ -601,30 +664,75 @@ class BucketStore:
 
         Sets contained in ``space`` are removed outright; sets straddling
         the boundary are trimmed to their outside part (the only place ray
-        casting still splits).
+        casting still splits).  A write over exactly one bucketed set's
+        own region moves no boundary: that set is renewed in place.
         """
-        for eqset in overlapping:
-            self._index_remove(eqset)
-            remainder = eqset.minus(space, self.meter)
-            if remainder is None:
-                if self.meter is not None:
-                    self.meter.count("eqsets_coalesced")
-            else:
-                self._index_insert(remainder)
-        fresh = LooseEquivalenceSet(space)
-        if self.meter is not None:
-            self.meter.count("eqsets_created")
-        self._index_insert(fresh)
+        only = overlapping[0] if len(overlapping) == 1 else None
+        if self._kd is None and only is not None and (
+                only.space is space or only.space == space):
+            fresh = self._renew(only, space)
+        else:
+            for eqset in overlapping:
+                self._index_remove(eqset)
+                remainder = eqset.minus(space, self.meter)
+                if remainder is None:
+                    if self.meter is not None:
+                        self.meter.count("eqsets_coalesced")
+                else:
+                    self._index_insert(remainder)
+            fresh = LooseEquivalenceSet(space)
+            if self.meter is not None:
+                self.meter.count("eqsets_created")
+            self._index_insert(fresh)
         if region_uid is not None:
-            self._memo[region_uid] = [fresh]
+            self._memo[region_uid] = _Located(
+                space, [fresh], self._generation, None, uids=[fresh.uid])
         return fresh
+
+    def _renew(self, eqset: LooseEquivalenceSet,
+               space: IndexSpace) -> LooseEquivalenceSet:
+        """What remove-then-insert leaves of a set rewritten over its own
+        region, without the walks: same object, buckets and span, empty
+        history, a *fresh* uid keyed last in ``_sets`` and its buckets —
+        fresh because touches are deduplicated by key and the set
+        materialized and the set settled are two objects, last because
+        bucket order is walk order.  Charged as the long way: the span's
+        bounds hits to remove and again to place, one coalesced, one
+        created."""
+        old, eqset.uid, eqset.space = eqset.uid, _eqset_uid.take(), space
+        eqset.history.reset()
+        visited, placed = self._span[eqset.uid] = self._span.pop(old)
+        for keyed in [self._sets] + [self._buckets[r.uid] for r in placed]:
+            del keyed[old]
+            keyed[eqset.uid] = eqset
+        if self.meter is not None:
+            self.meter.charge({"bvh_nodes_visited": 2 * visited,
+                               "eqsets_coalesced": 1, "eqsets_created": 1})
+        return eqset
 
     def check_invariants(self, root_space: IndexSpace) -> None:
         """Assert: sets pairwise disjoint, union covers the root, every
-        history entry contained in its set (and columns ≡ entries), and
-        the span memo ≡ a re-derivation from the bucket bounds."""
+        history entry contained in its set (and columns ≡ entries), the
+        span memo ≡ a re-derivation from the bucket bounds, every all-live
+        region memo ≡ the live sets overlapping its query, and a cost
+        learned under this generation ≡ the walk re-derived from the
+        buckets: the query's bounds hits plus each hit candidate's span's,
+        every candidate tested."""
         sets = self.all_sets()
         _check_partition(sets, root_space)
+        for memo in self._memo.values():
+            if not all(s.uid in self._sets for s in memo.sets):
+                continue
+            _check_memo(memo, sets)
+            if memo.cost and memo.generation == self._generation:
+                near = self._near(memo.space)
+                met = {uid: s for r in near if r.space.overlaps(memo.space)
+                       for uid, s in self._buckets[r.uid].items()}
+                if memo.cost != {"intersection_tests": len(met),
+                                 "bvh_nodes_visited": max(1, len(near)) + sum(
+                                     self._span[uid][0] for uid in met if
+                                     met[uid].space.overlaps(memo.space))}:
+                    raise CoherenceError("learned walk cost diverged")
         spans = {}
         for s in sets:
             s.history.check_columns()
@@ -632,13 +740,17 @@ class BucketStore:
                 if not e.domain.issubset(s.space):
                     raise CoherenceError(f"entry escapes {s!r}")
             if self._kd is None:
-                lo, hi = s.space.bounds
-                near = [r for r in self._bucket_regions
-                        if r.space.bounds[0] <= hi and r.space.bounds[1] >= lo]
+                near = self._near(s.space)
                 spans[s.uid] = (len(near), [r for r in near
                                             if r.space.overlaps(s.space)])
         if self._span != spans:
             raise CoherenceError("bucket-span memo diverged from the buckets")
+
+    def _near(self, space: IndexSpace) -> list[Region]:
+        """``_buckets_overlapping`` re-derived, unmetered (invariants)."""
+        lo, hi = space.bounds
+        return [r for r in self._bucket_regions
+                if r.space.bounds[0] <= hi and r.space.bounds[1] >= lo]
 
     def rebucket(self, partition: Optional[Partition]) -> None:
         """Shift every equivalence set to a new disjoint-complete partition
@@ -693,12 +805,19 @@ def _check_partition(sets, root_space: IndexSpace) -> None:
         raise CoherenceError("equivalence sets do not cover the root")
 
 
+def _check_memo(memo: _Located, live) -> None:
+    """Assert an all-live memo is exactly the live sets on its query."""
+    if {s.uid for s in memo.sets} != {s.uid for s in live
+                                       if s.space.overlaps(memo.space)}:
+        raise CoherenceError("region memo diverged from the live sets")
+
+
 def visit_sets(find, region: Region, meter: CostMeter, led=None) -> list:
     """``find(region.space, region.uid)`` — a store's ``locate`` or
-    ``overlapping`` — plus what every caller owes for the answer: the
-    ``eqsets_visited`` count, one touch per set (each set is its own
-    distributed object) and, when the provenance ledger ``led`` is
-    recording, the BVH-node and set visit totals."""
+    ``overlapping`` — plus what every caller owes for the answer, in one
+    charge: the ``eqsets_visited`` count and one touch per set (each set
+    is its own distributed object), in the order answered; and, when the
+    witness span ``led`` is recording, the BVH-node and set visit totals."""
     if led is not None:
         bvh_before = meter.counters.get("bvh_nodes_visited", 0)
     sets = find(region.space, region.uid)
@@ -706,9 +825,8 @@ def visit_sets(find, region: Region, meter: CostMeter, led=None) -> list:
         led.visit("bvh_nodes",
                   meter.counters.get("bvh_nodes_visited", 0) - bvh_before)
         led.visit("eqsets", len(sets))
-    for eqset in sets:
-        meter.count("eqsets_visited")
-        meter.touch(("eqset", eqset.uid, eqset.space.bounds[0]))
+    meter.charge({"eqsets_visited": len(sets)},
+                 [("eqset", s.uid, s.space.bounds[0]) for s in sets])
     return sets
 
 

@@ -21,6 +21,11 @@ Event vocabulary (shared by all algorithms)
 ``eqsets_coalesced``     equivalence sets destroyed by a dominating write
 ``eqsets_visited``       equivalence sets consulted by an analysis
 ``bvh_nodes_visited``    acceleration-structure nodes walked
+
+The counts are *modelled*: an access answered from a memo is charged what
+the walk it stands for would have been — data (a ``{event: n}`` mapping on
+the memo entry) applied by the one :meth:`CostMeter.charge`, never
+compensating ``count`` calls sprinkled through a fast path.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ import threading
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Hashable, Iterator
+from typing import Hashable, Iterable, Iterator, Mapping
 
 
 def _default_clock():
@@ -37,6 +42,31 @@ def _default_clock():
     # layers in the import graph, so a top-level import would be circular.
     from repro.distributed.faults import SystemClock
     return SystemClock()
+
+
+class UidSource:
+    """Process-wide uids for one kind of distributed object.  A uid is the
+    identity in a touch key (``("eqset", uid, lo)``) and every field of a
+    runtime charges one meter, so the source is per process, not per
+    store — and a restored object reserves the uid it brings, or a fresh
+    interpreter (starting at 0) would hand it out a second time."""
+
+    def __init__(self) -> None:
+        self._next, self._lock = 0, threading.Lock()
+
+    def take(self) -> int:
+        """A uid nothing in this process carries."""
+        with self._lock:
+            self._next += 1
+            return self._next - 1
+
+    def restore(self, obj, state) -> None:
+        """``__setstate__`` of a slotted uid carrier: the default slot
+        restore, then never hand out that uid or any below it."""
+        for name, value in state[1].items():
+            setattr(obj, name, value)
+        with self._lock:
+            self._next = max(self._next, obj.uid + 1)
 
 
 @dataclass(frozen=True)
@@ -99,6 +129,20 @@ class CostMeter:
         with self._lock:
             self.touches.add(key)
             self._task_touches[key] = None
+
+    def charge(self, counts: Mapping[str, int],
+               touches: Iterable[Hashable] = ()) -> None:
+        """Apply the modelled cost of one access under one lock: every
+        ``{event: n}`` of ``counts`` (a zero leaves no key behind — the
+        snapshot is hashed) and the touch keys, in order."""
+        with self._lock:
+            counters = self.counters
+            for event, n in counts.items():
+                if n:
+                    counters[event] += n
+            for key in touches:
+                self.touches.add(key)
+                self._task_touches[key] = None
 
     def begin_task(self) -> None:
         """Mark the start of one task launch's analysis."""

@@ -23,7 +23,6 @@ item's whole domain deletes it.
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterator, Optional, Union
 
 import numpy as np
@@ -36,13 +35,13 @@ from repro.regions.tree import RegionTree
 from repro.visibility.base import CoherenceAlgorithm, INITIAL_TASK_ID
 from repro.visibility.history import (HistoryEntry, RegionValues, paint_into,
                                       scan_dependences)
-from repro.visibility.meter import CostMeter
+from repro.visibility.meter import CostMeter, UidSource
 from repro.obs import provenance as prov
 
 # A privilege summary key: "read", "rw", or ("reduce", opname).
 PrivKey = Union[str, tuple[str, str]]
 
-_view_uid = itertools.count()
+_view_uid = UidSource()
 
 
 def _priv_key(privilege: Privilege) -> PrivKey:
@@ -82,12 +81,15 @@ class CompositeView:
     def __init__(self, captured: list[tuple[int, list["PathItem"]]],
                  domain: IndexSpace, write_domain: IndexSpace,
                  priv_summary: set[PrivKey], num_entries: int) -> None:
-        self.uid = next(_view_uid)
+        self.uid = _view_uid.take()
         self.captured = captured
         self.domain = domain
         self.write_domain = write_domain
         self.priv_summary = priv_summary
         self.num_entries = num_entries
+
+    def __setstate__(self, state) -> None:
+        _view_uid.restore(self, state)
 
     def __repr__(self) -> str:
         return (f"CompositeView(uid={self.uid}, nodes={len(self.captured)}, "

@@ -11,7 +11,9 @@ place, with the write as its whole history.
 
 In steady state this means zero structural churn: applications that write
 their pieces every iteration (all three benchmarks do) keep exactly one
-equivalence set per piece, each with a short, freshly-reset history —
+equivalence set per piece, each with a short, freshly-reset history (a
+write over one set's own region renews the set in place, so every
+neighbour's memo of it stands: :meth:`BucketStore.dominate_write`) —
 which is why ray casting maintains "fewer total equivalence sets in its
 lists" and wins every experiment in section 8.
 

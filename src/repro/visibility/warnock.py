@@ -29,7 +29,8 @@ class WarnockAlgorithm(CoherenceAlgorithm):
     """Warnock's algorithm: monotone refinement, BVH + memoization.
 
     ``memoize`` (class attribute) controls the section 6.1 memoization of
-    constituent equivalence sets per named region; subclass with
+    constituent equivalence sets per named region (the answer itself
+    while no set has split, a head start down the BVH after); subclass with
     ``memoize = False`` to measure its contribution (see
     ``benchmarks/test_ablation_memo.py``).
     """

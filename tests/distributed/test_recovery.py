@@ -254,6 +254,42 @@ class TestCheckpointRoundTrip:
         assert analysis_fingerprint(rt2, 0, total) == \
             analysis_fingerprint(rt, 0, total)
 
+    @pytest.mark.parametrize("algo", ["warnock", "raycast"])
+    def test_restored_uids_are_never_handed_out_again(self, algo,
+                                                      monkeypatch):
+        """A checkpoint is restored by a process whose uid source has not
+        reached the restored uids (a fresh interpreter starts at 0), and
+        ``BucketStore`` keys its sets, buckets and spans by uid: a new set
+        must not land on a live one's key."""
+        import pickle
+
+        from repro.apps import APPS
+        from repro.runtime.context import Runtime
+        from repro.visibility import eqset
+
+        def fresh_process():
+            monkeypatch.setattr(eqset, "_eqset_uid",
+                                type(eqset._eqset_uid)())
+
+        fresh_process()  # whatever ran before: the checkpoint's uids are low
+        app = APPS["circuit"](pieces=8)
+        rt = Runtime(app.tree, app.initial, algorithm=algo)
+        for stream in (app.init_stream(), app.iteration_stream()):
+            for task in stream:  # bodies are closures: analysis only
+                rt.launch(task.name, task.requirements, None, task.point)
+        blob = pickle.dumps((app.tree, rt))
+        fresh_process()
+        tree2, rt2 = pickle.loads(blob)
+        regions2 = {r.uid: r for r in tree2.regions}
+        for _ in range(8):  # ray casting takes ~24 uids an iteration
+            for task in app.iteration_stream():
+                reqs2 = [type(req)(regions2[req.region.uid], req.field,
+                                   req.privilege)
+                         for req in task.requirements]
+                rt2.launch(task.name, reqs2, None, task.point)
+        for field in tree2.field_space.names:
+            rt2.algorithm_for(field).check_invariants()
+
 
 class TestLifecycle:
     def test_close_idempotent_after_recovery(self):

@@ -7,7 +7,8 @@ from repro import (READ, READ_WRITE, CoherenceError, IndexSpace, RegionTree,
                    reduce)
 from repro.geometry.fastpath import batch_overlaps
 from repro.visibility.base import INITIAL_TASK_ID
-from repro.visibility.eqset import BucketStore, LooseEquivalenceSet
+from repro.visibility.eqset import (BucketStore, LooseEquivalenceSet,
+                                    visit_sets)
 from repro.visibility.history import HistoryEntry, RegionValues
 from repro.visibility.meter import CostMeter
 
@@ -296,6 +297,148 @@ class TestBucketSpanMemo:
         tile = store.overlapping(P[0].space, P[0].uid)[0]
         # bounds meet tiles 0 and 1, elements only tile 0
         assert store._span[tile.uid] == (2, [P[0]])
+        old = tile.uid  # a renewal keeps the object and re-keys it
         store.dominate_write(P[0].space, [tile], P[0].uid)
-        assert tile.uid not in store._span
+        assert old not in store._span
         assert set(store._span) == {s.uid for s in store.all_sets()}
+
+
+class RewalkingStore(BucketStore):
+    """The spec of the modelled walk: the walk.  What a memo learned is
+    forgotten before every query, so a query whose memoized set was
+    renewed goes back through the buckets, as every such query used to."""
+
+    def overlapping(self, space, region_uid=None):
+        memo = self._memo.get(region_uid)
+        if memo is not None:
+            memo.generation = -1
+        return super().overlapping(space, region_uid)
+
+
+class TestLocateStamp:
+    """A region's sets are answered from its memo while the decomposition
+    stands, and a write of a set's own region renews it in place: same
+    sets *in the same order*, same meter, same touches as re-walking."""
+
+    def build(self, cls):
+        """Four pieces of four, their halves, a ghost of piece 1 reaching
+        into both neighbours, and the two halves of piece 1 (aliased)."""
+        tree = RegionTree(16, {"x": np.float64})
+
+        def part(name, *ranges, **kw):
+            return tree.root.create_partition(
+                name, [IndexSpace.from_range(a, b) for a, b in ranges], **kw)
+
+        P = part("P", (0, 4), (4, 8), (8, 12), (12, 16),
+                 disjoint=True, complete=True)
+        H = part("H", (0, 8), (8, 16), disjoint=True, complete=True)
+        ghost = part("G", (3, 9))[0]
+        S = part("S", (4, 6), (6, 8))
+        root = LooseEquivalenceSet(tree.root.space)
+        root.record(HistoryEntry(
+            READ_WRITE, tree.root.space,
+            RegionValues(tree.root.space, np.zeros(16)), INITIAL_TASK_ID))
+        return tree, P, H, ghost, S, cls(root, P, CostMeter())
+
+    def drive(self, cls):
+        import pickle
+        tree, P, H, ghost, S, store = self.build(cls)
+        trace = []
+
+        def ask(label, region):
+            """One named-region access, as the policies make it."""
+            store.meter.begin_task()
+            sets = visit_sets(store.overlapping, region, store.meter)
+            touches = [(kind, lo) for kind, _, lo
+                       in store.meter.end_task().touches]
+            store.check_invariants(tree.root.space)
+            trace.append((label, [(tuple(s.space), len(s.history))
+                                  for s in sets],
+                          store.meter.snapshot(), touches))
+            return sets
+
+        def write(label, region):
+            fresh = store.dominate_write(
+                region.space, ask(label, region), region.uid)
+            assert store.overlapping(region.space, region.uid) == [fresh]
+            return fresh
+
+        ask("first touch", P[1])
+        piece = ask("repeat", P[1])[0]
+        uids = [piece.uid]
+        for _ in range(2):                      # its own region: renewed
+            assert write("own region", P[1]) is piece
+            uids.append(piece.uid)
+        assert len(set(uids)) == 3 and uids == sorted(uids)
+        ask("ghost: first touch carves the neighbours", ghost)
+        ask("ghost: repeat", ghost)
+        write("own region again", P[1])
+        ask("ghost: a member was renewed, nothing learned yet", ghost)
+        write("own region again", P[1])
+        ask("ghost: the learned walk, replayed", ghost)
+        straddle = IndexSpace.from_range(6, 10)     # trims pieces 1 and 2
+        store.dominate_write(straddle, store.overlapping(straddle), None)
+        ask("ghost: after the straddling write", ghost)
+        write("left half of piece 1", S[0])     # now last in its bucket
+        ask("ghost: walks, and learns", ghost)
+        write("right half of piece 1", S[1])    # the two swap places
+        ask("ghost: replayed in the buckets' new order", ghost)
+        store.rebucket(H)
+        ask("ghost: after rebucket", ghost)
+        write("own region, two sets", P[1])
+        ask("half", H[0])
+        store.rebucket(None)                    # the K-d fallback
+        ask("ghost: k-d", ghost)
+        write("k-d write", P[2])
+        ask("ghost: k-d, after the write", ghost)
+        store.rebucket(P)
+        ask("ghost: back to buckets", ghost)
+        write("own region", P[2])
+        store = pickle.loads(pickle.dumps(store))
+        ask("ghost: restored", ghost)
+        write("own region, restored", P[2])
+        ask("ghost: restored, repeat", ghost)
+        return trace
+
+    def test_stamped_answers_equal_rewalking(self):
+        stamped, spec = self.drive(BucketStore), self.drive(RewalkingStore)
+        for got, want in zip(stamped, spec):
+            assert got == want
+        assert len(stamped) == len(spec)
+
+    def test_invariants_notice_a_wrong_memo(self):
+        tree, P, H, ghost, S, store = self.build(BucketStore)
+        piece = store.overlapping(P[1].space, P[1].uid)
+        store.overlapping(ghost.space, ghost.uid)       # carves: unlearned
+        store.dominate_write(P[1].space, piece, P[1].uid)
+        store.overlapping(ghost.space, ghost.uid)       # walks, and learns
+        memo = store._memo[ghost.uid]
+        assert memo.generation == store._generation
+        store.check_invariants(tree.root.space)
+        memo.cost = dict(memo.cost, bvh_nodes_visited=1)
+        with pytest.raises(CoherenceError, match="learned walk cost"):
+            store.check_invariants(tree.root.space)
+        memo.generation = -1
+        memo.sets = memo.sets[:-1]
+        with pytest.raises(CoherenceError, match="region memo diverged"):
+            store.check_invariants(tree.root.space)
+
+    def test_renewal_moves_no_boundary(self):
+        tree, P, H, ghost, S, store = self.build(BucketStore)
+        piece = store.overlapping(P[1].space, P[1].uid)[0]
+        store.overlapping(ghost.space, ghost.uid)
+        generation, span = store._generation, store._span[piece.uid]
+        before = store.meter.snapshot()
+        assert store.dominate_write(P[1].space, [piece], P[1].uid) is piece
+        assert store._generation == generation
+        assert store._span[piece.uid] == span
+        assert list(store._sets)[-1] == piece.uid and not piece.history
+        charged = {k: v - before.get(k, 0)
+                   for k, v in store.meter.snapshot().items()
+                   if v != before.get(k, 0)}
+        assert charged == {"bvh_nodes_visited": 2 * span[0],
+                           "eqsets_coalesced": 1, "eqsets_created": 1}
+        # a straddling write takes the long way and moves the generation
+        straddle = IndexSpace.from_range(6, 10)
+        store.dominate_write(straddle, store.overlapping(straddle), None)
+        assert store._generation > generation

@@ -43,6 +43,21 @@ class TestCostMeter:
         # messages in this order)
         assert m.end_task().touches == ("x", "y")
 
+    def test_charge_is_counts_plus_touches(self):
+        """One call, same effect as the count()/touch() calls it stands
+        for — and a zero count leaves no key in the hashed snapshot."""
+        a, b = CostMeter(), CostMeter()
+        for m in (a, b):
+            m.begin_task()
+        a.charge({"e": 3, "f": 1, "never": 0}, ["x", "y", "x"])
+        b.count("e", 3)
+        b.count("f")
+        for key in ("x", "y", "x"):
+            b.touch(key)
+        assert a.snapshot() == b.snapshot() == {"e": 3, "f": 1}
+        assert a.touches == b.touches
+        assert a.end_task() == b.end_task()
+
     def test_reset(self):
         m = CostMeter()
         m.count("e")
@@ -94,6 +109,18 @@ class TestThreadSafety:
         m = CostMeter()
         self._hammer(lambda: m.count("e"))
         assert m.counters["e"] == self.THREADS * self.ROUNDS
+
+    def test_cost_meter_charge_is_atomic(self):
+        m = CostMeter()
+        self._hammer(lambda: m.charge({"e": 1, "f": 2}, ["k"]))
+        total = self.THREADS * self.ROUNDS
+        assert m.snapshot() == {"e": total, "f": 2 * total}
+
+    def test_uid_source_never_repeats(self):
+        from repro.visibility.meter import UidSource
+        source, taken = UidSource(), []
+        self._hammer(lambda: taken.append(source.take()))
+        assert sorted(taken) == list(range(self.THREADS * self.ROUNDS))
 
     def test_phase_profile_stat_and_add_time(self):
         from repro.visibility.meter import PhaseProfile
@@ -192,6 +219,22 @@ class TestRenderAndPickle:
         assert "x" in clone.touches
         clone.count("e")  # lock was rebuilt
         assert clone.counters["e"] == 6
+
+    def test_restored_view_reserves_its_uid(self, monkeypatch):
+        """A restored composite view and a new one must not share a
+        ``("view", uid)`` touch key (a fresh process's source is at 0)."""
+        import pickle
+        from repro import IndexSpace
+        from repro.visibility import painter_tree
+        space = IndexSpace.from_range(0, 4)
+        view = painter_tree.CompositeView([], space, space, set(), 0)
+        blob = pickle.dumps(view)
+        monkeypatch.setattr(painter_tree, "_view_uid",
+                            type(painter_tree._view_uid)())
+        restored = pickle.loads(blob)
+        assert restored.uid == view.uid
+        fresh = painter_tree.CompositeView([], space, space, set(), 0)
+        assert fresh.uid > restored.uid
 
     def test_phase_profile_pickle_round_trip(self):
         import pickle

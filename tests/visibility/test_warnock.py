@@ -56,6 +56,18 @@ class TestEquivalenceSetObject:
         assert list(s.paint(np.float64)) == [11.0, 12.0, 13.0]
 
 
+class DescendingStore(RefinementTreeStore):
+    """The spec of the generation stamp: section 6.1 as it was — the
+    stamp is forgotten before every query, so every repeat re-descends
+    from its memoized nodes."""
+
+    def locate(self, space, region_uid=None):
+        memo = self._memo.get(region_uid)
+        if memo is not None:
+            memo.generation = -1
+        return super().locate(space, region_uid)
+
+
 class TestRefinementStore:
     def make(self, n=16):
         root = EquivalenceSet(IndexSpace.from_range(0, n))
@@ -98,11 +110,68 @@ class TestRefinementStore:
         covered = IndexSpace.union_all([s.space for s in sets])
         assert covered == IndexSpace.from_range(0, 8)
 
+    def test_memoization_stamp_equals_descent(self):
+        """While no set has split the memo is the answer itself; the spec
+        is section 6.1 as it was — every repeat re-descends from its
+        memoized nodes.  Same sets in the same order, same meter."""
+        import pickle
+        from repro.visibility.meter import CostMeter
+
+        def drive(cls):
+            root = EquivalenceSet(IndexSpace.from_range(0, 16))
+            root.record(READ_WRITE, np.arange(16, dtype=np.int64), -1)
+            store = cls(root, CostMeter())
+            trace = []
+            regions = {1: IndexSpace.from_range(2, 10),
+                       2: IndexSpace.from_range(6, 12),
+                       3: IndexSpace.from_range(0, 16)}
+            script = [1, 1, 3, 2, 1, 1, 3, 3, 2, "pickle", 1, 2, 3]
+            for uid in script:
+                if uid == "pickle":
+                    store = pickle.loads(pickle.dumps(store))
+                    continue
+                sets = store.locate(regions[uid], uid)
+                store.check_invariants(IndexSpace.from_range(0, 16))
+                trace.append((uid, [tuple(s.space) for s in sets],
+                              store.meter.snapshot()))
+            return store, trace
+
+        store, stamped = drive(RefinementTreeStore)
+        assert stamped == drive(DescendingStore)[1]
+        # a repeat under an unchanged decomposition is the same list
+        again = store.locate(IndexSpace.from_range(2, 10), 1)
+        assert store.locate(IndexSpace.from_range(2, 10), 1) is again
+        generation = store._generation
+        store.locate(IndexSpace.from_range(3, 5), 4)    # splits a member
+        assert store._generation > generation
+        refined = store.locate(IndexSpace.from_range(2, 10), 1)
+        assert refined is not again and len(refined) == len(again) + 1
+        # and the invariant is what notices a memo that is not the answer
+        store._memo[1].sets = refined[:-1]
+        with pytest.raises(CoherenceError, match="region memo diverged"):
+            store.check_invariants(IndexSpace.from_range(0, 16))
+
     def test_tree_depth(self):
         store = self.make()
         for i in range(0, 16, 2):
             store.locate(IndexSpace.from_range(i, i + 2))
         assert store.tree_depth() >= 2
+
+    def test_tree_depth_of_a_long_refinement_chain(self):
+        """Pieces first touched in order chain the refinement tree one
+        level per piece; ``describe()`` (census, inspect) walks it with an
+        explicit stack, not the interpreter's."""
+        from repro import RegionTree
+        n = 1200
+        tree = RegionTree(n, {"x": np.int64})
+        pieces = tree.root.create_partition(
+            "P", [IndexSpace.from_range(i, i + 1) for i in range(n)],
+            disjoint=True, complete=True)
+        algo = WarnockAlgorithm(tree, "x", np.zeros(n, dtype=np.int64))
+        for piece in pieces:
+            algo.materialize(READ, piece)
+        assert algo.describe()["tree_depth"] == n
+        assert algo.num_equivalence_sets() == n
 
 
 class TestWarnockOnFig1:
