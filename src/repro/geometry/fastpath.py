@@ -26,8 +26,9 @@ over.  This module removes that redundancy with three cooperating pieces:
   (:data:`POSITIONS_BYTES`) as well as in entries.
 * :func:`batch_overlaps` — a **batched interference kernel** testing one
   query space against N candidates in a single vectorized pass: a stacked
-  bounds prefilter, cache lookups per surviving pair, then one merged
-  ``searchsorted`` sweep resolving every remaining candidate at once.
+  bounds prefilter, then :func:`resolve_overlaps` — cache lookups per
+  surviving pair and one merged ``searchsorted`` sweep resolving every
+  remaining candidate at once.
 
 Correctness stance: the fast path must be *observationally invisible*.
 Cached results are value-equal to recomputed ones (immutability makes
@@ -57,7 +58,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from contextlib import contextmanager
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -409,62 +410,64 @@ def reset_geometry_cache() -> None:
 # the batched interference kernel
 # ----------------------------------------------------------------------
 def batch_overlaps(query: IndexSpace,
-                   candidates: Sequence[IndexSpace], *,
-                   lo: Optional[np.ndarray] = None,
-                   hi: Optional[np.ndarray] = None,
-                   nonempty: Optional[np.ndarray] = None) -> np.ndarray:
+                   candidates: Sequence[IndexSpace]) -> np.ndarray:
     """``[query.overlaps(c) for c in candidates]`` in one vectorized pass.
 
-    Three stages, mirroring a graphics broad-phase/narrow-phase split:
+    Two halves, mirroring a graphics broad-phase/narrow-phase split:
 
-    1. **Stacked bounds prefilter** — candidate ``(lo, hi)`` intervals are
-       stacked into arrays and tested against the query's bounds with two
-       vector comparisons; empty candidates and bbox-disjoint ones resolve
-       to False without touching element data.
-    2. **Cache probe** — pairs already answered by the operation cache are
-       filled in directly.
-    3. **Merged-run sweep** — every remaining candidate's indices are
-       concatenated into one array, located in the query with a *single*
-       ``searchsorted``, and reduced to per-candidate verdicts with one
-       ``logical_or.reduceat`` over the segment starts.
+    1. **Stacked bounds prefilter** (here) — candidate ``(lo, hi)``
+       intervals are stacked into arrays and tested against the query's
+       bounds with two vector comparisons; empty candidates and
+       bbox-disjoint ones resolve to False without touching element data.
+    2. :func:`resolve_overlaps` answers the survivors exactly.
 
-    The per-pair answers are exactly what scalar ``overlaps`` returns
-    (overlap is symmetric, so probing candidates into the query is
-    equivalent to the scalar path's smaller-into-larger probe), and
+    The per-pair answers are exactly what scalar ``overlaps`` returns, and
     resolved pairs are stored back into the cache.  No meter is touched —
     callers that meter per-candidate tests keep doing so themselves.
-
-    Callers holding the candidates in columnar form (a
-    :class:`~repro.visibility.history.ColumnarHistory`) pass the stage-1
-    inputs directly via ``lo``/``hi``/``nonempty`` — aligned arrays, one
-    element per candidate — and skip the per-candidate attribute walks.
     """
     n = len(candidates)
     out = np.zeros(n, dtype=bool)
-    if n == 0 or query.is_empty:
+    if n == 0:
         return out
     qlo, qhi = query.bounds
-    if lo is None:
-        lo = np.fromiter((c._lo for c in candidates), dtype=np.int64,
-                         count=n)
-        hi = np.fromiter((c._hi for c in candidates), dtype=np.int64,
-                         count=n)
-        nonempty = np.fromiter((c._indices.size > 0 for c in candidates),
-                               dtype=bool, count=n)
-    live = np.flatnonzero(nonempty & (lo <= qhi) & (hi >= qlo))
-    if live.size == 0:
-        return out
+    lo = np.fromiter((c._lo for c in candidates), dtype=np.int64, count=n)
+    hi = np.fromiter((c._hi for c in candidates), dtype=np.int64, count=n)
+    live = np.flatnonzero((lo <= qhi) & (hi >= qlo) & (lo <= hi))
+    if live.size:
+        out[live] = resolve_overlaps(
+            query, [candidates[i] for i in live.tolist()])
+    return out
 
+
+def resolve_overlaps(query: IndexSpace,
+                     candidates: Sequence[IndexSpace]) -> np.ndarray:
+    """The exact half of :func:`batch_overlaps`, for a caller that has
+    already narrowed ``candidates`` to non-empty spaces whose bounds meet
+    the query's (a :class:`~repro.visibility.history.ColumnarHistory`
+    scan does, on its columns):
+
+    * **Cache probe** — pairs already answered by the operation cache are
+      filled in directly.
+    * **Merged-run sweep** — every remaining candidate's indices are
+      concatenated into one array, located in the query with a *single*
+      ``searchsorted``, and reduced to per-candidate verdicts with one
+      ``logical_or.reduceat`` over the segment starts (overlap is
+      symmetric, so probing candidates into the query is equivalent to
+      the scalar path's smaller-into-larger probe).
+    """
+    out = np.zeros(len(candidates), dtype=bool)
+    if query.is_empty:
+        return out
     cache = active_geometry_cache()
     unresolved: list[tuple[int, tuple[int, int]]] = []
     uq = cache.uid_of(query)
     table = cache._ovl
-    for i in live:
-        uc = cache.uid_of(candidates[i])
+    for i, candidate in enumerate(candidates):
+        uc = cache.uid_of(candidate)
         key = (uq, uc) if uq <= uc else (uc, uq)
         got = table.get(key, _MISS)
         if got is _MISS:
-            unresolved.append((int(i), key))
+            unresolved.append((i, key))
         else:
             cache.hits += 1
             out[i] = got

@@ -86,8 +86,8 @@ class EquivalenceSet:
             raise CoherenceError("equivalence sets must be non-empty")
         self.uid = _eqset_uid.take()
         self.space = space
-        # columnar backing: the entry list stays authoritative, the
-        # privilege/task columns feed the vectorized interference sweep
+        # list-backed; the privilege columns are a cache a history fills
+        # only once it is long enough for the vectorized sweep to read
         self.history: PrivilegeColumns = (
             history if isinstance(history, PrivilegeColumns)
             else PrivilegeColumns(history if history is not None else ()))
@@ -103,8 +103,8 @@ class EquivalenceSet:
 
         The second component is ``None`` when this set is contained in
         ``space``.  Histories are split positionally so the alignment
-        invariant is preserved on both sides — a column copy plus one
-        value gather per entry (:meth:`PrivilegeColumns.map_entries`).
+        invariant is preserved on both sides — one value gather per entry
+        (:meth:`PrivilegeColumns.map_entries`).
         """
         inside_space = self.space & space
         if inside_space.is_empty:
@@ -363,8 +363,8 @@ class LooseEquivalenceSet:
             raise CoherenceError("equivalence sets must be non-empty")
         self.uid = _eqset_uid.take()
         self.space = space
-        # columnar backing: per-entry domains ride along as bounds
-        # columns, feeding the batched overlap kernel whole-history
+        # list-backed; bounds/task columns are filled only if the history
+        # grows long enough for a scan to narrow itself on them
         self.history: ColumnarHistory = (
             history if isinstance(history, ColumnarHistory)
             else ColumnarHistory(history if history is not None else ()))

@@ -7,6 +7,12 @@ aligned element-for-element with ``domain.indices``; ``X/Y`` of Figure 7 is
 :func:`paint_into`: one kernel that replays a history oldest-first straight
 into the buffer being materialized, shared by every algorithm that keeps
 histories, beside the one dependence scan :func:`scan_dependences`.
+
+Both walk a history in one of two ways, chosen by what the history is and
+how long it has grown (:data:`SCAN_VECTOR_MIN`), never by a setting: a
+straight loop over the entries, or — a :class:`ColumnarHistory` past that
+length — a walk narrowed on NumPy columns to the entries that can matter.
+The columns are a cache of the entry list, filled when such a walk asks.
 """
 
 from __future__ import annotations
@@ -17,7 +23,8 @@ from typing import Iterable, Optional
 import numpy as np
 
 from repro.errors import CoherenceError
-from repro.geometry.fastpath import active_geometry_cache, batch_overlaps
+from repro.geometry.fastpath import (active_geometry_cache,
+                                     resolve_overlaps)
 from repro.geometry.index_space import IndexSpace
 from repro.obs import provenance as prov
 from repro.privileges import Privilege
@@ -176,97 +183,78 @@ def interference_mask(privilege: Privilege, kinds: np.ndarray,
 
 
 class PrivilegeColumns:
-    """List-like history container mirroring entries into numpy columns.
+    """List-like history container with numpy columns cached beside it.
 
-    The backing Python list stays authoritative — iteration, indexing,
-    painting and pickling all see ordinary entry objects — while the
-    privilege kind and reduction-operator code are maintained in parallel
-    structure-of-arrays columns (amortized O(1) append via capacity
-    doubling).  Dependence scans consume the columns; everything else is
-    oblivious to them.
+    The Python list *is* the history — ``append`` is ``list.append``,
+    ``reset`` a list swap, iteration, indexing, painting and pickling see
+    ordinary entry objects.  The columns (one row of ``_cols`` each, int64:
+    privilege kind, reduction-operator code) are a cache of that list that
+    only histories of :data:`SCAN_VECTOR_MIN` entries ever read: nothing is
+    allocated until a long scan, a long :func:`paint_into` or an accessor
+    asks, and then :meth:`_sync` fills rows ``[filled, n)`` — whatever was
+    appended since the last time someone asked — in one assignment.
+
+    Filling mutates on the read path, so a history has one owner thread
+    (each replica owns its ``Runtime``; nothing shares a store).
 
     This base class fits :class:`~repro.visibility.eqset.EqEntry`-style
     records (no per-entry domain).  :class:`ColumnarHistory` adds the
-    domain-bounds columns the batched overlap kernel prefilters on.
+    columns a whole-history scan narrows itself with.
     """
 
-    __slots__ = ("_entries", "_kind", "_redop", "_n")
-    _COLUMN_NAMES = ("_kind", "_redop")
+    __slots__ = ("_entries", "_cols", "_filled")
+    _WIDTH = 2
 
     def __init__(self, entries: Iterable = ()) -> None:
-        self._entries: list = []
-        self._n = 0
-        self._alloc(8)
-        for entry in entries:
-            self.append(entry)
+        self._entries: list = list(entries)
+        self._cols: Optional[np.ndarray] = None
+        self._filled = 0
 
-    # -- column storage ------------------------------------------------
-    def _alloc(self, cap: int) -> None:
-        self._kind = np.empty(cap, dtype=np.int8)
-        self._redop = np.empty(cap, dtype=np.int64)
-
-    def _grow(self, needed: int) -> None:
-        cap = max(needed, 2 * self._kind.size)
-        n = self._n
-        for name in self._COLUMN_NAMES:
-            old = getattr(self, name)
-            fresh = np.empty(cap, dtype=old.dtype)
-            fresh[:n] = old[:n]
-            setattr(self, name, fresh)
-
-    def _fill(self, n: int, entry) -> None:
+    # -- the column cache ----------------------------------------------
+    @staticmethod
+    def _row(entry) -> tuple:
         p = entry.privilege
-        self._kind[n] = (KIND_REDUCE if p.is_reduce
-                         else KIND_READ if p.is_read else KIND_WRITE)
-        self._redop[n] = _redop_code(p.redop)
+        return (KIND_REDUCE if p.is_reduce
+                else KIND_READ if p.is_read else KIND_WRITE,
+                _redop_code(p.redop))
+
+    def _sync(self) -> np.ndarray:
+        """The columns, one row each, trimmed to and in step with the
+        entry list (capacity doubles; a reset keeps it)."""
+        entries, cols, filled = self._entries, self._cols, self._filled
+        n = len(entries)
+        if cols is None or cols.shape[1] < n:
+            grown = np.empty((self._WIDTH, max(8, 2 * n)), dtype=np.int64)
+            if filled:
+                grown[:, :filled] = cols[:, :filled]
+            self._cols = cols = grown
+        if filled < n:
+            cols[:, filled:n] = np.array(
+                [self._row(e) for e in entries[filled:]], dtype=np.int64).T
+            self._filled = n
+        return cols[:, :n]
 
     # -- mutation ------------------------------------------------------
     def append(self, entry) -> None:
-        n = self._n
-        if n == self._kind.size:
-            self._grow(n + 1)
-        self._fill(n, entry)
         self._entries.append(entry)
-        self._n = n + 1
 
     def reset(self, entries: Iterable = ()) -> None:
-        """Replace the contents wholesale (write occlusion, compaction),
-        keeping the allocated capacity."""
-        self._entries = []
-        self._n = 0
-        for entry in entries:
-            self.append(entry)
+        """Replace the contents wholesale (write occlusion, compaction)."""
+        self._entries = list(entries)
+        self._filled = 0
 
     def map_entries(self, fn) -> "PrivilegeColumns":
-        """A new container with ``fn`` applied entry-by-entry, reusing
-        this container's privilege columns wholesale.
-
-        ``fn`` must preserve each entry's privilege — positional history
-        splits (``EqEntry.restricted``) do, which is what makes a
-        refinement a column copy plus one value gather per entry instead
-        of a rebuild.
-        """
-        out = type(self).__new__(type(self))
-        n = self._n
-        out._entries = [fn(e) for e in self._entries]
-        out._n = n
-        for name in self._COLUMN_NAMES:
-            setattr(out, name, getattr(self, name)[:n].copy())
-        return out
+        """A new container with ``fn`` applied entry-by-entry (how an
+        equivalence set's history follows a split)."""
+        return type(self)(fn(e) for e in self._entries)
 
     def check_columns(self) -> None:
-        """Assert columns ≡ entries: every column re-derived from the
-        entry list equals the stored one."""
-        n = self._n
-        fresh = type(self)(self._entries)
-        if fresh._n != n:
+        """Assert columns ≡ entries: brought up to date, every column
+        equals the one re-derived from the entry list."""
+        if not np.array_equal(self._sync(),
+                              type(self)(self._entries)._sync()):
             raise CoherenceError(
-                f"{self!r} holds {len(self._entries)} entries")
-        for name in self._COLUMN_NAMES:
-            if not np.array_equal(getattr(fresh, name)[:n],
-                                  getattr(self, name)[:n]):
-                raise CoherenceError(
-                    f"{self!r}: column {name} diverged from its entries")
+                f"{self!r}: columns diverged from the entries")
 
     # -- trimmed column views ------------------------------------------
     @property
@@ -275,18 +263,18 @@ class PrivilegeColumns:
 
     @property
     def kinds(self) -> np.ndarray:
-        return self._kind[:self._n]
+        return self._sync()[0]
 
     @property
     def redops(self) -> np.ndarray:
-        return self._redop[:self._n]
+        return self._sync()[1]
 
     # -- list protocol -------------------------------------------------
     def __len__(self) -> int:
-        return self._n
+        return len(self._entries)
 
     def __bool__(self) -> bool:
-        return self._n > 0
+        return bool(self._entries)
 
     def __iter__(self):
         return iter(self._entries)
@@ -309,21 +297,28 @@ class PrivilegeColumns:
         return (type(self), (list(self._entries),))
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}(n={self._n})"
+        return f"{type(self).__name__}(n={len(self._entries)})"
 
 
 class ColumnarHistory(PrivilegeColumns):
     """Columnar container for :class:`HistoryEntry` lists.
 
-    Adds the per-entry domain bounds (``lo``/``hi``/``nonempty``) so a
-    whole-history scan can hand :func:`batch_overlaps` its broad-phase
-    inputs without per-entry attribute walks.
+    Adds, per entry, the domain bounds (``lo``/``hi``; an empty domain is
+    ``hi < lo``), the task id and whether the entry is a compaction
+    summary: what a whole-history scan needs to decide, without touching
+    an entry object, that the entry cannot hit.  A long scan or blend
+    fills the columns it reads — a mutation on the read path — so a
+    history is scanned by its one owner thread only.
     """
 
-    def map_entries(self, fn) -> "ColumnarHistory":
-        # geometry columns change under domain restriction, so a loose
-        # history rebuilds instead of copying columns
-        return type(self)(fn(e) for e in self._entries)
+    __slots__ = ()
+    _WIDTH = 6
+
+    @staticmethod
+    def _row(entry) -> tuple:
+        domain = entry.domain
+        return PrivilegeColumns._row(entry) + (
+            domain._lo, domain._hi, entry.task_id, bool(entry.collapsed_ids))
 
     def restricted(self, space: IndexSpace) -> "ColumnarHistory":
         """Every entry restricted to ``space``, the disjoint ones dropped
@@ -331,49 +326,33 @@ class ColumnarHistory(PrivilegeColumns):
         narrowed = (e.restricted(space) for e in self._entries)
         return type(self)(e for e in narrowed if e is not None)
 
-    __slots__ = ("_lo", "_hi", "_nonempty")
-    _COLUMN_NAMES = PrivilegeColumns._COLUMN_NAMES + (
-        "_lo", "_hi", "_nonempty")
-
-    def _alloc(self, cap: int) -> None:
-        super()._alloc(cap)
-        self._lo = np.empty(cap, dtype=np.int64)
-        self._hi = np.empty(cap, dtype=np.int64)
-        self._nonempty = np.empty(cap, dtype=bool)
-
-    def _fill(self, n: int, entry) -> None:
-        super()._fill(n, entry)
-        domain = entry.domain
-        self._lo[n] = domain._lo
-        self._hi[n] = domain._hi
-        self._nonempty[n] = domain._indices.size > 0
-
     @property
     def los(self) -> np.ndarray:
-        return self._lo[:self._n]
+        return self._sync()[2]
 
     @property
     def his(self) -> np.ndarray:
-        return self._hi[:self._n]
-
-    @property
-    def nonempty(self) -> np.ndarray:
-        return self._nonempty[:self._n]
+        return self._sync()[3]
 
 
-#: Shortest history the vector front-end takes.  ``interference_mask``
-#: costs a fixed handful of NumPy calls (~2.5 us) where the scalar
-#: privilege test costs ~0.06 us an entry, so the two meet between 32 and
-#: 40 entries (EXPERIMENTS.md, "Fork decisions").  Equivalence-set
-#: histories hold 1-3 entries in steady state and never outgrow
-#: ``HISTORY_COMPACTION_LIMIT``; the painter's global history holds
-#: hundreds.
-SCAN_VECTOR_MIN = 32
+#: Shortest history whose scan (and blend) is narrowed on the columns.
+#: Below it one straight loop over the entries is the whole scan, at
+#: ~0.1 us an entry; the column front-end is a fixed run of ~20 NumPy
+#: calls, and what both sides then spend on the entries that *can* hit is
+#: the same.  Timed on the whole scan and the whole blend over the
+#: painter's own histories, the loop leads up to ~250 entries, the two
+#: tie between 256 and 512 and the columns lead beyond (9x where almost
+#: nothing interferes: 2 048 same-operator reductions); 256 is the low end
+#: of the tie (EXPERIMENTS.md, "The scan loops only over what can hit").
+#: Equivalence-set histories hold 1-3 entries in steady state and never
+#: outgrow ``HISTORY_COMPACTION_LIMIT``; the painter's global history
+#: holds hundreds.
+SCAN_VECTOR_MIN = 256
 
 
 def interfering_indices(privilege: Privilege, entries) -> list[int]:
     """Positions of the entries whose privilege interferes with
-    ``privilege`` — the front-end of every dependence scan.
+    ``privilege`` (Warnock's scan: its sets make the overlap implicit).
 
     ``entries`` is a :class:`PrivilegeColumns` or a list; which of the two
     equivalent tests runs is decided by what the history is and how long
@@ -382,9 +361,26 @@ def interfering_indices(privilege: Privilege, entries) -> list[int]:
     if isinstance(entries, PrivilegeColumns) \
             and len(entries) >= SCAN_VECTOR_MIN:
         return np.flatnonzero(interference_mask(
-            privilege, entries.kinds, entries.redops)).tolist()
+            privilege, *entries._sync()[:2])).tolist()
     return [i for i, e in enumerate(entries)
             if privilege.interferes(e.privilege)]
+
+
+def _conclude(entry: HistoryEntry, hit: bool, deps: set[int], led) -> None:
+    """What a tested entry leaves behind: its ids in ``deps`` on a hit,
+    and the edge or prune record while ``led`` takes witnesses."""
+    if hit:
+        deps.add(entry.task_id)
+        if entry.collapsed_ids:
+            deps.update(entry.collapsed_ids)
+        if led is not None:
+            led.edge(entry.task_id,
+                     "summary" if entry.collapsed_ids else "history",
+                     prov.privilege_label(entry.privilege),
+                     prov.domain_desc(entry.domain),
+                     collapsed=entry.collapsed_ids)
+    elif led is not None:
+        led.prune(entry.task_id, "disjoint", prov.domain_desc(entry.domain))
 
 
 def scan_dependences(privilege: Privilege, space: IndexSpace,
@@ -395,66 +391,67 @@ def scan_dependences(privilege: Privilege, space: IndexSpace,
     """Collect task ids of entries that interfere with a new access.
 
     A dependence exists when the privileges interfere *and* the domains
-    truly overlap (content-based coherence, section 3.2).
+    truly overlap (content-based coherence, section 3.2).  Every
+    interfering entry is *tested* unless its task is already in ``deps``
+    when the walk reaches it (a summary always is), and the meter is
+    charged that entry-at-a-time total whatever the walk skipped on the
+    way (analysis fingerprints hash it).
 
-    The exact overlap answers are precomputed for every
-    privilege-interfering entry the loop can reach in one
-    :func:`batch_overlaps` pass (fed the bounds columns when the history
-    has them); the loop then replays the already-a-dependence skip, which
-    consults ``deps`` as it grows, so the meter totals are those of an
-    entry-at-a-time walk (analysis fingerprints hash them).  ``led`` —
-    the caller's open access span while witnesses are recorded, else None
-    — observes the same loop: edge/prune records that never touch the
-    meter or alter control flow.
+    The walk asks a geometry question only about entries that can hit, in
+    one of two ways chosen by what the history is and how long it has
+    grown.  Short of :data:`SCAN_VECTOR_MIN` entries (or a plain list): a
+    straight loop, bounds rejected inline, the exact cached test last.
+    From there on a :class:`ColumnarHistory` is narrowed on its columns:
+    the exact kernel is asked, once, only about entries that interfere,
+    are bounds-near and are not dependences yet; a bounds-far entry can
+    never grow ``deps``, so it is a set probe and an increment on numbers
+    read from the columns and its entry object is never touched.
+
+    ``led`` — the caller's open access span while witnesses are recorded,
+    else None — observes the same walk: edge/prune records that never
+    touch the meter or alter control flow.
     """
     if isinstance(entries, PrivilegeColumns):
         items = entries.entries
-    else:  # the tree painter hands over a generator
-        items = entries = list(entries)
+    else:
+        items = entries if isinstance(entries, list) else list(entries)
     n = len(items)
     if n == 0:
         return
-    if meter is not None:
-        meter.count("entries_scanned", n)
-    idx = interfering_indices(privilege, entries)
-    # Only entries the loop can actually test go to the kernel: tasks that
-    # are dependences already at scan start cost no kernel work or
-    # op-cache churn (summaries are always tested).
-    test_idx = [i for i in idx
-                if items[i].collapsed_ids or items[i].task_id not in deps]
-    overlap: dict[int, bool] = {}
-    if len(test_idx) > 1:
-        domains = [items[i].domain for i in test_idx]
-        if isinstance(entries, ColumnarHistory):
-            sel = np.asarray(test_idx, dtype=np.int64)
-            verdicts = batch_overlaps(space, domains, lo=entries.los[sel],
-                                      hi=entries.his[sel],
-                                      nonempty=entries.nonempty[sel])
-        else:
-            verdicts = batch_overlaps(space, domains)
-        overlap = dict(zip(test_idx, verdicts.tolist()))
+    qlo, qhi = space._lo, space._hi
     tested = 0
-    for i in idx:
-        entry = items[i]
-        if entry.task_id in deps and not entry.collapsed_ids:
-            continue
-        tested += 1
-        hit = overlap[i] if i in overlap else space.overlaps(entry.domain)
-        if hit:
-            deps.add(entry.task_id)
-            if entry.collapsed_ids:
-                deps.update(entry.collapsed_ids)
-            if led is not None:
-                led.edge(entry.task_id,
-                         "summary" if entry.collapsed_ids else "history",
-                         prov.privilege_label(entry.privilege),
-                         prov.domain_desc(entry.domain),
-                         collapsed=entry.collapsed_ids)
-        elif led is not None:
-            led.prune(entry.task_id, "disjoint",
-                      prov.domain_desc(entry.domain))
-    if meter is not None and tested:
-        meter.count("intersection_tests", tested)
+    if n >= SCAN_VECTOR_MIN and isinstance(entries, ColumnarHistory):
+        kind, redop, lo, hi, task, summary = entries._sync()
+        idx = np.flatnonzero(interference_mask(privilege, kind, redop))
+        lo, hi, task, summary = lo[idx], hi[idx], task[idx], summary[idx]
+        hits = (lo <= qhi) & (hi >= qlo) & (lo <= hi)  # bounds-near
+        if deps:  # ... and not a dependence yet (a summary is always asked)
+            hits &= (summary != 0) | ~np.isin(task, list(deps))
+        ask = np.flatnonzero(hits)
+        if ask.size:  # the candidates' flags become their exact verdicts
+            hits[ask] = resolve_overlaps(
+                space, [items[i].domain for i in idx[ask].tolist()])
+        for i, task_id, summarizes, hit in zip(
+                idx.tolist(), task.tolist(), summary.tolist(), hits.tolist()):
+            if task_id in deps and not summarizes:
+                continue
+            tested += 1
+            if hit or led is not None:
+                _conclude(items[i], hit, deps, led)
+    else:
+        interferes = privilege.interferes
+        for entry in items:
+            if not interferes(entry.privilege) or (
+                    entry.task_id in deps and not entry.collapsed_ids):
+                continue
+            tested += 1
+            d = entry.domain
+            hit = not (d._hi < qlo or qhi < d._lo or d._hi < d._lo) \
+                and space.overlaps(d)
+            if hit or led is not None:
+                _conclude(entry, hit, deps, led)
+    if meter is not None:
+        meter.charge({"entries_scanned": n, "intersection_tests": tested})
 
 
 def paint_into(out: np.ndarray, target: IndexSpace, clip: IndexSpace,
@@ -485,8 +482,8 @@ def paint_into(out: np.ndarray, target: IndexSpace, clip: IndexSpace,
     """
     if isinstance(entries, PrivilegeColumns):
         items = entries.entries
-    else:  # the tree painter hands over a generator
-        items = list(entries)
+    else:
+        items = entries if isinstance(entries, list) else list(entries)
     if meter is not None and items:
         meter.count("entries_scanned", len(items))
     if clip.is_empty:
@@ -494,9 +491,9 @@ def paint_into(out: np.ndarray, target: IndexSpace, clip: IndexSpace,
     lo, hi = clip.bounds
     if isinstance(entries, ColumnarHistory) \
             and len(items) >= SCAN_VECTOR_MIN:
-        live = np.flatnonzero(
-            (entries.kinds != KIND_READ) & entries.nonempty
-            & (entries.los <= hi) & (entries.his >= lo))
+        kind, _, los, his, _, _ = entries._sync()
+        live = np.flatnonzero((kind != KIND_READ) & (los <= hi)
+                              & (his >= lo) & (los <= his))
         items = [items[i] for i in live.tolist()]
     # straight at the operation cache the IndexSpace operators dispatch
     # to: a painter-length history asks it about dozens of entries a call

@@ -23,7 +23,7 @@ item's whole domain deletes it.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -300,39 +300,40 @@ class TreePainterAlgorithm(CoherenceAlgorithm):
     # ------------------------------------------------------------------
     # traversal
     # ------------------------------------------------------------------
-    def _iter_path_entries(self, region: Region,
-                           privilege: Optional[Privilege] = None
-                           ) -> Iterator[HistoryEntry]:
+    def _path_entries(self, region: Region,
+                      privilege: Optional[Privilege] = None
+                      ) -> list[HistoryEntry]:
         """All history entries relevant to ``region``'s path, oldest first.
 
         When ``privilege`` is given, whole composite views whose privilege
         summary cannot interfere are skipped (their values may still be
         needed for painting, so painting passes ``privilege=None``).
+        Views nest: the walk keeps a stack of subhistory iterators, a view
+        pushing its captured ones so the first is resumed first.
         """
         space = region.space
+        out: list[HistoryEntry] = []
         for node in region.path_from_root():
             st = self._states.get(node.uid)
-            if st is None:
+            if st is None or not st.entries:
                 continue
-            if st.entries:
-                self.meter.touch(("treenode", node.uid))
-            yield from self._iter_items(st.entries, space, privilege)
-
-    def _iter_items(self, items: list[PathItem], space: IndexSpace,
-                    privilege: Optional[Privilege]) -> Iterator[HistoryEntry]:
-        for item in items:
-            if isinstance(item, CompositeView):
-                if not item.domain.bbox_overlaps(space):
-                    continue
-                if (privilege is not None
-                        and not _keys_interfere(privilege, item.priv_summary)):
-                    continue
-                self.meter.count("views_traversed")
-                self.meter.touch(("view", item.uid))
-                for _, sub_items in item.captured:
-                    yield from self._iter_items(sub_items, space, privilege)
-            else:
-                yield item
+            self.meter.touch(("treenode", node.uid))
+            stack = [iter(st.entries)]
+            while stack:
+                for item in stack[-1]:
+                    if type(item) is not CompositeView:
+                        out.append(item)
+                    elif item.domain.bbox_overlaps(space) and (
+                            privilege is None or _keys_interfere(
+                                privilege, item.priv_summary)):
+                        self.meter.count("views_traversed")
+                        self.meter.touch(("view", item.uid))
+                        stack.extend(iter(sub) for _, sub
+                                     in reversed(item.captured))
+                        break
+                else:
+                    stack.pop()
+        return out
 
     # ------------------------------------------------------------------
     # the store policy: hoist, then the path history is all that matters
@@ -345,21 +346,17 @@ class TreePainterAlgorithm(CoherenceAlgorithm):
 
     def _collect(self, privilege: Privilege, region: Region, found,
                  deps: set[int], led) -> None:
+        path = self._path_entries(region, privilege)
         if led is not None:
             led.set_source(("path",))
-            scanned_before = self.meter.counters.get("entries_scanned", 0)
-        scan_dependences(privilege, region.space,
-                         self._iter_path_entries(region, privilege), deps,
-                         self.meter, led)
+        scan_dependences(privilege, region.space, path, deps, self.meter, led)
         if led is not None:
-            led.visit("path_entries",
-                      self.meter.counters.get("entries_scanned", 0)
-                      - scanned_before)
+            led.visit("path_entries", len(path))
 
     def _paint(self, region: Region, found) -> np.ndarray:
         values = np.zeros(region.space.size, dtype=self.dtype)
         paint_into(values, region.space, region.space,
-                   self._iter_path_entries(region, None), self.meter)
+                   self._path_entries(region, None), self.meter)
         return values
 
     def _record(self, privilege: Privilege, region: Region,

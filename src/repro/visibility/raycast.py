@@ -132,11 +132,13 @@ class RayCastAlgorithm(CoherenceAlgorithm):
             if values is None:
                 entry = HistoryEntry(privilege, common, None, task_id)
             else:
-                pos = region.space.positions_of(common)
+                # one copy either way: a gather owns its memory, and a set
+                # over the whole region (every write commit) needs no map
+                kept = values.copy() if common.size == values.size \
+                    else values[region.space.positions_of(common)]
                 self.meter.count("elements_moved", common.size)
-                entry = HistoryEntry(
-                    privilege, common,
-                    RegionValues(common, values[pos].copy()), task_id)
+                entry = HistoryEntry(privilege, common,
+                                     RegionValues(common, kept), task_id)
             eqset.record(entry)
 
     # ------------------------------------------------------------------

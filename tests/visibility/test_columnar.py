@@ -5,19 +5,26 @@ with distinct operators, collapsed summaries), any query space, any
 pre-collected dependence set and any history container (list, generator,
 ``ColumnarHistory``), ``scan_dependences`` produces the dependences, meter
 totals and provenance edge/prune records of a brute-force entry-at-a-time
-spec.  History lengths straddle ``SCAN_VECTOR_MIN``, so both the scalar
-and the vector front-end are covered.  Plus the scan-path regression the
-columnar refactor's audit surfaced: entries already collected in ``deps``
-at scan start must not reach the batched kernel at all.
+spec.  History lengths straddle ``SCAN_VECTOR_MIN``, so both the straight
+loop and the column-narrowed walk are covered.  Plus what each regime
+must not do: ask a geometry question about an entry already collected in
+``deps`` at scan start, or (long regime) touch the entry object of a
+bounds-far entry at all; and the columns themselves, a cache of the entry
+list filled when a long scan or blend asks, held ≡ entries under any
+interleaving of mutation and reads.
 """
 
+import pickle
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from hypothesis.stateful import (RuleBasedStateMachine, initialize,
+                                 invariant, precondition, rule)
 
 import repro.visibility.history as hist_mod
+from repro.geometry.fastpath import geometry_cache
 from repro.geometry.index_space import IndexSpace
 from repro.obs import provenance as prov
 from repro.obs.tracer import Tracer
@@ -25,7 +32,7 @@ from repro.privileges import READ, READ_WRITE, reduce
 from repro.visibility.history import (SCAN_VECTOR_MIN, ColumnarHistory,
                                       HistoryEntry, PrivilegeColumns,
                                       RegionValues, interference_mask,
-                                      scan_dependences)
+                                      paint_into, scan_dependences)
 from repro.visibility.meter import CostMeter
 
 from tests.conftest import index_spaces
@@ -97,37 +104,54 @@ def run_scan(entries, privilege, space, container="columnar", seed_deps=()):
 # ----------------------------------------------------------------------
 # the equivalence property
 # ----------------------------------------------------------------------
-entry_spec = st.tuples(st.integers(0, len(PRIVILEGES) - 1),
-                       st.lists(st.integers(0, 40), min_size=0, max_size=10),
-                       st.booleans(),   # collapsed summary?
-                       st.booleans())   # reuse the previous task id?
+entry_spec = st.tuples(
+    st.integers(0, len(PRIVILEGES) - 1),
+    # an empty domain (summaries included) can never hit but is tested
+    st.one_of(st.just([]),
+              st.lists(st.integers(0, 40), min_size=0, max_size=10)),
+    st.booleans(),   # collapsed summary?
+    # own id, the previous entry's, or one of a small pool that recurs
+    # anywhere: the skip must find a task by id, not by position
+    st.one_of(st.none(), st.just(-1), st.integers(0, 3)))
+
+#: the ids summaries collapse (``1000 + 2 * i``, ``1001 + 2 * i``) are
+#: seeded too: a summary whose ids are partly collected is still asked about
+seed_deps = st.lists(st.one_of(st.integers(0, 2 * SCAN_VECTOR_MIN),
+                               st.integers(1000, 1003 + 4 * SCAN_VECTOR_MIN)),
+                     max_size=4)
+
+
+def build_entry(i, spec):
+    pk, indices, collapsed, reuse = spec
+    task_id = i if reuse is None else max(0, i - 1) if reuse < 0 else reuse
+    if collapsed:
+        return make_entry(READ_WRITE, indices, task_id,
+                          frozenset({1000 + 2 * i, 1001 + 2 * i}))
+    return make_entry(PRIVILEGES[pk], indices, task_id)
+
+
+def tiled(specs, n, first=0):
+    """``n`` entries, positions ``first`` on, cycling through ``specs``: a
+    long history costs a short draw."""
+    return [build_entry(i, specs[i % len(specs)])
+            for i in range(first, first + n)]
 
 
 @st.composite
 def histories(draw):
-    """Entry lists whose lengths sit on both sides of the front-end
+    """Entry lists whose lengths sit on both sides of the regime
     switch."""
     n = draw(st.sampled_from([0, 1, 2, 3, SCAN_VECTOR_MIN - 1,
                               SCAN_VECTOR_MIN, SCAN_VECTOR_MIN + 1,
                               2 * SCAN_VECTOR_MIN]))
-    specs = draw(st.lists(entry_spec, min_size=n, max_size=n))
-    entries = []
-    for i, (pk, indices, collapsed, dup) in enumerate(specs):
-        task_id = max(0, i - 1) if dup else i
-        if collapsed and indices:
-            entries.append(make_entry(
-                READ_WRITE, indices, task_id,
-                frozenset({1000 + 2 * i, 1001 + 2 * i})))
-        else:
-            entries.append(make_entry(PRIVILEGES[pk], indices, task_id))
-    return entries
+    return tiled(draw(st.lists(entry_spec, min_size=1, max_size=24)), n)
 
 
 class TestColumnarEquivalence:
     @given(entries=histories(),
            pk=st.integers(0, len(PRIVILEGES) - 1),
            space=index_spaces(max_index=48, min_size=0, max_size=16),
-           seed=st.lists(st.integers(0, 2 * SCAN_VECTOR_MIN), max_size=4))
+           seed=seed_deps)
     def test_scan_matches_object_walk(self, entries, pk, space, seed):
         privilege = PRIVILEGES[pk]
         want = run_spec(entries, privilege, space, seed)
@@ -251,55 +275,220 @@ class TestColumnarHistory:
             assert mask.tolist() == expected, privilege
 
 
-def _spy_kernel(monkeypatch):
-    calls = []
-    real = hist_mod.batch_overlaps
+def geometry_questions() -> int:
+    """Exact overlap questions the process-wide cache has been asked:
+    both entry points (``IndexSpace.overlaps``, ``resolve_overlaps``)
+    count each as a hit or a miss."""
+    stats = geometry_cache().stats()
+    return stats["hits"] + stats["misses"]
 
-    def spy(query, candidates, **kw):
-        calls.append(len(candidates))
-        return real(query, candidates, **kw)
 
-    monkeypatch.setattr(hist_mod, "batch_overlaps", spy)
-    return calls
+def far_reads(pad):
+    """``pad`` read entries far from every query below: they lengthen a
+    history past the regime switch without interfering with a read."""
+    return [make_entry(READ, [900 + k], 900 + k) for k in range(pad)]
 
 
 # ----------------------------------------------------------------------
-# regression: pre-collected deps never reach the kernel
+# regression: pre-collected deps cost no geometry question
 # ----------------------------------------------------------------------
 class TestDepsAtStartMasking:
     @pytest.mark.parametrize("columnar", (True, False))
-    def test_kernel_sees_only_untested_entries(self, monkeypatch, columnar):
+    def test_kernel_sees_only_untested_entries(self, columnar):
         """Entries whose task is already a dependence at scan start are
-        skipped by the loop, so precomputing their verdicts is pure
-        waste — the kernel input must exclude them (pre-fix: all six
-        interfering entries were batched)."""
-        entries = [make_entry(READ_WRITE, [i, i + 1], i) for i in range(6)]
-        history = ColumnarHistory(entries) if columnar else entries
-        space = IndexSpace.from_indices([0, 1, 2, 3, 4, 5, 6])
-        deps = {0, 1, 2, 3}
-        kernel = _spy_kernel(monkeypatch)
-        meter = CostMeter()
-        scan_dependences(READ, space, history, deps, meter)
-        assert kernel == [2], "pre-collected deps must be masked out"
-        assert deps == {0, 1, 2, 3, 4, 5}
-        # meter totals are those of the unmasked entry-at-a-time walk
-        assert meter.snapshot() == {"entries_scanned": 6,
-                                    "intersection_tests": 2}
+        skipped by the walk, so asking about their overlap is pure
+        waste (pre-fix: all six interfering entries were batched) — in
+        the straight loop and in the column-narrowed walk."""
+        for pad in (0, SCAN_VECTOR_MIN):
+            entries = [make_entry(READ_WRITE, [i, i + 1], i)
+                       for i in range(6)] + far_reads(pad)
+            history = ColumnarHistory(entries) if columnar else entries
+            space = IndexSpace.from_indices([0, 1, 2, 3, 4, 5, 6])
+            deps = {0, 1, 2, 3}
+            asked = geometry_questions()
+            meter = CostMeter()
+            scan_dependences(READ, space, history, deps, meter)
+            assert geometry_questions() - asked == 2, \
+                "pre-collected deps must be masked out"
+            assert deps == {0, 1, 2, 3, 4, 5}
+            # meter totals are those of the unmasked entry-at-a-time walk
+            assert meter.snapshot() == {"entries_scanned": 6 + pad,
+                                        "intersection_tests": 2}
 
-    def test_collapsed_summaries_still_tested(self, monkeypatch):
+    def test_collapsed_summaries_still_tested(self):
         """A summary whose max id is already a dependence still carries
-        other collapsed ids, so it must stay in the kernel input."""
-        summary = make_entry(READ_WRITE, [1, 2], 5, frozenset({3, 4, 5}))
-        other = make_entry(READ_WRITE, [2, 3], 7)
-        third = make_entry(READ_WRITE, [3, 4], 8)
-        space = IndexSpace.from_indices([1, 2, 3, 4])
-        deps = {5}
-        kernel = _spy_kernel(monkeypatch)
-        scan_dependences(READ, space,
-                         ColumnarHistory([summary, other, third]), deps,
-                         CostMeter())
-        assert kernel == [3]
-        assert deps == {3, 4, 5, 7, 8}
+        other collapsed ids, so it must still be asked about."""
+        for pad in (0, SCAN_VECTOR_MIN):
+            summary = make_entry(READ_WRITE, [1, 2], 5, frozenset({3, 4, 5}))
+            other = make_entry(READ_WRITE, [2, 3], 7)
+            third = make_entry(READ_WRITE, [3, 4], 8)
+            space = IndexSpace.from_indices([1, 2, 3, 4])
+            deps = {5}
+            asked = geometry_questions()
+            scan_dependences(READ, space, ColumnarHistory(
+                [summary, other, third] + far_reads(pad)), deps, CostMeter())
+            assert geometry_questions() - asked == 3
+            assert deps == {3, 4, 5, 7, 8}
+
+
+# ----------------------------------------------------------------------
+# op-count guard: a long scan's work follows the entries that can hit
+# ----------------------------------------------------------------------
+class CountingEntry:
+    """A history entry that counts the attribute reads it forwards."""
+
+    def __init__(self, entry):
+        self.entry, self.reads = entry, 0
+
+    def __getattr__(self, name):  # reached only for the entry's own fields
+        self.reads += 1
+        return getattr(self.entry, name)
+
+
+def near(space, entry):
+    return entry.domain.bbox_overlaps(space)
+
+
+class TestLongScanTouchesOnlyWhatCanHit:
+    """No wall clock (the ``tests/runtime/test_order.py::TestNoTraversal``
+    pattern): on a history past ``SCAN_VECTOR_MIN`` the geometry questions
+    are exactly the entries that interfere, are bounds-near and are not
+    dependences yet, and a bounds-far entry's object is never read."""
+
+    def check(self, entries, privilege, space, seed):
+        history = ColumnarHistory(CountingEntry(e) for e in entries)
+        history.check_columns()  # fills the columns: the reads start here
+        for proxy in history:
+            proxy.reads = 0
+        deps, meter = set(seed), CostMeter()
+        asked = geometry_questions()
+        scan_dependences(privilege, space, history, deps, meter)
+        want_deps, want_counts, _, _ = spec_scan(entries, privilege, space,
+                                                 seed)
+        assert (deps, meter.snapshot()) == (want_deps, want_counts)
+        can_hit = [e for e in entries
+                   if privilege.interferes(e.privilege) and near(space, e)
+                   and (e.collapsed_ids or e.task_id not in seed)]
+        assert geometry_questions() - asked == len(can_hit)
+        assert [p.reads for p in history if not near(space, p.entry)] \
+            == [0] * sum(not near(space, e) for e in entries)
+        return len(can_hit)
+
+    def test_same_operator_reduction_history(self):
+        """``test_long_same_operator_reduction_history``'s 2 048 entries:
+        only the opening write interferes."""
+        n, length = 4096, 2048
+        privilege = reduce("sum")
+        entries = [make_entry(READ_WRITE, range(n), 0)]
+        for i in range(1, length):
+            lo = (i * 17) % (n - 64)
+            entries.append(make_entry(privilege, range(lo, lo + 64), i))
+        space = IndexSpace.from_indices(range(128, 256))
+        assert self.check(entries, privilege, space, ()) == 1
+
+    @pytest.mark.parametrize("seed", ((), (2, 66, 4, 3)))
+    def test_read_write_history_over_disjoint_tiles(self, seed):
+        """512 writes tiling 64 disjoint intervals: every entry interferes
+        with a read, 24 are bounds-near the query (8 of them disjoint from
+        it all the same), 488 are far."""
+        entries = [make_entry(READ_WRITE, range(8 * (i % 64),
+                                                8 * (i % 64) + 8), i)
+                   for i in range(512)]
+        space = IndexSpace.from_indices(list(range(16, 24))
+                                        + list(range(32, 40)))
+        asked = self.check(entries, READ, space, seed)
+        assert asked == 24 - sum(t % 64 in (2, 3, 4) for t in seed)
+
+
+# ----------------------------------------------------------------------
+# the columns are a cache: ≡ entries under any interleaving
+# ----------------------------------------------------------------------
+class LazyColumnsMachine(RuleBasedStateMachine):
+    """``append`` / ``reset`` / ``restricted`` / pickling against long
+    scans and blends (the readers that fill the columns): after every step
+    the filled prefix matches the entries it was filled from — nothing
+    stale survives a ``reset`` — and ``check_columns()`` holds."""
+
+    def __init__(self):
+        super().__init__()
+        self.history = ColumnarHistory()
+        self.model: list[HistoryEntry] = []
+
+    @initialize(specs=st.lists(entry_spec, min_size=1, max_size=8),
+                n=st.sampled_from([0, SCAN_VECTOR_MIN]))
+    def start(self, specs, n):
+        self.append(specs, n)
+
+    @rule(specs=st.lists(entry_spec, min_size=1, max_size=8),
+          n=st.sampled_from([1, 8, SCAN_VECTOR_MIN]))
+    def append(self, specs, n):
+        for entry in tiled(specs, n, first=len(self.model)):
+            self.history.append(entry)
+            self.model.append(entry)
+
+    @rule(keep=st.sampled_from([0, 2, SCAN_VECTOR_MIN]))
+    def reset(self, keep):
+        self.model = self.model[:keep]
+        self.history.reset(self.model)
+
+    @rule(space=index_spaces(max_index=40, min_size=1, max_size=24))
+    def restricted(self, space):
+        self.history = self.history.restricted(space)
+        narrowed = (e.restricted(space) for e in self.model)
+        self.model = [e for e in narrowed if e is not None]
+
+    @rule()
+    def pickled(self):
+        self.history = pickle.loads(pickle.dumps(self.history))
+        assert isinstance(self.history, ColumnarHistory)
+
+    @precondition(lambda self: len(self.model) >= SCAN_VECTOR_MIN)
+    @rule(pk=st.integers(0, len(PRIVILEGES) - 1),
+          space=index_spaces(max_index=48, min_size=0, max_size=16),
+          seed=seed_deps)
+    def long_scan(self, pk, space, seed):
+        deps, meter = set(seed), CostMeter()
+        scan_dependences(PRIVILEGES[pk], space, self.history, deps, meter)
+        want_deps, want_counts, _, _ = spec_scan(self.model, PRIVILEGES[pk],
+                                                 space, seed)
+        assert (deps, meter.snapshot()) == (want_deps, want_counts)
+
+    @precondition(lambda self: len(self.model) >= SCAN_VECTOR_MIN)
+    @rule(clip=index_spaces(max_index=40, min_size=1, max_size=16))
+    def long_paint(self, clip):
+        got, want = (np.zeros(clip.size) for _ in "ab")
+        metered, charged = CostMeter(), CostMeter()
+        paint_into(got, clip, clip, self.history, metered)
+        paint_into(want, clip, clip, list(self.model), charged)
+        assert np.array_equal(got, want)
+        assert metered.snapshot() == charged.snapshot()
+
+    @invariant()
+    def columns_match_entries(self):
+        history = self.history
+        # by content: a restriction or a pickle makes equal, fresh entries
+        assert [(e.privilege, e.domain, e.task_id, e.collapsed_ids)
+                for e in history] == [
+            (e.privilege, e.domain, e.task_id, e.collapsed_ids)
+            for e in self.model]
+        filled = history._filled
+        assert filled <= len(self.model)
+        if filled:  # before any sync: the cached prefix, as it stands
+            assert np.array_equal(
+                history._cols[:, :filled],
+                ColumnarHistory(self.model[:filled])._sync())
+        history.check_columns()
+        assert history.los.tolist() == [e.domain.bounds[0]
+                                        for e in self.model]
+        assert history.kinds.tolist() == [
+            hist_mod.KIND_REDUCE if e.privilege.is_reduce
+            else hist_mod.KIND_READ if e.privilege.is_read
+            else hist_mod.KIND_WRITE for e in self.model]
+
+
+LazyColumnsMachine.TestCase.settings = settings(max_examples=25,
+                                                stateful_step_count=16)
+TestLazyColumns = LazyColumnsMachine.TestCase
 
 
 # ----------------------------------------------------------------------

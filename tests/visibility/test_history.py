@@ -192,7 +192,8 @@ def paint_cases(draw):
                     [np.int64, np.float64]))))
         entries.append(HistoryEntry(privilege, domain, values, task_id))
     if draw(st.booleans()):
-        entries = ColumnarHistory(entries * draw(st.sampled_from([1, 8])))
+        entries = ColumnarHistory(entries * draw(st.sampled_from(
+            [1, 1 + SCAN_VECTOR_MIN // max(1, len(entries))])))
     dtype = draw(st.sampled_from([np.int64, np.float64, np.float32]))
     return dtype, target, clip, entries
 

@@ -159,3 +159,33 @@ class TestBucketSelection:
         algo.rebucket(None)
         algo.check_invariants()
         assert np.array_equal(rt.read_field("up"), before)
+
+
+class TestCommitKeepsItsOwnCopy:
+    """``_record`` stores one copy of the committed values — ``copy()``
+    where a set covers the whole region, a gather where it covers part —
+    and never a view of the task's buffer."""
+
+    @pytest.mark.parametrize("privilege, partition, sets", [
+        (READ_WRITE, "P", 1),       # a write settles one set over P[1]
+        (reduce("sum"), "P", 1),    # one set covers the whole region
+        (reduce("sum"), "G", 3),    # G[1] = {0, 7, 8}: part of three sets
+    ], ids=["write-whole", "reduce-whole", "reduce-partial"])
+    def test_store_never_aliases_the_task_buffer(self, privilege, partition,
+                                                 sets):
+        tree, P, G = make_fig1_tree()
+        algo = RayCastAlgorithm(tree, "up", np.arange(12, dtype=np.int64))
+        for i in range(3):  # one set per piece
+            piece = algo.materialize(READ_WRITE, P[i]).values
+            algo.commit(READ_WRITE, P[i], piece, task_id=i)
+        region = {"P": P, "G": G}[partition][1]
+        assert len(algo.store.overlapping(region.space)) == sets
+        buffer = algo.materialize(privilege, region).values
+        buffer += 100
+        algo.commit(privilege, region, buffer, task_id=7)
+        want = np.arange(12, dtype=np.int64)
+        want[region.space.indices] += 100
+        assert np.array_equal(algo.read_root(), want)
+        buffer[:] = -1  # the task reuses its buffer after the commit
+        assert np.array_equal(algo.read_root(), want)
+        algo.check_invariants()
