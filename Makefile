@@ -17,7 +17,7 @@ help:
 	@echo "examples     run every example script"
 	@echo "introspect-smoke  census -> validate -> self-diff -> explain"
 	@echo "service-smoke  boot the analysis service, 3 tenants, chaos + verify"
-	@echo "telemetry-smoke  serve --telemetry-out -> validate stream -> top --once"
+	@echo "telemetry-smoke  serve --telemetry-out -> validate + replay the stream (24 completed) -> top --once"
 	@echo "blackbox-smoke  chaos serve on a bounded, witness-recording tracer -> validate dump (shards, ids, witnesses) -> render"
 	@echo "ledger       the layer ledger: four workloads, every metric (benchmarks/ledger)"
 	@echo "ledger-selftest  the ledger's <20 s self-test + its own tests"
@@ -63,16 +63,22 @@ service-smoke:
 
 telemetry-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest -q tests/obs/test_telemetry.py \
-		tests/obs/test_slo.py tests/obs/test_top.py
+		tests/obs/test_slo.py tests/obs/test_top.py \
+		tests/obs/test_thread_safety.py
 	rm -rf telemetry-out
 	PYTHONPATH=src $(PYTHON) -m repro serve --backend process \
 		--tenants 3 --sessions 24 --seed 2023 \
 		--max-inflight 32 --queue-limit 32 --rate 1000 --burst 64 \
 		--telemetry-out telemetry-out --telemetry-interval 0.1
 	PYTHONPATH=src $(PYTHON) -c "from repro.obs.telemetry import \
-		validate_telemetry; problems = validate_telemetry('telemetry-out'); \
+		load_telemetry, validate_telemetry; \
+		problems = validate_telemetry('telemetry-out'); \
 		assert not problems, problems; \
-		print('telemetry-out: repro.telemetry/1 schema valid')"
+		hub = load_telemetry('telemetry-out'); \
+		done = hub.delta_matching('service.completed', '5m'); \
+		assert done == 24, f'replay counts {done} completed sessions, not 24'; \
+		print(f'telemetry-out: repro.telemetry/1 schema valid, {len(hub)} ' \
+			f'samples, {len(hub.alerts)} alert transitions')"
 	PYTHONPATH=src $(PYTHON) -m repro top telemetry-out --once --window 5m
 
 blackbox-smoke:

@@ -158,13 +158,13 @@ def test_disabled_service_metrics_overhead_is_below_budget():
     calls = 200_000
 
     def hooks():
-        metrics.admitted("t")
-        metrics.completed("t", 0.01)
-        metrics.rejected("t", "rate")
-        metrics.set_queue_depth("t", 1)
-        metrics.set_paused("t", False)
-        metrics.set_inflight(1)
-        metrics.set_breaker(0)
+        metrics.outcome("admitted", 1, tenant="t")
+        metrics.observe_latency("t", 0.01)
+        metrics.outcome("rejected", 1, tenant="t", reason="rate")
+        metrics.gauge("queue_depth", 1, tenant="t")
+        metrics.gauge("paused", 0, tenant="t")
+        metrics.gauge("inflight", 1)
+        metrics.gauge("breaker", 0)
 
     per_burst = min(timeit.repeat(hooks, repeat=5, number=calls)) / calls
     # one session crosses far fewer than 4 such bursts

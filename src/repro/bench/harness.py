@@ -301,7 +301,7 @@ def run_chaos_bench(app_factory: Callable[[int], Application],
                 stream.extend_from(window)
                 tasks += len(stream)
                 reports = srt.analyze(stream)
-            recovery = srt.recovery.copy()
+            recovery = srt.recovery
         fingerprint = reports[0].fingerprint
         if baseline is None:
             baseline = fingerprint

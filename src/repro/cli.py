@@ -502,11 +502,19 @@ def _cmd_analyze(args) -> int:
                 buffer = obs.active_tracer().snapshot()
                 if args.trace_out:
                     registry = obs.MetricsRegistry()
-                    srt.backend.reference.meter.publish_to(registry)
-                    srt.profile.publish_to(registry)
-                    geometry_cache().publish_to(registry)
+                    meter = srt.backend.reference.meter
+                    registry.publish(
+                        "meter", {**meter.snapshot(),
+                                  "objects_touched": len(meter.touches)},
+                        gauges=("objects_touched",))
+                    for phase, stat in srt.profile.snapshot().items():
+                        registry.publish("profile", vars(stat),
+                                         gauges=("seconds",), phase=phase)
+                    registry.publish("geom.cache", geometry_cache().stats(),
+                                     gauges=("interned", "entries"))
                     if srt.recovery is not None:
-                        srt.recovery.publish_to(registry)
+                        registry.publish("recovery", srt.recovery.counters(),
+                                         gauges=("seconds",))
                     seconds_hist = registry.histogram(
                         "analysis.shard_seconds")
                     for report in reports:

@@ -22,7 +22,7 @@ digest check.  This module provides the pieces the supervisor in
 * :class:`RecoveryReport` — structured counters of everything the
   supervisor saw and did (faults, retries, respawns, checkpoint
   restores, replayed tasks, workers lost, recovery wall-clock), surfaced
-  through the :class:`~repro.visibility.meter.PhaseProfile` and the CLI.
+  by the CLI and, as ``recovery.*`` series, the metrics registry.
 * The :class:`WorkerFault` exception family distinguishing *recoverable*
   failure detections (crash / hang / corrupt reply) from application
   errors that must propagate.
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.errors import MachineError
@@ -260,10 +260,8 @@ class RecoveryReport:
     """Structured counters of supervision activity.
 
     One report accumulates for the lifetime of a
-    :class:`~repro.distributed.backends.ProcessBackend`;
-    :class:`~repro.distributed.sharded.ShardedRuntime` surfaces per-call
-    deltas into its :class:`~repro.visibility.meter.PhaseProfile` under
-    ``recover`` / ``recover.<counter>`` phases.
+    :class:`~repro.distributed.backends.ProcessBackend` and is the only
+    record of its recovery activity.
     """
 
     #: Detected faults by kind (``crash`` / ``hang`` / ``corrupt``; a
@@ -294,50 +292,20 @@ class RecoveryReport:
         return bool(self.total_faults or self.recoveries
                     or self.workers_lost or self.local_fallbacks)
 
-    def copy(self) -> "RecoveryReport":
-        out = RecoveryReport(**{f.name: getattr(self, f.name)
-                                for f in fields(self) if f.name != "faults"})
-        out.faults = dict(self.faults)
-        return out
-
-    def delta(self, since: "RecoveryReport") -> "RecoveryReport":
-        """Field-wise ``self - since`` (for per-call profile credits)."""
-        out = RecoveryReport()
-        for f in fields(self):
-            if f.name == "faults":
-                continue
-            setattr(out, f.name,
-                    getattr(self, f.name) - getattr(since, f.name))
-        for kind, n in self.faults.items():
-            diff = n - since.faults.get(kind, 0)
-            if diff:
-                out.faults[kind] = diff
-        return out
-
-    def counters(self) -> dict[str, int]:
-        """Non-zero integer counters as a flat mapping (profile keys)."""
-        out: dict[str, int] = {}
+    def counters(self) -> dict[str, float]:
+        """The report as one flat mapping of totals: the non-zero integer
+        counters, and the ``seconds`` spent recovering."""
+        out: dict[str, float] = {"seconds": self.recovery_seconds}
         for kind in sorted(self.faults):
             if self.faults[kind]:
                 out[f"fault.{kind}"] = self.faults[kind]
-        for name in ("retries", "respawns", "checkpoints", "restores",
-                     "replayed_streams", "replayed_tasks", "adoptions",
-                     "workers_lost", "local_fallbacks"):
+        for name in ("recoveries", "retries", "respawns", "checkpoints",
+                     "restores", "replayed_streams", "replayed_tasks",
+                     "adoptions", "workers_lost", "local_fallbacks"):
             value = getattr(self, name)
             if value:
                 out[name] = value
         return out
-
-    def publish_to(self, registry, **labels) -> None:
-        """Publish supervision totals into a
-        :class:`repro.obs.metrics.MetricsRegistry` as ``recovery.*``
-        counters plus the recovery-seconds gauge (idempotent)."""
-        registry.counter("recovery.recoveries", **labels).set_total(
-            self.recoveries)
-        for name, value in self.counters().items():
-            registry.counter(f"recovery.{name}", **labels).set_total(value)
-        registry.gauge("recovery.seconds", **labels).set(
-            self.recovery_seconds)
 
     def render(self) -> str:
         """One-line human summary (the CLI prints this after a run)."""

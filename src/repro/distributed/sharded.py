@@ -103,10 +103,7 @@ class ShardedRuntime:
     profile:
         Optional shared :class:`PhaseProfile`; created when omitted.
         Records ``analyze`` (total), ``analyze.shard<i>`` (per shard),
-        ``verify``, ``execute`` times and ``ship`` bytes; supervised
-        backends additionally credit ``recover`` (wall-clock, one call
-        per recovery episode) and ``recover.<counter>`` occurrence
-        counts from the :class:`RecoveryReport` delta of each stream.
+        ``verify``, ``execute`` times and ``ship`` bytes.
     faults, recv_timeout, heartbeat, retry, checkpoint_interval, clock:
         Fault-tolerance knobs forwarded to the process backend (see
         :class:`~repro.distributed.backends.ProcessBackend`): a
@@ -191,23 +188,6 @@ class ShardedRuntime:
         backends, which have no workers to supervise)."""
         return self._backend.recovery
 
-    def publish_telemetry(self, registry, **labels) -> None:
-        """Publish this runtime's live internals into a
-        :class:`~repro.obs.metrics.MetricsRegistry` — the telemetry
-        hub's per-tick sampler hook.
-
-        Covers the per-phase profile (including ``recover.*`` phases)
-        and the supervision :class:`RecoveryReport` (faults, respawns,
-        checkpoint restores — ``None`` for in-process backends).
-        Everything published is a cumulative total through idempotent
-        ``publish_to`` bridges, so re-sampling every tick is safe; the
-        hub turns the totals into windowed deltas.
-        """
-        self.profile.publish_to(registry, **labels)
-        recovery = self.recovery
-        if recovery is not None:
-            recovery.publish_to(registry, **labels)
-
     def close(self) -> None:
         """Release backend workers (no-op for in-process backends)."""
         self._backend.close()
@@ -232,8 +212,6 @@ class ShardedRuntime:
         """
         base = self._backend.tasks_analyzed
         shipped_before = self._backend.shipped_bytes
-        recovery_before = (self._backend.recovery.copy()
-                           if self._backend.recovery is not None else None)
         with self.profile.phase("analyze"):
             reports = self._backend.analyze(stream)
         for report in reports:
@@ -249,16 +227,8 @@ class ShardedRuntime:
                         shard, base, len(stream)),
                     base)
         # the stream's analysis is fingerprint-verified: let supervised
-        # backends checkpoint, then credit recovery activity to the
-        # profile as "recover" phases
+        # backends checkpoint
         self._backend.after_verified()
-        if recovery_before is not None:
-            delta = self._backend.recovery.delta(recovery_before)
-            if delta.recoveries or delta.recovery_seconds:
-                self.profile.add_time("recover", delta.recovery_seconds,
-                                      calls=delta.recoveries)
-            for counter, n in delta.counters().items():
-                self.profile.add_count(f"recover.{counter}", n)
         obs.counter("tasks_analyzed", self._backend.tasks_analyzed)
         obs.counter("shipped_bytes", self._backend.shipped_bytes)
         return reports

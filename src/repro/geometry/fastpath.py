@@ -288,17 +288,6 @@ class GeometryCache:
                         + len(self._subset) + len(self._pos)),
         }
 
-    def publish_to(self, registry, **labels) -> None:
-        """Publish totals into a
-        :class:`repro.obs.metrics.MetricsRegistry` as ``geom.cache.*``
-        (idempotent, matching the ``CostMeter.publish_to`` pattern)."""
-        s = self.stats()
-        for event in ("hits", "misses", "evictions", "invalidations"):
-            registry.counter(f"geom.cache.{event}", **labels).set_total(
-                s[event])
-        registry.gauge("geom.cache.interned", **labels).set(s["interned"])
-        registry.gauge("geom.cache.entries", **labels).set(s["entries"])
-
     def render(self) -> str:
         """One-line summary for the CLI ``--profile`` output."""
         s = self.stats()

@@ -12,7 +12,7 @@ The document validates against :data:`CENSUS_SCHEMA` (hand-rolled
 checker, same style as :func:`repro.obs.export.validate_trace`), diffs
 structurally with :func:`census_diff` (empty dict ⇔ identical), and
 publishes into a :class:`~repro.obs.metrics.MetricsRegistry` as
-``census.*`` gauges via :func:`publish_census`.
+``census.*`` gauges when :func:`census` is handed one.
 """
 
 from __future__ import annotations
@@ -96,7 +96,14 @@ def census(runtime, registry=None, service=None, **labels) -> dict:
     if service is not None:
         doc["service"] = dict(service)
     if registry is not None:
-        publish_census(doc, registry, **labels)
+        flat: dict = {}
+        _flatten("", {key: doc[key] for key in ("fields", "derived", "tasks",
+                                                "edges", "service")
+                      if key in doc}, flat)
+        numeric = {path: value for path, value in flat.items()
+                   if isinstance(value, (int, float))
+                   and not isinstance(value, bool)}
+        registry.publish("census", numeric, gauges=numeric, **labels)
     return doc
 
 
@@ -186,22 +193,6 @@ def census_diff(a: dict, b: dict) -> dict:
         if va != vb:
             diff[path] = (va, vb)
     return diff
-
-
-def publish_census(doc: dict, registry, **labels) -> None:
-    """Publish every numeric leaf of a census document as a
-    ``census.<path>`` gauge (idempotent, like the other
-    ``publish_to`` bridges)."""
-    flat: dict = {}
-    numeric = {"fields": doc["fields"], "derived": doc["derived"],
-               "tasks": doc["tasks"], "edges": doc["edges"]}
-    if "service" in doc:
-        numeric["service"] = doc["service"]
-    _flatten("", numeric, flat)
-    for path, value in flat.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            continue
-        registry.gauge(f"census.{path}", **labels).set(value)
 
 
 def render_census(doc: dict) -> str:

@@ -83,8 +83,9 @@ def trace_events(buffer: TraceBuffer,
     if registry is not None:
         for metric in registry:
             if isinstance(metric, Histogram):
-                args = {"count": metric.count,
-                        "sum": round(metric.sum, 9)}
+                digest = metric.digest()
+                args = {"count": digest.count,
+                        "sum": round(digest.sum, 9)}
             else:
                 args = {"value": metric.value}
             events.append({

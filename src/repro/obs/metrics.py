@@ -1,20 +1,18 @@
 """The metrics registry — one labelled store behind every instrument.
 
-Before this module the repository had three disjoint metric silos:
-:class:`~repro.visibility.meter.CostMeter` (algorithmic operation
-counts), :class:`~repro.visibility.meter.PhaseProfile` (wall-clock per
-phase) and :class:`~repro.distributed.faults.RecoveryReport` (supervision
-counters).  Each now carries a ``publish_to(registry, **labels)`` method
-mapping its totals into *this* store, so exporters, the CLI and the
-Perfetto counter tracks all read from one place.
-
 Three instrument kinds, all labelled:
 
 * :class:`Counter` — a monotonically published total;
 * :class:`Gauge` — a last-value-wins measurement;
-* :class:`Histogram` — fixed-bucket distribution (observations fall into
-  the first bucket whose upper bound is >= the value, plus a +inf
-  overflow bucket), with ``count`` and ``sum``.
+* :class:`Histogram` — a labelled, lock-protected
+  :class:`QuantileDigest` (the one bucketed distribution: observations
+  fall into the first bucket whose upper bound is >= the value, plus a
+  +inf overflow bucket) and an optional exemplar reservoir.
+
+Sources that keep their own cumulative totals (``CostMeter.snapshot()``,
+``GeometryCache.stats()``, ``RecoveryReport.counters()``, a phase's
+``PhaseStat``) reach the store through the one bridge,
+:meth:`MetricsRegistry.publish`.
 
 All mutation is lock-protected: registries are shared across the thread
 backend's workers.
@@ -26,11 +24,19 @@ import math
 import random
 import threading
 import zlib
-from typing import Iterator, Optional, Sequence
+from bisect import bisect_left
+from typing import Collection, Iterator, Mapping, Optional, Sequence
+
+from repro.errors import MachineError
 
 #: Default histogram buckets (seconds): spans from microseconds to
 #: minutes, log-spaced — the range analysis phases actually cover.
 DEFAULT_BUCKETS = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0, 60.0)
+
+
+class DigestError(MachineError, ValueError):
+    """A malformed bucket vector or quantile: a ``MachineError`` to the
+    telemetry layer's callers, a ``ValueError`` to the registry's."""
 
 
 def _label_key(labels: dict) -> tuple:
@@ -43,6 +49,129 @@ def format_labels(labels: dict) -> str:
         return ""
     inner = ",".join(f'{k}="{v}"' for k, v in sorted(labels.items()))
     return "{" + inner + "}"
+
+
+class QuantileDigest:
+    """A mergeable quantile summary over a fixed centroid vector.
+
+    ``centroids`` are inclusive upper bounds in strictly increasing
+    order; a trailing ``+inf`` centroid is appended when absent, so the
+    digest covers the whole line.  Observations land on the first
+    centroid >= value.  Merging digests with identical centroids is an
+    elementwise count add — O(centroids), no raw samples kept — and
+    :meth:`minus` is its inverse over two readings of one source.
+    """
+
+    __slots__ = ("centroids", "counts", "count", "sum")
+
+    def __init__(self, centroids: Sequence[float]) -> None:
+        bounds = tuple(float(c) for c in centroids)
+        if not bounds:
+            raise DigestError("digest needs at least one centroid")
+        if list(bounds) != sorted(set(bounds)):
+            raise DigestError("digest centroids must be strictly "
+                              "increasing")
+        if not math.isinf(bounds[-1]):
+            bounds = bounds + (math.inf,)
+        self.centroids = bounds
+        self.counts = [0] * len(bounds)
+        self.count = 0
+        self.sum = 0.0
+
+    def observe(self, value: float, n: int = 1) -> int:
+        """Fold ``n`` observations of ``value`` in; returns the index of
+        the bucket they landed in."""
+        k = bisect_left(self.centroids, value)
+        self.counts[k] += n
+        self.count += n
+        self.sum += value * n
+        return k
+
+    def merge(self, other: "QuantileDigest") -> "QuantileDigest":
+        """Fold ``other`` into this digest (identical centroids only)."""
+        if other.centroids != self.centroids:
+            raise DigestError("cannot merge digests with different "
+                              "centroid vectors")
+        self.counts = [a + b for a, b in zip(self.counts, other.counts)]
+        self.count += other.count
+        self.sum += other.sum
+        return self
+
+    def minus(self, previous: Optional["QuantileDigest"]
+              ) -> "QuantileDigest":
+        """What one source observed between its ``previous`` reading and
+        this one.  A previous reading with other centroids, or with more
+        in any bucket than there is now, means the source restarted:
+        everything in this reading is new."""
+        out = self.copy()
+        if previous is not None and previous.centroids == self.centroids \
+                and all(p <= c for p, c in zip(previous.counts,
+                                               self.counts)):
+            out.counts = [c - p for c, p in zip(self.counts,
+                                                previous.counts)]
+            out.count -= previous.count
+            out.sum -= previous.sum
+        return out
+
+    def quantile(self, q: float) -> float:
+        """Centroid of the bucket holding the ``q``-quantile — always an
+        occupied one (NaN when empty: no data is not a latency of 0)."""
+        if not 0.0 <= q <= 1.0:
+            raise DigestError(f"quantile {q} outside [0, 1]")
+        if self.count == 0:
+            return math.nan
+        target = q * self.count
+        seen = 0
+        for centroid, n in zip(self.centroids, self.counts):
+            seen += n
+            if n and seen >= target:
+                return centroid
+        return self.centroids[-1]
+
+    def quantiles(self, qs: Sequence[float] = (0.5, 0.95, 0.99)) -> dict:
+        """``{"p50": ..., "p95": ..., "p99": ...}`` centroids."""
+        return {f"p{round(q * 100) if q < 1 else 100}": self.quantile(q)
+                for q in qs}
+
+    def fraction_at_most(self, bound: float) -> float:
+        """Fraction of observations on centroids <= ``bound`` (NaN when
+        empty) — the latency-SLO 'good events' reader."""
+        if self.count == 0:
+            return math.nan
+        good = sum(n for c, n in zip(self.centroids, self.counts)
+                   if c <= bound)
+        return good / self.count
+
+    def copy(self) -> "QuantileDigest":
+        out = QuantileDigest.__new__(QuantileDigest)  # bounds are checked
+        out.centroids, out.counts = self.centroids, list(self.counts)
+        out.count, out.sum = self.count, self.sum
+        return out
+
+    def to_dict(self) -> dict:
+        """JSON-safe wire form (``inf`` centroid encoded as ``null``)."""
+        return {
+            "centroids": [None if math.isinf(c) else c
+                          for c in self.centroids],
+            "counts": list(self.counts),
+            "sum": round(self.sum, 9),
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "QuantileDigest":
+        digest = cls([math.inf if c is None else float(c)
+                      for c in data["centroids"]])
+        counts = [int(n) for n in data["counts"]]
+        if len(counts) != len(digest.counts):
+            raise DigestError(f"bucket vector length {len(counts)} != "
+                              f"{len(digest.counts)} centroids")
+        digest.counts, digest.count = counts, sum(counts)
+        digest.sum = float(data.get("sum", 0.0))
+        return digest
+
+    def __repr__(self) -> str:
+        return (f"QuantileDigest(count={self.count}, "
+                f"centroids={len(self.centroids)})")
 
 
 class Metric:
@@ -85,8 +214,8 @@ class Counter(Metric):
             self.value += n
 
     def set_total(self, total: float) -> None:
-        """Publish an externally accumulated total (idempotent; used by
-        ``publish_to`` so re-publishing the same source is safe)."""
+        """Move the total forward (:meth:`MetricsRegistry.publish` is
+        the caller; it never hands a lower one)."""
         if total < self.value:
             raise ValueError(
                 f"counter {self.name!r} cannot move backwards "
@@ -114,10 +243,12 @@ class Gauge(Metric):
 
 
 class Histogram(Metric):
-    """Fixed-bucket histogram with labels.
+    """A labelled, lock-protected :class:`QuantileDigest`.
 
     ``buckets`` are inclusive upper bounds in increasing order; an
-    implicit +inf bucket catches the overflow.
+    implicit +inf bucket catches the overflow.  :meth:`digest` is the
+    only reader: a tear-free copy, safe to take while other threads
+    observe.
 
     With ``exemplars > 0`` each bucket additionally keeps a bounded
     **exemplar reservoir**: up to that many concrete observations
@@ -134,19 +265,13 @@ class Histogram(Metric):
                  buckets: Sequence[float] = DEFAULT_BUCKETS,
                  exemplars: int = 0, exemplar_seed: int = 0) -> None:
         super().__init__(name, labels)
-        bounds = tuple(float(b) for b in buckets)
-        if list(bounds) != sorted(set(bounds)):
-            raise ValueError("histogram buckets must be strictly increasing")
-        self.bounds = bounds + (math.inf,)
-        self.counts = [0] * len(self.bounds)
-        self.sum = 0.0
-        self.count = 0
+        self._digest = QuantileDigest(buckets)
         self.exemplar_capacity = int(exemplars)
         self.exemplar_seed = int(exemplar_seed)
         if self.exemplar_capacity:
             self._reservoirs: list[list[dict]] = \
-                [[] for _ in self.bounds]
-            self._reservoir_seen = [0] * len(self.bounds)
+                [[] for _ in self._digest.centroids]
+            self._reservoir_seen = [0] * len(self._reservoirs)
             self._exemplar_seq = 0
             # crc32 keeps the derivation stable across processes and
             # PYTHONHASHSEED values (str hash is salted; crc32 is not)
@@ -156,14 +281,14 @@ class Histogram(Metric):
     def observe(self, value: float,
                 exemplar: Optional[dict] = None) -> None:
         with self._lock:
-            for k, bound in enumerate(self.bounds):
-                if value <= bound:
-                    self.counts[k] += 1
-                    break
-            self.sum += value
-            self.count += 1
+            k = self._digest.observe(value)
             if self.exemplar_capacity and exemplar is not None:
                 self._offer_exemplar(k, value, exemplar)
+
+    def digest(self) -> QuantileDigest:
+        """Tear-free copy of the distribution so far."""
+        with self._lock:
+            return self._digest.copy()
 
     def _offer_exemplar(self, k: int, value: float,
                         context: dict) -> None:
@@ -195,7 +320,8 @@ class Histogram(Metric):
             return []
         with self._lock:
             out = []
-            for bound, reservoir in zip(self.bounds, self._reservoirs):
+            for bound, reservoir in zip(self._digest.centroids,
+                                        self._reservoirs):
                 for entry in reservoir:
                     row = dict(entry)
                     row["bucket"] = None if math.isinf(bound) else bound
@@ -203,47 +329,14 @@ class Histogram(Metric):
         out.sort(key=lambda e: e["seq"])
         return out
 
-    def bucket_counts(self) -> tuple[list[int], int, float]:
-        """Tear-free ``(counts, count, sum)`` snapshot — safe to read
-        while other threads observe (the telemetry hub's delta source)."""
-        with self._lock:
-            return list(self.counts), self.count, self.sum
-
-    def quantile_bound(self, q: float) -> float:
-        """Upper bound of the bucket containing the ``q``-quantile.
-
-        An empty histogram has no quantiles: returns ``nan`` (render
-        shows "no samples") rather than inventing a bound of 0.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile {q} outside [0, 1]")
-        counts, count, _ = self.bucket_counts()
-        if count == 0:
-            return math.nan
-        target = q * count
-        seen = 0
-        for bound, n in zip(self.bounds, counts):
-            seen += n
-            if seen >= target:
-                return bound
-        return self.bounds[-1]
-
-    def quantile_summary(self,
-                         qs: Sequence[float] = (0.5, 0.95, 0.99)) -> dict:
-        """``{"p50": bound, "p95": bound, ...}`` for the given quantiles
-        (bucket upper bounds; the latency summary the service publishes).
-        All values are ``nan`` when the histogram is empty."""
-        return {f"p{round(q * 100) if q < 1 else 100}":
-                self.quantile_bound(q) for q in qs}
-
     def render(self, width: int = 40) -> str:
         """ASCII bar chart of the bucket distribution."""
-        counts, count, _ = self.bucket_counts()
-        if count == 0:
+        digest = self.digest()
+        if digest.count == 0:
             return "(no samples)"
-        peak = max(counts)
+        peak = max(digest.counts)
         lines = []
-        for bound, n in zip(self.bounds, counts):
+        for bound, n in zip(digest.centroids, digest.counts):
             if n == 0:
                 continue
             label = "+inf" if math.isinf(bound) else _si(bound)
@@ -273,6 +366,8 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._metrics: dict[tuple, Metric] = {}
+        #: the total each published series' source last reported
+        self._published: dict[tuple, float] = {}
 
     def _get(self, cls, name: str, labels: dict, **kwargs) -> Metric:
         key = (name, _label_key(labels))
@@ -299,6 +394,31 @@ class MetricsRegistry:
         # first creation of a given (name, labels) instrument
         return self._get(Histogram, name, labels, buckets=buckets,
                          exemplars=exemplars, exemplar_seed=exemplar_seed)
+
+    def publish(self, prefix: str, totals: Mapping[str, float],
+                gauges: Collection[str] = (), **labels) -> None:
+        """The one bridge from a source's cumulative totals to series.
+
+        ``totals[name]`` becomes the counter ``<prefix>.<name>`` (a
+        gauge when ``name`` is in ``gauges``) under ``labels``.
+        Idempotent: publishing the same totals again changes nothing.  A
+        total below the one this series' source reported last means the
+        source restarted — its whole total is new — so a published
+        counter never moves backwards; a counter nothing has been
+        counted on yet gets no series.
+        """
+        key = _label_key(labels)
+        for name, total in totals.items():
+            series = f"{prefix}.{name}"
+            if name in gauges:
+                self.gauge(series, **labels).set(total)
+            elif total or (series, key) in self._published:
+                counter = self.counter(series, **labels)
+                with self._lock:
+                    last = self._published.get((series, key), 0)
+                    self._published[series, key] = total
+                    counter.set_total(counter.value + (
+                        total - last if total >= last else total))
 
     def exemplars(self) -> list[dict]:
         """Every exemplar across every histogram, each row tagged with
@@ -332,8 +452,9 @@ class MetricsRegistry:
         out: dict[str, float | dict] = {}
         for metric in self:
             if isinstance(metric, Histogram):
-                _, count, total = metric.bucket_counts()
-                out[metric.full_name] = {"count": count, "sum": total}
+                digest = metric.digest()
+                out[metric.full_name] = {"count": digest.count,
+                                         "sum": digest.sum}
             else:
                 out[metric.full_name] = metric.value
         return out
@@ -345,8 +466,8 @@ class MetricsRegistry:
         rows = [("metric", "kind", "value")]
         for metric in self:
             if isinstance(metric, Histogram):
-                _, count, total = metric.bucket_counts()
-                value = f"count={count} sum={total:.6f}"
+                digest = metric.digest()
+                value = f"count={digest.count} sum={digest.sum:.6f}"
             elif isinstance(metric, Gauge):
                 value = f"{metric.value:.6f}"
             else:

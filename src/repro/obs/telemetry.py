@@ -18,12 +18,11 @@ state per task instead of recomputing from scratch:
   :class:`QuantileDigest` deltas — so any sliding window is a cheap
   fold over at most ``window / interval`` small records and raw samples
   are never retained.
-* :class:`QuantileDigest` is a mergeable fixed-centroid digest: a fixed
-  vector of centroid locations (histogram bucket bounds) with counts.
-  Merging two digests adds counts; a window quantile is one cumulative
-  walk.  Digests built from the same bucket bounds as the offline
-  :class:`~repro.obs.metrics.Histogram` agree with its
-  ``quantile_bound`` within one bucket width by construction.
+* A tick's histogram record is the
+  :class:`~repro.obs.metrics.QuantileDigest` the instrument holds now
+  ``minus`` the one it held at the previous tick; merging the ticks of
+  a window adds counts, and a window quantile is one cumulative walk
+  over the same buckets as the cumulative instrument's.
 * :class:`TelemetrySink` writes every sample (and every SLO alert
   transition) as one JSON line in the ``repro.telemetry/1`` schema,
   with size-based rotation; :func:`validate_telemetry` is the schema
@@ -42,7 +41,6 @@ from __future__ import annotations
 import json
 import math
 import re
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -50,7 +48,8 @@ from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
 from repro.errors import MachineError
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import (Counter, Gauge, Histogram, MetricsRegistry,
+                               QuantileDigest, format_labels)
 
 #: Schema identifier stamped on every telemetry JSONL file.
 TELEMETRY_SCHEMA = "repro.telemetry/1"
@@ -81,124 +80,6 @@ def parse_full_name(full_name: str) -> tuple[str, dict]:
     out per call; mutate freely)."""
     name, labels = _parse_cached(full_name)
     return name, dict(labels)
-
-
-# ----------------------------------------------------------------------
-# fixed-centroid quantile digest
-# ----------------------------------------------------------------------
-class QuantileDigest:
-    """A mergeable quantile summary over a fixed centroid vector.
-
-    ``centroids`` are inclusive upper bounds in strictly increasing
-    order; a trailing ``+inf`` centroid is appended when absent, so the
-    digest covers the whole line.  Observations land on the first
-    centroid >= value (exactly the bucket rule of
-    :class:`~repro.obs.metrics.Histogram`), which is what makes the
-    windowed quantiles agree with the offline histogram bounds within
-    one bucket width.  Merging digests with identical centroids is an
-    elementwise count add — O(centroids), no raw samples kept.
-    """
-
-    __slots__ = ("centroids", "counts", "count", "sum")
-
-    def __init__(self, centroids: Sequence[float]) -> None:
-        bounds = tuple(float(c) for c in centroids)
-        if not bounds:
-            raise MachineError("digest needs at least one centroid")
-        if list(bounds) != sorted(set(bounds)):
-            raise MachineError("digest centroids must be strictly "
-                               "increasing")
-        if not math.isinf(bounds[-1]):
-            bounds = bounds + (math.inf,)
-        self.centroids = bounds
-        self.counts = [0] * len(bounds)
-        self.count = 0
-        self.sum = 0.0
-
-    def observe(self, value: float, n: int = 1) -> None:
-        """Fold ``n`` observations of ``value`` into the digest."""
-        self.counts[bisect_left(self.centroids, value)] += n
-        self.count += n
-        self.sum += value * n
-
-    def add_bucket_counts(self, counts: Sequence[int],
-                          total: float = 0.0) -> None:
-        """Fold pre-bucketed counts (a histogram delta) in; ``counts``
-        must align with ``centroids``."""
-        if len(counts) != len(self.counts):
-            raise MachineError(
-                f"bucket vector length {len(counts)} != "
-                f"{len(self.counts)} centroids")
-        for k, n in enumerate(counts):
-            self.counts[k] += n
-            self.count += n
-        self.sum += total
-
-    def merge(self, other: "QuantileDigest") -> "QuantileDigest":
-        """Fold ``other`` into this digest (identical centroids only)."""
-        if other.centroids != self.centroids:
-            raise MachineError("cannot merge digests with different "
-                               "centroid vectors")
-        self.add_bucket_counts(other.counts, other.sum)
-        return self
-
-    def quantile(self, q: float) -> float:
-        """Centroid holding the ``q``-quantile (NaN when empty)."""
-        if not 0.0 <= q <= 1.0:
-            raise MachineError(f"quantile {q} outside [0, 1]")
-        if self.count == 0:
-            return math.nan
-        target = q * self.count
-        seen = 0
-        for centroid, n in zip(self.centroids, self.counts):
-            seen += n
-            if seen >= target:
-                return centroid
-        return self.centroids[-1]
-
-    def quantiles(self, qs: Sequence[float] = (0.5, 0.95, 0.99)) -> dict:
-        """``{"p50": ..., "p95": ..., "p99": ...}`` — same key shape as
-        :meth:`repro.obs.metrics.Histogram.quantile_summary`."""
-        return {f"p{round(q * 100) if q < 1 else 100}": self.quantile(q)
-                for q in qs}
-
-    def fraction_at_most(self, bound: float) -> float:
-        """Fraction of observations on centroids <= ``bound`` (NaN when
-        empty) — the latency-SLO 'good events' reader."""
-        if self.count == 0:
-            return math.nan
-        good = sum(n for c, n in zip(self.centroids, self.counts)
-                   if c <= bound)
-        return good / self.count
-
-    def copy(self) -> "QuantileDigest":
-        out = QuantileDigest(self.centroids)
-        out.counts = list(self.counts)
-        out.count = self.count
-        out.sum = self.sum
-        return out
-
-    def to_dict(self) -> dict:
-        """JSON-safe wire form (``inf`` centroid encoded as ``null``)."""
-        return {
-            "centroids": [None if math.isinf(c) else c
-                          for c in self.centroids],
-            "counts": list(self.counts),
-            "sum": round(self.sum, 9),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "QuantileDigest":
-        centroids = [math.inf if c is None else float(c)
-                     for c in data["centroids"]]
-        digest = cls(centroids)
-        digest.add_bucket_counts([int(n) for n in data["counts"]],
-                                 float(data.get("sum", 0.0)))
-        return digest
-
-    def __repr__(self) -> str:
-        return (f"QuantileDigest(count={self.count}, "
-                f"centroids={len(self.centroids)})")
 
 
 # ----------------------------------------------------------------------
@@ -347,8 +228,8 @@ class TelemetryHub:
     this).
 
     ``samplers`` are callables invoked with the registry at the top of
-    every tick; they publish live runtime internals (service slot
-    profiles, recovery counters, per-tenant geometry caches) so the
+    every tick; they ``publish`` live runtime internals (per-tenant
+    phase profiles, recovery counters, geometry caches) so the
     subsequent snapshot sees them.  ``evaluator`` (an
     :class:`~repro.obs.slo.SloEvaluator`) is consulted once per tick;
     alert transitions are appended to :attr:`alerts` and written to the
@@ -382,7 +263,7 @@ class TelemetryHub:
         self.alerts: list[dict] = []
         self._samplers: list[Callable] = []
         self._last_counters: dict[str, float] = {}
-        self._last_hist: dict[str, tuple] = {}
+        self._last_hist: dict[str, QuantileDigest] = {}
         self._last_exemplar_seq: dict[str, int] = {}
         self._last_ts: Optional[float] = None
 
@@ -415,17 +296,9 @@ class TelemetryHub:
                 self._last_counters[name] = current
                 sample.counters[name] = delta
             elif isinstance(metric, Histogram):
-                counts, _, total = metric.bucket_counts()
-                last_counts, last_sum = self._last_hist.get(
-                    name, ([0] * len(counts), 0.0))
-                if len(last_counts) != len(counts) \
-                        or any(c < p for c, p in zip(counts, last_counts)):
-                    last_counts, last_sum = [0] * len(counts), 0.0
-                digest = QuantileDigest(metric.bounds)
-                digest.add_bucket_counts(
-                    [c - p for c, p in zip(counts, last_counts)],
-                    total - last_sum)
-                self._last_hist[name] = (counts, total)
+                current = metric.digest()
+                digest = current.minus(self._last_hist.get(name))
+                self._last_hist[name] = current
                 if digest.count:
                     sample.digests[name] = digest
                 if metric.exemplar_capacity:
@@ -466,7 +339,6 @@ class TelemetryHub:
                                      "geom.cache.misses", 1)
             misses = sample.counters.get(miss_name, 0.0)
             if hits + misses > 0:
-                from repro.obs.metrics import format_labels
                 sample.gauges["geom.cache.hit_rate"
                               + format_labels(labels)] = \
                     hits / (hits + misses)
@@ -540,10 +412,7 @@ class TelemetryHub:
     def quantiles(self, name: str, window: str | float,
                   qs: Sequence[float] = (0.5, 0.95, 0.99)) -> dict:
         """Windowed quantile summary (NaNs when the window is empty)."""
-        digest = self.digest(name, window)
-        if digest is None:
-            return {f"p{round(q * 100) if q < 1 else 100}": math.nan
-                    for q in qs}
+        digest = self.digest(name, window) or QuantileDigest((math.inf,))
         return digest.quantiles(qs)
 
     def exemplars_in(self, name: str, window: str | float) -> list[dict]:

@@ -56,9 +56,9 @@ class ServiceEvent:
     """One ledgered control-plane decision.
 
     ``kind`` ∈ {``rejected``, ``expired``, ``cancelled``, ``errored``,
-    ``degraded``, ``breaker``, ``slot_poisoned``, ``alert``}; ``detail``
-    carries kind-specific context (rejection reason, breaker
-    transition, SLO burn-rate alert transition, ...).
+    ``degraded``, ``breaker``, ``slot_poisoned``, ``slot_retired``,
+    ``alert``}; ``detail`` carries kind-specific context (rejection
+    reason, breaker transition, SLO burn-rate alert transition, ...).
     """
 
     kind: str
@@ -69,28 +69,43 @@ class ServiceEvent:
 
 
 class ServiceLedger:
-    """Append-only, thread-safe record of control-plane events.
+    """Append-only, thread-safe record of control-plane events, and the
+    one tally of what the service did.
 
     Deliberately tiny: the service is long-lived, so the ledger keeps at
     most ``capacity`` most-recent events (drops the oldest half when
-    full) while the *counts* stay exact forever.
+    full) while the *counts* — per ``(kind, tenant, labels)`` — stay
+    exact forever.  Every other count of session outcomes
+    (``AnalysisService.counts``, the census block, the ``service.*``
+    series) is a reading of these.
     """
 
     def __init__(self, capacity: int = 4096) -> None:
         self._lock = threading.Lock()
         self._events: list[ServiceEvent] = []
-        self._counts: dict[str, int] = {}
+        self._counts: dict[tuple, int] = {}
         self.capacity = max(2, capacity)
         #: Optional observer called with every recorded event, *outside*
         #: the ledger lock (it may do IO — the flight recorder dumps its
         #: rings on alert/breaker/deadline events).
         self.listener = None
 
+    def tally(self, kind: str, tenant: str, **labels) -> None:
+        """Count one ``kind`` for ``tenant`` without keeping an event
+        (``labels`` split the count further, e.g. a rejection's
+        ``reason``) — routine admissions and completions, which would
+        crowd the decisions an operator asks about out of the bounded
+        list."""
+        key = (kind, tenant, tuple(sorted(labels.items())))
+        with self._lock:
+            self._counts[key] = self._counts.get(key, 0) + 1
+
     def record(self, kind: str, tenant: str, session: int = -1,
-               detail: str = "", at: float = 0.0) -> None:
+               detail: str = "", at: float = 0.0, **labels) -> None:
+        """:meth:`tally` it, keep it as an event, tell the listener."""
+        self.tally(kind, tenant, **labels)
         event = ServiceEvent(kind, tenant, session, detail, at)
         with self._lock:
-            self._counts[kind] = self._counts.get(kind, 0) + 1
             if len(self._events) >= self.capacity:
                 del self._events[:self.capacity // 2]
             self._events.append(event)
@@ -103,12 +118,22 @@ class ServiceLedger:
             return list(self._events)
 
     def counts(self) -> dict[str, int]:
+        """Exact totals by kind (every tenant, every label set)."""
+        out: dict[str, int] = {}
         with self._lock:
-            return dict(self._counts)
+            for (kind, _, _), n in self._counts.items():
+                out[kind] = out.get(kind, 0) + n
+        return out
 
-    def count(self, kind: str) -> int:
+    def count(self, kind: str, tenant: Optional[str] = None,
+              **labels) -> int:
+        """Exact total of ``kind``; of one ``tenant`` (and one label
+        set) when given."""
+        want = tuple(sorted(labels.items()))
         with self._lock:
-            return self._counts.get(kind, 0)
+            return sum(n for (k, t, have), n in self._counts.items()
+                       if k == kind and tenant in (None, t)
+                       and (not want or have == want))
 
     def events(self, kind: Optional[str] = None,
                tenant: Optional[str] = None) -> list[ServiceEvent]:

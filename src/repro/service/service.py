@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import asyncio
 import threading
-from collections import deque
+from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -62,6 +62,15 @@ from repro.service.errors import (DEADLINE_EXCEEDED, ERROR, OK, OVERLOADED,
                                   REJECT_RATE, ServiceLedger)
 from repro.service.metrics import ServiceMetrics
 from repro.service.session import SessionRequest, SessionResult
+from repro.visibility.meter import PhaseProfile
+
+#: Ledger kind -> the name its count is read under: a key of
+#: :attr:`AnalysisService.counts` and the census block, and the
+#: ``service.<name>`` series.
+READ_AS = {"admitted": "admitted", "rejected": "rejected",
+           "completed": "completed", "expired": "expired",
+           "cancelled": "expired", "errored": "errors",
+           "degraded": "degraded_sessions"}
 
 
 def make_app(name: str, pieces: int):
@@ -108,6 +117,12 @@ class _Tenant:
     queue: deque = field(default_factory=deque)
     slots: dict = field(default_factory=dict)
     epochs: dict = field(default_factory=dict)
+    #: Every slot the tenant ever has times its phases here, and
+    #: ``recovered`` keeps the recovery totals of the slots it no longer
+    #: has: the tenant's published totals never fall when a slot is
+    #: replaced, and a window sees each unit of work once.
+    profile: PhaseProfile = field(default_factory=PhaseProfile)
+    recovered: Counter = field(default_factory=Counter)
     wake: Optional[asyncio.Event] = None
     worker: Optional[asyncio.Task] = None
 
@@ -153,7 +168,6 @@ class AnalysisService:
                  max_threads: int = 4,
                  analyze_fn: Optional[Callable] = None,
                  exemplar_seed: Optional[int] = None,
-                 exemplar_capacity: int = 4,
                  recorder=None) -> None:
         if backend not in ("serial", "thread", "process"):
             raise MachineError(f"unknown service backend {backend!r}")
@@ -175,12 +189,7 @@ class AnalysisService:
         self.checkpoint_interval = checkpoint_interval
         self._clock = clock if clock is not None else SystemClock()
         self._real_time = isinstance(self._clock, SystemClock)
-        # exemplar_seed opts the latency histograms into per-bucket
-        # exemplar reservoirs (seeded-deterministic; see obs.metrics)
-        self.metrics = ServiceMetrics(
-            registry,
-            exemplars=exemplar_capacity if exemplar_seed is not None else 0,
-            exemplar_seed=exemplar_seed or 0)
+        self.metrics = ServiceMetrics(registry, exemplar_seed)
         self.ledger = ServiceLedger()
         self.recorder = recorder
         if recorder is not None:
@@ -202,9 +211,34 @@ class AnalysisService:
         self._stopping = False
         self._max_threads = max_threads
         self._executor: Optional[ThreadPoolExecutor] = None
-        self.counts = {"sessions": 0, "admitted": 0, "rejected": 0,
-                       "completed": 0, "expired": 0, "errors": 0,
-                       "degraded_sessions": 0}
+
+    # -- the tally ------------------------------------------------------
+    def _outcome(self, kind: str, tenant: str, session: int = -1,
+                 detail: Optional[str] = None, **labels) -> None:
+        """The one call an outcome site makes: the ledger counts it —
+        and keeps it as an event when it comes with a ``detail`` — and
+        the ``service.*`` series it is read under follows the ledger."""
+        if detail is None:
+            self.ledger.tally(kind, tenant, **labels)
+        else:
+            self.ledger.record(kind, tenant, session, detail,
+                               at=self._clock.monotonic(), **labels)
+        if self.metrics.enabled:
+            name = READ_AS[kind]
+            self.metrics.outcome(name, sum(
+                self.ledger.count(k, tenant, **labels)
+                for k, read_as in READ_AS.items() if read_as == name),
+                tenant=tenant, **labels)
+
+    @property
+    def counts(self) -> dict:
+        """Session outcome totals, read from the ledger."""
+        out = dict.fromkeys(("sessions", *READ_AS.values()), 0)
+        for kind, n in self.ledger.counts().items():
+            if kind in READ_AS:
+                out[READ_AS[kind]] += n
+        out["sessions"] = out["admitted"] + out["rejected"]
+        return out
 
     # -- lifecycle ------------------------------------------------------
     async def start(self) -> "AnalysisService":
@@ -215,7 +249,7 @@ class AnalysisService:
             thread_name_prefix="service-session")
         self._running = True
         self._stopping = False
-        self.metrics.set_breaker(STATE_CODES[self.breaker.state])
+        self.metrics.gauge("breaker", STATE_CODES[self.breaker.state])
         return self
 
     async def stop(self) -> None:
@@ -235,11 +269,11 @@ class AnalysisService:
         loop = asyncio.get_running_loop()
         closers = []
         for tenant in self._tenants.values():
-            for slot in tenant.slots.values():
+            for slot in list(tenant.slots.values()):
+                self._drop(tenant, slot)
                 if slot.runtime is not None:
                     closers.append(loop.run_in_executor(
                         self._executor, slot.runtime.close))
-            tenant.slots.clear()
         if closers:
             await asyncio.gather(*closers, return_exceptions=True)
         self._executor.shutdown(wait=True)
@@ -264,35 +298,29 @@ class AnalysisService:
         tenant = self._tenant(request.tenant)
         session = self._next_session
         self._next_session += 1
-        self.counts["sessions"] += 1
         if not tenant.bucket.try_acquire():
             return self._reject(request, session, REJECT_RATE)
         if self._inflight >= self.max_inflight:
             return self._reject(request, session, REJECT_CAPACITY)
         if tenant.gate.paused or len(tenant.queue) >= self.queue_limit:
             return self._reject(request, session, REJECT_BACKPRESSURE)
-        self.counts["admitted"] += 1
-        self.metrics.admitted(request.tenant)
+        self._outcome("admitted", request.tenant)
         deadline = request.deadline if request.deadline is not None \
             else self.default_deadline
         pending = _Pending(request, session,
                            DeadlineBudget(deadline, self._clock),
                            asyncio.get_running_loop().create_future())
         self._inflight += 1
-        self.metrics.set_inflight(self._inflight)
+        self.metrics.gauge("inflight", self._inflight)
         tenant.queue.append(pending)
-        paused = tenant.gate.update(len(tenant.queue))
-        self.metrics.set_queue_depth(tenant.name, len(tenant.queue))
-        self.metrics.set_paused(tenant.name, paused)
+        self._queue_moved(tenant)
         tenant.wake.set()
         return await pending.future
 
     def _reject(self, request: SessionRequest, session: int,
                 reason: str) -> SessionResult:
-        self.counts["rejected"] += 1
-        self.metrics.rejected(request.tenant, reason)
-        self.ledger.record("rejected", request.tenant, session, reason,
-                           at=self._clock.monotonic())
+        self._outcome("rejected", request.tenant, session, reason,
+                      reason=reason)
         return SessionResult(request=request, session=session,
                              status=OVERLOADED, reason=reason)
 
@@ -307,8 +335,14 @@ class AnalysisService:
             tenant.worker = asyncio.get_running_loop().create_task(
                 self._drain(tenant))
             self._tenants[name] = tenant
-            self.metrics.set_tenants(len(self._tenants))
+            self.metrics.gauge("tenants", len(self._tenants))
         return tenant
+
+    def _queue_moved(self, tenant: _Tenant) -> None:
+        paused = tenant.gate.update(len(tenant.queue))
+        self.metrics.gauge("queue_depth", len(tenant.queue),
+                           tenant=tenant.name)
+        self.metrics.gauge("paused", int(paused), tenant=tenant.name)
 
     # -- per-tenant serial drain ----------------------------------------
     async def _drain(self, tenant: _Tenant) -> None:
@@ -319,21 +353,20 @@ class AnalysisService:
                 tenant.wake.clear()
                 await tenant.wake.wait()
             pending = tenant.queue.popleft()
-            paused = tenant.gate.update(len(tenant.queue))
-            self.metrics.set_queue_depth(tenant.name, len(tenant.queue))
-            self.metrics.set_paused(tenant.name, paused)
+            self._queue_moved(tenant)
             if self._stopping:
                 result = SessionResult(
                     request=pending.request, session=pending.session,
                     status=ERROR, error="service stopped")
-                self.counts["errors"] += 1
+                self._outcome("errored", tenant.name, pending.session,
+                              "service stopped")
             else:
                 result = await self._run(tenant, pending)
             self._resolve(pending, result)
 
     def _resolve(self, pending: _Pending, result: SessionResult) -> None:
         self._inflight -= 1
-        self.metrics.set_inflight(self._inflight)
+        self.metrics.gauge("inflight", self._inflight)
         if not pending.future.done():
             pending.future.set_result(result)
 
@@ -353,7 +386,7 @@ class AnalysisService:
             # the rebuild is the half-open probe when one is pending)
             backend, probe = self._choose_backend()
             if backend == "process":
-                tenant.slots.pop(slot.key, None)
+                self._drop(tenant, slot)
                 if slot.runtime is not None and self._executor is not None:
                     self._executor.submit(slot.runtime.close)
                 self.ledger.record("slot_retired", tenant.name,
@@ -397,18 +430,15 @@ class AnalysisService:
             slot.probe = False
         degraded = self.backend == "process" and slot.backend != "process"
         if degraded:
-            self.counts["degraded_sessions"] += 1
-            self.metrics.degraded(tenant.name)
-            self.ledger.record("degraded", tenant.name, pending.session,
-                               f"served on {slot.backend} backend",
-                               at=self._clock.monotonic())
-        self.counts["completed"] += 1
+            self._outcome("degraded", tenant.name, pending.session,
+                          f"served on {slot.backend} backend")
+        self._outcome("completed", tenant.name)
         exemplar = None
         if self.metrics.exemplars:
             exemplar = {"trace": trace_ref, "tenant": tenant.name,
                         "session": pending.session,
                         "backend": slot.backend}
-        self.metrics.completed(tenant.name, seconds, exemplar)
+        self.metrics.observe_latency(tenant.name, seconds, exemplar)
         return SessionResult(
             request=request, session=pending.session, status=OK,
             fingerprint=fingerprint, backend=slot.backend,
@@ -446,6 +476,7 @@ class AnalysisService:
                 runtime = ShardedRuntime(
                     app.tree, app.initial, shards=self.shards,
                     algorithm=request.algorithm, backend=backend,
+                    profile=tenant.profile,
                     faults=self.faults if backend == "process" else None,
                     recv_timeout=self.recv_timeout,
                     checkpoint_interval=self.checkpoint_interval)
@@ -517,11 +548,8 @@ class AnalysisService:
     # -- failure paths ---------------------------------------------------
     def _expire(self, tenant: _Tenant, pending: _Pending, detail: str,
                 slot: Optional[_Slot]) -> SessionResult:
-        self.counts["expired"] += 1
-        self.metrics.expired(tenant.name)
-        self.ledger.record("expired" if slot is None else "cancelled",
-                           tenant.name, pending.session, detail,
-                           at=self._clock.monotonic())
+        self._outcome("expired" if slot is None else "cancelled",
+                      tenant.name, pending.session, detail)
         if slot is not None:
             if slot.backend == "process":
                 self.breaker.record_failure()
@@ -533,11 +561,8 @@ class AnalysisService:
 
     def _fail(self, tenant: _Tenant, pending: _Pending,
               slot: Optional[_Slot], exc: Exception) -> SessionResult:
-        self.counts["errors"] += 1
-        self.metrics.errored(tenant.name)
-        self.ledger.record("errored", tenant.name, pending.session,
-                           f"{type(exc).__name__}: {exc}",
-                           at=self._clock.monotonic())
+        self._outcome("errored", tenant.name, pending.session,
+                      f"{type(exc).__name__}: {exc}")
         if (slot is None or slot.backend == "process") \
                 and self.backend == "process":
             # worker loss / spawn failure / corrupt pipes: count against
@@ -554,7 +579,7 @@ class AnalysisService:
                 detail: str) -> None:
         """Drop a slot whose state can no longer be trusted; the next
         session on its key starts a fresh epoch."""
-        tenant.slots.pop(slot.key, None)
+        self._drop(tenant, slot)
         self.ledger.record("slot_poisoned", tenant.name, pending.session,
                            detail, at=self._clock.monotonic())
         runtime = slot.runtime
@@ -567,8 +592,14 @@ class AnalysisService:
         else:  # pragma: no cover - defensive
             runtime.close()
 
+    def _drop(self, tenant: _Tenant, slot: _Slot) -> None:
+        """Take a slot out of the tenant, keeping what it had counted."""
+        tenant.slots.pop(slot.key, None)
+        if slot.runtime is not None and slot.runtime.recovery is not None:
+            tenant.recovered.update(slot.runtime.recovery.counters())
+
     def _on_breaker(self, old: str, new: str) -> None:
-        self.metrics.set_breaker(STATE_CODES[new])
+        self.metrics.gauge("breaker", STATE_CODES[new])
         self.ledger.record("breaker", "", detail=f"{old}->{new}",
                            at=self._clock.monotonic())
 
@@ -576,10 +607,10 @@ class AnalysisService:
     def telemetry_sampler(self):
         """A :meth:`~repro.obs.telemetry.TelemetryHub.add_sampler`
         callable publishing live runtime internals into the registry
-        before each tick: per-tenant geometry-cache counters and every
-        live slot's analysis profile / recovery state (via
-        :meth:`~repro.distributed.sharded.ShardedRuntime
-        .publish_telemetry`).
+        before each tick: per tenant, its geometry-cache counters, its
+        analysis profile and its recovery totals — over every slot the
+        tenant has and has had, so the totals are monotone across slot
+        rebuilds and several live slots.
 
         Must run on the service's event loop (``repro serve`` ticks the
         hub from an asyncio task), where slot maps are only ever
@@ -587,11 +618,20 @@ class AnalysisService:
         """
         def sample(registry) -> None:
             for tenant in self._tenants.values():
-                tenant.cache.publish_to(registry, tenant=tenant.name)
+                labels = {"tenant": tenant.name}
+                registry.publish("geom.cache", tenant.cache.stats(),
+                                 gauges=("interned", "entries"), **labels)
+                for phase, stat in tenant.profile.snapshot().items():
+                    registry.publish("profile", vars(stat),
+                                     gauges=("seconds",), phase=phase,
+                                     **labels)
+                recovered = Counter(tenant.recovered)
                 for slot in tenant.slots.values():
-                    if slot.runtime is not None:
-                        slot.runtime.publish_telemetry(
-                            registry, tenant=tenant.name)
+                    if slot.runtime is not None \
+                            and slot.runtime.recovery is not None:
+                        recovered.update(slot.runtime.recovery.counters())
+                registry.publish("recovery", recovered, gauges=("seconds",),
+                                 **labels)
         return sample
 
     # -- introspection ---------------------------------------------------
@@ -600,13 +640,7 @@ class AnalysisService:
         :data:`repro.obs.census.CENSUS_SCHEMA`)."""
         return {
             "tenants": len(self._tenants),
-            "sessions": self.counts["sessions"],
-            "admitted": self.counts["admitted"],
-            "rejected": self.counts["rejected"],
-            "completed": self.counts["completed"],
-            "expired": self.counts["expired"],
-            "errors": self.counts["errors"],
-            "degraded_sessions": self.counts["degraded_sessions"],
+            **self.counts,
             "breaker_state": STATE_CODES[self.breaker.state],
             "breaker_transitions": len(self.breaker.transitions),
         }

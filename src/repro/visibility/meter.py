@@ -173,15 +173,6 @@ class CostMeter:
             self._mark.clear()
             self._task_touches.clear()
 
-    def publish_to(self, registry, **labels) -> None:
-        """Publish lifetime totals into a
-        :class:`repro.obs.metrics.MetricsRegistry` as ``meter.<event>``
-        counters (idempotent: re-publishing the same meter is safe)."""
-        for event, total in self.snapshot().items():
-            registry.counter(f"meter.{event}", **labels).set_total(total)
-        registry.gauge("meter.objects_touched", **labels).set(
-            len(self.touches))
-
     def __repr__(self) -> str:
         top = ", ".join(f"{k}={v}" for k, v in self.counters.most_common(4))
         return f"CostMeter({top})"
@@ -280,12 +271,6 @@ class PhaseProfile:
         with self._lock:
             self.stat(name).bytes += n
 
-    def add_count(self, name: str, n: int = 1) -> None:
-        """Credit bare occurrences with no time or volume (e.g. recovery
-        counters: retries, replayed tasks)."""
-        with self._lock:
-            self.stat(name).calls += n
-
     # ------------------------------------------------------------------
     def snapshot(self) -> dict[str, PhaseStat]:
         """Copy of every phase's totals."""
@@ -308,19 +293,6 @@ class PhaseProfile:
 
     def __contains__(self, name: str) -> bool:
         return name in self._stats
-
-    def publish_to(self, registry, **labels) -> None:
-        """Publish phase totals into a
-        :class:`repro.obs.metrics.MetricsRegistry`: per-phase call
-        counters, seconds gauges, and byte counters."""
-        for name, s in sorted(self.snapshot().items()):
-            phase_labels = dict(labels, phase=name)
-            registry.counter("profile.calls", **phase_labels).set_total(
-                s.calls)
-            registry.gauge("profile.seconds", **phase_labels).set(s.seconds)
-            if s.bytes:
-                registry.counter("profile.bytes", **phase_labels).set_total(
-                    s.bytes)
 
     def render(self) -> str:
         """Aligned text table of every phase, sorted by name, with

@@ -64,8 +64,7 @@ def _sigkill_run(algo: str, shards: int, seed: int) -> tuple:
             assert len(reports) == shards
             assert len({r.fingerprint for r in reports}) == 1
             fingerprints.append(reports[0].fingerprint)
-        recovery = srt.recovery.copy()
-    return fingerprints, recovery, kills
+    return fingerprints, srt.recovery, kills
 
 
 class TestSigkillMatrix:

@@ -146,7 +146,8 @@ class TestOperationCache:
         _ = a & b
         _ = a & b
         registry = MetricsRegistry()
-        cache.publish_to(registry)
+        registry.publish("geom.cache", cache.stats(),
+                         gauges=("interned", "entries"))
         assert registry.find("geom.cache.hits").value == cache.hits
         assert registry.find("geom.cache.misses").value == cache.misses
         assert "hits" in cache.render()
@@ -293,7 +294,8 @@ class TestValuePathRelations:
         sub.issubset(a)
         assert cache.stats()["entries"] == 2
         registry = MetricsRegistry()
-        cache.publish_to(registry)
+        registry.publish("geom.cache", cache.stats(),
+                         gauges=("interned", "entries"))
         assert registry.find("geom.cache.entries").value == 2
         cache.invalidate()
         assert cache.stats()["entries"] == 0 and cache._pos_bytes == 0

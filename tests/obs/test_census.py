@@ -7,7 +7,7 @@ import pytest
 
 from repro import ALGORITHMS, Runtime
 from repro.obs.census import (CENSUS_SCHEMA, SCHEMA_ID, census, census_diff,
-                              publish_census, render_census, validate_census)
+                              render_census, validate_census)
 from repro.obs.metrics import MetricsRegistry
 
 from tests.conftest import fig1_initial, fig1_stream, make_fig1_tree

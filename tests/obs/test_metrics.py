@@ -1,5 +1,5 @@
-"""Metrics-registry unit tests, including the publish_to bridges from
-the three pre-existing instrument silos."""
+"""Metrics-registry unit tests, including the ``publish`` bridge the
+sources with their own totals reach the registry through."""
 
 import pickle
 import threading
@@ -37,12 +37,16 @@ class TestInstruments:
         h = Histogram("lat", {}, buckets=(0.001, 0.01, 0.1))
         for v in (0.0005, 0.005, 0.005, 0.05, 5.0):
             h.observe(v)
-        assert h.count == 5
-        assert h.sum == pytest.approx(5.0605)
-        assert h.counts == [1, 2, 1, 1]  # last bucket is +inf overflow
-        assert h.quantile_bound(0.5) == 0.01
-        assert h.quantile_bound(1.0) == float("inf")
+        d = h.digest()
+        assert d.count == 5
+        assert d.sum == pytest.approx(5.0605)
+        assert d.counts == [1, 2, 1, 1]  # last bucket is +inf overflow
+        assert d.quantile(0.5) == 0.01
+        assert d.quantile(1.0) == float("inf")
         assert "##" in h.render()
+        sparse = Histogram("lat", {}, buckets=(1, 2, 3))
+        sparse.observe(2.5)  # a quantile names an occupied bucket
+        assert sparse.digest().quantile(0.0) == 3.0
 
     def test_histogram_rejects_unsorted_buckets(self):
         with pytest.raises(ValueError):
@@ -55,20 +59,20 @@ class TestInstruments:
         import math
 
         h = Histogram("lat", {})
-        assert math.isnan(h.quantile_bound(0.5))
-        assert all(math.isnan(v) for v in h.quantile_summary().values())
+        assert math.isnan(h.digest().quantile(0.5))
+        assert all(math.isnan(v) for v in h.digest().quantiles().values())
         assert h.render() == "(no samples)"
         h.observe(0.005)
-        assert h.quantile_bound(0.5) == 0.01
+        assert h.digest().quantile(0.5) == 0.01
         assert "(no samples)" not in h.render()
 
     def test_histogram_bucket_counts_snapshot_is_detached(self):
         h = Histogram("lat", {}, buckets=(0.01, 0.1))
         h.observe(0.005)
-        counts, count, total = h.bucket_counts()
-        assert (counts, count, total) == ([1, 0, 0], 1, 0.005)
-        counts[0] = 99  # mutating the snapshot must not touch the metric
-        assert h.counts == [1, 0, 0]
+        d = h.digest()
+        assert (d.counts, d.count, d.sum) == ([1, 0, 0], 1, 0.005)
+        d.counts[0] = 99  # mutating the snapshot must not touch the metric
+        assert h.digest().counts == [1, 0, 0]
 
 
 class TestRegistry:
@@ -141,21 +145,28 @@ class TestPublishBridges:
         meter.count("entries_scanned", 12)
         meter.touch(("eqset", 1))
         reg = MetricsRegistry()
-        meter.publish_to(reg, shard="0")
-        assert reg.find("meter.entries_scanned", shard="0").value == 12
-        assert reg.find("meter.objects_touched", shard="0").value == 1
-        meter.publish_to(reg, shard="0")  # idempotent re-publish
-        assert reg.find("meter.entries_scanned", shard="0").value == 12
+        for _ in range(2):  # idempotent re-publish
+            reg.publish("meter", {**meter.snapshot(),
+                                  "objects_touched": len(meter.touches)},
+                        gauges=("objects_touched",), shard="0")
+            assert reg.find("meter.entries_scanned", shard="0").value == 12
+            assert reg.find("meter.objects_touched", shard="0").value == 1
+        assert isinstance(reg.find("meter.objects_touched", shard="0"), Gauge)
 
     def test_phase_profile_publishes(self):
         profile = PhaseProfile()
         profile.add_time("analyze", 1.5, calls=2)
         profile.add_bytes("ship", 2048)
         reg = MetricsRegistry()
-        profile.publish_to(reg)
+        for phase, stat in profile.snapshot().items():
+            reg.publish("profile", vars(stat), gauges=("seconds",),
+                        phase=phase)
         assert reg.find("profile.calls", phase="analyze").value == 2
         assert reg.find("profile.seconds", phase="analyze").value == 1.5
         assert reg.find("profile.bytes", phase="ship").value == 2048
+        # nothing was counted on these: no series
+        assert reg.find("profile.bytes", phase="analyze") is None
+        assert reg.find("profile.calls", phase="ship") is None
 
     def test_recovery_report_publishes(self):
         report = RecoveryReport()
@@ -164,11 +175,20 @@ class TestPublishBridges:
         report.respawns = 2
         report.recovery_seconds = 0.25
         reg = MetricsRegistry()
-        report.publish_to(reg)
+        reg.publish("recovery", report.counters(), gauges=("seconds",))
         assert reg.find("recovery.recoveries").value == 1
         assert reg.find("recovery.fault.crash").value == 1
         assert reg.find("recovery.respawns").value == 2
         assert reg.find("recovery.seconds").value == 0.25
+
+
+    def test_a_lower_total_is_a_restarted_source(self):
+        """The bridge owns the restart rule: the series never falls, and
+        what a restarted source counts is all new."""
+        reg = MetricsRegistry()
+        for total, series in ((3, 3), (3, 3), (1, 4), (5, 8), (0, 8), (2, 10)):
+            reg.publish("profile", {"calls": total}, tenant="t")
+            assert reg.find("profile.calls", tenant="t").value == series
 
 
 class TestExemplars:
@@ -183,7 +203,7 @@ class TestExemplars:
         assert rows[0]["bucket"] == 0.1 and rows[1]["bucket"] == 1.0
         assert rows[0]["value"] == 0.05
         assert [r["seq"] for r in rows] == [1, 2]
-        assert h.count == 3
+        assert h.digest().count == 3
 
     def test_reservoir_is_bounded_and_seed_deterministic(self):
         def fill(seed):

@@ -3,12 +3,13 @@ schema validation, and replay — all clock-injected, no real sleeps."""
 
 import json
 import math
+import random
 
 import pytest
 
 from repro.errors import MachineError
 from repro.distributed.faults import FakeClock
-from repro.obs.metrics import DEFAULT_BUCKETS, MetricsRegistry
+from repro.obs.metrics import DEFAULT_BUCKETS, Histogram, MetricsRegistry
 from repro.obs.telemetry import (TELEMETRY_SCHEMA, QuantileDigest,
                                  TelemetryHub, TelemetrySample,
                                  TelemetrySink, load_telemetry,
@@ -64,6 +65,9 @@ def test_digest_quantile_matches_bucket_rule():
     assert digest.fraction_at_most(0.5) == pytest.approx(0.4)
     with pytest.raises(MachineError):
         digest.quantile(1.5)
+    sparse = QuantileDigest([1, 2, 3])
+    sparse.observe(2.5, n=5)  # a quantile names an occupied bucket
+    assert {sparse.quantile(q) for q in (0.0, 0.5, 1.0)} == {3.0}
 
 
 def test_digest_merge_adds_counts():
@@ -344,15 +348,39 @@ def test_digest_agrees_with_offline_histogram_on_seeded_load():
     assert summary["by_status"] == {"ok": 12}
     assert len(hub) >= 1  # the final flush tick always lands
 
-    offline = registry.find("service.latency_seconds")
+    offline = registry.find("service.latency_seconds").digest()
     merged = hub.digest("service.latency_seconds", "5m")
-    counts, count, total = offline.bucket_counts()
-    assert merged.centroids == offline.bounds
-    assert merged.counts == counts
-    assert merged.count == count == 12
-    assert merged.sum == pytest.approx(total)
+    assert merged.centroids == offline.centroids
+    assert merged.counts == offline.counts
+    assert merged.count == offline.count == 12
+    assert merged.sum == pytest.approx(offline.sum)
     for q in (0.5, 0.95, 0.99):
-        assert merged.quantile(q) == offline.quantile_bound(q)
+        assert merged.quantile(q) == offline.quantile(q)
+
+
+def test_minus_ticks_sum_to_the_cumulative_digest_across_a_restart():
+    """Folding ``reading.minus(previous reading)`` over every tick gives
+    back everything the source observed — and when the source is
+    replaced by a fresh one mid-run, everything both observed."""
+    rng = random.Random(7)
+    first = Histogram("lat", {}, buckets=DEFAULT_BUCKETS)
+    second = Histogram("lat", {}, buckets=DEFAULT_BUCKETS)
+    folded, everything, last = (QuantileDigest(DEFAULT_BUCKETS),
+                                QuantileDigest(DEFAULT_BUCKETS), None)
+    for source, ticks in ((first, 6), (second, 3)):  # restart after 6
+        for _ in range(ticks):
+            for _ in range(rng.randrange(0, 5)):
+                value = rng.lognormvariate(-6, 3)
+                source.observe(value)
+                everything.observe(value)
+            reading = source.digest()
+            folded.merge(reading.minus(last))
+            last = reading
+        if source is first:
+            assert folded.to_dict() == first.digest().to_dict()
+    assert second.digest().count < first.digest().count  # a real restart
+    assert folded.counts == everything.counts
+    assert folded.sum == pytest.approx(everything.sum)
 
 
 # ----------------------------------------------------------------------

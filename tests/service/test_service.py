@@ -18,6 +18,7 @@ from repro.distributed.faults import FakeClock
 from repro.errors import MachineError
 from repro.obs.census import census, validate_census
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.telemetry import TelemetryHub
 from repro.service import (DEADLINE_EXCEEDED, ERROR, OK, OVERLOADED,
                            AnalysisService, SessionRequest)
 from repro.service.breaker import CLOSED, HALF_OPEN, OPEN
@@ -343,3 +344,44 @@ class TestObservability:
             ledger.record("rejected", "t", i, "rate")
         assert len(ledger) <= 8
         assert ledger.count("rejected") == 50  # counts stay exact
+
+
+class TestSamplerAcrossSlots:
+    def test_tenant_totals_survive_two_slot_keys_and_a_rebuild(self):
+        """Real serial runtimes.  At PR 20 the second tick died with
+        "counter 'profile.calls' cannot move backwards (2 -> 1)", and so
+        did the first tick after any poisoned slot."""
+        clock, registry = FakeClock(), MetricsRegistry()
+        analyze = 'profile.calls{phase="analyze",tenant="t"}'
+
+        def boom(stream):
+            raise RuntimeError("analysis blew up")
+
+        async def scenario():
+            async with AnalysisService(backend="serial", clock=clock,
+                                       registry=registry, rate=1000.0,
+                                       burst=1000.0) as svc:
+                hub = TelemetryHub(registry, clock=clock, interval=1.0)
+                hub.add_sampler(svc.telemetry_sampler())
+
+                async def tick(pieces):
+                    result = await svc.submit(
+                        SessionRequest(tenant="t", pieces=pieces))
+                    clock.advance(1.0)
+                    return result.status, hub.sample().counters[analyze]
+
+                ticks = [await tick(2), await tick(3), await tick(2)]
+                slots = svc._tenants["t"].slots
+                windows = sorted(slot.windows for slot in slots.values())
+                # drop the pieces=2 slot the way a failed session does
+                slots[("stencil", 2, "raycast")].runtime.analyze = boom
+                ticks += [await tick(2), await tick(2)]
+                return ticks, windows, svc
+
+        ticks, windows, svc = run(scenario())
+        assert windows == [1, 2]  # two live slots, one tenant series
+        # every ok session is in exactly one tick, the rebuilt slot's too
+        assert ticks == [(OK, 1), (OK, 1), (OK, 1), (ERROR, 0), (OK, 1)]
+        assert svc.ledger.count("slot_poisoned") == 1
+        assert registry.find("profile.calls", phase="analyze",
+                             tenant="t").value == svc.counts["completed"] == 4

@@ -129,7 +129,7 @@ class TestThreadSafety:
         def work():
             p.add_time("analyze", 0.001)
             p.stat("analyze").bytes += 0  # stat() must not duplicate
-            p.add_count("retries")
+            p.add_time("retries", 0.0)
 
         self._hammer(work)
         stat = p.stat("analyze")
