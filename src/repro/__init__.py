@@ -16,7 +16,7 @@ system inventory.
 from repro.errors import (CoherenceError, GeometryError, MachineError,
                           PrivilegeError, RegionTreeError, ReproError,
                           TaskError)
-from repro.geometry import BVH, Extent, IndexSpace, KDTree, Rect
+from repro.geometry import Extent, IndexSpace, KDTree, Rect
 from repro.privileges import READ, READ_WRITE, Privilege, interferes, reduce
 from repro.reductions import (ReductionOp, get_reduction, known_reductions,
                               register_reduction)
@@ -26,9 +26,9 @@ from repro.regions.dependent import (difference_partition, equal_partition,
                                      partition_by_field,
                                      partition_by_predicate,
                                      preimage_partition, union_partition)
-from repro.runtime import (DependenceGraph, OrderMaintainer,
-                           RegionRequirement, Runtime, SequentialExecutor,
-                           Task, TaskStream, oracle_dependences)
+from repro.runtime import (DependenceGraph, RegionRequirement, Runtime,
+                           SequentialExecutor, Task, TaskStream,
+                           oracle_dependences)
 from repro.runtime.parallel import ExecutionLog, ParallelExecutor
 from repro.visibility import (ALGORITHMS, CoherenceAlgorithm, CostMeter,
                               PainterAlgorithm, RayCastAlgorithm,
@@ -39,7 +39,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ALGORITHMS",
-    "BVH",
     "CoherenceAlgorithm",
     "CoherenceError",
     "CostMeter",
@@ -52,7 +51,6 @@ __all__ = [
     "IndexSpace",
     "KDTree",
     "MachineError",
-    "OrderMaintainer",
     "PainterAlgorithm",
     "ParallelExecutor",
     "Partition",

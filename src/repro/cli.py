@@ -502,11 +502,8 @@ def _cmd_analyze(args) -> int:
                 buffer = obs.active_tracer().snapshot()
                 if args.trace_out:
                     registry = obs.MetricsRegistry()
-                    meter = srt.backend.reference.meter
                     registry.publish(
-                        "meter", {**meter.snapshot(),
-                                  "objects_touched": len(meter.touches)},
-                        gauges=("objects_touched",))
+                        "meter", srt.backend.reference.meter.snapshot())
                     for phase, stat in srt.profile.snapshot().items():
                         registry.publish("profile", vars(stat),
                                          gauges=("seconds",), phase=phase)

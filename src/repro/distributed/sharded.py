@@ -178,11 +178,6 @@ class ShardedRuntime:
         return self._backend.reference.graph
 
     @property
-    def analysis_meter(self):
-        """Replica 0's cost meter (all replicas do identical work)."""
-        return self._backend.reference.meter
-
-    @property
     def recovery(self) -> Optional[RecoveryReport]:
         """Cumulative supervision counters (``None`` for in-process
         backends, which have no workers to supervise)."""

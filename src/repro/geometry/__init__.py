@@ -9,8 +9,6 @@ every coherence algorithm is built on:
 * :class:`~repro.geometry.index_space.IndexSpace` — an immutable sorted set
   of linearized element indices with vectorized union / intersection /
   difference, the ``X/Y``, ``X\\Y`` and ``X ⊕ Y`` operators of Figure 7.
-* :class:`~repro.geometry.bvh.BVH` — a bounding-volume hierarchy over index
-  spaces (section 6.1 / 7.1 acceleration structure).
 * :class:`~repro.geometry.kdtree.KDTree` — the K-d tree fallback of
   section 7.1 for programs with no disjoint-and-complete partition.
 * :mod:`~repro.geometry.fastpath` — the interning/caching layer and the
@@ -19,7 +17,6 @@ every coherence algorithm is built on:
 
 from repro.geometry.point import Extent, Rect
 from repro.geometry.index_space import IndexSpace
-from repro.geometry.bvh import BVH, BVHNode
 from repro.geometry.kdtree import KDTree
 # Imported last: installs the operation-cache hook into index_space.
 from repro.geometry.fastpath import (GeometryCache, batch_overlaps,
@@ -29,8 +26,6 @@ __all__ = [
     "Extent",
     "Rect",
     "IndexSpace",
-    "BVH",
-    "BVHNode",
     "KDTree",
     "GeometryCache",
     "batch_overlaps",

@@ -7,9 +7,9 @@ space a K-d tree degenerates to a balanced binary space partition on index
 value: every node splits the key range at a plane, items are routed to the
 side(s) their bounding interval touches.
 
-Unlike :class:`~repro.geometry.bvh.BVH` (object partitioning), the K-d tree
-is a *space* partitioning structure: items spanning a split plane are
-referenced from both subtrees, so removal uses an id-indexed registry.
+The K-d tree is a *space* partitioning structure: items spanning a split
+plane are referenced from both subtrees, so removal uses an id-indexed
+registry.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ class KDTree:
 
     ``insert``/``remove`` are incremental; leaves split when they exceed
     capacity.  ``query`` returns payloads whose bounding interval intersects
-    the query interval (conservative, like the BVH).
+    the query interval (conservative: callers do the exact test).
     """
 
     def __init__(self, lo: int, hi: int, leaf_capacity: int = _LEAF_CAPACITY) -> None:
@@ -51,7 +51,7 @@ class KDTree:
             raise GeometryError("KDTree requires a non-empty key range")
         self._root = _KDNode(lo=lo, hi=hi)
         self._leaf_capacity = leaf_capacity
-        self._items: dict[int, tuple[tuple[int, int], IndexSpace, Any]] = {}
+        self._items: dict[int, tuple[tuple[int, int], Any]] = {}
         self._next_id = 0
 
     # ------------------------------------------------------------------
@@ -69,7 +69,7 @@ class KDTree:
             raise GeometryError("item bounds exceed the tree's key range")
         item_id = self._next_id
         self._next_id += 1
-        self._items[item_id] = ((lo, hi), space, payload)
+        self._items[item_id] = ((lo, hi), payload)
         self._insert_into(self._root, item_id, lo, hi, 0)
         return item_id
 
@@ -77,7 +77,7 @@ class KDTree:
         """Remove a previously inserted item by id; returns its payload."""
         if item_id not in self._items:
             raise GeometryError(f"unknown KDTree item id {item_id}")
-        (lo, hi), _, payload = self._items.pop(item_id)
+        (lo, hi), payload = self._items.pop(item_id)
         self._remove_from(self._root, item_id, lo, hi)
         return payload
 
@@ -101,7 +101,7 @@ class KDTree:
                 for item_id in node.items:
                     if item_id in seen:
                         continue
-                    (ilo, ihi), _, payload = self._items[item_id]
+                    (ilo, ihi), payload = self._items[item_id]
                     if ilo <= hi and lo <= ihi:
                         seen.add(item_id)
                         out.append(payload)
@@ -111,44 +111,8 @@ class KDTree:
                 stack.append(node.right)
         return out
 
-    def query_exact(self, space: IndexSpace) -> list[Any]:
-        """Payloads whose index space truly overlaps ``space``.
-
-        The conservative interval walk narrows to candidates; one batched
-        interference pass resolves them all.
-        """
-        from repro.geometry.fastpath import batch_overlaps
-
-        if space.is_empty:
-            return []
-        lo, hi = space.bounds
-        seen: set[int] = set()
-        candidates: list[tuple[IndexSpace, Any]] = []
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            if node.hi < lo or hi < node.lo:
-                continue
-            if node.is_leaf:
-                for item_id in node.items:
-                    if item_id in seen:
-                        continue
-                    (ilo, ihi), item_space, payload = self._items[item_id]
-                    if ilo <= hi and lo <= ihi:
-                        seen.add(item_id)
-                        candidates.append((item_space, payload))
-            else:
-                assert node.left is not None and node.right is not None
-                stack.append(node.left)
-                stack.append(node.right)
-        if not candidates:
-            return []
-        hits = batch_overlaps(space, [s for s, _ in candidates])
-        return [payload for (_, payload), hit in zip(candidates, hits)
-                if hit]
-
     def __iter__(self) -> Iterator[Any]:
-        for (_, _, payload) in self._items.values():
+        for _, payload in self._items.values():
             yield payload
 
     def __len__(self) -> int:
@@ -177,7 +141,7 @@ class KDTree:
         node.left = _KDNode(lo=node.lo, hi=split)
         node.right = _KDNode(lo=split + 1, hi=node.hi)
         for item_id in node.items:
-            (lo, hi), _, _ = self._items[item_id]
+            (lo, hi), _ = self._items[item_id]
             if lo <= split:
                 node.left.items.append(item_id)
             if hi > split:

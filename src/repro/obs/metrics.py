@@ -458,22 +458,3 @@ class MetricsRegistry:
             else:
                 out[metric.full_name] = metric.value
         return out
-
-    def render(self) -> str:
-        """Aligned text table of every instrument."""
-        if not self._metrics:
-            return "(no metrics recorded)"
-        rows = [("metric", "kind", "value")]
-        for metric in self:
-            if isinstance(metric, Histogram):
-                digest = metric.digest()
-                value = f"count={digest.count} sum={digest.sum:.6f}"
-            elif isinstance(metric, Gauge):
-                value = f"{metric.value:.6f}"
-            else:
-                value = f"{metric.value:g}"
-            rows.append((metric.full_name, metric.kind, value))
-        widths = [max(len(r[k]) for r in rows) for k in range(3)]
-        return "\n".join(
-            "  ".join(col.ljust(w) for col, w in zip(row, widths)).rstrip()
-            for row in rows)

@@ -15,15 +15,12 @@ exact pairwise interference relation.
 """
 
 from repro.runtime.task import RegionRequirement, Task, TaskStream
-from repro.runtime.order import OrderLabel, OrderMaintainer
 from repro.runtime.dependence import DependenceGraph, oracle_dependences
 from repro.runtime.executor import SequentialExecutor
 from repro.runtime.context import Runtime
 
 __all__ = [
     "DependenceGraph",
-    "OrderLabel",
-    "OrderMaintainer",
     "RegionRequirement",
     "Runtime",
     "SequentialExecutor",

@@ -19,7 +19,6 @@ from collections import deque
 from typing import Iterable, Mapping, Optional, Sequence
 
 from repro.obs import tracer as obs
-from repro.runtime.order import OrderMaintainer
 from repro.runtime.task import Task
 
 
@@ -27,27 +26,19 @@ class DependenceGraph:
     """A DAG over task ids with edges pointing from a task to the earlier
     tasks it depends on.
 
-    Alongside the edge lists the graph maintains a compact
-    :class:`~repro.runtime.order.OrderMaintainer` label per task (one
-    bitwise OR per edge on ``add_task``), so the transitive-closure
-    helpers (``contains_transitively`` / ``missing_pairs``) answer from
-    labels instead of repeated BFS — pure acceleration, bit-identical
-    answers.  :meth:`ancestors_of` stays the public BFS reference, and
-    the fallback for graphs holding a negative task id (no bit position).
+    The edges are all that is kept per task: ``add_task`` validates and
+    stores, and the transitive-closure helpers (``contains_transitively`` /
+    ``missing_pairs``) walk them with :meth:`ancestors_of`, one BFS per
+    distinct later task of a call.
     """
 
     def __init__(self) -> None:
         self._deps: dict[int, frozenset[int]] = {}
         self._levels: Optional[dict[int, int]] = None
-        self._order: Optional[OrderMaintainer] = OrderMaintainer()
 
     # ------------------------------------------------------------------
     def add_task(self, task_id: int, dependences: Iterable[int]) -> None:
-        """Record a task and its dependences (all ids must be earlier).
-
-        Assigns the task's order label in the same step (the ids in
-        ``dependences`` are labelled already — they are earlier tasks).
-        """
+        """Record a task and its dependences (all ids must be earlier)."""
         deps = frozenset(dependences)
         for d in deps:
             if d >= task_id:
@@ -57,18 +48,6 @@ class DependenceGraph:
                 raise ValueError(f"dependence on unknown task {d}")
         self._deps[task_id] = deps
         self._levels = None
-        if self._order is not None:
-            if task_id < 0:
-                # negative ids have no bit position; degrade to BFS-only
-                self._order = None
-            else:
-                self._order.assign(task_id, deps)
-
-    @property
-    def order_maintainer(self) -> Optional[OrderMaintainer]:
-        """The label store backing the O(1) precedence fast path (None
-        once a negative task id degraded the graph to BFS)."""
-        return self._order
 
     def dependences_of(self, task_id: int) -> frozenset[int]:
         """Direct dependences of one task."""
@@ -138,36 +117,22 @@ class DependenceGraph:
             queue.extend(self._deps[t] - seen)
         return seen
 
-    def _covers(self, earlier: int, later: int,
-                cache: dict[int, set[int]]) -> bool:
-        """One (earlier, later) path query: O(1) label test when labels
-        are available, cached BFS otherwise."""
-        if self._order is not None:
-            answer = self._order.precedes(earlier, later)
-            if answer is not None:
-                return answer
-        if later not in cache:
-            cache[later] = self.ancestors_of(later)
-        return earlier in cache[later]
-
-    def contains_transitively(self, pairs: Iterable[tuple[int, int]]) -> bool:
-        """Whether each (earlier, later) pair is connected by a path."""
-        cache: dict[int, set[int]] = {}
-        for earlier, later in pairs:
-            if not self._covers(earlier, later, cache):
-                return False
-        return True
-
     def missing_pairs(self, pairs: Iterable[tuple[int, int]]
                       ) -> list[tuple[int, int]]:
         """The subset of (earlier, later) pairs *not* covered by a path —
         empty for a sound analysis (diagnostics for test failures)."""
-        cache: dict[int, set[int]] = {}
+        closure: dict[int, set[int]] = {}
         out = []
         for earlier, later in pairs:
-            if not self._covers(earlier, later, cache):
+            if later not in closure:
+                closure[later] = self.ancestors_of(later)
+            if earlier not in closure[later]:
                 out.append((earlier, later))
         return out
+
+    def contains_transitively(self, pairs: Iterable[tuple[int, int]]) -> bool:
+        """Whether each (earlier, later) pair is connected by a path."""
+        return not self.missing_pairs(pairs)
 
 
 def oracle_dependences(tasks: Sequence[Task]) -> set[tuple[int, int]]:

@@ -33,9 +33,7 @@ from repro.geometry.kdtree import KDTree
 from repro.privileges import Privilege
 from repro.regions.partition import Partition
 from repro.regions.region import Region
-from repro.visibility.history import (ColumnarHistory, HistoryEntry,
-                                      PrivilegeColumns, RegionValues,
-                                      paint_into)
+from repro.visibility.history import HistoryEntry, RegionValues, paint_into
 from repro.visibility.meter import CostMeter, UidSource
 
 _eqset_uid = UidSource()
@@ -63,7 +61,7 @@ class EqEntry:
                        self.collapsed_ids)
 
 
-#: Default bound on per-set history length.  Fields that are reduced or
+#: Bound on per-set history length.  Fields that are reduced or
 #: read forever without an occluding write (Pennant's ``dt``) would grow
 #: their histories without bound; past the limit the history prefix is
 #: *collapsed* into one opaque summary write holding the blended values
@@ -80,17 +78,12 @@ class EquivalenceSet:
     __slots__ = ("uid", "space", "history")
 
     def __init__(self, space: IndexSpace,
-                 history: Optional[list[EqEntry] | PrivilegeColumns] = None
-                 ) -> None:
+                 history: Optional[list[EqEntry]] = None) -> None:
         if space.is_empty:
             raise CoherenceError("equivalence sets must be non-empty")
         self.uid = _eqset_uid.take()
         self.space = space
-        # list-backed; the privilege columns are a cache a history fills
-        # only once it is long enough for the vectorized sweep to read
-        self.history: PrivilegeColumns = (
-            history if isinstance(history, PrivilegeColumns)
-            else PrivilegeColumns(history if history is not None else ()))
+        self.history: list[EqEntry] = [] if history is None else history
 
     def __setstate__(self, state) -> None:
         _eqset_uid.restore(self, state)
@@ -103,8 +96,7 @@ class EquivalenceSet:
 
         The second component is ``None`` when this set is contained in
         ``space``.  Histories are split positionally so the alignment
-        invariant is preserved on both sides — one value gather per entry
-        (:meth:`PrivilegeColumns.map_entries`).
+        invariant is preserved on both sides — one value gather per entry.
         """
         inside_space = self.space & space
         if inside_space.is_empty:
@@ -117,11 +109,9 @@ class EquivalenceSet:
         in_pos = self.space._positions_raw(inside_space)
         out_pos = self.space._positions_raw(outside_space)
         inside = EquivalenceSet(
-            inside_space,
-            self.history.map_entries(lambda e: e.restricted(in_pos)))
+            inside_space, [e.restricted(in_pos) for e in self.history])
         outside = EquivalenceSet(
-            outside_space,
-            self.history.map_entries(lambda e: e.restricted(out_pos)))
+            outside_space, [e.restricted(out_pos) for e in self.history])
         if meter is not None:
             meter.count("eqsets_split")
             meter.count("eqsets_created", 2)
@@ -141,21 +131,19 @@ class EquivalenceSet:
         return current
 
     def record(self, privilege: Privilege, values: Optional[np.ndarray],
-               task_id: int,
-               compaction_limit: Optional[int] = HISTORY_COMPACTION_LIMIT
-               ) -> None:
+               task_id: int) -> None:
         """Append one operation; a write clears the prior history
         (Figure 9 lines 30–31: histories stay precise).  Histories longer
-        than ``compaction_limit`` collapse into a summary write."""
+        than :data:`HISTORY_COMPACTION_LIMIT` collapse into a summary
+        write."""
         if values is not None and values.shape != (self.space.size,):
             raise CoherenceError("entry values misaligned with eqset domain")
         entry = EqEntry(privilege, values, task_id)
         if privilege.is_write:
-            self.history.reset((entry,))
+            self.history = [entry]
             return
         self.history.append(entry)
-        if compaction_limit is not None and \
-                len(self.history) > compaction_limit:
+        if len(self.history) > HISTORY_COMPACTION_LIMIT:
             self.compact()
 
     def compact(self) -> None:
@@ -169,8 +157,8 @@ class EquivalenceSet:
         for e in self.history:
             ids.add(e.task_id)
             ids.update(e.collapsed_ids)
-        self.history.reset((EqEntry(READ_WRITE, painted, max(ids),
-                                    frozenset(ids)),))
+        self.history = [EqEntry(READ_WRITE, painted, max(ids),
+                                frozenset(ids))]
 
     def __repr__(self) -> str:
         return (f"EquivalenceSet(uid={self.uid}, n={self.space.size}, "
@@ -324,9 +312,9 @@ class RefinementTreeStore:
 
     def check_invariants(self, root_space: IndexSpace) -> None:
         """Assert the section 6 invariants: sets pairwise disjoint, union
-        covers the root, histories aligned (and columns ≡ entries), and
-        every memo whose sets are all live composes its region from
-        exactly the live sets overlapping it."""
+        covers the root, histories aligned, and every memo whose sets are
+        all live composes its region from exactly the live sets
+        overlapping it."""
         sets = self.all_sets()
         _check_partition(sets, root_space)
         for memo in self._memo.values():
@@ -334,7 +322,6 @@ class RefinementTreeStore:
                 _check_memo(memo, sets)
                 _check_partition(memo.sets, memo.space)
         for s in sets:
-            s.history.check_columns()
             for e in s.history:
                 if e.values is not None and e.values.shape != (s.space.size,):
                     raise CoherenceError(f"misaligned history in {s!r}")
@@ -343,6 +330,14 @@ class RefinementTreeStore:
 # ----------------------------------------------------------------------
 # Ray casting: loose sets in partition buckets with a K-d fallback (§7)
 # ----------------------------------------------------------------------
+def _restricted(history: list[HistoryEntry],
+                space: IndexSpace) -> list[HistoryEntry]:
+    """Every entry restricted to ``space``, the disjoint ones dropped (how
+    a loose equivalence set's history follows a split)."""
+    narrowed = (e.restricted(space) for e in history)
+    return [e for e in narrowed if e is not None]
+
+
 class LooseEquivalenceSet:
     """A ray-casting equivalence set: stable region, sub-set-precise history.
 
@@ -357,31 +352,24 @@ class LooseEquivalenceSet:
     __slots__ = ("uid", "space", "history")
 
     def __init__(self, space: IndexSpace,
-                 history: Optional[list[HistoryEntry] | ColumnarHistory]
-                 = None) -> None:
+                 history: Optional[list[HistoryEntry]] = None) -> None:
         if space.is_empty:
             raise CoherenceError("equivalence sets must be non-empty")
         self.uid = _eqset_uid.take()
         self.space = space
-        # list-backed; bounds/task columns are filled only if the history
-        # grows long enough for a scan to narrow itself on them
-        self.history: ColumnarHistory = (
-            history if isinstance(history, ColumnarHistory)
-            else ColumnarHistory(history if history is not None else ()))
+        self.history: list[HistoryEntry] = [] if history is None else history
 
     def __setstate__(self, state) -> None:
         _eqset_uid.restore(self, state)
 
-    def record(self, entry: HistoryEntry,
-               compaction_limit: Optional[int] = HISTORY_COMPACTION_LIMIT
-               ) -> None:
+    def record(self, entry: HistoryEntry) -> None:
         """Append one operation.
 
         A write must cover the whole set (dominating writes guarantee it)
         and occludes the entire prior history — Figure 11's simplification
-        of histories by writes.  Histories longer than ``compaction_limit``
-        collapse into a summary write (never-written fields would
-        otherwise grow without bound).
+        of histories by writes.  Histories longer than
+        :data:`HISTORY_COMPACTION_LIMIT` collapse into a summary write
+        (never-written fields would otherwise grow without bound).
         """
         if not entry.domain.issubset(self.space):
             raise CoherenceError("entry escapes its equivalence set")
@@ -389,11 +377,10 @@ class LooseEquivalenceSet:
             if entry.domain.size != self.space.size:
                 raise CoherenceError(
                     "write entries must cover their equivalence set")
-            self.history.reset((entry,))
+            self.history = [entry]
             return
         self.history.append(entry)
-        if compaction_limit is not None and \
-                len(self.history) > compaction_limit:
+        if len(self.history) > HISTORY_COMPACTION_LIMIT:
             self.compact()
 
     def compact(self) -> None:
@@ -407,8 +394,8 @@ class LooseEquivalenceSet:
         for e in self.history:
             ids.add(e.task_id)
             ids.update(e.collapsed_ids)
-        self.history.reset((HistoryEntry(READ_WRITE, self.space, painted,
-                                         max(ids), frozenset(ids)),))
+        self.history = [HistoryEntry(READ_WRITE, self.space, painted,
+                                     max(ids), frozenset(ids))]
 
     def minus(self, space: IndexSpace,
               meter: Optional[CostMeter] = None) -> Optional["LooseEquivalenceSet"]:
@@ -417,7 +404,7 @@ class LooseEquivalenceSet:
         remaining = self.space - space
         if remaining.is_empty:
             return None
-        entries = self.history.restricted(remaining)
+        entries = _restricted(self.history, remaining)
         if meter is not None:
             meter.count("eqsets_split")
             meter.count("elements_moved",
@@ -576,7 +563,7 @@ class BucketStore:
             if common.is_empty:
                 continue
             carved.append(LooseEquivalenceSet(
-                common, eqset.history.restricted(common)))
+                common, _restricted(eqset.history, common)))
             carved_union = carved_union | common
         if not carved:
             return []
@@ -586,7 +573,7 @@ class BucketStore:
             self._index_insert(piece)
         if not remainder_space.is_empty:
             self._index_insert(LooseEquivalenceSet(
-                remainder_space, eqset.history.restricted(remainder_space)))
+                remainder_space, _restricted(eqset.history, remainder_space)))
         if self.meter is not None:
             self.meter.count("eqsets_split", len(carved))
             self.meter.count("eqsets_created", len(carved))
@@ -700,7 +687,7 @@ class BucketStore:
         bounds hits to remove and again to place, one coalesced, one
         created."""
         old, eqset.uid, eqset.space = eqset.uid, _eqset_uid.take(), space
-        eqset.history.reset()
+        eqset.history = []
         visited, placed = self._span[eqset.uid] = self._span.pop(old)
         for keyed in [self._sets] + [self._buckets[r.uid] for r in placed]:
             del keyed[old]
@@ -712,12 +699,12 @@ class BucketStore:
 
     def check_invariants(self, root_space: IndexSpace) -> None:
         """Assert: sets pairwise disjoint, union covers the root, every
-        history entry contained in its set (and columns ≡ entries), the
-        span memo ≡ a re-derivation from the bucket bounds, every all-live
-        region memo ≡ the live sets overlapping its query, and a cost
-        learned under this generation ≡ the walk re-derived from the
-        buckets: the query's bounds hits plus each hit candidate's span's,
-        every candidate tested."""
+        history entry contained in its set, the span memo ≡ a
+        re-derivation from the bucket bounds, every all-live region memo ≡
+        the live sets overlapping its query, and a cost learned under this
+        generation ≡ the walk re-derived from the buckets: the query's
+        bounds hits plus each hit candidate's span's, every candidate
+        tested."""
         sets = self.all_sets()
         _check_partition(sets, root_space)
         for memo in self._memo.values():
@@ -735,7 +722,6 @@ class BucketStore:
                     raise CoherenceError("learned walk cost diverged")
         spans = {}
         for s in sets:
-            s.history.check_columns()
             for e in s.history:
                 if not e.domain.issubset(s.space):
                     raise CoherenceError(f"entry escapes {s!r}")

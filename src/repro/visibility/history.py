@@ -8,11 +8,11 @@ aligned element-for-element with ``domain.indices``; ``X/Y`` of Figure 7 is
 into the buffer being materialized, shared by every algorithm that keeps
 histories, beside the one dependence scan :func:`scan_dependences`.
 
-Both walk a history in one of two ways, chosen by what the history is and
-how long it has grown (:data:`SCAN_VECTOR_MIN`), never by a setting: a
-straight loop over the entries, or — a :class:`ColumnarHistory` past that
-length — a walk narrowed on NumPy columns to the entries that can matter.
-The columns are a cache of the entry list, filled when such a walk asks.
+A history is a plain ``list`` of entries — every equivalence set's, the
+tree painter's path — walked by a straight loop, or the painter's one
+global :class:`ColumnarHistory`, whose walk past :data:`SCAN_VECTOR_MIN`
+entries is narrowed on NumPy columns to the entries that can matter.  The
+columns are a cache of the entry list, filled when such a walk asks.
 """
 
 from __future__ import annotations
@@ -182,45 +182,44 @@ def interference_mask(privilege: Privilege, kinds: np.ndarray,
              & (redops == _redop_code(privilege.redop)))
 
 
-class PrivilegeColumns:
-    """List-like history container with numpy columns cached beside it.
+class ColumnarHistory:
+    """The painter's one long history: a list of :class:`HistoryEntry`
+    with NumPy columns cached beside it.
 
-    The Python list *is* the history — ``append`` is ``list.append``,
-    ``reset`` a list swap, iteration, indexing, painting and pickling see
-    ordinary entry objects.  The columns (one row of ``_cols`` each, int64:
-    privilege kind, reduction-operator code) are a cache of that list that
-    only histories of :data:`SCAN_VECTOR_MIN` entries ever read: nothing is
-    allocated until a long scan, a long :func:`paint_into` or an accessor
-    asks, and then :meth:`_sync` fills rows ``[filled, n)`` — whatever was
-    appended since the last time someone asked — in one assignment.
+    The Python list *is* the history — ``append`` is ``list.append``;
+    iteration, indexing, painting and pickling see ordinary entry objects.
+    The columns (one row of ``_cols`` each, int64: privilege kind,
+    reduction-operator code, domain bounds ``lo``/``hi`` — an empty domain
+    is ``hi < lo`` — task id, whether the entry is a compaction summary)
+    are what a whole-history walk needs to decide, without touching an
+    entry object, that the entry cannot matter.  Nothing is allocated
+    until a scan or blend of :data:`SCAN_VECTOR_MIN` entries asks, and
+    then :meth:`_sync` fills rows ``[filled, n)`` — whatever was appended
+    since the last time someone asked — in one assignment.
 
-    Filling mutates on the read path, so a history has one owner thread
-    (each replica owns its ``Runtime``; nothing shares a store).
-
-    This base class fits :class:`~repro.visibility.eqset.EqEntry`-style
-    records (no per-entry domain).  :class:`ColumnarHistory` adds the
-    columns a whole-history scan narrows itself with.
+    Filling mutates on the read path, so the history has one owner thread
+    (each replica owns its ``Runtime``; nothing shares an algorithm).
     """
 
     __slots__ = ("_entries", "_cols", "_filled")
-    _WIDTH = 2
+    _WIDTH = 6
 
-    def __init__(self, entries: Iterable = ()) -> None:
-        self._entries: list = list(entries)
+    def __init__(self, entries: Iterable[HistoryEntry] = ()) -> None:
+        self._entries: list[HistoryEntry] = list(entries)
         self._cols: Optional[np.ndarray] = None
         self._filled = 0
 
-    # -- the column cache ----------------------------------------------
     @staticmethod
-    def _row(entry) -> tuple:
-        p = entry.privilege
+    def _row(entry: HistoryEntry) -> tuple:
+        p, domain = entry.privilege, entry.domain
         return (KIND_REDUCE if p.is_reduce
                 else KIND_READ if p.is_read else KIND_WRITE,
-                _redop_code(p.redop))
+                _redop_code(p.redop), domain._lo, domain._hi, entry.task_id,
+                bool(entry.collapsed_ids))
 
     def _sync(self) -> np.ndarray:
         """The columns, one row each, trimmed to and in step with the
-        entry list (capacity doubles; a reset keeps it)."""
+        entry list (capacity doubles)."""
         entries, cols, filled = self._entries, self._cols, self._filled
         n = len(entries)
         if cols is None or cols.shape[1] < n:
@@ -234,19 +233,8 @@ class PrivilegeColumns:
             self._filled = n
         return cols[:, :n]
 
-    # -- mutation ------------------------------------------------------
-    def append(self, entry) -> None:
+    def append(self, entry: HistoryEntry) -> None:
         self._entries.append(entry)
-
-    def reset(self, entries: Iterable = ()) -> None:
-        """Replace the contents wholesale (write occlusion, compaction)."""
-        self._entries = list(entries)
-        self._filled = 0
-
-    def map_entries(self, fn) -> "PrivilegeColumns":
-        """A new container with ``fn`` applied entry-by-entry (how an
-        equivalence set's history follows a split)."""
-        return type(self)(fn(e) for e in self._entries)
 
     def check_columns(self) -> None:
         """Assert columns ≡ entries: brought up to date, every column
@@ -255,19 +243,6 @@ class PrivilegeColumns:
                               type(self)(self._entries)._sync()):
             raise CoherenceError(
                 f"{self!r}: columns diverged from the entries")
-
-    # -- trimmed column views ------------------------------------------
-    @property
-    def entries(self) -> list:
-        return self._entries
-
-    @property
-    def kinds(self) -> np.ndarray:
-        return self._sync()[0]
-
-    @property
-    def redops(self) -> np.ndarray:
-        return self._sync()[1]
 
     # -- list protocol -------------------------------------------------
     def __len__(self) -> int:
@@ -282,15 +257,6 @@ class PrivilegeColumns:
     def __getitem__(self, key):
         return self._entries[key]
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, PrivilegeColumns):
-            return self._entries == other._entries
-        if isinstance(other, list):
-            return self._entries == other
-        return NotImplemented
-
-    __hash__ = None  # type: ignore[assignment]
-
     def __reduce__(self):
         # pickle by entries: redop codes are process-local, so columns are
         # rebuilt on load (checkpoints pickle whole runtimes)
@@ -298,41 +264,6 @@ class PrivilegeColumns:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(n={len(self._entries)})"
-
-
-class ColumnarHistory(PrivilegeColumns):
-    """Columnar container for :class:`HistoryEntry` lists.
-
-    Adds, per entry, the domain bounds (``lo``/``hi``; an empty domain is
-    ``hi < lo``), the task id and whether the entry is a compaction
-    summary: what a whole-history scan needs to decide, without touching
-    an entry object, that the entry cannot hit.  A long scan or blend
-    fills the columns it reads — a mutation on the read path — so a
-    history is scanned by its one owner thread only.
-    """
-
-    __slots__ = ()
-    _WIDTH = 6
-
-    @staticmethod
-    def _row(entry) -> tuple:
-        domain = entry.domain
-        return PrivilegeColumns._row(entry) + (
-            domain._lo, domain._hi, entry.task_id, bool(entry.collapsed_ids))
-
-    def restricted(self, space: IndexSpace) -> "ColumnarHistory":
-        """Every entry restricted to ``space``, the disjoint ones dropped
-        (how a loose equivalence set's history follows a split)."""
-        narrowed = (e.restricted(space) for e in self._entries)
-        return type(self)(e for e in narrowed if e is not None)
-
-    @property
-    def los(self) -> np.ndarray:
-        return self._sync()[2]
-
-    @property
-    def his(self) -> np.ndarray:
-        return self._sync()[3]
 
 
 #: Shortest history whose scan (and blend) is narrowed on the columns.
@@ -344,26 +275,10 @@ class ColumnarHistory(PrivilegeColumns):
 #: tie between 256 and 512 and the columns lead beyond (9x where almost
 #: nothing interferes: 2 048 same-operator reductions); 256 is the low end
 #: of the tie (EXPERIMENTS.md, "The scan loops only over what can hit").
-#: Equivalence-set histories hold 1-3 entries in steady state and never
-#: outgrow ``HISTORY_COMPACTION_LIMIT``; the painter's global history
-#: holds hundreds.
+#: Only the painter's global history (hundreds of entries) ever crosses
+#: it: equivalence-set histories are plain lists that hold 1-3 entries in
+#: steady state and never outgrow ``HISTORY_COMPACTION_LIMIT``.
 SCAN_VECTOR_MIN = 256
-
-
-def interfering_indices(privilege: Privilege, entries) -> list[int]:
-    """Positions of the entries whose privilege interferes with
-    ``privilege`` (Warnock's scan: its sets make the overlap implicit).
-
-    ``entries`` is a :class:`PrivilegeColumns` or a list; which of the two
-    equivalent tests runs is decided by what the history is and how long
-    it has grown, never by a setting.
-    """
-    if isinstance(entries, PrivilegeColumns) \
-            and len(entries) >= SCAN_VECTOR_MIN:
-        return np.flatnonzero(interference_mask(
-            privilege, *entries._sync()[:2])).tolist()
-    return [i for i, e in enumerate(entries)
-            if privilege.interferes(e.privilege)]
 
 
 def _conclude(entry: HistoryEntry, hit: bool, deps: set[int], led) -> None:
@@ -384,7 +299,7 @@ def _conclude(entry: HistoryEntry, hit: bool, deps: set[int], led) -> None:
 
 
 def scan_dependences(privilege: Privilege, space: IndexSpace,
-                     entries: Iterable[HistoryEntry],
+                     entries: list[HistoryEntry] | ColumnarHistory,
                      deps: set[int],
                      meter: Optional[CostMeter] = None,
                      led=None) -> None:
@@ -399,9 +314,10 @@ def scan_dependences(privilege: Privilege, space: IndexSpace,
 
     The walk asks a geometry question only about entries that can hit, in
     one of two ways chosen by what the history is and how long it has
-    grown.  Short of :data:`SCAN_VECTOR_MIN` entries (or a plain list): a
-    straight loop, bounds rejected inline, the exact cached test last.
-    From there on a :class:`ColumnarHistory` is narrowed on its columns:
+    grown.  A list, or a :class:`ColumnarHistory` short of
+    :data:`SCAN_VECTOR_MIN` entries: a straight loop, bounds rejected
+    inline, the exact cached test last.  From there on the
+    :class:`ColumnarHistory` is narrowed on its columns:
     the exact kernel is asked, once, only about entries that interfere,
     are bounds-near and are not dependences yet; a bounds-far entry can
     never grow ``deps``, so it is a set probe and an increment on numbers
@@ -411,16 +327,14 @@ def scan_dependences(privilege: Privilege, space: IndexSpace,
     else None — observes the same walk: edge/prune records that never
     touch the meter or alter control flow.
     """
-    if isinstance(entries, PrivilegeColumns):
-        items = entries.entries
-    else:
-        items = entries if isinstance(entries, list) else list(entries)
+    columnar = isinstance(entries, ColumnarHistory)
+    items = entries._entries if columnar else entries
     n = len(items)
     if n == 0:
         return
     qlo, qhi = space._lo, space._hi
     tested = 0
-    if n >= SCAN_VECTOR_MIN and isinstance(entries, ColumnarHistory):
+    if columnar and n >= SCAN_VECTOR_MIN:
         kind, redop, lo, hi, task, summary = entries._sync()
         idx = np.flatnonzero(interference_mask(privilege, kind, redop))
         lo, hi, task, summary = lo[idx], hi[idx], task[idx], summary[idx]
@@ -455,7 +369,8 @@ def scan_dependences(privilege: Privilege, space: IndexSpace,
 
 
 def paint_into(out: np.ndarray, target: IndexSpace, clip: IndexSpace,
-               entries, meter: Optional[CostMeter] = None) -> None:
+               entries: list | ColumnarHistory,
+               meter: Optional[CostMeter] = None) -> None:
     """Blend a history, oldest first, into the buffer being materialized.
 
     This is the blending function ``b`` of section 3.1 applied in the
@@ -473,24 +388,22 @@ def paint_into(out: np.ndarray, target: IndexSpace, clip: IndexSpace,
     An entry's values are either a :class:`RegionValues` on the entry's
     own domain (:class:`HistoryEntry`) or a bare array aligned with
     ``clip`` (an equivalence set's ``EqEntry``, whose domain *is* the
-    set).  A :class:`ColumnarHistory` of scan-kernel length is prefiltered
-    on its kind and bounds columns, like the dependence scan.
+    set); ``entries`` is a list of either, or the painter's
+    :class:`ColumnarHistory`, which at scan-kernel length is prefiltered on
+    its kind and bounds columns like the dependence scan.
 
     The meter is charged once, in bulk, what an entry-at-a-time walk
     charges: ``entries_scanned`` per entry, ``elements_moved`` per visible
     entry whose bounds meet ``clip``'s (the smaller of the two sizes).
     """
-    if isinstance(entries, PrivilegeColumns):
-        items = entries.entries
-    else:
-        items = entries if isinstance(entries, list) else list(entries)
+    columnar = isinstance(entries, ColumnarHistory)
+    items = entries._entries if columnar else entries
     if meter is not None and items:
         meter.count("entries_scanned", len(items))
     if clip.is_empty:
         return
     lo, hi = clip.bounds
-    if isinstance(entries, ColumnarHistory) \
-            and len(items) >= SCAN_VECTOR_MIN:
+    if columnar and len(items) >= SCAN_VECTOR_MIN:
         kind, _, los, his, _, _ = entries._sync()
         live = np.flatnonzero((kind != KIND_READ) & (los <= hi)
                               & (his >= lo) & (los <= his))

@@ -101,21 +101,20 @@ class CostMeter:
     excluded from pickles (checkpoints pickle whole runtimes).
     """
 
-    __slots__ = ("counters", "touches", "_mark", "_task_touches", "_lock")
+    __slots__ = ("counters", "_mark", "_task_touches", "_lock")
 
     def __init__(self) -> None:
         self.counters: Counter[str] = Counter()
-        self.touches: set[Hashable] = set()
         self._mark: Counter[str] = Counter()
         # a dict for its insertion order: the task's first-touch sequence
         self._task_touches: dict[Hashable, None] = {}
         self._lock = threading.Lock()
 
     def __getstate__(self):
-        return (self.counters, self.touches, self._mark, self._task_touches)
+        return (self.counters, self._mark, self._task_touches)
 
     def __setstate__(self, state):
-        self.counters, self.touches, self._mark, self._task_touches = state
+        self.counters, self._mark, self._task_touches = state
         self._lock = threading.Lock()
 
     def count(self, event: str, n: int = 1) -> None:
@@ -127,7 +126,6 @@ class CostMeter:
         """Record that the current analysis touched distributed object
         ``key``."""
         with self._lock:
-            self.touches.add(key)
             self._task_touches[key] = None
 
     def charge(self, counts: Mapping[str, int],
@@ -141,7 +139,6 @@ class CostMeter:
                 if n:
                     counters[event] += n
             for key in touches:
-                self.touches.add(key)
                 self._task_touches[key] = None
 
     def begin_task(self) -> None:
@@ -169,7 +166,6 @@ class CostMeter:
         """Clear all accumulated state."""
         with self._lock:
             self.counters.clear()
-            self.touches.clear()
             self._mark.clear()
             self._task_touches.clear()
 

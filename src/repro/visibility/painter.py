@@ -36,8 +36,7 @@ class PainterAlgorithm(CoherenceAlgorithm):
                  meter: Optional[CostMeter] = None) -> None:
         super().__init__(tree, field, initial, meter)
         root_values = RegionValues(tree.root.space, np.asarray(initial).copy())
-        # columnar backing: list-like for painting/pickling, SoA columns
-        # for the vectorized dependence sweep
+        # the one history long enough for the column-narrowed walk
         self._history = ColumnarHistory([
             HistoryEntry(READ_WRITE, tree.root.space, root_values,
                          INITIAL_TASK_ID)

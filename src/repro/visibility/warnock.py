@@ -20,7 +20,7 @@ from repro.visibility.base import CoherenceAlgorithm, INITIAL_TASK_ID
 from repro.visibility.eqset import (EqEntry, EquivalenceSet,
                                     RefinementTreeStore, describe_sets,
                                     set_tokens, visit_sets)
-from repro.visibility.history import interfering_indices, paint_into
+from repro.visibility.history import paint_into
 from repro.visibility.meter import CostMeter
 from repro.obs import provenance as prov
 
@@ -61,14 +61,12 @@ class WarnockAlgorithm(CoherenceAlgorithm):
                 led.set_source(("eqset",) + prov.domain_desc(eqset.space))
             # the eqset invariant makes the overlap test implicit (every
             # entry is relevant to every element), so the scan is the
-            # privilege front-end plus the growing-deps skip
-            hist = eqset.history
-            if hist:
-                self.meter.count("entries_scanned", len(hist))
-            entries = hist.entries
-            for i in interfering_indices(privilege, hist):
-                entry = entries[i]
-                if entry.task_id in deps and not entry.collapsed_ids:
+            # privilege test plus the growing-deps skip
+            if eqset.history:
+                self.meter.count("entries_scanned", len(eqset.history))
+            for entry in eqset.history:
+                if not privilege.interferes(entry.privilege) or (
+                        entry.task_id in deps and not entry.collapsed_ids):
                     continue
                 deps.add(entry.task_id)
                 if entry.collapsed_ids:

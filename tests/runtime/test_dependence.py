@@ -1,15 +1,30 @@
 """Tests for dependence graphs, the oracle, and schedule metrics."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro import (READ, READ_WRITE, DependenceGraph, RegionRequirement,
                    Runtime, TaskStream, oracle_dependences, reduce)
 from repro.analysis import profile_graph
 from repro.runtime.dependence import schedule_levels
+from repro.visibility.base import INITIAL_TASK_ID
 
 from tests.conftest import fig1_initial, fig1_stream, make_fig1_tree
-from tests.runtime.test_order import random_dags
+
+
+@st.composite
+def random_dags(draw, max_tasks: int = 28):
+    """Dependence lists of a random DAG in program order: task ``t``
+    depends on a random subset of ``0..t-1``."""
+    n = draw(st.integers(1, max_tasks))
+    edges: list[list[int]] = []
+    for t in range(n):
+        k = draw(st.integers(0, min(4, t)))
+        deps = draw(st.sets(st.integers(0, t - 1), min_size=k, max_size=k)) \
+            if t else set()
+        edges.append(sorted(deps))
+    return edges
 
 
 def diamond() -> DependenceGraph:
@@ -61,19 +76,28 @@ class TestDependenceGraph:
         assert g.ancestors_of(3) == {0, 1, 2}
         assert g.ancestors_of(0) == set()
 
-    def test_transitive_containment(self):
+    @given(random_dags(), st.sampled_from([0, INITIAL_TASK_ID]))
+    @example([[], [0], [1]], 0)  # (0, 2) holds only transitively
+    @example([[], []], 0)        # (0, 1) does not hold at all
+    @settings(max_examples=40)
+    def test_transitive_containment(self, edges, first):
+        """``missing_pairs`` / ``contains_transitively`` ≡ the closure
+        accumulated edge by edge, over every ordered pair — the
+        ``a >= b`` ones included, which no path covers — whether ids start
+        at 0 or at the initial task's negative id."""
         g = DependenceGraph()
-        g.add_task(0, [])
-        g.add_task(1, [0])
-        g.add_task(2, [1])
-        # (0, 2) holds only transitively
-        assert g.contains_transitively([(0, 2)])
-        assert g.missing_pairs([(0, 2)]) == []
-        g2 = DependenceGraph()
-        g2.add_task(0, [])
-        g2.add_task(1, [])
-        assert not g2.contains_transitively([(0, 1)])
-        assert g2.missing_pairs([(0, 1)]) == [(0, 1)]
+        closure: dict[int, set[int]] = {}
+        for tid, deps in enumerate(edges, first):
+            deps = [first + d for d in deps]
+            g.add_task(tid, deps)
+            closure[tid] = set(deps).union(*(closure[d] for d in deps))
+            assert g.ancestors_of(tid) == closure[tid]
+        pairs = [(a, b) for a in closure for b in closure]
+        missing = [(a, b) for a, b in pairs if a not in closure[b]]
+        assert all((a, b) in missing for a, b in pairs if a >= b)
+        assert g.missing_pairs(pairs) == missing
+        assert g.contains_transitively(set(pairs) - set(missing))
+        assert not g.contains_transitively(pairs)
 
     def test_profile(self):
         p = profile_graph(diamond())

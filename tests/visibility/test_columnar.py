@@ -2,11 +2,12 @@
 
 The tentpole property: for any privilege mix (reads, writes, reductions
 with distinct operators, collapsed summaries), any query space, any
-pre-collected dependence set and any history container (list, generator,
-``ColumnarHistory``), ``scan_dependences`` produces the dependences, meter
-totals and provenance edge/prune records of a brute-force entry-at-a-time
-spec.  History lengths straddle ``SCAN_VECTOR_MIN``, so both the straight
-loop and the column-narrowed walk are covered.  Plus what each regime
+pre-collected dependence set and either history container (a list, the
+painter's ``ColumnarHistory``), ``scan_dependences`` produces the
+dependences, meter totals and provenance edge/prune records of a
+brute-force entry-at-a-time spec.  History lengths straddle
+``SCAN_VECTOR_MIN``, so both the straight loop and the column-narrowed
+walk are covered.  Plus what each regime
 must not do: ask a geometry question about an entry already collected in
 ``deps`` at scan start, or (long regime) touch the entry object of a
 bounds-far entry at all; and the columns themselves, a cache of the entry
@@ -30,15 +31,21 @@ from repro.obs import provenance as prov
 from repro.obs.tracer import Tracer
 from repro.privileges import READ, READ_WRITE, reduce
 from repro.visibility.history import (SCAN_VECTOR_MIN, ColumnarHistory,
-                                      HistoryEntry, PrivilegeColumns,
-                                      RegionValues, interference_mask,
-                                      paint_into, scan_dependences)
+                                      HistoryEntry, RegionValues,
+                                      interference_mask, paint_into,
+                                      scan_dependences)
 from repro.visibility.meter import CostMeter
 
 from tests.conftest import index_spaces
 
 PRIVILEGES = [READ, READ_WRITE, reduce("sum"), reduce("max")]
-CONTAINERS = {"list": list, "generator": iter, "columnar": ColumnarHistory}
+CONTAINERS = {"list": list, "columnar": ColumnarHistory}
+COLUMNS = ("kind", "redop", "lo", "hi", "task", "summary")
+
+
+def columns(history):
+    """The synced columns of a ``ColumnarHistory``, by name, as lists."""
+    return dict(zip(COLUMNS, history._sync().tolist()))
 
 
 def make_entry(privilege, indices, task_id, collapsed=frozenset()):
@@ -231,24 +238,23 @@ class TestColumnarHistory:
         assert list(hist) == entries
         assert hist[1] is entries[1]
         assert hist[-1] is entries[2]
-        assert hist == entries  # list equality
-        assert hist.kinds.tolist() == [hist_mod.KIND_READ,
-                                       hist_mod.KIND_REDUCE,
-                                       hist_mod.KIND_WRITE]
-        assert hist.los.tolist() == [1, 2, 4]
-        assert hist.his.tolist() == [1, 3, 4]
+        cols = columns(hist)
+        assert cols["kind"] == [hist_mod.KIND_READ, hist_mod.KIND_REDUCE,
+                                hist_mod.KIND_WRITE]
+        assert cols["lo"] == [1, 2, 4]
+        assert cols["hi"] == [1, 3, 4]
+        assert cols["task"] == [0, 1, 2]
+        assert cols["summary"] == [0, 0, 1]
 
-    def test_append_grows_and_reset_keeps_capacity(self):
+    def test_append_grows_the_columns(self):
         hist = ColumnarHistory()
         for i in range(50):
             hist.append(make_entry(READ_WRITE, [i], i))
+            if i == 20:  # a filled prefix survives the capacity doubling
+                assert columns(hist)["lo"] == list(range(21))
         assert len(hist) == 50
-        assert hist.los.tolist() == list(range(50))
-        assert hist.kinds.tolist() == [hist_mod.KIND_WRITE] * 50
-        hist.reset([make_entry(READ, [3], 99)])
-        assert len(hist) == 1
-        assert hist.los.tolist() == [3]
-        assert hist.kinds.tolist() == [hist_mod.KIND_READ]
+        assert columns(hist)["lo"] == list(range(50))
+        assert columns(hist)["kind"] == [hist_mod.KIND_WRITE] * 50
 
     def test_pickle_roundtrip_rebuilds_columns(self):
         import pickle
@@ -259,9 +265,9 @@ class TestColumnarHistory:
         clone = pickle.loads(pickle.dumps(hist))
         assert isinstance(clone, ColumnarHistory)
         assert len(clone) == 2
-        assert clone.kinds.tolist() == hist.kinds.tolist()
+        assert columns(clone) == columns(hist)
         # the rebuilt redop column must still match the live operator
-        mask = interference_mask(reduce("sum"), clone.kinds, clone.redops)
+        mask = interference_mask(reduce("sum"), *clone._sync()[:2])
         assert mask.tolist() == [False, True]
 
     def test_interference_mask_matches_scalar(self):
@@ -270,7 +276,7 @@ class TestColumnarHistory:
                                 make_entry(reduce("sum"), [1], 2),
                                 make_entry(reduce("max"), [1], 3)])
         for privilege in PRIVILEGES:
-            mask = interference_mask(privilege, hist.kinds, hist.redops)
+            mask = interference_mask(privilege, *hist._sync()[:2])
             expected = [privilege.interferes(e.privilege) for e in hist]
             assert mask.tolist() == expected, privilege
 
@@ -350,10 +356,10 @@ def near(space, entry):
 
 
 class TestLongScanTouchesOnlyWhatCanHit:
-    """No wall clock (the ``tests/runtime/test_order.py::TestNoTraversal``
-    pattern): on a history past ``SCAN_VECTOR_MIN`` the geometry questions
-    are exactly the entries that interfere, are bounds-near and are not
-    dependences yet, and a bounds-far entry's object is never read."""
+    """Counted, not timed: on a history past ``SCAN_VECTOR_MIN`` the
+    geometry questions are exactly the entries that interfere, are
+    bounds-near and are not dependences yet, and a bounds-far entry's
+    object is never read."""
 
     def check(self, entries, privilege, space, seed):
         history = ColumnarHistory(CountingEntry(e) for e in entries)
@@ -404,10 +410,9 @@ class TestLongScanTouchesOnlyWhatCanHit:
 # the columns are a cache: ≡ entries under any interleaving
 # ----------------------------------------------------------------------
 class LazyColumnsMachine(RuleBasedStateMachine):
-    """``append`` / ``reset`` / ``restricted`` / pickling against long
-    scans and blends (the readers that fill the columns): after every step
-    the filled prefix matches the entries it was filled from — nothing
-    stale survives a ``reset`` — and ``check_columns()`` holds."""
+    """``append`` / pickling against long scans and blends (the readers
+    that fill the columns): after every step the filled prefix matches the
+    entries it was filled from and ``check_columns()`` holds."""
 
     def __init__(self):
         super().__init__()
@@ -425,17 +430,6 @@ class LazyColumnsMachine(RuleBasedStateMachine):
         for entry in tiled(specs, n, first=len(self.model)):
             self.history.append(entry)
             self.model.append(entry)
-
-    @rule(keep=st.sampled_from([0, 2, SCAN_VECTOR_MIN]))
-    def reset(self, keep):
-        self.model = self.model[:keep]
-        self.history.reset(self.model)
-
-    @rule(space=index_spaces(max_index=40, min_size=1, max_size=24))
-    def restricted(self, space):
-        self.history = self.history.restricted(space)
-        narrowed = (e.restricted(space) for e in self.model)
-        self.model = [e for e in narrowed if e is not None]
 
     @rule()
     def pickled(self):
@@ -466,7 +460,7 @@ class LazyColumnsMachine(RuleBasedStateMachine):
     @invariant()
     def columns_match_entries(self):
         history = self.history
-        # by content: a restriction or a pickle makes equal, fresh entries
+        # by content: a pickle makes equal, fresh entries
         assert [(e.privilege, e.domain, e.task_id, e.collapsed_ids)
                 for e in history] == [
             (e.privilege, e.domain, e.task_id, e.collapsed_ids)
@@ -478,9 +472,9 @@ class LazyColumnsMachine(RuleBasedStateMachine):
                 history._cols[:, :filled],
                 ColumnarHistory(self.model[:filled])._sync())
         history.check_columns()
-        assert history.los.tolist() == [e.domain.bounds[0]
-                                        for e in self.model]
-        assert history.kinds.tolist() == [
+        cols = columns(history)
+        assert cols["lo"] == [e.domain.bounds[0] for e in self.model]
+        assert cols["kind"] == [
             hist_mod.KIND_REDUCE if e.privilege.is_reduce
             else hist_mod.KIND_READ if e.privilege.is_read
             else hist_mod.KIND_WRITE for e in self.model]
@@ -492,33 +486,39 @@ TestLazyColumns = LazyColumnsMachine.TestCase
 
 
 # ----------------------------------------------------------------------
-# eqset-side columns
+# equivalence-set histories are plain lists
 # ----------------------------------------------------------------------
-class TestEqsetColumns:
-    def test_equivalence_set_history_is_columnar(self):
+class TestEqsetHistoriesAreLists:
+    def test_split_keeps_entry_order_and_alignment(self):
         from repro.visibility.eqset import EquivalenceSet
 
         s = EquivalenceSet(IndexSpace.from_indices([0, 1, 2]))
-        assert isinstance(s.history, PrivilegeColumns)
-        s.record(READ_WRITE, np.zeros(3), 1)
-        s.record(reduce("sum"), np.ones(3), 2)
-        assert s.history.kinds.tolist() == [hist_mod.KIND_WRITE,
-                                            hist_mod.KIND_REDUCE]
+        assert type(s.history) is list
+        s.record(READ_WRITE, np.array([5.0, 6.0, 7.0]), 1)
+        s.record(reduce("sum"), np.array([1.0, 2.0, 3.0]), 2)
         inside, outside = s.split(IndexSpace.from_indices([0]))
         assert outside is not None
-        assert [e.task_id for e in inside.history] == [1, 2]
-        assert outside.history.kinds.tolist() == s.history.kinds.tolist()
+        for part, values in ((inside, [[5.0], [1.0]]),
+                             (outside, [[6.0, 7.0], [2.0, 3.0]])):
+            assert type(part.history) is list
+            assert [(e.task_id, e.privilege) for e in part.history] == \
+                [(e.task_id, e.privilege) for e in s.history]
+            assert [e.values.tolist() for e in part.history] == values
 
-    def test_loose_set_history_is_columnar(self):
+    def test_minus_keeps_entry_order_and_alignment(self):
         from repro.visibility.eqset import LooseEquivalenceSet
 
         space = IndexSpace.from_indices([0, 1, 2, 3])
         s = LooseEquivalenceSet(space)
-        assert isinstance(s.history, ColumnarHistory)
+        assert type(s.history) is list
         s.record(make_entry(READ_WRITE, [0, 1, 2, 3], 1))
-        s.record(make_entry(reduce("sum"), [1, 2], 2))
-        assert s.history.los.tolist() == [0, 1]
+        s.record(make_entry(reduce("sum"), [0, 1], 2))  # dropped: disjoint
+        s.record(make_entry(reduce("sum"), [1, 2], 3))
         remainder = s.minus(IndexSpace.from_indices([0, 1]))
         assert remainder is not None
-        assert isinstance(remainder.history, ColumnarHistory)
-        assert remainder.history.los.tolist() == [2, 2]
+        assert type(remainder.history) is list
+        assert [e.task_id for e in remainder.history] == [1, 3]
+        assert [e.domain.indices.tolist() for e in remainder.history] == \
+            [[2, 3], [2]]
+        assert [e.values.values.tolist() for e in remainder.history] == \
+            [[2.0, 3.0], [1.0]]

@@ -100,8 +100,7 @@ class TestCompactionUnits:
         s = EquivalenceSet(IndexSpace.from_range(0, 4))
         s.record(READ_WRITE, np.arange(4.0), 0)
         for k in range(1, 6):
-            s.record(reduce("sum"), np.full(4, 1.0), k,
-                     compaction_limit=None)
+            s.record(reduce("sum"), np.full(4, 1.0), k)
         s.compact()
         assert len(s.history) == 1
         summary = s.history[0]
@@ -120,8 +119,7 @@ class TestCompactionUnits:
         sub = IndexSpace.from_range(1, 3)
         for k in range(1, 5):
             s.record(HistoryEntry(reduce("sum"), sub,
-                                  RegionValues(sub, np.full(2, 2.0)), k),
-                     compaction_limit=None)
+                                  RegionValues(sub, np.full(2, 2.0)), k))
         s.compact()
         assert len(s.history) == 1
         summary = s.history[0]
@@ -129,10 +127,14 @@ class TestCompactionUnits:
         assert summary.collapsed_ids == frozenset(range(5))
         assert list(summary.values.values) == [0.0, 8.0, 8.0, 0.0]
 
-    def test_disabled_by_none(self):
+    def test_limit_is_read_at_call_time(self, monkeypatch):
         from repro.visibility.eqset import EquivalenceSet
+        monkeypatch.setattr(eqset_mod, "HISTORY_COMPACTION_LIMIT", 10 ** 6)
         s = EquivalenceSet(IndexSpace.from_range(0, 2))
         s.record(READ_WRITE, np.zeros(2), 0)
         for k in range(1, 200):
-            s.record(reduce("sum"), np.ones(2), k, compaction_limit=None)
+            s.record(reduce("sum"), np.ones(2), k)
         assert len(s.history) == 200
+        monkeypatch.setattr(eqset_mod, "HISTORY_COMPACTION_LIMIT", 8)
+        s.record(reduce("sum"), np.ones(2), 200)
+        assert len(s.history) == 1
