@@ -146,9 +146,10 @@ class Runtime:
                 if req.privilege.is_read:
                     buf.setflags(write=False)
                 buffers.append(buf)
-            sp.set(deps=sorted(deps))
-            if not scan:
-                sp.set(replayed=True)
+            if sp is not obs._NOOP:  # sort only for a span that records
+                sp.set(deps=sorted(deps))
+                if not scan:
+                    sp.set(replayed=True)
 
             if body is not None:
                 body(*buffers)

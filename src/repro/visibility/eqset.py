@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.errors import CoherenceError
+from repro.errors import CoherenceError, GeometryError
 from repro.geometry.fastpath import batch_overlaps, geometry_cache
 from repro.geometry.index_space import IndexSpace
 from repro.geometry.kdtree import KDTree
@@ -89,35 +89,33 @@ class EquivalenceSet:
         _eqset_uid.restore(self, state)
 
     # ------------------------------------------------------------------
-    def split(self, space: IndexSpace,
-              meter: Optional[CostMeter] = None
+    def split(self, space: IndexSpace, meter: Optional[CostMeter] = None,
+              mask: Optional[np.ndarray] = None
               ) -> tuple["EquivalenceSet", Optional["EquivalenceSet"]]:
         """Refine into (self ∩ space, self \\ space) — Figure 9 line 11.
 
         The second component is ``None`` when this set is contained in
-        ``space``.  Histories are split positionally so the alignment
-        invariant is preserved on both sides — one value gather per entry.
+        ``space``.  Positional: ``mask`` says which of this set's elements
+        ``space`` holds (a store reads it off its owner column), and both
+        sides' spaces and histories are gathered by it, staying aligned.
         """
-        inside_space = self.space & space
-        if inside_space.is_empty:
+        if mask is None:
+            mask = self.space.membership_mask(space)
+        inside = np.flatnonzero(mask)
+        if not inside.size:
             raise CoherenceError("split requires overlap")
-        if inside_space.size == self.space.size:
+        if inside.size == mask.size:
             return self, None
-        outside_space = self.space - space
-        # asked once — the split retires the set these maps index — so
-        # they bypass the operation cache's gather-map table
-        in_pos = self.space._positions_raw(inside_space)
-        out_pos = self.space._positions_raw(outside_space)
-        inside = EquivalenceSet(
-            inside_space, [e.restricted(in_pos) for e in self.history])
-        outside = EquivalenceSet(
-            outside_space, [e.restricted(out_pos) for e in self.history])
+        parts = [EquivalenceSet(
+            IndexSpace(self.space.indices[pos], trusted=True),
+            [e.restricted(pos) for e in self.history])
+            for pos in (inside, np.flatnonzero(~mask))]
         if meter is not None:
             meter.count("eqsets_split")
             meter.count("eqsets_created", 2)
             meter.count("elements_moved",
                         self.space.size * max(1, len(self.history)))
-        return inside, outside
+        return parts[0], parts[1]
 
     def paint(self, dtype: np.dtype, meter: Optional[CostMeter] = None
               ) -> np.ndarray:
@@ -169,26 +167,16 @@ class EquivalenceSet:
 # Warnock: monotone refinement tree (the BVH of section 6.1)
 # ----------------------------------------------------------------------
 class _RefNode:
-    """A node of the refinement tree; leaves carry live equivalence sets."""
+    """A node of the refinement tree; leaves carry live equivalence sets
+    and their row (``ident``) of the store's owner column."""
 
-    __slots__ = ("lo", "hi", "space", "eqset", "children")
+    __slots__ = ("lo", "hi", "eqset", "children", "ident")
 
-    def __init__(self, eqset: EquivalenceSet) -> None:
-        self.space = eqset.space
+    def __init__(self, eqset: EquivalenceSet, ident: int) -> None:
         self.lo, self.hi = eqset.space.bounds
         self.eqset: Optional[EquivalenceSet] = eqset
         self.children: list["_RefNode"] = []
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.eqset is not None
-
-    def split_to(self, parts: list[EquivalenceSet]) -> list["_RefNode"]:
-        """Turn this leaf into an interior node with the given parts."""
-        assert self.is_leaf
-        self.eqset = None
-        self.children = [_RefNode(p) for p in parts]
-        return self.children
+        self.ident = ident
 
 
 #: what a store walk is charged in: nodes visited, exact tests made
@@ -221,23 +209,32 @@ class RefinementTreeStore:
     queries start from the nodes found last time (section 6.1).  While no
     set has split since (``_generation`` counts splits) the memo *is* the
     answer, charged what descending from its still-leaf nodes would be.
+
+    The walk finds candidates, the owner column tests them: ``_owner[p]``
+    is the ``ident`` of the leaf holding root position ``p``, so one gather
+    answers every candidate, and ``_positions[ident]`` splits a leaf by
+    position.  Both are caches of the leaves: never pickled.
     """
 
     def __init__(self, root: EquivalenceSet,
                  meter: Optional[CostMeter] = None,
                  memoize: bool = True) -> None:
-        self._root = _RefNode(root)
+        self._root, self._space = _RefNode(root, 0), root.space
         self._memo: dict[int, _Located] = {}
         self._memoize = memoize
         self._generation = 0
         self.meter = meter
+        self._owner, self._positions = None, []
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "_owner": None, "_positions": []}
 
     # ------------------------------------------------------------------
     def locate(self, space: IndexSpace, region_uid: Optional[int] = None
                ) -> list[EquivalenceSet]:
         """Refine as needed and return the equivalence sets whose union is
-        exactly ``space`` (not to be mutated).  ``region_uid`` keys
-        memoization when the query comes from a named region."""
+        exactly ``space`` (a subset of the root; not to be mutated).
+        ``region_uid`` keys memoization for a named region's query."""
         if space.is_empty:
             return []
         memo = self._memo.get(region_uid) \
@@ -247,16 +244,17 @@ class RefinementTreeStore:
                 self.meter.charge(memo.cost)
             return memo.sets
         leaves = self._descend(memo.nodes if memo else [self._root], space)
+        if self._owner is None:
+            self._fill_columns()
+        at = self._space.positions_of(space)
+        owners = self._owner[at]
+        owned = np.bincount(owners, minlength=len(self._positions)).tolist()
         nodes: list[_RefNode] = []
         for leaf in leaves:
-            common = leaf.space & space
-            if common.is_empty:
+            if not owned[leaf.ident]:
                 continue
-            if common.size != leaf.space.size:
-                inside, outside = leaf.eqset.split(space, self.meter)
-                assert outside is not None
-                leaf = leaf.split_to([inside, outside])[0]
-                self._generation += 1
+            if owned[leaf.ident] != leaf.eqset.space.size:
+                leaf = self._split(leaf, space, at[owners == leaf.ident])
             nodes.append(leaf)
         out = [node.eqset for node in nodes]
         if region_uid is not None and self._memoize and out:
@@ -265,6 +263,32 @@ class RefinementTreeStore:
                 space, out, self._generation,
                 dict.fromkeys(_WALK_EVENTS, len(out)), nodes=nodes)
         return out
+
+    def _split(self, leaf: _RefNode, space: IndexSpace,
+               taken: np.ndarray) -> _RefNode:
+        """Split ``leaf`` by ``space``, which holds its elements at root
+        positions ``taken``; the inside leaf.  It takes a fresh row of the
+        owner column, so the leaf's positions read back are the mask."""
+        row, mine = len(self._positions), self._positions[leaf.ident]
+        self._owner[taken] = row
+        mask = self._owner[mine] == row
+        inside, outside = leaf.eqset.split(space, self.meter, mask)
+        self._positions.append(taken)
+        self._positions[leaf.ident] = mine[~mask]
+        leaf.children = [_RefNode(inside, row), _RefNode(outside, leaf.ident)]
+        leaf.eqset = None
+        self._generation += 1
+        return leaf.children[0]
+
+    def _fill_columns(self) -> None:
+        """Both columns from the leaves (a split adds a leaf and a row)."""
+        leaves = self._leaves()
+        self._owner = np.empty(self._space.size, dtype=np.intp)
+        self._positions = [None] * len(leaves)
+        for leaf in leaves:
+            at = self._space._positions_raw(leaf.eqset.space)
+            self._positions[leaf.ident] = at
+            self._owner[at] = leaf.ident
 
     def _descend(self, roots: list[_RefNode],
                  space: IndexSpace) -> list[_RefNode]:
@@ -277,7 +301,7 @@ class RefinementTreeStore:
             visited += 1
             if cur.hi < lo or hi < cur.lo:
                 continue
-            if cur.is_leaf:
+            if cur.eqset is not None:  # a leaf
                 leaves.append(cur)
             else:
                 stack.extend(cur.children)
@@ -286,18 +310,20 @@ class RefinementTreeStore:
                                "intersection_tests": len(leaves)})
         return leaves
 
-    def all_sets(self) -> list[EquivalenceSet]:
-        """Every live equivalence set (diagnostics / invariant checks)."""
-        out: list[EquivalenceSet] = []
+    def _leaves(self) -> list[_RefNode]:
+        out: list[_RefNode] = []
         stack = [self._root]
         while stack:
             node = stack.pop()
-            if node.is_leaf:
-                assert node.eqset is not None
-                out.append(node.eqset)
+            if node.eqset is not None:
+                out.append(node)
             else:
                 stack.extend(node.children)
         return out
+
+    def all_sets(self) -> list[EquivalenceSet]:
+        """Every live equivalence set (diagnostics / invariant checks)."""
+        return [leaf.eqset for leaf in self._leaves()]
 
     def tree_depth(self) -> int:
         """Height of the refinement tree (diagnostics; a chain grows one
@@ -312,30 +338,46 @@ class RefinementTreeStore:
 
     def check_invariants(self, root_space: IndexSpace) -> None:
         """Assert the section 6 invariants: sets pairwise disjoint, union
-        covers the root, histories aligned, and every memo whose sets are
-        all live composes its region from exactly the live sets
-        overlapping it."""
-        sets = self.all_sets()
+        covers the root, histories aligned, every memo whose sets are all
+        live composes its region from exactly the live sets overlapping it,
+        and the columns ≡ the leaves: a leaf's row holds its root positions
+        and the owner column names the leaf there."""
+        leaves = self._leaves()
+        sets = [leaf.eqset for leaf in leaves]
         _check_partition(sets, root_space)
         for memo in self._memo.values():
-            if all(node.is_leaf for node in memo.nodes):
+            if all(node.eqset is not None for node in memo.nodes):
                 _check_memo(memo, sets)
                 _check_partition(memo.sets, memo.space)
         for s in sets:
             for e in s.history:
                 if e.values is not None and e.values.shape != (s.space.size,):
                     raise CoherenceError(f"misaligned history in {s!r}")
+        for leaf in leaves if self._owner is not None else ():
+            at = root_space.positions_of(leaf.eqset.space)
+            if not (np.array_equal(at, self._positions[leaf.ident])
+                    and (self._owner[at] == leaf.ident).all()):
+                raise CoherenceError(f"columns diverged from {leaf.eqset!r}")
 
 
 # ----------------------------------------------------------------------
 # Ray casting: loose sets in partition buckets with a K-d fallback (§7)
 # ----------------------------------------------------------------------
-def _restricted(history: list[HistoryEntry],
-                space: IndexSpace) -> list[HistoryEntry]:
-    """Every entry restricted to ``space``, the disjoint ones dropped (how
-    a loose equivalence set's history follows a split)."""
-    narrowed = (e.restricted(space) for e in history)
-    return [e for e in narrowed if e is not None]
+def _selected(entries: list, flags: np.ndarray) -> list[HistoryEntry]:
+    """Every ``(entry, its elements' bucket rows)`` narrowed to the flagged
+    buckets, the emptied ones dropped (how a history follows a carve)."""
+    out = []
+    for entry, rows in entries:
+        mask = flags[rows]
+        if mask.all():
+            out.append(entry)
+        elif mask.any():
+            domain = IndexSpace(entry.domain.indices[mask], trusted=True)
+            values = None if entry.values is None else RegionValues(
+                domain, entry.values.values[mask])
+            out.append(HistoryEntry(entry.privilege, domain, values,
+                                    entry.task_id, entry.collapsed_ids))
+    return out
 
 
 class LooseEquivalenceSet:
@@ -404,7 +446,8 @@ class LooseEquivalenceSet:
         remaining = self.space - space
         if remaining.is_empty:
             return None
-        entries = _restricted(self.history, remaining)
+        narrowed = (e.restricted(remaining) for e in self.history)
+        entries = [e for e in narrowed if e is not None]
         if meter is not None:
             meter.count("eqsets_split")
             meter.count("elements_moved",
@@ -447,58 +490,93 @@ class BucketStore:
         self._generation = 0
         self._kd: Optional[KDTree] = None
         self._kd_ids: dict[int, int] = {}
-        self._buckets: dict[int, dict[int, LooseEquivalenceSet]] = {}
         # per live set uid, what placing it found: (bounds-filter hits,
         # the buckets it truly overlaps) — read back by every later
         # localization and removal instead of being re-derived
         self._span: dict[int, tuple[int, list[Region]]] = {}
-        self._bucket_regions: list[Region] = []
-        self._bucket_lo = np.empty(0, dtype=np.int64)
-        self._bucket_hi = np.empty(0, dtype=np.int64)
-        if partition is not None:
-            self._set_bucket_regions(list(partition.subregions))
-        else:
-            lo, hi = root.space.bounds
-            self._kd = KDTree(lo, hi)
+        self._space = root.space
+        self._set_bucket_regions(
+            [] if partition is None else list(partition.subregions))
+        if partition is None:
+            self._kd = KDTree(*root.space.bounds)
         self._index_insert(root)
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "_columns": None}
 
     def _set_bucket_regions(self, regions: list[Region]) -> None:
         self._bucket_regions = regions
         self._buckets = {r.uid: {} for r in regions}
-        self._bucket_lo = np.asarray([r.space.bounds[0] for r in regions],
-                                     dtype=np.int64)
-        self._bucket_hi = np.asarray([r.space.bounds[1] for r in regions],
-                                     dtype=np.int64)
+        self._columns: Optional[tuple] = None
 
-    def _buckets_overlapping(self, space: IndexSpace) -> list[Region]:
-        """Bucket regions whose bounding interval overlaps ``space``'s.
+    def _fill_columns(self) -> tuple:
+        """``(lo, hi, owner)``: the bucket regions' bounds, stacked, and
+        the owner column — the bucket (a row of the region list) holding
+        each root position, -1 where none does.  Caches: never pickled."""
+        regions, root = self._bucket_regions, self._space.indices
+        lo, hi = (np.asarray([r.space.bounds[side] for r in regions],
+                             dtype=np.int64) for side in (0, 1))
+        members = np.concatenate([r.space.indices for r in regions])
+        rows = np.repeat(np.arange(len(regions)),
+                         [r.space.size for r in regions])
+        at = np.minimum(np.searchsorted(root, members), root.size - 1)
+        inside = root[at] == members
+        owner = np.full(root.size, -1, dtype=np.intp)
+        owner[at[inside]] = rows[inside]
+        self._columns = (lo, hi, owner)
+        return self._columns
 
-        Vectorized prefilter; callers still do the exact overlap test."""
+    def _near(self, space: IndexSpace) -> np.ndarray:
+        """Rows of the buckets whose bounding interval overlaps ``space``'s:
+        the vectorized, metered prefilter of the owner column's exact test."""
         lo, hi = space.bounds
-        hits = np.flatnonzero((self._bucket_lo <= hi) & (self._bucket_hi >= lo))
+        bucket_lo, bucket_hi, _ = self._columns or self._fill_columns()
+        hits = np.flatnonzero((bucket_lo <= hi) & (bucket_hi >= lo))
         if self.meter is not None:
             self.meter.count("bvh_nodes_visited", max(1, hits.size))
-        return [self._bucket_regions[i] for i in hits]
+        return hits
+
+    def _buckets_overlapping(self, space: IndexSpace) -> list[Region]:
+        """:meth:`_near` as regions (the span memo's spec re-derives)."""
+        return [self._bucket_regions[i] for i in self._near(space)]
+
+    def _bucket_ids(self, space: IndexSpace, once: bool = False) -> np.ndarray:
+        """The bucket row of each element of ``space`` (a subset of the
+        root), off the owner column; a map asked ``once`` is not cached."""
+        owner = (self._columns or self._fill_columns())[2]
+        return owner[self._space._positions_raw(space) if once
+                     else self._space.positions_of(space)]
+
+    def _held(self, ids: np.ndarray) -> np.ndarray:
+        """A flag per bucket row (last: no bucket), set for ``ids``."""
+        held = np.zeros(len(self._bucket_regions) + 1, dtype=bool)
+        held[ids] = True
+        return held
 
     # ------------------------------------------------------------------
     # index maintenance
     # ------------------------------------------------------------------
-    def _index_insert(self, eqset: LooseEquivalenceSet) -> None:
+    def _index_insert(self, eqset: LooseEquivalenceSet,
+                      ids: "np.ndarray | int | None" = None) -> None:
+        """Place a set in its buckets (``ids``: their rows, if known)."""
         self._generation += 1
         self._sets[eqset.uid] = eqset
         if self._kd is not None:
             self._kd_ids[eqset.uid] = self._kd.insert(eqset.space, eqset)
             return
-        regions = self._buckets_overlapping(eqset.space)
-        hits = batch_overlaps(eqset.space, [r.space for r in regions])
-        placed = [region for region, hit in zip(regions, hits) if hit]
-        if not placed:
-            # partition is complete, so this can only mean a stale bucket
-            # list after rebucketing mid-flight
+        near = self._near(eqset.space)
+        try:
+            held = self._held(self._bucket_ids(eqset.space)
+                              if ids is None else ids)
+        except GeometryError:  # an element outside the root
+            held = None
+        if held is None or held[-1]:
+            # the partition is complete: a bucket list gone stale mid-flight
             raise CoherenceError("equivalence set fits no bucket")
+        placed = [self._bucket_regions[i] for i in near[held[near]].tolist()]
         for region in placed:
             self._buckets[region.uid][eqset.uid] = eqset
-        self._span[eqset.uid] = (len(regions), placed)
+        self._span[eqset.uid] = (near.size, placed)
 
     def _span_of(self, eqset: LooseEquivalenceSet) -> list[Region]:
         """The buckets a live set was placed in, charged the
@@ -522,24 +600,23 @@ class BucketStore:
             self._buckets[region.uid].pop(eqset.uid, None)
         self._span.pop(eqset.uid, None)
 
-    def _candidates(self, space: IndexSpace) -> list[LooseEquivalenceSet]:
+    def _candidates(self, space: IndexSpace, held: Optional[np.ndarray]
+                    ) -> list[LooseEquivalenceSet]:
         if self._kd is not None:
             if self.meter is not None:
                 self.meter.count("bvh_nodes_visited")
             return list(self._kd.query(space))
         seen: dict[int, LooseEquivalenceSet] = {}
-        regions = self._buckets_overlapping(space)
-        if regions:
-            hits = batch_overlaps(space, [r.space for r in regions])
-            for region, hit in zip(regions, hits):
-                if hit:
-                    seen.update(self._buckets[region.uid])
+        near = self._near(space)
+        for i in near[held[near]].tolist():
+            seen.update(self._buckets[self._bucket_regions[i].uid])
         return list(seen.values())
 
     # ------------------------------------------------------------------
-    def _localize(self, eqset: LooseEquivalenceSet, space: IndexSpace
+    def _localize(self, eqset: LooseEquivalenceSet, held: np.ndarray
                   ) -> list[LooseEquivalenceSet]:
-        """Carve the queried buckets out of a multi-bucket set.
+        """Carve the queried buckets (``held``) out of a multi-bucket set
+        the query overlaps.
 
         Section 7.1 stores equivalence sets *at the leaves* of the
         disjoint-and-complete partition.  Refinement to that granularity
@@ -549,36 +626,35 @@ class BucketStore:
         (and shrinks as other pieces first touch their data).  Without
         this, a never-written field would accumulate every piece's history
         in one giant set.
+
+        Read off the owner column: a piece is the set's elements in one
+        bucket, the remainder those in no touched bucket; entries follow.
         """
-        all_regions = self._span_of(eqset)
-        if len(all_regions) <= 1:
+        if len(self._span_of(eqset)) <= 1:
             return [eqset]
-        touched = batch_overlaps(space, [r.space for r in all_regions])
-        carved: list[LooseEquivalenceSet] = []
-        carved_union = IndexSpace.empty()
-        for region, hit in zip(all_regions, touched):
-            if not hit:
-                continue
-            common = eqset.space & region.space
-            if common.is_empty:
-                continue
-            carved.append(LooseEquivalenceSet(
-                common, _restricted(eqset.history, common)))
-            carved_union = carved_union | common
-        if not carved:
-            return []
-        remainder_space = eqset.space - carved_union
+        ids = self._bucket_ids(eqset.space, once=True)
+        taken = held[ids]
+        touched = np.flatnonzero(self._held(ids[taken])).tolist()
+        entries = [(e, ids if e.domain.size == ids.size
+                    else self._bucket_ids(e.domain, once=True))
+                   for e in eqset.history]
+
+        def select(flags: np.ndarray) -> LooseEquivalenceSet:
+            return LooseEquivalenceSet(
+                IndexSpace(eqset.space.indices[flags[ids]], trusted=True),
+                _selected(entries, flags))
+
+        carved = [select(self._held(row)) for row in touched]
         self._index_remove(eqset)
-        for piece in carved:
-            self._index_insert(piece)
-        if not remainder_space.is_empty:
-            self._index_insert(LooseEquivalenceSet(
-                remainder_space, _restricted(eqset.history, remainder_space)))
+        for piece, row in zip(carved, touched):
+            self._index_insert(piece, row)
+        if not taken.all():
+            self._index_insert(select(~held), ids[~taken])
         if self.meter is not None:
             self.meter.count("eqsets_split", len(carved))
             self.meter.count("eqsets_created", len(carved))
-            self.meter.count("elements_moved",
-                             carved_union.size * max(1, len(eqset.history)))
+            self.meter.count("elements_moved", int(np.count_nonzero(taken))
+                             * max(1, len(eqset.history)))
         return carved
 
     def overlapping(self, space: IndexSpace,
@@ -615,7 +691,9 @@ class BucketStore:
         paid = None if self.meter is None else [
             self.meter.counters[event] for event in _WALK_EVENTS]
         out: list[LooseEquivalenceSet] = []
-        candidates = self._candidates(space)
+        held = None if self._kd is not None \
+            else self._held(self._bucket_ids(space))
+        candidates = self._candidates(space, held)
         # one batched pass answers every candidate's exact test up front;
         # the loop keeps the localize-during-iteration semantics exactly
         # as the scalar path had them
@@ -626,8 +704,8 @@ class BucketStore:
             if not hit:
                 continue
             if self._kd is None:
-                for piece in self._localize(eqset, space):
-                    if piece.space.overlaps(space):
+                for piece in self._localize(eqset, held):
+                    if piece is eqset or piece.space.overlaps(space):
                         out.append(piece)
             else:
                 out.append(eqset)
@@ -699,24 +777,36 @@ class BucketStore:
 
     def check_invariants(self, root_space: IndexSpace) -> None:
         """Assert: sets pairwise disjoint, union covers the root, every
-        history entry contained in its set, the span memo ≡ a
-        re-derivation from the bucket bounds, every all-live region memo ≡
-        the live sets overlapping its query, and a cost learned under this
-        generation ≡ the walk re-derived from the buckets: the query's
-        bounds hits plus each hit candidate's span's, every candidate
-        tested."""
+        history entry contained in its set, the owner column (once filled)
+        ≡ the bucket regions, the span memo ≡ a re-derivation from the
+        bucket bounds, every all-live region memo ≡ the live sets
+        overlapping its query, and a cost learned under this generation ≡
+        the walk re-derived from the buckets: the query's bounds hits plus
+        each hit candidate's span's, every candidate tested."""
         sets = self.all_sets()
         _check_partition(sets, root_space)
+
+        def near(space: IndexSpace) -> list[Region]:
+            lo, hi = space.bounds  # _near re-derived, unmetered
+            return [r for r in self._bucket_regions
+                    if r.space.bounds[0] <= hi and r.space.bounds[1] >= lo]
+
+        if self._columns is not None:
+            rows = np.full(root_space.size, -1)
+            for row, region in enumerate(self._bucket_regions):
+                rows[root_space.positions_of(region.space)] = row
+            if not np.array_equal(rows, self._columns[2]):
+                raise CoherenceError("owner column diverged from the buckets")
         for memo in self._memo.values():
             if not all(s.uid in self._sets for s in memo.sets):
                 continue
             _check_memo(memo, sets)
             if memo.cost and memo.generation == self._generation:
-                near = self._near(memo.space)
-                met = {uid: s for r in near if r.space.overlaps(memo.space)
+                hits = near(memo.space)
+                met = {uid: s for r in hits if r.space.overlaps(memo.space)
                        for uid, s in self._buckets[r.uid].items()}
                 if memo.cost != {"intersection_tests": len(met),
-                                 "bvh_nodes_visited": max(1, len(near)) + sum(
+                                 "bvh_nodes_visited": max(1, len(hits)) + sum(
                                      self._span[uid][0] for uid in met if
                                      met[uid].space.overlaps(memo.space))}:
                     raise CoherenceError("learned walk cost diverged")
@@ -726,17 +816,11 @@ class BucketStore:
                 if not e.domain.issubset(s.space):
                     raise CoherenceError(f"entry escapes {s!r}")
             if self._kd is None:
-                near = self._near(s.space)
-                spans[s.uid] = (len(near), [r for r in near
+                hits = near(s.space)
+                spans[s.uid] = (len(hits), [r for r in hits
                                             if r.space.overlaps(s.space)])
         if self._span != spans:
             raise CoherenceError("bucket-span memo diverged from the buckets")
-
-    def _near(self, space: IndexSpace) -> list[Region]:
-        """``_buckets_overlapping`` re-derived, unmetered (invariants)."""
-        lo, hi = space.bounds
-        return [r for r in self._bucket_regions
-                if r.space.bounds[0] <= hi and r.space.bounds[1] >= lo]
 
     def rebucket(self, partition: Optional[Partition]) -> None:
         """Shift every equivalence set to a new disjoint-complete partition
@@ -750,16 +834,12 @@ class BucketStore:
         geometry_cache().invalidate()
         sets = list(self._sets.values())
         self.partition = partition
-        self._buckets = {}
         self._span = {}
-        self._bucket_regions = []
-        self._bucket_lo = np.empty(0, dtype=np.int64)
-        self._bucket_hi = np.empty(0, dtype=np.int64)
         self._kd = None
         self._kd_ids = {}
-        if partition is not None:
-            self._set_bucket_regions(list(partition.subregions))
-        else:
+        self._set_bucket_regions(
+            [] if partition is None else list(partition.subregions))
+        if partition is None:
             if sets:
                 lo = min(s.space.bounds[0] for s in sets)
                 hi = max(s.space.bounds[1] for s in sets)

@@ -104,6 +104,12 @@ def nonempty_index_spaces(max_index: int = 64,
     return index_spaces(max_index, min_size=1, max_size=max_size)
 
 
+def subsets_of(space: IndexSpace) -> st.SearchStrategy[IndexSpace]:
+    """Non-empty random subsets of an index space."""
+    return st.lists(st.sampled_from(space.indices.tolist()), min_size=1,
+                    max_size=space.size).map(IndexSpace.from_indices)
+
+
 @st.composite
 def random_trees(draw, max_root: int = 32, fields: int = 1):
     """A region tree over [0, n) with 1–3 partitions (one possibly

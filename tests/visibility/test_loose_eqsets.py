@@ -1,16 +1,24 @@
 """Unit tests for the ray-casting loose equivalence sets and bucket store."""
 
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (READ, READ_WRITE, CoherenceError, IndexSpace, RegionTree,
-                   reduce)
+                   Runtime, reduce)
+from repro.apps import APPS
+from repro.distributed.verify import analysis_fingerprint
 from repro.geometry.fastpath import batch_overlaps
 from repro.visibility.base import INITIAL_TASK_ID
 from repro.visibility.eqset import (BucketStore, LooseEquivalenceSet,
                                     visit_sets)
 from repro.visibility.history import HistoryEntry, RegionValues
 from repro.visibility.meter import CostMeter
+
+from tests.conftest import nonempty_index_spaces, subsets_of
 
 
 def entry(privilege, indices, values, task_id):
@@ -341,7 +349,6 @@ class TestLocateStamp:
         return tree, P, H, ghost, S, cls(root, P, CostMeter())
 
     def drive(self, cls):
-        import pickle
         tree, P, H, ghost, S, store = self.build(cls)
         trace = []
 
@@ -395,6 +402,7 @@ class TestLocateStamp:
         ask("ghost: back to buckets", ghost)
         write("own region", P[2])
         store = pickle.loads(pickle.dumps(store))
+        assert store._columns is None           # a cache: rebuilt when asked
         ask("ghost: restored", ghost)
         write("own region, restored", P[2])
         ask("ghost: restored, repeat", ghost)
@@ -442,3 +450,118 @@ class TestLocateStamp:
         straddle = IndexSpace.from_range(6, 10)
         store.dominate_write(straddle, store.overlapping(straddle), None)
         assert store._generation > generation
+
+
+# ----------------------------------------------------------------------
+# the owner column: the walk finds candidates, the column tests them
+# ----------------------------------------------------------------------
+def checkpoint_round_trip(algorithm, parent_bytes, monkeypatch):
+    """Columns are caches: a checkpointed ``Runtime`` (stencil, 16 pieces,
+    init + 4 iterations) pickles no owner column, bucket bounds or leaf
+    positions — so it is no larger than at the parent commit
+    (``parent_bytes``, measured there from a fresh uid source) — and a
+    restored runtime rebuilds them on first use: continuing on the clone
+    reaches the fingerprint of the run that never paused."""
+    from repro.visibility import eqset
+    monkeypatch.setattr(eqset, "_eqset_uid", type(eqset._eqset_uid)())
+    app = APPS["stencil"](pieces=16)
+    rt = Runtime(app.tree, app.initial, algorithm=algorithm)
+
+    def run(runtime, stream, regions=None):
+        for task in stream:  # bodies are closures: analysis only
+            reqs = task.requirements if regions is None else [
+                type(req)(regions[req.region.uid], req.field, req.privilege)
+                for req in task.requirements]
+            runtime.launch(task.name, reqs, None, task.point)
+
+    run(rt, app.init_stream())
+    for _ in range(4):
+        run(rt, app.iteration_stream())
+    blob = pickle.dumps(rt)
+    assert len(blob) <= parent_bytes
+    clone = pickle.loads(blob)
+    for field in clone.tree.field_space.names:
+        store = clone.algorithm_for(field).store
+        assert getattr(store, "_columns", None) is None
+        assert getattr(store, "_owner", None) is None
+    regions = {r.uid: r for r in clone.tree.regions}
+    for _ in range(2):
+        run(rt, app.iteration_stream())
+        run(clone, app.iteration_stream(), regions)
+    total = rt.next_task_id
+    assert analysis_fingerprint(clone, 0, total) \
+        == analysis_fingerprint(rt, 0, total)
+    for field in clone.tree.field_space.names:
+        clone.algorithm_for(field).check_invariants()
+
+
+class TestOwnerColumn:
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_overlapping_equals_brute_force(self, data):
+        """Over sparse roots (positions are not indices), interleaved
+        disjoint-complete partitions, partial-domain read/reduce entries
+        and random query / dominating-write sequences with a checkpoint
+        thrown in: the owner column ≡ the partition and every memo ≡ the
+        live sets after every step, the answer is the live sets
+        overlapping the query, and every value stays with its element."""
+        root_space = data.draw(nonempty_index_spaces(200, max_size=40))
+        n = root_space.size
+        tree = RegionTree(root_space, {"x": np.float64})
+        colours = np.asarray(data.draw(st.lists(
+            st.integers(0, 4), min_size=n, max_size=n)))
+        P = tree.root.create_partition(
+            "P", [IndexSpace(root_space.indices[colours == c], trusted=True)
+                  for c in np.unique(colours)], disjoint=True, complete=True)
+        expected = dict.fromkeys(root_space.indices.tolist(), 0.0)
+        root = LooseEquivalenceSet(root_space)
+        root.record(HistoryEntry(READ_WRITE, root_space, RegionValues(
+            root_space, np.zeros(n)), INITIAL_TASK_ID))
+        regions = data.draw(st.lists(subsets_of(root_space), min_size=1,
+                                     max_size=4)) + [P[0].space]
+        for task_id, space in enumerate(regions[:2], 100):
+            # partial entries on the set every first touch carves
+            root.record(HistoryEntry(READ, space, None, task_id))
+            root.record(HistoryEntry(reduce("sum"), space, RegionValues(
+                space, np.ones(space.size)), task_id))
+            for i in space.indices.tolist():
+                expected[i] += 1.0
+        store = BucketStore(root, P, CostMeter())
+        for task_id in range(data.draw(st.integers(1, 8))):
+            uid = data.draw(st.integers(0, len(regions) - 1))
+            space = regions[uid]
+            uid = uid if data.draw(st.booleans()) else None
+            action = data.draw(st.sampled_from(
+                ["read", "reduce", "write", "checkpoint"]))
+            if action == "checkpoint":
+                store = pickle.loads(pickle.dumps(store))
+                assert store._columns is None
+            sets = store.overlapping(space, uid)
+            store.check_invariants(root_space)
+            brute = [s for s in store.all_sets() if s.space.overlaps(space)]
+            assert sorted(tuple(s.space) for s in sets) \
+                == sorted(tuple(s.space) for s in brute)
+            if action == "write":
+                fresh = store.dominate_write(space, sets, uid)
+                fresh.record(HistoryEntry(READ_WRITE, space, RegionValues(
+                    space, np.full(space.size, 7.0)), task_id))
+                expected.update(dict.fromkeys(space.indices.tolist(), 7.0))
+                assert IndexSpace.union_all(  # carved per bucket, or whole
+                    [s.space for s in store.overlapping(space, uid)]) == space
+            for s in sets if action in ("read", "reduce") else ():
+                common = s.space & space
+                values = None if action == "read" else RegionValues(
+                    common, np.ones(common.size))
+                s.record(HistoryEntry(
+                    READ if action == "read" else reduce("sum"), common,
+                    values, task_id))
+                for i in common.indices.tolist() if values else ():
+                    expected[i] += 1.0
+            store.check_invariants(root_space)
+            for s in store.all_sets():
+                assert list(s.paint(s.space, np.float64).values) \
+                    == [expected[i] for i in s.space]
+
+    def test_checkpoint_carries_no_column(self, monkeypatch):
+        """83 880 bytes at the parent commit (`fb3ee98`)."""
+        checkpoint_round_trip("raycast", 83_880, monkeypatch)

@@ -1,13 +1,20 @@
 """Structural tests for Warnock's algorithm (section 6, Figures 9/10)."""
 
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (READ, READ_WRITE, CoherenceError, IndexSpace,
                    RegionRequirement, Runtime, WarnockAlgorithm, reduce)
 from repro.visibility.eqset import EquivalenceSet, RefinementTreeStore
+from repro.visibility.meter import CostMeter
 
-from tests.conftest import fig1_initial, fig1_stream, make_fig1_tree
+from tests.conftest import (fig1_initial, fig1_stream, make_fig1_tree,
+                            nonempty_index_spaces, subsets_of)
+from tests.visibility.test_loose_eqsets import checkpoint_round_trip
 
 
 class TestEquivalenceSetObject:
@@ -114,8 +121,6 @@ class TestRefinementStore:
         """While no set has split the memo is the answer itself; the spec
         is section 6.1 as it was — every repeat re-descends from its
         memoized nodes.  Same sets in the same order, same meter."""
-        import pickle
-        from repro.visibility.meter import CostMeter
 
         def drive(cls):
             root = EquivalenceSet(IndexSpace.from_range(0, 16))
@@ -129,6 +134,7 @@ class TestRefinementStore:
             for uid in script:
                 if uid == "pickle":
                     store = pickle.loads(pickle.dumps(store))
+                    assert store._owner is None     # rebuilt when asked
                     continue
                 sets = store.locate(regions[uid], uid)
                 store.check_invariants(IndexSpace.from_range(0, 16))
@@ -172,6 +178,52 @@ class TestRefinementStore:
             algo.materialize(READ, piece)
         assert algo.describe()["tree_depth"] == n
         assert algo.num_equivalence_sets() == n
+
+
+class TestOwnerColumn:
+    """The walk finds candidates, the owner column tests them."""
+
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_locate_equals_brute_force(self, data):
+        """Over sparse roots (positions are not indices), aligned
+        write/reduce/read histories and random query sequences with a
+        checkpoint thrown in: the columns ≡ the leaves after every step,
+        the answer is the live sets overlapping the query, its union is
+        exactly the query, and every value stays with its element."""
+        root_space = data.draw(nonempty_index_spaces(200, max_size=40))
+        n = root_space.size
+        root = EquivalenceSet(root_space)
+        root.record(READ_WRITE, root_space.indices * 10.0, -1)
+        root.record(reduce("sum"), np.ones(n), 0)
+        root.record(READ, None, 1)
+        store = RefinementTreeStore(root, CostMeter())
+        regions = data.draw(st.lists(subsets_of(root_space), min_size=1,
+                                     max_size=4))
+        for _ in range(data.draw(st.integers(1, 8))):
+            uid = data.draw(st.integers(0, len(regions) - 1))
+            named = data.draw(st.booleans())
+            if data.draw(st.integers(0, 3)) == 0:
+                store = pickle.loads(pickle.dumps(store))
+                assert store._owner is None and not store._positions
+            space = regions[uid]
+            sets = store.locate(space, uid if named else None)
+            store.check_invariants(root_space)
+            brute = [s for s in store.all_sets() if s.space.overlaps(space)]
+            assert sorted(tuple(s.space) for s in sets) \
+                == sorted(tuple(s.space) for s in brute)
+            assert IndexSpace.union_all([s.space for s in sets]) == space
+            for s in store.all_sets():
+                assert [e.task_id for e in s.history] == [-1, 0, 1]
+                assert list(s.paint(np.float64)) \
+                    == [i * 10.0 + 1 for i in s.space]
+
+    def test_checkpoint_carries_no_column(self, monkeypatch):
+        """The Warnock twin of the ray-casting case: interior nodes keep
+        neither positions nor a space, leaves' positions and the owner
+        column are rebuilt after a load — a checkpoint is *smaller* than
+        the parent commit's 195 091 bytes, and continues identically."""
+        checkpoint_round_trip("warnock", 195_091, monkeypatch)
 
 
 class TestWarnockOnFig1:
