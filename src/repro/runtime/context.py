@@ -27,8 +27,7 @@ from repro.privileges import Privilege
 from repro.regions.partition import Partition
 from repro.regions.tree import RegionTree
 from repro.runtime.dependence import DependenceGraph
-from repro.runtime.task import (RegionRequirement, Task, TaskBody,
-                                validate_requirements)
+from repro.runtime.task import RegionRequirement, Task, TaskBody
 from repro.visibility.base import CoherenceAlgorithm, make_algorithm
 from repro.visibility.meter import CostMeter, TaskCost
 
@@ -110,25 +109,26 @@ class Runtime:
         Returns the recorded :class:`Task`; its dependences are available
         via ``runtime.graph.dependences_of(task.task_id)``.
         """
-        requirements = tuple(requirements)
-        validate_requirements(requirements, name)
-        for req in requirements:
+        # the Task validates its requirements, once, before any analysis
+        task = Task(self.next_task_id, name, tuple(requirements), body,
+                    point)
+        for req in task.requirements:
             if req.region.tree is not self.tree:
                 raise TaskError(
                     f"task {name!r} names a region from a different tree")
-        return self._run(name, requirements, body, point)
+        return self._run(task)
 
-    def _run(self, name: str, requirements: tuple[RegionRequirement, ...],
-             body: Optional[TaskBody], point: Optional[int],
+    def _run(self, task: Task,
              replayed: Optional[frozenset[int]] = None) -> Task:
-        """Figure 6's ``run_task`` over validated requirements.
+        """Figure 6's ``run_task`` for a validated task that carries the
+        next task id; records and returns it.
 
         ``replayed`` is a traced replay's memoized dependence set
         (:mod:`repro.runtime.tracing`): the same path, with every
         materialize told to skip its dependence scan.
         """
         scan = replayed is None
-        task_id = self.next_task_id
+        task_id, requirements = task.task_id, task.requirements
 
         self.meter.begin_task()
         deps: set[int] = set() if scan else set(replayed)
@@ -137,7 +137,7 @@ class Runtime:
         # dependence list, so the critical-path analyzer can rebuild the
         # task DAG from a trace file alone; the materialize/commit spans
         # under them are the dependence witnesses' access records.
-        with obs.span(name, "task", task_id=task_id) as sp:
+        with obs.span(task.name, "task", task_id=task_id) as sp:
             for req in requirements:
                 outcome = self._algorithms[req.field].materialize(
                     req.privilege, req.region, scan)
@@ -151,8 +151,8 @@ class Runtime:
                 if not scan:
                     sp.set(replayed=True)
 
-            if body is not None:
-                body(*buffers)
+            if task.body is not None:
+                task.body(*buffers)
 
             for req, buf in zip(requirements, buffers):
                 commit_values = None if req.privilege.is_read else buf
@@ -161,10 +161,8 @@ class Runtime:
         if self._record_costs:
             self.cost_log.append(self.meter.end_task())
 
-        task = Task(task_id, name, requirements, body, point)
         self._tasks.append(task)
-        # records the task and assigns its order label from these deps
-        # (a replayed task's label comes from the memoized ones)
+        # a replayed task's dependences are the memoized ones
         self.graph.add_task(task_id, deps)
         return task
 

@@ -155,8 +155,9 @@ class TraceRecorder:
         out: list[Task] = []
         for k, task in enumerate(stream):
             deps = frozenset(base + off for off in trace.relative_deps[k])
-            out.append(rt._run(task.name, task.requirements, task.body,
-                               task.point, replayed=deps))
+            out.append(rt._run(Task(rt.next_task_id, task.name,
+                                    task.requirements, task.body, task.point),
+                               replayed=deps))
         trace.replays += 1
         rt.meter.count("traces_replayed")
         return out

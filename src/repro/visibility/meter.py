@@ -105,7 +105,7 @@ class CostMeter:
 
     def __init__(self) -> None:
         self.counters: Counter[str] = Counter()
-        self._mark: Counter[str] = Counter()
+        self._mark: dict[str, int] = {}
         # a dict for its insertion order: the task's first-touch sequence
         self._task_touches: dict[Hashable, None] = {}
         self._lock = threading.Lock()
@@ -144,7 +144,7 @@ class CostMeter:
     def begin_task(self) -> None:
         """Mark the start of one task launch's analysis."""
         with self._lock:
-            self._mark = Counter(self.counters)
+            self._mark = dict(self.counters)
             self._task_touches = {}
 
     def end_task(self) -> TaskCost:

@@ -1,11 +1,15 @@
 """Tests for the Runtime context and the sequential reference executor."""
 
+import pickle
+import sys
+
 import numpy as np
 import pytest
 
-from repro import (READ, READ_WRITE, IndexSpace, RegionRequirement,
-                   RegionTree, Runtime, SequentialExecutor, TaskError,
-                   TaskStream, reduce)
+from repro import (ALGORITHMS, READ, READ_WRITE, CoherenceAlgorithm,
+                   IndexSpace, RegionRequirement, RegionTree, Runtime,
+                   SequentialExecutor, TaskError, TaskStream, reduce)
+from repro.runtime import task as task_module
 
 from tests.conftest import fig1_initial, fig1_stream, make_fig1_tree
 
@@ -91,12 +95,50 @@ class TestRuntime:
         with pytest.raises(TaskError):
             rt.launch("x", [RegionRequirement(P2[0], "up", READ)])
 
-    def test_interfering_args_rejected_at_launch(self):
+    def test_interfering_args_rejected_at_launch(self, monkeypatch):
+        """Aliasing is rejected before any analysis: no materialize runs
+        and the meter, the stores and the task list stay as they were."""
         tree, P, G = make_fig1_tree()
+
+        def analysed(*args, **kwargs):
+            raise AssertionError("materialize ran before validation")
+        for algo in sorted(ALGORITHMS):
+            rt = Runtime(tree, fig1_initial(tree), algorithm=algo)
+            rt.launch("w", [RegionRequirement(P[0], "up", READ_WRITE)])
+
+            def state():
+                stores = [rt.algorithm_for(f) for f in ("up", "down")]
+                return (rt.meter.snapshot(), len(rt.tasks),
+                        [pickle.dumps(s) for s in stores])
+            before = state()
+            with monkeypatch.context() as m:
+                m.setattr(CoherenceAlgorithm, "materialize", analysed)
+                with pytest.raises(TaskError):
+                    rt.launch("bad",
+                              [RegionRequirement(P[0], "up", READ_WRITE),
+                               RegionRequirement(G[0], "up", READ)])
+            assert state() == before, algo
+
+    def test_launch_validates_once(self, monkeypatch):
+        """One aliasing check per launch, traced replays included."""
+        tree, P, G = make_fig1_tree()
+        stream = fig1_stream(tree, P, G, iterations=1)
+        checked = []
+        validate = task_module.validate_requirements
+
+        def counting(requirements, task_name="<task>"):
+            checked.append(task_name)
+            validate(requirements, task_name)
+        # wherever the check is reachable, not only where it is defined
+        for module in list(sys.modules.values()):
+            if getattr(module, "validate_requirements", None) is validate:
+                monkeypatch.setattr(module, "validate_requirements", counting)
         rt = Runtime(tree, fig1_initial(tree))
-        with pytest.raises(TaskError):
-            rt.launch("bad", [RegionRequirement(P[0], "up", READ_WRITE),
-                              RegionRequirement(G[0], "up", READ)])
+        rt.replay(stream)
+        for _ in range(3):  # untraced, capture, replay
+            rt.execute_trace("loop", stream)
+        assert rt.tracer.trace("loop").replays == 1
+        assert checked == [t.name for t in stream] * 4
 
     def test_index_launch(self):
         tree, P, G = make_fig1_tree()

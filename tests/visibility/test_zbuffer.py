@@ -8,11 +8,13 @@ maximal dependence precision — and its structural details.
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro import (READ, READ_WRITE, IndexSpace, RegionRequirement,
                    RegionTree, Runtime, oracle_dependences, reduce)
-from repro.visibility.zbuffer import ZBufferAlgorithm
+from repro.visibility.base import INITIAL_TASK_ID
+from repro.visibility.zbuffer import ZBufferAlgorithm, _distinct
 
 from tests.conftest import (fig1_initial, fig1_stream, make_fig1_tree,
                             random_programs)
@@ -113,6 +115,34 @@ class TestStructure:
         algo = rt.algorithm_for("x")
         assert list(algo._values[:4]) == [7] * 4  # applied, not pending
         assert list(rt.read_field("x")[:4]) == [7] * 4
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.builds(
+        lambda n, k, seed: np.random.default_rng(seed).integers(
+            INITIAL_TASK_ID, k, size=n, dtype=np.int64),
+        st.integers(0, 4096), st.integers(0, 4096),
+        st.integers(0, 2**32 - 1)))
+    @example(np.array([], dtype=np.int64))
+    @example(np.full(64, INITIAL_TASK_ID, dtype=np.int64))
+    @example(np.full(300, 7, dtype=np.int64))
+    @example(np.random.default_rng(0).permutation(4096).astype(np.int64))
+    def test_distinct_is_sorted_unique(self, ids):
+        """The one way the table reads a region's ids: ``np.unique``'s
+        answer, ascending, so interned set ids are handed out in the
+        same order."""
+        assert _distinct(ids) == np.unique(ids).tolist()
+
+    @pytest.mark.parametrize("privilege", [READ, READ_WRITE, reduce("sum")])
+    def test_empty_region_adds_no_counter(self, privilege):
+        """An access that scans no ids leaves no zero ``entries_scanned``
+        key in the (hashed) lifetime snapshot."""
+        tree = RegionTree(12, {"x": np.int64})
+        P = tree.root.create_partition(
+            "P", [IndexSpace.from_range(0, 12), IndexSpace.from_range(0, 0)])
+        rt = Runtime(tree, {"x": np.zeros(12, dtype=np.int64)},
+                     algorithm="zbuffer")
+        rt.launch("e", [RegionRequirement(P[1], "x", privilege)])
+        assert rt.meter.snapshot() == {"elements_moved": 0}
 
     def test_centralized_table_touch(self):
         """Every analysis touches the one canonical table — the
