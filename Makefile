@@ -17,8 +17,8 @@ help:
 	@echo "examples     run every example script"
 	@echo "introspect-smoke  census -> validate -> self-diff -> explain"
 	@echo "service-smoke  boot the analysis service, 3 tenants, chaos + verify"
-	@echo "telemetry-smoke  serve --telemetry-out -> validate + replay the stream (24 completed) -> top --once"
-	@echo "blackbox-smoke  chaos serve on a bounded, witness-recording tracer -> validate dump (shards, ids, witnesses) -> render"
+	@echo "telemetry-smoke  serve --telemetry-out -> load_trace + replay the segments (24 completed) -> top --once, prof"
+	@echo "blackbox-smoke  chaos serve on a bounded, witness-recording tracer -> load_trace the dumps (shards, ids, witnesses) -> blackbox, prof"
 	@echo "ledger       the layer ledger: four workloads, every metric (benchmarks/ledger)"
 	@echo "ledger-selftest  the ledger's <20 s self-test + its own tests"
 	@echo "ledger-pair  BASE=<rev> [N=10] [SEED=1]: N alternating ledger runs of BASE and this tree; wins, medians, quartiles, verdict"
@@ -70,16 +70,16 @@ telemetry-smoke:
 		--tenants 3 --sessions 24 --seed 2023 \
 		--max-inflight 32 --queue-limit 32 --rate 1000 --burst 64 \
 		--telemetry-out telemetry-out --telemetry-interval 0.1
-	PYTHONPATH=src $(PYTHON) -c "from repro.obs.telemetry import \
-		load_telemetry, validate_telemetry; \
-		problems = validate_telemetry('telemetry-out'); \
-		assert not problems, problems; \
+	PYTHONPATH=src $(PYTHON) -c "from repro.obs import load_telemetry, \
+		load_trace; \
+		events = load_trace('telemetry-out')[0]['traceEvents']; \
 		hub = load_telemetry('telemetry-out'); \
 		done = hub.delta_matching('service.completed', '5m'); \
 		assert done == 24, f'replay counts {done} completed sessions, not 24'; \
-		print(f'telemetry-out: repro.telemetry/1 schema valid, {len(hub)} ' \
-			f'samples, {len(hub.alerts)} alert transitions')"
+		print(f'telemetry-out: {len(events)} trace events valid, ' \
+			f'{len(hub)} readings, {len(hub.alerts)} alert transitions')"
 	PYTHONPATH=src $(PYTHON) -m repro top telemetry-out --once --window 5m
+	PYTHONPATH=src $(PYTHON) -m repro prof telemetry-out --top 3
 
 blackbox-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest -q tests/obs/test_flight.py \
@@ -90,13 +90,13 @@ blackbox-smoke:
 		--fault-rate 0.3 --tenants 3 --sessions 24 --seed 2023 \
 		--max-inflight 32 --queue-limit 32 --rate 1000 --burst 64 \
 		--flight-out blackbox-out --flight-cooldown 0.1
-	PYTHONPATH=src $(PYTHON) -c "import glob, sys; \
-		from repro.obs.flight import blackbox_spans, load_blackbox; \
+	PYTHONPATH=src $(PYTHON) -c "import glob; \
+		from repro.obs import load_trace; \
 		paths = sorted(glob.glob('blackbox-out/blackbox-*.json')); \
 		assert paths, 'chaos run produced no blackbox dump'; \
-		dumps = [load_blackbox(p) for p in paths]; \
-		print(f'blackbox-out: {len(paths)} repro.blackbox/1 dump(s) valid'); \
-		spans = blackbox_spans(dumps[-1]); \
+		dumps = [load_trace(p) for p in paths]; \
+		print(f'blackbox-out: {len(paths)} dump(s) valid trace-event files'); \
+		spans = dumps[-1][1]; \
 		ids = [s.span_id for s in spans]; \
 		shards = {s.tid for s in spans}; \
 		witnessed = sum('phase' in s.args for s in spans); \
@@ -107,6 +107,8 @@ blackbox-smoke:
 			f'{len(shards)} shards, {witnessed} carrying witnesses')"
 	PYTHONPATH=src $(PYTHON) -m repro doctor
 	PYTHONPATH=src sh -c '$(PYTHON) -m repro blackbox \
+		"$$(ls blackbox-out/blackbox-*.json | tail -1)" --top 3'
+	PYTHONPATH=src sh -c '$(PYTHON) -m repro prof \
 		"$$(ls blackbox-out/blackbox-*.json | tail -1)" --top 3'
 
 ledger:

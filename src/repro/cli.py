@@ -45,11 +45,11 @@ Commands
     deadlines, circuit-breaker degradation, and (``--verify``) the
     cold-replay fingerprint differential over every completed session.
     ``--chaos SEED`` injects seeded worker faults while tenants are
-    live; ``--telemetry-out DIR`` streams windowed telemetry samples
-    and SLO burn-rate alerts as size-rotated ``repro.telemetry/1`` JSONL;
-    ``--flight-out DIR`` arms the flight recorder, which dumps a
-    ``repro.blackbox/1`` incident file when an SLO fires, a breaker
-    opens, a deadline expires, or a worker fault recovers.
+    live; ``--telemetry-out DIR`` streams registry readings and SLO
+    burn-rate alerts as size-rotated trace-event segments;
+    ``--flight-out DIR`` arms the flight recorder, which dumps an
+    incident trace when an SLO fires, a breaker opens, a deadline
+    expires, or a worker fault recovers.
 ``top``
     Terminal dashboard over a telemetry stream (live-follow or
     ``--once`` snapshot): per-tenant QPS, queue depth, windowed latency
@@ -58,6 +58,10 @@ Commands
     Render a flight-recorder dump as an incident report: trigger,
     configuration, event timeline, critical path over the captured
     spans, slowest exemplars, and ``repro explain`` cross-links.
+
+``prof``, ``top`` and ``blackbox`` are views over one file kind, the
+trace-event file every obs writer produces, with one error contract:
+exit 2 when the file is missing, exit 1 when it is invalid.
 ``doctor``
     Print every ``REPRO_*`` escape hatch with its current in-effect
     value and origin (environment override vs default).
@@ -152,8 +156,9 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="analyze a recorded trace file: span "
                                "summary, per-phase histograms, critical "
                                "path")
-    prof.add_argument("trace", help="trace-event JSON written by "
-                                    "analyze --trace-out")
+    prof.add_argument("trace", help="trace-event file or directory "
+                                    "(analyze --trace-out, serve "
+                                    "--telemetry-out or --flight-out)")
     prof.add_argument("--top", type=int, default=10, metavar="K",
                       help="rows in the critical-path table (default 10)")
 
@@ -236,16 +241,16 @@ def _build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--json", action="store_true", dest="as_json",
                      help="emit the load summary as JSON")
     srv.add_argument("--telemetry-out", default=None, metavar="DIR",
-                     help="stream repro.telemetry/1 JSONL samples + SLO "
-                          "burn-rate alerts into DIR (size-rotated; "
-                          "render with 'repro top DIR')")
+                     help="stream registry readings + SLO burn-rate "
+                          "alerts into DIR as size-rotated trace-event "
+                          "segments (render with 'repro top DIR')")
     srv.add_argument("--telemetry-interval", type=float, default=1.0,
                      metavar="SECONDS",
                      help="telemetry sampling period (default 1.0)")
     srv.add_argument("--flight-out", default=None, metavar="DIR",
                      help="arm the flight recorder: bounded rings of "
                           "recent spans/instants/ledger events, dumped "
-                          "as repro.blackbox/1 JSON into DIR when an "
+                          "as a trace-event file into DIR when an "
                           "SLO fires, a breaker opens, a deadline "
                           "expires, or a fault recovers (render with "
                           "'repro blackbox FILE'; REPRO_PROVENANCE=1 "
@@ -261,7 +266,7 @@ def _build_parser() -> argparse.ArgumentParser:
                               "windowed latency percentiles, breaker "
                               "state, firing SLO alerts")
     top.add_argument("path", metavar="DIR_OR_FILE",
-                     help="telemetry directory (or one .jsonl segment) "
+                     help="telemetry directory (or one segment) "
                           "written by serve --telemetry-out")
     top.add_argument("--window", default="1m",
                      choices=["10s", "1m", "5m"],
@@ -279,8 +284,7 @@ def _build_parser() -> argparse.ArgumentParser:
                               "(timeline, critical path, exemplar "
                               "offenders, explain cross-links)")
     bbx.add_argument("dump", metavar="FILE",
-                     help="repro.blackbox/1 JSON written by "
-                          "serve --flight-out")
+                     help="incident dump written by serve --flight-out")
     bbx.add_argument("--top", type=int, default=5, metavar="K",
                      help="rows in the critical-path and exemplar "
                           "tables (default 5)")
@@ -533,20 +537,26 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _cmd_prof(args) -> int:
-    import json
+def _view(render) -> int:
+    """Run one view over a trace file with the views' error contract:
+    exit 2 when the file is missing, 1 when it is invalid."""
+    from repro.errors import MachineError
 
+    try:
+        return render()
+    except FileNotFoundError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (ValueError, MachineError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+
+
+def _cmd_prof(args) -> int:
     from repro import obs
     from repro.obs.metrics import Histogram
 
-    try:
-        raw, spans = obs.load_trace(args.trace)
-    except FileNotFoundError:
-        print(f"error: no such trace file: {args.trace}", file=sys.stderr)
-        return 2
-    except (ValueError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    raw, spans = obs.load_trace(args.trace)
     events = raw["traceEvents"]
     instants = [e for e in events if e.get("ph") == "i"]
     print(f"{args.trace}: {len(events)} events, {len(spans)} spans, "
@@ -832,22 +842,9 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_blackbox(args) -> int:
-    import json
+    from repro.obs import load_trace, render_blackbox
 
-    from repro.obs.flight import load_blackbox, render_blackbox
-
-    try:
-        data = load_blackbox(args.dump)
-    except FileNotFoundError:
-        print(f"error: no such blackbox file: {args.dump}",
-              file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: {args.dump}: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    data, _ = load_trace(args.dump)
     print(render_blackbox(data, top_k=args.top))
     return 0
 
@@ -862,15 +859,8 @@ def _cmd_doctor() -> int:
 def _cmd_top(args) -> int:
     from repro.obs.top import run_top
 
-    try:
-        return run_top(args.path, window=args.window, width=args.width,
-                       once=args.once, refresh=args.refresh)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    return run_top(args.path, window=args.window, width=args.width,
+                   once=args.once, refresh=args.refresh)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -889,7 +879,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "analyze":
         return _cmd_analyze(args)
     if args.command == "prof":
-        return _cmd_prof(args)
+        return _view(lambda: _cmd_prof(args))
     if args.command == "explain":
         return _cmd_explain(args)
     if args.command == "census":
@@ -901,9 +891,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "serve":
         return _cmd_serve(args)
     if args.command == "top":
-        return _cmd_top(args)
+        return _view(lambda: _cmd_top(args))
     if args.command == "blackbox":
-        return _cmd_blackbox(args)
+        return _view(lambda: _cmd_blackbox(args))
     if args.command == "doctor":
         return _cmd_doctor()
     raise AssertionError(f"unhandled command {args.command!r}")

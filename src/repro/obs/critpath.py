@@ -46,7 +46,7 @@ def select_task_spans(spans: Iterable[Span]) -> dict[int, Span]:
         if span.category != TASK_CATEGORY:
             continue
         task_id = span.args.get("task_id")
-        if task_id is None:
+        if not isinstance(task_id, int):
             continue
         group = groups.setdefault((span.pid, span.tid), {})
         best = group.get(task_id)
@@ -60,8 +60,12 @@ def select_task_spans(spans: Iterable[Span]) -> dict[int, Span]:
 
 def deps_from_spans(task_spans: Mapping[int, Span]) -> dict[int, tuple]:
     """Dependence lists recovered from span args (trace-file mode)."""
-    return {tid: tuple(span.args.get("deps") or ())
-            for tid, span in task_spans.items()}
+    out = {}
+    for tid, span in task_spans.items():
+        deps = span.args.get("deps")
+        out[tid] = tuple(d for d in deps if isinstance(d, int)) \
+            if isinstance(deps, (list, tuple)) else ()
+    return out
 
 
 @dataclass

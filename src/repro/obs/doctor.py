@@ -7,7 +7,7 @@ in effect?", so this module keeps the authoritative registry: each
 :class:`Hatch` knows its environment variable, what the subsystem does
 when the variable is unset, and how a set value changes that.  ``repro
 doctor`` renders the table; the flight recorder embeds
-:func:`config_snapshot` in every ``repro.blackbox/1`` dump so the exact
+:func:`config_snapshot` in every incident dump so the exact
 configuration travels with the evidence.
 
 The registry is *declarative on purpose*: resolving a hatch only reads

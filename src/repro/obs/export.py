@@ -1,31 +1,34 @@
-"""Chrome trace-event / Perfetto JSON export and schema validation.
+"""The one file kind on disk: Chrome trace-event / Perfetto JSON.
 
-Any traced run can be written as a JSON object in the trace-event format
-(https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU)
-and opened directly in ``chrome://tracing`` or https://ui.perfetto.dev:
+Every file :mod:`repro.obs` writes is a trace-event file
+(https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU),
+opened directly in ``chrome://tracing`` or https://ui.perfetto.dev:
 
 * every finished :class:`~repro.obs.tracer.Span` becomes a complete
   (``"ph": "X"``) event with microsecond ``ts``/``dur``;
-* every :class:`~repro.obs.tracer.Instant` (recovery incidents: crash,
-  respawn, replay, adoption) becomes an instant (``"ph": "i"``) event;
-* counter samples and the final totals of a
-  :class:`~repro.obs.metrics.MetricsRegistry` become counter
-  (``"ph": "C"``) events, rendered by Perfetto as counter tracks;
-* metadata (``"ph": "M"``) events name each pid — pid 0 is the driver,
-  pid ``s + 1`` is the worker hosting shard ``s``.
+* every :class:`~repro.obs.tracer.Instant` becomes an instant
+  (``"ph": "i"``) event, as do a telemetry stream's ``exemplar``/``slo``
+  rows and a flight dump's ``ledger`` events;
+* a :class:`~repro.obs.metrics.MetricsRegistry` reading becomes counter
+  (``"ph": "C"``) events through :func:`metric_events`: a ``C`` event is
+  always a *cumulative* reading;
+* metadata (``"ph": "M"``) events name each pid (0 the driver, ``s + 1``
+  shard ``s``'s worker) and open each telemetry segment.
 
-:func:`validate_trace` is the schema checker the tests and the CI smoke
-job run over emitted files; :func:`load_trace` parses a file back into
-spans so ``repro-cli prof`` can analyze its own output (round-trip).
+``analyze --trace-out`` and flight dumps use the JSON Object Format,
+telemetry segments the JSON Array Format.  :func:`load_trace` is the one
+reader — ``prof``, ``top`` and ``blackbox`` are views over it — and
+:func:`validate_trace` the one check.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.obs.metrics import MetricsRegistry, Histogram
+from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.tracer import DRIVER_PID, Span, TraceBuffer
 
 #: Keys every emitted event carries.
@@ -40,16 +43,39 @@ def _us(seconds: float, base: float) -> float:
     return round((seconds - base) * 1e6, 3)
 
 
+def instant_event(name: str, category: str, ts: float, args: dict,
+                  pid: int = DRIVER_PID, tid: int = 0) -> dict:
+    """One global-scope instant event at trace time ``ts`` (µs)."""
+    return {"name": name, "cat": category, "ph": "i", "s": "g", "ts": ts,
+            "pid": pid, "tid": tid, "args": args}
+
+
+def metric_events(registry: MetricsRegistry, ts: float) -> list[dict]:
+    """One reading of ``registry`` at trace time ``ts`` (µs): a ``C``
+    event per instrument, ``cat`` naming its kind.  Counters and gauges
+    carry ``{"value": v}``; a histogram its digest's
+    :meth:`~repro.obs.metrics.QuantileDigest.to_args`, so Perfetto
+    stacks the buckets and a reader rebuilds the digest exactly."""
+    return [{"name": metric.full_name, "cat": metric.kind, "ph": "C",
+             "ts": ts, "pid": DRIVER_PID, "tid": 0,
+             "args": (metric.digest().to_args()
+                      if isinstance(metric, Histogram)
+                      else {"value": metric.value})}
+            for metric in registry]
+
+
 def trace_events(buffer: TraceBuffer,
                  registry: Optional[MetricsRegistry] = None,
-                 process_names: Optional[dict[int, str]] = None
-                 ) -> list[dict]:
-    """Lower a trace buffer (plus optional metrics totals) to trace-event
-    dicts, sorted by timestamp with metadata first."""
+                 origin: Optional[float] = None) -> list[dict]:
+    """Lower a trace buffer (plus optional metrics totals, read at the
+    last event) to trace-event dicts, sorted by timestamp with metadata
+    first.  ``origin`` is the clock time ``ts`` 0 stands for: by default
+    the earliest event; a flight dump passes ``0.0`` to keep the tracer
+    clock's own times, which its trigger and ledger events carry too."""
     starts = ([s.start for s in buffer.spans]
               + [i.ts for i in buffer.instants]
               + [c.ts for c in buffer.counters])
-    base = min(starts) if starts else 0.0
+    base = origin if origin is not None else min(starts, default=0.0)
     end_ts = max(([s.end for s in buffer.spans]
                   + [i.ts for i in buffer.instants]
                   + [c.ts for c in buffer.counters]) or [base])
@@ -68,11 +94,9 @@ def trace_events(buffer: TraceBuffer,
         })
     for inst in buffer.instants:
         pids.add(inst.pid)
-        events.append({
-            "name": inst.name, "cat": inst.category or "default",
-            "ph": "i", "s": "g", "ts": _us(inst.ts, base),
-            "pid": inst.pid, "tid": inst.tid, "args": dict(inst.args),
-        })
+        events.append(instant_event(inst.name, inst.category or "default",
+                                    _us(inst.ts, base), dict(inst.args),
+                                    inst.pid, inst.tid))
     for sample in buffer.counters:
         pids.add(sample.pid)
         events.append({
@@ -81,69 +105,59 @@ def trace_events(buffer: TraceBuffer,
             "args": {"value": sample.value},
         })
     if registry is not None:
-        for metric in registry:
-            if isinstance(metric, Histogram):
-                digest = metric.digest()
-                args = {"count": digest.count,
-                        "sum": round(digest.sum, 9)}
-            else:
-                args = {"value": metric.value}
-            events.append({
-                "name": metric.full_name, "cat": "metrics", "ph": "C",
-                "ts": _us(end_ts, base), "pid": DRIVER_PID, "tid": 0,
-                "args": args,
-            })
+        events.extend(metric_events(registry, _us(end_ts, base)))
     events.sort(key=lambda e: (e["ts"], e["pid"], e["tid"], e["name"]))
 
-    names = dict(process_names or {})
-    metadata = []
-    for pid in sorted(pids):
-        default = "driver" if pid == DRIVER_PID else f"shard {pid - 1}"
-        metadata.append({
-            "name": "process_name", "ph": "M", "pid": pid, "tid": 0,
-            "args": {"name": names.get(pid, default)},
-        })
+    metadata = [{"name": "process_name", "ph": "M", "pid": pid, "tid": 0,
+                 "args": {"name": "driver" if pid == DRIVER_PID
+                          else f"shard {pid - 1}"}}
+                for pid in sorted(pids)]
     return metadata + events
 
 
 def to_chrome_trace(buffer: TraceBuffer,
-                    registry: Optional[MetricsRegistry] = None,
-                    process_names: Optional[dict[int, str]] = None) -> dict:
+                    registry: Optional[MetricsRegistry] = None) -> dict:
     """The complete trace-event JSON object for one run."""
     return {
-        "traceEvents": trace_events(buffer, registry, process_names),
+        "traceEvents": trace_events(buffer, registry),
         "displayTimeUnit": "ms",
         "otherData": {"producer": "repro.obs"},
     }
 
 
 def write_trace(path: str | Path, buffer: TraceBuffer,
-                registry: Optional[MetricsRegistry] = None,
-                process_names: Optional[dict[int, str]] = None) -> Path:
+                registry: Optional[MetricsRegistry] = None) -> Path:
     """Serialize one run's trace to ``path``; returns the path."""
     path = Path(path)
-    path.write_text(json.dumps(
-        to_chrome_trace(buffer, registry, process_names),
-        separators=(",", ":")) + "\n")
+    path.write_text(json.dumps(to_chrome_trace(buffer, registry),
+                               separators=(",", ":")) + "\n")
     return path
 
 
 # ----------------------------------------------------------------------
 # schema validation
 # ----------------------------------------------------------------------
-def validate_trace(data) -> list[str]:
-    """Check one parsed trace object against the trace-event schema.
+def is_number(value) -> bool:
+    return isinstance(value, (int, float))
 
-    Returns a list of human-readable problems — empty means valid.
-    Every problem names the offending event's index *and* key path
-    (``traceEvents[3].ts: ...``), plus the event name when it has one,
-    so a violation in a multi-thousand-event file is findable without
-    bisecting.  Checks: the container shape, required keys per event,
-    known phases, numeric non-negative ``ts``/``dur``, and that complete
-    events are monotonically ordered by ``ts`` (the exporter sorts
-    them, so a violation means timestamps went backwards somewhere).
+
+def _time(value) -> bool:
+    """A finite, non-negative number of microseconds."""
+    return is_number(value) and 0 <= value < math.inf
+
+
+def validate_trace(data) -> list[str]:
+    """Check one parsed trace object for everything the views
+    (``prof``, ``top``, ``blackbox``) rely on.
+
+    Returns human-readable problems (empty means valid), each naming the
+    offending event's index, name and key path (``traceEvents[3]
+    ('s0').dur: ...``): the container (``otherData`` an object when
+    present), required keys, string ``name``/``cat``, integer
+    ``pid``/``tid``, known phases, an object ``args`` (numbers on ``C``,
+    integer span ids on ``X``), finite ``ts``/``dur`` >= 0 in monotone
+    order, and instant scopes.
     """
-    problems: list[str] = []
     if not isinstance(data, dict) or "traceEvents" not in data:
         return ["$: top level must be an object with a "
                 "'traceEvents' list"]
@@ -151,6 +165,9 @@ def validate_trace(data) -> list[str]:
     if not isinstance(events, list):
         return ["traceEvents: must be a list, got "
                 f"{type(events).__name__}"]
+    problems: list[str] = []
+    if not isinstance(data.get("otherData", {}), dict):
+        problems.append("otherData: must be an object")
     last_ts = None
     last_where = ""
     for k, event in enumerate(events):
@@ -164,6 +181,18 @@ def validate_trace(data) -> list[str]:
         for key in REQUIRED_KEYS:
             if key not in event:
                 problems.append(f"{where}: missing required key {key!r}")
+        for key, types, what in (("name", str, "a string"),
+                                 ("cat", str, "a string"),
+                                 ("pid", int, "an integer"),
+                                 ("tid", int, "an integer")):
+            if key in event and not isinstance(event[key], types):
+                problems.append(f"{where}.{key}: must be {what}, got "
+                                f"{type(event[key]).__name__}")
+        args = event.get("args", {})
+        if not isinstance(args, dict):
+            problems.append(f"{where}.args: must be an object, got "
+                            f"{type(args).__name__}")
+            args = {}
         ph = event.get("ph")
         if ph not in KNOWN_PHASES:
             problems.append(f"{where}.ph: unknown phase {ph!r}")
@@ -171,7 +200,7 @@ def validate_trace(data) -> list[str]:
         if ph == "M":
             continue
         ts = event.get("ts")
-        if not isinstance(ts, (int, float)) or ts < 0:
+        if not _time(ts):
             problems.append(f"{where}.ts: 'ts' must be a number >= 0, "
                             f"got {ts!r}")
             continue
@@ -181,11 +210,19 @@ def validate_trace(data) -> list[str]:
                 f"{last_ts} (timestamps not monotonically ordered)")
         last_ts = ts
         last_where = f"traceEvents[{k}]"
+        if ph == "C":
+            problems.extend(f"{where}.args[{key!r}]: counter value must "
+                            f"be a number, got {value!r}"
+                            for key, value in args.items()
+                            if not is_number(value))
         if ph == "X":
-            dur = event.get("dur")
-            if not isinstance(dur, (int, float)) or dur < 0:
+            if not _time(event.get("dur")):
                 problems.append(f"{where}.dur: complete event needs "
-                                f"'dur' >= 0, got {dur!r}")
+                                f"'dur' >= 0, got {event.get('dur')!r}")
+            problems.extend(f"{where}.args[{key!r}]: must be an integer"
+                            for key in ("span_id", "parent_id")
+                            if args.get(key) is not None
+                            and not isinstance(args[key], int))
         if ph == "i" and event.get("s") not in ("g", "p", "t"):
             problems.append(f"{where}.s: instant needs scope 's' in "
                             f"g/p/t, got {event.get('s')!r}")
@@ -193,7 +230,7 @@ def validate_trace(data) -> list[str]:
 
 
 # ----------------------------------------------------------------------
-# round-trip loading
+# loading: the one reader
 # ----------------------------------------------------------------------
 def spans_from_events(events: Sequence[dict]) -> list[Span]:
     """Rebuild :class:`Span` records from complete events (the inverse of
@@ -214,17 +251,48 @@ def spans_from_events(events: Sequence[dict]) -> list[Span]:
     return spans
 
 
-def load_trace(path: str | Path) -> tuple[dict, list[Span]]:
-    """Parse a trace file; returns ``(raw_object, spans)``.
+def _read(path: Path):
+    """One file as a trace object.  A JSON Array Format segment is
+    wrapped as ``{"traceEvents": [...]}``; its closing ``]`` is optional,
+    and a segment whose writer was killed keeps its complete lines."""
+    text = path.read_text(encoding="utf-8")
+    if not text.lstrip().startswith("["):
+        return json.loads(text)
+    body = text.rstrip()
+    if body.endswith("]"):
+        body = body[:-1]
+    else:
+        body = text[:text.rfind(",\n") + 1] or "["
+    return {"traceEvents": json.loads(body.rstrip().rstrip(",") + "]")}
 
-    Raises ``ValueError`` with the schema problems when the file does not
-    validate — ``repro-cli prof`` refuses malformed input loudly.
-    """
-    data = json.loads(Path(path).read_text())
+
+def _check(data, where) -> None:
     problems = validate_trace(data)
     if problems:
         detail = "; ".join(problems[:5])
         if len(problems) > 5:
             detail += f"; ... {len(problems) - 5} more"
-        raise ValueError(f"{path} is not a valid trace: {detail}")
+        raise ValueError(f"{where} is not a valid trace: {detail}")
+
+
+def load_trace(path: str | Path) -> tuple[dict, list[Span]]:
+    """Read a JSON object, a JSON Array segment (returned wrapped as
+    ``{"traceEvents": [...]}``) or a directory of segments read in name
+    order as one stream; returns ``(trace_object, spans)``.  Raises
+    ``FileNotFoundError`` when there is nothing to read and
+    ``ValueError`` with the schema problems when it does not validate.
+    """
+    path = Path(path)
+    if not path.is_dir():
+        data = _read(path)
+    else:
+        files = sorted(path.glob("*.json"))
+        if not files:
+            raise FileNotFoundError(f"no *.json trace files under {path}")
+        data = {"traceEvents": []}
+        for file in files:
+            segment = _read(file)
+            _check(segment, file)
+            data["traceEvents"] += segment["traceEvents"]
+    _check(data, path)
     return data, spans_from_events(data["traceEvents"])

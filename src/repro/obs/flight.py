@@ -16,31 +16,31 @@ recorder's own:
 * **Triggers** — when an SLO transitions to firing, a breaker opens, a
   deadline expires, or a recovery instant lands, the recorder snapshots
   the tracer's ring, its own per-tenant ring of ServiceLedger events and
-  the registry's histogram exemplars into a schema-validated
-  ``repro.blackbox/1`` JSON file.  Dumps are size-capped (oldest half of
-  each ring dropped until the payload fits), rotated like
-  :class:`~repro.obs.telemetry.TelemetrySink` segments, and debounced by
-  a cooldown so an alert storm produces a handful of files, not
-  thousands.
-* :func:`validate_blackbox` / :func:`render_blackbox` — the schema
-  check and the ``repro blackbox FILE`` incident report (timeline,
-  critical path over the dumped spans, exemplar offenders, ``repro
-  explain`` cross-links).
+  the registry's histogram exemplars into a trace-event dump: the ring
+  plus one ``ledger`` instant per kept event, with the trigger,
+  configuration, exemplars and shedding account in ``otherData``.  Dumps
+  are size-capped (oldest half of each track dropped until the payload
+  fits), rotated, and debounced by a cooldown so an alert storm produces
+  a handful of files, not thousands.
+* :func:`render_blackbox` — the ``repro blackbox FILE`` incident report
+  (timeline, critical path, exemplar offenders, ``repro explain``
+  cross-links) over a dump read by :func:`~repro.obs.export.load_trace`.
 """
 
 from __future__ import annotations
 
 import json
 import threading
-from collections import defaultdict, deque
+from collections import Counter, defaultdict, deque
 from pathlib import Path
 from typing import Callable, Optional
 
 from repro.obs.doctor import config_snapshot
+from repro.obs.export import is_number, spans_from_events, trace_events
 from repro.obs.tracer import Instant, Span, Tracer
 
-#: Schema tag of every dump file.
-BLACKBOX_SCHEMA = "repro.blackbox/1"
+#: Schema tag in every dump's ``otherData``.
+BLACKBOX_SCHEMA = "repro.blackbox/2"
 
 #: Trigger kinds a dump can carry.
 TRIGGER_KINDS = ("slo", "breaker", "deadline", "recovery", "manual")
@@ -56,12 +56,24 @@ def _trigger(kind: str, name: str, ts: float, detail: str = "",
             "session": session, "ts": ts}
 
 
-def _event_dict(event) -> dict:
-    """A ServiceLedger event (duck-typed — the service layer sits above
-    obs in the import graph, so no ServiceEvent import here)."""
-    return {"kind": event.kind, "tenant": event.tenant,
-            "session": event.session, "detail": event.detail,
-            "at": event.at}
+def _ledger_instant(event) -> Instant:
+    """A ServiceLedger event as a ``ledger`` instant (duck-typed — the
+    service layer sits above obs in the import graph, so no ServiceEvent
+    import here)."""
+    return Instant(event.kind, "ledger", event.at,
+                   args={"tenant": event.tenant, "session": event.session,
+                         "detail": event.detail})
+
+
+def _track(event: dict) -> Optional[tuple]:
+    """The ring an event was kept in, which the size cap halves: spans
+    per shard, instants, ledger events per tenant (metadata and counter
+    events are never shed)."""
+    if event["ph"] == "X":
+        return "spans", event["tid"]
+    if event["ph"] == "i" and event["cat"] == "ledger":
+        return "events", event["args"]["tenant"]
+    return ("instants",) if event["ph"] == "i" else None
 
 
 class FlightRecorder:
@@ -179,20 +191,16 @@ class FlightRecorder:
         return self._write_dump(trigger)
 
     def snapshot(self, trigger: Optional[dict] = None) -> dict:
-        """The full ``repro.blackbox/1`` payload, without writing it."""
+        """The dump — a trace-event object — without writing it.  Event
+        times stay on the tracer's clock (``origin=0``), the clock the
+        trigger and the ledger events are stamped in."""
         trigger = trigger or _trigger("manual", "manual",
                                       self.clock.monotonic())
-        # finished events are never mutated: a shallow field dict each
-        # (dataclasses.asdict would deep-copy every witness payload)
         buffer = self.tracer.snapshot()
-        shards: dict[str, dict] = {}
-        for span in buffer.spans:
-            shards.setdefault(str(span.tid), {"spans": []})["spans"].append(
-                dict(vars(span)))
-        instants = [dict(vars(i)) for i in buffer.instants]
         with self._lock:
-            tenants = {name: {"events": [_event_dict(e) for e in ring]}
-                       for name, ring in sorted(self._events.items())}
+            buffer.instants += [_ledger_instant(e)
+                                for _, ring in sorted(self._events.items())
+                                for e in ring]
         exemplars = []
         if self.exemplar_source is not None:
             try:
@@ -203,12 +211,14 @@ class FlightRecorder:
             config = self.config_source()
         except Exception:
             config = {}
-        return {"schema": BLACKBOX_SCHEMA, "seq": self.dumps_written,
-                "trigger": dict(trigger),
-                "written_at": self.clock.monotonic(), "config": config,
-                "shards": shards, "instants": instants,
-                "tenants": tenants, "exemplars": exemplars,
-                "dropped": {"spans": 0, "instants": 0, "events": 0}}
+        return {"traceEvents": trace_events(buffer, origin=0.0),
+                "displayTimeUnit": "ms",
+                "otherData": {
+                    "schema": BLACKBOX_SCHEMA, "seq": self.dumps_written,
+                    "trigger": dict(trigger),
+                    "written_at": self.clock.monotonic(), "config": config,
+                    "exemplars": exemplars,
+                    "dropped": {"spans": 0, "instants": 0, "events": 0}}}
 
     def _write_dump(self, trigger: dict) -> Optional[Path]:
         if self.directory is None:
@@ -232,33 +242,29 @@ class FlightRecorder:
 
     def _fit(self, payload: dict) -> str:
         """Serialize under the size cap, shedding the oldest half of
-        every ring per round and accounting for it in ``dropped``."""
+        every track and of the exemplars per round, and accounting for
+        the events shed in ``dropped``."""
+        other = payload["otherData"]
         encoded = json.dumps(payload, sort_keys=True)
         while len(encoded.encode("utf-8")) > self.max_bytes:
-            shed = 0
-            for shard in payload["shards"].values():
-                spans = shard["spans"]
-                cut = max(1, len(spans) // 2) if spans else 0
-                del spans[:cut]
-                payload["dropped"]["spans"] += cut
-                shed += cut
-            instants = payload["instants"]
-            cut = max(1, len(instants) // 2) if instants else 0
-            del instants[:cut]
-            payload["dropped"]["instants"] += cut
-            shed += cut
-            for tenant in payload["tenants"].values():
-                events = tenant["events"]
-                cut = max(1, len(events) // 2) if events else 0
-                del events[:cut]
-                payload["dropped"]["events"] += cut
-                shed += cut
-            exemplars = payload["exemplars"]
+            tracks: dict[tuple, list[int]] = defaultdict(list)
+            for k, event in enumerate(payload["traceEvents"]):
+                key = _track(event)
+                if key is not None:
+                    tracks[key].append(k)
+            shed: set[int] = set()
+            for key, members in tracks.items():
+                cut = max(1, len(members) // 2)
+                shed.update(members[:cut])
+                other["dropped"][key[0]] += cut
+            exemplars = other["exemplars"]
             cut = max(1, len(exemplars) // 2) if exemplars else 0
             del exemplars[:cut]
-            shed += cut
-            if shed == 0:
+            if not shed and not cut:
                 break
+            payload["traceEvents"] = [
+                e for k, e in enumerate(payload["traceEvents"])
+                if k not in shed]
             encoded = json.dumps(payload, sort_keys=True)
         return encoded
 
@@ -268,161 +274,63 @@ class FlightRecorder:
 
 
 # ----------------------------------------------------------------------
-# schema validation
-# ----------------------------------------------------------------------
-_TOP_KEYS = ("schema", "seq", "trigger", "written_at", "config",
-             "shards", "instants", "tenants", "exemplars", "dropped")
-_SPAN_KEYS = {"name": str, "category": str, "start": (int, float),
-              "end": (int, float), "pid": int, "tid": int,
-              "span_id": int, "args": dict}
-_INSTANT_KEYS = {"name": str, "category": str, "ts": (int, float),
-                 "pid": int, "tid": int, "args": dict}
-_EVENT_KEYS = {"kind": str, "tenant": str, "session": int,
-               "detail": str, "at": (int, float)}
-
-
-def _check_record(record, keys: dict, where: str,
-                  problems: list[str]) -> None:
-    if not isinstance(record, dict):
-        problems.append(f"{where}: expected object, got "
-                        f"{type(record).__name__}")
-        return
-    for key, types in keys.items():
-        if key not in record:
-            problems.append(f"{where}: missing key {key!r}")
-        elif not isinstance(record[key], types):
-            problems.append(
-                f"{where}.{key}: expected "
-                f"{getattr(types, '__name__', types)}, got "
-                f"{type(record[key]).__name__}")
-
-
-def validate_blackbox(data) -> list[str]:
-    """Structural check of one dump against ``repro.blackbox/1``.
-
-    Returns problem strings, each prefixed with the key path of the
-    offending record (``shards.0.spans[3].end: ...``) — empty when
-    valid.
-    """
-    problems: list[str] = []
-    if not isinstance(data, dict):
-        return [f"$: expected object, got {type(data).__name__}"]
-    for key in _TOP_KEYS:
-        if key not in data:
-            problems.append(f"$: missing key {key!r}")
-    if problems:
-        return problems
-    if data["schema"] != BLACKBOX_SCHEMA:
-        problems.append(f"schema: expected {BLACKBOX_SCHEMA!r}, "
-                        f"got {data['schema']!r}")
-    trigger = data["trigger"]
-    if not isinstance(trigger, dict):
-        problems.append("trigger: expected object, got "
-                        f"{type(trigger).__name__}")
-    else:
-        if not isinstance(trigger.get("kind"), str):
-            problems.append("trigger.kind: missing or not a string")
-        elif trigger["kind"] not in TRIGGER_KINDS:
-            problems.append(f"trigger.kind: unknown kind "
-                            f"{trigger['kind']!r}")
-        if not isinstance(trigger.get("ts"), (int, float)):
-            problems.append("trigger.ts: missing or not a number")
-    if not isinstance(data["shards"], dict):
-        problems.append("shards: expected object")
-    else:
-        for sid, shard in data["shards"].items():
-            if not isinstance(shard, dict) or "spans" not in shard:
-                problems.append(f"shards.{sid}: missing key 'spans'")
-                continue
-            for k, span in enumerate(shard["spans"]):
-                _check_record(span, _SPAN_KEYS,
-                              f"shards.{sid}.spans[{k}]", problems)
-    if not isinstance(data["instants"], list):
-        problems.append("instants: expected array")
-    else:
-        for k, inst in enumerate(data["instants"]):
-            _check_record(inst, _INSTANT_KEYS, f"instants[{k}]", problems)
-    if not isinstance(data["tenants"], dict):
-        problems.append("tenants: expected object")
-    else:
-        for name, tenant in data["tenants"].items():
-            if not isinstance(tenant, dict) or "events" not in tenant:
-                problems.append(f"tenants.{name}: missing key 'events'")
-                continue
-            for k, event in enumerate(tenant["events"]):
-                _check_record(event, _EVENT_KEYS,
-                              f"tenants.{name}.events[{k}]", problems)
-    if not isinstance(data["exemplars"], list):
-        problems.append("exemplars: expected array")
-    else:
-        for k, row in enumerate(data["exemplars"]):
-            if not isinstance(row, dict):
-                problems.append(f"exemplars[{k}]: expected object")
-                continue
-            if not isinstance(row.get("value"), (int, float)):
-                problems.append(
-                    f"exemplars[{k}].value: missing or not a number")
-            if not isinstance(row.get("metric"), str):
-                problems.append(
-                    f"exemplars[{k}].metric: missing or not a string")
-    if not isinstance(data["config"], dict):
-        problems.append("config: expected object")
-    return problems
-
-
-def load_blackbox(path) -> dict:
-    """Read and validate one dump file; raises ``ValueError`` with the
-    full problem list on schema violations."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    problems = validate_blackbox(data)
-    if problems:
-        raise ValueError(
-            f"{path}: not a valid {BLACKBOX_SCHEMA} dump:\n  "
-            + "\n  ".join(problems))
-    return data
-
-
-def blackbox_spans(data: dict) -> list[Span]:
-    """Reconstruct :class:`~repro.obs.tracer.Span` records from a dump
-    (the critical-path analyzer's input)."""
-    spans = []
-    for shard in data["shards"].values():
-        for rec in shard["spans"]:
-            spans.append(Span(rec["name"], rec["category"], rec["start"],
-                              rec["end"], rec["pid"], rec["tid"],
-                              rec["span_id"], rec.get("parent_id"),
-                              dict(rec["args"])))
-    return spans
-
-
-# ----------------------------------------------------------------------
 # rendering (the `repro blackbox` report)
 # ----------------------------------------------------------------------
-def _timeline(data: dict, last: int = 15) -> list[str]:
+def _dump_fields(data: dict) -> dict:
+    """A dump's ``otherData``, checked for what the report reads."""
+    other = data.get("otherData") or {}
+    trigger = other.get("trigger")
+    config = other.setdefault("config", {})
+    dropped = other.setdefault("dropped", {})
+    exemplars = other.setdefault("exemplars", [])
+    problems = [f"otherData.{key}: {need}" for key, need, ok in (
+        ("trigger", f"needs a kind in {'/'.join(TRIGGER_KINDS)}, a numeric "
+         "ts and session", isinstance(trigger, dict)
+         and trigger.get("kind") in TRIGGER_KINDS
+         and is_number(trigger.get("ts"))
+         and isinstance(trigger.get("session", -1), int)),
+        ("config", "entries must be objects", isinstance(config, dict)
+         and all(isinstance(c, dict) for c in config.values())),
+        ("dropped", "counts must be integers", isinstance(dropped, dict)
+         and all(isinstance(n, int) for n in dropped.values())),
+        ("exemplars", "rows need a numeric value", isinstance(exemplars, list)
+         and all(isinstance(r, dict) and is_number(r.get("value", 0))
+                 for r in exemplars))) if not ok]
+    if problems:
+        raise ValueError("not a flight-recorder dump: " + "; ".join(problems))
+    return other
+
+
+def _timeline(events: list[dict], last: int = 15) -> list[str]:
     rows = []
-    for inst in data["instants"]:
-        rows.append((inst["ts"], f"shard {inst['tid']}",
-                     f"instant {inst['name']} [{inst['category']}]"))
-    for name, tenant in data["tenants"].items():
-        for event in tenant["events"]:
-            what = event["kind"]
-            if event["session"] >= 0:
-                what += f" session {event['session']}"
-            if event["detail"]:
-                what += f" ({event['detail']})"
-            rows.append((event["at"], f"tenant {name}", what))
-    rows.sort(key=lambda r: r[0])
-    return [f"  t={ts:>10.3f}  [{who}] {what}"
+    for event in events:
+        if event["ph"] != "i":
+            continue
+        args = event.get("args") or {}
+        if event.get("cat") == "ledger":
+            what, session = event["name"], args.get("session")
+            if isinstance(session, int) and session >= 0:
+                what += f" session {session}"
+            if args.get("detail"):
+                what += f" ({args['detail']})"
+            rows.append((event["ts"], f"tenant {args.get('tenant')}", what))
+        else:
+            rows.append((event["ts"], f"shard {event['tid']}",
+                         f"instant {event['name']} [{event.get('cat')}]"))
+    return [f"  t={ts / 1e6:>10.3f}  [{who}] {what}"
             for ts, who, what in rows[-last:]]
 
 
 def render_blackbox(data: dict, top_k: int = 5) -> str:
-    """Human incident report for one validated dump."""
+    """Human incident report for one dump (a trace object read by
+    :func:`~repro.obs.export.load_trace`); raises ``ValueError`` when
+    its ``otherData`` is not a dump's."""
     from repro.obs.critpath import TASK_CATEGORY, critical_path
 
-    trigger = data["trigger"]
-    lines = [f"{BLACKBOX_SCHEMA} incident dump (seq {data['seq']})"]
+    other = _dump_fields(data)
+    events = data["traceEvents"]
+    trigger = other["trigger"]
+    lines = [f"{BLACKBOX_SCHEMA} incident dump (seq {other.get('seq')})"]
     what = trigger["kind"]
     if trigger.get("name") and trigger["name"] != trigger["kind"]:
         what += f" ({trigger['name']})"
@@ -436,34 +344,34 @@ def render_blackbox(data: dict, top_k: int = 5) -> str:
     lines.append(f"trigger    : {what}"
                  + (f"  [{' '.join(who)}]" if who else "")
                  + f"  at t={trigger['ts']:.3f}")
-    overridden = {env: cfg for env, cfg in data["config"].items()
+    overridden = {env: cfg for env, cfg in other["config"].items()
                   if cfg.get("origin") == "env"}
     if overridden:
-        effects = ", ".join(f"{env}={cfg['value']}"
+        effects = ", ".join(f"{env}={cfg.get('value')}"
                             for env, cfg in sorted(overridden.items()))
         lines.append(f"config     : {effects}")
     else:
         lines.append("config     : all escape hatches at defaults")
-    span_counts = {sid: len(s["spans"])
-                   for sid, s in sorted(data["shards"].items())}
-    total_spans = sum(span_counts.values())
+    spans = spans_from_events(events)
+    span_counts = sorted(Counter(span.tid for span in spans).items())
+    ledger = sum(e["ph"] == "i" and e.get("cat") == "ledger"
+                 for e in events)
+    instants = sum(e["ph"] == "i" for e in events) - ledger
     lines.append(
-        f"evidence   : {total_spans} spans over "
+        f"evidence   : {len(spans)} spans over "
         f"{len(span_counts)} shard(s) "
-        f"({', '.join(f'{sid}:{n}' for sid, n in span_counts.items())}), "
-        f"{len(data['instants'])} instants, "
-        f"{sum(len(t['events']) for t in data['tenants'].values())} "
-        f"ledger events, {len(data['exemplars'])} exemplars")
-    dropped = data["dropped"]
+        f"({', '.join(f'{tid}:{n}' for tid, n in span_counts)}), "
+        f"{instants} instants, {ledger} ledger events, "
+        f"{len(other['exemplars'])} exemplars")
+    dropped = other["dropped"]
     if any(dropped.values()):
-        lines.append(f"dropped    : {dropped['spans']} spans, "
-                     f"{dropped['instants']} instants, "
-                     f"{dropped['events']} events (size cap)")
-    timeline = _timeline(data)
+        lines.append(f"dropped    : {dropped.get('spans', 0)} spans, "
+                     f"{dropped.get('instants', 0)} instants, "
+                     f"{dropped.get('events', 0)} events (size cap)")
+    timeline = _timeline(events)
     if timeline:
         lines.append(f"timeline (last {len(timeline)} events):")
         lines.extend(timeline)
-    spans = blackbox_spans(data)
     task_spans = [s for s in spans if s.category == TASK_CATEGORY]
     if task_spans:
         lines.append(f"critical path ({len(task_spans)} task spans):")
@@ -475,7 +383,7 @@ def render_blackbox(data: dict, top_k: int = 5) -> str:
             lines.append(f"  (critical-path analysis failed: {exc})")
     else:
         lines.append("critical path: (no task spans captured)")
-    exemplars = sorted(data["exemplars"],
+    exemplars = sorted(other["exemplars"],
                        key=lambda e: -e.get("value", 0.0))[:top_k]
     if exemplars:
         lines.append(f"slowest exemplars (top {len(exemplars)}):")
@@ -491,14 +399,14 @@ def render_blackbox(data: dict, top_k: int = 5) -> str:
             lines.append(f"  {row.get('metric', '?')} "
                          f"value={row.get('value', 0.0):.6f} "
                          f"{extra}{mark}")
-    hints = _explain_hints(data, spans, top_k)
+    hints = _explain_hints(trigger, spans, top_k)
     if hints:
         lines.append("explain cross-links:")
         lines.extend(hints)
     return "\n".join(lines)
 
 
-def _explain_hints(data: dict, spans: list[Span],
+def _explain_hints(trigger: dict, spans: list[Span],
                    top_k: int) -> list[str]:
     """``repro explain`` command lines cross-linking the longest dumped
     task spans into the provenance explainer.  The app parameters come
@@ -507,7 +415,6 @@ def _explain_hints(data: dict, spans: list[Span],
     analysis that produced the task."""
     from repro.obs.critpath import TASK_CATEGORY
 
-    trigger = data["trigger"]
     session_args = None
     for span in spans:
         if span.category != "service.session":
@@ -525,7 +432,8 @@ def _explain_hints(data: dict, spans: list[Span],
         return []
     tasks = sorted(
         (s for s in spans
-         if s.category == TASK_CATEGORY and "task_id" in s.args),
+         if s.category == TASK_CATEGORY
+         and isinstance(s.args.get("task_id"), int)),
         key=lambda s: -s.duration)
     hints = []
     seen = set()

@@ -148,25 +148,28 @@ class QuantileDigest:
         out.count, out.sum = self.count, self.sum
         return out
 
-    def to_dict(self) -> dict:
-        """JSON-safe wire form (``inf`` centroid encoded as ``null``)."""
-        return {
-            "centroids": [None if math.isinf(c) else c
-                          for c in self.centroids],
-            "counts": list(self.counts),
-            "sum": round(self.sum, 9),
-        }
+    def to_args(self) -> dict:
+        """The args of a histogram ``C`` event: ``count``, ``sum`` and
+        one count per bucket, keyed by its bound (``le=0.1``, ``le=inf``)."""
+        args = {"count": self.count, "sum": round(self.sum, 9)}
+        args.update((f"le={bound!r}", n)
+                    for bound, n in zip(self.centroids, self.counts))
+        return args
 
     @classmethod
-    def from_dict(cls, data: dict) -> "QuantileDigest":
-        digest = cls([math.inf if c is None else float(c)
-                      for c in data["centroids"]])
-        counts = [int(n) for n in data["counts"]]
-        if len(counts) != len(digest.counts):
-            raise DigestError(f"bucket vector length {len(counts)} != "
-                              f"{len(digest.counts)} centroids")
-        digest.counts, digest.count = counts, sum(counts)
-        digest.sum = float(data.get("sum", 0.0))
+    def from_args(cls, args: dict) -> "QuantileDigest":
+        """The digest a histogram ``C`` event's args carry."""
+        buckets = {}
+        for key, n in args.items():
+            if key.startswith("le="):
+                try:
+                    buckets[float(key[3:])] = n
+                except ValueError:
+                    raise DigestError(f"histogram bucket bound {key!r} is "
+                                      "not a number") from None
+        digest = cls(sorted(buckets))
+        digest.counts = [buckets.get(bound, 0) for bound in digest.centroids]
+        digest.count, digest.sum = sum(digest.counts), args.get("sum", 0.0)
         return digest
 
     def __repr__(self) -> str:

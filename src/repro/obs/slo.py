@@ -135,10 +135,10 @@ class SloStatus:
     def name(self) -> str:
         return f"{self.slo}[{self.severity}]"
 
-    def to_line(self) -> dict:
-        """The ``repro.telemetry/1`` alert line."""
+    def to_args(self) -> dict:
+        """The args of this transition's ``slo`` instant event (the
+        event carries the alert name and time)."""
         return {
-            "kind": "alert", "ts": round(self.ts, 6), "name": self.name,
             "slo": self.slo, "severity": self.severity,
             "state": "firing" if self.firing else "resolved",
             "burn": {"short": round(self.burn_short, 4),

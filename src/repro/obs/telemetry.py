@@ -5,30 +5,20 @@ The cumulative instruments in :mod:`repro.obs.metrics` answer
 :class:`~repro.service.service.AnalysisService` needs the *streaming*
 questions answered while it runs: what is p99 latency right now, is a
 tenant burning its error budget, did the breaker flap in the last
-minute.  This module maintains that state incrementally — the
-observability analogue of the paper's core move of updating analysis
-state per task instead of recomputing from scratch:
+minute.  This module answers them from readings of those totals:
 
-* :class:`TelemetryHub` periodically samples a
-  :class:`~repro.obs.metrics.MetricsRegistry` (plus any registered
-  *samplers* that publish live runtime internals into it first) into a
-  ring buffer of per-tick :class:`TelemetrySample` records.  Counters
-  are stored as **deltas** (cumulative totals are differenced, with
-  reset detection), gauges as last values, and histograms as per-tick
-  :class:`QuantileDigest` deltas — so any sliding window is a cheap
-  fold over at most ``window / interval`` small records and raw samples
-  are never retained.
-* A tick's histogram record is the
-  :class:`~repro.obs.metrics.QuantileDigest` the instrument holds now
-  ``minus`` the one it held at the previous tick; merging the ticks of
-  a window adds counts, and a window quantile is one cumulative walk
-  over the same buckets as the cumulative instrument's.
-* :class:`TelemetrySink` writes every sample (and every SLO alert
-  transition) as one JSON line in the ``repro.telemetry/1`` schema,
-  with size-based rotation; :func:`validate_telemetry` is the schema
-  checker CI runs over emitted files, and :func:`load_telemetry`
-  replays a recorded stream back into a hub so ``repro-cli top`` can
-  render from a file exactly as it renders live.
+* :class:`TelemetryHub` periodically reads a
+  :class:`~repro.obs.metrics.MetricsRegistry` (after any registered
+  *samplers* publish live runtime internals into it) into a ring of
+  :class:`TelemetrySample` readings.  A window query differences the
+  newest reading against the one just before the window (a histogram's
+  with :meth:`~repro.obs.metrics.QuantileDigest.minus`): one
+  subtraction, and no raw samples kept.
+* A tick is trace events — :func:`~repro.obs.export.metric_events`'s
+  ``C`` readings plus ``exemplar`` and ``slo`` instants — which
+  :class:`TelemetrySink` appends to size-rotated JSON Array segments.
+  :func:`load_telemetry` replays a recording through the path a live
+  tick takes, so ``repro top`` renders a file exactly as it renders live.
 
 The clock is injectable (:class:`~repro.distributed.faults.SystemClock`
 / :class:`~repro.distributed.faults.FakeClock`), so every windowing and
@@ -45,20 +35,19 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.errors import MachineError
-from repro.obs.metrics import (Counter, Gauge, Histogram, MetricsRegistry,
-                               QuantileDigest, format_labels)
-
-#: Schema identifier stamped on every telemetry JSONL file.
-TELEMETRY_SCHEMA = "repro.telemetry/1"
-
-#: Line kinds a telemetry stream may carry.
-LINE_KINDS = ("meta", "sample", "alert")
+from repro.obs.export import (instant_event, is_number, load_trace,
+                              metric_events)
+from repro.obs.metrics import Histogram, MetricsRegistry, QuantileDigest
+from repro.obs.tracer import DRIVER_PID
 
 #: Default sliding windows (name -> seconds).
 WINDOWS = {"10s": 10.0, "1m": 60.0, "5m": 300.0}
+
+#: Name of the metadata event opening every telemetry segment.
+META_EVENT = "repro.telemetry"
 
 _FULL_NAME = re.compile(r'^(?P<name>[^{]+)(\{(?P<labels>.*)\})?$')
 _LABEL = re.compile(r'(\w+)="([^"]*)"')
@@ -83,20 +72,19 @@ def parse_full_name(full_name: str) -> tuple[str, dict]:
 
 
 # ----------------------------------------------------------------------
-# one sampling tick
+# one reading
 # ----------------------------------------------------------------------
 @dataclass
 class TelemetrySample:
-    """Everything one hub tick extracted from the registry.
+    """One hub tick's reading of the registry.
 
-    ``counters`` hold **deltas** since the previous tick (reset-aware),
-    ``gauges`` hold current values, ``digests`` hold per-tick histogram
-    deltas as :class:`QuantileDigest` records.  Keys are metric
-    ``full_name`` strings (labels included), so per-tenant series stay
-    distinct.  ``exemplars`` carry the histogram exemplar rows *offered
-    since the previous tick* (keyed like ``digests``; present only when
-    a histogram has exemplar reservoirs enabled), so a windowed p99 can
-    point at the concrete sessions behind it.
+    ``counters`` and ``digests`` are cumulative, as the registry held
+    them; ``gauges`` hold values.  Keys are metric ``full_name`` strings
+    (labels included), so per-tenant series stay distinct.
+    ``exemplars`` carry the histogram exemplar rows *offered since the
+    previous tick* (keyed like ``digests``), so a windowed p99 can point
+    at the concrete sessions behind it.  ``interval`` is the time since
+    the previous reading.
     """
 
     ts: float
@@ -106,37 +94,9 @@ class TelemetrySample:
     digests: dict[str, QuantileDigest] = field(default_factory=dict)
     exemplars: dict[str, list] = field(default_factory=dict)
 
-    def to_line(self) -> dict:
-        line = {
-            "kind": "sample", "ts": round(self.ts, 6),
-            "interval": round(self.interval, 6),
-            "counters": {k: self.counters[k]
-                         for k in sorted(self.counters)},
-            "gauges": {k: self.gauges[k] for k in sorted(self.gauges)},
-            "digests": {k: self.digests[k].to_dict()
-                        for k in sorted(self.digests)},
-        }
-        if self.exemplars:
-            line["exemplars"] = {k: self.exemplars[k]
-                                 for k in sorted(self.exemplars)}
-        return line
-
-    @classmethod
-    def from_line(cls, line: dict) -> "TelemetrySample":
-        return cls(
-            ts=float(line["ts"]), interval=float(line.get("interval", 0.0)),
-            counters={k: float(v)
-                      for k, v in (line.get("counters") or {}).items()},
-            gauges={k: float(v)
-                    for k, v in (line.get("gauges") or {}).items()},
-            digests={k: QuantileDigest.from_dict(v)
-                     for k, v in (line.get("digests") or {}).items()},
-            exemplars={k: list(v)
-                       for k, v in (line.get("exemplars") or {}).items()})
-
     def base_totals(self) -> dict[str, float]:
-        """Counter deltas folded by base name (labels stripped), built
-        lazily and cached — samples are immutable once ringed, and the
+        """Counter totals folded by base name (labels stripped), built
+        lazily and cached — readings are immutable once ringed, and the
         SLO evaluator asks for this fold every tick."""
         cache = getattr(self, "_base_totals", None)
         if cache is None:
@@ -148,17 +108,42 @@ class TelemetrySample:
         return cache
 
 
+#: The reading before anything was counted: the baseline of a window
+#: that reaches back past the first reading.
+_NOTHING = TelemetrySample(0.0, 0.0)
+
+
+def _alert(event: dict) -> dict:
+    """An ``slo`` instant as the alert record the hub keeps and ``top``
+    renders (named and timed by its event)."""
+    line = dict(event.get("args") or {}, name=event["name"],
+                ts=event["ts"] / 1e6)
+    burn, windows = line.get("burn"), line.get("windows")
+    if (line.get("state") not in ("firing", "resolved")
+            or not isinstance(burn, dict)
+            or not all(is_number(burn.get(k)) for k in ("short", "long"))
+            or not is_number(line.get("objective"))
+            or not isinstance(windows, list)
+            or not all(isinstance(w, str) for w in windows)):
+        raise ValueError(f"slo event {event['name']!r} needs a firing/"
+                         "resolved state, a burn pair, an objective and "
+                         "its windows")
+    return line
+
+
 # ----------------------------------------------------------------------
-# JSONL sink with size-based rotation
+# trace-event segments with size-based rotation
 # ----------------------------------------------------------------------
 class TelemetrySink:
-    """Writes telemetry lines under a directory, rotating by size.
+    """Appends a hub's events under a directory, rotating by size.
 
-    Files are ``<prefix>-00000.jsonl``, ``<prefix>-00001.jsonl``, ...;
-    every file opens with its own ``meta`` line so each rotation segment
-    is self-describing.  ``max_bytes`` bounds one segment (the meta +
-    at least one record always fit — a single oversized record never
-    wedges the sink).
+    Files are ``<prefix>-00000.json``, ``<prefix>-00001.json``, ... in
+    the trace-event JSON Array Format: each opens with ``[`` and a
+    :data:`META_EVENT` metadata event (``meta`` plus the segment index),
+    then holds one event per line, each followed by a comma.
+    :meth:`close` writes the closing ``]``, which readers do not need —
+    a killed ``serve`` still leaves loadable segments.  ``max_bytes``
+    bounds one segment (the metadata and at least one event always fit).
     """
 
     def __init__(self, directory: str | Path, *,
@@ -173,43 +158,43 @@ class TelemetrySink:
         self._index = 0
         self._handle = None
         self._written = 0
-        self.lines = 0
-        self.rotations = 0
 
     @property
     def paths(self) -> list[Path]:
         """Every segment written so far, in rotation order."""
-        return sorted(self.directory.glob(f"{self.prefix}-*.jsonl"))
+        return sorted(self.directory.glob(f"{self.prefix}-*.json"))
 
     def _open_segment(self) -> None:
-        path = self.directory / f"{self.prefix}-{self._index:05d}.jsonl"
-        self._handle = path.open("w")
-        self._written = 0
-        meta = dict(self.meta, kind="meta", schema=TELEMETRY_SCHEMA,
-                    segment=self._index)
-        self._emit(meta)
+        path = self.directory / f"{self.prefix}-{self._index:05d}.json"
+        self._handle = path.open("w", encoding="utf-8")
+        self._handle.write("[\n")
+        self._written = 2
+        self._emit({"name": META_EVENT, "ph": "M", "pid": DRIVER_PID,
+                    "tid": 0, "args": dict(self.meta, segment=self._index)})
 
-    def _emit(self, obj: dict) -> None:
-        text = json.dumps(obj, sort_keys=True,
-                          separators=(",", ":")) + "\n"
+    def _emit(self, event: dict) -> None:
+        text = json.dumps(event, sort_keys=True,
+                          separators=(",", ":")) + ",\n"
         self._handle.write(text)
-        self._handle.flush()
         self._written += len(text)
-        self.lines += 1
 
-    def write(self, obj: dict) -> None:
-        """Append one line, rotating first when the segment is full."""
-        if self._handle is None:
-            self._open_segment()
-        elif self._written >= self.max_bytes:
-            self._handle.close()
-            self._index += 1
-            self.rotations += 1
-            self._open_segment()
-        self._emit(obj)
+    def write(self, events: Sequence[dict]) -> None:
+        """Append one tick's events, rotating first whenever the
+        segment is full."""
+        for event in events:
+            if self._handle is None:
+                self._open_segment()
+            elif self._written >= self.max_bytes:
+                self.close()
+                self._index += 1
+                self._open_segment()
+            self._emit(event)
+        if self._handle is not None:
+            self._handle.flush()
 
     def close(self) -> None:
         if self._handle is not None:
+            self._handle.write("]\n")
             self._handle.close()
             self._handle = None
 
@@ -218,11 +203,11 @@ class TelemetrySink:
 # the hub
 # ----------------------------------------------------------------------
 class TelemetryHub:
-    """Periodic sampler + sliding-window query surface.
+    """Periodic reader + sliding-window query surface.
 
     Pull-based by design: nothing in the analysis or service hot paths
     knows the hub exists — they keep publishing cumulative instruments
-    exactly as before, and the hub differences those totals at each
+    exactly as before, and the hub reads those totals at each
     :meth:`sample`.  A run without a hub therefore pays *zero* telemetry
     cost (the overhead proof in ``benchmarks/test_obs_overhead.py`` pins
     this).
@@ -230,7 +215,7 @@ class TelemetryHub:
     ``samplers`` are callables invoked with the registry at the top of
     every tick; they ``publish`` live runtime internals (per-tenant
     phase profiles, recovery counters, geometry caches) so the
-    subsequent snapshot sees them.  ``evaluator`` (an
+    subsequent reading sees them.  ``evaluator`` (an
     :class:`~repro.obs.slo.SloEvaluator`) is consulted once per tick;
     alert transitions are appended to :attr:`alerts` and written to the
     sink.
@@ -258,90 +243,83 @@ class TelemetryHub:
         capacity = int(math.ceil(max(self.windows.values())
                                  / self.interval)) + 1
         self.samples: deque[TelemetrySample] = deque(maxlen=capacity)
+        #: the reading the ring evicted last — the baseline of a window
+        #: that reaches back past the oldest reading held
+        self._evicted: Optional[TelemetrySample] = None
         self.sink = sink
         self.evaluator = evaluator
         self.alerts: list[dict] = []
         self._samplers: list[Callable] = []
-        self._last_counters: dict[str, float] = {}
-        self._last_hist: dict[str, QuantileDigest] = {}
         self._last_exemplar_seq: dict[str, int] = {}
-        self._last_ts: Optional[float] = None
 
     # -- sampling -------------------------------------------------------
     def add_sampler(self, sampler: Callable) -> None:
-        """Register ``sampler(registry)`` to run before each snapshot."""
+        """Register ``sampler(registry)`` to run before each reading."""
         self._samplers.append(sampler)
 
     def sample(self) -> TelemetrySample:
-        """Take one tick: publish samplers, difference the registry,
-        append to the ring, evaluate SLOs, write the sink."""
+        """Take one tick: publish samplers, read the registry into the
+        ring, evaluate SLOs, write the tick's events to the sink."""
         if self.registry is None:
             raise MachineError("replayed hub cannot sample (no registry)")
         for sampler in self._samplers:
             sampler(self.registry)
         now = self.clock.monotonic()
-        elapsed = (now - self._last_ts if self._last_ts is not None
-                   else self.interval)
-        self._last_ts = now
-        sample = TelemetrySample(ts=now, interval=max(0.0, elapsed))
-        for metric in self.registry:
-            name = metric.full_name
-            if isinstance(metric, Counter):
-                current = metric.value
-                last = self._last_counters.get(name)
-                # reset-aware delta: a total below the last seen value
-                # means the source restarted; its whole total is new
-                delta = current if last is None or current < last \
-                    else current - last
-                self._last_counters[name] = current
-                sample.counters[name] = delta
-            elif isinstance(metric, Histogram):
-                current = metric.digest()
-                digest = current.minus(self._last_hist.get(name))
-                self._last_hist[name] = current
-                if digest.count:
-                    sample.digests[name] = digest
-                if metric.exemplar_capacity:
-                    # ship only exemplars offered since the last tick
-                    # (monotone per-histogram seq), mirroring the delta
-                    # treatment of every other record kind
-                    last_seq = self._last_exemplar_seq.get(name, 0)
-                    fresh = [row for row in metric.exemplars()
-                             if row["seq"] > last_seq]
-                    if fresh:
-                        self._last_exemplar_seq[name] = \
-                            max(row["seq"] for row in fresh)
-                        sample.exemplars[name] = fresh
-            elif isinstance(metric, Gauge):
-                sample.gauges[name] = metric.value
-        self._derive_hit_rates(sample)
-        self.samples.append(sample)
-        if self.sink is not None:
-            self.sink.write(sample.to_line())
+        ts = round(now * 1e6, 3)
+        events = metric_events(self.registry, ts) + self._exemplars(ts)
+        sample = self._push(ts / 1e6, events)
         if self.evaluator is not None:
             for status in self.evaluator.evaluate(self, now):
                 if status.changed:
-                    line = status.to_line()
-                    self.alerts.append(line)
-                    if self.sink is not None:
-                        self.sink.write(line)
+                    event = instant_event(status.name, "slo", ts,
+                                          status.to_args())
+                    self.alerts.append(_alert(event))
+                    events.append(event)
+        if self.sink is not None:
+            self.sink.write(events)
         return sample
 
-    def _derive_hit_rates(self, sample: TelemetrySample) -> None:
-        """Instantaneous ``geom.cache.hit_rate`` gauges from the tick's
-        hit/miss deltas (one per label set; only when there was
-        traffic)."""
-        for name, hits in sample.counters.items():
-            base, labels = parse_full_name(name)
-            if base != "geom.cache.hits":
+    def _exemplars(self, ts: float) -> list[dict]:
+        """One ``exemplar`` instant per row offered since the last tick
+        (the monotone per-histogram ``seq`` is the cursor)."""
+        events = []
+        for metric in self.registry:
+            if not (isinstance(metric, Histogram)
+                    and metric.exemplar_capacity):
                 continue
-            miss_name = name.replace("geom.cache.hits",
-                                     "geom.cache.misses", 1)
-            misses = sample.counters.get(miss_name, 0.0)
-            if hits + misses > 0:
-                sample.gauges["geom.cache.hit_rate"
-                              + format_labels(labels)] = \
-                    hits / (hits + misses)
+            name = metric.full_name
+            last = self._last_exemplar_seq.get(name, 0)
+            fresh = [row for row in metric.exemplars() if row["seq"] > last]
+            if fresh:
+                self._last_exemplar_seq[name] = fresh[-1]["seq"]
+                events += [instant_event(name, "exemplar", ts, row)
+                           for row in fresh]
+        return events
+
+    def _push(self, ts: float, events: Sequence[dict]) -> TelemetrySample:
+        """Ring one tick's ``C`` and ``exemplar`` events as a reading."""
+        last = self.samples[-1] if self.samples else self._evicted
+        sample = TelemetrySample(ts, ts - last.ts if last is not None
+                                 else self.interval)
+        for event in events:
+            name, cat = event["name"], event.get("cat")
+            args = event.get("args") or {}
+            if cat == "histogram":
+                sample.digests[name] = QuantileDigest.from_args(args)
+            elif cat == "exemplar":
+                if not is_number(args.get("value")):
+                    raise ValueError(f"exemplar of {name!r} has no "
+                                     "numeric value")
+                sample.exemplars.setdefault(name, []).append(args)
+            elif cat in ("counter", "gauge"):
+                if "value" not in args:
+                    raise ValueError(f"{cat} reading {name!r} has no value")
+                kind = sample.counters if cat == "counter" else sample.gauges
+                kind[name] = args["value"]
+        if len(self.samples) == self.samples.maxlen:
+            self._evicted = self.samples[0]
+        self.samples.append(sample)
+        return sample
 
     def close(self) -> None:
         if self.sink is not None:
@@ -358,56 +336,60 @@ class TelemetryHub:
             return self.windows[window]
         return float(window)
 
+    def _ends(self, window: str | float
+              ) -> tuple[TelemetrySample, TelemetrySample]:
+        """The newest reading and the one just before the window."""
+        seconds = self.window_seconds(window)
+        if not self.samples:
+            return _NOTHING, _NOTHING
+        newest = self.samples[-1]
+        before = self._evicted or _NOTHING
+        for sample in self.samples:
+            if sample.ts > newest.ts - seconds:
+                break
+            before = sample
+        return newest, before
+
     def samples_in(self, window: str | float) -> list[TelemetrySample]:
-        """Samples whose timestamp falls inside the trailing window."""
+        """Readings whose timestamp falls inside the trailing window."""
         if not self.samples:
             return []
         horizon = self.samples[-1].ts - self.window_seconds(window)
         return [s for s in self.samples if s.ts > horizon]
 
     def span(self, window: str | float) -> float:
-        """Seconds of data actually covered by the window's samples."""
+        """Seconds of data actually covered by the window's readings."""
         return sum(s.interval for s in self.samples_in(window))
 
     def delta(self, name: str, window: str | float) -> float:
-        """Summed counter delta over the window (0.0 when unseen)."""
-        return sum(s.counters.get(name, 0.0)
-                   for s in self.samples_in(window))
+        """How far a counter moved over the window (0.0 when unseen)."""
+        newest, before = self._ends(window)
+        return newest.counters.get(name, 0.0) - before.counters.get(name, 0.0)
 
     def delta_matching(self, base_name: str,
                        window: str | float) -> float:
         """Summed deltas of every counter whose *base* name (labels
         stripped) equals ``base_name`` — the cross-tenant fold."""
-        return sum(s.base_totals().get(base_name, 0.0)
-                   for s in self.samples_in(window))
-
-    def rate(self, name: str, window: str | float) -> float:
-        """Per-second rate of a counter over the window."""
-        seconds = self.span(window)
-        return self.delta(name, window) / seconds if seconds > 0 else 0.0
+        newest, before = self._ends(window)
+        return (newest.base_totals().get(base_name, 0.0)
+                - before.base_totals().get(base_name, 0.0))
 
     def gauge(self, name: str, default: float = 0.0) -> float:
-        """Most recent value of a gauge (scans back for samplers that
-        publish intermittently)."""
-        for sample in reversed(self.samples):
-            if name in sample.gauges:
-                return sample.gauges[name]
-        return default
+        """The newest reading of a gauge."""
+        if not self.samples:
+            return default
+        return self.samples[-1].gauges.get(name, default)
 
     def digest(self, name: str,
                window: str | float) -> Optional[QuantileDigest]:
-        """Merged digest of a histogram series over the window (``None``
-        when the window saw no observations)."""
-        merged: Optional[QuantileDigest] = None
-        for sample in self.samples_in(window):
-            part = sample.digests.get(name)
-            if part is None:
-                continue
-            if merged is None:
-                merged = part.copy()
-            else:
-                merged.merge(part)
-        return merged
+        """What a histogram series observed over the window (``None``
+        when it observed nothing)."""
+        newest, before = self._ends(window)
+        current = newest.digests.get(name)
+        if current is None:
+            return None
+        part = current.minus(before.digests.get(name))
+        return part if part.count else None
 
     def quantiles(self, name: str, window: str | float,
                   qs: Sequence[float] = (0.5, 0.95, 0.99)) -> dict:
@@ -422,7 +404,7 @@ class TelemetryHub:
         rows: list[dict] = []
         for sample in self.samples_in(window):
             rows.extend(sample.exemplars.get(name, ()))
-        rows.sort(key=lambda r: -r.get("value", 0.0))
+        rows.sort(key=lambda r: -r["value"])
         return rows
 
     def series_names(self) -> dict[str, set]:
@@ -435,7 +417,7 @@ class TelemetryHub:
         return out
 
     def firing_alerts(self) -> list[dict]:
-        """Alert lines still in the firing state (latest transition per
+        """Alert records still in the firing state (latest transition per
         alert name wins — correct for live and replayed hubs alike)."""
         latest: dict[str, dict] = {}
         for line in self.alerts:
@@ -448,203 +430,37 @@ class TelemetryHub:
 
 
 # ----------------------------------------------------------------------
-# schema validation + replay
+# replay
 # ----------------------------------------------------------------------
-def _telemetry_paths(source: str | Path) -> list[Path]:
-    path = Path(source)
-    if path.is_dir():
-        paths = sorted(path.glob("*.jsonl"))
-        if not paths:
-            raise FileNotFoundError(
-                f"no *.jsonl telemetry segments under {path}")
-        return paths
-    if not path.exists():
-        raise FileNotFoundError(f"no such telemetry file: {path}")
-    return [path]
-
-
-def validate_telemetry(source) -> list[str]:
-    """Schema-check a telemetry stream; returns human-readable problems
-    (empty means valid).
-
-    ``source`` is a file path, a directory of segments, or an iterable
-    of already-parsed line dicts.  Checks: every line is an object with
-    a known ``kind``; each segment opens with a ``repro.telemetry/1``
-    meta line; sample timestamps are monotone per segment; counter
-    deltas are non-negative numbers; digests carry aligned, increasing
-    centroid vectors with non-negative counts; alerts carry a name and
-    a firing/resolved state.
-    """
-    if isinstance(source, (str, Path)):
-        try:
-            paths = _telemetry_paths(source)
-        except FileNotFoundError as exc:
-            return [str(exc)]
-        segments = []
-        for path in paths:
-            lines = []
-            for k, text in enumerate(path.read_text().splitlines()):
-                try:
-                    lines.append(json.loads(text))
-                except json.JSONDecodeError as exc:
-                    return [f"{path.name} line {k}: not JSON ({exc})"]
-            segments.append((path.name, lines))
-    else:
-        segments = [("<lines>", list(source))]
-
-    problems: list[str] = []
-    for segment, lines in segments:
-        if not lines:
-            problems.append(f"{segment}: empty segment")
-            continue
-        last_ts = None
-        for k, line in enumerate(lines):
-            where = f"{segment} line {k}"
-            if not isinstance(line, dict):
-                problems.append(f"{where}: not an object")
-                continue
-            kind = line.get("kind")
-            if kind not in LINE_KINDS:
-                problems.append(f"{where}: unknown kind {kind!r}")
-                continue
-            if k == 0:
-                if kind != "meta":
-                    problems.append(
-                        f"{where}: segment must open with a meta line")
-                elif line.get("schema") != TELEMETRY_SCHEMA:
-                    problems.append(
-                        f"{where}: schema {line.get('schema')!r} != "
-                        f"{TELEMETRY_SCHEMA!r}")
-                continue
-            if kind == "meta":
-                continue
-            ts = line.get("ts")
-            if not isinstance(ts, (int, float)):
-                problems.append(f"{where}: 'ts' must be a number")
-                continue
-            if kind == "sample":
-                if last_ts is not None and ts < last_ts:
-                    problems.append(
-                        f"{where}: sample ts {ts} precedes {last_ts}")
-                last_ts = ts
-                for group in ("counters", "gauges"):
-                    values = line.get(group, {})
-                    if not isinstance(values, dict):
-                        problems.append(f"{where}: {group!r} must be an "
-                                        "object")
-                        continue
-                    for name, value in values.items():
-                        if not isinstance(value, (int, float)):
-                            problems.append(
-                                f"{where}: {group}[{name!r}] not a "
-                                "number")
-                        elif group == "counters" and value < 0:
-                            problems.append(
-                                f"{where}: counter delta {name!r} is "
-                                f"negative ({value})")
-                for name, digest in (line.get("digests") or {}).items():
-                    problems.extend(
-                        f"{where}: digests[{name!r}]: {p}"
-                        for p in _digest_problems(digest))
-                exemplars = line.get("exemplars", {})
-                if not isinstance(exemplars, dict):
-                    problems.append(
-                        f"{where}: 'exemplars' must be an object")
-                else:
-                    for name, rows in exemplars.items():
-                        problems.extend(
-                            f"{where}: exemplars[{name!r}]{p}"
-                            for p in _exemplar_problems(rows))
-            elif kind == "alert":
-                if not isinstance(line.get("name"), str):
-                    problems.append(f"{where}: alert needs a 'name'")
-                if line.get("state") not in ("firing", "resolved"):
-                    problems.append(
-                        f"{where}: alert state must be firing/resolved, "
-                        f"got {line.get('state')!r}")
-    return problems
-
-
-def _exemplar_problems(rows) -> list[str]:
-    """Problems with one sample line's exemplar rows; each message is
-    suffix key-path form (``[k].value: ...``)."""
-    if not isinstance(rows, list):
-        return [": must be an array"]
-    problems = []
-    for k, row in enumerate(rows):
-        if not isinstance(row, dict):
-            problems.append(f"[{k}]: must be an object")
-            continue
-        if not isinstance(row.get("value"), (int, float)):
-            problems.append(f"[{k}].value: missing or not a number")
-        if not isinstance(row.get("seq"), int) or row.get("seq", 0) < 1:
-            problems.append(f"[{k}].seq: missing or not a positive "
-                            "integer")
-    return problems
-
-
-def _digest_problems(digest) -> list[str]:
-    if not isinstance(digest, dict):
-        return ["not an object"]
-    centroids = digest.get("centroids")
-    counts = digest.get("counts")
-    if not isinstance(centroids, list) or not isinstance(counts, list):
-        return ["needs 'centroids' and 'counts' lists"]
-    if len(centroids) != len(counts):
-        return [f"{len(centroids)} centroids vs {len(counts)} counts"]
-    finite = [c for c in centroids if c is not None]
-    if finite != sorted(set(finite)):
-        return ["centroids not strictly increasing"]
-    if any(not isinstance(n, int) or n < 0 for n in counts):
-        return ["counts must be non-negative integers"]
-    return []
+def _positive(value) -> bool:
+    return is_number(value) and 0 < value < math.inf
 
 
 def load_telemetry(source: str | Path) -> TelemetryHub:
-    """Replay a recorded stream into a query-only hub.
-
-    The returned hub has no registry (``sample()`` is refused) but the
-    full windowed query surface and the recorded alert transitions —
-    ``repro-cli top --once`` renders from it exactly as from a live
-    hub."""
-    paths = _telemetry_paths(source)
-    problems = validate_telemetry(source)
-    if problems:
-        detail = "; ".join(problems[:5])
-        if len(problems) > 5:
-            detail += f"; ... {len(problems) - 5} more"
-        raise ValueError(f"{source} is not a valid telemetry stream: "
-                         f"{detail}")
-    interval = 1.0
-    windows: Optional[dict] = None
-    samples: list[TelemetrySample] = []
-    alerts: list[dict] = []
-    for path in paths:
-        for text in path.read_text().splitlines():
-            line = json.loads(text)
-            kind = line.get("kind")
-            if kind == "meta":
-                interval = float(line.get("interval", interval))
-                if isinstance(line.get("windows"), dict):
-                    windows = {str(k): float(v)
-                               for k, v in line["windows"].items()}
-            elif kind == "sample":
-                samples.append(TelemetrySample.from_line(line))
-            elif kind == "alert":
-                alerts.append(line)
-    hub = TelemetryHub(None, clock=_FrozenClock(), interval=interval,
-                       windows=windows)
-    for sample in samples:
-        hub.samples.append(sample)
-    hub.alerts = alerts
+    """Replay a recording (read by :func:`~repro.obs.export.load_trace`)
+    into a query-only hub: each timestamp's ``C`` and ``exemplar`` events
+    become one reading, the ``slo`` instants the alert log.  Raises
+    ``ValueError`` for anything the readings cannot be built from."""
+    events = load_trace(source)[0]["traceEvents"]
+    meta = next((e.get("args") or {} for e in events
+                 if e["ph"] == "M" and e["name"] == META_EVENT), {})
+    interval = meta.get("interval", 1.0)
+    windows = meta.get("windows", WINDOWS)
+    if not (_positive(interval) and isinstance(windows, dict) and windows
+            and all(_positive(w) for w in windows.values())):
+        raise ValueError(f"{source}: {META_EVENT} metadata needs a "
+                         "positive interval and positive windows")
+    hub = TelemetryHub(None, interval=interval, windows=windows)
+    tick: list[dict] = []
+    for event in events:
+        if event["ph"] == "C" or (event["ph"] == "i"
+                                  and event.get("cat") == "exemplar"):
+            if tick and event["ts"] != tick[0]["ts"]:
+                hub._push(tick[0]["ts"] / 1e6, tick)
+                tick = []
+            tick.append(event)
+        elif event["ph"] == "i" and event.get("cat") == "slo":
+            hub.alerts.append(_alert(event))
+    if tick:
+        hub._push(tick[0]["ts"] / 1e6, tick)
     return hub
-
-
-class _FrozenClock:
-    """Clock for replayed hubs — never consulted, never sleeps."""
-
-    def monotonic(self) -> float:  # pragma: no cover - defensive
-        return 0.0
-
-    def sleep(self, seconds: float) -> None:  # pragma: no cover
-        raise MachineError("replayed telemetry hub cannot sleep")

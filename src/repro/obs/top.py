@@ -1,10 +1,10 @@
 """``repro top`` — a live terminal dashboard over the telemetry stream.
 
 Renders per-tenant QPS, queue depth, windowed latency percentiles,
-breaker/degradation state and firing SLO alerts from any
-:class:`~repro.obs.telemetry.TelemetryHub` — live (attached to a running
-service) or replayed from a ``repro.telemetry/1`` JSONL directory
-written by ``repro serve --telemetry-out``.
+breaker/degradation state, geometry-cache hit rates and firing SLO
+alerts from any :class:`~repro.obs.telemetry.TelemetryHub` — live
+(attached to a running service) or replayed from the trace-event
+segments ``repro serve --telemetry-out`` writes.
 
 Rendering is a pure function of the hub (``render_top``), deterministic
 at a pinned width — ``repro top --once`` output over a recorded file is
@@ -109,8 +109,7 @@ def render_top(hub: TelemetryHub, window="1m", width: int = 100) -> str:
         + alert_cell)
 
     inflight = hub.gauge("service.inflight")
-    breaker = _BREAKER_NAMES.get(int(hub.gauge("service.breaker")),
-                                 "unknown")
+    breaker = _BREAKER_NAMES.get(hub.gauge("service.breaker"), "unknown")
     admitted = hub.delta_matching("service.admitted", window)
     rejected = hub.delta_matching("service.rejected", window)
     errors = hub.delta_matching("service.errors", window)
@@ -146,16 +145,20 @@ def render_top(hub: TelemetryHub, window="1m", width: int = 100) -> str:
             f"{_fmt_seconds(q['p99']):>8} "
             f"{_fmt_count(row['degraded']):>9}")
 
-    cache_gauges = sorted(
-        name for name in hub.series_names()["gauges"]
-        if parse_full_name(name)[0] == "geom.cache.hit_rate")
-    if cache_gauges:
+    # the window's hit rate, from its hit and miss counters
+    cells = []
+    for name in sorted(hub.series_names()["counters"]):
+        base, labels = parse_full_name(name)
+        if base != "geom.cache.hits":
+            continue
+        hits = hub.delta(name, window)
+        traffic = hits + hub.delta(
+            name.replace("geom.cache.hits", "geom.cache.misses", 1), window)
+        if traffic > 0:
+            cells.append(f"{labels.get('tenant', 'global')} "
+                         f"{hits / traffic * 100:.0f}%")
+    if cells:
         put("")
-        cells = []
-        for name in cache_gauges:
-            _, labels = parse_full_name(name)
-            who = labels.get("tenant", "global")
-            cells.append(f"{who} {hub.gauge(name) * 100:.0f}%")
         put("geometry cache hit rate: " + "   ".join(cells))
 
     # concrete offenders behind the windowed percentiles: the exemplar

@@ -51,9 +51,9 @@ class CircuitBreaker:
         self._failures = 0
         self._opened_at = 0.0
         self._probe_inflight = False
+        #: called with ``(old, new)`` on every transition (the service
+        #: records each as a ``breaker`` ledger event)
         self._on_transition = on_transition
-        #: (old, new) transition history, for tests and the ledger.
-        self.transitions: list[tuple[str, str]] = []
 
     # ------------------------------------------------------------------
     def _transition(self, new: str) -> None:
@@ -61,7 +61,6 @@ class CircuitBreaker:
         if old == new:
             return
         self._state = new
-        self.transitions.append((old, new))
         if self._on_transition is not None:
             self._on_transition(old, new)
 

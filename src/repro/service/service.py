@@ -642,7 +642,7 @@ class AnalysisService:
             "tenants": len(self._tenants),
             **self.counts,
             "breaker_state": STATE_CODES[self.breaker.state],
-            "breaker_transitions": len(self.breaker.transitions),
+            "breaker_transitions": self.ledger.count("breaker"),
         }
 
     def render(self) -> str:

@@ -59,10 +59,14 @@ class TestGolden:
         reg.counter("meter.ops").inc(7)
         reg.histogram("analysis.shard_seconds").observe(0.5)
         events = trace_events(make_buffer(), registry=reg)
-        metrics = {e["name"]: e for e in events if e.get("cat") == "metrics"}
+        metrics = {e["name"]: e for e in events if e["ph"] == "C"}
+        assert metrics["meter.ops"]["cat"] == "counter"
         assert metrics["meter.ops"]["args"] == {"value": 7}
+        assert metrics["analysis.shard_seconds"]["cat"] == "histogram"
         assert metrics["analysis.shard_seconds"]["args"] == {
-            "count": 1, "sum": 0.5}
+            "count": 1, "sum": 0.5, "le=1e-06": 0, "le=1e-05": 0,
+            "le=0.0001": 0, "le=0.001": 0, "le=0.01": 0, "le=0.1": 0,
+            "le=1.0": 1, "le=10.0": 0, "le=60.0": 0, "le=inf": 0}
 
     def test_emitted_trace_validates(self):
         reg = MetricsRegistry()

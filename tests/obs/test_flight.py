@@ -1,6 +1,7 @@
 """Flight recorder: the bounded tracer it reads, triggers, cooldown,
-rotation, size cap, schema validation, and the incident report.
-Everything runs on a FakeClock — no sleeps, no real incidents required."""
+rotation, size cap, the dump as a trace-event file, and the incident
+report.  Everything runs on a FakeClock — no sleeps, no real incidents
+required."""
 
 import json
 from dataclasses import replace
@@ -10,9 +11,8 @@ import pytest
 
 from repro.distributed.faults import FakeClock
 from repro.obs import tracer as tracing
-from repro.obs.flight import (BLACKBOX_SCHEMA, FlightRecorder,
-                              blackbox_spans, load_blackbox,
-                              render_blackbox, validate_blackbox)
+from repro.obs.export import load_trace, spans_from_events, validate_trace
+from repro.obs.flight import BLACKBOX_SCHEMA, FlightRecorder, render_blackbox
 from repro.obs.tracer import Instant, Span, TraceBuffer, Tracer
 
 
@@ -37,6 +37,21 @@ def make_recorder(directory=None, clock=None, capacity=256, **kw):
     return FlightRecorder(tracer, directory, **kw)
 
 
+def spans_of(dump):
+    return spans_from_events(dump["traceEvents"])
+
+
+def instants_of(dump, category=None):
+    """A dump's instant events: the ledger's (``category="ledger"``) or
+    the tracer's (``None``)."""
+    return [e for e in dump["traceEvents"] if e["ph"] == "i"
+            and (e["cat"] == "ledger") == (category == "ledger")]
+
+
+def trigger_of(path):
+    return load_trace(path)[0]["otherData"]["trigger"]
+
+
 def record(rec, *events):
     """Put finished spans / instants on the recorder's tracer the way a
     worker's reply fragment arrives (ids are re-issued on the way in)."""
@@ -58,21 +73,19 @@ def test_disarmed_recorder_records_nothing():
         pass
     rec.tracer.instant("crash", "recovery")
     snap = rec.snapshot()
-    assert snap["shards"] == {}
-    assert snap["instants"] == []
+    assert [e["ph"] for e in snap["traceEvents"]] == ["M"]  # driver name
     assert rec.triggers_seen == 0
 
 
 def test_rings_are_bounded_per_shard():
     rec = make_recorder(capacity=4)
     for n in range(10):
-        record(rec, make_span(n, tid=n % 2))
-    snap = rec.snapshot()
-    assert set(snap["shards"]) == {"0", "1"}
-    for shard in snap["shards"].values():
-        assert len(shard["spans"]) == 4
-    # the ring kept the newest spans, oldest evicted
-    assert snap["shards"]["0"]["spans"][-1]["name"] == "s8"
+        record(rec, make_span(n, tid=n % 2, start=n * 0.01))
+    spans = spans_of(rec.snapshot())
+    for tid in (0, 1):
+        kept = [s.name for s in spans if s.tid == tid]
+        # the ring kept the newest spans, oldest evicted
+        assert kept == [f"s{n}" for n in range(tid + 2, 10, 2)]
 
 
 def test_event_rings_are_keyed_per_tenant():
@@ -80,9 +93,10 @@ def test_event_rings_are_keyed_per_tenant():
     for k in range(5):
         rec.record_event(make_event("rejected", tenant="a", session=k))
     rec.record_event(make_event("rejected", tenant="b"))
-    snap = rec.snapshot()
-    assert [e["session"] for e in snap["tenants"]["a"]["events"]] == [3, 4]
-    assert len(snap["tenants"]["b"]["events"]) == 1
+    events = instants_of(rec.snapshot(), "ledger")
+    assert [e["args"]["session"] for e in events
+            if e["args"]["tenant"] == "a"] == [3, 4]
+    assert sum(e["args"]["tenant"] == "b" for e in events) == 1
 
 
 # ----------------------------------------------------------------------
@@ -101,9 +115,9 @@ def test_anomaly_events_trigger_dumps(tmp_path):
         rec = make_recorder(tmp_path / kind, cooldown=0.0)
         rec.record_event(event)
         assert rec.dumps_written == 1, kind
-        data = load_blackbox(rec.last_dump)
-        assert data["trigger"]["kind"] == kind
-        assert data["trigger"]["tenant"] == "t0"
+        trigger = trigger_of(rec.last_dump)
+        assert trigger["kind"] == kind
+        assert trigger["tenant"] == "t0"
 
 
 def test_benign_events_do_not_trigger(tmp_path):
@@ -120,13 +134,14 @@ def test_recovery_instant_triggers(tmp_path):
     rec = make_recorder(tmp_path, cooldown=0.0)
     rec.tracer.instant("respawn", "recovery")
     assert rec.dumps_written == 1
-    data = load_blackbox(rec.last_dump)
-    assert data["trigger"]["kind"] == "recovery"
-    assert data["trigger"]["name"] == "respawn"
+    trigger = trigger_of(rec.last_dump)
+    assert trigger["kind"] == "recovery"
+    assert trigger["name"] == "respawn"
     # non-recovery instants land in the ring without dumping
+    rec.clock.advance(1.0)
     rec.tracer.instant("note", "service")
     assert rec.dumps_written == 1
-    assert [i["name"] for i in rec.snapshot()["instants"]] \
+    assert [i["name"] for i in instants_of(rec.snapshot())] \
         == ["respawn", "note"]
 
 
@@ -148,8 +163,7 @@ def test_manual_dump_ignores_cooldown(tmp_path):
     rec.record_event(make_event("expired"))
     path = rec.dump("operator requested")
     assert rec.dumps_written == 2
-    assert load_blackbox(path)["trigger"]["detail"] \
-        == "operator requested"
+    assert trigger_of(path)["detail"] == "operator requested"
 
 
 # ----------------------------------------------------------------------
@@ -166,18 +180,18 @@ def test_rotation_keeps_newest_max_dumps(tmp_path):
 
 def test_size_cap_sheds_oldest_evidence_and_accounts(tmp_path):
     rec = make_recorder(tmp_path, capacity=512, max_bytes=4096)
-    record(rec, *(make_span(n, note="x" * 64) for n in range(200)))
+    record(rec, *(make_span(n, start=n * 0.001, note="x" * 64)
+                  for n in range(200)))
     path = rec.dump()
     assert path.stat().st_size <= 4096 + 2  # trailing newline
-    data = load_blackbox(path)
-    assert data["dropped"]["spans"] > 0
-    kept = data["shards"]["0"]["spans"]
+    data, kept = load_trace(path)
+    assert data["otherData"]["dropped"]["spans"] == 200 - len(kept)
     assert kept  # newest spans survive the shedding
-    assert kept[-1]["name"] == "s199"
+    assert kept[-1].name == "s199"
 
 
 # ----------------------------------------------------------------------
-# schema validation
+# the dump is a trace-event file
 # ----------------------------------------------------------------------
 def valid_dump():
     rec = make_recorder()
@@ -186,48 +200,56 @@ def valid_dump():
     return rec.snapshot()
 
 
+def index_of(data, name):
+    return next(k for k, e in enumerate(data["traceEvents"])
+                if e["name"] == name)
+
+
 def test_snapshot_validates():
     data = valid_dump()
-    assert data["schema"] == BLACKBOX_SCHEMA
-    assert validate_blackbox(data) == []
+    assert data["otherData"]["schema"] == BLACKBOX_SCHEMA
+    assert validate_trace(data) == []
 
 
 def test_validator_reports_key_paths():
     data = valid_dump()
-    del data["shards"]["0"]["spans"][0]["end"]
-    data["instants"][0]["ts"] = "late"
-    data["tenants"]["t0"]["events"][0]["session"] = None
-    data["trigger"]["kind"] = "gremlins"
-    problems = validate_blackbox(data)
-    assert "shards.0.spans[0]: missing key 'end'" in problems
-    assert any(p.startswith("instants[0].ts:") for p in problems)
-    assert any(p.startswith("tenants.t0.events[0].session:")
+    span, crash = index_of(data, "s0"), index_of(data, "crash")
+    del data["traceEvents"][span]["dur"]
+    data["traceEvents"][crash]["ts"] = "late"
+    problems = validate_trace(data)
+    assert f"traceEvents[{span}] ('s0').dur: complete event needs " \
+        "'dur' >= 0, got None" in problems
+    assert any(p.startswith(f"traceEvents[{crash}] ('crash').ts:")
                for p in problems)
-    assert "trigger.kind: unknown kind 'gremlins'" in problems
+    data = valid_dump()
+    data["otherData"]["trigger"]["kind"] = "gremlins"
+    with pytest.raises(ValueError, match="otherData.trigger: needs a kind"):
+        render_blackbox(data)
 
 
 def test_validator_rejects_wrong_schema_and_shapes():
-    assert validate_blackbox([]) \
-        == ["$: expected object, got list"]
-    assert "$: missing key 'shards'" in validate_blackbox({})
+    assert validate_trace([]) \
+        == ["$: top level must be an object with a 'traceEvents' list"]
     data = valid_dump()
-    data["schema"] = "repro.blackbox/9"
-    assert any("expected 'repro.blackbox/1'" in p
-               for p in validate_blackbox(data))
+    data["otherData"] = []
+    assert validate_trace(data) == ["otherData: must be an object"]
     data = valid_dump()
-    data["exemplars"] = [{"metric": 3}]
-    problems = validate_blackbox(data)
-    assert "exemplars[0].value: missing or not a number" in problems
-    assert "exemplars[0].metric: missing or not a string" in problems
+    data["otherData"]["exemplars"] = [{"metric": "m", "value": "slow"}]
+    data["otherData"]["dropped"] = []
+    with pytest.raises(ValueError) as problems:
+        render_blackbox(data)
+    assert str(problems.value) == (
+        "not a flight-recorder dump: otherData.dropped: counts must be "
+        "integers; otherData.exemplars: rows need a numeric value")
 
 
 def test_load_blackbox_raises_with_problem_list(tmp_path):
     data = valid_dump()
-    del data["shards"]["0"]["spans"][0]["end"]
+    del data["traceEvents"][index_of(data, "s0")]["dur"]
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
-    with pytest.raises(ValueError, match=r"shards\.0\.spans\[0\]"):
-        load_blackbox(path)
+    with pytest.raises(ValueError, match=r"traceEvents\[\d+\] \('s0'\)"):
+        load_trace(path)
 
 
 def test_snapshot_survives_a_raising_exemplar_source():
@@ -237,8 +259,8 @@ def test_snapshot_survives_a_raising_exemplar_source():
     rec = make_recorder(exemplar_source=broken)
     record(rec, make_span(0))
     data = rec.snapshot()
-    assert data["exemplars"] == []
-    assert validate_blackbox(data) == []
+    assert data["otherData"]["exemplars"] == []
+    assert validate_trace(data) == []
 
 
 # ----------------------------------------------------------------------
@@ -268,7 +290,7 @@ def test_render_blackbox_sections():
     data = rec.snapshot({"kind": "deadline", "name": "expired",
                          "detail": "expired in queue", "tenant": "t0",
                          "session": 4, "ts": 0.03})
-    assert validate_blackbox(data) == []
+    assert validate_trace(data) == []
     report = render_blackbox(data)
     assert "trigger    : deadline" in report
     assert "tenant=t0 session=4" in report
@@ -297,7 +319,7 @@ def test_blackbox_spans_round_trip():
     rec = make_recorder()
     original = make_span(7, tid=3, start=1.0, task_id=7)
     record(rec, original)
-    spans = blackbox_spans(rec.snapshot())
+    spans = spans_of(rec.snapshot())
     assert len(spans) == 1
     assert spans[0] == replace(original, span_id=spans[0].span_id)
 
@@ -315,8 +337,7 @@ def test_tracer_hooks_feed_the_installed_recorder():
     finally:
         tracing.set_tracer(prev_tracer)
     snap = rec.snapshot()
-    spans = [s for shard in snap["shards"].values()
-             for s in shard["spans"]]
-    assert [s["name"] for s in spans] == ["work"]
-    assert spans[0]["args"]["task_id"] == 3
-    assert [i["name"] for i in snap["instants"]] == ["note"]
+    spans = spans_of(snap)
+    assert [s.name for s in spans] == ["work"]
+    assert spans[0].args["task_id"] == 3
+    assert [i["name"] for i in instants_of(snap)] == ["note"]

@@ -210,28 +210,26 @@ def test_alert_resolves_when_the_metric_stops_reporting():
 
 
 def test_burn_rate_survives_a_counter_reset():
-    """A restarted source republishes totals from zero; the hub's
-    reset-aware deltas must keep the burn math finite and correct —
-    no negative deltas, no phantom outage from the missing history."""
+    """A restarted source republishes totals from zero; ``publish`` moves
+    the counters forward by each new total, so the burn math stays
+    finite and correct — no negative deltas, no phantom outage from the
+    missing history."""
     hub, registry, clock = make_hub()
     evaluator = SloEvaluator([AVAIL])
     hub.evaluator = evaluator
-    done = registry.counter("service.completed")
-    errs = registry.counter("service.errors")
-    for _ in range(10):
-        done.inc(98)
-        errs.inc(2)
-        tick(hub, clock)
+
+    def serve(ticks):
+        for k in range(1, ticks + 1):
+            registry.publish("service", {"completed": 98 * k,
+                                         "errors": 2 * k})
+            tick(hub, clock)
+
+    serve(10)
     assert AVAIL.burn_rate(hub, "10s") == pytest.approx(2.0)
 
-    # the serving process restarts: cumulative totals fall back to zero
-    done.value = 0.0
-    errs.value = 0.0
-    for _ in range(10):
-        done.inc(98)
-        errs.inc(2)
-        tick(hub, clock)
-    # every post-reset delta is non-negative and the window holds
+    # the serving process restarts: its totals fall back to zero
+    serve(10)
+    # every post-restart delta is non-negative and the window holds
     # exactly the post-restart traffic
     assert hub.delta("service.completed", "10s") \
         == pytest.approx(10 * 98.0)

@@ -1,5 +1,6 @@
-"""Streaming telemetry: digests, windowed hub queries, sink rotation,
-schema validation, and replay — all clock-injected, no real sleeps."""
+"""Streaming telemetry: digests, windowed hub queries over readings,
+trace-event segments and their rotation, and replay — all
+clock-injected, no real sleeps."""
 
 import json
 import math
@@ -10,10 +11,10 @@ import pytest
 from repro.errors import MachineError
 from repro.distributed.faults import FakeClock
 from repro.obs.metrics import DEFAULT_BUCKETS, Histogram, MetricsRegistry
-from repro.obs.telemetry import (TELEMETRY_SCHEMA, QuantileDigest,
-                                 TelemetryHub, TelemetrySample,
+from repro.obs.export import load_trace, validate_trace
+from repro.obs.telemetry import (META_EVENT, QuantileDigest, TelemetryHub,
                                  TelemetrySink, load_telemetry,
-                                 parse_full_name, validate_telemetry)
+                                 parse_full_name)
 
 
 # ----------------------------------------------------------------------
@@ -83,22 +84,27 @@ def test_digest_merge_adds_counts():
         a.merge(QuantileDigest([0.2, 1.0]))
 
 
-def test_digest_dict_round_trip_encodes_inf_as_null():
+def test_digest_args_round_trip_key_buckets_by_bound():
     digest = QuantileDigest([0.1, 1.0])
     digest.observe(0.05, n=2)
     digest.observe(9.0)
-    wire = digest.to_dict()
-    assert wire["centroids"][-1] is None
-    assert json.loads(json.dumps(wire)) == wire
-    back = QuantileDigest.from_dict(wire)
+    args = digest.to_args()
+    assert args == {"count": 3, "sum": 9.1, "le=0.1": 2, "le=1.0": 0,
+                    "le=inf": 1}
+    assert json.loads(json.dumps(args)) == args
+    back = QuantileDigest.from_args(args)
     assert back.centroids == digest.centroids
     assert back.counts == digest.counts
     assert back.count == digest.count
     assert back.sum == pytest.approx(digest.sum)
+    with pytest.raises(ValueError, match="bound 'le=a'"):
+        QuantileDigest.from_args({"le=a": 1})
+    with pytest.raises(ValueError, match="at least one"):
+        QuantileDigest.from_args({"count": 0})
 
 
 # ----------------------------------------------------------------------
-# the hub: deltas, windows, derived gauges
+# the hub: readings, window deltas
 # ----------------------------------------------------------------------
 def make_hub(**kwargs):
     registry = MetricsRegistry()
@@ -108,6 +114,8 @@ def make_hub(**kwargs):
 
 
 def test_hub_counters_become_deltas():
+    """A reading holds the registry's totals; a window's delta is the
+    newest reading less the one just before the window."""
     hub, registry, clock = make_hub()
     done = registry.counter("service.completed", tenant="t0")
     done.inc(5)
@@ -117,22 +125,26 @@ def test_hub_counters_become_deltas():
     done.inc(2)
     clock.advance(1.0)
     second = hub.sample()
-    assert second.counters['service.completed{tenant="t0"}'] == 2
+    assert second.counters['service.completed{tenant="t0"}'] == 7
+    assert hub.delta('service.completed{tenant="t0"}', 1.0) == 2
     assert hub.delta('service.completed{tenant="t0"}', "10s") == 7
     assert hub.delta_matching("service.completed", "10s") == 7
 
 
 def test_hub_counter_reset_detection():
+    """Restarts are ``publish``'s to detect: a source that restarts and
+    republishes a lower total moves the counter forward by all of it, so
+    the hub's window deltas never go negative."""
     hub, registry, clock = make_hub()
-    done = registry.counter("service.completed")
-    done.inc(10)
+    registry.publish("service", {"completed": 10})
     clock.advance(1.0)
     hub.sample()
-    # simulate a source restart: the cumulative total goes backwards
-    done.value = 3
+    registry.publish("service", {"completed": 3})  # the source restarted
     clock.advance(1.0)
     sample = hub.sample()
-    assert sample.counters["service.completed"] == 3  # whole total is new
+    assert sample.counters["service.completed"] == 13
+    assert hub.delta("service.completed", 1.0) == 3  # whole total is new
+    assert hub.delta("service.completed", "10s") == 13
 
 
 def test_hub_histogram_becomes_per_tick_digest():
@@ -149,28 +161,12 @@ def test_hub_histogram_becomes_per_tick_digest():
     merged = hub.digest("service.latency_seconds", "10s")
     assert merged.count == 3
     assert merged.counts == [1, 2, 0]
+    assert hub.digest("service.latency_seconds", 1.0).counts == [0, 1, 0]
     q = hub.quantiles("service.latency_seconds", "10s")
     assert q["p50"] == 1.0 and q["p99"] == 1.0
     # an empty window answers NaN, not zero
     assert all(math.isnan(v) for v in
                hub.quantiles("service.other", "10s").values())
-
-
-def test_hub_derives_cache_hit_rate_gauges():
-    hub, registry, clock = make_hub()
-    registry.counter("geom.cache.hits", tenant="t0").inc(9)
-    registry.counter("geom.cache.misses", tenant="t0").inc(1)
-    clock.advance(1.0)
-    sample = hub.sample()
-    assert sample.gauges['geom.cache.hit_rate{tenant="t0"}'] == \
-        pytest.approx(0.9)
-    # no traffic this tick -> no rate published (stale gauge remains
-    # reachable via the scan-back)
-    clock.advance(1.0)
-    second = hub.sample()
-    assert 'geom.cache.hit_rate{tenant="t0"}' not in second.gauges
-    assert hub.gauge('geom.cache.hit_rate{tenant="t0"}') == \
-        pytest.approx(0.9)
 
 
 def test_hub_windows_slide_and_ring_evicts():
@@ -184,11 +180,12 @@ def test_hub_windows_slide_and_ring_evicts():
     assert len(hub) == 61
     assert hub.delta("service.completed", "10s") == 10
     assert hub.delta("service.completed", "1m") == 60
-    assert hub.rate("service.completed", "10s") == pytest.approx(1.0)
     assert hub.span("10s") == pytest.approx(10.0)
     with pytest.raises(MachineError):
         hub.delta("service.completed", "5m")  # window not configured
     assert hub.delta("service.completed", 10.0) == 10  # raw seconds ok
+    # a window past the ring is measured from the reading evicted last
+    assert hub.delta("service.completed", 1000.0) == 61
 
 
 def test_hub_requires_positive_interval_and_windows():
@@ -199,93 +196,71 @@ def test_hub_requires_positive_interval_and_windows():
 
 
 # ----------------------------------------------------------------------
-# sink rotation
+# trace-event segments
 # ----------------------------------------------------------------------
+def counter_event(ts, value, name="service.completed"):
+    return {"name": name, "cat": "counter", "ph": "C", "ts": ts,
+            "pid": 0, "tid": 0, "args": {"value": value}}
+
+
 def test_sink_rotates_by_size_with_meta_per_segment(tmp_path):
     sink = TelemetrySink(tmp_path, max_bytes=1024, meta={"seed": 7})
-    for k in range(40):
-        sink.write({"kind": "sample", "ts": float(k), "interval": 1.0,
-                    "counters": {}, "gauges": {},
-                    "digests": {}, "pad": "x" * 80})
+    sink.write([counter_event(k * 1e6, k, name="x" * 80)
+                for k in range(40)])
     sink.close()
     paths = sink.paths
     assert len(paths) > 1
-    assert sink.rotations == len(paths) - 1
     for index, path in enumerate(paths):
-        first = json.loads(path.read_text().splitlines()[0])
-        assert first["kind"] == "meta"
-        assert first["schema"] == TELEMETRY_SCHEMA
-        assert first["segment"] == index
-        assert first["seed"] == 7
-    assert validate_telemetry(tmp_path) == []
+        data, _ = load_trace(path)
+        first = data["traceEvents"][0]
+        assert (first["ph"], first["name"]) == ("M", META_EVENT)
+        assert first["args"] == {"seed": 7, "segment": index}
+    events = load_trace(tmp_path)[0]["traceEvents"]
+    assert sum(e["ph"] == "C" for e in events) == 40
 
 
 def test_hub_writes_samples_to_sink(tmp_path):
     sink = TelemetrySink(tmp_path, meta={"interval": 1.0})
     hub, registry, clock = make_hub(sink=sink)
-    hub.sink = sink
     registry.counter("service.completed").inc(3)
     clock.advance(1.0)
     hub.sample()
+    (path,) = sink.paths
+    # the segment loads while it is still open: "]" is written on close
+    assert not path.read_text().rstrip().endswith("]")
+    assert load_trace(path)[0]["traceEvents"][1:] == [
+        counter_event(1e6, 3)]
     hub.close()
-    assert validate_telemetry(tmp_path) == []
-    lines = [json.loads(t) for path in sink.paths
-             for t in path.read_text().splitlines()]
-    kinds = [line["kind"] for line in lines]
-    assert kinds == ["meta", "sample"]
-    assert lines[1]["counters"]["service.completed"] == 3
+    assert path.read_text().rstrip().endswith("]")
+    assert load_telemetry(path).delta("service.completed", "10s") == 3
 
 
-# ----------------------------------------------------------------------
-# schema validation negatives
-# ----------------------------------------------------------------------
-def _meta():
-    return {"kind": "meta", "schema": TELEMETRY_SCHEMA, "segment": 0}
+def test_validate_rejects_malformed_digests_and_alerts(tmp_path):
+    hub, registry, clock = make_hub(sink=TelemetrySink(tmp_path))
+    registry.histogram("h", buckets=(0.1, 1.0)).observe(0.5)
+    clock.advance(1.0)
+    hub.sample()
+    hub.close()
+    events = load_trace(tmp_path)[0]["traceEvents"]
+    events[1]["args"]["le=1.0"] = "two"
+    problems = validate_trace({"traceEvents": events})
+    assert problems == ["traceEvents[1] ('h').args['le=1.0']: counter "
+                        "value must be a number, got 'two'"]
+    alert = {"name": "a", "cat": "slo", "ph": "i", "s": "g", "ts": 2e6,
+             "pid": 0, "tid": 0, "args": {"state": "maybe"}}
+    (tmp_path / "telemetry-00001.json").write_text(
+        "[\n" + json.dumps(alert) + ",\n")
+    with pytest.raises(ValueError, match="firing/resolved"):
+        load_telemetry(tmp_path)
 
 
-def _sample(ts, **over):
-    line = {"kind": "sample", "ts": ts, "interval": 1.0,
-            "counters": {}, "gauges": {}, "digests": {}}
-    line.update(over)
-    return line
-
-
-def test_validate_requires_meta_first():
-    assert validate_telemetry([_sample(1.0)]) \
-        == ["<lines> line 0: segment must open with a meta line"]
-    bad = dict(_meta(), schema="nope/9")
-    problems = validate_telemetry([bad])
-    assert problems and "schema" in problems[0]
-
-
-def test_validate_rejects_backwards_time_and_negative_deltas():
-    problems = validate_telemetry(
-        [_meta(), _sample(5.0), _sample(3.0)])
-    assert any("precedes" in p for p in problems)
-    problems = validate_telemetry(
-        [_meta(), _sample(1.0, counters={"service.completed": -2})])
-    assert any("negative" in p for p in problems)
-
-
-def test_validate_rejects_malformed_digests_and_alerts():
-    bad_digest = _sample(1.0, digests={"h": {"centroids": [2.0, 1.0, None],
-                                             "counts": [0, 0, 0]}})
-    assert any("increasing" in p
-               for p in validate_telemetry([_meta(), bad_digest]))
-    misaligned = _sample(1.0, digests={"h": {"centroids": [1.0, None],
-                                             "counts": [0]}})
-    assert any("centroids vs" in p
-               for p in validate_telemetry([_meta(), misaligned]))
-    bad_alert = {"kind": "alert", "ts": 1.0, "name": "a", "state": "maybe"}
-    assert any("firing/resolved" in p
-               for p in validate_telemetry([_meta(), bad_alert]))
-    assert any("unknown kind" in p
-               for p in validate_telemetry([_meta(), {"kind": "bogus"}]))
-
-
-def test_validate_missing_path_reports_not_raises(tmp_path):
-    problems = validate_telemetry(tmp_path / "absent")
-    assert problems and "no such telemetry file" in problems[0]
+def test_validate_reports_digest_key_path():
+    digest = {"name": "service.latency_seconds", "cat": "histogram",
+              "ph": "C", "ts": 0, "pid": 0, "tid": 0,
+              "args": {"count": 1, "le=1.0": [1], "le=inf": 0}}
+    assert validate_trace({"traceEvents": [digest]}) == [
+        "traceEvents[0] ('service.latency_seconds').args['le=1.0']: "
+        "counter value must be a number, got [1]"]
 
 
 # ----------------------------------------------------------------------
@@ -306,6 +281,7 @@ def test_load_telemetry_round_trips_window_queries(tmp_path):
         clock.advance(1.0)
         hub.sample()
     hub.close()
+    assert len(sink.paths) > 1  # the replay reads across rotations
 
     replay = load_telemetry(tmp_path)
     assert len(replay) == len(hub)
@@ -315,14 +291,21 @@ def test_load_telemetry_round_trips_window_queries(tmp_path):
             == hub.delta('service.completed{tenant="t0"}', window)
         assert replay.quantiles("service.latency_seconds", window) \
             == hub.quantiles("service.latency_seconds", window)
+        assert replay.span(window) == hub.span(window)
     with pytest.raises(MachineError):
         replay.sample()  # replayed hubs are query-only
 
 
 def test_load_telemetry_refuses_invalid_stream(tmp_path):
-    (tmp_path / "telemetry-00000.jsonl").write_text(
-        json.dumps(_sample(1.0)) + "\n")
-    with pytest.raises(ValueError, match="not a valid telemetry stream"):
+    (tmp_path / "telemetry-00000.json").write_text(
+        '[\n{"name":"repro.telemetry","ph":"M","pid":0,"tid":0,'
+        '"args":{"interval":0}},\n')
+    with pytest.raises(ValueError, match="positive interval"):
+        load_telemetry(tmp_path)
+    (tmp_path / "telemetry-00000.json").write_text(
+        "[\n" + json.dumps(counter_event(2e6, 1)) + ",\n"
+        + json.dumps(counter_event(1e6, 1)) + ",\n")
+    with pytest.raises(ValueError, match="not a valid trace"):
         load_telemetry(tmp_path)
     with pytest.raises(FileNotFoundError):
         load_telemetry(tmp_path / "absent")
@@ -377,7 +360,7 @@ def test_minus_ticks_sum_to_the_cumulative_digest_across_a_restart():
             folded.merge(reading.minus(last))
             last = reading
         if source is first:
-            assert folded.to_dict() == first.digest().to_dict()
+            assert folded.to_args() == first.digest().to_args()
     assert second.digest().count < first.digest().count  # a real restart
     assert folded.counts == everything.counts
     assert folded.sum == pytest.approx(everything.sum)
@@ -419,34 +402,23 @@ def test_exemplars_round_trip_through_the_sink(tmp_path):
     clock.advance(1.0)
     hub.sample()
     hub.close()
-    assert validate_telemetry(tmp_path) == []
+    (exemplar,) = [e for e in load_trace(tmp_path)[0]["traceEvents"]
+                   if e.get("cat") == "exemplar"]
+    assert (exemplar["ph"], exemplar["name"]) == \
+        ("i", "service.latency_seconds")
     replay = load_telemetry(tmp_path)
     rows = replay.exemplars_in("service.latency_seconds", "10s")
     assert rows == [{"trace": 7, "tenant": "t0", "value": 0.02,
                      "seq": 1, "bucket": 0.1}]
 
 
-def test_validate_reports_exemplar_key_paths():
-    bad = _sample(1.0, exemplars={"h": [{"seq": 1},
-                                        {"value": 0.5, "seq": 0}]})
-    problems = validate_telemetry([_meta(), bad])
-    assert "<lines> line 1: exemplars['h'][0].value: " \
-        "missing or not a number" in problems
-    assert "<lines> line 1: exemplars['h'][1].seq: " \
-        "missing or not a positive integer" in problems
-    shapeless = _sample(1.0, exemplars=[1, 2])
-    assert any("'exemplars' must be an object" in p
-               for p in validate_telemetry([_meta(), shapeless]))
-
-
-def test_validate_reports_digest_key_path():
-    bad = _sample(1.0, digests={"service.latency_seconds":
-                                {"centroids": [1.0, None],
-                                 "counts": [0]}})
-    problems = validate_telemetry([_meta(), bad])
-    assert problems == ["<lines> line 1: "
-                        "digests['service.latency_seconds']: "
-                        "1 centroids vs 2 counts"] \
-        or problems == ["<lines> line 1: "
-                        "digests['service.latency_seconds']: "
-                        "2 centroids vs 1 counts"]
+def test_validate_reports_exemplar_key_paths(tmp_path):
+    row = {"name": "h", "cat": "exemplar", "ph": "i", "s": "g", "ts": 0,
+           "pid": 0, "tid": 0, "args": [1]}
+    assert validate_trace({"traceEvents": [row]}) == [
+        "traceEvents[0] ('h').args: must be an object, got list"]
+    row["args"] = {"seq": 1}
+    (tmp_path / "telemetry-00000.json").write_text(
+        "[\n" + json.dumps(row) + ",\n")
+    with pytest.raises(ValueError, match="exemplar of 'h' has no numeric"):
+        load_telemetry(tmp_path)

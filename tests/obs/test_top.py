@@ -8,6 +8,7 @@ import pytest
 
 from repro.cli import main
 from repro.distributed.faults import FakeClock
+from repro.obs.export import load_trace
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import SloEvaluator, default_service_slos
 from repro.obs.telemetry import TelemetryHub, TelemetrySink, load_telemetry
@@ -121,6 +122,20 @@ def test_tenant_helpers(tmp_path):
     assert row["quantiles"]["p99"] == 1.0
 
 
+def test_cache_hit_rate_is_the_window_ratio():
+    """The hit rate is the window's hits over its hits and misses; a
+    window without cache traffic shows none."""
+    registry, clock = MetricsRegistry(), FakeClock()
+    hub = TelemetryHub(registry, clock=clock, windows=WINDOWS)
+    registry.counter("geom.cache.hits", tenant="t0").inc(9)
+    registry.counter("geom.cache.misses", tenant="t0").inc(1)
+    for _ in range(2):  # the second tick sees no traffic
+        clock.advance(1.0)
+        hub.sample()
+    assert "geometry cache hit rate: t0 90%" in render_top(hub, "1m")
+    assert "geometry cache" not in render_top(hub, window=1.0)
+
+
 def test_render_shows_firing_alerts(tmp_path):
     record_stream(tmp_path, outage=True)
     frame = render_top(load_telemetry(tmp_path), window="1m", width=100)
@@ -153,16 +168,14 @@ def test_cli_top_exit_codes(tmp_path, capsys):
 
     bad = tmp_path / "bad"
     bad.mkdir()
-    (bad / "telemetry-00000.jsonl").write_text('{"kind":"sample"}\n')
+    (bad / "telemetry-00000.json").write_text('[\n{"ph":"Z"},\n')
     assert main(["top", str(bad), "--once"]) == 1
-    assert "not a valid telemetry stream" in capsys.readouterr().err
+    assert "not a valid trace" in capsys.readouterr().err
 
 
 def test_cli_serve_telemetry_then_top_round_trip(tmp_path, capsys):
     """The full pipeline: serve --telemetry-out records a stream that
-    validates against repro.telemetry/1 and renders with top --once."""
-    from repro.obs.telemetry import load_telemetry, validate_telemetry
-
+    passes load_trace and renders with top --once and prof."""
     out_dir = tmp_path / "telemetry"
     assert main(["serve", "--backend", "serial", "--tenants", "2",
                  "--sessions", "6", "--seed", "2023",
@@ -173,7 +186,7 @@ def test_cli_serve_telemetry_then_top_round_trip(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "telemetry:" in err and str(out_dir) in err
 
-    assert validate_telemetry(out_dir) == []
+    load_trace(out_dir)  # raises if any segment is invalid
     hub = load_telemetry(out_dir)
     assert hub.delta_matching("service.completed", "5m") == 6
 
@@ -181,3 +194,4 @@ def test_cli_serve_telemetry_then_top_round_trip(tmp_path, capsys):
     frame = capsys.readouterr().out
     assert "repro top - window 5m" in frame
     assert "tenant0" in frame and "tenant1" in frame
+    assert main(["prof", str(out_dir)]) == 0

@@ -1,6 +1,6 @@
 """The incident pipeline end to end: a seeded outage fires the
 fast-burn availability alert, the flight recorder writes a
-``repro.blackbox/1`` dump whose evidence attributes the offending
+trace-event dump whose evidence attributes the offending
 tenant and resolves a latency exemplar back to a dumped span.  Same
 seed -> byte-identical dump; arming the recorder never perturbs
 analysis fingerprints on any backend.  All on a FakeClock, sleep-free
@@ -15,8 +15,8 @@ import pytest
 from repro.distributed import ShardedRuntime
 from repro.distributed.faults import FakeClock, RetryPolicy
 from repro.obs import tracer as tracing
-from repro.obs.flight import (RING_CAPACITY, FlightRecorder,
-                              blackbox_spans, load_blackbox)
+from repro.obs.export import load_trace
+from repro.obs.flight import RING_CAPACITY, FlightRecorder
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import AVAILABILITY, SloEvaluator, SloSpec
 from repro.obs.telemetry import TelemetryHub
@@ -98,45 +98,42 @@ class TestIncidentEndToEnd:
         assert recorder.dumps_written == 1
         assert recorder.triggers_seen >= 1
 
-        data = load_blackbox(recorder.last_dump)  # raises if invalid
-        assert data["trigger"]["kind"] == "slo"
-        assert "firing" in data["trigger"]["detail"]
-        assert "availability" in data["trigger"]["detail"]
+        data, _ = load_trace(recorder.last_dump)  # raises if invalid
+        trigger = data["otherData"]["trigger"]
+        assert trigger["kind"] == "slo"
+        assert "firing" in trigger["detail"]
+        assert "availability" in trigger["detail"]
 
     def test_dump_attributes_the_offending_tenant(self, tmp_path):
         recorder = run_incident(tmp_path, seed=7)
-        data = load_blackbox(recorder.last_dump)
+        data, spans = load_trace(recorder.last_dump)
 
         # the victim's session spans are in the ring, shard-keyed by
         # tid (injected analysis runs on the driver thread: tid 0)
-        spans = blackbox_spans(data)
         victims = [s for s in spans if s.args.get("tenant") == "victim"]
         assert victims
         assert all(s.category == "service.session" for s in victims)
-        assert set(data["shards"]) == {"0"}
-        assert all(s.tid == 0 for s in victims)
+        assert {s.tid for s in spans} == {0}
 
-        # ... and its control-plane events rode along, keyed by tenant
-        events = data["tenants"]["victim"]["events"]
-        assert any(e["kind"] == "errored" for e in events)
-        assert all(e["tenant"] == "victim" for e in events)
+        # ... and its control-plane events rode along, tagged by tenant
+        events = [e for e in data["traceEvents"] if e.get("cat") == "ledger"
+                  and e["args"]["tenant"] == "victim"]
+        assert any(e["name"] == "errored" for e in events)
 
     def test_at_least_one_exemplar_resolves_to_a_dumped_span(
             self, tmp_path):
         recorder = run_incident(tmp_path, seed=7)
-        data = load_blackbox(recorder.last_dump)
+        data, spans = load_trace(recorder.last_dump)
 
-        span_ids = {s.span_id for s in blackbox_spans(data)}
-        assert data["exemplars"]
-        resolved = [row for row in data["exemplars"]
-                    if row["trace"] in span_ids]
+        by_id = {s.span_id: s for s in spans}
+        exemplars = data["otherData"]["exemplars"]
+        assert exemplars
+        resolved = [row for row in exemplars if row["trace"] in by_id]
         assert resolved
         # exemplars only come from completions: the steady tenant
         assert all(row["tenant"] == "steady" for row in resolved)
         for row in resolved:
-            match = [s for s in blackbox_spans(data)
-                     if s.span_id == row["trace"]]
-            assert match[0].args["session"] == row["session"]
+            assert by_id[row["trace"]].args["session"] == row["session"]
 
 
 class TestSeededDeterminism:
@@ -150,8 +147,8 @@ class TestSeededDeterminism:
     def test_different_seed_samples_different_exemplars(self, tmp_path):
         a = run_incident(tmp_path / "a", seed=11)
         c = run_incident(tmp_path / "c", seed=12)
-        rows_a = load_blackbox(a.last_dump)["exemplars"]
-        rows_c = load_blackbox(c.last_dump)["exemplars"]
+        rows_a = load_trace(a.last_dump)[0]["otherData"]["exemplars"]
+        rows_c = load_trace(c.last_dump)[0]["otherData"]["exemplars"]
         assert rows_a and rows_c
         assert rows_a != rows_c
 

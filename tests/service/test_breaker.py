@@ -42,14 +42,18 @@ class TestTransitions:
         assert breaker.state == HALF_OPEN
 
     def test_half_open_probe_success_closes(self):
-        breaker, clock = make(threshold=1, reset=5.0)
+        seen = []
+        clock = FakeClock()
+        breaker = CircuitBreaker(failure_threshold=1, reset_timeout=5.0,
+                                 clock=clock, on_transition=lambda a, b:
+                                 seen.append((a, b)))
         breaker.record_failure()
         clock.advance(5.0)
         assert breaker.allow()       # the probe
         breaker.record_success()
         assert breaker.state == CLOSED
-        assert breaker.transitions == [(CLOSED, OPEN), (OPEN, HALF_OPEN),
-                                       (HALF_OPEN, CLOSED)]
+        assert seen == [(CLOSED, OPEN), (OPEN, HALF_OPEN),
+                        (HALF_OPEN, CLOSED)]
 
     def test_half_open_probe_failure_reopens_and_rearms(self):
         breaker, clock = make(threshold=1, reset=5.0)

@@ -368,7 +368,8 @@ class TestSamplerAcrossSlots:
                     result = await svc.submit(
                         SessionRequest(tenant="t", pieces=pieces))
                     clock.advance(1.0)
-                    return result.status, hub.sample().counters[analyze]
+                    hub.sample()
+                    return result.status, hub.delta(analyze, 1.0)
 
                 ticks = [await tick(2), await tick(3), await tick(2)]
                 slots = svc._tenants["t"].slots
