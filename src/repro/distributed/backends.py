@@ -150,6 +150,13 @@ def _analyze_replica(shard: int, runtime: Runtime, launches, base: int,
     return (shard, analysis_fingerprint(runtime, base, count), seconds)
 
 
+def dependence_rows(graph, base: int, count: int) -> list[tuple[int, ...]]:
+    """Sorted dependence lists of tasks ``base .. base + count - 1``: the
+    rows a divergence diff compares across shards."""
+    return [tuple(sorted(graph.dependences_of(t)))
+            for t in range(base, base + count)]
+
+
 class AnalysisBackend(ABC):
     """Runs the N replicated analyses of each executed stream.
 
@@ -244,9 +251,7 @@ class _InProcessBackend(AnalysisBackend):
         return self.reference if shard == 0 else self._others[shard - 1]
 
     def dump_dependences(self, shard, base, count):
-        graph = self._runtime_of(shard).graph
-        return [tuple(sorted(graph.dependences_of(t)))
-                for t in range(base, base + count)]
+        return dependence_rows(self._runtime_of(shard).graph, base, count)
 
 
 class SerialBackend(_InProcessBackend):
@@ -305,14 +310,6 @@ class _Hosting:
         self.base = base
         self.regions = {region.uid: region for region in tree.regions}
 
-    @classmethod
-    def fresh(cls, tree, initial, algorithm, shards) -> "_Hosting":
-        return cls(tree, {shard: Runtime(tree, initial, algorithm=algorithm)
-                          for shard in shards}, 0)
-
-    def state(self) -> tuple:
-        return (self.tree, self.runtimes, self.base)
-
     def analyze(self, structure, tasks) -> list[tuple]:
         apply_structure(self.regions, structure)
         count = len(tasks)
@@ -326,69 +323,48 @@ class _Hosting:
         self.base += count
         return results
 
-    def dump(self, shard: int, lo: int, n: int) -> list[tuple]:
-        graph = self.runtimes[shard].graph
-        return [tuple(sorted(graph.dependences_of(t)))
-                for t in range(lo, lo + n)]
-
     def digests(self) -> list[tuple]:
         """Per-shard full-history fingerprints (restore verification)."""
         return [(shard, analysis_fingerprint(runtime, 0, self.base))
                 for shard, runtime in self.runtimes.items()]
 
 
-def _restore_hostings(blob: bytes) -> list[_Hosting]:
-    return [_Hosting(tree, runtimes, base)
-            for tree, runtimes, base in pickle.loads(blob)]
-
-
-def _checkpoint_hostings(hostings: Sequence[_Hosting]) -> tuple:
-    blob = pickle.dumps([h.state() for h in hostings])
-    digests = [d for h in hostings for d in h.digests()]
-    return (hostings[0].base, blob, digests)
+def _open_hostings(spec: dict) -> list[_Hosting]:
+    """The hostings a host starts from: its checkpoint's state
+    (``mode="restore"``) or the spawn-time genesis snapshot."""
+    if spec["mode"] == "restore":
+        return [_Hosting(tree, runtimes, base)
+                for tree, runtimes, base in pickle.loads(spec["state"])]
+    tree, initial, algorithm = pickle.loads(spec["genesis"])
+    return [_Hosting(tree, {shard: Runtime(tree, initial, algorithm=algorithm)
+                            for shard in spec["shards"]}, 0)]
 
 
 def _dispatch(msg: tuple, hostings: list[_Hosting]) -> tuple:
     """Handle one protocol message against a hosting set; returns
-    ``(status, result)``.  Shared by the worker loop and the in-process
-    fallback so degraded shards speak the exact same protocol."""
+    ``(status, result)``.  Worker processes and in-process hosts both
+    answer through it, so every host speaks the exact same protocol."""
     try:
         if msg[0] == "analyze":
-            # msg[3] is the record level — consumed by the worker loop,
-            # irrelevant here (parent-side fallback hostings record
-            # straight into the parent's active tracer).
-            structure, tasks = msg[1], msg[2]
-            results = []
-            for hosting in hostings:
-                results.extend(hosting.analyze(structure, tasks))
-            return ("ok", results)
+            # msg[3] is the record level — consumed by the worker loop;
+            # in-process hosts record straight into the active tracer.
+            return ("ok", [row for hosting in hostings
+                           for row in hosting.analyze(msg[1], msg[2])])
         if msg[0] == "dump":
             _, shard, lo, n = msg
             for hosting in hostings:
                 if shard in hosting.runtimes:
-                    return ("ok", hosting.dump(shard, lo, n))
+                    return ("ok", dependence_rows(
+                        hosting.runtimes[shard].graph, lo, n))
             return ("error", f"shard {shard} not hosted here")
         if msg[0] == "digest":
             digests = [d for h in hostings for d in h.digests()]
             return ("ok", (hostings[0].base if hostings else 0, digests))
         if msg[0] == "checkpoint":
-            return ("ok", _checkpoint_hostings(hostings))
-        if msg[0] == "adopt":
-            _, kind, blob, shards, entries = msg
-            if kind == "checkpoint":
-                adopted = _restore_hostings(blob)
-            else:  # genesis: rebuild from the spawn-time snapshot
-                tree, initial, algorithm = pickle.loads(blob)
-                adopted = [_Hosting.fresh(tree, initial, algorithm, shards)]
-            last = None
-            for entry in entries:
-                structure, tasks = entry[1], entry[2]
-                last = []
-                for hosting in adopted:
-                    last.extend(hosting.analyze(structure, tasks))
-            hostings.extend(adopted)
-            base, ckpt_blob, digests = _checkpoint_hostings(hostings)
-            return ("ok", (last, base, ckpt_blob, digests))
+            blob = pickle.dumps([(h.tree, h.runtimes, h.base)
+                                 for h in hostings])
+            digests = [d for h in hostings for d in h.digests()]
+            return ("ok", (hostings[0].base, blob, digests))
         return ("error", f"unknown command {msg[0]!r}")
     except Exception as exc:
         return ("error", repr(exc))
@@ -411,11 +387,7 @@ def _worker_main(conn, payload: bytes) -> None:  # pragma: no cover - subprocess
     # is rebuilt from scratch on every (re)spawn instead of leaking
     # across workers.
     reset_geometry_cache()
-    if spec["mode"] == "restore":
-        hostings = _restore_hostings(spec["state"])
-    else:
-        tree, initial, algorithm = pickle.loads(spec["genesis"])
-        hostings = [_Hosting.fresh(tree, initial, algorithm, spec["shards"])]
+    hostings = _open_hostings(spec)
     op = 0
     try:
         while True:
@@ -453,7 +425,11 @@ def _worker_main(conn, payload: bytes) -> None:  # pragma: no cover - subprocess
 
 
 class _WorkerHandle:
-    """Parent-side bookkeeping for one supervised worker process."""
+    """Parent-side bookkeeping for one supervised worker process, and
+    the wire it is reached over: :meth:`send` ships a request,
+    :meth:`recv` waits for the reply bytes, :meth:`load` unpickles them
+    (the trust boundary: a frame is shape-checked by
+    :meth:`ProcessBackend._parse` before anything in it is used)."""
 
     remote = True
 
@@ -471,19 +447,87 @@ class _WorkerHandle:
     def checkpoint_index(self) -> int:
         return self.checkpoint[0] if self.checkpoint is not None else 0
 
+    def send(self, message: tuple) -> int:
+        """Ship one request; returns the bytes shipped."""
+        blob = pickle.dumps(message)
+        try:
+            self.conn.send_bytes(blob)
+        except (OSError, AttributeError) as exc:
+            raise WorkerCrashed(
+                f"worker {self.worker_id} unreachable: {exc!r}") from exc
+        return len(blob)
 
-class _LocalHandle:
-    """In-process fallback host for the replicas of a lost worker.
-    Speaks the worker protocol synchronously and cannot fault."""
+    def recv(self, heartbeat: float, clock, timeout: Optional[float]):
+        """Bounded receive: poll with ``heartbeat`` granularity, probing
+        liveness between polls; raises :class:`WorkerCrashed` on death,
+        :class:`WorkerHung` when ``timeout`` passes."""
+        deadline = None if timeout is None else clock.monotonic() + timeout
+        while True:
+            try:
+                if self.conn.poll(heartbeat):
+                    return self.conn.recv_bytes()
+            except (EOFError, OSError) as exc:
+                raise WorkerCrashed(
+                    f"worker {self.worker_id} died mid-request: "
+                    f"{exc!r}") from exc
+            if self.proc is not None and not self.proc.is_alive():
+                try:  # drain a reply that raced the exit
+                    if self.conn.poll(0):
+                        return self.conn.recv_bytes()
+                except (EOFError, OSError):
+                    pass
+                raise WorkerCrashed(
+                    f"worker {self.worker_id} died (exitcode "
+                    f"{self.proc.exitcode})")
+            if deadline is not None and clock.monotonic() >= deadline:
+                raise WorkerHung(
+                    f"worker {self.worker_id} sent no reply within "
+                    f"{timeout}s")
+
+    def load(self, blob: bytes):
+        try:
+            return pickle.loads(blob)
+        except Exception as exc:
+            raise CorruptReply(
+                f"worker {self.worker_id} reply failed to decode: "
+                f"{exc!r}") from exc
+
+
+class _LocalHandle(_WorkerHandle):
+    """In-process host for the replicas of a lost worker: the same
+    send/recv/load calls, answered synchronously by :func:`_dispatch`
+    with nothing pickled.  It cannot fault."""
 
     remote = False
 
-    def __init__(self, hostings: list[_Hosting], shards) -> None:
+    def __init__(self, lost: _WorkerHandle, hostings: list[_Hosting]):
+        super().__init__(lost.worker_id, lost.shards)
+        self.checkpoint = lost.checkpoint
         self.hostings = hostings
-        self.shards = list(shards)
+        self._reply: Optional[tuple] = None
 
-    def request(self, msg: tuple) -> tuple:
-        return _dispatch(msg, self.hostings)
+    def send(self, message: tuple) -> int:
+        self._reply = _dispatch(message, self.hostings) + (None,)
+        return 0
+
+    def recv(self, *_) -> Optional[tuple]:
+        return self._reply
+
+    def load(self, frame: tuple) -> tuple:
+        return frame
+
+
+#: The types of one analyze row: ``(shard, fingerprint, seconds)``.
+_ROW_TYPES = (int, str, float)
+
+
+def _rows_fit(rows, shards) -> bool:
+    """Whether ``rows`` is one well-typed analyze row per hosted shard,
+    and names no other shard."""
+    return (type(rows) is list
+            and all(type(row) is tuple and tuple(map(type, row)) == _ROW_TYPES
+                    for row in rows)
+            and sorted(row[0] for row in rows) == sorted(shards))
 
 
 class ProcessBackend(AnalysisBackend):
@@ -506,10 +550,10 @@ class ProcessBackend(AnalysisBackend):
     taken every ``checkpoint_interval`` verified streams (see
     :meth:`after_verified`), and the journal is trimmed behind them.
     When a worker exhausts its retries it is declared lost and its
-    replicas are *reassigned*: adopted by the least-loaded surviving
-    worker, or — when none exists — hosted in-process (graceful
-    degradation to serial-backend semantics).  All activity is counted
-    in :attr:`recovery` (:class:`RecoveryReport`).
+    replicas move in-process (graceful degradation to serial-backend
+    semantics): rebuilt from the same checkpoint and journal a respawn
+    would use, and asked through the same request path.  All activity
+    is counted in :attr:`recovery` (:class:`RecoveryReport`).
 
     ``faults`` injects deterministic failures for chaos testing
     (:class:`FaultPlan`; the default never fires); ``clock`` makes the
@@ -557,8 +601,8 @@ class ProcessBackend(AnalysisBackend):
         workers = max(1, min(len(remote), max_workers or len(remote)))
         initial = {name: np.asarray(values).copy()
                    for name, values in initial.items()}
-        #: Spawn-time snapshot; respawns-from-scratch and genesis
-        #: adoptions reuse these exact bytes so every incarnation
+        #: Spawn-time snapshot; respawns-from-scratch and in-process
+        #: fallbacks reuse these exact bytes so every incarnation
         #: observes the identical starting state.
         self._genesis = pickle.dumps((tree, initial, algorithm))
         groups = [remote[k::workers] for k in range(workers)]
@@ -584,17 +628,21 @@ class ProcessBackend(AnalysisBackend):
         """Whether any replicas fell back to in-process hosting."""
         return any(not h.remote for h in self._handles)
 
+    def _host_spec(self, handle: _WorkerHandle) -> dict:
+        """What a new host of ``handle``'s replicas starts from (see
+        :func:`_open_hostings`)."""
+        if handle.checkpoint is not None:
+            return {"mode": "restore", "state": handle.checkpoint[1]}
+        return {"mode": "fresh", "genesis": self._genesis,
+                "shards": handle.shards}
+
     def _spawn(self, handle: _WorkerHandle) -> None:
         handle.incarnation += 1
         parent_conn, child_conn = self._ctx.Pipe()
-        spec = {"faults": self._faults, "worker": handle.worker_id,
-                "incarnation": handle.incarnation}
-        if handle.checkpoint is not None:
-            spec.update(mode="restore", state=handle.checkpoint[1])
-        else:
-            spec.update(mode="fresh", genesis=self._genesis,
-                        shards=handle.shards)
-        payload = pickle.dumps(spec)
+        payload = pickle.dumps({"faults": self._faults,
+                                "worker": handle.worker_id,
+                                "incarnation": handle.incarnation,
+                                **self._host_spec(handle)})
         self._shipped += len(payload)
         proc = self._ctx.Process(target=_worker_main,
                                  args=(child_conn, payload), daemon=True)
@@ -605,15 +653,20 @@ class ProcessBackend(AnalysisBackend):
             self.recovery.respawns += 1
             obs.instant("respawn", "recovery", worker=handle.worker_id,
                         incarnation=handle.incarnation)
-        if handle.checkpoint is not None:
-            # verify the restored state against the checkpoint digests
-            # before trusting it with replay
-            base, digests = self._roundtrip(handle, ("digest",))
-            if sorted(digests) != sorted(handle.checkpoint[2]):
-                raise CorruptReply(
-                    f"worker {handle.worker_id} restored state digest "
-                    f"mismatch at base {base}")
-            self.recovery.restores += 1
+        self._check_restore(handle)
+
+    def _check_restore(self, handle: _WorkerHandle) -> None:
+        """Verify a host restored from a checkpoint against the
+        checkpoint's digests before trusting it with replay; a mismatch
+        is a :class:`CorruptReply`, which a respawn's retry loop catches."""
+        if handle.checkpoint is None:
+            return
+        base, digests = self._roundtrip(handle, ("digest",))
+        if sorted(digests) != sorted(handle.checkpoint[2]):
+            raise CorruptReply(
+                f"worker {handle.worker_id} restored state digest "
+                f"mismatch at base {base}")
+        self.recovery.restores += 1
 
     def _kill(self, handle: _WorkerHandle) -> None:
         proc, conn = handle.proc, handle.conn
@@ -632,102 +685,69 @@ class ProcessBackend(AnalysisBackend):
                 pass
 
     # ------------------------------------------------------------------
-    # supervised messaging
+    # supervised messaging: one request path for every host
     # ------------------------------------------------------------------
     @property
     def shipped_bytes(self) -> int:
         return self._shipped
 
-    def _send(self, handle: _WorkerHandle, message: tuple) -> None:
-        blob = pickle.dumps(message)
-        self._shipped += len(blob)
-        try:
-            handle.conn.send_bytes(blob)
-        except (OSError, BrokenPipeError, AttributeError) as exc:
-            raise WorkerCrashed(
-                f"worker {handle.worker_id} unreachable: {exc!r}") from exc
+    def _reply(self, handle: _WorkerHandle, command: str):
+        """Wait for, and parse, the reply to a ``command`` request."""
+        return self._parse(handle, handle.recv(
+            self._heartbeat, self._clock, self._recv_timeout), command)
 
-    def _recv(self, handle: _WorkerHandle,
-              timeout: Optional[float] = None):
-        """Bounded receive: poll with ``heartbeat`` granularity, probing
-        worker liveness between polls; raises :class:`WorkerCrashed` on
-        death, :class:`WorkerHung` when the deadline passes."""
-        if timeout is None:
-            timeout = self._recv_timeout
-        deadline = (None if timeout is None
-                    else self._clock.monotonic() + timeout)
-        while True:
-            try:
-                if handle.conn.poll(self._heartbeat):
-                    return handle.conn.recv_bytes()
-            except (EOFError, OSError) as exc:
-                raise WorkerCrashed(
-                    f"worker {handle.worker_id} died mid-request: "
-                    f"{exc!r}") from exc
-            if handle.proc is not None and not handle.proc.is_alive():
-                try:  # drain a reply that raced the exit
-                    if handle.conn.poll(0):
-                        return handle.conn.recv_bytes()
-                except (EOFError, OSError):
-                    pass
-                raise WorkerCrashed(
-                    f"worker {handle.worker_id} died (exitcode "
-                    f"{handle.proc.exitcode})")
-            if deadline is not None and self._clock.monotonic() >= deadline:
-                raise WorkerHung(
-                    f"worker {handle.worker_id} sent no reply within "
-                    f"{timeout}s")
-
-    def _parse(self, handle: _WorkerHandle, blob: bytes):
-        """Decode one worker reply ``(status, result, fragment)``: the
-        fragment — what the worker's tracer recorded for the request — is
-        absorbed into the active tracer, the result returned."""
-        try:
-            status, result, fragment = pickle.loads(blob)
-        except Exception as exc:
+    def _parse(self, handle: _WorkerHandle, blob, command: str):
+        """Decode one reply ``(status, result, fragment)``, rejecting it
+        by shape before trusting its content: anything but a 3-tuple with
+        status ``"ok"``/``"error"`` and a ``None``/:class:`TraceBuffer`
+        fragment — or, for ``analyze``, one ``(int, str, float)`` row per
+        hosted shard — is a :class:`CorruptReply`.  The fragment (what
+        the worker's tracer recorded) is absorbed into the active tracer,
+        the result returned."""
+        frame = handle.load(blob)
+        if not (type(frame) is tuple and len(frame) == 3
+                and isinstance(frame[0], str) and frame[0] in ("ok", "error")
+                and (frame[2] is None
+                     or isinstance(frame[2], obs.TraceBuffer))):
             raise CorruptReply(
-                f"worker {handle.worker_id} reply failed to decode: "
-                f"{exc!r}") from exc
+                f"worker {handle.worker_id} sent a malformed reply frame")
+        status, result, fragment = frame
         if status != "ok":
             raise MachineError(f"analysis worker failed: {result}")
+        if command == "analyze" and not _rows_fit(result, handle.shards):
+            raise CorruptReply(
+                f"worker {handle.worker_id} sent analyze rows that do not "
+                f"match its shards {handle.shards}")
         if fragment is not None:
             obs.active_tracer().absorb(fragment)
         return result
 
-    def _roundtrip(self, handle: _WorkerHandle, message: tuple,
-                   timeout: Optional[float] = None):
-        self._send(handle, message)
-        return self._parse(handle, self._recv(handle, timeout))
+    def _roundtrip(self, handle: _WorkerHandle, message: tuple):
+        self._shipped += handle.send(message)
+        return self._reply(handle, message[0])
 
-    def _request(self, handle, message: tuple):
-        """One supervised request with recovery: local handles answer
-        synchronously; remote faults trigger the recovery path with the
-        request re-issued afterwards."""
-        if not handle.remote:
-            status, result = handle.request(message)
-            if status != "ok":
-                raise MachineError(f"analysis host failed: {result}")
-            return result
+    def _fault(self, handle: _WorkerHandle, exc: WorkerFault) -> None:
+        self.recovery.record_fault(exc.kind)
+        obs.instant(f"fault.{exc.kind}", "recovery", worker=handle.worker_id)
+
+    def _request(self, handle: _WorkerHandle, message: tuple):
+        """One supervised request: a fault triggers the recovery path
+        with the request re-issued afterwards."""
         try:
             return self._roundtrip(handle, message)
         except WorkerFault as exc:
-            self.recovery.record_fault(exc.kind)
-            obs.instant(f"fault.{exc.kind}", "recovery",
-                        worker=handle.worker_id)
+            self._fault(handle, exc)
             _, result = self._recover(handle, followup=message)
             return result
 
     # ------------------------------------------------------------------
     # recovery: respawn + checkpoint restore + deterministic replay
     # ------------------------------------------------------------------
-    def _journal_suffix(self, handle) -> list[tuple]:
-        return self._journal[handle.checkpoint_index - self._journal_base:]
-
     def _replay(self, handle: _WorkerHandle):
         """Replay every journaled stream since the handle's checkpoint;
         returns the last entry's analyze results (None if nothing to
         replay)."""
-        entries = self._journal_suffix(handle)
+        entries = self._journal[handle.checkpoint_index - self._journal_base:]
         if entries:
             obs.instant("replay", "recovery", worker=handle.worker_id,
                         streams=len(entries))
@@ -746,8 +766,7 @@ class ProcessBackend(AnalysisBackend):
         answers ``followup`` when given.
 
         Bounded retries with backoff; on exhaustion the worker is
-        declared lost and its replicas are reassigned (adoption by a
-        surviving worker, else in-process fallback).
+        declared lost and its replicas move in-process.
         """
         start = time.perf_counter()
         self.recovery.recoveries += 1
@@ -760,96 +779,31 @@ class ProcessBackend(AnalysisBackend):
                     self._clock.sleep(delay)
                 try:
                     self._spawn(handle)
-                    last = self._replay(handle)
-                    if followup is not None:
-                        return (last, self._roundtrip(handle, followup))
-                    return (last, None)
+                    return self._catch_up(handle, followup)
                 except WorkerFault as exc:
                     self.recovery.record_fault(exc.kind)
             self.recovery.workers_lost += 1
             self._kill(handle)
-            return self._reassign(handle, followup)
+            self._handles.remove(handle)
+            self.recovery.local_fallbacks += 1
+            obs.instant("local_fallback", "recovery",
+                        worker=handle.worker_id, shards=list(handle.shards))
+            local = _LocalHandle(handle,
+                                 _open_hostings(self._host_spec(handle)))
+            self._check_restore(local)
+            self._handles.append(local)
+            return self._catch_up(local, followup)
         finally:
             self.recovery.recovery_seconds += time.perf_counter() - start
 
-    def _reassign(self, handle: _WorkerHandle,
+    def _catch_up(self, handle: _WorkerHandle,
                   followup: Optional[tuple]) -> tuple:
-        """Permanent loss: move the handle's replicas to a surviving
-        worker (adoption) or in-process (local fallback)."""
-        self._handles.remove(handle)
-        survivors = self.remote_handles
-        if survivors:
-            target = min(survivors, key=lambda h: len(h.shards))
-            try:
-                return self._adopt(target, handle, followup)
-            except (WorkerFault, MachineError):
-                # adopter state is now unknown: kill it; its own
-                # recovery (from *its* checkpoint, which predates the
-                # adoption) runs lazily at its next request
-                self._kill(target)
-        self.recovery.local_fallbacks += 1
-        obs.instant("local_fallback", "recovery", worker=handle.worker_id,
-                    shards=list(handle.shards))
-        local = self._make_local(handle)
-        self._handles.append(local)
-        entries = self._journal_suffix(handle)
-        last = None
-        for entry, count in entries:
-            status, last = local.request(entry)
-            if status != "ok":
-                raise MachineError(f"analysis host failed: {last}")
-            self.recovery.replayed_streams += 1
-            self.recovery.replayed_tasks += count * len(handle.shards)
-        result = None
-        if followup is not None:
-            status, result = local.request(followup)
-            if status != "ok":
-                raise MachineError(f"analysis host failed: {result}")
-        return (last, result)
-
-    def _make_local(self, handle: _WorkerHandle) -> _LocalHandle:
-        if handle.checkpoint is not None:
-            hostings = _restore_hostings(handle.checkpoint[1])
-            digests = [d for h in hostings for d in h.digests()]
-            if sorted(digests) != sorted(handle.checkpoint[2]):
-                raise MachineError(
-                    f"checkpoint for worker {handle.worker_id} failed its "
-                    f"digest check; cannot fall back")
-            self.recovery.restores += 1
-        else:
-            tree, initial, algorithm = pickle.loads(self._genesis)
-            hostings = [_Hosting.fresh(tree, initial, algorithm,
-                                       handle.shards)]
-        return _LocalHandle(hostings, handle.shards)
-
-    def _adopt(self, target: _WorkerHandle, lost: _WorkerHandle,
-               followup: Optional[tuple]) -> tuple:
-        """Ship the lost worker's checkpoint (or genesis) plus journal
-        suffix to ``target``, which rebuilds and replays the replicas and
-        returns a fresh combined checkpoint — one atomic request."""
-        if lost.checkpoint is not None:
-            kind, blob = "checkpoint", lost.checkpoint[1]
-        else:
-            kind, blob = "genesis", self._genesis
-        entries = [entry for entry, _ in self._journal_suffix(lost)]
-        replayed = sum(count for _, count in self._journal_suffix(lost))
-        # adoption replays a whole journal suffix in one request: give it
-        # a proportionally longer deadline
-        timeout = (None if self._recv_timeout is None
-                   else self._recv_timeout * max(4, len(entries)))
-        last, base, ckpt_blob, digests = self._roundtrip(
-            target, ("adopt", kind, blob, lost.shards, entries), timeout)
-        self.recovery.adoptions += 1
-        obs.instant("adopt", "recovery", worker=target.worker_id,
-                    lost=lost.worker_id, shards=list(lost.shards))
-        self.recovery.replayed_streams += len(entries)
-        self.recovery.replayed_tasks += replayed * len(lost.shards)
-        target.shards = sorted(target.shards + lost.shards)
-        target.checkpoint = (self._journal_base + len(self._journal),
-                             ckpt_blob, digests)
-        if followup is not None:
-            return (last, self._roundtrip(target, followup))
-        return (last, None)
+        """Bring a new host up to date by replay, then answer
+        ``followup``."""
+        last = self._replay(handle)
+        if followup is None:
+            return (last, None)
+        return (last, self._roundtrip(handle, followup))
 
     # ------------------------------------------------------------------
     # checkpoints
@@ -858,16 +812,13 @@ class ProcessBackend(AnalysisBackend):
         """Take fingerprint-verified recovery checkpoints every
         ``checkpoint_interval`` streams and trim the journal behind
         them (so recovery replays from the checkpoint, not task 0)."""
-        if not self.remote_handles:
-            if self._journal and not self.degraded:
-                self._journal_base += len(self._journal)
-                self._journal.clear()
-            return
-        self._streams_since_checkpoint += 1
-        if self._streams_since_checkpoint < self._checkpoint_interval:
-            return
-        self._streams_since_checkpoint = 0
-        for handle in list(self.remote_handles):
+        remote = self.remote_handles
+        if remote:
+            self._streams_since_checkpoint += 1
+            if self._streams_since_checkpoint < self._checkpoint_interval:
+                return
+            self._streams_since_checkpoint = 0
+        for handle in remote:
             try:
                 base, blob, digests = self._request(handle, ("checkpoint",))
             except MachineError:  # pragma: no cover - recovery exhausted
@@ -876,27 +827,16 @@ class ProcessBackend(AnalysisBackend):
                 handle.checkpoint = (
                     self._journal_base + len(self._journal), blob, digests)
                 self.recovery.checkpoints += 1
-        self._trim_journal()
-
-    def _trim_journal(self) -> None:
-        remote = self.remote_handles
-        if not remote:
-            return
-        floor = min(h.checkpoint_index for h in remote)
-        drop = floor - self._journal_base
-        if drop > 0:
-            del self._journal[:drop]
+        # only worker processes replay: trim behind the oldest checkpoint
+        floor = min((h.checkpoint_index for h in self.remote_handles),
+                    default=self._journal_base + len(self._journal))
+        if floor > self._journal_base:
+            del self._journal[:floor - self._journal_base]
             self._journal_base = floor
 
     # ------------------------------------------------------------------
     # the analysis fan-out
     # ------------------------------------------------------------------
-    @staticmethod
-    def _append_reports(reports: list, rows) -> None:
-        """``rows`` are ``(shard, fingerprint, seconds)``; None when a
-        recovery had nothing to replay."""
-        reports.extend(ShardReport(*row) for row in rows or ())
-
     def _analyze_replicas(self, stream, base, count):
         structure = encode_structure(self.tree, self._known_regions)
         self._known_regions = len(self.tree.regions)
@@ -907,57 +847,43 @@ class ProcessBackend(AnalysisBackend):
                  obs.active_tracer().level)
         if self.remote_handles:
             self._journal.append((entry, count))
-        # phase 1: ship to every worker (failures recover later, in
-        # phase 4, once healthy pipes are drained)
+        # phase 1: ship to every host (failures recover later, in phase
+        # 4, once healthy pipes are drained); in-process hosts answer now
         pending: list[tuple] = []
-        for handle in self.remote_handles:
+        for handle in self._handles:
             try:
-                self._send(handle, entry)
+                self._shipped += handle.send(entry)
                 pending.append((handle, True))
-            except WorkerFault:
-                self.recovery.record_fault("crash")
-                obs.instant("fault.crash", "recovery",
-                            worker=handle.worker_id)
+            except WorkerFault as exc:
+                self._fault(handle, exc)
                 pending.append((handle, False))
-        locals_before = [h for h in self._handles if not h.remote]
         # phase 2: the local reference analyzes while workers run
-        reports = [self._analyze_local(0, self.reference, stream, base,
-                                       count)]
+        reference = self._analyze_local(0, self.reference, stream, base,
+                                        count)
         # phase 3: collect replies; remember who faulted
+        rows: list[tuple] = []
         faulted = []
         for handle, sent in pending:
             if not sent:
                 faulted.append(handle)
                 continue
             try:
-                self._append_reports(
-                    reports, self._parse(handle, self._recv(handle)))
+                rows.extend(self._reply(handle, "analyze"))
             except WorkerFault as exc:
-                self.recovery.record_fault(exc.kind)
-                obs.instant(f"fault.{exc.kind}", "recovery",
-                            worker=handle.worker_id)
+                self._fault(handle, exc)
                 faulted.append(handle)
         # phase 4: recover faulted workers one at a time (every healthy
-        # pipe is drained, so adoption requests cannot interleave with
-        # pending replies)
+        # pipe is drained, so replay requests cannot interleave with
+        # pending replies); the replay covers this entry
         for handle in faulted:
             last, _ = self._recover(handle)
-            self._append_reports(reports, last)
-        # phase 5: in-process fallback hosts (excluding ones recovery
-        # just created — their replay already covered this entry)
-        for handle in locals_before:
-            status, results = handle.request(entry)
-            if status != "ok":
-                raise MachineError(f"analysis host failed: {results}")
-            self._append_reports(reports, results)
-        reports.sort(key=lambda r: r.shard)
-        return reports
+            rows.extend(last)
+        return sorted([reference, *(ShardReport(*row) for row in rows)],
+                      key=lambda r: r.shard)
 
     def dump_dependences(self, shard, base, count):
         if shard == 0:
-            graph = self.reference.graph
-            return [tuple(sorted(graph.dependences_of(t)))
-                    for t in range(base, base + count)]
+            return dependence_rows(self.reference.graph, base, count)
         for handle in self._handles:
             if shard in handle.shards:
                 return self._request(handle, ("dump", shard, base, count))
@@ -969,26 +895,13 @@ class ProcessBackend(AnalysisBackend):
             return
         self._closed = True
         for handle in getattr(self, "_handles", []):
-            if not getattr(handle, "remote", False):
-                continue
-            proc, conn = handle.proc, handle.conn
-            if conn is not None:
+            if handle.conn is not None:
                 try:
-                    conn.send_bytes(pickle.dumps(("stop",)))
+                    handle.conn.send_bytes(pickle.dumps(("stop",)))
+                    handle.proc.join(timeout=5)
                 except Exception:
                     pass
-                try:
-                    conn.close()
-                except Exception:  # pragma: no cover - defensive
-                    pass
-            if proc is not None:
-                try:
-                    proc.join(timeout=5)
-                    if proc.is_alive():  # pragma: no cover - defensive
-                        proc.terminate()
-                        proc.join(timeout=5)
-                except Exception:  # pragma: no cover - defensive
-                    pass
+            self._kill(handle)
         self._handles = []
 
     def __del__(self) -> None:  # pragma: no cover - GC timing dependent

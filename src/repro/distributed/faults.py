@@ -274,7 +274,6 @@ class RecoveryReport:
     restores: int = 0          #: respawns restored from a checkpoint
     replayed_streams: int = 0  #: journal entries replayed during recovery
     replayed_tasks: int = 0    #: task launches re-analyzed during replay
-    adoptions: int = 0         #: shard groups adopted by surviving workers
     workers_lost: int = 0      #: workers declared permanently lost
     local_fallbacks: int = 0   #: shard groups moved in-process
     recovery_seconds: float = 0.0  #: wall-clock spent recovering
@@ -301,7 +300,7 @@ class RecoveryReport:
                 out[f"fault.{kind}"] = self.faults[kind]
         for name in ("recoveries", "retries", "respawns", "checkpoints",
                      "restores", "replayed_streams", "replayed_tasks",
-                     "adoptions", "workers_lost", "local_fallbacks"):
+                     "workers_lost", "local_fallbacks"):
             value = getattr(self, name)
             if value:
                 out[name] = value
@@ -315,6 +314,6 @@ class RecoveryReport:
                 f"replayed={self.replayed_tasks} tasks "
                 f"({self.replayed_streams} streams) "
                 f"checkpoints={self.checkpoints} "
-                f"adoptions={self.adoptions} lost={self.workers_lost} "
+                f"lost={self.workers_lost} "
                 f"local_fallbacks={self.local_fallbacks} "
                 f"recovery={self.recovery_seconds:.3f}s")

@@ -7,7 +7,7 @@ named, categorized interval with a start/end timestamp, a process/thread
 attribution (``pid``/``tid`` — mapped to shard ids by the distributed
 backends), a parent link (spans nest through a thread-local stack), and a
 free-form ``args`` mapping.  Alongside spans a tracer buffers **instant
-events** (recovery incidents: crash, respawn, replay, adoption) and
+events** (recovery incidents: crash, respawn, replay, local fallback) and
 timestamped **counter samples**.
 
 It is the only recorder and the only store on the recording side; every

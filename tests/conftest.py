@@ -56,6 +56,24 @@ def fig1():
     return make_fig1_tree()
 
 
+def bump_pieces() -> tuple[RegionTree, object, TaskStream]:
+    """A 12-element float field in three disjoint pieces, and a stream
+    that bumps each piece by one (task ``w[i]`` at point ``i``)."""
+    tree = RegionTree(12, {"x": np.float64})
+    P = tree.root.create_partition(
+        "P", [IndexSpace.from_range(i * 4, (i + 1) * 4) for i in range(3)],
+        disjoint=True, complete=True)
+    stream = TaskStream()
+    for i in range(3):
+        stream.append(f"w[{i}]", [RegionRequirement(P[i], "x", READ_WRITE)],
+                      _bump, point=i)
+    return tree, P, stream
+
+
+def _bump(arr):
+    arr += 1.0
+
+
 def fig1_stream(tree, P, G, iterations: int = 2) -> TaskStream:
     """The task stream of Figure 5 (t1/t2 phases over P and G)."""
     stream = TaskStream()

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro import (READ, READ_WRITE, IndexSpace, MachineError,
-                   RegionRequirement, RegionTree, TaskStream, reduce)
+                   RegionRequirement, TaskStream, reduce)
 from repro.distributed import BACKENDS, ShardedRuntime, make_backend
 from repro.distributed.backends import (ProcessBackend, decode_privilege,
                                         encode_privilege, encode_tasks)
@@ -22,7 +22,8 @@ from repro.distributed.verify import (DeterminismError, ShardReport,
 from repro.runtime.executor import SequentialExecutor
 from repro.runtime.tracing import signature_digest
 
-from tests.conftest import fig1_initial, fig1_stream, make_fig1_tree
+from tests.conftest import (bump_pieces, fig1_initial, fig1_stream,
+                            make_fig1_tree)
 
 
 class TestBackendEquivalence:
@@ -84,19 +85,10 @@ class TestProcessBackend:
     def test_structure_delta_shipped(self):
         """Partitions created *after* the workers spawn are replayed on
         the worker-side tree replicas (uids align by creation order)."""
-        tree = RegionTree(12, {"x": np.float64})
-        P = tree.root.create_partition(
-            "P", [IndexSpace.from_range(i * 4, (i + 1) * 4)
-                  for i in range(3)], disjoint=True, complete=True)
+        tree, _, stream = bump_pieces()
+        bump = stream[0].body
         with ShardedRuntime(tree, {"x": np.zeros(12)}, shards=3,
                             backend="process") as srt:
-            def bump(arr):
-                arr += 1.0
-            stream = TaskStream()
-            for i in range(3):
-                stream.append(f"w[{i}]",
-                              [RegionRequirement(P[i], "x", READ_WRITE)],
-                              bump, point=i)
             srt.execute(stream)
             # now grow the tree mid-life: workers must learn Q
             Q = tree.root.create_partition(
@@ -134,15 +126,6 @@ class TestProcessBackend:
             backend = srt.backend
             assert backend.dump_dependences(1, 0, 6) == \
                 backend.dump_dependences(0, 0, 6)
-
-    def test_close_is_idempotent(self):
-        tree, P, G = make_fig1_tree()
-        srt = ShardedRuntime(tree, fig1_initial(tree), shards=2,
-                             backend="process")
-        srt.execute(fig1_stream(tree, P, G, 1))
-        srt.close()
-        srt.close()
-        assert srt.backend.handles == ()
 
     def test_replication_disabled_spawns_no_workers(self):
         tree, P, G = make_fig1_tree()

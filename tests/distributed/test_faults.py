@@ -6,6 +6,7 @@ supervision tests in test_recovery.py without any real sleeping.
 """
 
 import pickle
+from dataclasses import replace
 
 import pytest
 
@@ -15,6 +16,9 @@ from repro.distributed.faults import (FAULT_KINDS, NO_FAULTS, FakeClock,
                                       WorkerHung)
 from repro.errors import MachineError
 
+#: Exponential backoff 0.1, 0.2, 0.4, capped at 0.5.
+CAPPED = RetryPolicy(max_retries=5, base_delay=0.1, multiplier=2.0,
+                     max_delay=0.5)
 
 class TestFaultPlan:
     def test_default_plan_never_fires(self):
@@ -92,8 +96,7 @@ class TestFaultPlan:
 
 class TestRetryPolicy:
     def test_exponential_backoff_with_cap(self):
-        retry = RetryPolicy(max_retries=5, base_delay=0.1, multiplier=2.0,
-                            max_delay=0.5)
+        retry = CAPPED
         assert retry.delay(0) == 0.0
         assert retry.delay(1) == pytest.approx(0.1)
         assert retry.delay(2) == pytest.approx(0.2)
@@ -109,24 +112,20 @@ class TestRetryPolicy:
     def test_jitter_default_off_preserves_schedule(self):
         """jitter=0 must reproduce the historical pure-exponential
         schedule exactly, for any salt."""
-        retry = RetryPolicy(max_retries=5, base_delay=0.1, multiplier=2.0,
-                            max_delay=0.5)
+        retry = CAPPED
         for salt in (0, 1, 7):
             assert retry.delay(2, salt=salt) == pytest.approx(0.2)
             assert retry.delay(4, salt=salt) == pytest.approx(0.5)
 
     def test_jitter_is_deterministic_and_bounded(self):
-        retry = RetryPolicy(max_retries=5, base_delay=0.1, multiplier=2.0,
-                            max_delay=0.5, jitter=0.5, seed=3)
-        plain = RetryPolicy(max_retries=5, base_delay=0.1, multiplier=2.0,
-                            max_delay=0.5)
+        retry = replace(CAPPED, jitter=0.5, seed=3)
         for salt in range(4):
             schedule = [retry.delay(k, salt=salt) for k in range(6)]
             again = [retry.delay(k, salt=salt) for k in range(6)]
             assert schedule == again  # same (policy, salt) -> same waits
             assert schedule[0] == 0.0
             for k in range(1, 6):
-                base = plain.delay(k)
+                base = CAPPED.delay(k)
                 assert base <= schedule[k] <= base * 1.5
 
     def test_jitter_desynchronizes_salts(self):

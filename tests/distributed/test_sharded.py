@@ -3,16 +3,15 @@
 import numpy as np
 import pytest
 
-from repro import (ALGORITHMS, READ, READ_WRITE, IndexSpace, MachineError,
-                   RegionRequirement, RegionTree, TaskStream, reduce)
+from repro import ALGORITHMS, MachineError, TaskStream
 from repro.distributed import ShardedRuntime
 from repro.runtime.executor import SequentialExecutor
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tests.conftest import (fig1_initial, fig1_stream, make_fig1_tree,
-                            random_programs)
+from tests.conftest import (bump_pieces, fig1_initial, fig1_stream,
+                            make_fig1_tree, random_programs)
 
 
 class TestReplicaDeterminism:
@@ -121,19 +120,8 @@ class TestCommunication:
     def test_disjoint_work_is_message_free(self):
         """Tasks that each touch only their own shard's piece never
         communicate after the initial writes."""
-        tree = RegionTree(12, {"x": np.float64})
-        P = tree.root.create_partition(
-            "P", [IndexSpace.from_range(i * 4, (i + 1) * 4)
-                  for i in range(3)], disjoint=True, complete=True)
+        tree, _, stream = bump_pieces()
         srt = ShardedRuntime(tree, {"x": np.zeros(12)}, shards=3)
-
-        def bump(arr):
-            arr += 1.0
-        stream = TaskStream()
-        for i in range(3):
-            stream.append(f"w[{i}]",
-                          [RegionRequirement(P[i], "x", READ_WRITE)],
-                          bump, point=i)
         srt.execute(stream)
         srt.log.reset()
         for _ in range(3):
