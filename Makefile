@@ -15,7 +15,7 @@ help:
 	@echo "bench-quick  same sweep capped at 64 nodes"
 	@echo "report       assemble benchmarks/results into markdown"
 	@echo "examples     run every example script"
-	@echo "introspect-smoke  census -> validate -> self-diff -> explain"
+	@echo "introspect-smoke  census -> validate -> self-diff -> DOT -> explain; --pieces 0 exits 2 with no traceback"
 	@echo "service-smoke  boot the analysis service, 3 tenants, chaos + verify"
 	@echo "telemetry-smoke  serve --telemetry-out -> load_trace + replay the segments (24 completed) -> top --once, prof"
 	@echo "blackbox-smoke  chaos serve on a bounded, witness-recording tracer -> load_trace the dumps (shards, ids, witnesses) -> blackbox, prof"
@@ -49,8 +49,14 @@ introspect-smoke:
 		validate_census(json.load(open('census.json'))); \
 		print('census.json: schema valid')"
 	PYTHONPATH=src $(PYTHON) -m repro census-diff census.json census.json
+	PYTHONPATH=src $(PYTHON) -m repro census --app stencil --pieces 2 \
+		--iterations 1 --dot > census.dot
+	grep -q '^digraph' census.dot
 	PYTHONPATH=src $(PYTHON) -m repro explain 7 --app stencil --pieces 4 \
 		--iterations 2
+	PYTHONPATH=src $(PYTHON) -m repro census --pieces 0 2> rejected.err; \
+		status=$$?; cat rejected.err; \
+		test $$status -eq 2 && ! grep -q Traceback rejected.err
 
 service-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest -q tests/service/
@@ -213,7 +219,7 @@ ledger-gate:
 # as one printed table; nothing gates on it.
 loc:
 	@for d in $$(ls -d src/repro/*/ | grep -v __pycache__) \
-			src/repro tests benchmarks; do \
+			src/repro/cli.py src/repro tests benchmarks; do \
 		printf '%7d  %s\n' \
 			"$$(find $$d -name '*.py' -exec cat {} + | wc -l)" "$$d"; \
 	done
@@ -235,5 +241,6 @@ examples:
 clean:
 	rm -rf build dist src/*.egg-info .pytest_cache .hypothesis \
 		.benchmarks .bench_build benchmarks/ledger/out \
-		telemetry-out blackbox-out census.json trace.json
+		telemetry-out blackbox-out census.json census.dot rejected.err \
+		trace.json
 	find . -name __pycache__ -type d -exec rm -rf {} +

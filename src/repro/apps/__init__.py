@@ -24,6 +24,8 @@ from repro.apps.base import Application
 from repro.apps.stencil import StencilApp
 from repro.apps.circuit import CircuitApp
 from repro.apps.pennant import PennantApp
+from repro.errors import MachineError
+from repro.runtime.task import TaskStream
 
 APPS = {
     "stencil": StencilApp,
@@ -31,4 +33,26 @@ APPS = {
     "pennant": PennantApp,
 }
 
-__all__ = ["APPS", "Application", "CircuitApp", "PennantApp", "StencilApp"]
+
+def make_app(name: str, pieces: int) -> Application:
+    """The application registered as ``name``, built at ``pieces``."""
+    if name not in APPS:
+        raise MachineError(f"unknown app {name!r}; known: {sorted(APPS)}")
+    return APPS[name](pieces=pieces)
+
+
+def session_stream(app: Application, iterations: int,
+                   include_init: bool = True) -> TaskStream:
+    """The deterministic task stream of one run: the app's init stream
+    (for a service session, only the first on a fresh slot) plus
+    ``iterations`` steady iterations."""
+    stream = TaskStream()
+    if include_init:
+        stream.extend_from(app.init_stream())
+    for _ in range(iterations):
+        stream.extend_from(app.iteration_stream())
+    return stream
+
+
+__all__ = ["APPS", "Application", "CircuitApp", "PennantApp", "StencilApp",
+           "make_app", "session_stream"]

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
+from repro.apps import session_stream
 from repro.apps.base import Application
 from repro.machine.costmodel import CostModel
 from repro.machine.simulator import SimResult, simulate_app
@@ -190,16 +191,12 @@ def run_parallel_analysis(app_factory: Callable[[int], Application],
     (all rows must agree — the caller should assert it).
     """
     from repro.distributed import ShardedRuntime
-    from repro.runtime.task import TaskStream
 
     rows: list[ParallelAnalysisRow] = []
     serial_time: Optional[float] = None
     for backend in backends:
         app = app_factory(shards)
-        stream = TaskStream()
-        stream.extend_from(app.init_stream())
-        for _ in range(steady_iterations):
-            stream.extend_from(app.iteration_stream())
+        stream = session_stream(app, steady_iterations)
         profile = PhaseProfile()
         with ShardedRuntime(app.tree, app.initial, shards=shards,
                             algorithm=algorithm, backend=backend,
@@ -280,14 +277,14 @@ def run_chaos_bench(app_factory: Callable[[int], Application],
     recovered fingerprint against the fault-free (rate 0) baseline.
     """
     from repro.distributed import FaultPlan, ShardedRuntime
-    from repro.runtime.task import TaskStream
 
     rows: list[ChaosRow] = []
     baseline: Optional[str] = None
     for rate in fault_rates:
         app = app_factory(shards)
-        windows = [app.init_stream()]
-        windows += [app.iteration_stream() for _ in range(steady_iterations)]
+        windows = [session_stream(app, 0)]
+        windows += [session_stream(app, 1, include_init=False)
+                    for _ in range(steady_iterations)]
         faults = FaultPlan(seed=seed, rate=rate)
         profile = PhaseProfile()
         tasks = 0
@@ -296,9 +293,7 @@ def run_chaos_bench(app_factory: Callable[[int], Application],
                             max_workers=max_workers, profile=profile,
                             faults=faults, recv_timeout=recv_timeout,
                             checkpoint_interval=checkpoint_interval) as srt:
-            for window in windows:
-                stream = TaskStream()
-                stream.extend_from(window)
+            for stream in windows:
                 tasks += len(stream)
                 reports = srt.analyze(stream)
             recovery = srt.recovery

@@ -9,126 +9,137 @@ Commands
     Replay a benchmark application through every coherence algorithm and
     the sequential reference, checking value equivalence and dependence
     soundness (the DESIGN.md obligations).
-``figure``
+``figure`` / ``artifact``
     Regenerate one of the paper's figures (fig12–fig17) on the machine
-    simulator and print its table.
-``artifact``
-    Print the artifact appendix A.4 TSV table for one application.
-``inspect``
-    Run an application under one algorithm and dump its structures:
-    equivalence-set map, cost-meter summary, and optional DOT graph.
+    simulator, or the artifact appendix A.4 TSV table of one application.
 ``analyze``
     Run the control-replicated dependence analysis of an application on
     a parallel backend (``--parallel N``), verify the deterministic
     merge, and optionally print per-phase perf counters (``--profile``),
     write a Perfetto trace (``--trace-out FILE.json``), or report the
     longest weighted path through the task DAG (``--critical-path``).
-``prof``
-    Analyze a recorded trace file offline: span summary per category,
-    per-phase duration histograms, recovery incidents, critical path.
 ``explain``
     Re-run an application with the tracer recording witnesses and print
     the witness chain behind one task's dependences: which history
     entry, equivalence set, or Z-buffer cell produced each edge, and
     which candidate edges were pruned (and why).
-``census``
+``census`` / ``census-diff``
     Run an application and print the analysis-state census: per-field
     equivalence-set count/size/history distributions, composite-view
-    compaction, occlusion kill rates (``--json`` for the
-    schema-validated document).
-``census-diff``
-    Structurally diff two census JSON documents; exit 1 when they
-    differ.
+    compaction, occlusion kill rates, each equivalence-set map and the
+    metered operations (``--json`` for the schema-validated document,
+    ``--dot`` for the dependence graph as Graphviz DOT); structurally
+    diff two census documents, exit 1 when they differ.
 ``serve``
     Boot the always-on multi-tenant analysis service and drive it with
     the seeded load generator: admission control, backpressure,
-    deadlines, circuit-breaker degradation, and (``--verify``) the
-    cold-replay fingerprint differential over every completed session.
-    ``--chaos SEED`` injects seeded worker faults while tenants are
-    live; ``--telemetry-out DIR`` streams registry readings and SLO
-    burn-rate alerts as size-rotated trace-event segments;
-    ``--flight-out DIR`` arms the flight recorder, which dumps an
-    incident trace when an SLO fires, a breaker opens, a deadline
-    expires, or a worker fault recovers.
-``top``
-    Terminal dashboard over a telemetry stream (live-follow or
-    ``--once`` snapshot): per-tenant QPS, queue depth, windowed latency
-    percentiles, breaker/degradation state, and firing SLO alerts.
-``blackbox``
-    Render a flight-recorder dump as an incident report: trigger,
-    configuration, event timeline, critical path over the captured
-    spans, slowest exemplars, and ``repro explain`` cross-links.
-
-``prof``, ``top`` and ``blackbox`` are views over one file kind, the
-trace-event file every obs writer produces, with one error contract:
-exit 2 when the file is missing, exit 1 when it is invalid.
+    deadlines, breaker degradation, ``--verify``'s cold-replay
+    fingerprint differential, ``--chaos`` worker faults, a
+    ``--telemetry-out`` stream and the ``--flight-out`` recorder.
+``prof`` / ``top`` / ``blackbox``
+    Views over one file kind, the trace-event file every obs writer
+    produces: a trace's span summary, histograms and critical path; a
+    terminal dashboard over a telemetry stream; a flight-recorder dump
+    as an incident report.
 ``doctor``
-    Print every ``REPRO_*`` escape hatch with its current in-effect
-    value and origin (environment override vs default).
+    Print every ``REPRO_*`` escape hatch with its in-effect value and
+    origin (environment override vs default).
+
+Every command has one error contract, kept by :func:`main`: an input the
+library rejects or an unreadable file prints ``error: ...`` on stderr
+and exits 2, never a traceback; the views exit 1 on an invalid file.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import re
 import sys
+import time
+from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
+from repro import (READ_WRITE, Extent, IndexSpace, RegionRequirement,
+                   RegionTree, Runtime, obs, reduce)
+from repro.apps import APPS, make_app, session_stream
+from repro.distributed import (BACKENDS, DeterminismError, FaultPlan,
+                               ShardedRuntime)
+from repro.errors import (GeometryError, MachineError, RegionTreeError,
+                          TaskError)
+from repro.geometry.fastpath import geometry_cache
+from repro.obs import provenance as prov
+from repro.obs.census import (census, census_diff, load_census,
+                              render_census, validate_census)
+from repro.obs.doctor import config_snapshot, render_doctor
+from repro.obs.flight import RING_CAPACITY, FlightRecorder
+from repro.obs.top import run_top
+from repro.visibility import ALGORITHMS
+
+#: What the library raises when it rejects an input.  ``CoherenceError``
+#: is not one: it means a bug (see :mod:`repro.errors`) and propagates.
+REJECTED = (GeometryError, RegionTreeError, TaskError, MachineError)
+
+
+def _run_options(algorithm: bool = True) -> argparse.ArgumentParser:
+    """The parent of every command that builds and replays an app.  Each
+    command gets a fresh one: argparse shares a parent's actions among
+    its children, so one child's ``set_defaults`` would move the rest."""
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--app", choices=list(APPS))
+    if algorithm:
+        run.add_argument("--algorithm", choices=list(ALGORITHMS))
+    run.add_argument("--pieces", type=int)
+    run.add_argument("--iterations", type=int)
+    return run
+
 
 def _build_parser() -> argparse.ArgumentParser:
+    """The command table: one row per subcommand, its parser and (as the
+    ``run`` default) its handler.  An unreadable file exits ``missing``
+    and an input in :data:`REJECTED` exits 2; a command that reads a file
+    sets ``invalid``, the exit code for a ``ValueError`` (the file does
+    not parse or validate) or a rejected input."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Visibility algorithms for dynamic dependence analysis "
                     "and distributed coherence (PPoPP'23 reproduction)")
+    parser.set_defaults(missing=2, invalid=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("demo", help="run the Figure 1 program")
+    def command(name, run, help, parents=(), **defaults):
+        row = sub.add_parser(name, help=help, parents=list(parents))
+        row.set_defaults(run=run, **defaults)
+        return row
 
-    val = sub.add_parser("validate", help="cross-check all algorithms")
-    val.add_argument("--app", choices=["stencil", "circuit", "pennant"],
-                     default="circuit")
-    val.add_argument("--pieces", type=int, default=4)
-    val.add_argument("--iterations", type=int, default=3)
+    command("demo", _cmd_demo, "run the Figure 1 program")
 
-    fig = sub.add_parser("figure", help="regenerate a paper figure")
+    command("validate", _cmd_validate, "cross-check all algorithms",
+            [_run_options(algorithm=False)],
+            app="circuit", pieces=4, iterations=3)
+
+    fig = command("figure", _cmd_figure, "regenerate a paper figure")
     fig.add_argument("figure", choices=[f"fig{i}" for i in range(12, 18)])
     fig.add_argument("--max-nodes", type=int, default=64)
     fig.add_argument("--iterations", type=int, default=3)
     fig.add_argument("--plot", action="store_true",
                      help="also render an ASCII log-log plot")
 
-    art = sub.add_parser("artifact", help="print the A.4 artifact table")
-    art.add_argument("--app", choices=["stencil", "circuit", "pennant"],
-                     default="stencil")
+    art = command("artifact", _cmd_artifact, "print the A.4 artifact table")
+    art.add_argument("--app", choices=list(APPS), default="stencil")
     art.add_argument("--reps", type=int, default=5)
 
-    ins = sub.add_parser("inspect", help="dump one algorithm's structures")
-    ins.add_argument("--app", choices=["stencil", "circuit", "pennant"],
-                     default="circuit")
-    ins.add_argument("--algorithm",
-                     choices=["painter", "tree_painter", "warnock",
-                              "raycast", "zbuffer"], default="raycast")
-    ins.add_argument("--pieces", type=int, default=4)
-    ins.add_argument("--iterations", type=int, default=2)
-    ins.add_argument("--dot", action="store_true",
-                     help="emit the dependence graph as Graphviz DOT")
-
-    ana = sub.add_parser("analyze",
-                         help="replicated analysis on a parallel backend")
-    ana.add_argument("--app", choices=["stencil", "circuit", "pennant"],
-                     default="stencil")
-    ana.add_argument("--algorithm",
-                     choices=["painter", "tree_painter", "warnock",
-                              "raycast", "zbuffer"], default="raycast")
-    ana.add_argument("--pieces", type=int, default=4)
-    ana.add_argument("--iterations", type=int, default=3)
+    ana = command("analyze", _cmd_analyze,
+                  "replicated analysis on a parallel backend",
+                  [_run_options()], app="stencil", algorithm="raycast",
+                  pieces=4, iterations=3)
     ana.add_argument("--shards", type=int, default=4,
                      help="control-replicated shard count")
     ana.add_argument("--parallel", type=int, default=1, metavar="N",
                      help="analysis workers (1 = serial backend)")
-    ana.add_argument("--backend", choices=["serial", "thread", "process"],
-                     default=None,
+    ana.add_argument("--backend", choices=BACKENDS, default=None,
                      help="force a backend (default: process when "
                           "--parallel > 1, else serial)")
     ana.add_argument("--profile", action="store_true",
@@ -147,62 +158,54 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="print the longest weighted path through the "
                           "analyzed task DAG with per-task and per-phase "
                           "attribution")
-    ana.add_argument("--recv-timeout", type=float, default=None,
-                     metavar="SECONDS",
+    ana.add_argument("--recv-timeout", type=float, metavar="SECONDS",
                      help="supervised receive timeout (default: 60, or 2 "
                           "in chaos mode so injected hangs recover fast)")
 
-    prof = sub.add_parser("prof",
-                          help="analyze a recorded trace file: span "
-                               "summary, per-phase histograms, critical "
-                               "path")
+    prof = command("prof", _cmd_prof,
+                   "analyze a recorded trace file: span summary, "
+                   "per-phase histograms, critical path", invalid=1)
     prof.add_argument("trace", help="trace-event file or directory "
                                     "(analyze --trace-out, serve "
                                     "--telemetry-out or --flight-out)")
     prof.add_argument("--top", type=int, default=10, metavar="K",
                       help="rows in the critical-path table (default 10)")
 
-    def _run_args(p) -> None:
-        p.add_argument("--app", choices=["stencil", "circuit", "pennant"],
-                       default="circuit")
-        p.add_argument("--algorithm",
-                       choices=["painter", "tree_painter", "warnock",
-                                "raycast", "zbuffer"], default="raycast")
-        p.add_argument("--pieces", type=int, default=4)
-        p.add_argument("--iterations", type=int, default=2)
-
-    exp = sub.add_parser("explain",
-                         help="explain why one task's dependence edges "
-                              "exist (witness chains + pruned candidates)")
+    exp = command("explain", _cmd_explain,
+                  "explain why one task's dependence edges exist "
+                  "(witness chains + pruned candidates)",
+                  [_run_options()], app="circuit", algorithm="raycast",
+                  pieces=4, iterations=2)
     exp.add_argument("task", type=int, metavar="TASK_ID",
                      help="task id to explain (program order, 0-based)")
     exp.add_argument("--edge", default=None, metavar="SRC:DST",
                      help="restrict to one edge; DST must equal TASK_ID")
-    _run_args(exp)
 
-    cen = sub.add_parser("census",
-                         help="census the analysis state after a run")
+    cen = command("census", _cmd_census,
+                  "census the analysis state after a run",
+                  [_run_options()], app="circuit", algorithm="raycast",
+                  pieces=4, iterations=2)
     cen.add_argument("--json", action="store_true", dest="as_json",
                      help="emit the schema-validated JSON document")
-    _run_args(cen)
+    cen.add_argument("--dot", action="store_true",
+                     help="emit the dependence graph as Graphviz DOT")
 
-    cdf = sub.add_parser("census-diff",
-                         help="diff two census JSON documents")
+    cdf = command("census-diff", _cmd_census_diff,
+                  "diff two census JSON documents", invalid=2)
     cdf.add_argument("old", help="baseline census JSON file")
     cdf.add_argument("new", help="census JSON file to compare")
 
-    rep = sub.add_parser("report",
-                         help="assemble benchmark results into markdown")
+    rep = command("report", _cmd_report,
+                  "assemble benchmark results into markdown", missing=1)
     rep.add_argument("--results", default="benchmarks/results",
                      help="directory of result TSVs")
     rep.add_argument("--output", default=None,
                      help="write to a file instead of stdout")
 
-    srv = sub.add_parser("serve",
-                         help="boot the multi-tenant analysis service and "
-                              "drive it with the seeded load generator")
-    srv.add_argument("--backend", choices=["serial", "thread", "process"],
-                     default="process",
+    srv = command("serve", _cmd_serve,
+                  "boot the multi-tenant analysis service and drive it "
+                  "with the seeded load generator")
+    srv.add_argument("--backend", choices=BACKENDS, default="process",
                      help="backend for tenant runtime slots (default: "
                           "process)")
     srv.add_argument("--shards", type=int, default=2,
@@ -218,8 +221,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="load-schedule seed (same seed, same schedule)")
     srv.add_argument("--skew", type=float, default=1.0,
                      help="zipf skew over tenant ranks (0 = uniform)")
-    srv.add_argument("--deadline", type=float, default=None,
-                     metavar="SECONDS",
+    srv.add_argument("--deadline", type=float, metavar="SECONDS",
                      help="per-session deadline budget")
     srv.add_argument("--rate", type=float, default=50.0,
                      help="per-tenant admission tokens per second")
@@ -260,58 +262,53 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="minimum seconds between flight-recorder "
                           "dumps (default 5.0)")
 
-    top = sub.add_parser("top",
-                         help="terminal dashboard over a telemetry "
-                              "stream: per-tenant QPS, queue depth, "
-                              "windowed latency percentiles, breaker "
-                              "state, firing SLO alerts")
+    top = command("top", _cmd_top,
+                  "terminal dashboard over a telemetry stream: per-tenant "
+                  "QPS, queue depth, windowed latency percentiles, "
+                  "breaker state, firing SLO alerts", invalid=1)
     top.add_argument("path", metavar="DIR_OR_FILE",
                      help="telemetry directory (or one segment) "
                           "written by serve --telemetry-out")
-    top.add_argument("--window", default="1m",
-                     choices=["10s", "1m", "5m"],
+    top.add_argument("--window", default="1m", choices=["10s", "1m", "5m"],
                      help="sliding window to aggregate over (default 1m)")
     top.add_argument("--width", type=int, default=100,
                      help="terminal width to render at (default 100)")
     top.add_argument("--once", action="store_true",
                      help="render one frame and exit (tests/CI)")
-    top.add_argument("--refresh", type=float, default=1.0,
-                     metavar="SECONDS",
+    top.add_argument("--refresh", type=float, default=1.0, metavar="SECONDS",
                      help="live repaint period (default 1.0)")
 
-    bbx = sub.add_parser("blackbox",
-                         help="render a flight-recorder incident dump "
-                              "(timeline, critical path, exemplar "
-                              "offenders, explain cross-links)")
+    bbx = command("blackbox", _cmd_blackbox,
+                  "render a flight-recorder incident dump (timeline, "
+                  "critical path, exemplar offenders, explain "
+                  "cross-links)", invalid=1)
     bbx.add_argument("dump", metavar="FILE",
                      help="incident dump written by serve --flight-out")
     bbx.add_argument("--top", type=int, default=5, metavar="K",
                      help="rows in the critical-path and exemplar "
                           "tables (default 5)")
 
-    sub.add_parser("doctor",
-                   help="print every REPRO_* escape hatch with its "
-                        "in-effect value and origin")
+    command("doctor", _cmd_doctor, "print every REPRO_* escape hatch with "
+            "its in-effect value and origin")
     return parser
 
 
-def _make_app(name: str, pieces: int):
-    from repro.apps import APPS
-    return APPS[name](pieces=pieces)
+def _replay(args, tracer=None):
+    """``(stream, runtime)``: ``args``' app replayed under its algorithm on
+    a fresh Runtime, recording on ``tracer`` when one is given."""
+    app = make_app(args.app, args.pieces)
+    stream = session_stream(app, args.iterations)
+    previous = obs.set_tracer(tracer if tracer is not None
+                              else obs.active_tracer())
+    try:
+        rt = Runtime(app.tree, app.initial, algorithm=args.algorithm)
+        rt.replay(stream)
+    finally:
+        obs.set_tracer(previous)
+    return stream, rt
 
 
-def _full_stream(app, iterations: int):
-    from repro.runtime.task import TaskStream
-    stream = TaskStream()
-    stream.extend_from(app.init_stream())
-    for _ in range(iterations):
-        stream.extend_from(app.iteration_stream())
-    return stream
-
-
-def _cmd_demo() -> int:
-    from repro import (READ_WRITE, Extent, IndexSpace, RegionRequirement,
-                       RegionTree, Runtime, reduce)
+def _cmd_demo(args) -> int:
     from repro.analysis.render import render_region_tree, render_waves
 
     tree = RegionTree(Extent((12,)), {"up": np.float64, "down": np.float64},
@@ -354,8 +351,8 @@ def _cmd_demo() -> int:
 def _cmd_validate(args) -> int:
     from repro.analysis import compare_algorithms, profile_graph
 
-    app = _make_app(args.app, args.pieces)
-    stream = _full_stream(app, args.iterations)
+    app = make_app(args.app, args.pieces)
+    stream = session_stream(app, args.iterations)
     print(f"validating {args.app} ({args.pieces} pieces, "
           f"{len(stream)} tasks) across all algorithms...")
     runs = compare_algorithms(app.tree, app.initial, stream, exact=False)
@@ -373,6 +370,9 @@ def _cmd_figure(args) -> int:
 
     spec = FIGURES[args.figure]
     nodes = tuple(n for n in PAPER_NODE_COUNTS if n <= args.max_nodes)
+    if not nodes:
+        raise MachineError(f"--max-nodes {args.max_nodes} is below the "
+                           f"smallest node count {PAPER_NODE_COUNTS[0]}")
     print(f"sweeping {spec.app} across {nodes} nodes...", file=sys.stderr)
     sweep = run_sweep(spec.app_factory, nodes,
                       steady_iterations=args.iterations)
@@ -400,69 +400,21 @@ def _cmd_artifact(args) -> int:
     return 0
 
 
-#: One line per census kind (``CoherenceAlgorithm.describe``).
-_INSPECT_LINES = {
-    "eqsets": "{count} equivalence sets",
-    "tree_painter": "{total_items} history items",
-    "painter": "{history_length} history entries",
-    "zbuffer": "{interned_sets} interned access sets (z-buffer)",
-}
-
-
-def _cmd_inspect(args) -> int:
-    from repro import Runtime
-    from repro.analysis.render import (dependence_dot, render_eqset_map,
-                                       summarize_costs)
-
-    app = _make_app(args.app, args.pieces)
-    rt = Runtime(app.tree, app.initial, algorithm=args.algorithm)
-    rt.replay(_full_stream(app, args.iterations))
-    if args.dot:
-        print(dependence_dot(rt.tasks, rt.graph, title=args.app))
-        return 0
-    print(f"{args.app} under {args.algorithm} "
-          f"({args.pieces} pieces, {args.iterations} iterations)\n")
-    for field in app.tree.field_space.names:
-        algo = rt.algorithm_for(field)
-        state = algo.describe()
-        print(f"field {field!r}: "
-              + _INSPECT_LINES[state["kind"]].format(**state))
-        if state["kind"] == "eqsets":
-            print(render_eqset_map(algo))
-        print()
-    print("metered operations:")
-    print(summarize_costs(rt.meter.counters))
-    return 0
-
-
 def _cmd_analyze(args) -> int:
-    import os
-    import time
-
-    from repro import obs
-    from repro.distributed import (DeterminismError, FaultPlan,
-                                   ShardedRuntime)
-    from repro.errors import MachineError
-    from repro.geometry.fastpath import geometry_cache
     from repro.runtime.tracing import signature_digest
 
-    backend = args.backend
-    if backend is None:
-        backend = "process" if args.parallel > 1 else "serial"
-    faults = None
-    recv_timeout = args.recv_timeout if args.recv_timeout is not None \
-        else 60.0
+    backend = args.backend or ("process" if args.parallel > 1 else "serial")
+    faults, recv_timeout = None, 60.0
     if args.chaos is not None:
         if args.backend not in (None, "process"):
-            print("error: --chaos requires the process backend",
-                  file=sys.stderr)
-            return 2
+            raise MachineError("--chaos requires the process backend")
         backend = "process"
         faults = FaultPlan(seed=args.chaos, rate=args.fault_rate)
-        if args.recv_timeout is None:
-            recv_timeout = 2.0
-    app = _make_app(args.app, args.pieces)
-    stream = _full_stream(app, args.iterations)
+        recv_timeout = 2.0
+    if args.recv_timeout is not None:
+        recv_timeout = args.recv_timeout
+    app = make_app(args.app, args.pieces)
+    stream = session_stream(app, args.iterations)
     workers = (f", {args.parallel} workers"
                if args.parallel > 1 and backend != "serial" else "")
     chaos = (f", chaos seed {args.chaos} rate {args.fault_rate}"
@@ -508,14 +460,9 @@ def _cmd_analyze(args) -> int:
                     registry = obs.MetricsRegistry()
                     registry.publish(
                         "meter", srt.backend.reference.meter.snapshot())
-                    for phase, stat in srt.profile.snapshot().items():
-                        registry.publish("profile", vars(stat),
-                                         gauges=("seconds",), phase=phase)
-                    registry.publish("geom.cache", geometry_cache().stats(),
-                                     gauges=("interned", "entries"))
-                    if srt.recovery is not None:
-                        registry.publish("recovery", srt.recovery.counters(),
-                                         gauges=("seconds",))
+                    registry.publish_runtime(
+                        srt.profile.snapshot(), geometry_cache().stats(),
+                        srt.recovery and srt.recovery.counters())
                     seconds_hist = registry.histogram(
                         "analysis.shard_seconds")
                     for report in reports:
@@ -528,34 +475,13 @@ def _cmd_analyze(args) -> int:
                     print()
                     print(crit.render(top_k=10))
                     print(f"(analyze wall-clock: {analyze_seconds:.6f}s)")
-    except MachineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     finally:
         if previous_tracer is not None:
             obs.set_tracer(previous_tracer)
     return 0
 
 
-def _view(render) -> int:
-    """Run one view over a trace file with the views' error contract:
-    exit 2 when the file is missing, 1 when it is invalid."""
-    from repro.errors import MachineError
-
-    try:
-        return render()
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, MachineError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-
 def _cmd_prof(args) -> int:
-    from repro import obs
-    from repro.obs.metrics import Histogram
-
     raw, spans = obs.load_trace(args.trace)
     events = raw["traceEvents"]
     instants = [e for e in events if e.get("ph") == "i"]
@@ -579,7 +505,7 @@ def _cmd_prof(args) -> int:
     print()
     print("span-duration histograms:")
     for cat in sorted(by_cat):
-        hist = Histogram(cat, {})
+        hist = obs.Histogram(cat, {})
         for span in by_cat[cat]:
             hist.observe(span.duration)
         print(f"{cat}:")
@@ -596,35 +522,20 @@ def _cmd_prof(args) -> int:
 
 
 def _cmd_explain(args) -> int:
-    from repro import Runtime, obs
-    from repro.obs import provenance as prov
-
     edge = None
     if args.edge is not None:
-        try:
-            src_s, dst_s = args.edge.split(":")
-            edge = (int(src_s), int(dst_s))
-        except ValueError:
-            print(f"error: --edge wants SRC:DST, got {args.edge!r}",
-                  file=sys.stderr)
-            return 2
+        match = re.fullmatch(r"(\d+):(\d+)", args.edge)
+        if match is None:
+            raise TaskError(f"--edge wants SRC:DST, got {args.edge!r}")
+        edge = (int(match[1]), int(match[2]))
         if edge[1] != args.task:
-            print(f"error: --edge destination {edge[1]} is not the "
-                  f"explained task {args.task}", file=sys.stderr)
-            return 2
-    app = _make_app(args.app, args.pieces)
-    stream = _full_stream(app, args.iterations)
-    if not 0 <= args.task < len(stream):
-        print(f"error: task id {args.task} out of range "
-              f"(stream has {len(stream)} tasks)", file=sys.stderr)
-        return 2
+            raise TaskError(f"--edge destination {edge[1]} is not the "
+                            f"explained task {args.task}")
     tracer = obs.Tracer(witnesses=True)
-    previous = obs.set_tracer(tracer)
-    try:
-        rt = Runtime(app.tree, app.initial, algorithm=args.algorithm)
-        rt.replay(stream)
-    finally:
-        obs.set_tracer(previous)
+    stream, rt = _replay(args, tracer)
+    if not 0 <= args.task < len(stream):
+        raise TaskError(f"task id {args.task} out of range "
+                        f"(stream has {len(stream)} tasks)")
     deps = sorted(rt.graph.dependences_of(args.task))
     print(f"{args.app} under {args.algorithm} ({args.pieces} pieces, "
           f"{len(stream)} tasks); task {args.task} depends on {deps}\n")
@@ -634,48 +545,32 @@ def _cmd_explain(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    import json
+    from repro.analysis.render import (dependence_dot, render_eqset_map,
+                                       summarize_costs)
 
-    from repro import Runtime
-    from repro.obs.census import census, render_census, validate_census
-
-    app = _make_app(args.app, args.pieces)
-    rt = Runtime(app.tree, app.initial, algorithm=args.algorithm)
-    rt.replay(_full_stream(app, args.iterations))
+    _, rt = _replay(args)
+    if args.dot:
+        print(dependence_dot(rt.tasks, rt.graph, title=args.app))
+        return 0
     doc = census(rt)
     validate_census(doc)
     if args.as_json:
         print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        print(f"{args.app} ({args.pieces} pieces, "
-              f"{args.iterations} iterations)")
-        print(render_census(doc))
+        return 0
+    print(f"{args.app} ({args.pieces} pieces, "
+          f"{args.iterations} iterations)")
+    print(render_census(doc))
+    for name in sorted(doc["fields"]):
+        if doc["fields"][name]["kind"] == "eqsets":
+            print(f"\nfield {name!r} equivalence sets:")
+            print(render_eqset_map(rt.algorithm_for(name)))
+    print("\nmetered operations:")
+    print(summarize_costs(rt.meter.counters))
     return 0
 
 
 def _cmd_census_diff(args) -> int:
-    import json
-
-    from repro.obs.census import census_diff, validate_census
-
-    docs = []
-    for path in (args.old, args.new):
-        try:
-            with open(path) as handle:
-                doc = json.load(handle)
-        except FileNotFoundError:
-            print(f"error: no such census file: {path}", file=sys.stderr)
-            return 2
-        except json.JSONDecodeError as exc:
-            print(f"error: {path}: {exc}", file=sys.stderr)
-            return 2
-        try:
-            validate_census(doc)
-        except ValueError as exc:
-            print(f"error: {path}: {exc}", file=sys.stderr)
-            return 2
-        docs.append(doc)
-    diff = census_diff(docs[0], docs[1])
+    diff = census_diff(load_census(args.old), load_census(args.new))
     if not diff:
         print("census documents are identical")
         return 0
@@ -686,15 +581,9 @@ def _cmd_census_diff(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    from pathlib import Path
-
     from repro.bench.report import generate_report
 
-    try:
-        text = generate_report(args.results)
-    except FileNotFoundError as exc:
-        print(exc, file=sys.stderr)
-        return 1
+    text = generate_report(args.results)
     if args.output:
         Path(args.output).write_text(text)
         print(f"wrote {args.output}", file=sys.stderr)
@@ -704,15 +593,6 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    import json
-    import time
-
-    from repro import obs
-    from repro.distributed.faults import FaultPlan
-    from repro.errors import MachineError
-    from repro.obs.doctor import config_snapshot
-    from repro.obs.flight import RING_CAPACITY, FlightRecorder
-    from repro.obs.metrics import MetricsRegistry
     from repro.service import verify_sessions
     from repro.service.loadgen import LoadSpec, run_load
 
@@ -728,7 +608,7 @@ def _cmd_serve(args) -> int:
                     sessions=args.sessions, pieces=args.pieces,
                     iterations=args.iterations, skew=args.skew,
                     deadline=args.deadline)
-    registry = MetricsRegistry()
+    registry = obs.MetricsRegistry()
     hub = None
     if args.telemetry_out:
         from repro.obs.slo import SloEvaluator, default_service_slos
@@ -775,9 +655,6 @@ def _cmd_serve(args) -> int:
             queue_limit=args.queue_limit, faults=faults, registry=registry,
             hub=hub, recorder=recorder, exemplar_seed=exemplar_seed,
             recv_timeout=30.0 if args.chaos is not None else 10.0)
-    except MachineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     finally:
         if hub is not None:
             hub.close()
@@ -842,61 +719,34 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_blackbox(args) -> int:
-    from repro.obs import load_trace, render_blackbox
-
-    data, _ = load_trace(args.dump)
-    print(render_blackbox(data, top_k=args.top))
+    data, _ = obs.load_trace(args.dump)
+    print(obs.render_blackbox(data, top_k=args.top))
     return 0
 
 
-def _cmd_doctor() -> int:
-    from repro.obs.doctor import render_doctor
-
+def _cmd_doctor(args) -> int:
     print(render_doctor())
     return 0
 
 
 def _cmd_top(args) -> int:
-    from repro.obs.top import run_top
-
     return run_top(args.path, window=args.window, width=args.width,
                    once=args.once, refresh=args.refresh)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI entry point; returns a process exit code."""
+    """CLI entry point; returns a process exit code, and is the one place
+    that turns an error into one (see :func:`_build_parser`)."""
     args = _build_parser().parse_args(argv)
-    if args.command == "demo":
-        return _cmd_demo()
-    if args.command == "validate":
-        return _cmd_validate(args)
-    if args.command == "figure":
-        return _cmd_figure(args)
-    if args.command == "artifact":
-        return _cmd_artifact(args)
-    if args.command == "inspect":
-        return _cmd_inspect(args)
-    if args.command == "analyze":
-        return _cmd_analyze(args)
-    if args.command == "prof":
-        return _view(lambda: _cmd_prof(args))
-    if args.command == "explain":
-        return _cmd_explain(args)
-    if args.command == "census":
-        return _cmd_census(args)
-    if args.command == "census-diff":
-        return _cmd_census_diff(args)
-    if args.command == "report":
-        return _cmd_report(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "top":
-        return _view(lambda: _cmd_top(args))
-    if args.command == "blackbox":
-        return _view(lambda: _cmd_blackbox(args))
-    if args.command == "doctor":
-        return _cmd_doctor()
-    raise AssertionError(f"unhandled command {args.command!r}")
+    rejected = REJECTED if args.invalid is None else (ValueError, *REJECTED)
+    try:
+        return args.run(args)
+    except OSError as exc:
+        code, error = args.missing, exc
+    except rejected as exc:
+        code, error = args.invalid or 2, exc
+    print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 def cli() -> None:

@@ -39,9 +39,8 @@ from repro.distributed.backends import (BACKENDS, AnalysisBackend,
                                         ProcessBackend, SerialBackend,
                                         ThreadBackend, make_backend)
 from repro.distributed.faults import (FAULT_KINDS, NO_FAULTS, CorruptReply,
-                                      FakeClock, FaultEvent, FaultPlan,
-                                      RecoveryReport, RetryPolicy,
-                                      SystemClock, WorkerCrashed, WorkerFault,
+                                      FaultEvent, FaultPlan, RecoveryReport,
+                                      RetryPolicy, WorkerCrashed, WorkerFault,
                                       WorkerHung, WorkerLost)
 from repro.distributed.sharded import MessageLog, ShardedRuntime
 from repro.distributed.verify import (DeterminismError, ShardReport,
@@ -55,6 +54,6 @@ __all__ = ["MessageLog", "ShardedRuntime", "AnalysisBackend", "BACKENDS",
            "analysis_fingerprint", "graph_fingerprint",
            "structure_fingerprint",
            "FAULT_KINDS", "NO_FAULTS", "FaultEvent", "FaultPlan",
-           "RecoveryReport", "RetryPolicy", "SystemClock", "FakeClock",
+           "RecoveryReport", "RetryPolicy",
            "WorkerFault", "WorkerCrashed", "WorkerHung", "CorruptReply",
            "WorkerLost"]

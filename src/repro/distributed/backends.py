@@ -43,10 +43,10 @@ from repro.privileges import READ, READ_WRITE, Privilege, reduce
 from repro.regions.tree import RegionTree
 from repro.runtime.context import Runtime
 from repro.runtime.task import RegionRequirement, TaskStream
+from repro.clock import SystemClock
 from repro.distributed.faults import (HANG_SECONDS, NO_FAULTS, CorruptReply,
                                       FaultPlan, RecoveryReport, RetryPolicy,
-                                      SystemClock, WorkerCrashed, WorkerFault,
-                                      WorkerHung)
+                                      WorkerCrashed, WorkerFault, WorkerHung)
 from repro.distributed.verify import ShardReport, analysis_fingerprint
 
 #: Registry names accepted by :func:`make_backend`.

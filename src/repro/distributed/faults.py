@@ -15,10 +15,10 @@ digest check.  This module provides the pieces the supervisor in
   runs are reproducible bug reports, not flakes), while a respawned
   worker (next incarnation) gets independent draws — recovery from a
   seeded crash is not doomed to re-crash at the same request.
-* :class:`RetryPolicy` — bounded retries with exponential backoff.
-* :class:`SystemClock` / :class:`FakeClock` — the supervisor sleeps and
-  reads deadlines through an injectable clock so backoff unit tests
-  never sleep in CI.
+* :class:`RetryPolicy` — bounded retries with exponential backoff.  The
+  supervisor sleeps and reads deadlines through an injectable
+  :mod:`repro.clock` (re-exported here), so backoff unit tests never
+  sleep in CI.
 * :class:`RecoveryReport` — structured counters of everything the
   supervisor saw and did (faults, retries, respawns, checkpoint
   restores, replayed tasks, workers lost, recovery wall-clock), surfaced
@@ -31,10 +31,10 @@ digest check.  This module provides the pieces the supervisor in
 from __future__ import annotations
 
 import hashlib
-import time
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.clock import FakeClock, SystemClock  # re-exported
 from repro.errors import MachineError
 
 #: Every fault kind a :class:`FaultPlan` can inject, worker-side.
@@ -175,7 +175,7 @@ NO_FAULTS = FaultPlan()
 
 
 # ----------------------------------------------------------------------
-# retry policy and clocks
+# retry policy
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class RetryPolicy:
@@ -224,32 +224,6 @@ class RetryPolicy:
             f"{self.seed}:{salt}:{attempt}".encode()).digest()
         frac = int.from_bytes(digest[:8], "little") / 2.0 ** 64
         return base * (1.0 + self.jitter * frac)
-
-
-class SystemClock:
-    """The real monotonic clock (production default)."""
-
-    monotonic = staticmethod(time.monotonic)
-    sleep = staticmethod(time.sleep)
-
-
-class FakeClock:
-    """A manually advanced clock: ``sleep`` records and advances instead
-    of blocking, so retry/backoff tests run instantly in CI."""
-
-    def __init__(self, start: float = 0.0) -> None:
-        self.now = float(start)
-        self.sleeps: list[float] = []
-
-    def monotonic(self) -> float:
-        return self.now
-
-    def sleep(self, seconds: float) -> None:
-        self.sleeps.append(seconds)
-        self.now += seconds
-
-    def advance(self, seconds: float) -> None:
-        self.now += seconds
 
 
 # ----------------------------------------------------------------------

@@ -17,6 +17,9 @@ publishes into a :class:`~repro.obs.metrics.MetricsRegistry` as
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 #: Version tag carried in every census document.
 SCHEMA_ID = "repro.census/1"
 
@@ -165,6 +168,17 @@ def validate_census(doc: dict) -> None:
                 raise ValueError(
                     f"census service counter {req!r} must be an int, "
                     f"got {type(service[req]).__name__}")
+
+
+def load_census(path) -> dict:
+    """Read and validate one census JSON file; a ``ValueError`` (not
+    UTF-8, not JSON, not a census) names the path."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        validate_census(doc)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    return doc
 
 
 def _flatten(prefix: str, value, out: dict) -> None:

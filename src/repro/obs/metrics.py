@@ -423,6 +423,21 @@ class MetricsRegistry:
                     counter.set_total(counter.value + (
                         total - last if total >= last else total))
 
+    def publish_runtime(self, phases: Mapping[str, object],
+                        cache: Mapping[str, float],
+                        recovery: Optional[Mapping[str, float]] = None,
+                        **labels) -> None:
+        """A runtime's phase profile, geometry cache and recovery totals
+        as ``profile.*``, ``geom.cache.*`` and ``recovery.*`` series: the
+        one place that says which of them are gauges."""
+        for phase, stat in phases.items():
+            self.publish("profile", vars(stat), gauges=("seconds",),
+                         phase=phase, **labels)
+        self.publish("geom.cache", cache, gauges=("interned", "entries"),
+                     **labels)
+        if recovery is not None:
+            self.publish("recovery", recovery, gauges=("seconds",), **labels)
+
     def exemplars(self) -> list[dict]:
         """Every exemplar across every histogram, each row tagged with
         its instrument's ``metric`` full name (the flight recorder's

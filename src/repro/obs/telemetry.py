@@ -20,8 +20,8 @@ minute.  This module answers them from readings of those totals:
   :func:`load_telemetry` replays a recording through the path a live
   tick takes, so ``repro top`` renders a file exactly as it renders live.
 
-The clock is injectable (:class:`~repro.distributed.faults.SystemClock`
-/ :class:`~repro.distributed.faults.FakeClock`), so every windowing and
+The clock is injectable (:class:`~repro.clock.SystemClock` /
+:class:`~repro.clock.FakeClock`), so every windowing and
 burn-rate behavior is testable without real sleeps: advance the clock,
 call :meth:`TelemetryHub.sample`, assert.
 """
@@ -37,6 +37,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
+from repro.clock import SystemClock
 from repro.errors import MachineError
 from repro.obs.export import (instant_event, is_number, load_trace,
                               metric_events)
@@ -231,11 +232,8 @@ class TelemetryHub:
                  evaluator=None) -> None:
         if interval <= 0:
             raise MachineError(f"sample interval {interval} must be > 0")
-        if clock is None:
-            from repro.distributed.faults import SystemClock
-            clock = SystemClock()
         self.registry = registry
-        self.clock = clock
+        self.clock = clock if clock is not None else SystemClock()
         self.interval = float(interval)
         self.windows = dict(windows if windows is not None else WINDOWS)
         if not self.windows:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from typing import Optional
 
+from repro.clock import SystemClock
 from repro.obs.telemetry import TelemetryHub, load_telemetry, parse_full_name
 
 #: Breaker gauge codes (mirrors ``repro.service.breaker.STATE_CODES``).
@@ -202,9 +203,7 @@ def run_top(path, *, window="1m", width: int = 100, once: bool = False,
     import sys
 
     write = (out.write if out is not None else sys.stdout.write)
-    if clock is None:
-        from repro.distributed.faults import SystemClock
-        clock = SystemClock()
+    clock = clock if clock is not None else SystemClock()
     frames = 0
     try:
         while True:

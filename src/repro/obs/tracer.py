@@ -27,9 +27,9 @@ Design constraints, in order:
    returning a shared no-op context manager.  That check is the only
    switch: ``benchmarks/test_obs_overhead.py`` counts every guard a
    launch evaluates and holds the sum under 5% of analysis time.
-2. **Injectable clock.**  Timestamps come from the same clock protocol as
-   :class:`repro.distributed.faults.SystemClock` /
-   :class:`~repro.distributed.faults.FakeClock`, so trace tests assert on
+2. **Injectable clock.**  Timestamps come from a :mod:`repro.clock`
+   (:class:`~repro.clock.SystemClock` by default, a
+   :class:`~repro.clock.FakeClock` in tests), so trace tests assert on
    exact synthetic times instead of real elapsed time.
 3. **Thread-safe, picklable payloads.**  Finished spans append under a
    lock (the thread backend interleaves replica analyses); the
@@ -43,29 +43,14 @@ from __future__ import annotations
 import functools
 import itertools
 import threading
-import time
 from collections import defaultdict, deque
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
+from repro.clock import SystemClock
+
 #: pid used for the driver (control) process; workers use ``shard + 1``.
 DRIVER_PID = 0
-
-
-class _MonotonicClock:
-    """Default clock: the same protocol as
-    :class:`repro.distributed.faults.SystemClock` (``monotonic``/``sleep``),
-    defined locally because this module sits *below* the distributed layer
-    in the import graph — the backends instrument themselves with it, so a
-    faults import here would be circular.  Inject a faults ``SystemClock``
-    or ``FakeClock`` freely; the protocols are identical.
-    """
-
-    monotonic = staticmethod(time.monotonic)
-    sleep = staticmethod(time.sleep)
-
-
-_DEFAULT_CLOCK = _MonotonicClock()
 
 
 @dataclass
@@ -254,8 +239,8 @@ class Tracer:
     ----------
     clock:
         Monotonic clock (``monotonic()``); defaults to
-        :class:`~repro.distributed.faults.SystemClock`.  Inject a
-        :class:`~repro.distributed.faults.FakeClock` for exact-time tests.
+        :class:`~repro.clock.SystemClock`.  Inject a
+        :class:`~repro.clock.FakeClock` for exact-time tests.
     enabled:
         When False every recording entry point is a no-op; flip the
         attribute at any time.
@@ -282,7 +267,7 @@ class Tracer:
     def __init__(self, clock=None, enabled: bool = True,
                  pid: int = DRIVER_PID, capacity: Optional[int] = None,
                  witnesses: bool = False) -> None:
-        self.clock = clock if clock is not None else _DEFAULT_CLOCK
+        self.clock = clock if clock is not None else SystemClock()
         self.enabled = enabled
         self.pid = pid
         self.capacity = capacity

@@ -11,8 +11,8 @@ from __future__ import annotations
 _EXPORTS = {
     "AnalysisService": "repro.service.service",
     "verify_sessions": "repro.service.service",
-    "session_stream": "repro.service.service",
-    "make_app": "repro.service.service",
+    "session_stream": "repro.apps",
+    "make_app": "repro.apps",
     "SessionRequest": "repro.service.session",
     "SessionResult": "repro.service.session",
     "TokenBucket": "repro.service.admission",

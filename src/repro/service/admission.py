@@ -1,8 +1,8 @@
 """Admission-control primitives: token bucket, watermark gate, deadline.
 
 Every class here is a pure control-plane state machine over an
-injectable clock (:class:`~repro.distributed.faults.SystemClock` /
-:class:`~repro.distributed.faults.FakeClock`), so the unit tests in
+injectable clock (:class:`~repro.clock.SystemClock` /
+:class:`~repro.clock.FakeClock`), so the unit tests in
 ``tests/service/test_admission.py`` drive refill, hysteresis and expiry
 without ever sleeping.  None of them know about asyncio or tenants —
 :class:`~repro.service.service.AnalysisService` composes them.
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.distributed.faults import SystemClock
+from repro.clock import SystemClock
 from repro.errors import MachineError
 
 

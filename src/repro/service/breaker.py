@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.distributed.faults import SystemClock
+from repro.clock import SystemClock
 from repro.errors import MachineError
 
 CLOSED = "closed"

@@ -49,12 +49,14 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from repro.distributed.faults import FaultPlan, SystemClock
+from repro.apps import make_app, session_stream
+from repro.clock import SystemClock
+from repro.distributed.backends import BACKENDS
+from repro.distributed.faults import FaultPlan
 from repro.distributed.sharded import ShardedRuntime
 from repro.errors import MachineError
 from repro.geometry.fastpath import GeometryCache, tenant_geometry_cache
 from repro.obs import tracer as tracing
-from repro.runtime.task import TaskStream
 from repro.service.admission import DeadlineBudget, TokenBucket, WatermarkGate
 from repro.service.breaker import HALF_OPEN, STATE_CODES, CircuitBreaker
 from repro.service.errors import (DEADLINE_EXCEEDED, ERROR, OK, OVERLOADED,
@@ -71,26 +73,6 @@ READ_AS = {"admitted": "admitted", "rejected": "rejected",
            "completed": "completed", "expired": "expired",
            "cancelled": "expired", "errored": "errors",
            "degraded": "degraded_sessions"}
-
-
-def make_app(name: str, pieces: int):
-    from repro.apps import APPS
-
-    if name not in APPS:
-        raise MachineError(f"unknown app {name!r}; known: {sorted(APPS)}")
-    return APPS[name](pieces=pieces)
-
-
-def session_stream(app, iterations: int, include_init: bool) -> TaskStream:
-    """The deterministic task stream of one session: the app's init
-    stream (first session on a fresh slot only) plus ``iterations``
-    steady iterations."""
-    stream = TaskStream()
-    if include_init:
-        stream.extend_from(app.init_stream())
-    for _ in range(iterations):
-        stream.extend_from(app.iteration_stream())
-    return stream
 
 
 @dataclass
@@ -169,7 +151,7 @@ class AnalysisService:
                  analyze_fn: Optional[Callable] = None,
                  exemplar_seed: Optional[int] = None,
                  recorder=None) -> None:
-        if backend not in ("serial", "thread", "process"):
+        if backend not in BACKENDS:
             raise MachineError(f"unknown service backend {backend!r}")
         if max_inflight < 1 or queue_limit < 1:
             raise MachineError("max_inflight and queue_limit must be >= 1")
@@ -618,20 +600,14 @@ class AnalysisService:
         """
         def sample(registry) -> None:
             for tenant in self._tenants.values():
-                labels = {"tenant": tenant.name}
-                registry.publish("geom.cache", tenant.cache.stats(),
-                                 gauges=("interned", "entries"), **labels)
-                for phase, stat in tenant.profile.snapshot().items():
-                    registry.publish("profile", vars(stat),
-                                     gauges=("seconds",), phase=phase,
-                                     **labels)
                 recovered = Counter(tenant.recovered)
                 for slot in tenant.slots.values():
                     if slot.runtime is not None \
                             and slot.runtime.recovery is not None:
                         recovered.update(slot.runtime.recovery.counters())
-                registry.publish("recovery", recovered, gauges=("seconds",),
-                                 **labels)
+                registry.publish_runtime(tenant.profile.snapshot(),
+                                         tenant.cache.stats(), recovered,
+                                         tenant=tenant.name)
         return sample
 
     # -- introspection ---------------------------------------------------
@@ -691,11 +667,9 @@ def verify_sessions(results, shards: int = 1) -> list[str]:
         with ShardedRuntime(app.tree, app.initial, shards=shards,
                             algorithm=first.algorithm,
                             backend="serial") as runtime:
-            include_init = True
             for result in sessions:
                 stream = session_stream(app, result.request.iterations,
-                                        include_init=include_init)
-                include_init = False
+                                        include_init=result is sessions[0])
                 fingerprint = runtime.analyze(stream)[0].fingerprint
                 if fingerprint != result.fingerprint:
                     problems.append(

@@ -36,12 +36,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Iterator, Mapping
 
-
-def _default_clock():
-    # Imported lazily: distributed.faults sits above the runtime/visibility
-    # layers in the import graph, so a top-level import would be circular.
-    from repro.distributed.faults import SystemClock
-    return SystemClock()
+from repro.clock import SystemClock
 
 
 class UidSource:
@@ -206,9 +201,8 @@ class PhaseProfile:
     Phase names are hierarchical by convention (``"analyze"``,
     ``"analyze.shard3"``); :meth:`render` groups them lexicographically.
 
-    The clock is injectable (default
-    :class:`~repro.distributed.faults.SystemClock`): tests pass a
-    :class:`~repro.distributed.faults.FakeClock` and assert exact phase
+    The clock is injectable (default :class:`~repro.clock.SystemClock`):
+    tests pass a :class:`~repro.clock.FakeClock` and assert exact phase
     times.  Mutation is lock-protected — the thread backend merges worker
     profiles and credits shard phases concurrently.  Each timed phase also
     emits a span on the active :mod:`repro.obs` tracer, so the profile
@@ -217,7 +211,7 @@ class PhaseProfile:
 
     def __init__(self, clock=None) -> None:
         self._stats: dict[str, PhaseStat] = {}
-        self._clock = clock if clock is not None else _default_clock()
+        self._clock = clock if clock is not None else SystemClock()
         self._lock = threading.RLock()
 
     def __getstate__(self):
@@ -227,7 +221,7 @@ class PhaseProfile:
 
     def __setstate__(self, state):
         self.__dict__.update(state)
-        self.__dict__.setdefault("_clock", _default_clock())
+        self.__dict__.setdefault("_clock", SystemClock())
         self._lock = threading.RLock()
 
     # ------------------------------------------------------------------

@@ -3,19 +3,11 @@
 import numpy as np
 import pytest
 
-from repro import Runtime, TaskStream
+from repro import Runtime
 from repro.analysis import compare_algorithms, profile_graph
-from repro.apps import APPS, CircuitApp, PennantApp, StencilApp
+from repro.apps import APPS, CircuitApp, PennantApp, StencilApp, session_stream
 
 ALGOS = ["painter", "tree_painter", "warnock", "raycast"]
-
-
-def full_stream(app, iterations: int) -> TaskStream:
-    stream = TaskStream()
-    stream.extend_from(app.init_stream())
-    for _ in range(iterations):
-        stream.extend_from(app.iteration_stream())
-    return stream
 
 
 class TestAppRegistry:
@@ -45,21 +37,21 @@ class TestStencil:
         app = StencilApp(pieces=4, tile=4)
         iterations = 3
         rt = Runtime(app.tree, app.initial, algorithm="raycast")
-        rt.replay(full_stream(app, iterations))
+        rt.replay(session_stream(app, iterations))
         want = app.reference_result(iterations)
         np.testing.assert_allclose(rt.read_field("out"), want["out"])
         np.testing.assert_allclose(rt.read_field("in"), want["in"])
 
     def test_all_algorithms_agree(self):
         app = StencilApp(pieces=4, tile=4)
-        compare_algorithms(app.tree, app.initial, full_stream(app, 2),
+        compare_algorithms(app.tree, app.initial, session_stream(app, 2),
                            exact=False)
 
     def test_parallelism_profile(self):
         """Each phase's tasks are mutually independent."""
         app = StencilApp(pieces=4, tile=4)
         rt = Runtime(app.tree, app.initial, algorithm="raycast")
-        rt.replay(full_stream(app, 2))
+        rt.replay(session_stream(app, 2))
         profile = profile_graph(rt.graph)
         assert profile.max_width >= 4
 
@@ -68,7 +60,7 @@ class TestStencil:
         increment (halo coherence through a different partition)."""
         app = StencilApp(pieces=4, tile=4)
         rt = Runtime(app.tree, app.initial, algorithm="raycast")
-        rt.replay(full_stream(app, 2))
+        rt.replay(session_stream(app, 2))
         # second iteration stencil tasks: ids 12..15 (4 init, 8 iter1)
         stencil2 = [t for t in rt.tasks if t.name.startswith("stencil")][4:]
         increments1 = {t.task_id for t in rt.tasks
@@ -79,7 +71,7 @@ class TestStencil:
 
     def test_single_piece(self):
         app = StencilApp(pieces=1, tile=4)
-        compare_algorithms(app.tree, app.initial, full_stream(app, 2),
+        compare_algorithms(app.tree, app.initial, session_stream(app, 2),
                            exact=False)
 
 
@@ -99,7 +91,7 @@ class TestCircuit:
         analysis — a bug the parallel executor exposed)."""
         app = CircuitApp(pieces=3, nodes_per_piece=8, wires_per_piece=12)
         rt = Runtime(app.tree, app.initial, algorithm="raycast")
-        rt.replay(full_stream(app, 1))
+        rt.replay(session_stream(app, 1))
         currents = {t.point: t.task_id for t in rt.tasks
                     if t.name.startswith("currents")}
         for t in rt.tasks:
@@ -109,7 +101,7 @@ class TestCircuit:
 
     def test_all_algorithms_agree(self):
         app = CircuitApp(pieces=4, nodes_per_piece=8, wires_per_piece=12)
-        compare_algorithms(app.tree, app.initial, full_stream(app, 3),
+        compare_algorithms(app.tree, app.initial, session_stream(app, 3),
                            exact=False)
 
     def test_charge_conservation(self):
@@ -118,10 +110,10 @@ class TestCircuit:
         app = CircuitApp(pieces=3, nodes_per_piece=8, wires_per_piece=10,
                          seed=5)
         rt1 = Runtime(app.tree, app.initial, algorithm="raycast")
-        rt1.replay(full_stream(app, 4))
+        rt1.replay(session_stream(app, 4))
         v1 = rt1.read_field("voltage")
         rt2 = Runtime(app.tree, app.initial, algorithm="warnock")
-        rt2.replay(full_stream(app, 4))
+        rt2.replay(session_stream(app, 4))
         np.testing.assert_allclose(v1, rt2.read_field("voltage"))
         assert not np.allclose(v1, 0.0)
 
@@ -131,7 +123,7 @@ class TestCircuit:
         app = CircuitApp(pieces=4, nodes_per_piece=8, wires_per_piece=16,
                          pct_external=0.5, seed=1)
         rt = Runtime(app.tree, app.initial, algorithm="raycast")
-        rt.replay(full_stream(app, 1))
+        rt.replay(session_stream(app, 1))
         updates = [t for t in rt.tasks if t.name.startswith("update")]
         distributes = {t.task_id: t.point for t in rt.tasks
                        if t.name.startswith("distribute")}
@@ -144,7 +136,7 @@ class TestCircuit:
 
     def test_single_piece(self):
         app = CircuitApp(pieces=1, nodes_per_piece=8, wires_per_piece=12)
-        compare_algorithms(app.tree, app.initial, full_stream(app, 2),
+        compare_algorithms(app.tree, app.initial, session_stream(app, 2),
                            exact=False)
 
 
@@ -156,7 +148,7 @@ class TestPennant:
 
     def test_all_algorithms_agree(self):
         app = PennantApp(pieces=3, zones_x=3, zones_y=3)
-        compare_algorithms(app.tree, app.initial, full_stream(app, 3),
+        compare_algorithms(app.tree, app.initial, session_stream(app, 3),
                            exact=False)
 
     def test_multiple_reduction_operators(self):
@@ -173,7 +165,7 @@ class TestPennant:
     def test_dt_decreases_monotonically(self):
         app = PennantApp(pieces=3, zones_x=3, zones_y=3)
         rt = Runtime(app.tree, app.initial, algorithm="raycast")
-        rt.replay(full_stream(app, 1))
+        rt.replay(session_stream(app, 1))
         dt1 = rt.read_field("dt").copy()
         rt.replay(app.iteration_stream())
         dt2 = rt.read_field("dt")
@@ -183,12 +175,12 @@ class TestPennant:
     def test_global_dt_task_depends_on_all_pieces(self):
         app = PennantApp(pieces=4, zones_x=3, zones_y=3)
         rt = Runtime(app.tree, app.initial, algorithm="raycast")
-        rt.replay(full_stream(app, 1))
+        rt.replay(session_stream(app, 1))
         hydro = [t for t in rt.tasks if t.name == "hydro_dt"][0]
         dt_tasks = {t.task_id for t in rt.tasks if t.name.startswith("dt[")}
         assert dt_tasks <= rt.graph.ancestors_of(hydro.task_id)
 
     def test_single_piece(self):
         app = PennantApp(pieces=1, zones_x=3, zones_y=3)
-        compare_algorithms(app.tree, app.initial, full_stream(app, 2),
+        compare_algorithms(app.tree, app.initial, session_stream(app, 2),
                            exact=False)

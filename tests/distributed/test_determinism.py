@@ -47,15 +47,12 @@ class TestDifferentialDeterminism:
     def test_application_stream_identical_across_backends(self, algo):
         """Same property on a real application stream (stencil), which
         exercises multi-field trees and reduction privileges."""
-        from repro.apps import APPS
-        from repro.runtime.task import TaskStream
+        from repro.apps import make_app, session_stream
 
         seen: set[str] = set()
         for backend in BACKENDS:
-            app = APPS["stencil"](pieces=4)
-            stream = TaskStream()
-            stream.extend_from(app.init_stream())
-            stream.extend_from(app.iteration_stream())
+            app = make_app("stencil", 4)
+            stream = session_stream(app, 1)
             with ShardedRuntime(app.tree, app.initial, shards=4,
                                 algorithm=algo, backend=backend) as srt:
                 seen |= {r.fingerprint for r in srt.analyze(stream)}

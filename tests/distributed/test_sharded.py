@@ -68,12 +68,9 @@ class TestShardedExecution:
                                   reference.field(field)), (shards, field)
 
     def test_apps_match_reference(self):
-        from repro.apps import CircuitApp
+        from repro.apps import CircuitApp, session_stream
         app = CircuitApp(pieces=4, nodes_per_piece=8, wires_per_piece=12)
-        stream = TaskStream()
-        stream.extend_from(app.init_stream())
-        for _ in range(2):
-            stream.extend_from(app.iteration_stream())
+        stream = session_stream(app, 2)
         reference = SequentialExecutor(app.tree, app.initial)
         reference.run_stream(stream)
         srt = ShardedRuntime(app.tree, app.initial, shards=4)

@@ -195,10 +195,6 @@ def _assert_primitive(value):
     raise AssertionError(f"non-primitive in wire record: {value!r}")
 
 
-def _record_key(rec):
-    return (rec.shard, rec.task_id, rec.phase, rec.field, rec.algorithm)
-
-
 def _normalized(records, keep_shard=True):
     out = []
     for rec in records:

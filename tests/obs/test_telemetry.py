@@ -11,7 +11,7 @@ import pytest
 from repro.errors import MachineError
 from repro.distributed.faults import FakeClock
 from repro.obs.metrics import DEFAULT_BUCKETS, Histogram, MetricsRegistry
-from repro.obs.export import load_trace, validate_trace
+from repro.obs.export import load_trace
 from repro.obs.telemetry import (META_EVENT, QuantileDigest, TelemetryHub,
                                  TelemetrySink, load_telemetry,
                                  parse_full_name)
@@ -235,34 +235,6 @@ def test_hub_writes_samples_to_sink(tmp_path):
     assert load_telemetry(path).delta("service.completed", "10s") == 3
 
 
-def test_validate_rejects_malformed_digests_and_alerts(tmp_path):
-    hub, registry, clock = make_hub(sink=TelemetrySink(tmp_path))
-    registry.histogram("h", buckets=(0.1, 1.0)).observe(0.5)
-    clock.advance(1.0)
-    hub.sample()
-    hub.close()
-    events = load_trace(tmp_path)[0]["traceEvents"]
-    events[1]["args"]["le=1.0"] = "two"
-    problems = validate_trace({"traceEvents": events})
-    assert problems == ["traceEvents[1] ('h').args['le=1.0']: counter "
-                        "value must be a number, got 'two'"]
-    alert = {"name": "a", "cat": "slo", "ph": "i", "s": "g", "ts": 2e6,
-             "pid": 0, "tid": 0, "args": {"state": "maybe"}}
-    (tmp_path / "telemetry-00001.json").write_text(
-        "[\n" + json.dumps(alert) + ",\n")
-    with pytest.raises(ValueError, match="firing/resolved"):
-        load_telemetry(tmp_path)
-
-
-def test_validate_reports_digest_key_path():
-    digest = {"name": "service.latency_seconds", "cat": "histogram",
-              "ph": "C", "ts": 0, "pid": 0, "tid": 0,
-              "args": {"count": 1, "le=1.0": [1], "le=inf": 0}}
-    assert validate_trace({"traceEvents": [digest]}) == [
-        "traceEvents[0] ('service.latency_seconds').args['le=1.0']: "
-        "counter value must be a number, got [1]"]
-
-
 # ----------------------------------------------------------------------
 # replay
 # ----------------------------------------------------------------------
@@ -410,15 +382,3 @@ def test_exemplars_round_trip_through_the_sink(tmp_path):
     rows = replay.exemplars_in("service.latency_seconds", "10s")
     assert rows == [{"trace": 7, "tenant": "t0", "value": 0.02,
                      "seq": 1, "bucket": 0.1}]
-
-
-def test_validate_reports_exemplar_key_paths(tmp_path):
-    row = {"name": "h", "cat": "exemplar", "ph": "i", "s": "g", "ts": 0,
-           "pid": 0, "tid": 0, "args": [1]}
-    assert validate_trace({"traceEvents": [row]}) == [
-        "traceEvents[0] ('h').args: must be an object, got list"]
-    row["args"] = {"seq": 1}
-    (tmp_path / "telemetry-00000.json").write_text(
-        "[\n" + json.dumps(row) + ",\n")
-    with pytest.raises(ValueError, match="exemplar of 'h' has no numeric"):
-        load_telemetry(tmp_path)

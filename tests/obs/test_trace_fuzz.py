@@ -106,22 +106,35 @@ def test_one_mutation_never_crashes_a_view(sources, tmp_path, data):
 
 @pytest.mark.parametrize("command, source, where, key, value, error", [
     ("prof", 0, "task", "args", [1], "args: must be an object"),
+    ("prof", 0, "task", "dur", None, "needs 'dur' >= 0, got None"),
+    ("prof", 0, "task", "ts", "late", "'ts' must be a number >= 0"),
     ("top", 1, "histogram", "args", {"le=a": 1}, "bound 'le=a'"),
     ("top", 1, "histogram", "args", [1], "args: must be an object"),
+    ("top", 1, "histogram", "args", {"le=1.0": "two"}, "number, got 'two'"),
+    ("top", 1, "slo", "args", {"state": "maybe"}, "firing/resolved"),
+    ("top", 1, "slo", "cat", "exemplar", "has no numeric"),
     ("blackbox", 2, "config", "REPRO_X", "env", "otherData.config:"),
     ("blackbox", 2, "otherData", "dropped", [1], "otherData.dropped:"),
     ("blackbox", 2, "trigger", "session", "4", "otherData.trigger:"),
-], ids=["prof-list-args", "top-bad-centroid", "top-list-digests",
+    ("blackbox", 2, "trigger", "kind", "gremlins", "trigger: needs a kind"),
+    ("blackbox", 2, "exemplars", 0, {"value": "slow"}, "a numeric value"),
+    ("blackbox", 2, "$", "otherData", [], "otherData: must be an object"),
+], ids=["prof-list-args", "prof-null-dur", "prof-string-ts",
+        "top-bad-centroid", "top-list-digests", "top-string-bucket",
+        "top-unknown-alert-state", "top-exemplar-without-value",
         "blackbox-string-config", "blackbox-list-dropped",
-        "blackbox-string-session"])
+        "blackbox-string-session", "blackbox-unknown-trigger",
+        "blackbox-string-exemplar", "blackbox-list-otherdata"])
 def test_a_probe_exits_1_with_an_error(sources, tmp_path, command, source,
                                        where, key, value, error):
-    """Input a deleted validator passed and a view then crashed on."""
+    """Input a view must refuse: one bad value in an event (by category),
+    in ``otherData`` or one of its blocks, or in the document (``"$"``)."""
     path, _, array = sources[source]
     doc = load_trace(path)[0]
     other = doc.get("otherData", {})
-    target = other if where == "otherData" else other.get(where) or [
-        e for e in doc["traceEvents"] if e.get("cat") == where][-1]
+    target = doc if where == "$" else other if where == "otherData" \
+        else other.get(where) or [e for e in doc["traceEvents"]
+                                  if e.get("cat") == where][-1]
     target[key] = value
     (tmp_path / path.name).write_text(serialize(doc, array))
     code, err = view(tmp_path / path.name, command)

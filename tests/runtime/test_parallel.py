@@ -47,12 +47,9 @@ class TestParallelCorrectness:
                                       reference.field(field)), (algo, field)
 
     def test_matches_sequential_on_apps(self):
-        from repro.apps import CircuitApp
+        from repro.apps import CircuitApp, session_stream
         app = CircuitApp(pieces=4, nodes_per_piece=8, wires_per_piece=12)
-        stream = TaskStream()
-        stream.extend_from(app.init_stream())
-        for _ in range(2):
-            stream.extend_from(app.iteration_stream())
+        stream = session_stream(app, 2)
         tasks, graph = analyzed(app.tree, app.initial, stream)
         reference = SequentialExecutor(app.tree, app.initial)
         reference.run_stream(stream)

@@ -51,41 +51,6 @@ class TestArtifact:
         assert any(line.startswith("neweqcr_dcr") for line in lines)
 
 
-class TestInspect:
-    def test_eqset_dump(self, capsys):
-        assert main(["inspect", "--app", "circuit", "--algorithm",
-                     "raycast", "--pieces", "3", "--iterations", "1"]) == 0
-        out = capsys.readouterr().out
-        assert "equivalence sets" in out
-        assert "metered operations:" in out
-
-    def test_painter_dump(self, capsys):
-        assert main(["inspect", "--app", "circuit", "--algorithm",
-                     "tree_painter", "--pieces", "2",
-                     "--iterations", "1"]) == 0
-        out = capsys.readouterr().out
-        assert "history items" in out
-
-    def test_dot_output(self, capsys):
-        assert main(["inspect", "--app", "stencil", "--pieces", "2",
-                     "--iterations", "1", "--dot"]) == 0
-        out = capsys.readouterr().out
-        assert out.startswith("digraph")
-
-    def test_missing_command(self):
-        with pytest.raises(SystemExit):
-            main([])
-
-
-class TestInspectZBuffer:
-    def test_zbuffer_dump(self, capsys):
-        from repro.cli import main
-        assert main(["inspect", "--app", "circuit", "--algorithm",
-                     "zbuffer", "--pieces", "2", "--iterations", "1"]) == 0
-        out = capsys.readouterr().out
-        assert "interned access sets" in out
-
-
 class TestAnalyze:
     def test_serial_analyze(self, capsys):
         assert main(["analyze", "--app", "stencil", "--pieces", "2",
@@ -111,8 +76,7 @@ class TestAnalyze:
         assert "B" in total  # shipped volume rendered as B/KiB/MiB
 
     def test_trace_out_and_critical_path(self, tmp_path, capsys):
-        from repro.obs import validate_trace
-        import json
+        from repro.obs import load_trace
         trace = tmp_path / "stencil.json"
         assert main(["analyze", "--app", "stencil", "--pieces", "2",
                      "--iterations", "1", "--shards", "2",
@@ -121,7 +85,7 @@ class TestAnalyze:
         assert f"trace written: {trace}" in out
         assert "critical path:" in out
         assert "analyze wall-clock" in out
-        assert validate_trace(json.loads(trace.read_text())) == []
+        assert load_trace(trace)[1]  # validates, and holds spans
 
     def test_prof_round_trip(self, tmp_path, capsys):
         trace = tmp_path / "t.json"
@@ -159,17 +123,14 @@ class TestExplain:
         assert "edge 7 <- 2" not in out
 
     def test_explain_rejects_bad_edge(self, capsys):
-        assert main(["explain", "7", "--edge", "nope", "--app",
-                     "stencil"]) == 2
-        assert main(["explain", "7", "--edge", "3:6", "--app",
-                     "stencil"]) == 2
+        assert main(["explain", "7", "--edge", "nope"]) == 2
+        assert main(["explain", "7", "--edge", "3:6"]) == 2
         assert main(["explain", "9999", "--app", "stencil"]) == 2
 
     def test_ledger_restored_after_explain(self):
         from repro.obs import tracer as obs
         before = obs.active_tracer()
-        assert main(["explain", "0", "--app", "stencil", "--pieces", "2",
-                     "--iterations", "1"]) == 0
+        assert main(["explain", "0", "--pieces", "2"]) == 0
         assert obs.active_tracer() is before
 
 
@@ -181,6 +142,20 @@ class TestCensus:
         assert "census (raycast)" in out
         assert "eqsets" in out
         assert "occlusion" in out
+
+    @pytest.mark.parametrize("algorithm, shows", [
+        ("raycast", "field 'charge' equivalence sets:\n0000"),
+        ("tree_painter", "live items"),
+        ("zbuffer", "interned sets"),
+    ], ids=["raycast", "tree_painter", "zbuffer"])
+    def test_census_dumps_structures(self, capsys, algorithm, shows):
+        assert main(["census", "--algorithm", algorithm, "--pieces", "2"]) == 0
+        out = capsys.readouterr().out
+        assert shows in out and "metered operations:" in out
+
+    def test_dot_output(self, capsys):
+        assert main(["census", "--pieces", "2", "--dot"]) == 0
+        assert capsys.readouterr().out.startswith("digraph")
 
     def test_census_json_validates(self, capsys):
         import json
@@ -216,3 +191,28 @@ class TestCensus:
         assert main(["census-diff", str(bad), str(bad)]) == 2
         assert main(["census-diff", str(tmp_path / "missing.json"),
                      str(bad)]) == 2
+
+
+class TestErrorContract:
+    """An unreadable file or a rejected input: ``error:``, exit 2."""
+
+    PROBES = {
+        "census-diff-directory": ["census-diff", "DIR", "DIR"],
+        "census-diff-not-utf8": ["census-diff", "LATIN1", "LATIN1"],
+        "analyze-no-pieces": ["analyze", "--pieces", "0"],
+        "census-no-pieces": ["census", "--pieces", "0"],
+        "explain-no-pieces": ["explain", "0", "--pieces", "0"],
+        "validate-no-pieces": ["validate", "--pieces", "0"],
+        "figure-no-nodes": ["figure", "fig12", "--max-nodes", "0"],
+    }
+
+    @pytest.mark.parametrize("probe", PROBES)
+    def test_rejected_input_exits_2(self, tmp_path, capsys, probe):
+        (tmp_path / "latin1.json").write_bytes(b'{"schema": "\xe9"}')
+        paths = {"DIR": str(tmp_path), "LATIN1": str(tmp_path / "latin1.json")}
+        assert main([paths.get(a, a) for a in self.PROBES[probe]]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_missing_command(self):
+        with pytest.raises(SystemExit):
+            main([])

@@ -80,13 +80,11 @@ class TestBBoxRelocalizationChurn:
 
     def test_no_structural_churn_in_steady_state(self):
         from collections import Counter
-        from repro.apps import StencilApp
+        from repro.apps import StencilApp, session_stream
 
         app = StencilApp(pieces=4, tile=4)
         rt = Runtime(app.tree, app.initial, algorithm="raycast")
-        rt.replay(app.init_stream())
-        rt.replay(app.iteration_stream())
-        rt.replay(app.iteration_stream())
+        rt.replay(session_stream(app, 2))
         before = Counter(rt.meter.counters)
         rt.replay(app.iteration_stream())
         delta = Counter(rt.meter.counters)
