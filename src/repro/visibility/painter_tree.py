@@ -53,50 +53,47 @@ def _priv_key(privilege: Privilege) -> PrivKey:
     return ("reduce", privilege.redop.name)
 
 
-def _keys_interfere(privilege: Privilege, keys: set[PrivKey]) -> bool:
-    """Whether ``privilege`` interferes with *any* privilege in a summary."""
-    me = _priv_key(privilege)
-    for key in keys:
-        if me == "read" and key == "read":
-            continue
-        if me == key and isinstance(key, tuple):
-            continue
-        return True
-    return False
+def _compatible(privilege: Privilege) -> frozenset[PrivKey]:
+    """The keys ``privilege`` commutes with; a summary that is a subset
+    can be skipped (read with read, reduce with its own operator)."""
+    key = _priv_key(privilege)
+    return frozenset() if key == "rw" else frozenset((key,))
 
 
 class CompositeView:
     """An immutable snapshot of a subtree of subhistories (section 5.1).
 
-    ``captured`` lists, top-down, the non-empty subhistories of the
-    captured subtree; items inside may themselves be composite views
+    ``items`` is the captured subtree's non-empty subhistories
+    concatenated top-down; items may themselves be composite views
     (nesting).  Views are distributed objects: in Legion they are built
     bottom-up and replicated on demand, but retain a single logical root —
     which is why the painter bottlenecks at scale.
     """
 
-    __slots__ = ("uid", "captured", "domain", "write_domain",
-                 "priv_summary", "num_entries")
+    __slots__ = ("uid", "items", "domain", "write_domain", "priv_summary")
 
-    def __init__(self, captured: list[tuple[int, list["PathItem"]]],
-                 domain: IndexSpace, write_domain: IndexSpace,
-                 priv_summary: set[PrivKey], num_entries: int) -> None:
+    def __init__(self, items: list["PathItem"], domain: IndexSpace,
+                 write_domain: IndexSpace, priv_summary: set[PrivKey]) -> None:
         self.uid = _view_uid.take()
-        self.captured = captured
+        self.items = items
         self.domain = domain
         self.write_domain = write_domain
         self.priv_summary = priv_summary
-        self.num_entries = num_entries
 
     def __setstate__(self, state) -> None:
         _view_uid.restore(self, state)
 
     def __repr__(self) -> str:
-        return (f"CompositeView(uid={self.uid}, nodes={len(self.captured)}, "
-                f"entries={self.num_entries})")
+        return f"CompositeView(uid={self.uid}, items={len(self.items)})"
 
 
 PathItem = Union[HistoryEntry, CompositeView]
+
+
+def _keys_of(item: PathItem) -> set[PrivKey]:
+    if isinstance(item, CompositeView):
+        return item.priv_summary
+    return {_priv_key(item.privilege)}
 
 
 class _NodeState:
@@ -180,29 +177,13 @@ class TreePainterAlgorithm(CoherenceAlgorithm):
         """Snapshot and clear every subhistory under (and at) each of
         ``roots`` into one composite view (the paper captures an entire
         partition subtree as a unit — Figure 8's V0 covers all of P)."""
-        captured: list[tuple[int, list[PathItem]]] = []
-        domain = IndexSpace.empty()
-        write_domain = IndexSpace.empty()
-        summary: set[PrivKey] = set()
-        entries_total = 0
+        items: list[PathItem] = []
 
         def visit(node: Region) -> None:
-            nonlocal domain, write_domain, entries_total
             st = self._states.get(node.uid)
             if st is not None and st.entries:
                 self.meter.count("view_nodes_captured")
-                captured.append((node.uid, st.entries))
-                for item in st.entries:
-                    entries_total += 1
-                    if isinstance(item, CompositeView):
-                        domain = domain | item.domain
-                        write_domain = write_domain | item.write_domain
-                        summary.update(item.priv_summary)
-                    else:
-                        domain = domain | item.domain
-                        if item.privilege.is_write:
-                            write_domain = write_domain | item.domain
-                        summary.add(_priv_key(item.privilege))
+                items.extend(st.entries)
                 st.entries = []
             if st is not None:
                 st.priv_summary = set()
@@ -227,11 +208,18 @@ class TreePainterAlgorithm(CoherenceAlgorithm):
                 up_st.subtree_count = old - removed
                 self._update_openness(node_up, old, up_st.subtree_count)
                 node_up = node_up.parent
-        if not captured:
+        if not items:
             return None
         self.meter.count("views_created")
-        view = CompositeView(captured, domain, write_domain, summary,
-                             entries_total)
+        domains = [item.domain for item in items]
+        writes = [item.write_domain if isinstance(item, CompositeView)
+                  else item.domain for item in items
+                  if isinstance(item, CompositeView) or item.privilege.is_write]
+        domain = IndexSpace.union_all(domains)
+        # an all-write capture keeps one space (and one pickle record)
+        view = CompositeView(items, domain, domain if writes == domains
+                             else IndexSpace.union_all(writes),
+                             set().union(*map(_keys_of, items)))
         self.meter.touch(("view", view.uid))
         return view
 
@@ -268,28 +256,31 @@ class TreePainterAlgorithm(CoherenceAlgorithm):
     def _hoist(self, privilege: Privilege, region: Region, led) -> None:
         path = region.path_from_root()
         on_path = {r.uid for r in path}
+        states = self._states
+        compatible = _compatible(privilege)
+        space = region.space
+        lo, hi = space._lo, space._hi
         for node in path:
-            node_st = self._states.get(node.uid)
+            node_st = states.get(node.uid)
             if node_st is None or not node_st.open_children:
                 continue
             # iterate only partitions with open children (the openness
             # index keeps launches O(open work), not O(machine))
             for bucket in list(node_st.open_children.values()):
                 open_children: list[Region] = []
-                trigger = False
+                tests, trigger = 0, False
                 for child in bucket.values():
                     if child.uid in on_path:
                         continue
                     open_children.append(child)
-                    if trigger:
-                        continue
-                    st = self._states.get(child.uid)
-                    if st is None or \
-                            not _keys_interfere(privilege, st.priv_summary):
+                    if trigger or states[child.uid].priv_summary <= compatible:
                         continue  # summary says nothing to hoist
-                    self.meter.count("intersection_tests")
-                    if not child.space.isdisjoint(region.space):
-                        trigger = True
+                    # one modelled test; the bounds answer most of them
+                    tests += 1
+                    cs = child.space
+                    trigger = (cs._lo <= hi and lo <= cs._hi
+                               and cs.overlaps(space))
+                self.meter.charge({"intersection_tests": tests})
                 if trigger:
                     # the paper snapshots the whole partition subtree as one
                     # composite view (Figure 8), not per-subregion views
@@ -307,11 +298,14 @@ class TreePainterAlgorithm(CoherenceAlgorithm):
 
         When ``privilege`` is given, whole composite views whose privilege
         summary cannot interfere are skipped (their values may still be
-        needed for painting, so painting passes ``privilege=None``).
-        Views nest: the walk keeps a stack of subhistory iterators, a view
-        pushing its captured ones so the first is resumed first.
+        needed for painting, so painting passes ``privilege=None``, which
+        skips nothing: no view's summary is empty).
+        Views nest: the walk keeps a stack of item iterators, a view
+        pushing its item list.
         """
         space = region.space
+        compatible = frozenset() if privilege is None \
+            else _compatible(privilege)
         out: list[HistoryEntry] = []
         for node in region.path_from_root():
             st = self._states.get(node.uid)
@@ -323,13 +317,11 @@ class TreePainterAlgorithm(CoherenceAlgorithm):
                 for item in stack[-1]:
                     if type(item) is not CompositeView:
                         out.append(item)
-                    elif item.domain.bbox_overlaps(space) and (
-                            privilege is None or _keys_interfere(
-                                privilege, item.priv_summary)):
+                    elif item.domain.bbox_overlaps(space) and \
+                            not item.priv_summary <= compatible:
                         self.meter.count("views_traversed")
                         self.meter.touch(("view", item.uid))
-                        stack.extend(iter(sub) for _, sub
-                                     in reversed(item.captured))
+                        stack.append(iter(item.items))
                         break
                 else:
                     stack.pop()
@@ -403,11 +395,15 @@ class TreePainterAlgorithm(CoherenceAlgorithm):
     def check_invariants(self) -> None:
         """Counts ≡ entries: every ``subtree_count`` equals a recount of
         its subtree's items, and ``open_children`` holds exactly the
-        children whose count is non-zero."""
+        children whose count is non-zero.  Skips are sound: a
+        ``priv_summary`` holds ``"rw"`` (interferes with everything) or
+        the key of every item in its subtree."""
         count: dict[int, int] = {}
+        keys: dict[int, set[PrivKey]] = {}
         for node in reversed(self.tree.regions):  # children before parents
             st = self._states.get(node.uid) or _NodeState()
             total = len(st.entries)
+            held: set[PrivKey] = set().union(*map(_keys_of, st.entries))
             for part in node.partitions.values():
                 opened = {c.uid for c in part.subregions if count[c.uid]}
                 if set(st.open_children.get(part.name, ())) != opened:
@@ -415,11 +411,17 @@ class TreePainterAlgorithm(CoherenceAlgorithm):
                         f"open-children index of {node!r} / {part.name!r} "
                         "disagrees with its children's counts")
                 total += sum(count[c.uid] for c in part.subregions)
+                held.update(*(keys[c.uid] for c in part.subregions))
             if st.subtree_count != total:
                 raise CoherenceError(
                     f"{node!r} counts {st.subtree_count} subtree items, "
                     f"holds {total}")
+            if "rw" not in st.priv_summary and not held <= st.priv_summary:
+                raise CoherenceError(
+                    f"{node!r}'s privilege summary misses "
+                    f"{held - st.priv_summary!r} held in its subtree")
             count[node.uid] = total
+            keys[node.uid] = held
 
     def node_entries(self, region: Region) -> list[PathItem]:
         """The subhistory currently recorded at ``region`` (tests)."""
@@ -429,17 +431,15 @@ class TreePainterAlgorithm(CoherenceAlgorithm):
     def view_stats(self) -> tuple[int, int]:
         """``(live views, entries they compacted)`` across the whole tree,
         counting nested views once each (census diagnostics)."""
-        views = 0
-        captured = 0
+        views = captured = 0
 
         def scan(items: list[PathItem]) -> None:
             nonlocal views, captured
             for item in items:
                 if isinstance(item, CompositeView):
                     views += 1
-                    captured += item.num_entries
-                    for _, sub_items in item.captured:
-                        scan(sub_items)
+                    captured += len(item.items)
+                    scan(item.items)
 
         for st in self._states.values():
             scan(st.entries)

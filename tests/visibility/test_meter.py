@@ -243,13 +243,13 @@ class TestRenderAndPickle:
         from repro import IndexSpace
         from repro.visibility import painter_tree
         space = IndexSpace.from_range(0, 4)
-        view = painter_tree.CompositeView([], space, space, set(), 0)
+        view = painter_tree.CompositeView([], space, space, set())
         blob = pickle.dumps(view)
         monkeypatch.setattr(painter_tree, "_view_uid",
                             type(painter_tree._view_uid)())
         restored = pickle.loads(blob)
         assert restored.uid == view.uid
-        fresh = painter_tree.CompositeView([], space, space, set(), 0)
+        fresh = painter_tree.CompositeView([], space, space, set())
         assert fresh.uid > restored.uid
 
     def test_phase_profile_pickle_round_trip(self):

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro import (READ, READ_WRITE, IndexSpace, RegionRequirement, Runtime,
-                   TreePainterAlgorithm, reduce)
+from repro import (READ, READ_WRITE, IndexSpace, RegionRequirement,
+                   RegionTree, Runtime, TreePainterAlgorithm, reduce)
 from repro.errors import CoherenceError
 from repro.visibility.history import HistoryEntry
 from repro.visibility.painter_tree import CompositeView
@@ -73,8 +73,7 @@ class TestFig8Narrative:
                       if isinstance(e, CompositeView)]
         assert len(root_views) == 1
         v0 = root_views[0]
-        captured_tasks = {item.task_id
-                          for _, items in v0.captured for item in items
+        captured_tasks = {item.task_id for item in v0.items
                           if isinstance(item, HistoryEntry)}
         assert captured_tasks == {0, 1, 2}
         # P subtree is now closed for the up field
@@ -106,8 +105,7 @@ class TestFig8Narrative:
                       if isinstance(e, CompositeView)]
         assert len(root_views) == 2
         v1 = root_views[1]
-        captured_tasks = {item.task_id
-                          for _, items in v1.captured for item in items
+        captured_tasks = {item.task_id for item in v1.items
                           if isinstance(item, HistoryEntry)}
         assert captured_tasks == {3, 4, 5}
 
@@ -155,6 +153,64 @@ class TestOcclusion:
         assert len(entries) == 1
         assert isinstance(entries[0], HistoryEntry)
         assert entries[0].task_id == 3
+
+
+class TestHoistCountRule:
+    """The hoist charges one intersection test per off-path open child
+    whose summary interferes, up to and including the first that overlaps
+    — on a bucket wider than the cost-log table's 4-piece ones."""
+
+    @pytest.mark.parametrize("layout", ["interleaved", "blocked"])
+    def test_counting_stops_at_the_overlapping_child(self, layout):
+        # interleaved: every child's bounds meet the access, so only the
+        # exact test tells them apart; blocked: bounds reject all but k
+        k = 3
+        if layout == "interleaved":
+            pieces = [IndexSpace.from_indices(range(i, 64, 8))
+                      for i in range(8)]
+            access = IndexSpace.from_indices([k, k + 56])
+        else:
+            pieces = [IndexSpace.from_range(8 * i, 8 * i + 8)
+                      for i in range(8)]
+            access = IndexSpace.from_indices([8 * k + 1, 8 * k + 6])
+        tree = RegionTree(64, {"x": np.int64})
+        P = tree.root.create_partition("P", pieces, disjoint=True,
+                                       complete=True)
+        Q = tree.root.create_partition("Q", [access])
+        algo = TreePainterAlgorithm(tree, "x", np.zeros(64, dtype=np.int64))
+
+        def run(privilege, region, task_id):
+            out = algo.materialize(privilege, region)
+            algo.commit(privilege, region,
+                        None if privilege.is_read else out.values, task_id)
+
+        plus = reduce("sum")
+        opened = [(5, plus), (2, READ_WRITE), (7, READ), (0, plus),
+                  (k, READ), (6, READ_WRITE), (1, plus), (4, READ)]
+        for task_id, (i, privilege) in enumerate(opened):
+            run(privilege, P[i], task_id)
+        # opens the on-path child with a summary that interferes with the
+        # access; P[k] is a read too, so nothing is hoisted yet
+        run(READ, Q[0], len(opened))
+        root_items = len(algo.node_entries(tree.root))
+        assert not any(isinstance(e, CompositeView)
+                       for e in algo.node_entries(tree.root))
+
+        expected = 0
+        for i, privilege in opened:
+            if not privilege.is_reduce:  # reduce(sum) is compatible
+                expected += 1
+            if i == k:
+                break
+        assert expected == 3
+        # plus the occlusion test the new view makes per root item
+        expected += root_items
+        before = algo.meter.counters["intersection_tests"]
+        algo.materialize(plus, Q[0], scan=False)
+        assert algo.meter.counters["intersection_tests"] - before == expected
+        assert isinstance(algo.node_entries(tree.root)[-1], CompositeView)
+        for i in range(8):
+            assert algo.node_entries(P[i]) == []
 
 
 class TestGuards:
