@@ -118,8 +118,8 @@ def test_disabled_recorder_overhead_is_below_budget():
         # RayCastAlgorithm._settle: once per write materialized
         + sum(req.privilege.is_write for req in requirements))
     hooks = (
-        # scan_dependences: once per *tested* entry — in the loop on a
-        # miss, in _conclude on a hit; an entry not tested meets no hook
+        # scan_dependences: once per *tested* entry — an edge on a hit, a
+        # prune on a miss; an entry not tested meets no hook
         delta("intersection_tests")
         # RayCastAlgorithm._collect: set_source, once per set scanned
         + delta("eqsets_visited")

@@ -26,9 +26,8 @@ over.  This module removes that redundancy with three cooperating pieces:
   (:data:`POSITIONS_BYTES`) as well as in entries.
 * :func:`batch_overlaps` — a **batched interference kernel** testing one
   query space against N candidates in a single vectorized pass: a stacked
-  bounds prefilter, then :func:`resolve_overlaps` — cache lookups per
-  surviving pair and one merged ``searchsorted`` sweep resolving every
-  remaining candidate at once.
+  bounds prefilter, cache lookups per surviving pair and one merged
+  ``searchsorted`` sweep resolving every remaining candidate at once.
 
 Correctness stance: the fast path must be *observationally invisible*.
 Cached results are value-equal to recomputed ones (immutability makes
@@ -71,11 +70,12 @@ _MISS = object()  # sentinel: cached False must be distinguishable
 #: cleared wholesale like any full table.  The maps an iteration asks for
 #: again (region vs. entry domain, region vs. root) total under 0.5 MiB on
 #: the ledger's widest cell (64 pieces); maps asked exactly once — a
-#: refinement split's (``EquivalenceSet.split``, ``RegionValues.restrict``),
-#: an application's build-time gathers — call ``_positions_raw`` and never
-#: come here (as partition construction calls ``_issubset_raw``).  The
-#: bound keeps a pathological stream of
-#: never-repeated pairs from showing in peak RSS.
+#: restriction that retires its region (``RegionValues.restrict``), an owner
+#: column's fill or one-off lookup (``RefinementTreeStore._fill_columns``,
+#: ``BucketStore._bucket_ids(once=True)``), the stencil and Pennant
+#: build-time gathers — call ``_positions_raw`` and never come here (as
+#: partition construction calls ``_issubset_raw``).  The bound keeps a
+#: pathological stream of never-repeated pairs from showing in peak RSS.
 POSITIONS_BYTES = 2 << 20
 
 #: Globally unique generation tags.  Per-instance memos on IndexSpace
@@ -402,13 +402,20 @@ def batch_overlaps(query: IndexSpace,
                    candidates: Sequence[IndexSpace]) -> np.ndarray:
     """``[query.overlaps(c) for c in candidates]`` in one vectorized pass.
 
-    Two halves, mirroring a graphics broad-phase/narrow-phase split:
+    Three steps, mirroring a graphics broad-phase/narrow-phase split:
 
-    1. **Stacked bounds prefilter** (here) — candidate ``(lo, hi)``
-       intervals are stacked into arrays and tested against the query's
-       bounds with two vector comparisons; empty candidates and
-       bbox-disjoint ones resolve to False without touching element data.
-    2. :func:`resolve_overlaps` answers the survivors exactly.
+    1. **Stacked bounds prefilter** — candidate ``(lo, hi)`` intervals are
+       stacked into arrays and tested against the query's bounds with two
+       vector comparisons; empty candidates and bbox-disjoint ones resolve
+       to False without touching element data.
+    2. **Cache probe** — surviving pairs already answered by the operation
+       cache are filled in directly.
+    3. **Merged-run sweep** — every remaining candidate's indices are
+       concatenated into one array, located in the query with a *single*
+       ``searchsorted``, and reduced to per-candidate verdicts with one
+       ``logical_or.reduceat`` over the segment starts (overlap is
+       symmetric, so probing candidates into the query is equivalent to
+       the scalar path's smaller-into-larger probe).
 
     The per-pair answers are exactly what scalar ``overlaps`` returns, and
     resolved pairs are stored back into the cache.  No meter is touched —
@@ -416,43 +423,20 @@ def batch_overlaps(query: IndexSpace,
     """
     n = len(candidates)
     out = np.zeros(n, dtype=bool)
-    if n == 0:
+    if n == 0 or query.is_empty:
         return out
     qlo, qhi = query.bounds
     lo = np.fromiter((c._lo for c in candidates), dtype=np.int64, count=n)
     hi = np.fromiter((c._hi for c in candidates), dtype=np.int64, count=n)
     live = np.flatnonzero((lo <= qhi) & (hi >= qlo) & (lo <= hi))
-    if live.size:
-        out[live] = resolve_overlaps(
-            query, [candidates[i] for i in live.tolist()])
-    return out
-
-
-def resolve_overlaps(query: IndexSpace,
-                     candidates: Sequence[IndexSpace]) -> np.ndarray:
-    """The exact half of :func:`batch_overlaps`, for a caller that has
-    already narrowed ``candidates`` to non-empty spaces whose bounds meet
-    the query's (a :class:`~repro.visibility.history.ColumnarHistory`
-    scan does, on its columns):
-
-    * **Cache probe** — pairs already answered by the operation cache are
-      filled in directly.
-    * **Merged-run sweep** — every remaining candidate's indices are
-      concatenated into one array, located in the query with a *single*
-      ``searchsorted``, and reduced to per-candidate verdicts with one
-      ``logical_or.reduceat`` over the segment starts (overlap is
-      symmetric, so probing candidates into the query is equivalent to
-      the scalar path's smaller-into-larger probe).
-    """
-    out = np.zeros(len(candidates), dtype=bool)
-    if query.is_empty:
+    if not live.size:
         return out
     cache = active_geometry_cache()
     unresolved: list[tuple[int, tuple[int, int]]] = []
     uq = cache.uid_of(query)
     table = cache._ovl
-    for i, candidate in enumerate(candidates):
-        uc = cache.uid_of(candidate)
+    for i in live.tolist():
+        uc = cache.uid_of(candidates[i])
         key = (uq, uc) if uq <= uc else (uc, uq)
         got = table.get(key, _MISS)
         if got is _MISS:

@@ -9,22 +9,19 @@ into the buffer being materialized, shared by every algorithm that keeps
 histories, beside the one dependence scan :func:`scan_dependences`.
 
 A history is a plain ``list`` of entries — every equivalence set's, the
-tree painter's path — walked by a straight loop, or the painter's one
-global :class:`ColumnarHistory`, whose walk past :data:`SCAN_VECTOR_MIN`
-entries is narrowed on NumPy columns to the entries that can matter.  The
-columns are a cache of the entry list, filled when such a walk asks.
+tree painter's path, the painter's one global history — and each of the
+two walks it with one loop, oldest first, an entry at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.errors import CoherenceError
-from repro.geometry.fastpath import (active_geometry_cache,
-                                     resolve_overlaps)
+from repro.geometry.fastpath import active_geometry_cache
 from repro.geometry.index_space import IndexSpace
 from repro.obs import provenance as prov
 from repro.privileges import Privilege
@@ -140,167 +137,8 @@ class HistoryEntry:
                 f"n={self.domain.size})")
 
 
-# ----------------------------------------------------------------------
-# columnar histories: structure-of-arrays backing for dependence scans
-# ----------------------------------------------------------------------
-#: Privilege-kind codes in the ``kind`` column.
-KIND_READ, KIND_WRITE, KIND_REDUCE = 0, 1, 2
-
-# Reduction operators are compared by *identity* in
-# :meth:`Privilege.interferes`, so the ``redop`` column interns operator
-# instances to small per-process codes by id().  The keep-alive list pins
-# every interned operator so ids are never recycled.  Codes are
-# process-local and never serialized: columnar containers pickle as their
-# entry lists and rebuild columns on load.
-_REDOP_CODES: dict[int, int] = {}
-_REDOP_KEEPALIVE: list = []
-
-
-def _redop_code(redop) -> int:
-    if redop is None:
-        return -1
-    code = _REDOP_CODES.get(id(redop))
-    if code is None:
-        code = len(_REDOP_KEEPALIVE)
-        _REDOP_CODES[id(redop)] = code
-        _REDOP_KEEPALIVE.append(redop)
-    return code
-
-
-def interference_mask(privilege: Privilege, kinds: np.ndarray,
-                      redops: np.ndarray) -> np.ndarray:
-    """Vectorized :meth:`Privilege.interferes` against kind/redop columns.
-
-    Matches the scalar relation exactly: the only non-interfering pairs
-    are read/read and reduce/reduce with the same operator instance.
-    """
-    if privilege.is_write:
-        return np.ones(len(kinds), dtype=bool)
-    if privilege.is_read:
-        return kinds != KIND_READ
-    return ~((kinds == KIND_REDUCE)
-             & (redops == _redop_code(privilege.redop)))
-
-
-class ColumnarHistory:
-    """The painter's one long history: a list of :class:`HistoryEntry`
-    with NumPy columns cached beside it.
-
-    The Python list *is* the history — ``append`` is ``list.append``;
-    iteration, indexing, painting and pickling see ordinary entry objects.
-    The columns (one row of ``_cols`` each, int64: privilege kind,
-    reduction-operator code, domain bounds ``lo``/``hi`` — an empty domain
-    is ``hi < lo`` — task id, whether the entry is a compaction summary)
-    are what a whole-history walk needs to decide, without touching an
-    entry object, that the entry cannot matter.  Nothing is allocated
-    until a scan or blend of :data:`SCAN_VECTOR_MIN` entries asks, and
-    then :meth:`_sync` fills rows ``[filled, n)`` — whatever was appended
-    since the last time someone asked — in one assignment.
-
-    Filling mutates on the read path, so the history has one owner thread
-    (each replica owns its ``Runtime``; nothing shares an algorithm).
-    """
-
-    __slots__ = ("_entries", "_cols", "_filled")
-    _WIDTH = 6
-
-    def __init__(self, entries: Iterable[HistoryEntry] = ()) -> None:
-        self._entries: list[HistoryEntry] = list(entries)
-        self._cols: Optional[np.ndarray] = None
-        self._filled = 0
-
-    @staticmethod
-    def _row(entry: HistoryEntry) -> tuple:
-        p, domain = entry.privilege, entry.domain
-        return (KIND_REDUCE if p.is_reduce
-                else KIND_READ if p.is_read else KIND_WRITE,
-                _redop_code(p.redop), domain._lo, domain._hi, entry.task_id,
-                bool(entry.collapsed_ids))
-
-    def _sync(self) -> np.ndarray:
-        """The columns, one row each, trimmed to and in step with the
-        entry list (capacity doubles)."""
-        entries, cols, filled = self._entries, self._cols, self._filled
-        n = len(entries)
-        if cols is None or cols.shape[1] < n:
-            grown = np.empty((self._WIDTH, max(8, 2 * n)), dtype=np.int64)
-            if filled:
-                grown[:, :filled] = cols[:, :filled]
-            self._cols = cols = grown
-        if filled < n:
-            cols[:, filled:n] = np.array(
-                [self._row(e) for e in entries[filled:]], dtype=np.int64).T
-            self._filled = n
-        return cols[:, :n]
-
-    def append(self, entry: HistoryEntry) -> None:
-        self._entries.append(entry)
-
-    def check_columns(self) -> None:
-        """Assert columns ≡ entries: brought up to date, every column
-        equals the one re-derived from the entry list."""
-        if not np.array_equal(self._sync(),
-                              type(self)(self._entries)._sync()):
-            raise CoherenceError(
-                f"{self!r}: columns diverged from the entries")
-
-    # -- list protocol -------------------------------------------------
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __bool__(self) -> bool:
-        return bool(self._entries)
-
-    def __iter__(self):
-        return iter(self._entries)
-
-    def __getitem__(self, key):
-        return self._entries[key]
-
-    def __reduce__(self):
-        # pickle by entries: redop codes are process-local, so columns are
-        # rebuilt on load (checkpoints pickle whole runtimes)
-        return (type(self), (list(self._entries),))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(n={len(self._entries)})"
-
-
-#: Shortest history whose scan (and blend) is narrowed on the columns.
-#: Below it one straight loop over the entries is the whole scan, at
-#: ~0.1 us an entry; the column front-end is a fixed run of ~20 NumPy
-#: calls, and what both sides then spend on the entries that *can* hit is
-#: the same.  Timed on the whole scan and the whole blend over the
-#: painter's own histories, the loop leads up to ~250 entries, the two
-#: tie between 256 and 512 and the columns lead beyond (9x where almost
-#: nothing interferes: 2 048 same-operator reductions); 256 is the low end
-#: of the tie (EXPERIMENTS.md, "The scan loops only over what can hit").
-#: Only the painter's global history (hundreds of entries) ever crosses
-#: it: equivalence-set histories are plain lists that hold 1-3 entries in
-#: steady state and never outgrow ``HISTORY_COMPACTION_LIMIT``.
-SCAN_VECTOR_MIN = 256
-
-
-def _conclude(entry: HistoryEntry, hit: bool, deps: set[int], led) -> None:
-    """What a tested entry leaves behind: its ids in ``deps`` on a hit,
-    and the edge or prune record while ``led`` takes witnesses."""
-    if hit:
-        deps.add(entry.task_id)
-        if entry.collapsed_ids:
-            deps.update(entry.collapsed_ids)
-        if led is not None:
-            led.edge(entry.task_id,
-                     "summary" if entry.collapsed_ids else "history",
-                     prov.privilege_label(entry.privilege),
-                     prov.domain_desc(entry.domain),
-                     collapsed=entry.collapsed_ids)
-    elif led is not None:
-        led.prune(entry.task_id, "disjoint", prov.domain_desc(entry.domain))
-
-
 def scan_dependences(privilege: Privilege, space: IndexSpace,
-                     entries: list[HistoryEntry] | ColumnarHistory,
-                     deps: set[int],
+                     entries: list[HistoryEntry], deps: set[int],
                      meter: Optional[CostMeter] = None,
                      led=None) -> None:
     """Collect task ids of entries that interfere with a new access.
@@ -309,68 +147,42 @@ def scan_dependences(privilege: Privilege, space: IndexSpace,
     truly overlap (content-based coherence, section 3.2).  Every
     interfering entry is *tested* unless its task is already in ``deps``
     when the walk reaches it (a summary always is), and the meter is
-    charged that entry-at-a-time total whatever the walk skipped on the
-    way (analysis fingerprints hash it).
-
-    The walk asks a geometry question only about entries that can hit, in
-    one of two ways chosen by what the history is and how long it has
-    grown.  A list, or a :class:`ColumnarHistory` short of
-    :data:`SCAN_VECTOR_MIN` entries: a straight loop, bounds rejected
-    inline, the exact cached test last.  From there on the
-    :class:`ColumnarHistory` is narrowed on its columns:
-    the exact kernel is asked, once, only about entries that interfere,
-    are bounds-near and are not dependences yet; a bounds-far entry can
-    never grow ``deps``, so it is a set probe and an increment on numbers
-    read from the columns and its entry object is never touched.
+    charged that entry-at-a-time total, one ``charge`` a scan (analysis
+    fingerprints hash it).  A test rejects on bounds inline and asks the
+    cached exact ``overlaps`` last; a hit adds the entry's ids.
 
     ``led`` — the caller's open access span while witnesses are recorded,
     else None — observes the same walk: edge/prune records that never
     touch the meter or alter control flow.
     """
-    columnar = isinstance(entries, ColumnarHistory)
-    items = entries._entries if columnar else entries
-    n = len(items)
-    if n == 0:
-        return
     qlo, qhi = space._lo, space._hi
+    interferes = privilege.interferes
     tested = 0
-    if columnar and n >= SCAN_VECTOR_MIN:
-        kind, redop, lo, hi, task, summary = entries._sync()
-        idx = np.flatnonzero(interference_mask(privilege, kind, redop))
-        lo, hi, task, summary = lo[idx], hi[idx], task[idx], summary[idx]
-        hits = (lo <= qhi) & (hi >= qlo) & (lo <= hi)  # bounds-near
-        if deps:  # ... and not a dependence yet (a summary is always asked)
-            hits &= (summary != 0) | ~np.isin(task, list(deps))
-        ask = np.flatnonzero(hits)
-        if ask.size:  # the candidates' flags become their exact verdicts
-            hits[ask] = resolve_overlaps(
-                space, [items[i].domain for i in idx[ask].tolist()])
-        for i, task_id, summarizes, hit in zip(
-                idx.tolist(), task.tolist(), summary.tolist(), hits.tolist()):
-            if task_id in deps and not summarizes:
-                continue
-            tested += 1
-            if hit or led is not None:
-                _conclude(items[i], hit, deps, led)
-    else:
-        interferes = privilege.interferes
-        for entry in items:
-            if not interferes(entry.privilege) or (
-                    entry.task_id in deps and not entry.collapsed_ids):
-                continue
-            tested += 1
-            d = entry.domain
-            hit = not (d._hi < qlo or qhi < d._lo or d._hi < d._lo) \
-                and space.overlaps(d)
-            if hit or led is not None:
-                _conclude(entry, hit, deps, led)
+    for entry in entries:
+        if not interferes(entry.privilege) or (
+                entry.task_id in deps and not entry.collapsed_ids):
+            continue
+        tested += 1
+        d = entry.domain
+        if not (d._hi < qlo or qhi < d._lo or d._hi < d._lo) \
+                and space.overlaps(d):
+            deps.add(entry.task_id)
+            if entry.collapsed_ids:
+                deps.update(entry.collapsed_ids)
+            if led is not None:
+                led.edge(entry.task_id,
+                         "summary" if entry.collapsed_ids else "history",
+                         prov.privilege_label(entry.privilege),
+                         prov.domain_desc(d), collapsed=entry.collapsed_ids)
+        elif led is not None:
+            led.prune(entry.task_id, "disjoint", prov.domain_desc(d))
     if meter is not None:
-        meter.charge({"entries_scanned": n, "intersection_tests": tested})
+        meter.charge({"entries_scanned": len(entries),
+                      "intersection_tests": tested})
 
 
 def paint_into(out: np.ndarray, target: IndexSpace, clip: IndexSpace,
-               entries: list | ColumnarHistory,
-               meter: Optional[CostMeter] = None) -> None:
+               entries: list, meter: Optional[CostMeter] = None) -> None:
     """Blend a history, oldest first, into the buffer being materialized.
 
     This is the blending function ``b`` of section 3.1 applied in the
@@ -388,32 +200,24 @@ def paint_into(out: np.ndarray, target: IndexSpace, clip: IndexSpace,
     An entry's values are either a :class:`RegionValues` on the entry's
     own domain (:class:`HistoryEntry`) or a bare array aligned with
     ``clip`` (an equivalence set's ``EqEntry``, whose domain *is* the
-    set); ``entries`` is a list of either, or the painter's
-    :class:`ColumnarHistory`, which at scan-kernel length is prefiltered on
-    its kind and bounds columns like the dependence scan.
+    set); ``entries`` is a list of either.  An entry whose bounds miss
+    ``clip``'s is rejected inline, before any geometry.
 
     The meter is charged once, in bulk, what an entry-at-a-time walk
     charges: ``entries_scanned`` per entry, ``elements_moved`` per visible
     entry whose bounds meet ``clip``'s (the smaller of the two sizes).
     """
-    columnar = isinstance(entries, ColumnarHistory)
-    items = entries._entries if columnar else entries
-    if meter is not None and items:
-        meter.count("entries_scanned", len(items))
+    if meter is not None and entries:
+        meter.count("entries_scanned", len(entries))
     if clip.is_empty:
         return
     lo, hi = clip.bounds
-    if columnar and len(items) >= SCAN_VECTOR_MIN:
-        kind, _, los, his, _, _ = entries._sync()
-        live = np.flatnonzero((kind != KIND_READ) & (los <= hi)
-                              & (his >= lo) & (los <= his))
-        items = [items[i] for i in live.tolist()]
     # straight at the operation cache the IndexSpace operators dispatch
     # to: a painter-length history asks it about dozens of entries a call
     cache = active_geometry_cache()
     size = clip.size
     moved = 0
-    for entry in items:
+    for entry in entries:
         values = entry.values
         if values is None:
             continue

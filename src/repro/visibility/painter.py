@@ -1,10 +1,12 @@
-"""The painter's algorithm for content-based coherence (Figure 7).
+"""The painter's algorithm for content-based coherence: Figure 7 over
+one list.
 
-State is a single global *history*: a time-ordered list of
-(privilege, region) pairs, oldest first, seeded with the fully-opaque
-initial write of the root region.  Materializing a region replays the whole
-history back-to-front onto it — exactly the graphics painter's algorithm,
-rendering every object in depth order whether or not it ends up visible.
+State is a single global *history*: a plain ``list`` of
+(privilege, region) entries, oldest first, seeded with the fully-opaque
+initial write of the root region.  A dependence scan walks the whole list
+once, and materializing a region replays the whole list onto it —
+exactly the graphics painter's algorithm, rendering every object in depth
+order whether or not it ends up visible.
 
 This is the reference implementation the optimized variants are tested
 against: simple, obviously faithful to the figure, and O(history) per
@@ -21,9 +23,8 @@ from repro.privileges import Privilege, READ_WRITE
 from repro.regions.region import Region
 from repro.regions.tree import RegionTree
 from repro.visibility.base import CoherenceAlgorithm, INITIAL_TASK_ID
-from repro.visibility.history import (ColumnarHistory, HistoryEntry,
-                                      RegionValues, paint_into,
-                                      scan_dependences)
+from repro.visibility.history import (HistoryEntry, RegionValues,
+                                      paint_into, scan_dependences)
 from repro.visibility.meter import CostMeter
 
 
@@ -36,30 +37,31 @@ class PainterAlgorithm(CoherenceAlgorithm):
                  meter: Optional[CostMeter] = None) -> None:
         super().__init__(tree, field, initial, meter)
         root_values = RegionValues(tree.root.space, np.asarray(initial).copy())
-        # the one history long enough for the column-narrowed walk
-        self._history = ColumnarHistory([
+        self._history: list[HistoryEntry] = [
             HistoryEntry(READ_WRITE, tree.root.space, root_values,
                          INITIAL_TASK_ID)
-        ])
+        ]
 
     # ------------------------------------------------------------------
     # the store policy: everything lives in one list
     # ------------------------------------------------------------------
     def _locate(self, privilege: Privilege, region: Region,
-                led) -> ColumnarHistory:
-        # The history is one distributed object rooted at the control node.
+                led) -> list[HistoryEntry]:
+        # Figure 7 over one list: every access scans and paints the whole
+        # history, one distributed object rooted at the control node.
         self.meter.touch(("painter_history", 0))
         return self._history
 
     def _collect(self, privilege: Privilege, region: Region,
-                 history: ColumnarHistory, deps: set[int], led) -> None:
+                 history: list[HistoryEntry], deps: set[int], led) -> None:
         if led is not None:
             led.set_source(("painter", len(history)))
             led.visit("history_entries", len(history))
         scan_dependences(privilege, region.space, history, deps, self.meter,
                          led)
 
-    def _paint(self, region: Region, history: ColumnarHistory) -> np.ndarray:
+    def _paint(self, region: Region,
+               history: list[HistoryEntry]) -> np.ndarray:
         """Replay the history oldest-to-newest onto ``region``."""
         values = np.zeros(region.space.size, dtype=self.dtype)
         paint_into(values, region.space, region.space, history, self.meter)
@@ -80,7 +82,3 @@ class PainterAlgorithm(CoherenceAlgorithm):
 
     def describe(self) -> dict:
         return {"kind": "painter", "history_length": len(self._history)}
-
-    def check_invariants(self) -> None:
-        """Columns ≡ entries: the scan's columns match the entry list."""
-        self._history.check_columns()

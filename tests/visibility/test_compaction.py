@@ -138,3 +138,47 @@ class TestCompactionUnits:
         monkeypatch.setattr(eqset_mod, "HISTORY_COMPACTION_LIMIT", 8)
         s.record(reduce("sum"), np.ones(2), 200)
         assert len(s.history) == 1
+
+
+class TestEqsetHistoriesAreLists:
+    """A set's history stays a plain list, in order and aligned, through
+    the operations that rebuild it."""
+
+    def test_split_keeps_entry_order_and_alignment(self):
+        from repro.visibility.eqset import EquivalenceSet
+
+        s = EquivalenceSet(IndexSpace.from_indices([0, 1, 2]))
+        assert type(s.history) is list
+        s.record(READ_WRITE, np.array([5.0, 6.0, 7.0]), 1)
+        s.record(reduce("sum"), np.array([1.0, 2.0, 3.0]), 2)
+        inside, outside = s.split(IndexSpace.from_indices([0]))
+        assert outside is not None
+        for part, values in ((inside, [[5.0], [1.0]]),
+                             (outside, [[6.0, 7.0], [2.0, 3.0]])):
+            assert type(part.history) is list
+            assert [(e.task_id, e.privilege) for e in part.history] == \
+                [(e.task_id, e.privilege) for e in s.history]
+            assert [e.values.tolist() for e in part.history] == values
+
+    def test_minus_keeps_entry_order_and_alignment(self):
+        from repro.visibility.eqset import LooseEquivalenceSet
+        from repro.visibility.history import HistoryEntry, RegionValues
+
+        def entry(privilege, indices, task_id):
+            domain = IndexSpace.from_indices(indices)
+            return HistoryEntry(privilege, domain, RegionValues(
+                domain, np.arange(domain.size, dtype=np.float64)), task_id)
+
+        s = LooseEquivalenceSet(IndexSpace.from_indices([0, 1, 2, 3]))
+        assert type(s.history) is list
+        s.record(entry(READ_WRITE, [0, 1, 2, 3], 1))
+        s.record(entry(reduce("sum"), [0, 1], 2))  # dropped: disjoint
+        s.record(entry(reduce("sum"), [1, 2], 3))
+        remainder = s.minus(IndexSpace.from_indices([0, 1]))
+        assert remainder is not None
+        assert type(remainder.history) is list
+        assert [e.task_id for e in remainder.history] == [1, 3]
+        assert [e.domain.indices.tolist() for e in remainder.history] == \
+            [[2, 3], [2]]
+        assert [e.values.values.tolist() for e in remainder.history] == \
+            [[2.0, 3.0], [1.0]]

@@ -1,8 +1,8 @@
 """The extension contract as an executable example (docs/extending.md).
 
 ``ListPolicy`` is a complete sixth coherence algorithm in under forty
-lines: a plain Python list of :class:`HistoryEntry`, no columns, no
-spatial index.  It supplies the store-policy hooks and nothing else — no
+lines: a plain Python list of :class:`HistoryEntry`, the painter's own
+history shape, and no spatial index.  It supplies the store-policy hooks and nothing else — no
 ``materialize``/``commit`` override — so the tree check, provenance,
 tracing spans, lazy reductions and traced replay all come from the driver
 in :mod:`repro.visibility.base`.  Registered for this module's duration,
