@@ -27,7 +27,11 @@ over.  This module removes that redundancy with three cooperating pieces:
 * :func:`batch_overlaps` — a **batched interference kernel** testing one
   query space against N candidates in a single vectorized pass: a stacked
   bounds prefilter, cache lookups per surviving pair and one merged
-  ``searchsorted`` sweep resolving every remaining candidate at once.
+  ``searchsorted`` sweep resolving every remaining candidate at once.  No
+  store calls it (both equivalence-set stores answer their exact tests
+  from owner columns); it stays exported for two consumers, the ledger's
+  ``geometry.batch_overlaps_us`` probe and the span-memo spec
+  ``RederivingStore`` in ``tests/visibility/test_loose_eqsets.py``.
 
 Correctness stance: the fast path must be *observationally invisible*.
 Cached results are value-equal to recomputed ones (immutability makes
@@ -57,7 +61,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from contextlib import contextmanager
-from typing import Iterator, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -72,7 +76,7 @@ _MISS = object()  # sentinel: cached False must be distinguishable
 #: the ledger's widest cell (64 pieces); maps asked exactly once — a
 #: restriction that retires its region (``RegionValues.restrict``), an owner
 #: column's fill or one-off lookup (``RefinementTreeStore._fill_columns``,
-#: ``BucketStore._bucket_ids(once=True)``), the stencil and Pennant
+#: ``BucketStore._localize``), the stencil and Pennant
 #: build-time gathers — call ``_positions_raw`` and never come here (as
 #: partition construction calls ``_issubset_raw``).  The bound keeps a
 #: pathological stream of never-repeated pairs from showing in peak RSS.
@@ -158,7 +162,10 @@ class GeometryCache:
             table.clear()
         table[key] = value
 
-    def intersection(self, a: IndexSpace, b: IndexSpace) -> IndexSpace:
+    def intersection(self, a: IndexSpace, b: IndexSpace,
+                     known: Optional[IndexSpace] = None) -> IndexSpace:
+        """``a & b``, shared on a hit; a caller that already holds the
+        answer another way passes it as ``known`` to be stored on a miss."""
         ua, ub = self.uid_of(a), self.uid_of(b)
         key = (ua, ub) if ua <= ub else (ub, ua)
         got = self._and.get(key)
@@ -166,7 +173,7 @@ class GeometryCache:
             self.hits += 1
             return got
         self.misses += 1
-        out = a._intersection_raw(b)
+        out = a._intersection_raw(b) if known is None else known
         self._store(self._and, key, out)
         return out
 

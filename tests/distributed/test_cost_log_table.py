@@ -10,6 +10,11 @@ would have met them.  Every row below is the SHA-256 of
 per task, set and view uids masked out of the touch keys (they are
 process-global) — recorded at commit ``df6dccd``, the last one that
 re-walked the equivalence-set stores on every access.
+
+:data:`COLD` pins ray casting where its first touch carves: 64 pieces at
+init + 2 (the ledger's ``cold_wide`` shape) and 16 pieces at init + 4,
+hashed the same way.  Those rows were recorded at commit ``e7f3d90``,
+before the store answered its exact tests from a set-owner column.
 """
 
 import hashlib
@@ -19,7 +24,7 @@ import pytest
 from repro import ALGORITHMS, Runtime
 from repro.apps import APPS
 
-from tests.distributed.test_fingerprint_table import PIECES, streams
+from tests.distributed.test_fingerprint_table import ITERATIONS, PIECES
 
 #: ``(app, algorithm) -> sha256(repr(cost_log(app, algorithm)))``
 PINNED = {
@@ -55,6 +60,22 @@ PINNED = {
         "c38fd3c3e96761ca8f889d08fb3f457d6427e0e189f636827ec7678d73b6aecb",
 }
 
+#: ``(app, pieces, iterations) -> sha256`` of the ray-casting cost log
+COLD = {
+    ("circuit", 64, 2):
+        "c99d3d1d5a8b05419a9ae791facbe791f0e359a3d29afeb49ef463032b9d3ef5",
+    ("pennant", 64, 2):
+        "ebc724b957e1f433498c79b307f46f7bc1bdd7525a80e446f8d59223c79fe3f8",
+    ("stencil", 64, 2):
+        "cd32afa2db0f7d7172d19fd8e509697f28a32408c7c3ff07e34b9f67a64086af",
+    ("circuit", 16, 4):
+        "0e14c107750a0e10fbfdd9cfe4d6c28bbde893a2a9ea115bd440bafc6d3e51ab",
+    ("pennant", 16, 4):
+        "0f87a478624b6d8e6703aa712ac8bbf2bd4b09b7adfff5c89338e335711a6343",
+    ("stencil", 16, 4):
+        "5c8b249a1a520c14640422ad7b1f26fe127b28df375787dba1897127e2edbdcf",
+}
+
 CELLS = sorted((app, alg) for app in APPS for alg in ALGORITHMS)
 
 
@@ -66,12 +87,14 @@ def masked(key):
     return tuple(key)
 
 
-def cost_log(app_name: str, algorithm: str) -> list:
-    app = APPS[app_name](pieces=PIECES)
+def cost_log(app_name: str, algorithm: str, pieces: int = PIECES,
+             iterations: int = ITERATIONS) -> list:
+    app = APPS[app_name](pieces=pieces)
     rt = Runtime(app.tree, app.initial, algorithm=algorithm,
                  record_costs=True)
-    for stream in streams(app):
-        rt.replay(stream)
+    rt.replay(app.init_stream())
+    for _ in range(iterations):
+        rt.replay(app.iteration_stream())
     return [(sorted(cost.counters.items()),
              [masked(key) for key in cost.touches])
             for cost in rt.cost_log]
@@ -88,3 +111,12 @@ def test_cost_log_matches_pinned(app_name, algorithm):
     assert digest == PINNED[app_name, algorithm], (
         f"{app_name}/{algorithm}: per-task counters or touch order "
         f"changed; {len(log)} tasks, first {log[0]}")
+
+
+@pytest.mark.parametrize("app_name,pieces,iterations", sorted(COLD))
+def test_cold_raycast_cost_log_matches_pinned(app_name, pieces, iterations):
+    log = cost_log(app_name, "raycast", pieces, iterations)
+    digest = hashlib.sha256(repr(log).encode()).hexdigest()
+    assert digest == COLD[app_name, pieces, iterations], (
+        f"{app_name} at {pieces} pieces, init + {iterations}: ray-casting "
+        f"per-task counters or touch order changed; {len(log)} tasks")
