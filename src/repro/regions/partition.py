@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING, Collection, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -36,23 +36,13 @@ class Partition:
     @classmethod
     def _create(cls, parent: "Region", name: str,
                 subspaces: list[IndexSpace], *,
-                disjoint: Optional[bool], complete: Optional[bool]) -> "Partition":
+                disjoint: bool, complete: bool) -> "Partition":
+        """Build a partition :func:`check_partition` has accepted."""
         self = object.__new__(cls)
         self.parent = parent
         self.name = name
-
-        actual_disjoint = _compute_disjoint(subspaces)
-        actual_complete = _compute_complete(parent.space, subspaces)
-        if disjoint is not None and disjoint != actual_disjoint:
-            raise RegionTreeError(
-                f"partition {name!r} declared disjoint={disjoint} but "
-                f"actually disjoint={actual_disjoint}")
-        if complete is not None and complete != actual_complete:
-            raise RegionTreeError(
-                f"partition {name!r} declared complete={complete} but "
-                f"actually complete={actual_complete}")
-        self.disjoint = actual_disjoint
-        self.complete = actual_complete
+        self.disjoint = disjoint
+        self.complete = complete
 
         tree = parent.tree
         self.subregions = [
@@ -86,6 +76,39 @@ class Partition:
         props.append("complete" if self.complete else "incomplete")
         return (f"Partition({self.name!r}, n={len(self.subregions)}, "
                 f"{'+'.join(props)})")
+
+
+def check_partition(parent: IndexSpace, parent_name: str,
+                    taken: Collection[str], name: str,
+                    subspaces: Sequence[IndexSpace], *,
+                    disjoint: Optional[bool] = None,
+                    complete: Optional[bool] = None) -> tuple[bool, bool]:
+    """Raise :class:`RegionTreeError` unless ``subspaces`` may partition
+    region ``parent_name`` (over ``parent``, its partition names ``taken``)
+    as ``name``; else the partition's actual ``(disjoint, complete)``.
+    Mutates nothing, so a batch of partitions can be checked whole first."""
+    if name in taken:
+        raise RegionTreeError(
+            f"region {parent_name!r} already has a partition {name!r}")
+    if not subspaces:
+        raise RegionTreeError("partition requires at least one subregion")
+    for i, sub in enumerate(subspaces):
+        # validated once, at construction: raw, not via the cache
+        if not sub._issubset_raw(parent):
+            raise RegionTreeError(
+                f"subregion {i} of partition {name!r} is not a subset "
+                f"of region {parent_name!r}")
+    actual_disjoint = _compute_disjoint(list(subspaces))
+    actual_complete = _compute_complete(parent, subspaces)
+    if disjoint is not None and disjoint != actual_disjoint:
+        raise RegionTreeError(
+            f"partition {name!r} declared disjoint={disjoint} but "
+            f"actually disjoint={actual_disjoint}")
+    if complete is not None and complete != actual_complete:
+        raise RegionTreeError(
+            f"partition {name!r} declared complete={complete} but "
+            f"actually complete={actual_complete}")
+    return actual_disjoint, actual_complete
 
 
 def _compute_disjoint(subspaces: list[IndexSpace]) -> bool:

@@ -174,7 +174,7 @@ class TestEqsetHistoriesAreLists:
         s.record(entry(READ_WRITE, [0, 1, 2, 3], 1))
         s.record(entry(reduce("sum"), [0, 1], 2))  # dropped: disjoint
         s.record(entry(reduce("sum"), [1, 2], 3))
-        remainder = s.minus(IndexSpace.from_indices([0, 1]))
+        remainder = s.minus(s.space - IndexSpace.from_indices([0, 1]))
         assert remainder is not None
         assert type(remainder.history) is list
         assert [e.task_id for e in remainder.history] == [1, 3]

@@ -173,3 +173,25 @@ class TestMaterializedDtypeIsTheFieldDtype:
             values = algo.materialize(READ, region).values
             assert values.dtype == algo.dtype
             assert list(values) == want
+
+
+class TestEmptyRegionAccess:
+    """Ray casting once read a region's answer back out of the store's
+    region memo, which an empty query never fills: a READ or reduction
+    of an empty subregion raised ``KeyError``.  A write of one raised
+    ``CoherenceError`` (its dominating write made an empty set).  Every
+    algorithm accepts an access to an empty subregion and leaves the
+    field as it was."""
+
+    @pytest.mark.parametrize("privilege", [READ, READ_WRITE, reduce("sum")])
+    @pytest.mark.parametrize("name", sorted(ALGORITHMS))
+    def test_empty_subregion(self, name, privilege):
+        tree = RegionTree(12, {"x": np.int64})
+        P = tree.root.create_partition(
+            "P", [IndexSpace.from_range(0, 12), IndexSpace.from_range(0, 0)])
+        rt = Runtime(tree, {"x": np.arange(12, dtype=np.int64)},
+                     algorithm=name)
+        for _ in range(2):
+            rt.launch("e", [RegionRequirement(P[1], "x", privilege)])
+        assert list(rt.read_field("x")) == list(range(12))
+        rt.algorithm_for("x").check_invariants()
