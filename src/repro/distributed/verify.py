@@ -22,6 +22,8 @@ hashes.
 from __future__ import annotations
 
 import hashlib
+import operator
+import weakref
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
@@ -32,33 +34,47 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.runtime.dependence import DependenceGraph
 
 
-def _hash_tokens(h: "hashlib._Hash", token) -> None:
-    """Feed one (possibly nested) token into a hash, type-tagged so that
-    e.g. the int 1 and the string "1" cannot collide."""
-    if isinstance(token, bytes):
-        h.update(b"b" + len(token).to_bytes(8, "little") + token)
-    elif isinstance(token, str):
-        _hash_tokens(h, token.encode("utf-8"))
-    elif isinstance(token, bool):
-        h.update(b"B1" if token else b"B0")
-    elif isinstance(token, int):
-        h.update(b"i" + str(token).encode())
-    elif token is None:
-        h.update(b"n")
-    elif isinstance(token, (tuple, list)):
-        h.update(b"t" + len(token).to_bytes(8, "little"))
+def _encode(token, emit: Callable[[bytes], object]) -> None:
+    """Emit one (possibly nested) token's bytes, type-tagged so that e.g.
+    the int 1 and the string "1" cannot collide.  Exact types take fast
+    paths; the rest take the spec's ``isinstance`` branches (in any order:
+    no class derives from two of bytes, str, int, tuple and list)."""
+    kind = type(token)
+    if kind is int:
+        emit(b"i%d" % token)
+    elif kind is tuple or kind is list or isinstance(token, (tuple, list)):
+        emit(b"t" + len(token).to_bytes(8, "little"))
         for item in token:
-            _hash_tokens(h, item)
+            if type(item) is int:
+                emit(b"i%d" % item)
+            else:
+                _encode(item, emit)
+    elif kind is str or isinstance(token, str):
+        _encode(token.encode("utf-8"), emit)
+    elif isinstance(token, bytes):
+        emit(b"b" + len(token).to_bytes(8, "little") + token)
+    elif token is None:
+        emit(b"n")
+    elif kind is bool:
+        emit(b"B1" if token else b"B0")
+    elif isinstance(token, int):
+        emit(b"i" + str(token).encode())
     else:
-        _hash_tokens(h, repr(token))
+        _encode(repr(token), emit)
 
 
 def fingerprint_tokens(*tokens) -> str:
     """SHA-256 hex digest of a canonical encoding of nested tokens."""
     h = hashlib.sha256()
     for token in tokens:
-        _hash_tokens(h, token)
+        _encode(token, h.update)
     return h.hexdigest()
+
+
+#: graph -> {task id t: (the dependence sets of tasks t, t + 1, ... as
+#: encoded, their rows)}.  Beside the graph so no checkpoint carries it;
+#: one inner dict per graph so concurrent replicas share none.
+_RUNS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 def graph_fingerprint(graph: "DependenceGraph", start: int = 0,
@@ -66,14 +82,38 @@ def graph_fingerprint(graph: "DependenceGraph", start: int = 0,
     """Digest of one dependence-graph section.
 
     ``start``/``count`` select the tasks of one executed stream so that
-    repeated ``execute`` calls can be verified incrementally; the ids and
-    their sorted dependence sets are hashed in program order.
+    repeated ``execute`` calls can be verified incrementally (``count``
+    ``None``: through the last task); the ids and their sorted dependence
+    sets are hashed in program order.  A history digest (``start`` 0, as
+    every checkpoint and restore check asks) keeps the rows it encodes,
+    one run of consecutive tasks at a time, and reuses a run while the
+    graph still maps each of its tasks to the very frozenset it was
+    encoded from: sets are immutable, so any change rebinds one.
     """
-    ids = graph.task_ids
-    if count is not None:
-        ids = [t for t in ids if start <= t < start + count]
-    return fingerprint_tokens(
-        [(tid, tuple(sorted(graph.dependences_of(tid)))) for tid in ids])
+    deps = graph._deps
+    if count is None:
+        ids = sorted(t for t in deps if t >= start)
+    else:
+        ids = [t for t in range(start, start + count) if t in deps]
+    if ids and ids[-1] - ids[0] != len(ids) - 1:  # gaps: no runs to keep
+        return fingerprint_tokens([(t, tuple(sorted(deps[t]))) for t in ids])
+    runs = _RUNS.setdefault(graph, {})
+    h = hashlib.sha256(b"t" + len(ids).to_bytes(8, "little"))
+    t, end = (ids[0], ids[-1] + 1) if ids else (0, 0)
+    while t < end:
+        sets, rows = runs.get(t, ((), b""))
+        n = len(sets)
+        if not n or t + n > end or not all(map(
+                operator.is_, sets, map(deps.__getitem__, range(t, t + n)))):
+            sets = tuple(map(deps.__getitem__, range(t, end)))
+            n, rows = len(sets), bytearray()
+            for tid, dependences in zip(range(t, end), sets):
+                _encode((tid, tuple(sorted(dependences))), rows.extend)
+            if start <= 0:  # the next history digest reads them again
+                runs[t] = (sets, rows)
+        h.update(rows)
+        t += n
+    return h.hexdigest()
 
 
 def structure_fingerprint(runtime: "Runtime") -> str:
