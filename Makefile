@@ -44,16 +44,20 @@ chaos:
 introspect-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro census --app stencil --pieces 4 \
 		--iterations 2 --json > census.json
-	PYTHONPATH=src $(PYTHON) -c "import json; \
+	PYTHONPATH=src $(PYTHON) -m repro census --app stencil --pieces 4 \
+		--iterations 2 --algorithm warnock --json > census-warnock.json
+	PYTHONPATH=src $(PYTHON) -c "import json, sys; \
 		from repro.obs.census import validate_census; \
-		validate_census(json.load(open('census.json'))); \
-		print('census.json: schema valid')"
+		[validate_census(json.load(open(f))) for f in sys.argv[1:]]; \
+		print(*sys.argv[1:], 'schema valid')" census.json census-warnock.json
 	PYTHONPATH=src $(PYTHON) -m repro census-diff census.json census.json
 	PYTHONPATH=src $(PYTHON) -m repro census --app stencil --pieces 2 \
 		--iterations 1 --dot > census.dot
 	grep -q '^digraph' census.dot
 	PYTHONPATH=src $(PYTHON) -m repro explain 7 --app stencil --pieces 4 \
 		--iterations 2
+	PYTHONPATH=src $(PYTHON) -m repro explain 7 --app stencil --pieces 4 \
+		--iterations 2 --algorithm warnock
 	PYTHONPATH=src $(PYTHON) -m repro census --pieces 0 2> rejected.err; \
 		status=$$?; cat rejected.err; \
 		test $$status -eq 2 && ! grep -q Traceback rejected.err
@@ -241,6 +245,7 @@ examples:
 clean:
 	rm -rf build dist src/*.egg-info .pytest_cache .hypothesis \
 		.benchmarks .bench_build benchmarks/ledger/out \
-		telemetry-out blackbox-out census.json census.dot rejected.err \
+		telemetry-out blackbox-out census.json census-warnock.json \
+		census.dot rejected.err \
 		trace.json
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -73,10 +73,10 @@ _MISS = object()  # sentinel: cached False must be distinguishable
 #: Bytes of gather maps the ``positions`` table may hold before it is
 #: cleared wholesale like any full table.  The maps an iteration asks for
 #: again (region vs. entry domain, region vs. root) total under 0.5 MiB on
-#: the ledger's widest cell (64 pieces); maps asked exactly once — a
-#: restriction that retires its region (``RegionValues.restrict``), an owner
-#: column's fill or one-off lookup (``RefinementTreeStore._fill_columns``,
-#: ``BucketStore._localize``), the stencil and Pennant
+#: the ledger's widest cell (64 pieces); maps asked exactly once — a cut
+#: that retires its set (``EquivalenceSet.pieces``), an owner column's
+#: fill or one-off lookup (``RefinementTreeStore._fill_columns``,
+#: ``BucketStore._owned``), the stencil and Pennant
 #: build-time gathers — call ``_positions_raw`` and never come here (as
 #: partition construction calls ``_issubset_raw``).  The bound keeps a
 #: pathological stream of never-repeated pairs from showing in peak RSS.

@@ -1,10 +1,13 @@
 """Equivalence sets and their spatial stores (sections 6 and 7).
 
-An *equivalence set* is a pair (region, history) with the invariant that
-every operation in the history is relevant to every element of the region.
-Because of that invariant we store each history entry's values aligned
-exactly to the equivalence set's domain, making painting a handful of
-whole-array operations.
+An *equivalence set* is a pair (region, history): an
+:class:`EquivalenceSet` and its list of
+:class:`~repro.visibility.history.HistoryEntry` objects, each on a subset
+of the set.  Warnock (section 6) keeps every entry over the whole set, so
+every operation in a history is relevant to every element and painting is
+a handful of whole-array operations; ray casting (section 7) builds on the
+same sets and lets reads and reductions record narrower entries.  A set
+that is cut narrows its history one way, :meth:`EquivalenceSet.pieces`.
 
 Two stores organize the live equivalence sets:
 
@@ -30,35 +33,12 @@ from repro.errors import CoherenceError, GeometryError
 from repro.geometry.fastpath import active_geometry_cache, geometry_cache
 from repro.geometry.index_space import IndexSpace
 from repro.geometry.kdtree import KDTree
-from repro.privileges import Privilege
 from repro.regions.partition import Partition
 from repro.regions.region import Region
 from repro.visibility.history import HistoryEntry, RegionValues, paint_into
 from repro.visibility.meter import CostMeter, UidSource
 
 _eqset_uid = UidSource()
-
-
-@dataclass(frozen=True)
-class EqEntry:
-    """One history operation inside an equivalence set.
-
-    ``values`` is aligned element-for-element with the owning set's domain
-    (the section 6 invariant); it is ``None`` for read entries.
-    ``collapsed_ids`` marks a compaction summary (see
-    :data:`HISTORY_COMPACTION_LIMIT`).
-    """
-
-    privilege: Privilege
-    values: Optional[np.ndarray]
-    task_id: int
-    collapsed_ids: frozenset[int] = frozenset()
-
-    def restricted(self, positions: np.ndarray) -> "EqEntry":
-        """The entry narrowed to a subset of the owning set's elements."""
-        values = None if self.values is None else self.values[positions]
-        return EqEntry(self.privilege, values, self.task_id,
-                       self.collapsed_ids)
 
 
 #: Bound on per-set history length.  Fields that are reduced or
@@ -73,22 +53,66 @@ HISTORY_COMPACTION_LIMIT = 32
 
 
 class EquivalenceSet:
-    """A region of elements sharing one coherence history."""
+    """A region of elements sharing one coherence history (section 6).
+
+    ``history`` lists :class:`HistoryEntry` objects, oldest first, each on
+    a subset of ``space``.  Warnock's sets keep every entry over the whole
+    set (section 6's invariant, which its store checks), so painting one is
+    whole-array work; ray casting's sets stay *stable* instead (section 7):
+    reads and reductions record their own sub-domains, and only a write
+    must cover the set.
+    """
 
     __slots__ = ("uid", "space", "history")
 
     def __init__(self, space: IndexSpace,
-                 history: Optional[list[EqEntry]] = None) -> None:
+                 history: Optional[list[HistoryEntry]] = None) -> None:
         if space.is_empty:
             raise CoherenceError("equivalence sets must be non-empty")
         self.uid = _eqset_uid.take()
         self.space = space
-        self.history: list[EqEntry] = [] if history is None else history
+        self.history: list[HistoryEntry] = [] if history is None else history
 
     def __setstate__(self, state) -> None:
         _eqset_uid.restore(self, state)
 
     # ------------------------------------------------------------------
+    def pieces(self, masks: list[np.ndarray]) -> list["EquivalenceSet"]:
+        """A fresh set per mask over this set's elements (each non-empty),
+        holding the flagged elements, with every entry cut to it: emptied
+        entries dropped, order kept, and an entry that covered this set
+        covering the piece on the piece's own space object (painting it
+        stays whole-array work).  The one way a history follows a cut set:
+        Warnock's split, ray casting's carve and a dominating write's
+        remainder."""
+        n = self.space.size
+        # each entry's positions in this set; None where it covers the set
+        where = [None if e.domain.size == n else
+                 self.space._positions_raw(e.domain) for e in self.history]
+        out = []
+        for mask in masks:
+            space = IndexSpace(self.space.indices[mask], trusted=True)
+            history = []
+            for entry, pos in zip(self.history, where):
+                keep = mask if pos is None else mask[pos]
+                if pos is None:
+                    domain = space
+                elif keep.all():
+                    history.append(entry)
+                    continue
+                elif keep.any():
+                    domain = IndexSpace(entry.domain.indices[keep],
+                                        trusted=True)
+                else:
+                    continue
+                values = None if entry.values is None else RegionValues(
+                    domain, entry.values.values[keep])
+                history.append(HistoryEntry(entry.privilege, domain, values,
+                                            entry.task_id,
+                                            entry.collapsed_ids))
+            out.append(EquivalenceSet(space, history))
+        return out
+
     def split(self, space: IndexSpace, meter: Optional[CostMeter] = None,
               mask: Optional[np.ndarray] = None
               ) -> tuple["EquivalenceSet", Optional["EquivalenceSet"]]:
@@ -96,48 +120,44 @@ class EquivalenceSet:
 
         The second component is ``None`` when this set is contained in
         ``space``.  Positional: ``mask`` says which of this set's elements
-        ``space`` holds (a store reads it off its owner column), and both
-        sides' spaces and histories are gathered by it, staying aligned.
+        ``space`` holds (a store reads it off its owner column).
         """
         if mask is None:
             mask = self.space.membership_mask(space)
-        inside = np.flatnonzero(mask)
-        if not inside.size:
+        if not mask.any():
             raise CoherenceError("split requires overlap")
-        if inside.size == mask.size:
+        if mask.all():
             return self, None
-        parts = [EquivalenceSet(
-            IndexSpace(self.space.indices[pos], trusted=True),
-            [e.restricted(pos) for e in self.history])
-            for pos in (inside, np.flatnonzero(~mask))]
+        inside, outside = self.pieces([mask, ~mask])
         if meter is not None:
             meter.count("eqsets_split")
             meter.count("eqsets_created", 2)
             meter.count("elements_moved",
                         self.space.size * max(1, len(self.history)))
-        return parts[0], parts[1]
+        return inside, outside
 
     def paint(self, dtype: np.dtype, meter: Optional[CostMeter] = None
               ) -> np.ndarray:
-        """Current values of this set's elements: replay the history.
-
-        Thanks to the alignment invariant this is pure whole-array work —
-        the "trivial sub-scene" rendering of Warnock's divide and conquer.
-        """
+        """Current values of this set's elements: replay the history."""
         current = np.zeros(self.space.size, dtype=dtype)
         paint_into(current, self.space, self.space, self.history, meter)
         return current
 
-    def record(self, privilege: Privilege, values: Optional[np.ndarray],
-               task_id: int) -> None:
-        """Append one operation; a write clears the prior history
-        (Figure 9 lines 30–31: histories stay precise).  Histories longer
-        than :data:`HISTORY_COMPACTION_LIMIT` collapse into a summary
-        write."""
-        if values is not None and values.shape != (self.space.size,):
-            raise CoherenceError("entry values misaligned with eqset domain")
-        entry = EqEntry(privilege, values, task_id)
-        if privilege.is_write:
+    def record(self, entry: HistoryEntry) -> None:
+        """Append one operation.
+
+        A write must cover the whole set and occludes the entire prior
+        history — Figure 9 lines 30–31 and Figure 11's simplification of
+        histories by writes.  Histories longer than
+        :data:`HISTORY_COMPACTION_LIMIT` collapse into a summary write.
+        """
+        if entry.domain is not self.space \
+                and not entry.domain.issubset(self.space):
+            raise CoherenceError("entry escapes its equivalence set")
+        if entry.privilege.is_write:
+            if entry.domain.size != self.space.size:
+                raise CoherenceError(
+                    "write entries must cover their equivalence set")
             self.history = [entry]
             return
         self.history.append(entry)
@@ -148,15 +168,15 @@ class EquivalenceSet:
         """Collapse the history into one summary write (bounded history)."""
         from repro.privileges import READ_WRITE
 
-        dtype = next(e.values.dtype for e in self.history
+        dtype = next(e.values.values.dtype for e in self.history
                      if e.values is not None)
-        painted = self.paint(dtype)
+        painted = RegionValues(self.space, self.paint(dtype))
         ids: set[int] = set()
         for e in self.history:
             ids.add(e.task_id)
             ids.update(e.collapsed_ids)
-        self.history = [EqEntry(READ_WRITE, painted, max(ids),
-                                frozenset(ids))]
+        self.history = [HistoryEntry(READ_WRITE, self.space, painted,
+                                     max(ids), frozenset(ids))]
 
     def __repr__(self) -> str:
         return (f"EquivalenceSet(uid={self.uid}, n={self.space.size}, "
@@ -340,10 +360,10 @@ class RefinementTreeStore:
 
     def check_invariants(self, root_space: IndexSpace) -> None:
         """Assert the section 6 invariants: sets pairwise disjoint, union
-        covers the root, histories aligned, every memo whose sets are all
-        live composes its region from exactly the live sets overlapping it,
-        and the columns ≡ the leaves: a leaf's row holds its root positions
-        and the owner column names the leaf there."""
+        covers the root, every entry covers its set, every memo whose sets
+        are all live composes its region from exactly the live sets
+        overlapping it, and the columns ≡ the leaves: a leaf's row holds its
+        root positions and the owner column names the leaf there."""
         leaves = self._leaves()
         sets = [leaf.eqset for leaf in leaves]
         _check_partition(sets, root_space)
@@ -353,8 +373,8 @@ class RefinementTreeStore:
                 _check_partition(memo.sets, memo.space)
         for s in sets:
             for e in s.history:
-                if e.values is not None and e.values.shape != (s.space.size,):
-                    raise CoherenceError(f"misaligned history in {s!r}")
+                if e.domain is not s.space and e.domain != s.space:
+                    raise CoherenceError(f"entry narrower than {s!r}")
         for leaf in leaves if self._owner is not None else ():
             at = root_space.positions_of(leaf.eqset.space)
             if not (np.array_equal(at, self._positions[leaf.ident])
@@ -363,116 +383,10 @@ class RefinementTreeStore:
 
 
 # ----------------------------------------------------------------------
-# Ray casting: loose sets in partition buckets with a K-d fallback (§7)
+# Ray casting: stable sets in partition buckets with a K-d fallback (§7)
 # ----------------------------------------------------------------------
-def _selected(entries: list, flags: np.ndarray) -> list[HistoryEntry]:
-    """Every ``(entry, its elements' bucket rows)`` narrowed to the flagged
-    buckets, the emptied ones dropped (how a history follows a carve)."""
-    out = []
-    for entry, rows in entries:
-        mask = flags[rows]
-        if mask.all():
-            out.append(entry)
-        elif mask.any():
-            domain = IndexSpace(entry.domain.indices[mask], trusted=True)
-            values = None if entry.values is None else RegionValues(
-                domain, entry.values.values[mask])
-            out.append(HistoryEntry(entry.privilege, domain, values,
-                                    entry.task_id, entry.collapsed_ids))
-    return out
-
-
-class LooseEquivalenceSet:
-    """A ray-casting equivalence set: stable region, sub-set-precise history.
-
-    Section 7.1 stores equivalence sets at the leaves of a
-    disjoint-and-complete partition.  To keep those sets *stable* (no
-    refinement churn when reads and reductions touch only part of a set),
-    each history entry carries its own domain — a subset of the set's
-    region — and painting reuses the general blending kernel of
-    :mod:`repro.visibility.history`.  Only dominating writes reshape sets.
-    """
-
-    __slots__ = ("uid", "space", "history")
-
-    def __init__(self, space: IndexSpace,
-                 history: Optional[list[HistoryEntry]] = None) -> None:
-        if space.is_empty:
-            raise CoherenceError("equivalence sets must be non-empty")
-        self.uid = _eqset_uid.take()
-        self.space = space
-        self.history: list[HistoryEntry] = [] if history is None else history
-
-    def __setstate__(self, state) -> None:
-        _eqset_uid.restore(self, state)
-
-    def record(self, entry: HistoryEntry) -> None:
-        """Append one operation.
-
-        A write must cover the whole set (dominating writes guarantee it)
-        and occludes the entire prior history — Figure 11's simplification
-        of histories by writes.  Histories longer than
-        :data:`HISTORY_COMPACTION_LIMIT` collapse into a summary write
-        (never-written fields would otherwise grow without bound).
-        """
-        if entry.domain is not self.space \
-                and not entry.domain.issubset(self.space):
-            raise CoherenceError("entry escapes its equivalence set")
-        if entry.privilege.is_write:
-            if entry.domain.size != self.space.size:
-                raise CoherenceError(
-                    "write entries must cover their equivalence set")
-            self.history = [entry]
-            return
-        self.history.append(entry)
-        if len(self.history) > HISTORY_COMPACTION_LIMIT:
-            self.compact()
-
-    def compact(self) -> None:
-        """Collapse the history into one summary write (bounded history)."""
-        from repro.privileges import READ_WRITE
-
-        dtype = next(e.values.values.dtype for e in self.history
-                     if e.values is not None)
-        painted = self.paint(self.space, dtype)
-        ids: set[int] = set()
-        for e in self.history:
-            ids.add(e.task_id)
-            ids.update(e.collapsed_ids)
-        self.history = [HistoryEntry(READ_WRITE, self.space, painted,
-                                     max(ids), frozenset(ids))]
-
-    def minus(self, remaining: IndexSpace,
-              meter: Optional[CostMeter] = None
-              ) -> Optional["LooseEquivalenceSet"]:
-        """The part ``remaining`` of this set outside a dominating write,
-        with restricted history; None when the write contains the set."""
-        if remaining.is_empty:
-            return None
-        narrowed = (e.restricted(remaining) for e in self.history)
-        entries = [e for e in narrowed if e is not None]
-        if meter is not None:
-            meter.count("eqsets_split")
-            meter.count("elements_moved",
-                        remaining.size * max(1, len(entries)))
-        return LooseEquivalenceSet(remaining, entries)
-
-    def paint(self, space: IndexSpace, dtype,
-              meter: Optional[CostMeter] = None) -> RegionValues:
-        """Current values on ``space ∩ self.space`` via the blending
-        kernel."""
-        common = self.space & space
-        current = np.zeros(common.size, dtype=dtype)
-        paint_into(current, common, common, self.history, meter)
-        return RegionValues(common, current)
-
-    def __repr__(self) -> str:
-        return (f"LooseEquivalenceSet(uid={self.uid}, n={self.space.size}, "
-                f"hist={len(self.history)})")
-
-
 class BucketStore:
-    """Loose equivalence sets bucketed under a disjoint-and-complete
+    """Equivalence sets bucketed under a disjoint-and-complete
     partition (section 7.1).
 
     A set is referenced from every bucket it overlaps (sets can span
@@ -482,12 +396,12 @@ class BucketStore:
     removal is supported — dominating writes coalesce and prune.
     """
 
-    def __init__(self, root: LooseEquivalenceSet,
+    def __init__(self, root: EquivalenceSet,
                  partition: Optional[Partition],
                  meter: Optional[CostMeter] = None) -> None:
         self.meter = meter
         self.partition = partition
-        self._sets: dict[int, LooseEquivalenceSet] = {}
+        self._sets: dict[int, EquivalenceSet] = {}
         self._memo: dict[int, _Located] = {}  # see overlapping()
         # counts boundary moves (placements, removals); a renewal is none
         self._generation = 0
@@ -559,7 +473,7 @@ class BucketStore:
     # ------------------------------------------------------------------
     # index maintenance
     # ------------------------------------------------------------------
-    def _index_insert(self, eqset: LooseEquivalenceSet,
+    def _index_insert(self, eqset: EquivalenceSet,
                       at: Optional[np.ndarray] = None) -> None:
         """Place a set in its buckets and columns (``at``: its positions)."""
         try:
@@ -582,7 +496,7 @@ class BucketStore:
             self._buckets[region.uid][eqset.uid] = eqset
         self._span[eqset.uid] = (near.size, placed)
 
-    def _span_of(self, eqset: LooseEquivalenceSet) -> list[Region]:
+    def _span_of(self, eqset: EquivalenceSet) -> list[Region]:
         """The buckets a live set was placed in, charged the
         ``bvh_nodes_visited`` that re-deriving them from the bucket bounds
         would (fingerprints hash the meter); no buckets for a set that
@@ -592,7 +506,7 @@ class BucketStore:
             self.meter.count("bvh_nodes_visited", visited)
         return placed
 
-    def _index_remove(self, eqset: LooseEquivalenceSet) -> None:
+    def _index_remove(self, eqset: EquivalenceSet) -> None:
         self._generation += 1
         self._sets.pop(eqset.uid, None)
         if self._kd is not None:
@@ -605,20 +519,20 @@ class BucketStore:
         self._span.pop(eqset.uid, None)
 
     def _candidates(self, space: IndexSpace, held: Optional[np.ndarray]
-                    ) -> list[LooseEquivalenceSet]:
+                    ) -> list[EquivalenceSet]:
         if self._kd is not None:
             if self.meter is not None:
                 self.meter.count("bvh_nodes_visited")
             return list(self._kd.query(space))
-        seen: dict[int, LooseEquivalenceSet] = {}
+        seen: dict[int, EquivalenceSet] = {}
         near = self._near(space)
         for i in near[held[near]].tolist():
             seen.update(self._buckets[self._bucket_regions[i].uid])
         return list(seen.values())
 
     # ------------------------------------------------------------------
-    def _localize(self, eqset: LooseEquivalenceSet, held: np.ndarray,
-                  hit: np.ndarray) -> list[LooseEquivalenceSet]:
+    def _localize(self, eqset: EquivalenceSet, held: np.ndarray,
+                  hit: np.ndarray) -> list[EquivalenceSet]:
         """Carve the queried buckets (``held``) out of a multi-bucket set
         the query overlaps; answer the pieces in rows ``hit``.
 
@@ -640,34 +554,24 @@ class BucketStore:
         ids = self._columns[2][at]
         taken = held[ids]
         touched = np.flatnonzero(self._held(ids[taken])).tolist()
-        entries = [(e, ids if e.domain.size == ids.size else
-                    ids[eqset.space._positions_raw(e.domain)])
-                   for e in eqset.history]
-
-        def select(flags: np.ndarray) -> tuple:
-            mask = flags[ids]
-            return LooseEquivalenceSet(
-                IndexSpace(eqset.space.indices[mask], trusted=True),
-                _selected(entries, flags)), at[mask]
-
-        carved = [select(self._held(row)) for row in touched]
-        self._index_remove(eqset)
-        for piece in carved:
-            self._index_insert(*piece)
+        masks = [ids == row for row in touched]
         if not taken.all():
-            self._index_insert(*select(~held))
+            masks.append(~taken)
+        pieces = eqset.pieces(masks)
+        self._index_remove(eqset)
+        for piece, mask in zip(pieces, masks):
+            self._index_insert(piece, at[mask])
         if self.meter is not None:
-            self.meter.count("eqsets_split", len(carved))
-            self.meter.count("eqsets_created", len(carved))
+            self.meter.count("eqsets_split", len(touched))
+            self.meter.count("eqsets_created", len(touched))
             self.meter.count("elements_moved", int(np.count_nonzero(taken))
                              * max(1, len(eqset.history)))
         inside = self._held(hit)
-        return [piece for (piece, _), row in zip(carved, touched)
-                if inside[row]]
+        return [piece for piece, row in zip(pieces, touched) if inside[row]]
 
     def overlapping(self, space: IndexSpace,
                     region_uid: Optional[int] = None
-                    ) -> list[LooseEquivalenceSet]:
+                    ) -> list[EquivalenceSet]:
         """The live sets truly overlapping ``space`` (not to be mutated).
 
         Reads and reductions never refine sets below bucket granularity
@@ -701,7 +605,7 @@ class BucketStore:
         generation = self._generation
         paid = None if self.meter is None else [
             self.meter.counters[event] for event in _WALK_EVENTS]
-        out: list[LooseEquivalenceSet] = []
+        out: list[EquivalenceSet] = []
         at = self._space.positions_of(space)
         owners = self._owned()[at]  # a copy: carving leaves it as it was
         rows = None if self._kd is not None \
@@ -748,9 +652,9 @@ class BucketStore:
         return memo.commons
 
     def dominate_write(self, space: IndexSpace,
-                       overlapping: list[LooseEquivalenceSet],
+                       overlapping: list[EquivalenceSet],
                        region_uid: Optional[int] = None
-                       ) -> LooseEquivalenceSet:
+                       ) -> EquivalenceSet:
         """Figure 11's ``dominating_write``: prune everything occluded by a
         write to ``space`` and install one fresh set covering it.
 
@@ -765,18 +669,22 @@ class BucketStore:
             fresh = self._renew(only, space)
         else:
             owner = self._owned()
+            ats = [np.flatnonzero(owner == s.uid) for s in overlapping]
             owner[self._space.positions_of(space)] = -1  # the fresh set's
-            for eqset in overlapping:
-                kept = np.flatnonzero(owner == eqset.uid)
+            for eqset, at in zip(overlapping, ats):
+                kept = owner[at] == eqset.uid
                 self._index_remove(eqset)
-                remainder = eqset.minus(IndexSpace(
-                    self._space.indices[kept], trusted=True), self.meter)
-                if remainder is None:
+                if not kept.any():
                     if self.meter is not None:
                         self.meter.count("eqsets_coalesced")
-                else:
-                    self._index_insert(remainder, kept)
-            fresh = LooseEquivalenceSet(space)
+                    continue
+                [remainder] = eqset.pieces([kept])
+                if self.meter is not None:
+                    self.meter.count("eqsets_split")
+                    self.meter.count("elements_moved", remainder.space.size
+                                     * max(1, len(remainder.history)))
+                self._index_insert(remainder, at[kept])
+            fresh = EquivalenceSet(space)
             if self.meter is not None:
                 self.meter.count("eqsets_created")
             self._index_insert(fresh)
@@ -786,8 +694,8 @@ class BucketStore:
                 commons=[space])
         return fresh
 
-    def _renew(self, eqset: LooseEquivalenceSet,
-               space: IndexSpace) -> LooseEquivalenceSet:
+    def _renew(self, eqset: EquivalenceSet,
+               space: IndexSpace) -> EquivalenceSet:
         """What remove-then-insert leaves of a set rewritten over its own
         region, without the walks: same object, buckets, span and positions,
         empty history, a *fresh* uid (owning its positions) keyed last in
@@ -890,7 +798,7 @@ class BucketStore:
         for eqset in sets:
             self._index_insert(eqset)
 
-    def all_sets(self) -> list[LooseEquivalenceSet]:
+    def all_sets(self) -> list[EquivalenceSet]:
         """Every live equivalence set."""
         return list(self._sets.values())
 

@@ -1,12 +1,12 @@
 """Region values, history entries, and the blending kernel of section 3.1.
 
 A :class:`RegionValues` pairs an index-space domain with a value array
-aligned element-for-element with ``domain.indices``; ``X/Y`` of Figure 7 is
-:meth:`RegionValues.restrict`.  The blending function ``b`` of section 3.1
-(writes opaque, reductions semi-transparent, reads transparent) is
-:func:`paint_into`: one kernel that replays a history oldest-first straight
-into the buffer being materialized, shared by every algorithm that keeps
-histories, beside the one dependence scan :func:`scan_dependences`.
+aligned element-for-element with ``domain.indices``.  The blending
+function ``b`` of section 3.1 (writes opaque, reductions semi-transparent,
+reads transparent) is :func:`paint_into`: one kernel that replays a
+history oldest-first straight into the buffer being materialized, shared
+by every algorithm that keeps histories, beside the one dependence scan
+:func:`scan_dependences`.
 
 A history is a plain ``list`` of entries — every equivalence set's, the
 tree painter's path, the painter's one global history — and each of the
@@ -70,21 +70,11 @@ class RegionValues:
         """Deep copy (fresh value buffer)."""
         return RegionValues(self.domain, self.values.copy())
 
-    def restrict(self, space: IndexSpace) -> "RegionValues":
-        """``X/Y``: the subset of this region sharing points with ``space``."""
-        common = self.domain & space
-        if common.size == self.domain.size:
-            return self
-        # a restriction follows a split that retires this region: its map
-        # is asked once and bypasses the operation cache
-        pos = self.domain._positions_raw(common)
-        return RegionValues(common, self.values[pos])
-
     def __repr__(self) -> str:
         return f"RegionValues(size={self.size}, dtype={self.values.dtype})"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, eq=False)
 class HistoryEntry:
     """One recorded operation: who (task), how (privilege), what (values).
 
@@ -120,17 +110,6 @@ class HistoryEntry:
         """Whether the entry contributes to painted values (writes and
         reductions do; reads are fully transparent)."""
         return not self.privilege.is_read
-
-    def restricted(self, space: IndexSpace) -> Optional["HistoryEntry"]:
-        """The entry restricted to ``space``; None when disjoint."""
-        domain = self.domain & space
-        if domain.is_empty:
-            return None
-        if domain.size == self.domain.size:
-            return self
-        values = None if self.values is None else self.values.restrict(domain)
-        return HistoryEntry(self.privilege, domain, values, self.task_id,
-                            self.collapsed_ids)
 
     def __repr__(self) -> str:
         return (f"HistoryEntry(t{self.task_id}, {self.privilege!r}, "
@@ -197,11 +176,10 @@ def paint_into(out: np.ndarray, target: IndexSpace, clip: IndexSpace,
     built and nothing is copied but the painted elements; the result has
     ``out``'s dtype whatever the entries hold.
 
-    An entry's values are either a :class:`RegionValues` on the entry's
-    own domain (:class:`HistoryEntry`) or a bare array aligned with
-    ``clip`` (an equivalence set's ``EqEntry``, whose domain *is* the
-    set); ``entries`` is a list of either.  An entry whose bounds miss
-    ``clip``'s is rejected inline, before any geometry.
+    An entry's values are a :class:`RegionValues` on the entry's own
+    domain; one on ``clip`` itself (an entry covering its equivalence set,
+    painted over that set) needs no geometry, and one whose bounds miss
+    ``clip``'s is rejected inline, before any.
 
     The meter is charged once, in bulk, what an entry-at-a-time walk
     charges: ``entries_scanned`` per entry, ``elements_moved`` per visible
@@ -221,19 +199,15 @@ def paint_into(out: np.ndarray, target: IndexSpace, clip: IndexSpace,
         values = entry.values
         if values is None:
             continue
-        if type(values) is RegionValues:
-            domain, values = values.domain, values.values
-            if domain is clip:
-                common = clip
-            else:
-                dlo, dhi = domain._lo, domain._hi
-                if dhi < lo or hi < dlo or dhi < dlo:  # disjoint or empty
-                    continue
-                common = cache.intersection(clip, domain)
-            moved += min(size, values.size)
-        else:
+        domain, values = values.domain, values.values
+        if domain is clip:
             common = clip
-            moved += size
+        else:
+            dlo, dhi = domain._lo, domain._hi
+            if dhi < lo or hi < dlo or dhi < dlo:  # disjoint or empty
+                continue
+            common = cache.intersection(clip, domain)
+        moved += min(size, values.size)
         n = common.size
         if n == 0:
             continue

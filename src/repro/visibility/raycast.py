@@ -36,7 +36,7 @@ from repro.regions.partition import Partition
 from repro.regions.region import Region
 from repro.regions.tree import RegionTree
 from repro.visibility.base import CoherenceAlgorithm, INITIAL_TASK_ID
-from repro.visibility.eqset import (BucketStore, LooseEquivalenceSet,
+from repro.visibility.eqset import (BucketStore, EquivalenceSet,
                                     describe_sets, set_tokens, visit_sets)
 from repro.visibility.history import (HistoryEntry, RegionValues,
                                       paint_into, scan_dependences)
@@ -52,7 +52,7 @@ class RayCastAlgorithm(CoherenceAlgorithm):
     def __init__(self, tree: RegionTree, field: str, initial: np.ndarray,
                  meter: Optional[CostMeter] = None) -> None:
         super().__init__(tree, field, initial, meter)
-        root = LooseEquivalenceSet(tree.root.space)
+        root = EquivalenceSet(tree.root.space)
         root.record(HistoryEntry(
             READ_WRITE, tree.root.space,
             RegionValues(tree.root.space, np.asarray(initial).copy()),
@@ -79,12 +79,12 @@ class RayCastAlgorithm(CoherenceAlgorithm):
     # the store policy: stable sets, precise entries, dominating writes
     # ------------------------------------------------------------------
     def _locate(self, privilege: Privilege, region: Region,
-                led) -> list[LooseEquivalenceSet]:
+                led) -> list[EquivalenceSet]:
         self._refresh_buckets()
         return visit_sets(self._store.overlapping, region, self.meter, led)
 
     def _collect(self, privilege: Privilege, region: Region,
-                 sets: list[LooseEquivalenceSet], deps: set[int],
+                 sets: list[EquivalenceSet], deps: set[int],
                  led) -> None:
         for eqset in sets:
             if led is not None:
@@ -93,13 +93,13 @@ class RayCastAlgorithm(CoherenceAlgorithm):
                              self.meter, led)
 
     def _paint(self, region: Region,
-               sets: list[LooseEquivalenceSet]) -> np.ndarray:
+               sets: list[EquivalenceSet]) -> np.ndarray:
         values = np.zeros(region.space.size, dtype=self.dtype)
         for eqset, common in zip(sets, self._store.commons(region.uid)):
             paint_into(values, region.space, common, eqset.history, self.meter)
         return values
 
-    def _settle(self, region: Region, sets: list[LooseEquivalenceSet],
+    def _settle(self, region: Region, sets: list[EquivalenceSet],
                 values: np.ndarray, led) -> None:
         if region.space.is_empty:
             return  # occludes nothing, and a set is never empty
@@ -144,7 +144,7 @@ class RayCastAlgorithm(CoherenceAlgorithm):
     # ------------------------------------------------------------------
     @property
     def store(self) -> BucketStore:
-        """The underlying loose-set store (tests/benchmarks)."""
+        """The underlying equivalence-set store (tests/benchmarks)."""
         return self._store
 
     def num_equivalence_sets(self) -> int:

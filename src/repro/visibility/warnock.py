@@ -17,10 +17,9 @@ from repro.privileges import Privilege, READ_WRITE
 from repro.regions.region import Region
 from repro.regions.tree import RegionTree
 from repro.visibility.base import CoherenceAlgorithm, INITIAL_TASK_ID
-from repro.visibility.eqset import (EqEntry, EquivalenceSet,
-                                    RefinementTreeStore, describe_sets,
-                                    set_tokens, visit_sets)
-from repro.visibility.history import paint_into
+from repro.visibility.eqset import (EquivalenceSet, RefinementTreeStore,
+                                    describe_sets, set_tokens, visit_sets)
+from repro.visibility.history import HistoryEntry, RegionValues, paint_into
 from repro.visibility.meter import CostMeter
 from repro.obs import provenance as prov
 
@@ -41,9 +40,10 @@ class WarnockAlgorithm(CoherenceAlgorithm):
     def __init__(self, tree: RegionTree, field: str, initial: np.ndarray,
                  meter: Optional[CostMeter] = None) -> None:
         super().__init__(tree, field, initial, meter)
-        root = EquivalenceSet(tree.root.space)
-        root.history.append(
-            EqEntry(READ_WRITE, np.asarray(initial).copy(), INITIAL_TASK_ID))
+        space = tree.root.space
+        root = EquivalenceSet(space, [HistoryEntry(
+            READ_WRITE, space, RegionValues(space, np.asarray(initial).copy()),
+            INITIAL_TASK_ID)])
         self._store = RefinementTreeStore(root, self.meter,
                                           memoize=self.memoize)
 
@@ -90,12 +90,12 @@ class WarnockAlgorithm(CoherenceAlgorithm):
     def _record(self, privilege: Privilege, region: Region,
                 values: Optional[np.ndarray], task_id: int, led) -> None:
         for eqset in visit_sets(self._store.locate, region, self.meter):
-            if values is None:
-                eqset.record(privilege, None, task_id)
-            else:
-                pos = region.space.positions_of(eqset.space)
-                self.meter.count("elements_moved", eqset.space.size)
-                eqset.record(privilege, values[pos], task_id)
+            space, kept = eqset.space, None
+            if values is not None:
+                kept = RegionValues(space,
+                                    values[region.space.positions_of(space)])
+                self.meter.count("elements_moved", space.size)
+            eqset.record(HistoryEntry(privilege, space, kept, task_id))
 
     # ------------------------------------------------------------------
     @property

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro import (READ, READ_WRITE, Extent, IndexSpace, RegionRequirement,
                    RegionTree, TaskStream, reduce)
 from repro.privileges import Privilege
+from repro.visibility.history import HistoryEntry, RegionValues
 
 # ----------------------------------------------------------------------
 # shared hypothesis profile
@@ -109,6 +110,12 @@ def fig1_initial(tree) -> dict[str, np.ndarray]:
 # ----------------------------------------------------------------------
 # hypothesis strategies
 # ----------------------------------------------------------------------
+def record_over(eqset, privilege, values, task_id: int) -> None:
+    """Record an entry over the whole set, as Warnock does."""
+    eqset.record(HistoryEntry(privilege, eqset.space, None if values is None
+                              else RegionValues(eqset.space, values), task_id))
+
+
 def index_spaces(max_index: int = 64, min_size: int = 0,
                  max_size: int = 24) -> st.SearchStrategy[IndexSpace]:
     """Arbitrary sparse index spaces over [0, max_index)."""

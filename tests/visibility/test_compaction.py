@@ -17,6 +17,8 @@ from repro import (READ, READ_WRITE, IndexSpace, RegionRequirement,
 from repro.runtime.executor import SequentialExecutor
 from repro.visibility import eqset as eqset_mod
 
+from tests.conftest import record_over
+
 
 def reduce_forever_stream(tree, P, iterations):
     stream = TaskStream()
@@ -98,22 +100,22 @@ class TestCompactionUnits:
     def test_eqset_compact(self):
         from repro.visibility.eqset import EquivalenceSet
         s = EquivalenceSet(IndexSpace.from_range(0, 4))
-        s.record(READ_WRITE, np.arange(4.0), 0)
+        record_over(s, READ_WRITE, np.arange(4.0), 0)
         for k in range(1, 6):
-            s.record(reduce("sum"), np.full(4, 1.0), k)
+            record_over(s, reduce("sum"), np.full(4, 1.0), k)
         s.compact()
         assert len(s.history) == 1
         summary = s.history[0]
         assert summary.privilege.is_write
         assert summary.collapsed_ids == frozenset(range(6))
         assert summary.task_id == 5
-        assert np.array_equal(summary.values, np.arange(4.0) + 5.0)
+        assert np.array_equal(summary.values.values, np.arange(4.0) + 5.0)
 
     def test_loose_set_compact(self):
-        from repro.visibility.eqset import LooseEquivalenceSet
+        from repro.visibility.eqset import EquivalenceSet
         from repro.visibility.history import HistoryEntry, RegionValues
         space = IndexSpace.from_range(0, 4)
-        s = LooseEquivalenceSet(space)
+        s = EquivalenceSet(space)
         s.record(HistoryEntry(READ_WRITE, space,
                               RegionValues(space, np.zeros(4)), 0))
         sub = IndexSpace.from_range(1, 3)
@@ -131,12 +133,12 @@ class TestCompactionUnits:
         from repro.visibility.eqset import EquivalenceSet
         monkeypatch.setattr(eqset_mod, "HISTORY_COMPACTION_LIMIT", 10 ** 6)
         s = EquivalenceSet(IndexSpace.from_range(0, 2))
-        s.record(READ_WRITE, np.zeros(2), 0)
+        record_over(s, READ_WRITE, np.zeros(2), 0)
         for k in range(1, 200):
-            s.record(reduce("sum"), np.ones(2), k)
+            record_over(s, reduce("sum"), np.ones(2), k)
         assert len(s.history) == 200
         monkeypatch.setattr(eqset_mod, "HISTORY_COMPACTION_LIMIT", 8)
-        s.record(reduce("sum"), np.ones(2), 200)
+        record_over(s, reduce("sum"), np.ones(2), 200)
         assert len(s.history) == 1
 
 
@@ -149,8 +151,8 @@ class TestEqsetHistoriesAreLists:
 
         s = EquivalenceSet(IndexSpace.from_indices([0, 1, 2]))
         assert type(s.history) is list
-        s.record(READ_WRITE, np.array([5.0, 6.0, 7.0]), 1)
-        s.record(reduce("sum"), np.array([1.0, 2.0, 3.0]), 2)
+        record_over(s, READ_WRITE, np.array([5.0, 6.0, 7.0]), 1)
+        record_over(s, reduce("sum"), np.array([1.0, 2.0, 3.0]), 2)
         inside, outside = s.split(IndexSpace.from_indices([0]))
         assert outside is not None
         for part, values in ((inside, [[5.0], [1.0]]),
@@ -158,10 +160,11 @@ class TestEqsetHistoriesAreLists:
             assert type(part.history) is list
             assert [(e.task_id, e.privilege) for e in part.history] == \
                 [(e.task_id, e.privilege) for e in s.history]
-            assert [e.values.tolist() for e in part.history] == values
+            assert [e.values.values.tolist() for e in part.history] == values
 
     def test_minus_keeps_entry_order_and_alignment(self):
-        from repro.visibility.eqset import LooseEquivalenceSet
+        """The remainder of a set outside a dominating write."""
+        from repro.visibility.eqset import EquivalenceSet
         from repro.visibility.history import HistoryEntry, RegionValues
 
         def entry(privilege, indices, task_id):
@@ -169,13 +172,12 @@ class TestEqsetHistoriesAreLists:
             return HistoryEntry(privilege, domain, RegionValues(
                 domain, np.arange(domain.size, dtype=np.float64)), task_id)
 
-        s = LooseEquivalenceSet(IndexSpace.from_indices([0, 1, 2, 3]))
+        s = EquivalenceSet(IndexSpace.from_indices([0, 1, 2, 3]))
         assert type(s.history) is list
         s.record(entry(READ_WRITE, [0, 1, 2, 3], 1))
         s.record(entry(reduce("sum"), [0, 1], 2))  # dropped: disjoint
         s.record(entry(reduce("sum"), [1, 2], 3))
-        remainder = s.minus(s.space - IndexSpace.from_indices([0, 1]))
-        assert remainder is not None
+        [remainder] = s.pieces([np.array([False, False, True, True])])
         assert type(remainder.history) is list
         assert [e.task_id for e in remainder.history] == [1, 3]
         assert [e.domain.indices.tolist() for e in remainder.history] == \

@@ -22,7 +22,6 @@ from repro import READ, READ_WRITE, CoherenceError, IndexSpace, reduce
 from repro.geometry.fastpath import geometry_cache
 from repro.obs import provenance as prov
 from repro.obs.tracer import Tracer
-from repro.visibility.eqset import EqEntry
 from repro.visibility.history import (HistoryEntry, RegionValues, paint_into,
                                       scan_dependences)
 from repro.visibility.meter import CostMeter
@@ -137,15 +136,6 @@ class TestRegionValues:
         r = RegionValues.filled(IndexSpace.from_indices([3, 7]), 5, np.int64)
         assert as_dict(r) == {3: 5, 7: 5}
 
-    def test_restrict(self):
-        r = rv([1, 2, 3], [10, 20, 30])
-        out = r.restrict(IndexSpace.from_indices([2, 3, 9]))
-        assert as_dict(out) == {2: 20, 3: 30}
-
-    def test_restrict_full_is_shared(self):
-        r = rv([1, 2], [10, 20])
-        assert r.restrict(IndexSpace.from_indices([1, 2, 3])) is r
-
     # the lifted operators live on as arms of ``paint_into``
     def test_fold_in(self):
         a = rv([1, 2, 3], [10, 20, 30])
@@ -187,14 +177,6 @@ class TestHistoryEntry:
             HistoryEntry(READ_WRITE, space, None, 0)
         with pytest.raises(CoherenceError):
             HistoryEntry(READ_WRITE, space, rv([1], [5]), 0)
-
-    def test_restricted(self):
-        entry = HistoryEntry(READ_WRITE, IndexSpace.from_indices([1, 2, 3]),
-                             rv([1, 2, 3], [10, 20, 30]), 4)
-        sub = entry.restricted(IndexSpace.from_indices([2, 5]))
-        assert sub is not None and as_dict(sub.values) == {2: 20}
-        assert entry.restricted(IndexSpace.from_indices([9])) is None
-        assert entry.restricted(IndexSpace.from_indices([1, 2, 3, 4])) is entry
 
 
 class TestPaintEntry:
@@ -264,23 +246,6 @@ class TestPaintInto:
         paint_into(got, target, clip, entries, metered)
         figure7_walk(want, target, clip, entries, charged)
         assert got.dtype == want.dtype == dtype
-        assert np.array_equal(got, want)
-        assert metered.snapshot() == charged.snapshot()
-
-    @given(paint_cases())
-    def test_aligned_entries_are_entries_on_the_clip(self, case):
-        """An ``EqEntry`` (bare array aligned with the set) paints, and
-        is charged, like a ``HistoryEntry`` whose domain is the clip."""
-        dtype, target, clip, entries = case
-        on_clip = [e for e in entries
-                   if e.values is None or e.domain is clip]
-        aligned = [EqEntry(e.privilege,
-                           None if e.values is None else e.values.values,
-                           e.task_id) for e in on_clip]
-        got, want = (np.zeros(target.size, dtype=dtype) for _ in "ab")
-        metered, charged = CostMeter(), CostMeter()
-        paint_into(got, target, clip, aligned, metered)
-        paint_into(want, target, clip, on_clip, charged)
         assert np.array_equal(got, want)
         assert metered.snapshot() == charged.snapshot()
 

@@ -1,4 +1,5 @@
-"""Unit tests for the ray-casting loose equivalence sets and bucket store."""
+"""Unit tests for ray casting's equivalence sets (entries narrower than
+their set) and bucket store."""
 
 import pickle
 
@@ -13,9 +14,8 @@ from repro.apps import APPS
 from repro.distributed.verify import analysis_fingerprint
 from repro.geometry.fastpath import batch_overlaps
 from repro.visibility.base import INITIAL_TASK_ID
-from repro.visibility.eqset import (BucketStore, LooseEquivalenceSet,
-                                    visit_sets)
-from repro.visibility.history import HistoryEntry, RegionValues
+from repro.visibility.eqset import BucketStore, EquivalenceSet, visit_sets
+from repro.visibility.history import HistoryEntry, RegionValues, paint_into
 from repro.visibility.meter import CostMeter
 
 from tests.conftest import nonempty_index_spaces, subsets_of
@@ -29,14 +29,16 @@ def entry(privilege, indices, values, task_id):
 
 
 class TestLooseEquivalenceSet:
+    """Ray casting's use of a set: entries narrower than the set."""
+
     def make(self, lo=0, hi=8):
-        s = LooseEquivalenceSet(IndexSpace.from_range(lo, hi))
+        s = EquivalenceSet(IndexSpace.from_range(lo, hi))
         s.record(entry(READ_WRITE, range(lo, hi), np.arange(lo, hi), -1))
         return s
 
     def test_empty_space_rejected(self):
         with pytest.raises(CoherenceError):
-            LooseEquivalenceSet(IndexSpace.empty())
+            EquivalenceSet(IndexSpace.empty())
 
     def test_record_guards(self):
         s = self.make()
@@ -57,35 +59,93 @@ class TestLooseEquivalenceSet:
     def test_paint_blends_subdomain_entries(self):
         s = self.make()
         s.record(entry(reduce("sum"), [2, 3], [10, 10], 1))
-        painted = s.paint(IndexSpace.from_range(0, 8), np.float64)
-        assert list(painted.values) == [0, 1, 12, 13, 4, 5, 6, 7]
+        assert list(s.paint(np.float64)) == [0, 1, 12, 13, 4, 5, 6, 7]
 
     def test_paint_restricted_window(self):
         s = self.make()
-        painted = s.paint(IndexSpace.from_indices([3, 5, 99]), np.float64)
-        assert list(painted.domain) == [3, 5]
-        assert list(painted.values) == [3, 5]
+        window = s.space & IndexSpace.from_indices([3, 5, 99])
+        painted = np.zeros(window.size)
+        paint_into(painted, window, window, s.history)
+        assert list(window) == [3, 5] and list(painted) == [3, 5]
 
+    # the remainder of a set outside a dominating write: one piece
     def test_minus_restricts_entries(self):
         s = self.make()
         s.record(entry(reduce("sum"), [1, 6], [10, 20], 1))
-        rest = s.minus(s.space - IndexSpace.from_range(0, 4))
-        assert rest is not None
+        [rest] = s.pieces([s.space.indices >= 4])
         assert list(rest.space) == [4, 5, 6, 7]
-        # the reduction entry survives only at index 6
+        # the reduction entry survives only at index 6; the covering
+        # write covers the piece on the piece's own space
         red = [e for e in rest.history if e.privilege.is_reduce]
         assert len(red) == 1 and list(red[0].domain) == [6]
+        assert rest.history[0].domain is rest.space
 
     def test_minus_contained_is_none(self):
         s = self.make()
-        assert s.minus(s.space - IndexSpace.from_range(0, 100)) is None
+        [whole] = s.pieces([np.ones(s.space.size, dtype=bool)])
+        assert whole.space == s.space
+        assert whole.history[0].domain is whole.space
+        with pytest.raises(CoherenceError):  # no elements left: no set
+            s.pieces([np.zeros(s.space.size, dtype=bool)])
 
     def test_minus_drops_disjoint_entries(self):
         s = self.make()
         s.record(entry(READ, [0], None, 1))
-        rest = s.minus(s.space - IndexSpace.from_range(0, 1))
-        assert rest is not None
+        [rest] = s.pieces([s.space.indices >= 1])
         assert all(not e.privilege.is_read for e in rest.history)
+
+
+class TestPieces:
+    @given(st.data())
+    @settings(max_examples=60)
+    def test_pieces_are_the_elementwise_cut(self, data):
+        """Over a sparse root, a history of a covering write, partial reads
+        and reductions and a covering summary, cut by random masks and a
+        complementary pair: each piece holds every entry ∩ piece with its
+        values per element, emptied entries dropped, order kept, covering
+        entries on the piece's own space; split charges as before."""
+        space = data.draw(nonempty_index_spaces(200, max_size=40))
+        n, summary = space.size, frozenset({7, 8})
+        history = [HistoryEntry(READ_WRITE, space, RegionValues(
+            space, np.arange(n, dtype=np.float64)), 0)]
+        for task_id, sub in enumerate(data.draw(st.lists(
+                subsets_of(space), max_size=4)), 1):
+            values = None if task_id % 2 else RegionValues(
+                sub, sub.indices * 1.5)
+            history.append(HistoryEntry(READ if values is None else
+                                        reduce("sum"), sub, values, task_id))
+        history.append(HistoryEntry(READ_WRITE, space, RegionValues(
+            space, -np.arange(n, dtype=np.float64)), 9, summary))
+        s = EquivalenceSet(space, history)
+        flags = st.lists(st.booleans(), min_size=n, max_size=n).map(
+            np.array).filter(np.any)
+        masks = data.draw(st.lists(flags, max_size=3))
+        if n > 1:
+            half = data.draw(flags.filter(lambda m: not m.all()))
+            masks += [half, ~half]
+        for mask, piece in zip(masks, s.pieces(masks)):
+            assert list(piece.space) == space.indices[mask].tolist()
+            spec = [(e, [i for i in e.domain if i in piece.space])
+                    for e in history]
+            spec = [(e, kept) for e, kept in spec if kept]
+            assert [(e.privilege, e.task_id, e.collapsed_ids, list(e.domain))
+                    for e in piece.history] == [
+                (e.privilege, e.task_id, e.collapsed_ids, kept)
+                for e, kept in spec]
+            for got, (e, kept) in zip(piece.history, spec):
+                if e.values is not None:
+                    was = dict(zip(e.domain, e.values.values))
+                    assert list(got.values.values) == [was[i] for i in kept]
+                if e.domain.size == n:
+                    assert got.domain is piece.space
+        if n > 1:
+            meter = CostMeter()
+            inside, outside = s.split(space, meter, half)
+            assert (list(inside.space), list(outside.space)) == (
+                space.indices[half].tolist(), space.indices[~half].tolist())
+            assert meter.snapshot() == {
+                "eqsets_split": 1, "eqsets_created": 2,
+                "elements_moved": n * len(history)}
 
 
 def make_store(pieces=4, size=16):
@@ -94,7 +154,7 @@ def make_store(pieces=4, size=16):
         "P", [IndexSpace.from_range(i * size // pieces,
                                     (i + 1) * size // pieces)
               for i in range(pieces)], disjoint=True, complete=True)
-    root = LooseEquivalenceSet(tree.root.space)
+    root = EquivalenceSet(tree.root.space)
     root.record(HistoryEntry(
         READ_WRITE, tree.root.space,
         RegionValues(tree.root.space, np.zeros(size)), INITIAL_TASK_ID))
@@ -127,8 +187,7 @@ class TestBucketStoreLocalization:
     def test_localization_preserves_values(self):
         tree, P, store = make_store()
         sets = store.overlapping(P[2].space, P[2].uid)
-        painted = sets[0].paint(P[2].space, np.float64)
-        assert list(painted.values) == [0.0] * 4
+        assert list(sets[0].paint(np.float64)) == [0.0] * 4
 
     def test_memo_stable_when_sets_unchanged(self):
         tree, P, store = make_store()
@@ -163,7 +222,7 @@ class TestBucketStoreLocalization:
                   IndexSpace.from_indices([4, 5, 12, 13]),
                   IndexSpace.from_indices([6, 7, 14, 15])],
             disjoint=True, complete=True)
-        root = LooseEquivalenceSet(tree.root.space)
+        root = EquivalenceSet(tree.root.space)
         root.record(HistoryEntry(
             READ_WRITE, tree.root.space,
             RegionValues(tree.root.space, np.zeros(16)), INITIAL_TASK_ID))
@@ -179,7 +238,7 @@ class TestBucketStoreEdges:
         """The partition is complete, so a set fitting no bucket can only
         mean a stale bucket list; the store must fail loudly."""
         tree, P, store = make_store()
-        stray = LooseEquivalenceSet(IndexSpace.from_range(100, 104))
+        stray = EquivalenceSet(IndexSpace.from_range(100, 104))
         with pytest.raises(CoherenceError, match="fits no bucket"):
             store._index_insert(stray)
 
@@ -189,7 +248,7 @@ class TestBucketStoreEdges:
         tree, P, store = make_store()
         store._set_bucket_regions([P[0]])  # stale: only the first bucket
         with pytest.raises(CoherenceError, match="fits no bucket"):
-            store._index_insert(LooseEquivalenceSet(P[2].space))
+            store._index_insert(EquivalenceSet(P[2].space))
 
     def test_localize_remainder_keeps_restricted_history(self):
         """Carving one bucket out of a multi-bucket set must re-index the
@@ -212,8 +271,7 @@ class TestBucketStoreEdges:
         rem_red = [e for e in rem.history if e.privilege.is_reduce]
         assert len(rem_red) == 1
         assert list(rem_red[0].domain) == [14]
-        painted = rem.paint(IndexSpace.from_range(12, 16), np.float64)
-        assert list(painted.values) == [0.0, 0.0, 20.0, 0.0]
+        assert list(rem.paint(np.float64)[-4:]) == [0.0, 0.0, 20.0, 0.0]
 
     def test_localize_carves_only_touched_buckets(self):
         """A query straddling two of four buckets carves exactly those two
@@ -254,7 +312,7 @@ class TestBucketSpanMemo:
         halves = tree.root.create_partition(
             "H", [IndexSpace.from_range(0, 8), IndexSpace.from_range(8, 16)],
             disjoint=True, complete=True)
-        root = LooseEquivalenceSet(tree.root.space)
+        root = EquivalenceSet(tree.root.space)
         root.record(HistoryEntry(
             READ_WRITE, tree.root.space,
             RegionValues(tree.root.space, np.zeros(16)), INITIAL_TASK_ID))
@@ -342,7 +400,7 @@ class TestLocateStamp:
         H = part("H", (0, 8), (8, 16), disjoint=True, complete=True)
         ghost = part("G", (3, 9))[0]
         S = part("S", (4, 6), (6, 8))
-        root = LooseEquivalenceSet(tree.root.space)
+        root = EquivalenceSet(tree.root.space)
         root.record(HistoryEntry(
             READ_WRITE, tree.root.space,
             RegionValues(tree.root.space, np.zeros(16)), INITIAL_TASK_ID))
@@ -532,7 +590,7 @@ class TestOwnerColumn:
             "P", [IndexSpace(root_space.indices[colours == c], trusted=True)
                   for c in np.unique(colours)], disjoint=True, complete=True)
         expected = dict.fromkeys(root_space.indices.tolist(), 0.0)
-        root = LooseEquivalenceSet(root_space)
+        root = EquivalenceSet(root_space)
         root.record(HistoryEntry(READ_WRITE, root_space, RegionValues(
             root_space, np.zeros(n)), INITIAL_TASK_ID))
         regions = data.draw(st.lists(subsets_of(root_space), min_size=1,
@@ -577,7 +635,7 @@ class TestOwnerColumn:
                     expected[i] += 1.0
             store.check_invariants(root_space)
             for s in store.all_sets():
-                assert list(s.paint(s.space, np.float64).values) \
+                assert list(s.paint(np.float64)) \
                     == [expected[i] for i in s.space]
 
     def test_checkpoint_carries_no_column(self, monkeypatch):

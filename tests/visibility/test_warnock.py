@@ -10,22 +10,23 @@ from hypothesis import strategies as st
 from repro import (READ, READ_WRITE, CoherenceError, IndexSpace,
                    RegionRequirement, Runtime, WarnockAlgorithm, reduce)
 from repro.visibility.eqset import EquivalenceSet, RefinementTreeStore
+from repro.visibility.history import HistoryEntry, RegionValues
 from repro.visibility.meter import CostMeter
 
 from tests.conftest import (fig1_initial, fig1_stream, make_fig1_tree,
-                            nonempty_index_spaces, subsets_of)
+                            nonempty_index_spaces, record_over, subsets_of)
 from tests.visibility.test_loose_eqsets import checkpoint_round_trip
 
 
 class TestEquivalenceSetObject:
     def test_split_partitions_domain(self):
         s = EquivalenceSet(IndexSpace.from_range(0, 10))
-        s.record(READ_WRITE, np.arange(10), 0)
+        record_over(s, READ_WRITE, np.arange(10), 0)
         inside, outside = s.split(IndexSpace.from_range(3, 7))
         assert list(inside.space) == [3, 4, 5, 6]
         assert list(outside.space) == [0, 1, 2, 7, 8, 9]
-        assert list(inside.history[0].values) == [3, 4, 5, 6]
-        assert list(outside.history[0].values) == [0, 1, 2, 7, 8, 9]
+        assert list(inside.history[0].values.values) == [3, 4, 5, 6]
+        assert list(outside.history[0].values.values) == [0, 1, 2, 7, 8, 9]
 
     def test_split_contained_returns_none_remainder(self):
         s = EquivalenceSet(IndexSpace.from_range(0, 4))
@@ -39,18 +40,18 @@ class TestEquivalenceSetObject:
 
     def test_write_clears_history(self):
         s = EquivalenceSet(IndexSpace.from_range(0, 3))
-        s.record(READ_WRITE, np.zeros(3), 0)
-        s.record(reduce("sum"), np.ones(3), 1)
-        s.record(READ, None, 2)
+        record_over(s, READ_WRITE, np.zeros(3), 0)
+        record_over(s, reduce("sum"), np.ones(3), 1)
+        record_over(s, READ, None, 2)
         assert len(s.history) == 3
-        s.record(READ_WRITE, np.full(3, 7.0), 3)
+        record_over(s, READ_WRITE, np.full(3, 7.0), 3)
         assert len(s.history) == 1
         assert s.history[0].task_id == 3
 
     def test_misaligned_values_rejected(self):
         s = EquivalenceSet(IndexSpace.from_range(0, 3))
         with pytest.raises(CoherenceError):
-            s.record(READ_WRITE, np.zeros(2), 0)
+            record_over(s, READ_WRITE, np.zeros(2), 0)
 
     def test_empty_space_rejected(self):
         with pytest.raises(CoherenceError):
@@ -58,8 +59,8 @@ class TestEquivalenceSetObject:
 
     def test_paint_folds_reductions(self):
         s = EquivalenceSet(IndexSpace.from_range(0, 3))
-        s.record(READ_WRITE, np.array([1.0, 2.0, 3.0]), 0)
-        s.record(reduce("sum"), np.array([10.0, 10.0, 10.0]), 1)
+        record_over(s, READ_WRITE, np.array([1.0, 2.0, 3.0]), 0)
+        record_over(s, reduce("sum"), np.array([10.0, 10.0, 10.0]), 1)
         assert list(s.paint(np.float64)) == [11.0, 12.0, 13.0]
 
 
@@ -78,7 +79,7 @@ class DescendingStore(RefinementTreeStore):
 class TestRefinementStore:
     def make(self, n=16):
         root = EquivalenceSet(IndexSpace.from_range(0, n))
-        root.record(READ_WRITE, np.arange(n, dtype=np.int64), -1)
+        record_over(root, READ_WRITE, np.arange(n, dtype=np.int64), -1)
         return RefinementTreeStore(root)
 
     def test_locate_whole(self):
@@ -93,6 +94,17 @@ class TestRefinementStore:
         assert len(sets) == 1 and list(sets[0].space) == [4, 5, 6, 7]
         assert len(store.all_sets()) == 2
         store.check_invariants(IndexSpace.from_range(0, 16))
+
+    def test_narrowed_entry_breaks_the_invariant(self):
+        """Every entry covers its set: one narrowed below a live set (a
+        mutant of the section 6 invariant) must not pass the check."""
+        store = self.make()
+        [s] = store.locate(IndexSpace.from_range(4, 8))
+        sub = IndexSpace.from_range(4, 6)
+        s.history[0] = HistoryEntry(READ_WRITE, sub, RegionValues(
+            sub, s.history[0].values.values[:2]), -1)
+        with pytest.raises(CoherenceError, match="narrower"):
+            store.check_invariants(IndexSpace.from_range(0, 16))
 
     def test_monotone_refinement_only(self):
         store = self.make()
@@ -124,7 +136,7 @@ class TestRefinementStore:
 
         def drive(cls):
             root = EquivalenceSet(IndexSpace.from_range(0, 16))
-            root.record(READ_WRITE, np.arange(16, dtype=np.int64), -1)
+            record_over(root, READ_WRITE, np.arange(16, dtype=np.int64), -1)
             store = cls(root, CostMeter())
             trace = []
             regions = {1: IndexSpace.from_range(2, 10),
@@ -194,9 +206,9 @@ class TestOwnerColumn:
         root_space = data.draw(nonempty_index_spaces(200, max_size=40))
         n = root_space.size
         root = EquivalenceSet(root_space)
-        root.record(READ_WRITE, root_space.indices * 10.0, -1)
-        root.record(reduce("sum"), np.ones(n), 0)
-        root.record(READ, None, 1)
+        record_over(root, READ_WRITE, root_space.indices * 10.0, -1)
+        record_over(root, reduce("sum"), np.ones(n), 0)
+        record_over(root, READ, None, 1)
         store = RefinementTreeStore(root, CostMeter())
         regions = data.draw(st.lists(subsets_of(root_space), min_size=1,
                                      max_size=4))
