@@ -1,11 +1,11 @@
 """Ablation: the section 6.1 memoization of constituent equivalence sets.
 
 "After performing this initial traversal, we can memoize the equivalence
-sets that compose R" — without it, every repeat query re-descends the
-refinement-tree BVH from the root.  This ablation measures BVH nodes
-visited per steady iteration with and without memoization, at growing
-machine sizes: the descents grow with the tree, the memoized lookups do
-not.
+sets that compose R" — without it, every repeat query pays a fresh BVH
+search, charged as a balanced BVH over the L live sets would cost it:
+⌈log₂ L⌉ + 1 nodes per set met.  This ablation measures BVH nodes visited
+per steady iteration with and without memoization, at growing machine
+sizes: the searches grow with the sets, the memoized lookups do not.
 """
 
 import os

@@ -75,7 +75,7 @@ _MISS = object()  # sentinel: cached False must be distinguishable
 #: again (region vs. entry domain, region vs. root) total under 0.5 MiB on
 #: the ledger's widest cell (64 pieces); maps asked exactly once — a cut
 #: that retires its set (``EquivalenceSet.pieces``), an owner column's
-#: fill or one-off lookup (``RefinementTreeStore._fill_columns``,
+#: fill or one-off lookup (``RefinementStore._fill_columns``,
 #: ``BucketStore._owned``), the stencil and Pennant
 #: build-time gathers — call ``_positions_raw`` and never come here (as
 #: partition construction calls ``_issubset_raw``).  The bound keeps a

@@ -17,7 +17,7 @@ from repro.privileges import Privilege, READ_WRITE
 from repro.regions.region import Region
 from repro.regions.tree import RegionTree
 from repro.visibility.base import CoherenceAlgorithm, INITIAL_TASK_ID
-from repro.visibility.eqset import (EquivalenceSet, RefinementTreeStore,
+from repro.visibility.eqset import (EquivalenceSet, RefinementStore,
                                     describe_sets, set_tokens, visit_sets)
 from repro.visibility.history import HistoryEntry, RegionValues, paint_into
 from repro.visibility.meter import CostMeter
@@ -44,8 +44,7 @@ class WarnockAlgorithm(CoherenceAlgorithm):
         root = EquivalenceSet(space, [HistoryEntry(
             READ_WRITE, space, RegionValues(space, np.asarray(initial).copy()),
             INITIAL_TASK_ID)])
-        self._store = RefinementTreeStore(root, self.meter,
-                                          memoize=self.memoize)
+        self._store = RefinementStore(root, self.meter, memoize=self.memoize)
 
     # ------------------------------------------------------------------
     # the store policy: refine, then every set is exactly relevant
@@ -99,7 +98,7 @@ class WarnockAlgorithm(CoherenceAlgorithm):
 
     # ------------------------------------------------------------------
     @property
-    def store(self) -> RefinementTreeStore:
+    def store(self) -> RefinementStore:
         """The underlying equivalence-set store (tests/benchmarks)."""
         return self._store
 
@@ -113,8 +112,7 @@ class WarnockAlgorithm(CoherenceAlgorithm):
             self._store.all_sets(), lambda entry: None)
 
     def describe(self) -> dict:
-        return {**describe_sets(self._store.all_sets()),
-                "tree_depth": int(self._store.tree_depth())}
+        return describe_sets(self._store.all_sets())
 
     def check_invariants(self) -> None:
         """Run the section 6 structural invariants (tests)."""
