@@ -9,7 +9,9 @@ would have met them.  Every row below is the SHA-256 of
 :func:`cost_log` — init + 2 iterations at 4 pieces, counters and touches
 per task, set and view uids masked out of the touch keys (they are
 process-global) — recorded at commit ``df6dccd``, the last one that
-re-walked the equivalence-set stores on every access.
+re-walked the equivalence-set stores on every access, except the three
+Warnock rows, recorded at commit ``bbdb8f1``, where Warnock's section
+6.1 BVH walk became a charge.
 
 :data:`COLD` pins ray casting where its first touch carves: 64 pieces at
 init + 2 (the ledger's ``cold_wide`` shape) and 16 pieces at init + 4,
@@ -35,7 +37,7 @@ PINNED = {
     ("circuit", "tree_painter"):
         "2917f2169aadf7e5252d0a15b92cc30d07528bc5219b2c9a40f12b07cd88fcda",
     ("circuit", "warnock"):
-        "8088f0c6fd6a6e6c140a23bbbd8960332d472ce636dc92a5a3f14134b5e0c44f",
+        "5ba8da77d826a913d5b0990ce7f380f2346dbd88ae9d231cab524d3a3283e2c6",
     ("circuit", "zbuffer"):
         "88d6095736cc11285fce9a2fce9fc1631555fa96b03a177b278e281ea255f2ae",
     ("pennant", "painter"):
@@ -45,7 +47,7 @@ PINNED = {
     ("pennant", "tree_painter"):
         "5613e64e6e5687773b8dfec5ea73242165a776d46cfbfbe407fefc7dd6ac495c",
     ("pennant", "warnock"):
-        "c55bd10543b79b85e7aafbe97e2fa5eaedf2535feb5ac9c01abd3dfa51e9c755",
+        "84ca99f8fe7d8669f199f4ed6417cd163506802b5cd469cead1b1b98e4039934",
     ("pennant", "zbuffer"):
         "2b3ed2f4266cfd8462ecbe05369fd0e318c42683d982c37db917d14d9a4a01a3",
     ("stencil", "painter"):
@@ -55,7 +57,7 @@ PINNED = {
     ("stencil", "tree_painter"):
         "a2d6cea55894386df250fa3488b81141e6d1b8d0cff50840ddc69f2315c2ed8d",
     ("stencil", "warnock"):
-        "688649c97e2355123c33fe86625cb7d867b35b637b8722efa6ff647f07767c94",
+        "a2c3215c23cac2cfe95c20cce6c8d1cdb493de0f4b02de8b81fbc62900c5ffeb",
     ("stencil", "zbuffer"):
         "c38fd3c3e96761ca8f889d08fb3f457d6427e0e189f636827ec7678d73b6aecb",
 }

@@ -2,7 +2,10 @@
 
 Every row was recorded at commit ``a4c484e`` — the last one that still
 carried the columnar/geometry-cache/precedence switches, all at their
-defaults — by :func:`serial_fingerprints` below: init + 2 iterations of
+defaults — except the analysis half of the three Warnock rows, recorded
+at commit ``bbdb8f1``, where Warnock's section 6.1 BVH walk became a
+charge (their graph half did not move).  Both were recorded by
+:func:`serial_fingerprints` below: init + 2 iterations of
 each application (4 pieces) through a serial :class:`Runtime`, hashed as
 ``(analysis_fingerprint, graph_fingerprint)``.  The analysis fingerprint
 covers the dependence graph, every algorithm's structure tokens and the
@@ -34,7 +37,7 @@ PINNED = {
         "b20acefe715892c2931cf39bd18ac93d1a29b3b7717095b03a2388cdad80c4e5",
         "edf9f626bbddc843e1771066f7598a626f5059bd6935d727bf091c7f1606f38e"),
     ("circuit", "warnock"): (
-        "1ba6093a454d30524f88d3bb527be708ed44a0a82a4ee96bd802de091d3f23f4",
+        "ee0647938facbda5d3f4927050ca55058acb11c600bbc3b1fd2d54af7da2fb20",
         "9b59e96f53ef663b3781fedfa2f56303d3e0bc5e812e22967cb719736b2eddf4"),
     ("circuit", "zbuffer"): (
         "51001246994114c0c1ae53204b578b93a67c4ef7adf412e56b97ffb11632d180",
@@ -49,7 +52,7 @@ PINNED = {
         "a756cd8a655e278e9df77adfa524e61abb7d12a8049f65e1b8bfacf00454e0f6",
         "823debc7714ffd0d2070e95c75e04dce3328737cd76cbad08ff0dbe7688d5c4f"),
     ("pennant", "warnock"): (
-        "015dbe81d4c4a715cf63e2362c6e7b629971a2cba836631d2f7689f6a0235c6c",
+        "341ed349e686a331b003d321e7be016d3db88c4dc8f2a9c7d1c53eee0d293d15",
         "823debc7714ffd0d2070e95c75e04dce3328737cd76cbad08ff0dbe7688d5c4f"),
     ("pennant", "zbuffer"): (
         "deeaab91a2a88608446498ea017f43645969ba2878b7191b689886ac07a00c64",
@@ -64,7 +67,7 @@ PINNED = {
         "6d19b225015ab0a7e2b0ffb2b079cd42ab9582db9edd17dc90dd0d67461e17cb",
         "b79f1ca5d38b473ffe84d2c070ddf2276f1913543c0a3b2b6ce62634b660ce30"),
     ("stencil", "warnock"): (
-        "1fd5748466ef387849535841cbd4320284edabc4b5ef70d9f9de63559eaf229b",
+        "2b25eeceb25de22ac28b85884643472d1d2ebb6033bf4bc390c2116e271c5374",
         "b79f1ca5d38b473ffe84d2c070ddf2276f1913543c0a3b2b6ce62634b660ce30"),
     ("stencil", "zbuffer"): (
         "2964099ca1bdeb0b1754d2387d3987c90674e06b4caa0cf816629190ed73f0ff",
