@@ -13,8 +13,8 @@ store policy that driver runs over:
   optimized painter of section 5.1: per-region subhistories in the region
   tree plus immutable *composite views*.
 * :class:`~repro.visibility.warnock.WarnockAlgorithm` — equivalence sets
-  with monotone refinement (Figure 9) and the refinement-tree BVH with
-  memoization (section 6.1).
+  with monotone refinement (Figure 9) over an owner column, section
+  6.1's BVH search charged rather than walked, and memoization.
 * :class:`~repro.visibility.raycast.RayCastAlgorithm` — Warnock plus
   dominating writes that coalesce occluded equivalence sets (Figure 11),
   bucketed over a disjoint-and-complete partition with a K-d tree
