@@ -79,8 +79,8 @@ class CorruptReply(WorkerFault):
 
 class WorkerLost(MachineError):
     """A worker exhausted its retries and no fallback could host its
-    replicas (should be unreachable: the in-process fallback always
-    applies)."""
+    replicas: the in-process fallback could not open or verify their
+    checkpoint."""
 
 
 # ----------------------------------------------------------------------

@@ -77,10 +77,15 @@ class Runtime:
         self.cost_log: list[TaskCost] = []
         self._tracer = None
 
+    #: Id of the first task kept: :meth:`trim` forgets the tasks before
+    #: it.  A class default, so an untrimmed runtime pickles as before.
+    first_task_id = 0
+
     # ------------------------------------------------------------------
     @property
     def tasks(self) -> tuple[Task, ...]:
-        """Every launched task, in program order."""
+        """Every kept task, in program order: every launched task unless
+        :meth:`trim` dropped the ones before :attr:`first_task_id`."""
         return tuple(self._tasks)
 
     @property
@@ -93,7 +98,14 @@ class Runtime:
         never against ``len(tasks)``, so runtimes whose internal
         operations consume ids stay traceable.
         """
-        return len(self._tasks)
+        return self.first_task_id + len(self._tasks)
+
+    def trim(self, first: int) -> None:
+        """Forget the tasks and dependence rows before id ``first`` (a
+        verified history nothing reads again); ids continue unchanged."""
+        del self._tasks[:first - self.first_task_id]
+        self.first_task_id = first
+        self.graph.trim(first)
 
     def algorithm_for(self, field: str) -> CoherenceAlgorithm:
         """The coherence-algorithm instance tracking one field."""
@@ -225,4 +237,4 @@ class Runtime:
 
     def __repr__(self) -> str:
         return (f"Runtime(algorithm={self.algorithm_name!r}, "
-                f"tasks={len(self._tasks)})")
+                f"tasks={self.next_task_id})")

@@ -30,7 +30,15 @@ class DependenceGraph:
     stores, and the transitive-closure helpers (``contains_transitively`` /
     ``missing_pairs``) walk them with :meth:`ancestors_of`, one BFS per
     distinct later task of a call.
+
+    :meth:`trim` drops the rows before a first-kept id; a dependence on a
+    trimmed id is then taken as known.  The walks (levels, ancestors)
+    need an untrimmed graph.
     """
+
+    #: Tasks before this id were trimmed.  A class default, so an
+    #: untrimmed graph pickles as before.
+    first = 0
 
     def __init__(self) -> None:
         self._deps: dict[int, frozenset[int]] = {}
@@ -44,9 +52,15 @@ class DependenceGraph:
             if d >= task_id:
                 raise ValueError(
                     f"task {task_id} cannot depend on later task {d}")
-            if d not in self._deps:
+            if d not in self._deps and d >= self.first:
                 raise ValueError(f"dependence on unknown task {d}")
         self._deps[task_id] = deps
+        self._levels = None
+
+    def trim(self, first: int) -> None:
+        """Forget the rows of the tasks before ``first``."""
+        self._deps = {t: d for t, d in self._deps.items() if t >= first}
+        self.first = first
         self._levels = None
 
     def dependences_of(self, task_id: int) -> frozenset[int]:

@@ -20,10 +20,13 @@ from repro.apps import make_app, session_stream
 from repro.distributed import ShardedRuntime, make_backend
 from repro.distributed.backends import (ProcessBackend, _dispatch,
                                        _open_hosting, dependence_rows,
-                                       encode_privilege, encode_tasks)
+                                       encode_tasks)
 from repro.distributed.faults import (FakeClock, FaultEvent, FaultPlan,
-                                      RetryPolicy)
+                                      RetryPolicy, WorkerLost)
+from repro.distributed.verify import analysis_fingerprint
 from repro.errors import MachineError
+from repro.runtime import Runtime
+from repro.runtime.dependence import DependenceGraph
 
 from tests.conftest import fig1_initial, fig1_stream, make_fig1_tree
 
@@ -51,6 +54,12 @@ def run_windows(windows=4, iterations=1, **kwargs):
             assert len({r.fingerprint for r in reports}) == 1
             fingerprints.append(reports[0].fingerprint)
     return fingerprints, srt.recovery
+
+
+def launch_all(runtime, stream):
+    """Analyze a stream on a runtime (bodies are not run)."""
+    for task in stream:
+        runtime.launch(task.name, task.requirements, None, task.point)
 
 
 @pytest.fixture(scope="module")
@@ -136,8 +145,8 @@ class TestFaultRecovery:
 
     def test_multi_shard_hosting_restores_from_checkpoint(self):
         """One worker hosting three replicas crashes late: it is restored
-        from a checkpoint of all three (live state plus deltas), and only
-        the journal since that checkpoint replays."""
+        from a checkpoint of all three, and only the journal since that
+        checkpoint replays."""
         serial, _ = run_windows(windows=6, backend="serial")
         plan = FaultPlan(events=(FaultEvent("crash", worker=0, op=5),))
         fingerprints, recovery = run_windows(
@@ -170,8 +179,8 @@ class TestPermanentLoss:
 
     def test_lost_worker_restores_in_process_from_checkpoint(self):
         """Lost after two checkpoints (every respawn dies on its restore
-        check): the three replicas are rebuilt in-process from the live
-        state and both deltas, and only the journal since replays."""
+        check): the three replicas are rebuilt in-process from the last
+        checkpoint, and only the journal since replays."""
         serial, _ = run_windows(windows=6, backend="serial")
         plan = FaultPlan(events=(
             FaultEvent("crash", worker=0, op=6, incarnation=0),
@@ -183,6 +192,23 @@ class TestPermanentLoss:
         assert fingerprints == serial
         assert (recovery.checkpoints, recovery.local_fallbacks,
                 recovery.restores, recovery.replayed_tasks) == (2, 1, 1, 18)
+
+    def test_unrestorable_checkpoint_is_worker_lost(self):
+        """A checkpoint blob that does not unpickle: every respawn dies on
+        it and the in-process fallback cannot open it either, so the
+        worker is lost (WorkerLost), not an unpickling error."""
+        tree, P, G = make_fig1_tree()
+        with ShardedRuntime(tree, fig1_initial(tree), shards=2,
+                            backend="process", checkpoint_interval=1,
+                            recv_timeout=10.0, retry=FAST_RETRY,
+                            clock=FakeClock()) as srt:
+            srt.analyze(fig1_stream(tree, P, G, 1))
+            handle = srt.backend.handles[0]
+            handle.checkpoint = handle.checkpoint._replace(
+                live=b"\x80\x04garbage")
+            srt.backend._kill(handle)
+            with pytest.raises(WorkerLost, match="cannot be restored"):
+                srt.analyze(fig1_stream(tree, P, G, 1))
 
     def test_lost_worker_moves_in_process_beside_survivor(self, baseline):
         """A surviving worker keeps its own shards; the lost worker's
@@ -325,81 +351,82 @@ class TestCheckpointRoundTrip:
             rt2.algorithm_for(field).check_invariants()
 
 
-class TestCheckpointDelta:
-    """A checkpoint is the hosting's live state plus the tasks since the
-    last one; a restore appends the deltas back onto the live state."""
+class TestLiveCheckpoint:
+    """A checkpoint is the hosting's live state alone: its runtimes drop
+    the verified tasks and dependence rows, and a restore unpickles it."""
 
-    @staticmethod
-    def history(hosting):
-        """Per shard: every task as the analysis saw it (id, name, region
-        uids, fields, privileges, point) and its dependence rows."""
-        return {shard: ([(task.task_id, task.name,
-                          [(req.region.uid, req.field,
-                            encode_privilege(req.privilege))
-                           for req in task.requirements], task.point)
-                         for task in runtime.tasks],
-                        dependence_rows(runtime.graph, 0,
-                                        runtime.next_task_id))
-                for shard, runtime in hosting.runtimes.items()}
-
-    def test_restore_rebuilds_the_checkpointed_history(self):
-        """The restore digest covers dependence rows and structure, not
-        task names or requirements: those are held to the original here,
-        for a hosting of two replicas checkpointed three times."""
+    @pytest.mark.parametrize("algo", ["painter", "tree_painter", "warnock",
+                                      "raycast", "zbuffer"])
+    def test_restore_continues(self, algo):
+        """Two replicas checkpointed three times and restored from the last
+        blob alone hold no history, and analyze one more stream to the
+        window fingerprints of the original and of an untrimmed runtime."""
         tree, P, G = make_fig1_tree()
-        genesis = pickle.dumps((tree, fig1_initial(tree), "raycast"))
+        genesis = pickle.dumps((tree, fig1_initial(tree), algo))
         hosting = _open_hosting({"mode": "fresh", "genesis": genesis,
                                  "shards": [1, 2]})
-        deltas, since = [], 0
+        untrimmed = Runtime(tree, fig1_initial(tree), algorithm=algo)
         for iterations in (1, 2, 1):
-            stream = encode_tasks(fig1_stream(tree, P, G, iterations))
-            assert _dispatch(("analyze", [], stream, 0), hosting)[0] == "ok"
-            _, (since, digests, live, delta) = _dispatch(
-                ("checkpoint", since), hosting)
-            deltas.append(delta)
-        restored = _open_hosting({"mode": "restore", "live": live,
-                                  "deltas": deltas})
-        assert self.history(restored) == self.history(hosting)
+            stream = fig1_stream(tree, P, G, iterations)
+            launch_all(untrimmed, stream)
+            assert _dispatch(("analyze", [], encode_tasks(stream), 0),
+                             hosting)[0] == "ok"
+            _, (base, digests, live) = _dispatch(("checkpoint",), hosting)
+        restored = _open_hosting({"mode": "restore", "live": live})
+        assert base == restored.base == 24
         assert restored.digests() == digests
-        assert restored.base == hosting.base == 24
+        for runtime in restored.runtimes.values():
+            assert (runtime.tasks, len(runtime.graph)) == ((), 0)
+        stream = fig1_stream(tree, P, G, 1)
+        launch_all(untrimmed, stream)
+        expected = analysis_fingerprint(untrimmed, 24, len(stream))
+        message = ("analyze", [], encode_tasks(stream), 0)
+        for host in (restored, hosting):
+            assert [row[:2] for row in _dispatch(message, host)[1]] \
+                == [(1, expected), (2, expected)]
 
-    def test_delta_refuses_a_task_body(self):
-        """Hosted replicas never carry task bodies; a checkpoint that
-        meets one says so instead of dropping it from the delta."""
+    def test_trim_keeps_ids(self):
+        """After a trim, ids continue and a dependence on a trimmed task is
+        accepted; one on an unknown id at or above the first kept still
+        raises."""
         tree, P, G = make_fig1_tree()
-        genesis = pickle.dumps((tree, fig1_initial(tree), "raycast"))
-        hosting = _open_hosting({"mode": "fresh", "genesis": genesis,
-                                 "shards": [1]})
-        regions = {r.uid: r for r in hosting.tree.regions}
-        task = fig1_stream(tree, P, G, 1)[0]
-        hosting.runtimes[1].launch(
-            task.name, [type(req)(regions[req.region.uid], req.field,
-                                  req.privilege)
-                        for req in task.requirements], task.body)
-        status, message = _dispatch(("checkpoint", 0), hosting)
-        assert status == "error" and "holds a task body" in message
+        trimmed, whole = (Runtime(tree, fig1_initial(tree)) for _ in range(2))
+        for runtime in (trimmed, whole):
+            launch_all(runtime, fig1_stream(tree, P, G, 1))
+        trimmed.trim(6)
+        for runtime in (trimmed, whole):
+            launch_all(runtime, fig1_stream(tree, P, G, 1))
+        assert (trimmed.first_task_id, trimmed.next_task_id) == (6, 12)
+        assert [task.task_id for task in trimmed.tasks] == list(range(6, 12))
+        assert trimmed.graph.task_ids == list(range(6, 12))
+        assert dependence_rows(trimmed.graph, 6, 6) \
+            == dependence_rows(whole.graph, 6, 6)
+        assert any(d < 6 for t in range(6, 12)
+                   for d in trimmed.graph.dependences_of(t))
+        graph = DependenceGraph()
+        for task_id in range(4):
+            graph.add_task(task_id, ())
+        graph.trim(2)
+        graph.add_task(5, {0, 3})
+        with pytest.raises(ValueError, match="unknown task 4"):
+            graph.add_task(6, {4})
 
-    def test_checkpoint_stays_flat_over_a_slot(self):
+    def test_respawn_payload_stays_flat(self):
         """An 8-piece stencil slot under ray casting, checkpointed every 2
-        of 28 streams: each delta holds exactly the tasks since the
-        previous checkpoint, and the live blob does not grow with the
-        history (whole-runtime blobs grew 40 496 -> 145 957 B)."""
+        of 28 streams: what a respawn is sent stays within 1 KiB (with
+        every delta kept it grew 34 657 -> 75 374 B)."""
         app = make_app("stencil", 8)
         with ShardedRuntime(app.tree, app.initial, shards=2,
                             backend="process", checkpoint_interval=2,
                             recv_timeout=30.0) as srt:
             handle = srt.backend.handles[0]
-            sizes, ends = [], [0]
+            sizes = []
             for session in range(28):
                 srt.analyze(session_stream(app, 2, session == 0))
-                ends.append(srt.backend.tasks_analyzed)
                 if session % 2:
-                    sizes.append(len(handle.checkpoint.live))
-            deltas = handle.checkpoint.deltas
-        assert [[(shard, count, *map(len, pickle.loads(blob)))
-                 for shard, count, blob in delta] for delta in deltas] \
-            == [[(1, *[ends[k + 2] - ends[k]] * 3)] for k in range(0, 28, 2)]
-        assert len(sizes) == 14 and abs(sizes[-1] - sizes[0]) <= 1024
+                    sizes.append(len(pickle.dumps(
+                        srt.backend._host_spec(handle))))
+        assert len(sizes) == 14 and max(sizes) - min(sizes) <= 1024
 
 
 class TestLifecycle:

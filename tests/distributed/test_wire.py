@@ -145,42 +145,43 @@ def test_unresolvable_analyze_message_changes_nothing():
 @pytest.fixture(scope="module")
 def checkpoint():
     """``(backend, handle, frame)``: a real worker's checkpoint reply for
-    shards 1 and 2 after one analyzed stream, as the parent receives it."""
+    shards 1 and 2 after one analyzed stream and a checkpoint round, as
+    the parent receives it."""
     tree, P, G = make_fig1_tree()
     with ProcessBackend(tree, fig1_initial(tree), "raycast", 3,
-                        max_workers=1) as backend:
+                        max_workers=1, checkpoint_interval=1) as backend:
         backend.analyze(fig1_stream(tree, P, G, 1))
+        backend.after_verified()
         handle = backend.handles[0]
-        handle.send(("checkpoint", 0))
+        handle.send(("checkpoint",))
         frame = pickle.loads(handle.recv(0.05, SystemClock(), 10.0))
     yield backend, handle, frame
 
 
 def test_real_checkpoint_parses(checkpoint):
     backend, handle, (status, result, fragment) = checkpoint
-    base, digests, _, delta = backend._parse(
+    base, digests, live = backend._parse(
         handle, pickle.dumps((status, result, fragment)), "checkpoint")
     assert base == backend.tasks_analyzed == 6
-    assert sorted(shard for shard, _ in digests) == [1, 2]
-    assert [(shard, count) for shard, count, _ in delta] == [(1, 6), (2, 6)]
-    assert [len(part) for _, _, blob in delta
-            for part in pickle.loads(blob)] == [6, 6, 6, 6]
+    assert digests == [(1, handle.checkpoint.digest),
+                       (2, handle.checkpoint.digest)]
+    assert _open_hosting({"mode": "restore", "live": live}).base == 6
 
 
 @pytest.mark.parametrize("command, lie", [
     ("checkpoint", lambda r: ("not", "a", "checkpoint", "reply")),
     ("checkpoint", lambda r: (r[0] + 1,) + r[1:]),        # a later base
-    ("checkpoint", lambda r: r[:3] + ([(3,) + r[3][0][1:], r[3][1]],)),
-    ("checkpoint", lambda r: r[:3] + ([(1, 5) + r[3][0][2:], r[3][1]],)),
-    ("checkpoint", lambda r: r[:3]),
+    ("checkpoint", lambda r: (r[0], [(3, r[1][0][1]), r[1][1]], r[2])),
+    ("checkpoint", lambda r: (r[0], [r[1][0], (2, "0" * 64)], r[2])),
     ("digest", lambda r: "ab"),                           # unpacked to 2
     ("digest", lambda r: [(1, "x"), (7, "y")]),
-], ids=["strings", "base", "foreign-shard", "short-delta", "no-delta",
+], ids=["strings", "base", "foreign-shard", "reference-digest",
         "digest-string", "digest-foreign-shard"])
 def test_lying_checkpoint_or_digest_is_corrupt(checkpoint, command, lie):
     """A checkpoint or digest result of the wrong shape — a base other
-    than the parent's, a delta naming a shard the handle does not host
-    or missing tasks — is a CorruptReply, which recovery retries."""
+    than the parent's, a digest naming a shard the handle does not host,
+    or one that is not the reference replica's structure digest — is a
+    CorruptReply, which recovery retries."""
     backend, handle, (status, result, fragment) = checkpoint
     with pytest.raises(CorruptReply):
         backend._parse(handle, pickle.dumps((status, lie(result), fragment)),
