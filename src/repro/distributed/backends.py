@@ -126,7 +126,8 @@ def apply_structure(regions_by_uid: dict, records: Sequence[tuple]) -> None:
 def _analyze_replica(shard: int, runtime: Runtime, launches, base: int,
                      count: int) -> tuple:
     """One replica's analysis of ``(name, requirements, point)`` launches;
-    returns the ``(shard, fingerprint, seconds)`` row.
+    returns the ``(shard, fingerprint, seconds)`` row and the structure
+    digest that fingerprint covers (computed once).
 
     Everything it records is attributed to the shard — tid ``shard``
     always, pid ``shard + 1`` for hosted replicas; the reference (shard
@@ -141,7 +142,9 @@ def _analyze_replica(shard: int, runtime: Runtime, launches, base: int,
         for name, requirements, point in launches:
             runtime.launch(name, requirements, None, point)
     seconds = time.perf_counter() - start
-    return (shard, analysis_fingerprint(runtime, base, count), seconds)
+    digest = structure_fingerprint(runtime)
+    return (shard, analysis_fingerprint(runtime, base, count, digest),
+            seconds), digest
 
 
 def dependence_rows(graph, base: int, count: int) -> list[tuple[int, ...]]:
@@ -172,6 +175,8 @@ class AnalysisBackend(ABC):
         self.replicas = replicas
         self.reference = Runtime(tree, initial, algorithm=algorithm)
         self._tasks_analyzed = 0
+        #: The reference's structure digest after its last analysis.
+        self._digest = ""
 
     # ------------------------------------------------------------------
     @property
@@ -192,10 +197,13 @@ class AnalysisBackend(ABC):
                        stream: TaskStream, base: int,
                        count: int) -> ShardReport:
         """Analyze ``stream`` on a replica living in this process."""
-        return ShardReport(*_analyze_replica(
+        row, digest = _analyze_replica(
             shard, runtime,
             ((t.name, t.requirements, t.point) for t in stream),
-            base, count))
+            base, count)
+        if shard == 0:
+            self._digest = digest
+        return ShardReport(*row)
 
     @abstractmethod
     def _analyze_replicas(self, stream: TaskStream, base: int,
@@ -300,13 +308,16 @@ class _Hosting:
     Nothing reads a trimmed task or row: hosted replicas only ``launch``
     (never ``execute_trace``, whose recorder reads the graph), and
     ``dump`` is only asked for the window being verified, at or past the
-    last checkpoint."""
+    last checkpoint.  A checkpoint reuses the last analyze's digests; a
+    ``digest`` request (the restore check) hashes afresh."""
 
     def __init__(self, tree, runtimes: dict, base: int) -> None:
         self.tree = tree
         self.runtimes = runtimes
         self.base = base
         self.regions = {region.uid: region for region in tree.regions}
+        #: Per-shard structure digests of the last analyze, if complete.
+        self._digests: Optional[list] = None
 
     def check(self, structure, tasks) -> list[tuple]:
         """Raise, naming it, on the first part of an analyze message this
@@ -351,6 +362,7 @@ class _Hosting:
     def analyze(self, structure, tasks) -> list[tuple]:
         """Apply the structure :meth:`check` returned, then run every
         replica, so a message that cannot resolve changes nothing."""
+        self._digests = None
         apply_structure(self.regions, structure)
         launches = [(name, [RegionRequirement(self.regions[uid], field,
                                               decode_privilege(privilege))
@@ -360,20 +372,26 @@ class _Hosting:
                                     len(tasks))
                    for shard, runtime in self.runtimes.items()]
         self.base += len(tasks)
-        return results
+        self._digests = [(row[0], digest) for row, digest in results]
+        return [row for row, _ in results]
 
     def digests(self) -> list[tuple]:
-        """Per-shard structure fingerprints: all of a replica's state that
-        a checkpoint keeps and a restore could get wrong."""
+        """Per-shard structure fingerprints, hashed afresh: all of a
+        replica's state that a checkpoint keeps and a restore could get
+        wrong."""
         return [(shard, structure_fingerprint(runtime))
                 for shard, runtime in self.runtimes.items()]
 
-    def checkpoint(self) -> bytes:
-        """Trim every runtime behind the base; the pickled live state
-        ``(tree, runtimes, base)``."""
+    def checkpoint(self) -> tuple:
+        """``(base, per-shard structure digests, live blob)``: the last
+        analyze's digests (hashed afresh if none); then the runtimes are
+        trimmed behind the base (no structure token or meter count moves)
+        and the live state ``(tree, runtimes, base)`` pickled."""
+        digests = self._digests or self.digests()
         for runtime in self.runtimes.values():
             runtime.trim(self.base)
-        return pickle.dumps((self.tree, self.runtimes, self.base))
+        return (self.base, digests,
+                pickle.dumps((self.tree, self.runtimes, self.base)))
 
 
 def _open_hosting(spec: dict) -> _Hosting:
@@ -406,8 +424,7 @@ def _dispatch(msg: tuple, hosting: _Hosting) -> tuple:
         if msg[0] == "digest":
             return ("ok", hosting.digests())
         if msg[0] == "checkpoint":
-            return ("ok", (hosting.base, hosting.digests(),
-                           hosting.checkpoint()))
+            return ("ok", hosting.checkpoint())
         return ("error", f"unknown command {msg[0]!r}")
     except Exception as exc:
         return ("error", repr(exc))
@@ -600,7 +617,8 @@ class ProcessBackend(AnalysisBackend):
     :meth:`after_verified`), and the journal is trimmed behind them.  A
     checkpoint is a worker's live state alone: its runtimes drop the
     verified tasks and dependence rows first, and its structure digests
-    must equal the reference replica's.
+    must equal the reference replica's.  A checkpoint reuses the
+    verified window's digests, on both sides; a restore hashes fresh.
     When a worker exhausts its retries it is declared lost and its
     replicas move in-process (graceful degradation to serial-backend
     semantics): rebuilt from the same checkpoint and journal a respawn
@@ -646,9 +664,6 @@ class ProcessBackend(AnalysisBackend):
         self._journal: list[tuple] = []
         self._journal_base = 0
         self._streams_since_checkpoint = 0
-        #: The reference's structure digest at the newest checkpoint
-        #: round, which every checkpoint reply must carry.
-        self._digest = ""
         remote = list(range(1, replicas))
         if not remote:
             return
@@ -755,15 +770,17 @@ class ProcessBackend(AnalysisBackend):
     def _parse(self, handle: _WorkerHandle, blob, command: str):
         """Decode one reply ``(status, result, fragment)``, rejecting it
         by shape before trusting its content: anything but a 3-tuple with
-        status ``"ok"``/``"error"`` and a ``None``/:class:`TraceBuffer`
-        fragment — or a result :meth:`_result_fits` refuses — is a
-        :class:`CorruptReply`.  The fragment (what the worker's tracer
-        recorded) is absorbed into the active tracer, the result returned."""
+        status ``"ok"``/``"error"`` and a ``None`` or
+        :meth:`~repro.obs.tracer.TraceBuffer.absorbable` fragment — or a
+        result :meth:`_result_fits` refuses — is a :class:`CorruptReply`.
+        The fragment (what the worker's tracer recorded) is absorbed into
+        the active tracer, the result returned."""
         frame = handle.load(blob)
         if not (type(frame) is tuple and len(frame) == 3
                 and isinstance(frame[0], str) and frame[0] in ("ok", "error")
                 and (frame[2] is None
-                     or isinstance(frame[2], obs.TraceBuffer))):
+                     or type(frame[2]) is obs.TraceBuffer
+                     and frame[2].absorbable())):
             raise CorruptReply(
                 f"worker {handle.worker_id} sent a malformed reply frame")
         status, result, fragment = frame
@@ -894,7 +911,6 @@ class ProcessBackend(AnalysisBackend):
             if self._streams_since_checkpoint < self._checkpoint_interval:
                 return
             self._streams_since_checkpoint = 0
-            self._digest = structure_fingerprint(self.reference)
         for handle in remote:
             base, _, live = self._request(handle, ("checkpoint",))
             if handle in self._handles:  # may have been lost during recovery

@@ -16,7 +16,10 @@ Fingerprints are SHA-256 over a canonical byte encoding, so they are
 stable across processes, machines and Python hash randomization — the
 same digests back the differential determinism tests that run one
 analysis at several shard counts and backends and require bit-identical
-hashes.
+hashes.  The bulk of that encoding (dependence rows, equivalence sets) is
+emitted straight to bytes rather than built as tuples, and each verified
+state is hashed once: a checkpoint reuses the verified window's digests;
+a restore hashes fresh.
 """
 
 from __future__ import annotations
@@ -32,11 +35,17 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.runtime.dependence import DependenceGraph
 
 
+class Encoded(bytes):
+    """A token already in :func:`_encode`'s bytes, emitted verbatim (see
+    :func:`~repro.visibility.eqset.set_tokens`)."""
+
+
 def _encode(token, emit: Callable[[bytes], object]) -> None:
     """Emit one (possibly nested) token's bytes, type-tagged so that e.g.
     the int 1 and the string "1" cannot collide.  Exact types take fast
     paths; the rest take the spec's ``isinstance`` branches (in any order:
-    no class derives from two of bytes, str, int, tuple and list)."""
+    no class derives from two of bytes, str, int, tuple and list).  An
+    exact :class:`Encoded` is emitted as it is, any other bytes as bytes."""
     kind = type(token)
     if kind is int:
         emit(b"i%d" % token)
@@ -47,6 +56,8 @@ def _encode(token, emit: Callable[[bytes], object]) -> None:
                 emit(b"i%d" % item)
             else:
                 _encode(item, emit)
+    elif kind is Encoded:
+        emit(token)
     elif kind is str or isinstance(token, str):
         _encode(token.encode("utf-8"), emit)
     elif isinstance(token, bytes):
@@ -59,6 +70,28 @@ def _encode(token, emit: Callable[[bytes], object]) -> None:
         emit(b"i" + str(token).encode())
     else:
         _encode(repr(token), emit)
+
+
+def encoded(token) -> bytes:
+    """The bytes :func:`_encode` gives ``token``."""
+    out: list[bytes] = []
+    _encode(token, out.append)
+    return b"".join(out)
+
+
+#: The format of a tuple of ``n`` ints, built once for short tuples: a
+#: bounds pair, an empty id set, most dependence rows.
+_INT_TUPLES = [b"t" + n.to_bytes(8, "little") + b"i%d" * n for n in range(16)]
+
+
+def int_tuple(values) -> bytes:
+    """The bytes :func:`_encode` gives a tuple of ``int`` values."""
+    n = len(values)
+    if n < len(_INT_TUPLES):
+        return _INT_TUPLES[n] % tuple(values)
+    # a length byte of 37 is a "%": escaped
+    return (b"t" + n.to_bytes(8, "little").replace(b"%", b"%%")
+            + b"i%d" * n) % tuple(values)
 
 
 def fingerprint_tokens(*tokens) -> str:
@@ -83,11 +116,12 @@ def graph_fingerprint(graph: "DependenceGraph", start: int = 0,
         ids = sorted(t for t in deps if t >= start)
     else:
         ids = [t for t in range(start, start + count) if t in deps]
-    # ``fingerprint_tokens`` of the list of rows, streamed: a list of every
-    # row would set a deep history's peak memory
+    # ``fingerprint_tokens`` of the list of ``(t, tuple(sorted(deps)))``
+    # rows, streamed: a list of every row would set a deep history's peak
+    # memory
     h = hashlib.sha256(b"t" + len(ids).to_bytes(8, "little"))
     for t in ids:
-        _encode((t, tuple(sorted(deps[t]))), h.update)
+        h.update(b"t\2\0\0\0\0\0\0\0i%d%b" % (t, int_tuple(sorted(deps[t]))))
     return h.hexdigest()
 
 
@@ -105,10 +139,12 @@ def structure_fingerprint(runtime: "Runtime") -> str:
 
 
 def analysis_fingerprint(runtime: "Runtime", start: int = 0,
-                         count: Optional[int] = None) -> str:
-    """The full per-shard digest the merge step compares."""
+                         count: Optional[int] = None,
+                         structure: Optional[str] = None) -> str:
+    """The full per-shard digest the merge step compares (``structure``:
+    the runtime's :func:`structure_fingerprint`, if already computed)."""
     return fingerprint_tokens(graph_fingerprint(runtime.graph, start, count),
-                              structure_fingerprint(runtime))
+                              structure or structure_fingerprint(runtime))
 
 
 def fields_fingerprint(fields) -> str:

@@ -111,6 +111,38 @@ class TraceBuffer:
     def __len__(self) -> int:
         return len(self.spans) + len(self.instants) + len(self.counters)
 
+    def absorbable(self) -> bool:
+        """Whether :meth:`Tracer.absorb` can take this buffer (a worker's
+        reply fragment, from another process): spans with numeric
+        times and integer ids, their parent links free of cycles; instants
+        and counter samples with a numeric ``ts``; a numeric or no clock."""
+        num = (int, float)
+        if not (isinstance(self.clock, (*num, type(None)))
+                and all(type(events) is list for events in (
+                    self.spans, self.instants, self.counters))
+                and all(type(s) is Span and isinstance(s.start, num)
+                        and isinstance(s.end, num)
+                        and isinstance(s.parent_id, (int, type(None)))
+                        and all(isinstance(i, int)
+                                for i in (s.pid, s.tid, s.span_id))
+                        for s in self.spans)
+                and all(type(i) is Instant and isinstance(i.ts, num)
+                        for i in self.instants)
+                and all(type(c) is CounterSample and isinstance(c.ts, num)
+                        for c in self.counters)):
+            return False
+        parents = {s.span_id: s.parent_id for s in self.spans}
+        rooted: set = set()  # ids whose parent chain leaves the buffer
+        for span_id in parents:
+            path = set()
+            while span_id in parents and span_id not in rooted:
+                if span_id in path:
+                    return False
+                path.add(span_id)
+                span_id = parents[span_id]
+            rooted |= path
+        return True
+
 
 #: Span ids are unique within a process; :meth:`Tracer.absorb` re-numbers
 #: another process's spans into this sequence.

@@ -805,12 +805,34 @@ def set_tokens(sets, entry_bounds) -> tuple:
     """Structure tokens of a set collection: the decomposition plus the
     refinement trace each history encodes.  ``entry_bounds(entry)`` is an
     entry's own domain bounds (``None`` where entries are aligned with
-    their set)."""
-    return tuple(
-        ("eqset", s.space.bounds, s.space.size, s.space.indices.tobytes(),
-         tuple((repr(e.privilege), e.task_id, tuple(sorted(e.collapsed_ids)),
-                entry_bounds(e)) for e in s.history))
-        for s in sorted(sets, key=lambda s: (s.space.bounds, s.space.size)))
+    their set).  A set's token is pre-encoded: the bytes of ``("eqset",
+    bounds, size, indices bytes, ((repr(privilege), task_id, sorted
+    collapsed ids, entry bounds), ...))``, each privilege rendered once."""
+    # imported here: repro.distributed imports the policies
+    from repro.distributed.verify import Encoded, encoded, int_tuple
+
+    head = b"t" + (5).to_bytes(8, "little") + encoded("eqset")
+    privileges: dict = {}  # id(privilege) -> its encoded repr
+
+    def entry(e) -> bytes:
+        p = privileges.get(id(e.privilege))
+        if p is None:
+            p = privileges[id(e.privilege)] = encoded(repr(e.privilege))
+        bounds = entry_bounds(e)
+        return b"t\4\0\0\0\0\0\0\0%bi%d%b%b" % (
+            p, e.task_id, int_tuple(sorted(e.collapsed_ids)),
+            b"n" if bounds is None else int_tuple(bounds))
+
+    def token(s) -> Encoded:
+        space, history = s.space, s.history
+        indices = space.indices.tobytes()
+        return Encoded(b"".join((
+            head, int_tuple(space.bounds), b"i%d" % space.size,
+            b"b", len(indices).to_bytes(8, "little"), indices,
+            b"t", len(history).to_bytes(8, "little"), *map(entry, history))))
+
+    return tuple(map(token, sorted(
+        sets, key=lambda s: (s.space.bounds, s.space.size))))
 
 
 def _dist(values) -> dict:

@@ -50,12 +50,28 @@ def test_real_reply_parses(reply):
     assert sorted(shard for shard, _, _ in rows) == [1, 2]
 
 
+def _fragment(**content):
+    return lambda rows: ("ok", rows, obs.TraceBuffer(**content))
+
+
+def _span(span_id, parent_id, start=0.0):
+    return obs.Span("s", "c", start, 1.0, span_id=span_id,
+                    parent_id=parent_id)
+
+
 @pytest.mark.parametrize("lie", [
     lambda rows: "okx",                        # unpacked to status "o"
     lambda rows: ("ok", rows, "frag"),         # absorb: no .clock
     lambda rows: ("ok", rows, {"spans": 1}),
     lambda rows: ("ok", [("a",)], None),       # ShardReport(*row) failed
-], ids=["status-string", "fragment-string", "fragment-dict", "short-row"])
+    _fragment(spans=[1]),                      # absorb: no .span_id
+    _fragment(spans=[_span(1, None, start="0")]),  # "0" + offset
+    _fragment(clock="late"),                   # monotonic() - "late"
+    _fragment(instants=[None]),                # replace(None, ...)
+    _fragment(spans=[_span(1, 2), _span(2, 1)]),   # a span its own ancestor
+], ids=["status-string", "fragment-string", "fragment-dict", "short-row",
+        "span-int", "span-start-string", "clock-string", "instant-none",
+        "span-parent-cycle"])
 def test_well_formed_lie_is_corrupt(reply, lie):
     backend, handle, blob = reply
     rows = pickle.loads(blob)[1]
