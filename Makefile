@@ -244,7 +244,7 @@ report:
 
 examples:
 	@for ex in examples/*.py; do \
-		echo "== $$ex"; $(PYTHON) $$ex || exit 1; \
+		echo "== $$ex"; PYTHONPATH=src $(PYTHON) $$ex || exit 1; \
 	done
 
 clean:

@@ -31,7 +31,7 @@ import pickle
 import time
 from abc import ABC, abstractmethod
 from concurrent.futures import ThreadPoolExecutor
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -184,12 +184,16 @@ class AnalysisBackend(ABC):
         """Tasks analyzed so far (the base id of the next stream)."""
         return self._tasks_analyzed
 
-    def analyze(self, stream: TaskStream) -> list[ShardReport]:
+    def analyze(self, stream: TaskStream,
+                meanwhile: Optional[Callable[[], None]] = None
+                ) -> list[ShardReport]:
         """Run the stream's analysis on every replica; returns one report
-        per replica, ordered by shard id (shard 0 first)."""
+        per replica, ordered by shard id (shard 0 first).  ``meanwhile``
+        runs here while the other replicas analyze; it must not raise."""
         base = self._tasks_analyzed
         count = len(stream)
-        reports = self._analyze_replicas(stream, base, count)
+        reports = self._analyze_replicas(stream, base, count,
+                                         meanwhile or (lambda: None))
         self._tasks_analyzed += count
         return reports
 
@@ -206,9 +210,11 @@ class AnalysisBackend(ABC):
         return ShardReport(*row)
 
     @abstractmethod
-    def _analyze_replicas(self, stream: TaskStream, base: int,
-                          count: int) -> list[ShardReport]:
-        """Run the analysis everywhere and report per-shard results."""
+    def _analyze_replicas(self, stream: TaskStream, base: int, count: int,
+                          meanwhile: Callable[[], None]
+                          ) -> list[ShardReport]:
+        """Run the analysis everywhere, calling ``meanwhile`` once on the
+        way, and report per-shard results."""
 
     @abstractmethod
     def dump_dependences(self, shard: int, base: int,
@@ -261,10 +267,12 @@ class SerialBackend(_InProcessBackend):
 
     name = "serial"
 
-    def _analyze_replicas(self, stream, base, count):
-        return [self._analyze_local(shard, self._runtime_of(shard), stream,
-                                    base, count)
-                for shard in range(self.replicas)]
+    def _analyze_replicas(self, stream, base, count, meanwhile):
+        reports = [self._analyze_local(shard, self._runtime_of(shard),
+                                       stream, base, count)
+                   for shard in range(self.replicas)]
+        meanwhile()
+        return reports
 
 
 class ThreadBackend(_InProcessBackend):
@@ -284,11 +292,12 @@ class ThreadBackend(_InProcessBackend):
         self._pool = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="shard-analysis")
 
-    def _analyze_replicas(self, stream, base, count):
+    def _analyze_replicas(self, stream, base, count, meanwhile):
         futures = [self._pool.submit(self._analyze_local, shard,
                                      self._runtime_of(shard), stream, base,
                                      count)
                    for shard in range(self.replicas)]
+        meanwhile()
         return [f.result() for f in futures]
 
     def close(self) -> None:
@@ -928,7 +937,7 @@ class ProcessBackend(AnalysisBackend):
     # ------------------------------------------------------------------
     # the analysis fan-out
     # ------------------------------------------------------------------
-    def _analyze_replicas(self, stream, base, count):
+    def _analyze_replicas(self, stream, base, count, meanwhile):
         structure = encode_structure(self.tree, self._known_regions)
         self._known_regions = len(self.tree.regions)
         # The active tracer's record level rides on the (journaled)
@@ -948,9 +957,10 @@ class ProcessBackend(AnalysisBackend):
             except WorkerFault as exc:
                 self._fault(handle, exc)
                 pending.append((handle, False))
-        # phase 2: the local reference analyzes while workers run
+        # phase 2: the local reference, then ``meanwhile``, while workers run
         reference = self._analyze_local(0, self.reference, stream, base,
                                         count)
+        meanwhile()
         # phase 3: collect replies; remember who faulted
         rows: list[tuple] = []
         faulted = []

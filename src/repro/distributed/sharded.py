@@ -23,7 +23,8 @@ order (this is a correctness- and communication-level model, not a timing
 model — the machine simulator covers timing), so eager pulls see exactly
 the sequentially-consistent values; the final distributed state is
 gathered by owner and compared against the sequential reference in the
-tests.
+tests.  As in DCR, a window's tasks run while the other replicas analyze
+it, and a window that fails to verify (or fails otherwise) rolls back.
 
 Every phase is metered through a :class:`~repro.visibility.meter.PhaseProfile`:
 wall-clock analysis time per shard, merge/verify time, bytes shipped to
@@ -103,7 +104,8 @@ class ShardedRuntime:
     profile:
         Optional shared :class:`PhaseProfile`; created when omitted.
         Records ``analyze`` (total), ``analyze.shard<i>`` (per shard),
-        ``verify``, ``execute`` times and ``ship`` bytes.
+        ``verify``, ``execute`` times and ``ship`` bytes.  Under
+        :meth:`execute`, ``analyze`` contains the overlapped ``execute``.
     faults, recv_timeout, heartbeat, retry, checkpoint_interval, clock:
         Fault-tolerance knobs forwarded to the process backend (see
         :class:`~repro.distributed.backends.ProcessBackend`): a
@@ -205,10 +207,13 @@ class ShardedRuntime:
         divergence.  Bodies are not run during analysis — values are
         owned by the sharded execution.
         """
+        return self._analyze(stream)
+
+    def _analyze(self, stream, meanwhile=None) -> list[ShardReport]:
         base = self._backend.tasks_analyzed
         shipped_before = self._backend.shipped_bytes
         with self.profile.phase("analyze"):
-            reports = self._backend.analyze(stream)
+            reports = self._backend.analyze(stream, meanwhile)
         for report in reports:
             self.profile.add_time(f"analyze.shard{report.shard}",
                                   report.seconds)
@@ -229,11 +234,35 @@ class ShardedRuntime:
         return reports
 
     def execute(self, stream: TaskStream) -> list[ShardReport]:
-        """Analyze the stream on every replica, execute it sharded."""
-        reports = self.analyze(stream)
-        with self.profile.phase("execute"):
-            for task in stream:
-                self._execute_one(task, self.sharding(task))
+        """Analyze the stream on every replica, execute it sharded.
+
+        All or nothing: the execution runs while the other replicas
+        analyze (``execute`` nests inside ``analyze``).  Any failure —
+        diverging replicas, a lost worker, a bad shard id, a raising body
+        — restores field values, owners and the message log to the
+        window's start and re-raises, once every reply is read.
+        """
+        values = {name: v.copy() for name, v in self._values.items()}
+        owners = {name: o.copy() for name, o in self._owners.items()}
+        log = (self.log.messages, self.log.bytes, dict(self.log.by_pair))
+        failed: list[Exception] = []
+
+        def run() -> None:
+            try:
+                with self.profile.phase("execute"):
+                    for task in stream:
+                        self._execute_one(task, self.sharding(task))
+            except Exception as exc:  # held until the replies are in
+                failed.append(exc)
+
+        try:
+            reports = self._analyze(stream, run)
+            if failed:
+                raise failed[0]
+        except BaseException:
+            self._values, self._owners = values, owners
+            self.log.messages, self.log.bytes, self.log.by_pair = log
+            raise
         self._executed += len(stream)
         return reports
 
@@ -253,7 +282,8 @@ class ShardedRuntime:
             self.log.record(int(src), shard, pulled.size, itemsize)
 
     def _execute_one(self, task: Task, shard: int) -> None:
-        if shard >= self.shards:
+        if not (isinstance(shard, (int, np.integer))
+                and 0 <= shard < self.shards):
             raise MachineError(f"sharding functor returned {shard} "
                                f"for {self.shards} shards")
         root_space = self.tree.root.space

@@ -1,5 +1,7 @@
 """Tests for the executable control-replication model."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,21 @@ class TestShardedExecution:
         with pytest.raises(MachineError):
             srt.execute(fig1_stream(tree, P, G, 1))
 
+    @pytest.mark.parametrize("shard", [-1, 2.5])
+    def test_out_of_range_shard_rejected(self, shard):
+        """A negative id would alias another shard's memory through numpy
+        indexing; a float is no shard at all.  The raise comes once the
+        window's analysis is recorded, with the window rolled back."""
+        tree, P, G = make_fig1_tree()
+        srt = ShardedRuntime(tree, fig1_initial(tree), shards=2,
+                             sharding=lambda task: shard)
+        with pytest.raises(MachineError, match="sharding functor"):
+            srt.execute(fig1_stream(tree, P, G, 1))
+        assert srt.backend.tasks_analyzed == 6
+        assert srt.log.messages == 0 and not srt.log.by_pair
+        for name, values in fig1_initial(tree).items():
+            assert np.array_equal(srt.gather_field(name), values)
+
     def test_shard_count_validated(self):
         tree, _, _ = make_fig1_tree()
         with pytest.raises(MachineError):
@@ -166,3 +183,119 @@ class TestShardedProperty:
         srt.execute(pointed)
         assert np.array_equal(srt.gather_field("x"),
                               reference.field("x"))
+
+
+def _raising_at(stream: TaskStream, index: int) -> TaskStream:
+    """``stream`` with the body of task ``index`` replaced by one that
+    raises, so the tasks before it have already executed."""
+    def boom(*buffers):
+        raise RuntimeError("body failed")
+
+    out = TaskStream()
+    for k, task in enumerate(stream):
+        out.append(task.name, task.requirements,
+                   boom if k == index else task.body, point=task.point)
+    return out
+
+
+def _lie_once(backend) -> None:
+    """Make shard 1 report a wrong fingerprint for the next window only,
+    so ``check_reports`` raises after every replica has replied."""
+    real = backend._analyze_replicas
+
+    def lying(*args):
+        del backend._analyze_replicas
+        return [replace(r, fingerprint="0" * 64) if r.shard == 1 else r
+                for r in real(*args)]
+
+    backend._analyze_replicas = lying
+
+
+def _state(srt):
+    return (srt.gather_fields(),
+            {name: o.copy() for name, o in srt._owners.items()},
+            srt.log.messages, srt.log.bytes, dict(srt.log.by_pair))
+
+
+def _assert_same_state(a, b):
+    for x, y in zip(a[:2], b[:2]):
+        assert x.keys() == y.keys()
+        assert all(np.array_equal(x[k], y[k]) for k in x)
+    assert a[2:] == b[2:]
+
+
+class TestWindowAllOrNothing:
+    """A window whose verification or execution fails leaves field values,
+    owners and the message log as they were before it, and the runtime
+    goes on: pipes in step, the window's analysis counted, the state that
+    of the windows that completed."""
+
+    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("failure", ["diverge", "body"])
+    def test_failed_window_rolls_back(self, backend, failure):
+        from repro.distributed.verify import DeterminismError
+        tree, P, G = make_fig1_tree()
+        reference = SequentialExecutor(tree, fig1_initial(tree))
+        with ShardedRuntime(tree, fig1_initial(tree), shards=2,
+                            backend=backend, recv_timeout=10.0) as srt:
+            first = fig1_stream(tree, P, G, 1)
+            srt.execute(first)
+            reference.run_stream(first)
+            before = _state(srt)
+            assert before[2] > 0  # the failed window starts mid-exchange
+            if failure == "diverge":
+                _lie_once(srt.backend)
+                failing, error = fig1_stream(tree, P, G, 1), DeterminismError
+            else:
+                failing = _raising_at(fig1_stream(tree, P, G, 1), 4)
+                error = RuntimeError
+            with pytest.raises(error):
+                srt.execute(failing)
+            _assert_same_state(_state(srt), before)
+            assert srt.backend.tasks_analyzed == 12
+            last = fig1_stream(tree, P, G, 1)
+            reports = srt.execute(last)
+            reference.run_stream(last)
+            assert len({r.fingerprint for r in reports}) == 1
+            assert srt.backend.tasks_analyzed == 18
+            assert srt.state_fingerprint() == reference.fingerprint()
+
+    def test_crashed_worker_mid_window_recovers(self):
+        from repro.distributed.faults import FaultEvent, FaultPlan
+        tree, P, G = make_fig1_tree()
+        reference = SequentialExecutor(tree, fig1_initial(tree))
+        plan = FaultPlan(events=(FaultEvent("crash", worker=0, op=1),))
+        with ShardedRuntime(tree, fig1_initial(tree), shards=2,
+                            backend="process", faults=plan,
+                            recv_timeout=10.0) as srt:
+            for _ in range(3):
+                stream = fig1_stream(tree, P, G, 1)
+                reports = srt.execute(stream)
+                reference.run_stream(stream)
+                assert len({r.fingerprint for r in reports}) == 1
+            assert srt.recovery.recoveries == 1
+            assert srt.state_fingerprint() == reference.fingerprint()
+
+    def test_thread_backend_overlap_under_switching(self):
+        """The thread backend runs the execution beside four replica
+        threads on fewer cores, sharing the task stream and the geometry
+        cache; with a tiny switch interval the state still equals the
+        sequential executor's and every replica agrees."""
+        import sys
+
+        from repro.apps import make_app, session_stream
+        app = make_app("stencil", 4)
+        reference = SequentialExecutor(app.tree, app.initial)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ShardedRuntime(app.tree, app.initial, shards=4,
+                                backend="thread") as srt:
+                for _ in range(3):
+                    stream = session_stream(app, 1)
+                    reports = srt.execute(stream)
+                    reference.run_stream(stream)
+                    assert len({r.fingerprint for r in reports}) == 1
+        finally:
+            sys.setswitchinterval(interval)
+        assert srt.state_fingerprint() == reference.fingerprint()
