@@ -20,7 +20,7 @@ help:
 	@echo "telemetry-smoke  serve --telemetry-out -> load_trace + replay the segments (24 completed) -> top --once, prof"
 	@echo "blackbox-smoke  chaos serve on a bounded, witness-recording tracer -> load_trace the dumps (shards, ids, witnesses) -> blackbox, prof"
 	@echo "ledger       the layer ledger: four workloads, every metric (benchmarks/ledger)"
-	@echo "ledger-selftest  the ledger's <20 s self-test + its own tests"
+	@echo "ledger-selftest  the ledger's ~28 s self-test + its own tests"
 	@echo "ledger-pair  BASE=<rev> [N=10] [SEED=1]: N alternating ledger runs of BASE and this tree; wins, medians, quartiles, verdict"
 	@echo "ledger-gate  BASE=<rev> [SEED=1]: one ledger run of BASE, one of this tree, through compare.py; fails on a 'worse' row (the CI gate)"
 	@echo "loc          lines of Python per src/repro package, plus tests/ and benchmarks/"
@@ -234,13 +234,15 @@ loc:
 	done
 
 bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 bench-quick:
-	REPRO_BENCH_MAX_NODES=64 $(PYTHON) -m pytest benchmarks/ --benchmark-only
+	REPRO_BENCH_MAX_NODES=64 PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ \
+		--benchmark-only
 
 report:
-	$(PYTHON) -m repro report --output benchmarks/results/REPORT.md
+	PYTHONPATH=src $(PYTHON) -m repro report \
+		--output benchmarks/results/REPORT.md
 
 examples:
 	@for ex in examples/*.py; do \

@@ -14,11 +14,14 @@ parallel.  This module provides three interchangeable ways to run them:
 * :class:`ProcessBackend` — persistent worker processes, one hosting each
   remote replica, fed by *pickled task-stream shipping*: region trees and
   task streams are encoded into a compact picklable form (task bodies are
-  never shipped — replica analysis runs with ``body=None``), structural
-  deltas (partitions created since the last ship) ride along, and each
-  worker returns only its analysis fingerprint and timing.  Dependence
-  dumps for divergence diffs are fetched lazily, on mismatch.
+  never shipped), structural deltas (partitions created since the last
+  ship) ride along, and each worker returns only its analysis fingerprint
+  and timing.  Dependence dumps for divergence diffs are fetched lazily,
+  on mismatch.
 
+Every replica is an analysis-only :class:`~repro.runtime.context.Runtime`
+started from ``(tree, algorithm)``: DCR replicates the analysis, not the
+values, which live only in :class:`~repro.distributed.sharded.ShardedRuntime`.
 Every backend returns per-shard :class:`~repro.distributed.verify.ShardReport`
 rows; the deterministic-merge verification over them lives in
 :mod:`repro.distributed.verify`.
@@ -31,9 +34,7 @@ import pickle
 import time
 from abc import ABC, abstractmethod
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Mapping, NamedTuple, Optional, Sequence
-
-import numpy as np
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from repro.errors import MachineError
 from repro.geometry.fastpath import reset_geometry_cache
@@ -159,21 +160,21 @@ class AnalysisBackend(ABC):
 
     Replica 0 — the *reference* — always lives in the calling process so
     that :attr:`ShardedRuntime.graph` and the analysis meter stay directly
-    observable; backends differ in where replicas 1..N-1 run.
+    observable; backends differ in where replicas 1..N-1 run.  Each
+    replica is analysis-only, started from ``(tree, algorithm)``.
     """
 
     #: Registry name, overridden by each concrete backend.
     name = "abstract"
 
-    def __init__(self, tree: RegionTree,
-                 initial: Mapping[str, np.ndarray],
-                 algorithm: str, replicas: int) -> None:
+    def __init__(self, tree: RegionTree, algorithm: str,
+                 replicas: int) -> None:
         if replicas < 1:
             raise MachineError("need at least one analysis replica")
         self.tree = tree
         self.algorithm = algorithm
         self.replicas = replicas
-        self.reference = Runtime(tree, initial, algorithm=algorithm)
+        self.reference = Runtime(tree, None, algorithm=algorithm)
         self._tasks_analyzed = 0
         #: The reference's structure digest after its last analysis.
         self._digest = ""
@@ -250,9 +251,9 @@ class AnalysisBackend(ABC):
 class _InProcessBackend(AnalysisBackend):
     """Shared machinery for backends whose replicas are local Runtimes."""
 
-    def __init__(self, tree, initial, algorithm, replicas) -> None:
-        super().__init__(tree, initial, algorithm, replicas)
-        self._others = [Runtime(tree, initial, algorithm=algorithm)
+    def __init__(self, tree, algorithm, replicas) -> None:
+        super().__init__(tree, algorithm, replicas)
+        self._others = [Runtime(tree, None, algorithm=algorithm)
                         for _ in range(replicas - 1)]
 
     def _runtime_of(self, shard: int) -> Runtime:
@@ -285,9 +286,9 @@ class ThreadBackend(_InProcessBackend):
 
     name = "thread"
 
-    def __init__(self, tree, initial, algorithm, replicas,
+    def __init__(self, tree, algorithm, replicas,
                  max_workers: Optional[int] = None) -> None:
-        super().__init__(tree, initial, algorithm, replicas)
+        super().__init__(tree, algorithm, replicas)
         workers = max(1, min(replicas, max_workers or replicas))
         self._pool = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="shard-analysis")
@@ -408,8 +409,8 @@ def _open_hosting(spec: dict) -> _Hosting:
     (``mode="restore"``), or the genesis snapshot."""
     if spec["mode"] == "restore":
         return _Hosting(*pickle.loads(spec["live"]))
-    tree, initial, algorithm = pickle.loads(spec["genesis"])
-    return _Hosting(tree, {shard: Runtime(tree, initial, algorithm=algorithm)
+    tree, algorithm = pickle.loads(spec["genesis"])
+    return _Hosting(tree, {shard: Runtime(tree, None, algorithm=algorithm)
                            for shard in spec["shards"]}, 0)
 
 
@@ -609,8 +610,8 @@ class ProcessBackend(AnalysisBackend):
     """Replicas 1..N-1 hosted in persistent, *supervised* worker
     processes.
 
-    Workers receive a pickled genesis snapshot (region tree + initial
-    values) at spawn and per-``execute`` payloads containing the
+    Workers receive a pickled genesis snapshot (region tree and
+    algorithm) at spawn and per-``execute`` payloads containing the
     structural delta plus the encoded task stream; they return
     fingerprints and per-shard analysis seconds.  ``max_workers`` caps
     the process count — with fewer workers than remote replicas, workers
@@ -641,7 +642,7 @@ class ProcessBackend(AnalysisBackend):
 
     name = "process"
 
-    def __init__(self, tree, initial, algorithm, replicas,
+    def __init__(self, tree, algorithm, replicas,
                  max_workers: Optional[int] = None,
                  start_method: Optional[str] = None,
                  faults: Optional[FaultPlan] = None,
@@ -652,7 +653,7 @@ class ProcessBackend(AnalysisBackend):
                  clock=None) -> None:
         self._closed = False
         self._handles: list = []
-        super().__init__(tree, initial, algorithm, replicas)
+        super().__init__(tree, algorithm, replicas)
         import multiprocessing as mp
 
         if start_method is None:
@@ -678,12 +679,10 @@ class ProcessBackend(AnalysisBackend):
             return
         self._ctx = mp.get_context(start_method)
         workers = max(1, min(len(remote), max_workers or len(remote)))
-        initial = {name: np.asarray(values).copy()
-                   for name, values in initial.items()}
         #: Spawn-time snapshot; respawns-from-scratch and in-process
         #: fallbacks reuse these exact bytes so every incarnation
         #: observes the identical starting state.
-        self._genesis = pickle.dumps((tree, initial, algorithm))
+        self._genesis = pickle.dumps((tree, algorithm))
         groups = [remote[k::workers] for k in range(workers)]
         for worker_id, shards in enumerate(groups):
             handle = _WorkerHandle(worker_id, shards)
@@ -1016,8 +1015,7 @@ class ProcessBackend(AnalysisBackend):
 
 # ----------------------------------------------------------------------
 def make_backend(spec: str | AnalysisBackend, tree: RegionTree,
-                 initial: Mapping[str, np.ndarray], algorithm: str,
-                 replicas: int,
+                 algorithm: str, replicas: int,
                  max_workers: Optional[int] = None,
                  faults: Optional[FaultPlan] = None,
                  recv_timeout: Optional[float] = 60.0,
@@ -1033,7 +1031,7 @@ def make_backend(spec: str | AnalysisBackend, tree: RegionTree,
     if isinstance(spec, AnalysisBackend):
         return spec
     if spec == "process":
-        return ProcessBackend(tree, initial, algorithm, replicas,
+        return ProcessBackend(tree, algorithm, replicas,
                               max_workers=max_workers, faults=faults,
                               recv_timeout=recv_timeout,
                               heartbeat=heartbeat, retry=retry,
@@ -1043,9 +1041,9 @@ def make_backend(spec: str | AnalysisBackend, tree: RegionTree,
         raise MachineError(
             f"fault injection requires the process backend, not {spec!r}")
     if spec == "serial":
-        return SerialBackend(tree, initial, algorithm, replicas)
+        return SerialBackend(tree, algorithm, replicas)
     if spec == "thread":
-        return ThreadBackend(tree, initial, algorithm, replicas,
+        return ThreadBackend(tree, algorithm, replicas,
                              max_workers=max_workers)
     raise MachineError(
         f"unknown analysis backend {spec!r}; known: {BACKENDS}")

@@ -158,8 +158,8 @@ class ShardedRuntime:
             self._values[name] = np.tile(base.copy(), (shards, 1))
             self._owners[name] = np.zeros(root_size, dtype=np.int64)
         replicas = shards if replicate_analysis else 1
-        self._backend = make_backend(backend, tree, initial, algorithm,
-                                     replicas, max_workers=max_workers,
+        self._backend = make_backend(backend, tree, algorithm, replicas,
+                                     max_workers=max_workers,
                                      faults=faults,
                                      recv_timeout=recv_timeout,
                                      heartbeat=heartbeat, retry=retry,

@@ -204,6 +204,7 @@ def simulate_app(app: "Application", algorithm: str, *,
     The application must have been built with ``pieces == nodes`` (weak
     scaling); the analysis itself is executed for real by the chosen
     algorithm, and its metered per-task costs drive the simulated clocks.
+    The clocks read nothing else: the runtime is analysis-only.
     """
     nodes = app.pieces
     spec = (spec if spec is not None else MachineSpec()).with_nodes(nodes)
@@ -211,15 +212,14 @@ def simulate_app(app: "Application", algorithm: str, *,
         raise MachineError(
             "the painter implementation predates DCR (paper section 8)")
 
-    runtime = Runtime(app.tree, app.initial, algorithm=algorithm,
+    runtime = Runtime(app.tree, None, algorithm=algorithm,
                       record_costs=True)
     sim = MachineSimulator(spec, app.tree, cost_model)
     shard: ShardingFunctor = dcr_sharding(nodes) if dcr else control_node
 
     def run_stream(stream) -> None:
         for task in stream:
-            runtime.launch(task.name, task.requirements, task.body,
-                           task.point)
+            runtime.launch(task.name, task.requirements, None, task.point)
             cost = runtime.cost_log[-1]
             exec_node = None if task.point is None else task.point % nodes
             arg_bytes = 8 * sum(r.region.space.size

@@ -40,7 +40,9 @@ class Runtime:
     tree:
         The region tree applications name their data through.
     initial:
-        Initial values per field, aligned with the root space.
+        Initial values per field, aligned with the root space; ``None``
+        makes an *analysis-only* runtime (every shard replica is one): the
+        same analysis and meter counts, no values kept, no body run.
     algorithm:
         Registry name of the coherence algorithm: ``painter``,
         ``tree_painter``, ``warnock``, ``zbuffer`` or ``raycast`` (the
@@ -52,7 +54,8 @@ class Runtime:
         machine simulator).
     """
 
-    def __init__(self, tree: RegionTree, initial: Mapping[str, np.ndarray],
+    def __init__(self, tree: RegionTree,
+                 initial: Optional[Mapping[str, np.ndarray]],
                  algorithm: str = "raycast",
                  meter: Optional[CostMeter] = None,
                  record_costs: bool = False) -> None:
@@ -60,12 +63,13 @@ class Runtime:
         self.algorithm_name = algorithm
         self.meter = meter if meter is not None else CostMeter()
         self._algorithms: dict[str, CoherenceAlgorithm] = {}
+        self.analysis_only = initial is None
         root_size = tree.root.space.size
         for name in tree.field_space.names:
-            if name not in initial:
+            if initial is not None and name not in initial:
                 raise TaskError(f"missing initial values for field {name!r}")
-            values = np.asarray(initial[name])
-            if values.shape != (root_size,):
+            values = None if initial is None else np.asarray(initial[name])
+            if values is not None and values.shape != (root_size,):
                 raise TaskError(
                     f"initial values for {name!r} have shape {values.shape}, "
                     f"expected ({root_size},)")
@@ -139,12 +143,14 @@ class Runtime:
         (:mod:`repro.runtime.tracing`): the same path, with every
         materialize told to skip its dependence scan.
         """
+        if task.body is not None and self.analysis_only:
+            raise TaskError(f"an analysis-only runtime runs no body: {task}")
         scan = replayed is None
         task_id, requirements = task.task_id, task.requirements
 
         self.meter.begin_task()
         deps: set[int] = set() if scan else set(replayed)
-        buffers: list[np.ndarray] = []
+        buffers: list[Optional[np.ndarray]] = []
         # Task spans carry the task id and (once the scan finishes) the
         # dependence list, so the critical-path analyzer can rebuild the
         # task DAG from a trace file alone; the materialize/commit spans
@@ -155,7 +161,7 @@ class Runtime:
                     req.privilege, req.region, scan)
                 deps.update(outcome.dependences)
                 buf = outcome.values
-                if req.privilege.is_read:
+                if req.privilege.is_read and buf is not None:
                     buf.setflags(write=False)
                 buffers.append(buf)
             if sp is not obs._NOOP:  # sort only for a span that records
@@ -228,6 +234,8 @@ class Runtime:
         Counts as an observation, not a task: it does not enter the task
         stream (but does exercise the algorithm's materialize path).
         """
+        if self.analysis_only:
+            raise TaskError("an analysis-only runtime keeps no values")
         return self._algorithms[field].read_root()
 
     def replay(self, stream) -> None:

@@ -32,6 +32,7 @@ from repro.obs.tracer import traced
 from repro.privileges import Privilege, READ
 from repro.regions.region import Region
 from repro.regions.tree import RegionTree
+from repro.visibility.history import UNVALUED
 from repro.visibility.meter import CostMeter
 
 #: Task id used for the initial contents of the root region — the oldest,
@@ -49,13 +50,13 @@ class AnalysisOutcome:
         Array aligned with ``region.space.indices``.  For a reduction
         privilege this is an identity-filled accumulation buffer (lazy
         reductions, section 5); otherwise it holds the coherent current
-        values.
+        values.  ``None`` from an analysis-only store, which keeps none.
     dependences:
         Ids of earlier tasks the launching task must wait for (excluding
         :data:`INITIAL_TASK_ID`).
     """
 
-    values: np.ndarray
+    values: Optional[np.ndarray]
     dependences: frozenset[int]
 
 
@@ -70,7 +71,8 @@ class CoherenceAlgorithm(ABC):
     field:
         Field name this instance tracks.
     initial:
-        Initial values of the root region, aligned with the root space.
+        Initial values of the root region, aligned with the root space;
+        ``None`` makes an *analysis-only* store (``dtype`` None).
     meter:
         Optional :class:`CostMeter`; a private one is created when omitted.
     """
@@ -79,18 +81,17 @@ class CoherenceAlgorithm(ABC):
     name: str = "abstract"
 
     def __init__(self, tree: RegionTree, field: str,
-                 initial: np.ndarray,
+                 initial: Optional[np.ndarray],
                  meter: Optional[CostMeter] = None) -> None:
         if field not in tree.field_space:
             raise CoherenceError(f"region tree has no field {field!r}")
-        initial = np.asarray(initial)
-        if initial.shape != (tree.root.space.size,):
-            raise CoherenceError(
-                f"initial values shape {initial.shape} does not match root "
-                f"size {tree.root.space.size}")
+        size = tree.root.space.size
+        if initial is not None and np.shape(initial) != (size,):
+            raise CoherenceError(f"initial values shape {np.shape(initial)} "
+                                 f"does not match root size {size}")
         self.tree = tree
         self.field = field
-        self.dtype = initial.dtype
+        self.dtype = None if initial is None else np.asarray(initial).dtype
         self.meter = meter if meter is not None else CostMeter()
         # Span category for the @traced materialize/commit instrumentation.
         self._obs_cat = f"visibility.{type(self).name}"
@@ -130,8 +131,8 @@ class CoherenceAlgorithm(ABC):
             # Lazy reductions (section 5): never look at values, hand
             # back an identity-filled accumulation buffer.
             assert privilege.redop is not None
-            values = privilege.redop.identity_array(region.space.size,
-                                                    self.dtype)
+            values = None if self.dtype is None else \
+                privilege.redop.identity_array(region.space.size, self.dtype)
         else:
             values = self._paint(region, found)
             if privilege.is_write:
@@ -177,11 +178,16 @@ class CoherenceAlgorithm(ABC):
         it must not change the store."""
 
     @abstractmethod
-    def _paint(self, region: Region, found) -> np.ndarray:
+    def _paint(self, region: Region, found) -> Optional[np.ndarray]:
         """Current values of ``region``, aligned with its space (not
-        called for reductions, which get an identity buffer)."""
+        called for reductions); None, after the same walk, if unvalued."""
 
-    def _settle(self, region: Region, found, values: np.ndarray,
+    def _canvas(self, region: Region) -> Optional[np.ndarray]:
+        """The zeroed buffer ``_paint`` blends into (None if unvalued)."""
+        return None if self.dtype is None else np.zeros(region.space.size,
+                                                        dtype=self.dtype)
+
+    def _settle(self, region: Region, found, values: Optional[np.ndarray],
                 led) -> None:
         """Reshape the store once a write has materialized ``values``
         (ray casting's dominating write; nothing elsewhere)."""
@@ -190,7 +196,8 @@ class CoherenceAlgorithm(ABC):
     def _record(self, privilege: Privilege, region: Region,
                 values: Optional[np.ndarray], task_id: int, led) -> None:
         """Store one committed operation; ``values`` is already validated
-        and must be copied before it is kept."""
+        and must be copied before it is kept (None, and kept UNVALUED, in
+        an analysis-only store)."""
 
     @abstractmethod
     def describe(self) -> dict:
@@ -224,13 +231,21 @@ class CoherenceAlgorithm(ABC):
         """Raise :class:`CoherenceError` if the store's redundant state
         (columns, counts, indexes) disagrees with what it mirrors."""
 
+    def _check_valued(self, entries) -> None:
+        """Raise unless the visible ``entries`` are all UNVALUED (in an
+        analysis-only store) or all valued."""
+        for entry in entries:
+            if entry.is_visible and \
+                    (entry.values is UNVALUED) != (self.dtype is None):
+                raise CoherenceError(f"{entry!r} mixes valued and unvalued")
+
     def _check_commit_values(self, privilege: Privilege,
                              region: Region,
                              values: Optional[np.ndarray]) -> Optional[np.ndarray]:
         """Validate the values passed to :meth:`commit`."""
-        if privilege.is_read:
+        if privilege.is_read or self.dtype is None:
             if values is not None:
-                raise CoherenceError("read commits carry no values")
+                raise CoherenceError("this commit carries no values")
             return None
         if values is None:
             raise CoherenceError(f"{privilege!r} commit requires values")
@@ -246,7 +261,7 @@ class CoherenceAlgorithm(ABC):
 
 
 def make_algorithm(name: str, tree: RegionTree, field: str,
-                   initial: np.ndarray,
+                   initial: Optional[np.ndarray],
                    meter: Optional[CostMeter] = None) -> CoherenceAlgorithm:
     """Instantiate a coherence algorithm by registry name.
 

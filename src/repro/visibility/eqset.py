@@ -35,7 +35,8 @@ from repro.geometry.index_space import IndexSpace
 from repro.geometry.kdtree import KDTree
 from repro.regions.partition import Partition
 from repro.regions.region import Region
-from repro.visibility.history import HistoryEntry, RegionValues, paint_into
+from repro.visibility.history import (UNVALUED, HistoryEntry, RegionValues,
+                                      paint_into)
 from repro.visibility.meter import CostMeter, UidSource
 
 _eqset_uid = UidSource()
@@ -105,8 +106,9 @@ class EquivalenceSet:
                                         trusted=True)
                 else:
                     continue
-                values = None if entry.values is None else RegionValues(
-                    domain, entry.values.values[keep])
+                values = entry.values
+                if type(values) is RegionValues:
+                    values = RegionValues(domain, values.values[keep])
                 history.append(HistoryEntry(entry.privilege, domain, values,
                                             entry.task_id,
                                             entry.collapsed_ids))
@@ -168,9 +170,9 @@ class EquivalenceSet:
         """Collapse the history into one summary write (bounded history)."""
         from repro.privileges import READ_WRITE
 
-        dtype = next(e.values.values.dtype for e in self.history
-                     if e.values is not None)
-        painted = RegionValues(self.space, self.paint(dtype))
+        values = next(e.values for e in self.history if e.values is not None)
+        painted = values if values is UNVALUED else RegionValues(
+            self.space, self.paint(values.values.dtype))
         ids: set[int] = set()
         for e in self.history:
             ids.add(e.task_id)

@@ -11,12 +11,15 @@ by every algorithm that keeps histories, beside the one dependence scan
 A history is a plain ``list`` of entries — every equivalence set's, the
 tree painter's path, the painter's one global history — and each of the
 two walks it with one loop, oldest first, an entry at a time.
+An *analysis-only* store keeps :data:`UNVALUED` in place of values, and
+``paint_into(None, ...)`` walks and charges what blending would.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from enum import Enum
+from typing import Optional, Union
 
 import numpy as np
 
@@ -61,17 +64,17 @@ class RegionValues:
         """Number of elements."""
         return self.domain.size
 
-    @property
-    def is_empty(self) -> bool:
-        """True when the domain is empty."""
-        return self.domain.is_empty
-
-    def copy(self) -> "RegionValues":
-        """Deep copy (fresh value buffer)."""
-        return RegionValues(self.domain, self.values.copy())
-
     def __repr__(self) -> str:
         return f"RegionValues(size={self.size}, dtype={self.values.dtype})"
+
+
+class Unvalued(Enum):
+    """A visible entry's values in an analysis-only store, which keeps
+    none: the one member, :data:`UNVALUED` (it pickles as itself)."""
+    UNVALUED = "UNVALUED"
+
+
+UNVALUED = Unvalued.UNVALUED
 
 
 @dataclass(slots=True, eq=False)
@@ -80,7 +83,8 @@ class HistoryEntry:
 
     ``values`` is ``None`` for read entries — reads never contribute to
     painting but must stay in histories so later writers pick up
-    write-after-read dependences.
+    write-after-read dependences — and :data:`UNVALUED` for the visible
+    entries of an analysis-only store.
 
     ``collapsed_ids`` appears on *summary* entries produced by history
     compaction: a long prefix of operations is folded into one opaque
@@ -92,7 +96,7 @@ class HistoryEntry:
 
     privilege: Privilege
     domain: IndexSpace
-    values: Optional[RegionValues]
+    values: Union[RegionValues, Unvalued, None]
     task_id: int
     collapsed_ids: frozenset[int] = frozenset()
 
@@ -100,7 +104,7 @@ class HistoryEntry:
         if self.privilege.is_read:
             if self.values is not None:
                 raise CoherenceError("read entries must not carry values")
-        else:
+        elif self.values is not UNVALUED:
             if self.values is None or (self.values.domain is not self.domain
                                        and self.values.domain != self.domain):
                 raise CoherenceError("entry values must live on the entry domain")
@@ -160,8 +164,9 @@ def scan_dependences(privilege: Privilege, space: IndexSpace,
                       "intersection_tests": tested})
 
 
-def paint_into(out: np.ndarray, target: IndexSpace, clip: IndexSpace,
-               entries: list, meter: Optional[CostMeter] = None) -> None:
+def paint_into(out: Optional[np.ndarray], target: IndexSpace,
+               clip: IndexSpace, entries: list,
+               meter: Optional[CostMeter] = None) -> None:
     """Blend a history, oldest first, into the buffer being materialized.
 
     This is the blending function ``b`` of section 3.1 applied in the
@@ -184,12 +189,23 @@ def paint_into(out: np.ndarray, target: IndexSpace, clip: IndexSpace,
     The meter is charged once, in bulk, what an entry-at-a-time walk
     charges: ``entries_scanned`` per entry, ``elements_moved`` per visible
     entry whose bounds meet ``clip``'s (the smaller of the two sizes).
+    With ``out`` None (an analysis-only store) only that walk is made.
     """
     if meter is not None and entries:
         meter.count("entries_scanned", len(entries))
     if clip.is_empty:
         return
     lo, hi = clip.bounds
+    if out is None:  # analysis-only: the walk's charges, nothing blended
+        moved = 0
+        for entry in entries:
+            d = entry.domain
+            if entry.values is not None and not (
+                    d._hi < lo or hi < d._lo or d._hi < d._lo):
+                moved += min(clip.size, d.size)
+        if meter is not None and moved:
+            meter.count("elements_moved", moved)
+        return
     # straight at the operation cache the IndexSpace operators dispatch
     # to: a painter-length history asks it about dozens of entries a call
     cache = active_geometry_cache()

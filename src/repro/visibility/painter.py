@@ -23,7 +23,7 @@ from repro.privileges import Privilege, READ_WRITE
 from repro.regions.region import Region
 from repro.regions.tree import RegionTree
 from repro.visibility.base import CoherenceAlgorithm, INITIAL_TASK_ID
-from repro.visibility.history import (HistoryEntry, RegionValues,
+from repro.visibility.history import (UNVALUED, HistoryEntry, RegionValues,
                                       paint_into, scan_dependences)
 from repro.visibility.meter import CostMeter
 
@@ -33,10 +33,12 @@ class PainterAlgorithm(CoherenceAlgorithm):
 
     name = "painter"
 
-    def __init__(self, tree: RegionTree, field: str, initial: np.ndarray,
+    def __init__(self, tree: RegionTree, field: str,
+                 initial: Optional[np.ndarray],
                  meter: Optional[CostMeter] = None) -> None:
         super().__init__(tree, field, initial, meter)
-        root_values = RegionValues(tree.root.space, np.asarray(initial).copy())
+        root_values = UNVALUED if initial is None else RegionValues(
+            tree.root.space, np.asarray(initial).copy())
         self._history: list[HistoryEntry] = [
             HistoryEntry(READ_WRITE, tree.root.space, root_values,
                          INITIAL_TASK_ID)
@@ -61,16 +63,16 @@ class PainterAlgorithm(CoherenceAlgorithm):
                          led)
 
     def _paint(self, region: Region,
-               history: list[HistoryEntry]) -> np.ndarray:
+               history: list[HistoryEntry]) -> Optional[np.ndarray]:
         """Replay the history oldest-to-newest onto ``region``."""
-        values = np.zeros(region.space.size, dtype=self.dtype)
+        values = self._canvas(region)
         paint_into(values, region.space, region.space, history, self.meter)
         return values
 
     def _record(self, privilege: Privilege, region: Region,
                 values: Optional[np.ndarray], task_id: int, led) -> None:
-        rv = None if values is None else RegionValues(region.space,
-                                                      values.copy())
+        rv = None if privilege.is_read else UNVALUED if values is None \
+            else RegionValues(region.space, values.copy())
         self._history.append(
             HistoryEntry(privilege, region.space, rv, task_id))
         self.meter.touch(("painter_history", 0))
@@ -82,3 +84,6 @@ class PainterAlgorithm(CoherenceAlgorithm):
 
     def describe(self) -> dict:
         return {"kind": "painter", "history_length": len(self._history)}
+
+    def check_invariants(self) -> None:
+        self._check_valued(self._history)

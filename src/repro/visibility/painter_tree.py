@@ -33,8 +33,8 @@ from repro.privileges import Privilege, READ_WRITE
 from repro.regions.region import Region
 from repro.regions.tree import RegionTree
 from repro.visibility.base import CoherenceAlgorithm, INITIAL_TASK_ID
-from repro.visibility.history import (HistoryEntry, RegionValues, paint_into,
-                                      scan_dependences)
+from repro.visibility.history import (UNVALUED, HistoryEntry, RegionValues,
+                                      paint_into, scan_dependences)
 from repro.visibility.meter import CostMeter, UidSource
 from repro.obs import provenance as prov
 
@@ -118,12 +118,14 @@ class TreePainterAlgorithm(CoherenceAlgorithm):
 
     name = "tree_painter"
 
-    def __init__(self, tree: RegionTree, field: str, initial: np.ndarray,
+    def __init__(self, tree: RegionTree, field: str,
+                 initial: Optional[np.ndarray],
                  meter: Optional[CostMeter] = None) -> None:
         super().__init__(tree, field, initial, meter)
         self._states: dict[int, _NodeState] = {}
         root_state = self._state(tree.root)
-        root_values = RegionValues(tree.root.space, np.asarray(initial).copy())
+        root_values = UNVALUED if initial is None else RegionValues(
+            tree.root.space, np.asarray(initial).copy())
         root_state.entries.append(
             HistoryEntry(READ_WRITE, tree.root.space, root_values,
                          INITIAL_TASK_ID))
@@ -345,8 +347,8 @@ class TreePainterAlgorithm(CoherenceAlgorithm):
         if led is not None:
             led.visit("path_entries", len(path))
 
-    def _paint(self, region: Region, found) -> np.ndarray:
-        values = np.zeros(region.space.size, dtype=self.dtype)
+    def _paint(self, region: Region, found) -> Optional[np.ndarray]:
+        values = self._canvas(region)
         paint_into(values, region.space, region.space,
                    self._path_entries(region, None), self.meter)
         return values
@@ -367,8 +369,8 @@ class TreePainterAlgorithm(CoherenceAlgorithm):
             self._bump_counts(region, -len(st.entries))
             st.entries = []
             st.priv_summary = set()
-        rv = None if values is None else RegionValues(region.space,
-                                                      values.copy())
+        rv = None if privilege.is_read else UNVALUED if values is None \
+            else RegionValues(region.space, values.copy())
         st.entries.append(HistoryEntry(privilege, region.space, rv, task_id))
         self._bump_counts(region, +1)
         self._add_summary(region, _priv_key(privilege))
@@ -422,6 +424,11 @@ class TreePainterAlgorithm(CoherenceAlgorithm):
                     f"{held - st.priv_summary!r} held in its subtree")
             count[node.uid] = total
             keys[node.uid] = held
+        items = [item for st in self._states.values() for item in st.entries]
+        while items:  # views nest: check one level, then open its views
+            self._check_valued(i for i in items if type(i) is HistoryEntry)
+            items = [i for view in items if type(view) is CompositeView
+                     for i in view.items]
 
     def node_entries(self, region: Region) -> list[PathItem]:
         """The subhistory currently recorded at ``region`` (tests)."""

@@ -38,7 +38,7 @@ from repro.regions.tree import RegionTree
 from repro.visibility.base import CoherenceAlgorithm, INITIAL_TASK_ID
 from repro.visibility.eqset import (BucketStore, EquivalenceSet,
                                     describe_sets, set_tokens, visit_sets)
-from repro.visibility.history import (HistoryEntry, RegionValues,
+from repro.visibility.history import (UNVALUED, HistoryEntry, RegionValues,
                                       paint_into, scan_dependences)
 from repro.visibility.meter import CostMeter
 from repro.obs import provenance as prov
@@ -49,13 +49,15 @@ class RayCastAlgorithm(CoherenceAlgorithm):
 
     name = "raycast"
 
-    def __init__(self, tree: RegionTree, field: str, initial: np.ndarray,
+    def __init__(self, tree: RegionTree, field: str,
+                 initial: Optional[np.ndarray],
                  meter: Optional[CostMeter] = None) -> None:
         super().__init__(tree, field, initial, meter)
         root = EquivalenceSet(tree.root.space)
         root.record(HistoryEntry(
             READ_WRITE, tree.root.space,
-            RegionValues(tree.root.space, np.asarray(initial).copy()),
+            UNVALUED if initial is None else RegionValues(
+                tree.root.space, np.asarray(initial).copy()),
             INITIAL_TASK_ID))
         partition = tree.find_disjoint_complete_partition()
         self._tree_size_seen = len(tree)
@@ -93,14 +95,14 @@ class RayCastAlgorithm(CoherenceAlgorithm):
                              self.meter, led)
 
     def _paint(self, region: Region,
-               sets: list[EquivalenceSet]) -> np.ndarray:
-        values = np.zeros(region.space.size, dtype=self.dtype)
+               sets: list[EquivalenceSet]) -> Optional[np.ndarray]:
+        values = self._canvas(region)
         for eqset, common in zip(sets, self._store.commons(region.uid)):
             paint_into(values, region.space, common, eqset.history, self.meter)
         return values
 
     def _settle(self, region: Region, sets: list[EquivalenceSet],
-                values: np.ndarray, led) -> None:
+                values: Optional[np.ndarray], led) -> None:
         if region.space.is_empty:
             return  # occludes nothing, and a set is never empty
         if led is not None:
@@ -121,25 +123,23 @@ class RayCastAlgorithm(CoherenceAlgorithm):
         # replaces the seed with the task's real write.
         fresh = self._store.dominate_write(region.space, sets, region.uid)
         fresh.record(HistoryEntry(
-            READ_WRITE, region.space,
-            RegionValues(region.space, values.copy()), INITIAL_TASK_ID))
+            READ_WRITE, region.space, UNVALUED if values is None
+            else RegionValues(region.space, values.copy()), INITIAL_TASK_ID))
         self.meter.touch(("eqset", fresh.uid, fresh.space.bounds[0]))
 
     def _record(self, privilege: Privilege, region: Region,
                 values: Optional[np.ndarray], task_id: int, led) -> None:
         sets = visit_sets(self._store.overlapping, region, self.meter)
         for eqset, common in zip(sets, self._store.commons(region.uid)):
-            if values is None:
-                entry = HistoryEntry(privilege, common, None, task_id)
-            else:
+            kept = None
+            if not privilege.is_read:
                 # one copy either way: a gather owns its memory, and a set
                 # over the whole region (every write commit) needs no map
-                kept = values.copy() if common.size == values.size \
-                    else values[region.space.positions_of(common)]
+                kept = UNVALUED if values is None else RegionValues(
+                    common, values.copy() if common.size == values.size
+                    else values[region.space.positions_of(common)])
                 self.meter.count("elements_moved", common.size)
-                entry = HistoryEntry(privilege, common,
-                                     RegionValues(common, kept), task_id)
-            eqset.record(entry)
+            eqset.record(HistoryEntry(privilege, common, kept, task_id))
 
     # ------------------------------------------------------------------
     @property
@@ -165,6 +165,8 @@ class RayCastAlgorithm(CoherenceAlgorithm):
     def check_invariants(self) -> None:
         """Run the structural invariants (tests)."""
         self._store.check_invariants(self.tree.root.space)
+        self._check_valued(e for s in self._store.all_sets()
+                           for e in s.history)
 
     def rebucket(self, partition: Optional[Partition]) -> None:
         """Shift the equivalence sets to a different disjoint-and-complete

@@ -19,7 +19,8 @@ from repro.regions.tree import RegionTree
 from repro.visibility.base import CoherenceAlgorithm, INITIAL_TASK_ID
 from repro.visibility.eqset import (EquivalenceSet, RefinementStore,
                                     describe_sets, set_tokens, visit_sets)
-from repro.visibility.history import HistoryEntry, RegionValues, paint_into
+from repro.visibility.history import (UNVALUED, HistoryEntry, RegionValues,
+                                      paint_into)
 from repro.visibility.meter import CostMeter
 from repro.obs import provenance as prov
 
@@ -37,13 +38,14 @@ class WarnockAlgorithm(CoherenceAlgorithm):
     name = "warnock"
     memoize: bool = True
 
-    def __init__(self, tree: RegionTree, field: str, initial: np.ndarray,
+    def __init__(self, tree: RegionTree, field: str,
+                 initial: Optional[np.ndarray],
                  meter: Optional[CostMeter] = None) -> None:
         super().__init__(tree, field, initial, meter)
         space = tree.root.space
         root = EquivalenceSet(space, [HistoryEntry(
-            READ_WRITE, space, RegionValues(space, np.asarray(initial).copy()),
-            INITIAL_TASK_ID)])
+            READ_WRITE, space, UNVALUED if initial is None else RegionValues(
+                space, np.asarray(initial).copy()), INITIAL_TASK_ID)])
         self._store = RefinementStore(root, self.meter, memoize=self.memoize)
 
     # ------------------------------------------------------------------
@@ -79,8 +81,8 @@ class WarnockAlgorithm(CoherenceAlgorithm):
                         collapsed=entry.collapsed_ids)
 
     def _paint(self, region: Region,
-               sets: list[EquivalenceSet]) -> np.ndarray:
-        values = np.zeros(region.space.size, dtype=self.dtype)
+               sets: list[EquivalenceSet]) -> Optional[np.ndarray]:
+        values = self._canvas(region)
         for eqset in sets:
             paint_into(values, region.space, eqset.space, eqset.history,
                        self.meter)
@@ -90,9 +92,9 @@ class WarnockAlgorithm(CoherenceAlgorithm):
                 values: Optional[np.ndarray], task_id: int, led) -> None:
         for eqset in visit_sets(self._store.locate, region, self.meter):
             space, kept = eqset.space, None
-            if values is not None:
-                kept = RegionValues(space,
-                                    values[region.space.positions_of(space)])
+            if not privilege.is_read:
+                kept = UNVALUED if values is None else RegionValues(
+                    space, values[region.space.positions_of(space)])
                 self.meter.count("elements_moved", space.size)
             eqset.record(HistoryEntry(privilege, space, kept, task_id))
 
@@ -117,3 +119,5 @@ class WarnockAlgorithm(CoherenceAlgorithm):
     def check_invariants(self) -> None:
         """Run the section 6 structural invariants (tests)."""
         self._store.check_invariants(self.tree.root.space)
+        self._check_valued(e for s in self._store.all_sets()
+                           for e in s.history)

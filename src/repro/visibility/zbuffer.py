@@ -59,11 +59,12 @@ class ZBufferAlgorithm(CoherenceAlgorithm):
 
     name = "zbuffer"
 
-    def __init__(self, tree: RegionTree, field: str, initial: np.ndarray,
+    def __init__(self, tree: RegionTree, field: str,
+                 initial: Optional[np.ndarray],
                  meter: Optional[CostMeter] = None) -> None:
         super().__init__(tree, field, initial, meter)
         n = tree.root.space.size
-        self._values = np.asarray(initial).copy()
+        self._values = None if initial is None else np.asarray(initial).copy()
         self._last_write = np.full(n, INITIAL_TASK_ID, dtype=np.int64)
         # reader sets hold task ids; reducer sets hold (task, op) pairs so
         # an earlier different-operator reducer is never masked by later
@@ -169,8 +170,8 @@ class ZBufferAlgorithm(CoherenceAlgorithm):
             # reducer set) that held it.  Never touches the meter.
             self._emit_witnesses(led, privilege, region, pos)
 
-    def _paint(self, region: Region, pos: np.ndarray) -> np.ndarray:
-        return self._values[pos].copy()
+    def _paint(self, region: Region, pos: np.ndarray) -> Optional[np.ndarray]:
+        return None if self._values is None else self._values[pos].copy()
 
     def _emit_witnesses(self, led, privilege: Privilege, region: Region,
                         pos: np.ndarray) -> None:
@@ -211,17 +212,16 @@ class ZBufferAlgorithm(CoherenceAlgorithm):
             self._add_member(self._reader_sid, pos, task_id)
             return
         self.meter.count("elements_moved", pos.size)
-        assert values is not None
+        if values is not None:  # z-buffering is eager: fold at once
+            self._values[pos] = values if privilege.is_write else \
+                privilege.redop.fold(self._values[pos], values)
         if privilege.is_write:
-            self._values[pos] = values
             self._last_write[pos] = task_id
             self._writers.add(task_id)
             self._reader_sid[pos] = _EMPTY_SET_ID
             self._reducer_sid[pos] = _EMPTY_SET_ID
             return
         assert privilege.redop is not None
-        # z-buffering is eager: fold the contribution immediately
-        self._values[pos] = privilege.redop.fold(self._values[pos], values)
         self._add_member(self._reducer_sid, pos,
                          (task_id, self._op_id(privilege.redop)))
 
@@ -241,6 +241,8 @@ class ZBufferAlgorithm(CoherenceAlgorithm):
     def check_invariants(self) -> None:
         """The intern table is a bijection, every per-element set id
         indexes it, and every last write is a task that committed."""
+        if (self._values is None) != (self.dtype is None):
+            raise CoherenceError("the table mixes valued and unvalued state")
         if self._intern != {m: sid for sid, m in enumerate(self._sets)}:
             raise CoherenceError("intern table is not the inverse of _sets")
         for sids in (self._reader_sid, self._reducer_sid):

@@ -215,14 +215,13 @@ class TestFactory:
 
     def test_instance_passthrough(self):
         tree, _, _ = make_fig1_tree()
-        initial = fig1_initial(tree)
-        backend = make_backend("serial", tree, initial, "raycast", 2)
-        assert make_backend(backend, tree, initial, "raycast", 2) is backend
+        backend = make_backend("serial", tree, "raycast", 2)
+        assert make_backend(backend, tree, "raycast", 2) is backend
 
     def test_zero_replicas_rejected(self):
         tree, _, _ = make_fig1_tree()
         with pytest.raises(MachineError):
-            make_backend("serial", tree, fig1_initial(tree), "raycast", 0)
+            make_backend("serial", tree, "raycast", 0)
 
     def test_process_backend_repr_name(self):
         tree, _, _ = make_fig1_tree()

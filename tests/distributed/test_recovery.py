@@ -362,7 +362,7 @@ class TestLiveCheckpoint:
         blob alone hold no history, and analyze one more stream to the
         window fingerprints of the original and of an untrimmed runtime."""
         tree, P, G = make_fig1_tree()
-        genesis = pickle.dumps((tree, fig1_initial(tree), algo))
+        genesis = pickle.dumps((tree, algo))
         hosting = _open_hosting({"mode": "fresh", "genesis": genesis,
                                  "shards": [1, 2]})
         untrimmed = Runtime(tree, fig1_initial(tree), algorithm=algo)
@@ -443,10 +443,10 @@ class TestLifecycle:
 
     def test_del_safe_before_and_after_close(self):
         tree, _, _ = make_fig1_tree()
-        backend = ProcessBackend(tree, fig1_initial(tree), "raycast", 3)
+        backend = ProcessBackend(tree, "raycast", 3)
         backend.close()
         backend.__del__()  # double close through the finalizer: no raise
-        backend2 = ProcessBackend(tree, fig1_initial(tree), "raycast", 3)
+        backend2 = ProcessBackend(tree, "raycast", 3)
         backend2.__del__()  # finalizer without explicit close: no raise
         assert backend2._closed
 
@@ -462,9 +462,8 @@ class TestLifecycle:
         plan = FaultPlan(seed=1, rate=0.5)
         for backend in ("serial", "thread"):
             with pytest.raises(MachineError, match="process backend"):
-                make_backend(backend, tree, fig1_initial(tree), "raycast",
-                             2, faults=plan)
+                make_backend(backend, tree, "raycast", 2, faults=plan)
         # an inactive plan is fine anywhere
-        backend = make_backend("serial", tree, fig1_initial(tree),
-                               "raycast", 2, faults=FaultPlan())
+        backend = make_backend("serial", tree, "raycast", 2,
+                               faults=FaultPlan())
         assert backend.recovery is None

@@ -34,7 +34,7 @@ def reply():
     its trace fragment, for shards 1 and 2; absorbed into a spare tracer."""
     tree, P, G = make_fig1_tree()
     previous = obs.set_tracer(obs.Tracer())
-    with ProcessBackend(tree, fig1_initial(tree), "raycast", 3,
+    with ProcessBackend(tree, "raycast", 3,
                         max_workers=1) as backend:
         handle = backend.handles[0]
         handle.send(("analyze", [], encode_tasks(fig1_stream(tree, P, G, 1)),
@@ -126,7 +126,7 @@ def test_unresolvable_analyze_message_changes_nothing():
     launched, no partition made, the base unmoved, so the next good
     message reaches a clean host's fingerprint."""
     tree, P, G = make_fig1_tree()
-    genesis = pickle.dumps((tree, fig1_initial(tree), "raycast"))
+    genesis = pickle.dumps((tree, "raycast"))
     clean, used = (_open_hosting({"mode": "genesis", "genesis": genesis,
                                   "shards": [1, 2]}) for _ in range(2))
     tasks = encode_tasks(fig1_stream(tree, P, G, 1))
@@ -164,7 +164,7 @@ def checkpoint():
     shards 1 and 2 after one analyzed stream and a checkpoint round, as
     the parent receives it."""
     tree, P, G = make_fig1_tree()
-    with ProcessBackend(tree, fig1_initial(tree), "raycast", 3,
+    with ProcessBackend(tree, "raycast", 3,
                         max_workers=1, checkpoint_interval=1) as backend:
         backend.analyze(fig1_stream(tree, P, G, 1))
         backend.after_verified()

@@ -5,11 +5,13 @@ Both executable specs of Figure 7 live here — and only here — each with
 its own geometry.  ``figure7_walk`` is the value path: the entry-at-a-time
 object walk that ``paint_into`` replaced (``paint_entry`` over
 ``write_onto``/``fold_in``, then a scatter into the target buffer), held
-to the kernel on values, dtype and meter totals.  ``spec_scan`` is the
-dependence path, held to ``scan_dependences`` on dependences, meter
-totals and provenance edge/prune records, for any privilege mix (reads,
-writes, reductions with distinct operators, collapsed summaries), any
-query space and any pre-collected dependence set.
+to the kernel on values, dtype and meter totals, and to the count-only
+``paint_into(None, ...)`` of an analysis-only store on meter totals.
+``spec_scan`` is the dependence path, held to ``scan_dependences`` on
+dependences, meter totals and provenance edge/prune records, for any
+privilege mix (reads, writes, reductions with distinct operators,
+collapsed summaries), any query space and any pre-collected dependence
+set.
 """
 
 from collections import Counter
@@ -22,8 +24,8 @@ from repro import READ, READ_WRITE, CoherenceError, IndexSpace, reduce
 from repro.geometry.fastpath import geometry_cache
 from repro.obs import provenance as prov
 from repro.obs.tracer import Tracer
-from repro.visibility.history import (HistoryEntry, RegionValues, paint_into,
-                                      scan_dependences)
+from repro.visibility.history import (UNVALUED, HistoryEntry, RegionValues,
+                                      paint_into, scan_dependences)
 from repro.visibility.meter import CostMeter
 
 from tests.conftest import index_spaces
@@ -248,6 +250,12 @@ class TestPaintInto:
         assert got.dtype == want.dtype == dtype
         assert np.array_equal(got, want)
         assert metered.snapshot() == charged.snapshot()
+        # an analysis-only store's walk: the same charges, nothing blended
+        counted = CostMeter()
+        paint_into(None, target, clip, [
+            HistoryEntry(e.privilege, e.domain, UNVALUED, e.task_id)
+            if e.is_visible else e for e in entries], counted)
+        assert counted.snapshot() == charged.snapshot()
 
 
 def make_entry(privilege, indices, task_id, collapsed=frozenset()):
