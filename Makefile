@@ -30,7 +30,7 @@ install:
 	$(PYTHON) setup.py develop
 
 test:
-	$(PYTHON) -m pytest tests/
+	PYTHONPATH=src $(PYTHON) -m pytest tests/
 
 lint:
 	$(PYTHON) -m compileall -q src tests benchmarks examples

@@ -4,27 +4,27 @@
 dependence analysis once per control-replicated shard (the DCR contract).
 The analyses are completely independent — they share no mutable state and
 must reach bit-identical conclusions — so they are embarrassingly
-parallel.  This module provides three interchangeable ways to run them:
+parallel.  Every replica is a :class:`_Hosting` behind a handle, analyzed
+by :meth:`_Hosting.run`; three backends place and ask the hostings:
 
-* :class:`SerialBackend` — one after another, in-process (the reference
-  semantics, and the fastest option for tiny streams);
-* :class:`ThreadBackend` — a thread pool over in-process replicas (cheap
-  to set up; NumPy kernels release the GIL, pure-Python scan code does
-  not);
-* :class:`ProcessBackend` — persistent worker processes, one hosting each
-  remote replica, fed by *pickled task-stream shipping*: region trees and
-  task streams are encoded into a compact picklable form (task bodies are
-  never shipped), structural deltas (partitions created since the last
-  ship) ride along, and each worker returns only its analysis fingerprint
-  and timing.  Dependence dumps for divergence diffs are fetched lazily,
-  on mismatch.
+* :class:`SerialBackend` — all in-process, one after another (the
+  reference semantics, and the fastest option for tiny streams);
+* :class:`ThreadBackend` — all in-process, on a thread pool (cheap to set
+  up; NumPy kernels release the GIL, pure-Python scan code does not);
+* :class:`ProcessBackend` — shard 0 in-process, the others in persistent
+  worker processes fed by *pickled task-stream shipping*: region trees
+  and task streams are encoded into a compact picklable form (task bodies
+  are never shipped), structural deltas (partitions created since the
+  last ship) ride along, and each worker returns only its analysis
+  fingerprint and timing.  Dependence dumps for divergence diffs are
+  fetched lazily, on mismatch.
 
-Every replica is an analysis-only :class:`~repro.runtime.context.Runtime`
-started from ``(tree, algorithm)``: DCR replicates the analysis, not the
-values, which live only in :class:`~repro.distributed.sharded.ShardedRuntime`.
-Every backend returns per-shard :class:`~repro.distributed.verify.ShardReport`
-rows; the deterministic-merge verification over them lives in
-:mod:`repro.distributed.verify`.
+A hosting on the driver's tree runs the stream's own launches; a worker's,
+or a lost worker's in-process fallback, decodes the shipped message.
+Every replica is an analysis-only :class:`~repro.runtime.context.Runtime`:
+DCR replicates the analysis, not the values, which live only in
+:class:`~repro.distributed.sharded.ShardedRuntime`.  The deterministic-merge
+verification of the per-shard reports lives in :mod:`repro.distributed.verify`.
 """
 
 from __future__ import annotations
@@ -158,14 +158,18 @@ def dependence_rows(graph, base: int, count: int) -> list[tuple[int, ...]]:
 class AnalysisBackend(ABC):
     """Runs the N replicated analyses of each executed stream.
 
-    Replica 0 — the *reference* — always lives in the calling process so
-    that :attr:`ShardedRuntime.graph` and the analysis meter stay directly
-    observable; backends differ in where replicas 1..N-1 run.  Each
-    replica is analysis-only, started from ``(tree, algorithm)``.
+    Every replica is a :class:`_Hosting` behind a handle, analysis-only
+    and started from ``(tree, algorithm)``.  Shard 0's hosting shares the
+    calling process and tree on every backend and is never checkpointed
+    or trimmed, so :attr:`reference` holds the whole verified graph;
+    backends differ in where replicas 1..N-1 are hosted.
     """
 
     #: Registry name, overridden by each concrete backend.
     name = "abstract"
+    #: Whether every replica is hosted on the driver's tree (else only
+    #: shard 0 is).
+    _all_local = True
 
     def __init__(self, tree: RegionTree, algorithm: str,
                  replicas: int) -> None:
@@ -174,16 +178,25 @@ class AnalysisBackend(ABC):
         self.tree = tree
         self.algorithm = algorithm
         self.replicas = replicas
-        self.reference = Runtime(tree, None, algorithm=algorithm)
-        self._tasks_analyzed = 0
-        #: The reference's structure digest after its last analysis.
-        self._digest = ""
+        #: Handles on the hostings that share the driver's tree, by shard.
+        self._local = [
+            _LocalHandle(_Hosting(tree, {shard: Runtime(
+                tree, None, algorithm=algorithm)}, 0))
+            for shard in range(replicas if self._all_local else 1)]
+        #: Handles on the hostings elsewhere (the process backend's).
+        self._handles: list = []
 
     # ------------------------------------------------------------------
     @property
+    def reference(self) -> Runtime:
+        """Shard 0's runtime, for reading: :attr:`ShardedRuntime.graph`
+        and the analysis meter."""
+        return self._local[0].hosting.runtimes[0]
+
+    @property
     def tasks_analyzed(self) -> int:
         """Tasks analyzed so far (the base id of the next stream)."""
-        return self._tasks_analyzed
+        return self._local[0].hosting.base
 
     def analyze(self, stream: TaskStream,
                 meanwhile: Optional[Callable[[], None]] = None
@@ -191,37 +204,39 @@ class AnalysisBackend(ABC):
         """Run the stream's analysis on every replica; returns one report
         per replica, ordered by shard id (shard 0 first).  ``meanwhile``
         runs here while the other replicas analyze; it must not raise."""
-        base = self._tasks_analyzed
-        count = len(stream)
-        reports = self._analyze_replicas(stream, base, count,
-                                         meanwhile or (lambda: None))
-        self._tasks_analyzed += count
-        return reports
+        return self._analyze_replicas(stream, meanwhile or (lambda: None))
 
-    def _analyze_local(self, shard: int, runtime: Runtime,
-                       stream: TaskStream, base: int,
-                       count: int) -> ShardReport:
-        """Analyze ``stream`` on a replica living in this process."""
-        row, digest = _analyze_replica(
-            shard, runtime,
-            ((t.name, t.requirements, t.point) for t in stream),
-            base, count)
-        if shard == 0:
-            self._digest = digest
-        return ShardReport(*row)
+    def _run_local(self, stream: TaskStream) -> list[tuple]:
+        """Run the hostings on the driver's tree, in shard order, over the
+        stream's own launches; returns their rows."""
+        launches = [(task.name, task.requirements, task.point)
+                    for task in stream]
+        return [row for handle in self._local
+                for row in handle.hosting.run(launches, len(stream))]
 
     @abstractmethod
-    def _analyze_replicas(self, stream: TaskStream, base: int, count: int,
+    def _analyze_replicas(self, stream: TaskStream,
                           meanwhile: Callable[[], None]
                           ) -> list[ShardReport]:
         """Run the analysis everywhere, calling ``meanwhile`` once on the
         way, and report per-shard results."""
 
-    @abstractmethod
+    def _request(self, handle, message: tuple):
+        """Ask one handle's hosting (the process backend supervises it)."""
+        status, result = _dispatch(message, handle.hosting)
+        if status != "ok":
+            raise MachineError(f"analysis replica failed: {result}")
+        return result
+
     def dump_dependences(self, shard: int, base: int,
                          count: int) -> list[tuple[int, ...]]:
-        """One shard's sorted dependence lists for a task-id window
-        (divergence diagnostics; the happy path never calls this)."""
+        """One shard's sorted dependence lists for a task-id window, asked
+        of whichever handle hosts the shard (divergence diagnostics; the
+        happy path never calls this)."""
+        for handle in self._local + self._handles:
+            if shard in handle.shards:
+                return self._request(handle, ("dump", shard, base, count))
+        raise MachineError(f"no replica hosts shard {shard}")
 
     def close(self) -> None:
         """Release any workers; idempotent."""
@@ -248,35 +263,18 @@ class AnalysisBackend(ABC):
         self.close()
 
 
-class _InProcessBackend(AnalysisBackend):
-    """Shared machinery for backends whose replicas are local Runtimes."""
-
-    def __init__(self, tree, algorithm, replicas) -> None:
-        super().__init__(tree, algorithm, replicas)
-        self._others = [Runtime(tree, None, algorithm=algorithm)
-                        for _ in range(replicas - 1)]
-
-    def _runtime_of(self, shard: int) -> Runtime:
-        return self.reference if shard == 0 else self._others[shard - 1]
-
-    def dump_dependences(self, shard, base, count):
-        return dependence_rows(self._runtime_of(shard).graph, base, count)
-
-
-class SerialBackend(_InProcessBackend):
+class SerialBackend(AnalysisBackend):
     """The reference backend: replicas analyzed one after another."""
 
     name = "serial"
 
-    def _analyze_replicas(self, stream, base, count, meanwhile):
-        reports = [self._analyze_local(shard, self._runtime_of(shard),
-                                       stream, base, count)
-                   for shard in range(self.replicas)]
+    def _analyze_replicas(self, stream, meanwhile):
+        rows = self._run_local(stream)
         meanwhile()
-        return reports
+        return [ShardReport(*row) for row in rows]
 
 
-class ThreadBackend(_InProcessBackend):
+class ThreadBackend(AnalysisBackend):
     """Replica analyses on a thread pool.
 
     Replicas share no mutable state (each owns its coherence-algorithm
@@ -293,13 +291,15 @@ class ThreadBackend(_InProcessBackend):
         self._pool = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="shard-analysis")
 
-    def _analyze_replicas(self, stream, base, count, meanwhile):
-        futures = [self._pool.submit(self._analyze_local, shard,
-                                     self._runtime_of(shard), stream, base,
-                                     count)
-                   for shard in range(self.replicas)]
+    def _analyze_replicas(self, stream, meanwhile):
+        launches = [(task.name, task.requirements, task.point)
+                    for task in stream]
+        futures = [self._pool.submit(handle.hosting.run, launches,
+                                     len(stream))
+                   for handle in self._local]
         meanwhile()
-        return [f.result() for f in futures]
+        return [ShardReport(*row) for future in futures
+                for row in future.result()]
 
     def close(self) -> None:
         self._pool.shutdown(wait=True)
@@ -310,15 +310,16 @@ class ThreadBackend(_InProcessBackend):
 # supervised for fault tolerance
 # ----------------------------------------------------------------------
 class _Hosting:
-    """One self-contained group of replica runtimes (worker- or
-    parent-side): a private region-tree replica, one :class:`Runtime` per
-    hosted shard, and the stream base.  A :meth:`checkpoint` trims the
+    """One group of replica runtimes: a region tree (the driver's, or a
+    private replica in a worker or a lost worker's fallback), one
+    :class:`Runtime` per hosted shard, and the stream base.  Every replica
+    analyzes through :meth:`run`.  A :meth:`checkpoint` trims the
     runtimes' verified history and pickles the live state that is left
     (picklable because reduction operators pickle by registry name).
     Nothing reads a trimmed task or row: hosted replicas only ``launch``
     (never ``execute_trace``, whose recorder reads the graph), and
     ``dump`` is only asked for the window being verified, at or past the
-    last checkpoint.  A checkpoint reuses the last analyze's digests; a
+    last checkpoint.  A checkpoint reuses the last run's digests; a
     ``digest`` request (the restore check) hashes afresh."""
 
     def __init__(self, tree, runtimes: dict, base: int) -> None:
@@ -326,16 +327,15 @@ class _Hosting:
         self.runtimes = runtimes
         self.base = base
         self.regions = {region.uid: region for region in tree.regions}
-        #: Per-shard structure digests of the last analyze, if complete.
-        self._digests: Optional[list] = None
+        #: ``{shard: structure digest}`` of the last run, if complete.
+        self.kept: Optional[dict] = None
 
     def check(self, structure, tasks) -> list[tuple]:
         """Raise, naming it, on the first part of an analyze message this
         hosting could not apply: a structure record ``create_partition``
         would refuse, or a region uid, field or privilege it cannot
         resolve.  A record may name a region an earlier record creates
-        (uids are dense).  Mutates nothing; returns the structure checked,
-        for :meth:`analyze`."""
+        (uids are dense).  Mutates nothing; returns the structure checked."""
         seen: dict[int, tuple] = {}  # uid -> (space, name, partition names)
         checked = []
         next_uid = len(self.regions)
@@ -370,19 +370,26 @@ class _Hosting:
         return checked
 
     def analyze(self, structure, tasks) -> list[tuple]:
-        """Apply the structure :meth:`check` returned, then run every
-        replica, so a message that cannot resolve changes nothing."""
-        self._digests = None
-        apply_structure(self.regions, structure)
-        launches = [(name, [RegionRequirement(self.regions[uid], field,
-                                              decode_privilege(privilege))
-                            for uid, field, privilege in reqs], point)
-                    for name, reqs, point in tasks]
+        """:meth:`check` the message, apply its structure, then :meth:`run`
+        the decoded tasks, so a message that cannot resolve changes
+        nothing."""
+        apply_structure(self.regions, self.check(structure, tasks))
+        return self.run([(name, [RegionRequirement(self.regions[uid], field,
+                                                   decode_privilege(priv))
+                                 for uid, field, priv in reqs], point)
+                         for name, reqs, point in tasks], len(tasks))
+
+    def run(self, launches: list, count: int) -> list[tuple]:
+        """Every hosted replica's analysis of ``count`` ``(name,
+        requirements, point)`` launches on this hosting's tree: one
+        ``(shard, fingerprint, seconds)`` row each; the structure digests
+        are kept for the checkpoint that may follow."""
+        self.kept = None
         results = [_analyze_replica(shard, runtime, launches, self.base,
-                                    len(tasks))
+                                    count)
                    for shard, runtime in self.runtimes.items()]
-        self.base += len(tasks)
-        self._digests = [(row[0], digest) for row, digest in results]
+        self.base += count
+        self.kept = {row[0]: digest for row, digest in results}
         return [row for row, _ in results]
 
     def digests(self) -> list[tuple]:
@@ -394,10 +401,10 @@ class _Hosting:
 
     def checkpoint(self) -> tuple:
         """``(base, per-shard structure digests, live blob)``: the last
-        analyze's digests (hashed afresh if none); then the runtimes are
+        run's digests (hashed afresh if none); then the runtimes are
         trimmed behind the base (no structure token or meter count moves)
         and the live state ``(tree, runtimes, base)`` pickled."""
-        digests = self._digests or self.digests()
+        digests = list(self.kept.items()) if self.kept else self.digests()
         for runtime in self.runtimes.values():
             runtime.trim(self.base)
         return (self.base, digests,
@@ -422,9 +429,7 @@ def _dispatch(msg: tuple, hosting: _Hosting) -> tuple:
         if msg[0] == "analyze":
             # msg[3] is the record level — consumed by the worker loop;
             # in-process hosts record straight into the active tracer.
-            # all resolves before anything mutates
-            structure = hosting.check(msg[1], msg[2])
-            return ("ok", hosting.analyze(structure, msg[2]))
+            return ("ok", hosting.analyze(msg[1], msg[2]))
         if msg[0] == "dump":
             _, shard, lo, n = msg
             if shard not in hosting.runtimes:
@@ -570,15 +575,17 @@ class _WorkerHandle:
 
 
 class _LocalHandle(_WorkerHandle):
-    """In-process host for the replicas of a lost worker: the same
-    send/recv/load calls, answered synchronously by :func:`_dispatch`
-    with nothing pickled.  It cannot fault."""
+    """A hosting in this process — shard 0's, a serial or thread
+    replica's, or a lost worker's — asked through the same send/recv/load
+    calls, answered synchronously by :func:`_dispatch` with nothing
+    pickled.  It cannot fault."""
 
     remote = False
 
-    def __init__(self, lost: _WorkerHandle, hosting: _Hosting):
-        super().__init__(lost.worker_id, lost.shards)
-        self.checkpoint = lost.checkpoint
+    def __init__(self, hosting: _Hosting, worker_id: int = -1,
+                 checkpoint: _Checkpoint = _Checkpoint()):
+        super().__init__(worker_id, hosting.runtimes)
+        self.checkpoint = checkpoint
         self.hosting = hosting
         self._reply: Optional[tuple] = None
 
@@ -607,8 +614,8 @@ def _rows_fit(rows, shards, types: tuple = _ROW_TYPES) -> bool:
 
 
 class ProcessBackend(AnalysisBackend):
-    """Replicas 1..N-1 hosted in persistent, *supervised* worker
-    processes.
+    """Shard 0 hosted in-process, replicas 1..N-1 in persistent,
+    *supervised* worker processes.
 
     Workers receive a pickled genesis snapshot (region tree and
     algorithm) at spawn and per-``execute`` payloads containing the
@@ -627,8 +634,8 @@ class ProcessBackend(AnalysisBackend):
     :meth:`after_verified`), and the journal is trimmed behind them.  A
     checkpoint is a worker's live state alone: its runtimes drop the
     verified tasks and dependence rows first, and its structure digests
-    must equal the reference replica's.  A checkpoint reuses the
-    verified window's digests, on both sides; a restore hashes fresh.
+    must equal shard 0's.  A checkpoint reuses the verified window's
+    digests, on both sides; a restore hashes fresh.
     When a worker exhausts its retries it is declared lost and its
     replicas move in-process (graceful degradation to serial-backend
     semantics): rebuilt from the same checkpoint and journal a respawn
@@ -641,6 +648,7 @@ class ProcessBackend(AnalysisBackend):
     """
 
     name = "process"
+    _all_local = False
 
     def __init__(self, tree, algorithm, replicas,
                  max_workers: Optional[int] = None,
@@ -652,7 +660,6 @@ class ProcessBackend(AnalysisBackend):
                  checkpoint_interval: int = 4,
                  clock=None) -> None:
         self._closed = False
-        self._handles: list = []
         super().__init__(tree, algorithm, replicas)
         import multiprocessing as mp
 
@@ -734,8 +741,8 @@ class ProcessBackend(AnalysisBackend):
         self._check_restore(handle)
 
     def _check_restore(self, handle: _WorkerHandle) -> None:
-        """Verify a host restored from a checkpoint against the reference
-        replica's structure digest at the checkpoint before trusting it
+        """Verify a host restored from a checkpoint against shard 0's
+        structure digest at the checkpoint before trusting it
         with replay; a mismatch is a :class:`CorruptReply`, which a
         respawn's retry loop catches."""
         if handle.checkpoint.live is None:
@@ -770,12 +777,14 @@ class ProcessBackend(AnalysisBackend):
     def shipped_bytes(self) -> int:
         return self._shipped
 
-    def _reply(self, handle: _WorkerHandle, command: str):
-        """Wait for, and parse, the reply to a ``command`` request."""
+    def _reply(self, handle: _WorkerHandle, message: tuple):
+        """Wait for, and parse, the reply to ``message``."""
         return self._parse(handle, handle.recv(
-            self._heartbeat, self._clock, self._recv_timeout), command)
+            self._heartbeat, self._clock, self._recv_timeout), message[0],
+            message[3] if message[0] == "dump" else None)
 
-    def _parse(self, handle: _WorkerHandle, blob, command: str):
+    def _parse(self, handle: _WorkerHandle, blob, command: str,
+               count: Optional[int] = None):
         """Decode one reply ``(status, result, fragment)``, rejecting it
         by shape before trusting its content: anything but a 3-tuple with
         status ``"ok"``/``"error"`` and a ``None`` or
@@ -794,7 +803,7 @@ class ProcessBackend(AnalysisBackend):
         status, result, fragment = frame
         if status != "ok":
             raise MachineError(f"analysis worker failed: {result}")
-        if not self._result_fits(handle, command, result):
+        if not self._result_fits(handle, command, result, count):
             raise CorruptReply(
                 f"worker {handle.worker_id} sent a {command} result that "
                 f"does not match its shards {handle.shards}")
@@ -802,25 +811,32 @@ class ProcessBackend(AnalysisBackend):
             obs.active_tracer().absorb(fragment)
         return result
 
-    def _result_fits(self, handle: _WorkerHandle, command: str,
-                     result) -> bool:
+    def _result_fits(self, handle: _WorkerHandle, command: str, result,
+                     count: Optional[int]) -> bool:
         """Analyze: a row per hosted shard.  Digest: a digest per shard.
+        Dump: ``count`` tuples of ints (any number if ``count`` is None).
         Checkpoint: ``(base, digests, live blob)`` at the parent's base,
-        every digest the reference's (:attr:`_digest`)."""
+        every digest the one shard 0 kept from its last run."""
         if command == "analyze":
             return _rows_fit(result, handle.shards)
         if command == "digest":
             return _rows_fit(result, handle.shards, (int, str))
+        if command == "dump":
+            return (type(result) is list and count in (None, len(result))
+                    and all(type(row) is tuple
+                            and all(type(t) is int for t in row)
+                            for row in result))
         return command != "checkpoint" or (
             type(result) is tuple and len(result) == 3
             and type(result[0]) is int and result[0] == self.tasks_analyzed
             and _rows_fit(result[1], handle.shards, (int, str))
-            and all(digest == self._digest for _, digest in result[1])
+            and all(digest == self._local[0].hosting.kept[0]
+                    for _, digest in result[1])
             and type(result[2]) is bytes)
 
     def _roundtrip(self, handle: _WorkerHandle, message: tuple):
         self._shipped += handle.send(message)
-        return self._reply(handle, message[0])
+        return self._reply(handle, message)
 
     def _fault(self, handle: _WorkerHandle, exc: WorkerFault) -> None:
         self.recovery.record_fault(exc.kind)
@@ -885,8 +901,8 @@ class ProcessBackend(AnalysisBackend):
             obs.instant("local_fallback", "recovery",
                         worker=handle.worker_id, shards=list(handle.shards))
             try:
-                local = _LocalHandle(handle,
-                                     _open_hosting(self._host_spec(handle)))
+                local = _LocalHandle(_open_hosting(self._host_spec(handle)),
+                                     handle.worker_id, handle.checkpoint)
                 self._check_restore(local)
             except Exception as exc:
                 raise WorkerLost(
@@ -924,7 +940,7 @@ class ProcessBackend(AnalysisBackend):
             if handle in self._handles:  # may have been lost during recovery
                 handle.checkpoint = _Checkpoint(
                     self._journal_base + len(self._journal), base,
-                    self._digest, live)
+                    self._local[0].hosting.kept[0], live)
                 self.recovery.checkpoints += 1
         # only worker processes replay: trim behind the oldest checkpoint
         floor = min((h.checkpoint.index for h in self.remote_handles),
@@ -936,7 +952,8 @@ class ProcessBackend(AnalysisBackend):
     # ------------------------------------------------------------------
     # the analysis fan-out
     # ------------------------------------------------------------------
-    def _analyze_replicas(self, stream, base, count, meanwhile):
+    def _analyze_replicas(self, stream, meanwhile):
+        count = len(stream)
         structure = encode_structure(self.tree, self._known_regions)
         self._known_regions = len(self.tree.regions)
         # The active tracer's record level rides on the (journaled)
@@ -956,19 +973,17 @@ class ProcessBackend(AnalysisBackend):
             except WorkerFault as exc:
                 self._fault(handle, exc)
                 pending.append((handle, False))
-        # phase 2: the local reference, then ``meanwhile``, while workers run
-        reference = self._analyze_local(0, self.reference, stream, base,
-                                        count)
+        # phase 2: the local hosting, then ``meanwhile``, while workers run
+        rows = self._run_local(stream)
         meanwhile()
         # phase 3: collect replies; remember who faulted
-        rows: list[tuple] = []
         faulted = []
         for handle, sent in pending:
             if not sent:
                 faulted.append(handle)
                 continue
             try:
-                rows.extend(self._reply(handle, "analyze"))
+                rows.extend(self._reply(handle, entry))
             except WorkerFault as exc:
                 self._fault(handle, exc)
                 faulted.append(handle)
@@ -978,16 +993,8 @@ class ProcessBackend(AnalysisBackend):
         for handle in faulted:
             last, _ = self._recover(handle)
             rows.extend(last)
-        return sorted([reference, *(ShardReport(*row) for row in rows)],
+        return sorted((ShardReport(*row) for row in rows),
                       key=lambda r: r.shard)
-
-    def dump_dependences(self, shard, base, count):
-        if shard == 0:
-            return dependence_rows(self.reference.graph, base, count)
-        for handle in self._handles:
-            if shard in handle.shards:
-                return self._request(handle, ("dump", shard, base, count))
-        raise MachineError(f"no worker hosts shard {shard}")
 
     # ------------------------------------------------------------------
     def close(self) -> None:

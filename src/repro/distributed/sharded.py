@@ -283,7 +283,7 @@ class ShardedRuntime:
 
     def _execute_one(self, task: Task, shard: int) -> None:
         if not (isinstance(shard, (int, np.integer))
-                and 0 <= shard < self.shards):
+                and not isinstance(shard, bool) and 0 <= shard < self.shards):
             raise MachineError(f"sharding functor returned {shard} "
                                f"for {self.shards} shards")
         root_space = self.tree.root.space

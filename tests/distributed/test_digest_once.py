@@ -36,7 +36,8 @@ def counted(monkeypatch):
                         recv_timeout=30.0) as srt:
         backend = srt.backend
         worker = backend.handles[0]
-        local = _LocalHandle(worker, _open_hosting(backend._host_spec(worker)))
+        local = _LocalHandle(_open_hosting(backend._host_spec(worker)),
+                             worker.worker_id, worker.checkpoint)
         local.remote = True
         backend._kill(worker)
         backend._handles[:] = [local]
@@ -53,7 +54,8 @@ def test_one_digest_per_replica_per_window(counted):
         assert backend.recovery.checkpoints == k + 1
         assert sorted(map(id, hashed)) \
             == sorted(map(id, (backend.reference, hosted)))
-        assert backend.handles[0].checkpoint.digest == backend._digest
+        assert backend.handles[0].checkpoint.digest \
+            == backend._local[0].hosting.kept[0]
 
 
 def test_restore_check_hashes_afresh(counted):
@@ -72,7 +74,8 @@ def test_restore_check_hashes_afresh(counted):
     local.checkpoint = local.checkpoint._replace(
         live=pickle.dumps((tree, runtimes, base)))
     hashed.clear()
-    restored = _LocalHandle(local, _open_hosting(backend._host_spec(local)))
+    restored = _LocalHandle(_open_hosting(backend._host_spec(local)),
+                            local.worker_id, local.checkpoint)
     with pytest.raises(CorruptReply):
         backend._check_restore(restored)
     assert len(hashed) == 1

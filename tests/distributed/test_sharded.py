@@ -40,10 +40,11 @@ class TestReplicaDeterminism:
         srt.execute(fig1_stream(tree, P, G, 1))
         # tamper with replica 1's recorded dependences
         backend = srt.backend
-        backend._others[0].graph._deps[3] = frozenset()
+        runtimes = [handle.hosting.runtimes[s]
+                    for s, handle in enumerate(backend._local)]
+        runtimes[1].graph._deps[3] = frozenset()
         reports = [
-            ShardReport(s, analysis_fingerprint(backend._runtime_of(s), 0, 6),
-                        0.0)
+            ShardReport(s, analysis_fingerprint(runtimes[s], 0, 6), 0.0)
             for s in range(2)]
         with pytest.raises(MachineError, match="not deterministic") as info:
             check_reports(
@@ -94,11 +95,12 @@ class TestShardedExecution:
         with pytest.raises(MachineError):
             srt.execute(fig1_stream(tree, P, G, 1))
 
-    @pytest.mark.parametrize("shard", [-1, 2.5])
+    @pytest.mark.parametrize("shard", [-1, 2.5, True, False])
     def test_out_of_range_shard_rejected(self, shard):
         """A negative id would alias another shard's memory through numpy
-        indexing; a float is no shard at all.  The raise comes once the
-        window's analysis is recorded, with the window rolled back."""
+        indexing; a float or a bool is no shard at all.  The raise comes
+        once the window's analysis is recorded, with the window rolled
+        back."""
         tree, P, G = make_fig1_tree()
         srt = ShardedRuntime(tree, fig1_initial(tree), shards=2,
                              sharding=lambda task: shard)

@@ -191,8 +191,13 @@ def test_real_checkpoint_parses(checkpoint):
     ("checkpoint", lambda r: (r[0], [r[1][0], (2, "0" * 64)], r[2])),
     ("digest", lambda r: "ab"),                           # unpacked to 2
     ("digest", lambda r: [(1, "x"), (7, "y")]),
+    ("dump", lambda r: r),                                # not a list
+    ("dump", lambda r: [r[0]]),                           # a row not a tuple
+    ("dump", lambda r: [(1, 2), (3, "4")]),               # a task id str
+    ("dump", lambda r: [(True,)]),                        # a task id bool
 ], ids=["strings", "base", "foreign-shard", "reference-digest",
-        "digest-string", "digest-foreign-shard"])
+        "digest-string", "digest-foreign-shard", "dump-tuple", "dump-int-row",
+        "dump-string-id", "dump-bool-id"])
 def test_lying_checkpoint_or_digest_is_corrupt(checkpoint, command, lie):
     """A checkpoint or digest result of the wrong shape — a base other
     than the parent's, a digest naming a shard the handle does not host,
