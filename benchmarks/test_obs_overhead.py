@@ -8,10 +8,10 @@ recorder and one switch (``tracer.enabled``), so there is one proof.
 
 Two complementary measurements:
 
-* an arithmetic bound — time the disabled primitives directly (the
-  `traced` guard at every span entry, the ``led is not None`` test at
-  every witness hook), count how many of each one analysis iteration
-  evaluates, and check cost × count against 5% of the measured iteration
+* an arithmetic bound — time the disabled primitives directly (a
+  disabled ``span()`` site for every span entry, the ``led is not None``
+  test at every witness hook), count how many of each one analysis
+  iteration evaluates, and check cost × count against 5% of the measured iteration
   time (the witness hooks' own share against 1.5%);
 * a direct A/B benchmark of the same iteration with the tracer disabled
   vs enabled, for the record (enabled overhead is allowed to be larger —
@@ -29,7 +29,7 @@ import pytest
 
 from repro import Runtime
 from repro.apps import CircuitApp
-from repro.obs import Tracer, active_tracer, set_tracer, traced
+from repro.obs import Tracer, active_tracer, set_tracer, span
 
 PIECES = 32
 OVERHEAD_BUDGET = 0.05
@@ -61,17 +61,17 @@ def count_instrumentation_entries(rt, app):
     return len(tracer.snapshot().spans)
 
 
-class _Probe:
-    @traced("noop", category="bench")
-    def noop(self):
+def _disabled_span_site():
+    with span("noop", "bench"):
         return None
 
 
 def test_disabled_recorder_overhead_is_below_budget():
     """Every guard a launch evaluates with the tracer disabled, in one
-    sum: one `traced`/`span()` guard per span entry, plus — because the
-    access span doubles as the witness record — one local-variable
-    ``led is not None`` test per witness hook.  Each term of the hook
+    sum: one disabled ``span()`` site per span entry — an upper bound,
+    since a launch checks the tracer once and then opens no span at all —
+    plus, because the access span doubles as the witness record, one
+    local-variable ``led is not None`` test per witness hook.  Each term of the hook
     count below names the hook site it bounds: a meter count (identical
     on/off — the differential tests prove it) for the sites inside a
     loop, the number of accesses for the per-call ones."""
@@ -83,10 +83,9 @@ def test_disabled_recorder_overhead_is_below_budget():
         lambda: rt.replay(app.iteration_stream()), repeat=5, number=1))
 
     # Numerator: disabled-path cost per instrumented call site ...
-    probe = _Probe()
     calls = 200_000
     per_entry = min(timeit.repeat(
-        lambda: probe.noop(), repeat=5, number=calls)) / calls
+        _disabled_span_site, repeat=5, number=calls)) / calls
     # ... times the number of call sites one iteration crosses ...
     entries = count_instrumentation_entries(rt, app)
     assert entries > 0, "instrumentation did not fire — wrong workload?"

@@ -45,7 +45,7 @@ from repro.errors import MachineError, TaskError
 from repro.machine.dcr import ShardingFunctor, dcr_sharding
 from repro.obs import tracer as obs
 from repro.regions.tree import RegionTree
-from repro.runtime.task import Task, TaskStream
+from repro.runtime.task import Task, TaskStream, check_tree
 from repro.visibility.meter import PhaseProfile
 
 
@@ -210,6 +210,8 @@ class ShardedRuntime:
         return self._analyze(stream)
 
     def _analyze(self, stream, meanwhile=None) -> list[ShardReport]:
+        for task in stream:  # a replica refusing part-way would diverge
+            check_tree(task, self.tree)
         base = self._backend.tasks_analyzed
         shipped_before = self._backend.shipped_bytes
         with self.profile.phase("analyze"):
@@ -236,11 +238,12 @@ class ShardedRuntime:
     def execute(self, stream: TaskStream) -> list[ShardReport]:
         """Analyze the stream on every replica, execute it sharded.
 
-        All or nothing: the execution runs while the other replicas
-        analyze (``execute`` nests inside ``analyze``).  Any failure —
-        diverging replicas, a lost worker, a bad shard id, a raising body
-        — restores field values, owners and the message log to the
-        window's start and re-raises, once every reply is read.
+        The execution runs while the other replicas analyze.  Any failure
+        — diverging replicas, a lost worker, a bad shard id, a raising
+        body, a region of another tree (refused before any replica sees
+        the window) — restores field values, owners and the message log
+        to the window's start and re-raises, once every reply is read.
+        Only an internal analysis error part-way leaves replicas diverged.
         """
         values = {name: v.copy() for name, v in self._values.items()}
         owners = {name: o.copy() for name, o in self._owners.items()}

@@ -41,7 +41,7 @@ from repro.obs.telemetry import (TelemetryHub, TelemetrySample,
 from repro.obs.top import render_top, run_top
 from repro.obs.tracer import (DRIVER_PID, CounterSample, Instant, Span,
                               TraceBuffer, Tracer, active_tracer, counter,
-                              instant, set_tracer, span, traced)
+                              instant, set_tracer, span)
 
 __all__ = [
     "CENSUS_SCHEMA", "take_census", "census_diff",
@@ -61,5 +61,4 @@ __all__ = [
     "render_top", "run_top",
     "DRIVER_PID", "CounterSample", "Instant", "Span", "TraceBuffer",
     "Tracer", "active_tracer", "counter", "instant", "set_tracer", "span",
-    "traced",
 ]

@@ -156,8 +156,8 @@ class Witnesses:
     """The access records a trace buffer holds, in buffer order.
 
     A span is an access record when :func:`describe_access` stamped it
-    and its parent is a ``task`` span (a ``read_field`` observation has
-    none).  Commit and replay records that witnessed nothing are left
+    and its parent is a ``task`` span (an access span opened outside a
+    launch has none).  Commit and replay records that witnessed nothing are left
     out — most commits do.
     """
 

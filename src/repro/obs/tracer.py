@@ -23,10 +23,11 @@ Design constraints, in order:
 
 1. **A disabled tracer is (almost) free.**  The process-global default
    tracer is disabled; every instrumentation point goes through
-   :func:`span`/:func:`traced`, whose fast path is one attribute check
-   returning a shared no-op context manager.  That check is the only
-   switch: ``benchmarks/test_obs_overhead.py`` counts every guard a
-   launch evaluates and holds the sum under 5% of analysis time.
+   :func:`span`, whose fast path is one attribute check returning a
+   shared no-op context manager; a runtime launch makes that check once
+   and, off, opens no span at all.  That check is the only switch:
+   ``benchmarks/test_obs_overhead.py`` counts every guard a launch
+   evaluates and holds the sum under 5% of analysis time.
 2. **Injectable clock.**  Timestamps come from a :mod:`repro.clock`
    (:class:`~repro.clock.SystemClock` by default, a
    :class:`~repro.clock.FakeClock` in tests), so trace tests assert on
@@ -40,7 +41,6 @@ Design constraints, in order:
 
 from __future__ import annotations
 
-import functools
 import itertools
 import threading
 from collections import defaultdict, deque
@@ -170,8 +170,8 @@ _NOOP = _NoopSpan()
 class _OpenSpan:
     """An in-flight span: context manager and mutable handle.
 
-    At the witness level :func:`traced` hands it to the store-policy hooks
-    as their ``led``: ``edge``/``prune``/``visit`` write the witness
+    At the witness level :func:`call_traced` hands it to the store-policy
+    hooks as their ``led``: ``edge``/``prune``/``visit`` write the witness
     payload into ``args`` (``edges``, ``pruned``, ``visited``), which
     :class:`repro.obs.provenance.Witnesses` reads back as typed records.
     The hooks only observe — they never touch a meter or steer the
@@ -493,27 +493,13 @@ def counter(name: str, value: float) -> None:
         tracer.counter(name, value)
 
 
-def traced(name: str, category: Optional[str] = None):
-    """Decorator instrumenting a method with a span.
-
-    ``category=None`` resolves the instance's ``_obs_cat`` attribute at
-    call time (set by :class:`~repro.visibility.base.CoherenceAlgorithm`
-    to ``"visibility.<algorithm>"``), so one decorator serves every
-    subclass.  When the tracer records witnesses the open span is passed
-    to the method as ``led=`` — the access record its hooks write into.
-    The disabled fast path adds a single attribute check.
-    """
-    def decorate(fn):
-        @functools.wraps(fn)
-        def wrapper(self, *args, **kwargs):
-            tracer = _ACTIVE
-            if not tracer.enabled:
-                return fn(self, *args, **kwargs)
-            cat = category if category is not None \
-                else getattr(self, "_obs_cat", "")
-            with _OpenSpan(tracer, name, cat, {}) as sp:
-                if tracer.witnesses:
-                    kwargs["led"] = sp
-                return fn(self, *args, **kwargs)
-        return wrapper
-    return decorate
+def call_traced(tracer: Tracer, method, *args):
+    """Call a bound ``method`` under a span named after it, in its
+    instance's ``_obs_cat`` category, on an enabled ``tracer`` — handed
+    to it as ``led=`` when the tracer records witnesses (how a runtime
+    launch that found its tracer enabled calls each access)."""
+    with _OpenSpan(tracer, method.__name__, method.__self__._obs_cat,
+                   {}) as sp:
+        if tracer.witnesses:
+            return method(*args, led=sp)
+        return method(*args)

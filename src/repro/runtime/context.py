@@ -17,6 +17,7 @@ The runtime is the public entry point applications use::
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -27,9 +28,12 @@ from repro.privileges import Privilege
 from repro.regions.partition import Partition
 from repro.regions.tree import RegionTree
 from repro.runtime.dependence import DependenceGraph
-from repro.runtime.task import RegionRequirement, Task, TaskBody
+from repro.runtime.task import (RegionRequirement, Task, TaskBody,
+                                check_tree)
 from repro.visibility.base import CoherenceAlgorithm, make_algorithm
 from repro.visibility.meter import CostMeter, TaskCost
+
+_UNTRACED = nullcontext()
 
 
 class Runtime:
@@ -48,7 +52,9 @@ class Runtime:
         ``tree_painter``, ``warnock``, ``zbuffer`` or ``raycast`` (the
         default — the algorithm the paper's results put in production).
     meter:
-        Optional shared :class:`CostMeter`; created when omitted.
+        Optional shared :class:`CostMeter`; created when omitted.  The
+        meter takes no lock: drive a runtime (and anything sharing its
+        meter) from one thread at a time.
     record_costs:
         When True, keep a per-task :class:`TaskCost` log (used by the
         machine simulator).
@@ -128,10 +134,7 @@ class Runtime:
         # the Task validates its requirements, once, before any analysis
         task = Task(self.next_task_id, name, tuple(requirements), body,
                     point)
-        for req in task.requirements:
-            if req.region.tree is not self.tree:
-                raise TaskError(
-                    f"task {name!r} names a region from a different tree")
+        check_tree(task, self.tree)
         return self._run(task)
 
     def _run(self, task: Task,
@@ -148,23 +151,33 @@ class Runtime:
         scan = replayed is None
         task_id, requirements = task.task_id, task.requirements
 
-        self.meter.begin_task()
+        self.meter.begin_task(mark=self._record_costs)
         deps: set[int] = set() if scan else set(replayed)
         buffers: list[Optional[np.ndarray]] = []
-        # Task spans carry the task id and (once the scan finishes) the
-        # dependence list, so the critical-path analyzer can rebuild the
-        # task DAG from a trace file alone; the materialize/commit spans
-        # under them are the dependence witnesses' access records.
-        with obs.span(task.name, "task", task_id=task_id) as sp:
+        # The launch's one tracer check.  Task spans carry the task id and
+        # (once the scan finishes) the dependence list, so the critical-
+        # path analyzer can rebuild the task DAG from a trace file alone;
+        # the materialize/commit spans under them are the dependence
+        # witnesses' access records.
+        tracer = obs.active_tracer()
+        if not tracer.enabled:
+            tracer = None
+        with _UNTRACED if tracer is None else \
+                tracer.span(task.name, "task", task_id=task_id) as sp:
             for req in requirements:
-                outcome = self._algorithms[req.field].materialize(
-                    req.privilege, req.region, scan)
+                algorithm = self._algorithms[req.field]
+                if tracer is None:
+                    outcome = algorithm.materialize(req.privilege,
+                                                    req.region, scan)
+                else:
+                    outcome = obs.call_traced(tracer, algorithm.materialize,
+                                              req.privilege, req.region, scan)
                 deps.update(outcome.dependences)
                 buf = outcome.values
                 if req.privilege.is_read and buf is not None:
                     buf.setflags(write=False)
                 buffers.append(buf)
-            if sp is not obs._NOOP:  # sort only for a span that records
+            if tracer is not None:
                 sp.set(deps=sorted(deps))
                 if not scan:
                     sp.set(replayed=True)
@@ -173,9 +186,14 @@ class Runtime:
                 task.body(*buffers)
 
             for req, buf in zip(requirements, buffers):
+                algorithm = self._algorithms[req.field]
                 commit_values = None if req.privilege.is_read else buf
-                self._algorithms[req.field].commit(
-                    req.privilege, req.region, commit_values, task_id)
+                if tracer is None:
+                    algorithm.commit(req.privilege, req.region,
+                                     commit_values, task_id)
+                else:
+                    obs.call_traced(tracer, algorithm.commit, req.privilege,
+                                    req.region, commit_values, task_id)
         if self._record_costs:
             self.cost_log.append(self.meter.end_task())
 

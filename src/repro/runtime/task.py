@@ -107,6 +107,14 @@ def validate_requirements(requirements: Sequence[RegionRequirement],
                     "not supported)")
 
 
+def check_tree(task: Task, tree) -> None:
+    """Refuse a task that names a region of a tree other than ``tree``."""
+    for req in task.requirements:
+        if req.region.tree is not tree:
+            raise TaskError(
+                f"task {task.name!r} names a region from a different tree")
+
+
 class TaskStream:
     """An ordered sequence of task launches, replayable onto any executor.
 

@@ -13,6 +13,9 @@ Each algorithm is a *store policy* — the state representation — supplying
 only the hooks the driver sequences: ``_locate``, ``_collect``, ``_paint``,
 an optional ``_settle``, and ``_record`` (their docstrings below are the
 contract).  A traced replay is the same path with ``_collect`` skipped.
+``Runtime._run`` calls the two and checks the tracer once per launch: off,
+they run bare; on, each runs under its own span (``led`` at the witness
+level).  A direct call records no span.
 
 An algorithm instance tracks exactly one field of one region tree; the
 runtime owns one instance per field.
@@ -28,7 +31,6 @@ import numpy as np
 
 from repro.errors import CoherenceError
 from repro.obs import provenance as prov
-from repro.obs.tracer import traced
 from repro.privileges import Privilege, READ
 from repro.regions.region import Region
 from repro.regions.tree import RegionTree
@@ -93,13 +95,12 @@ class CoherenceAlgorithm(ABC):
         self.field = field
         self.dtype = None if initial is None else np.asarray(initial).dtype
         self.meter = meter if meter is not None else CostMeter()
-        # Span category for the @traced materialize/commit instrumentation.
+        # Span category of this field's materialize/commit access spans.
         self._obs_cat = f"visibility.{type(self).name}"
 
     # ------------------------------------------------------------------
     # the Figure 6 protocol
     # ------------------------------------------------------------------
-    @traced("materialize")
     def materialize(self, privilege: Privilege, region: Region,
                     scan: bool = True, led=None) -> AnalysisOutcome:
         """Coherent values for ``region`` plus the dependences of the task
@@ -112,9 +113,8 @@ class CoherenceAlgorithm(ABC):
         dominating writes) still happens — they are what keeps future
         materializations correct.
 
-        ``led`` is supplied by :func:`~repro.obs.tracer.traced`, not by
-        callers: this call's open span while the tracer records
-        witnesses, else None.
+        ``led`` is this access's open span while the tracer records
+        witnesses (the runtime opens it), else None.
         """
         if region.tree is not self.tree:
             raise CoherenceError("region belongs to a different tree")
@@ -139,7 +139,6 @@ class CoherenceAlgorithm(ABC):
                 self._settle(region, found, values, led)
         return AnalysisOutcome(values, frozenset(deps))
 
-    @traced("commit")
     def commit(self, privilege: Privilege, region: Region,
                values: Optional[np.ndarray], task_id: int,
                led=None) -> None:

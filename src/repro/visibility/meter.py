@@ -91,78 +91,65 @@ class CostMeter:
     lifetime of the meter; :meth:`begin_task`/:meth:`end_task` bracket one
     task launch so callers can extract per-task deltas.
 
-    Mutation is lock-protected: the thread backend runs replica analyses
-    concurrently, and ``Counter.__iadd__`` is not atomic.  The lock is
-    excluded from pickles (checkpoints pickle whole runtimes).
+    A meter has one owner, the :class:`~repro.runtime.context.Runtime`
+    whose algorithms charge it, driven by one thread at a time (each
+    thread-backend replica and service slot owns its own): so it takes
+    no lock, which cost ~19 acquisitions a launch.
     """
 
-    __slots__ = ("counters", "_mark", "_task_touches", "_lock")
+    __slots__ = ("counters", "_mark", "_task_touches")
 
     def __init__(self) -> None:
         self.counters: Counter[str] = Counter()
         self._mark: dict[str, int] = {}
         # a dict for its insertion order: the task's first-touch sequence
         self._task_touches: dict[Hashable, None] = {}
-        self._lock = threading.Lock()
-
-    def __getstate__(self):
-        return (self.counters, self._mark, self._task_touches)
-
-    def __setstate__(self, state):
-        self.counters, self._mark, self._task_touches = state
-        self._lock = threading.Lock()
 
     def count(self, event: str, n: int = 1) -> None:
         """Record ``n`` occurrences of ``event``."""
-        with self._lock:
-            self.counters[event] += n
+        self.counters[event] += n
 
     def touch(self, key: Hashable) -> None:
         """Record that the current analysis touched distributed object
         ``key``."""
-        with self._lock:
-            self._task_touches[key] = None
+        self._task_touches[key] = None
 
     def charge(self, counts: Mapping[str, int],
                touches: Iterable[Hashable] = ()) -> None:
-        """Apply the modelled cost of one access under one lock: every
-        ``{event: n}`` of ``counts`` (a zero leaves no key behind — the
-        snapshot is hashed) and the touch keys, in order."""
-        with self._lock:
-            counters = self.counters
-            for event, n in counts.items():
-                if n:
-                    counters[event] += n
-            for key in touches:
-                self._task_touches[key] = None
+        """Apply the modelled cost of one access: every ``{event: n}`` of
+        ``counts`` (a zero leaves no key behind — the snapshot is hashed)
+        and the touch keys, in order."""
+        counters = self.counters
+        for event, n in counts.items():
+            if n:
+                counters[event] += n
+        for key in touches:
+            self._task_touches[key] = None
 
-    def begin_task(self) -> None:
-        """Mark the start of one task launch's analysis."""
-        with self._lock:
+    def begin_task(self, mark: bool = True) -> None:
+        """Start one task's slice: forget the last task's touches and, if
+        ``mark``, copy the counters :meth:`end_task` subtracts."""
+        if mark:
             self._mark = dict(self.counters)
-            self._task_touches = {}
+        self._task_touches = {}
 
     def end_task(self) -> TaskCost:
         """Return the counts and touches accumulated since
         :meth:`begin_task`."""
-        with self._lock:
-            delta = Counter(self.counters)
-            delta.subtract(self._mark)
-            counters = {k: v for k, v in delta.items() if v}
-            return TaskCost(counters=counters,
-                            touches=tuple(self._task_touches))
+        delta = Counter(self.counters)
+        delta.subtract(self._mark)
+        counters = {k: v for k, v in delta.items() if v}
+        return TaskCost(counters=counters, touches=tuple(self._task_touches))
 
     def snapshot(self) -> dict[str, int]:
         """Copy of the lifetime counters."""
-        with self._lock:
-            return dict(self.counters)
+        return dict(self.counters)
 
     def reset(self) -> None:
         """Clear all accumulated state."""
-        with self._lock:
-            self.counters.clear()
-            self._mark.clear()
-            self._task_touches.clear()
+        self.counters.clear()
+        self._mark.clear()
+        self._task_touches.clear()
 
     def __repr__(self) -> str:
         top = ", ".join(f"{k}={v}" for k, v in self.counters.most_common(4))

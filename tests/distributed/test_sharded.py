@@ -301,3 +301,39 @@ class TestWindowAllOrNothing:
         finally:
             sys.setswitchinterval(interval)
         assert srt.state_fingerprint() == reference.fingerprint()
+
+
+class TestForeignRegion:
+    """A window naming a region of another tree is refused before any
+    replica sees it: nothing is encoded, shipped, journaled or launched,
+    so the next window verifies on every backend."""
+
+    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    def test_foreign_window_leaves_every_replica_untouched(self, backend):
+        from repro import READ_WRITE, RegionRequirement, TaskError
+        tree, P, G = make_fig1_tree()
+        _, foreign, _ = make_fig1_tree()
+        reference = SequentialExecutor(tree, fig1_initial(tree))
+        with ShardedRuntime(tree, fig1_initial(tree), shards=2,
+                            backend=backend, recv_timeout=10.0) as srt:
+            first = fig1_stream(tree, P, G, 1)
+            srt.execute(first)
+            reference.run_stream(first)
+            before = _state(srt)
+            counts = (srt.backend.tasks_analyzed, srt.backend.shipped_bytes,
+                      len(getattr(srt.backend, "_journal", ())))
+            window = fig1_stream(tree, P, G, 1)
+            window.append("stray", [RegionRequirement(foreign[0], "up",
+                                                      READ_WRITE)])
+            with pytest.raises(TaskError, match="different tree"):
+                srt.execute(window)
+            _assert_same_state(_state(srt), before)
+            assert (srt.backend.tasks_analyzed, srt.backend.shipped_bytes,
+                    len(getattr(srt.backend, "_journal", ()))) == counts
+            for _ in range(2):
+                good = fig1_stream(tree, P, G, 1)
+                reports = srt.execute(good)
+                reference.run_stream(good)
+                assert len({r.fingerprint for r in reports}) == 1
+            assert srt.backend.tasks_analyzed == counts[0] + 12
+            assert srt.state_fingerprint() == reference.fingerprint()

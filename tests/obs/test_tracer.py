@@ -6,7 +6,8 @@ import pytest
 
 from repro.distributed.faults import FakeClock
 from repro.obs.tracer import (DRIVER_PID, Span, TraceBuffer, Tracer,
-                              active_tracer, set_tracer, span, traced)
+                              active_tracer, call_traced, set_tracer,
+                              span)
 
 
 def make_tracer(start=100.0):
@@ -218,30 +219,17 @@ class TestGlobalTracer:
         finally:
             set_tracer(previous)
 
-    def test_traced_decorator_uses_obs_cat(self):
+    @pytest.mark.parametrize("witnesses", [False, True])
+    def test_call_traced_names_span_after_method(self, witnesses):
         class Algo:
             _obs_cat = "visibility.test"
 
-            @traced("materialize")
-            def materialize(self):
-                return 42
+            def materialize(self, x, led=None):
+                return x, led
 
-        mine = make_tracer()
-        previous = set_tracer(mine)
-        try:
-            assert Algo().materialize() == 42
-        finally:
-            set_tracer(previous)
+        mine = Tracer(clock=FakeClock(100.0), witnesses=witnesses)
+        value, led = call_traced(mine, Algo().materialize, 42)
         (s,) = mine.snapshot().spans
-        assert (s.name, s.category) == ("materialize", "visibility.test")
-
-    def test_traced_decorator_disabled_fast_path(self):
-        calls = []
-
-        class Algo:
-            @traced("commit", category="c")
-            def commit(self):
-                calls.append(1)
-
-        Algo().commit()  # default tracer is disabled: no span machinery
-        assert calls == [1]
+        assert (s.name, s.category, value) == ("materialize",
+                                               "visibility.test", 42)
+        assert (led is not None) == witnesses

@@ -1,6 +1,8 @@
 """Tests for the cost meter."""
 
-from repro import CostMeter
+import pytest
+
+from repro import ALGORITHMS, CostMeter
 
 
 class TestCostMeter:
@@ -97,10 +99,54 @@ class TestCostMeter:
         assert abs(sizes[24] - sizes[4]) <= 64, sizes
 
 
+class TestOneOwner:
+    """A meter takes no lock: it belongs to one runtime, and a runtime is
+    driven by one thread at a time.  Four thread-backend replicas,
+    switching every 10 µs, each charge their own meter, and every one of
+    them must land the serial replica's totals and per-task cost log
+    (set and view uids masked: they are process-global)."""
+
+    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+    def test_thread_replicas_meter_like_serial(self, algorithm):
+        import sys
+
+        from repro.apps import APPS
+        from repro.distributed import ShardedRuntime
+        from tests.distributed.test_cost_log_table import masked
+
+        def replicas(backend):
+            app = APPS["stencil"](pieces=4)
+            with ShardedRuntime(app.tree, app.initial, shards=4,
+                                backend=backend,
+                                algorithm=algorithm) as srt:
+                runtimes = [handle.hosting.runtimes[shard]
+                            for handle in srt.backend._local
+                            for shard in handle.shards]
+                for runtime in runtimes:
+                    runtime._record_costs = True
+                srt.execute(app.init_stream())
+                for _ in range(3):
+                    srt.execute(app.iteration_stream())
+            return [(rt.meter.snapshot(),
+                     [(cost.counters, [masked(k) for k in cost.touches])
+                      for cost in rt.cost_log]) for rt in runtimes]
+
+        serial = replicas("serial")[0]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threaded = replicas("thread")
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(threaded) == 4 and serial[1]
+        assert all(replica == serial for replica in threaded)
+
+
 class TestThreadSafety:
-    """Regression tests for the lock added to CostMeter/PhaseProfile:
-    before it, concurrent mutation lost updates (dict read-modify-write
-    races) — 8 hammering threads must land exact totals."""
+    """Regression tests for the locks of UidSource/PhaseProfile, which
+    replicas and threads share: without them concurrent mutation lost
+    updates (dict read-modify-write races) — 8 hammering threads must
+    land exact totals.  (A CostMeter has one owner and no lock.)"""
 
     THREADS = 8
     ROUNDS = 2000
@@ -120,17 +166,6 @@ class TestThreadSafety:
             t.start()
         for t in threads:
             t.join()
-
-    def test_cost_meter_count_is_atomic(self):
-        m = CostMeter()
-        self._hammer(lambda: m.count("e"))
-        assert m.counters["e"] == self.THREADS * self.ROUNDS
-
-    def test_cost_meter_charge_is_atomic(self):
-        m = CostMeter()
-        self._hammer(lambda: m.charge({"e": 1, "f": 2}, ["k"]))
-        total = self.THREADS * self.ROUNDS
-        assert m.snapshot() == {"e": total, "f": 2 * total}
 
     def test_uid_source_never_repeats(self):
         from repro.visibility.meter import UidSource
