@@ -4,7 +4,7 @@ PYTHON ?= python
 
 .PHONY: install test check chaos lint bench bench-quick report examples \
 	introspect-smoke service-smoke telemetry-smoke blackbox-smoke \
-	ledger ledger-selftest ledger-pair ledger-gate loc clean help
+	ledger ledger-selftest ledger-pair ledger-gate loc calls clean help
 
 help:
 	@echo "install      editable install (offline-friendly)"
@@ -24,6 +24,7 @@ help:
 	@echo "ledger-pair  BASE=<rev> [N=10] [SEED=1]: N alternating ledger runs of BASE and this tree; wins, medians, quartiles, verdict"
 	@echo "ledger-gate  BASE=<rev> [SEED=1]: one ledger run of BASE, one of this tree, through compare.py; fails on a 'worse' row (the CI gate)"
 	@echo "loc          lines of Python per src/repro package, plus tests/ and benchmarks/"
+	@echo "calls        Python call events per launch for each algorithm (the ledger's py_calls probe)"
 	@echo "clean        remove build output, caches and untracked run output"
 
 install:
@@ -232,6 +233,11 @@ loc:
 		printf '%7d  %s\n' \
 			"$$(find $$d -name '*.py' -exec cat {} + | wc -l)" "$$d"; \
 	done
+
+# The ledger's runtime.py_calls_per_task probe for all five algorithms,
+# on whichever Python runs it; nothing gates on it.
+calls:
+	@PYTHONPATH=src $(PYTHON) benchmarks/py_calls.py
 
 bench:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only

@@ -9,10 +9,11 @@ recorder and one switch (``tracer.enabled``), so there is one proof.
 Two complementary measurements:
 
 * an arithmetic bound — time the disabled primitives directly (a
-  disabled ``span()`` site for every span entry, the ``led is not None``
-  test at every witness hook), count how many of each one analysis
-  iteration evaluates, and check cost × count against 5% of the measured iteration
-  time (the witness hooks' own share against 1.5%);
+  launch's one tracer check, the ``tracer is None`` branch at each
+  access, the ``led is not None`` test at every witness hook), count how
+  many of each one analysis iteration evaluates, and check cost × count
+  against 5% of the measured iteration time (the witness hooks' own
+  share against 1.5%);
 * a direct A/B benchmark of the same iteration with the tracer disabled
   vs enabled, for the record (enabled overhead is allowed to be larger —
   it buys the timeline — but is reported alongside).
@@ -29,15 +30,16 @@ import pytest
 
 from repro import Runtime
 from repro.apps import CircuitApp
-from repro.obs import Tracer, active_tracer, set_tracer, span
+from repro.obs import Tracer, active_tracer, set_tracer
+from repro.runtime.context import _UNTRACED
 
 PIECES = 32
 OVERHEAD_BUDGET = 0.05
-#: The witness hooks' own share.  One iteration crosses ~3 000 hooks at
-#: ~30 ns each, ~0.1 ms, against a ~9.1 ms iteration: 1.05-1.09 % on a
-#: shared core.  The share rose past 1 % because the iteration got
-#: faster, not because the hooks got slower, so the bound is 1.5 % —
-#: inside the 5 % total, which is unchanged.
+#: The witness hooks' own share.  One iteration crosses ~2 500 hooks at
+#: ~30-55 ns each against a ~7-11 ms iteration: 0.9-1.4 % on a shared
+#: core.  The share rose past 1 % because the iteration got faster, not
+#: because the hooks got slower, so the bound is 1.5 % — inside the 5 %
+#: total, which is unchanged.
 WITNESS_BUDGET = 0.015
 
 
@@ -49,32 +51,28 @@ def make_runtime():
     return rt, app
 
 
-def count_instrumentation_entries(rt, app):
-    """How many spans one iteration would record — each one is one
-    disabled-path guard evaluation when tracing is off."""
-    tracer = Tracer()
-    previous = set_tracer(tracer)
-    try:
-        rt.replay(app.iteration_stream())
-    finally:
-        set_tracer(previous)
-    return len(tracer.snapshot().spans)
-
-
-def _disabled_span_site():
-    with span("noop", "bench"):
-        return None
+def _disabled_launch_check():
+    """What ``Runtime._run`` evaluates of the tracer once per launch,
+    tracer off: the one ``enabled`` read, the null task scope and the
+    ``tracer is not None`` test before the dependence list is set."""
+    tracer = active_tracer()
+    if not tracer.enabled:
+        tracer = None
+    with _UNTRACED if tracer is None else tracer.span("t", "task"):
+        if tracer is not None:
+            return 1
+    return 0
 
 
 def test_disabled_recorder_overhead_is_below_budget():
     """Every guard a launch evaluates with the tracer disabled, in one
-    sum: one disabled ``span()`` site per span entry — an upper bound,
-    since a launch checks the tracer once and then opens no span at all —
-    plus, because the access span doubles as the witness record, one
-    local-variable ``led is not None`` test per witness hook.  Each term of the hook
-    count below names the hook site it bounds: a meter count (identical
-    on/off — the differential tests prove it) for the sites inside a
-    loop, the number of accesses for the per-call ones."""
+    sum: the launch's one tracer check (a disabled launch opens no span),
+    the ``tracer is None`` branch before each materialize and each
+    commit, and, because the access span doubles as the witness record,
+    one local-variable ``led is not None`` test per witness hook.  Each
+    term of the hook count below names the hook site it bounds: a meter
+    count (identical on/off — the differential tests prove it) for the
+    sites inside a loop, the number of accesses for the per-call ones."""
     assert not active_tracer().enabled, "benchmark requires default state"
     rt, app = make_runtime()
 
@@ -82,15 +80,12 @@ def test_disabled_recorder_overhead_is_below_budget():
     iter_seconds = min(timeit.repeat(
         lambda: rt.replay(app.iteration_stream()), repeat=5, number=1))
 
-    # Numerator: disabled-path cost per instrumented call site ...
+    # Numerator: the disabled launch check, timed ...
     calls = 200_000
-    per_entry = min(timeit.repeat(
-        _disabled_span_site, repeat=5, number=calls)) / calls
-    # ... times the number of call sites one iteration crosses ...
-    entries = count_instrumentation_entries(rt, app)
-    assert entries > 0, "instrumentation did not fire — wrong workload?"
+    per_launch = min(timeit.repeat(
+        _disabled_launch_check, repeat=5, number=calls)) / calls
 
-    # ... plus the witness hooks' ``None`` tests.
+    # ... and the ``None`` tests of the access branches and witness hooks.
     led = None
 
     def none_check():
@@ -111,9 +106,11 @@ def test_disabled_recorder_overhead_is_below_budget():
         return after.get(counter, 0) - before.get(counter, 0)
 
     requirements = [req for task in stream for req in task.requirements]
+    # Runtime._run: ``tracer is None`` before each materialize and commit
+    branches = 2 * len(requirements)
     per_call = (
-        # materialize and commit, each: describe_access (1), visit_sets (2)
-        6 * len(requirements)
+        # materialize and commit, each: describe_access (1), visit_sets (1)
+        4 * len(requirements)
         # RayCastAlgorithm._settle: once per write materialized
         + sum(req.privilege.is_write for req in requirements))
     hooks = (
@@ -126,11 +123,13 @@ def test_disabled_recorder_overhead_is_below_budget():
     assert hooks > per_call, "analysis scanned nothing — wrong workload?"
 
     witness = per_hook * hooks / iter_seconds
-    overhead = per_entry * entries / iter_seconds + witness
-    print(f"\ndisabled-recorder overhead: {entries} span entries x "
-          f"{per_entry * 1e9:.0f}ns + {hooks} witness hooks x "
-          f"{per_hook * 1e9:.0f}ns over {iter_seconds * 1e3:.2f}ms -> "
-          f"{overhead * 100:.3f}% (witness hooks {witness * 100:.3f}%)")
+    overhead = (per_launch * len(stream) + per_hook * branches) \
+        / iter_seconds + witness
+    print(f"\ndisabled-recorder overhead: {len(stream)} launch checks x "
+          f"{per_launch * 1e9:.0f}ns + {branches} access branches and "
+          f"{hooks} witness hooks x {per_hook * 1e9:.0f}ns over "
+          f"{iter_seconds * 1e3:.2f}ms -> {overhead * 100:.3f}% "
+          f"(witness hooks {witness * 100:.3f}%)")
     assert witness < WITNESS_BUDGET, (
         f"disabled witness hooks cost {witness * 100:.2f}% "
         f">= {WITNESS_BUDGET * 100:.0f}% of analysis time")

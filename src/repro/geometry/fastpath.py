@@ -61,7 +61,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from contextlib import contextmanager
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -91,8 +91,45 @@ POSITIONS_BYTES = 2 << 20
 _GENERATIONS = iter(range(1 << 62)).__next__
 
 
+def _cached(table: str, raw, symmetric: bool, store):
+    """One cached operator of :class:`GeometryCache` over the result dict
+    named ``table``: ``raw`` (an ``IndexSpace._*_raw`` body) computes a
+    miss, which ``store`` (``GeometryCache._store`` or its gather-map
+    form) keeps.  The key is the pair of
+    content uids, sorted when the operator is ``symmetric``.  Each uid is
+    read off its space's ``(generation, uid)`` memo in place: a warm
+    operator is this one frame, and :meth:`GeometryCache.uid_of` runs
+    only for a space whose memo is missing or stale."""
+
+    def op(self, a: IndexSpace, b: IndexSpace, known=None):
+        generation = self._generation
+        memo = a._uid
+        ua = memo[1] if memo is not None and memo[0] == generation \
+            else self.uid_of(a)
+        memo = b._uid
+        ub = memo[1] if memo is not None and memo[0] == generation \
+            else self.uid_of(b)
+        key = (ub, ua) if symmetric and ub < ua else (ua, ub)
+        results = getattr(self, table)
+        got = results.get(key, _MISS)
+        if got is not _MISS:
+            self.hits += 1
+            return got
+        self.misses += 1
+        out = raw(a, b) if known is None else known
+        store(self, results, key, out)
+        return out
+
+    return op
+
+
 class GeometryCache:
     """Process-wide interner + versioned operation cache for index spaces.
+
+    The six cached operators are one form (:func:`_cached`): each reads
+    both spaces' ``(generation, uid)`` memos in place and calls
+    :meth:`uid_of` only for a missing or stale one, so a warm operator
+    is one frame.
 
     ``capacity`` bounds each table (the intern table and each per-operator
     result table) independently; a full table is cleared wholesale —
@@ -162,90 +199,32 @@ class GeometryCache:
             table.clear()
         table[key] = value
 
-    def intersection(self, a: IndexSpace, b: IndexSpace,
-                     known: Optional[IndexSpace] = None) -> IndexSpace:
-        """``a & b``, shared on a hit; a caller that already holds the
-        answer another way passes it as ``known`` to be stored on a miss."""
-        ua, ub = self.uid_of(a), self.uid_of(b)
-        key = (ua, ub) if ua <= ub else (ub, ua)
-        got = self._and.get(key)
-        if got is not None:
-            self.hits += 1
-            return got
-        self.misses += 1
-        out = a._intersection_raw(b) if known is None else known
-        self._store(self._and, key, out)
-        return out
-
-    def union(self, a: IndexSpace, b: IndexSpace) -> IndexSpace:
-        ua, ub = self.uid_of(a), self.uid_of(b)
-        key = (ua, ub) if ua <= ub else (ub, ua)
-        got = self._or.get(key)
-        if got is not None:
-            self.hits += 1
-            return got
-        self.misses += 1
-        out = a._union_raw(b)
-        self._store(self._or, key, out)
-        return out
-
-    def difference(self, a: IndexSpace, b: IndexSpace) -> IndexSpace:
-        key = (self.uid_of(a), self.uid_of(b))  # ordered: a - b != b - a
-        got = self._sub.get(key)
-        if got is not None:
-            self.hits += 1
-            return got
-        self.misses += 1
-        out = a._difference_raw(b)
-        self._store(self._sub, key, out)
-        return out
-
-    def overlaps(self, a: IndexSpace, b: IndexSpace) -> bool:
-        ua, ub = self.uid_of(a), self.uid_of(b)
-        key = (ua, ub) if ua <= ub else (ub, ua)
-        got = self._ovl.get(key, _MISS)
-        if got is not _MISS:
-            self.hits += 1
-            return got
-        self.misses += 1
-        out = a._overlaps_raw(b)
-        self._store(self._ovl, key, out)
-        return out
-
-    def issubset(self, a: IndexSpace, b: IndexSpace) -> bool:
-        key = (self.uid_of(a), self.uid_of(b))  # ordered: a <= b
-        got = self._subset.get(key)
-        if got is not None:
-            self.hits += 1
-            return got
-        self.misses += 1
-        out = a._issubset_raw(b)
-        self._store(self._subset, key, out)
-        return out
-
-    def positions(self, a: IndexSpace, subset: IndexSpace) -> np.ndarray:
-        """The gather map of ``subset`` within ``a``, read-only and shared
-        on a hit.  A non-subset raises from the miss path every time:
-        nothing is stored for it."""
-        if subset._indices.size == a._indices.size:
-            # the identity map: verified and built fresh, never stored
-            return a._positions_raw(subset)
-        key = (self.uid_of(a), self.uid_of(subset))
-        got = self._pos.get(key)
-        if got is not None:
-            self.hits += 1
-            return got
-        self.misses += 1
-        out = a._positions_raw(subset)
-        out.setflags(write=False)
-        if (len(self._pos) >= self.capacity
-                or self._pos_bytes + out.nbytes > POSITIONS_BYTES):
-            self.evictions += len(self._pos)
-            self._pos.clear()
+    def _store_positions(self, table: dict, key: tuple[int, int],
+                         value: np.ndarray) -> None:
+        """``_store`` for gather maps: read-only, and bounded in bytes."""
+        value.setflags(write=False)
+        if (len(table) >= self.capacity
+                or self._pos_bytes + value.nbytes > POSITIONS_BYTES):
+            self.evictions += len(table)
+            table.clear()
             self._pos_bytes = 0
-        self._pos[key] = out
-        self._pos_bytes += out.nbytes
-        return out
+        table[key] = value
+        self._pos_bytes += value.nbytes
+
+    # ``intersection(a, b, known=None)`` is ``a & b``, shared on a hit; a
+    # caller that already holds the answer another way passes it as
+    # ``known`` to be stored on a miss.  ``positions(a, b)`` is the gather
+    # map of a *proper* subset ``b`` within ``a``, read-only and shared on
+    # a hit (:meth:`IndexSpace.positions_of` builds the identity map
+    # itself, never stored); a non-subset raises from the miss path every
+    # time, and nothing is stored for it.
+    intersection = _cached("_and", IndexSpace._intersection_raw, True, _store)
+    union = _cached("_or", IndexSpace._union_raw, True, _store)
+    difference = _cached("_sub", IndexSpace._difference_raw, False, _store)
+    overlaps = _cached("_ovl", IndexSpace._overlaps_raw, True, _store)
+    issubset = _cached("_subset", IndexSpace._issubset_raw, False, _store)
+    positions = _cached("_pos", IndexSpace._positions_raw, False,
+                        _store_positions)
 
     # ------------------------------------------------------------------
     # lifecycle

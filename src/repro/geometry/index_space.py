@@ -54,9 +54,15 @@ class IndexSpace:
     :meth:`from_rect` or :meth:`from_mask`; the raw constructor trusts its
     input to already be sorted and unique (``trusted=True``) or normalizes
     it otherwise.
+
+    ``size`` (the element count) is stored when the space is built, as
+    are the bounds ``_lo``/``_hi``: the analysis reads them once per
+    history entry and per equivalence set, so they are attribute loads,
+    not property calls.  ``size`` is a writable slot; the space is
+    immutable by contract all the same, and nothing may assign it.
     """
 
-    __slots__ = ("_indices", "_lo", "_hi", "_uid")
+    __slots__ = ("_indices", "size", "_lo", "_hi", "_uid")
 
     def __init__(self, indices: Iterable[int] | np.ndarray = (), *,
                  trusted: bool = False) -> None:
@@ -71,6 +77,7 @@ class IndexSpace:
             arr = arr.view()
             arr.setflags(write=False)
         self._indices = arr
+        self.size = arr.size
         if arr.size:
             self._lo = int(arr[0])
             self._hi = int(arr[-1])
@@ -87,18 +94,7 @@ class IndexSpace:
         return (self._indices,)
 
     def __setstate__(self, state) -> None:
-        arr = np.asarray(state[0], dtype=np.int64)
-        if arr.flags.writeable:
-            arr = arr.view()
-            arr.setflags(write=False)
-        self._indices = arr
-        if arr.size:
-            self._lo = int(arr[0])
-            self._hi = int(arr[-1])
-        else:
-            self._lo = 0
-            self._hi = -1
-        self._uid = None
+        self.__init__(np.asarray(state[0], dtype=np.int64), trusted=True)
 
     # ------------------------------------------------------------------
     # constructors
@@ -140,14 +136,9 @@ class IndexSpace:
         return self._indices
 
     @property
-    def size(self) -> int:
-        """Number of elements."""
-        return int(self._indices.size)
-
-    @property
     def is_empty(self) -> bool:
-        """True when the space has no elements."""
-        return self._indices.size == 0
+        """True when the space has no elements (hot paths test ``size``)."""
+        return not self.size
 
     @property
     def bounds(self) -> tuple[int, int]:
@@ -161,7 +152,7 @@ class IndexSpace:
         return iter(int(i) for i in self._indices)
 
     def __contains__(self, index: int) -> bool:
-        if self.is_empty or index < self._lo or index > self._hi:
+        if not self.size or index < self._lo or index > self._hi:
             return False
         pos = int(np.searchsorted(self._indices, index))
         return pos < self._indices.size and int(self._indices[pos]) == index
@@ -169,16 +160,16 @@ class IndexSpace:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IndexSpace):
             return NotImplemented
-        return (self._indices.size == other._indices.size
+        return (self.size == other.size
                 and bool(np.array_equal(self._indices, other._indices)))
 
     def __hash__(self) -> int:
-        return hash((self._indices.size, self._lo, self._hi,
-                     self._indices.tobytes() if self._indices.size <= 64 else
-                     self._indices[:: max(1, self._indices.size // 64)].tobytes()))
+        return hash((self.size, self._lo, self._hi,
+                     self._indices.tobytes() if self.size <= 64 else
+                     self._indices[:: max(1, self.size // 64)].tobytes()))
 
     def __repr__(self) -> str:
-        if self.is_empty:
+        if not self.size:
             return "IndexSpace(empty)"
         return f"IndexSpace(size={self.size}, bounds=[{self._lo}, {self._hi}])"
 
@@ -187,7 +178,7 @@ class IndexSpace:
     # ------------------------------------------------------------------
     def bbox_overlaps(self, other: "IndexSpace") -> bool:
         """Cheap conservative overlap test on bounding intervals only."""
-        if self.is_empty or other.is_empty:
+        if not (self.size and other.size):
             return False
         return self._lo <= other._hi and other._lo <= self._hi
 
@@ -222,9 +213,9 @@ class IndexSpace:
         return self._union_raw(other)
 
     def _union_raw(self, other: "IndexSpace") -> "IndexSpace":
-        if self.is_empty:
+        if not self.size:
             return other
-        if other.is_empty:
+        if not other.size:
             return self
         out = np.union1d(self._indices, other._indices)
         return IndexSpace(out, trusted=True)
@@ -265,9 +256,9 @@ class IndexSpace:
         return self._issubset_raw(other)
 
     def _issubset_raw(self, other: "IndexSpace") -> bool:
-        if self.is_empty:
+        if not self.size:
             return True
-        if other.is_empty or self.size > other.size:
+        if not other.size or self.size > other.size:
             return False
         if self._lo < other._lo or self._hi > other._hi:
             return False
@@ -292,7 +283,7 @@ class IndexSpace:
         arrays).  Maps of proper subsets come from the operation cache and
         are shared, hence read-only; index with them, never write to them.
         """
-        if _op_cache is not None:
+        if _op_cache is not None and subset.size != self.size:
             return _op_cache.positions(self, subset)
         return self._positions_raw(subset)
 
@@ -315,7 +306,7 @@ class IndexSpace:
 
     def membership_mask(self, other: "IndexSpace") -> np.ndarray:
         """Boolean mask over this space's elements: which are in ``other``."""
-        if self.is_empty:
+        if not self.size:
             return np.empty(0, dtype=bool)
         if not self.bbox_overlaps(other):
             return np.zeros(self.size, dtype=bool)

@@ -30,6 +30,11 @@ class PrivilegeKind(Enum):
     READ_WRITE = "read-write"
     REDUCE = "reduce"
 
+    # members are singletons (and unpickle as themselves): hash by
+    # identity, in C — ``READ`` is the reads' ``commutes`` marker, which
+    # privilege summaries hash on every launch
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class Privilege:
@@ -41,12 +46,22 @@ class Privilege:
 
     kind: PrivilegeKind
     redop: Optional[ReductionOp] = None
-    #: Kind flags, precomputed: the interference test runs once per
-    #: history entry per analysis, so these must be attribute loads, not
-    #: property calls.
+    #: Kind flags and the commutation marker, precomputed: the
+    #: interference test runs once per history entry per analysis, so
+    #: these must be attribute loads, not property calls.
     is_read: bool = field(init=False, compare=False, default=False)
     is_write: bool = field(init=False, compare=False, default=False)
     is_reduce: bool = field(init=False, compare=False, default=False)
+    #: What this privilege commutes with, as one object: ``PrivilegeKind.
+    #: READ`` for a read, the operator for ``reduce(f)``, None for
+    #: read-write (which commutes with nothing).  Two privileges commute
+    #: exactly when their markers are the same non-None object — the
+    #: whole of :meth:`interferes`, which hot loops inline.  Both kinds of
+    #: marker unpickle as themselves (an enum member by name, an operator
+    #: through its registry), so a privilege restored from a checkpoint
+    #: still commutes with a fresh one; a plain string would not.
+    commutes: Optional[object] = field(init=False, compare=False,
+                                       default=None)
 
     def __post_init__(self) -> None:
         if self.kind is PrivilegeKind.REDUCE and self.redop is None:
@@ -59,15 +74,14 @@ class Privilege:
                            self.kind is PrivilegeKind.READ_WRITE)
         object.__setattr__(self, "is_reduce",
                            self.kind is PrivilegeKind.REDUCE)
+        object.__setattr__(self, "commutes", self.redop if self.is_reduce
+                           else self.kind if self.is_read else None)
 
     def interferes(self, other: "Privilege") -> bool:
         """Whether two tasks with these privileges on overlapping data may
-        have a dependence (section 4's interference relation)."""
-        if self.is_read and other.is_read:
-            return False
-        if self.is_reduce and other.is_reduce and self.redop is other.redop:
-            return False
-        return True
+        have a dependence (section 4's interference relation): unless
+        they commute, read with read or ``reduce(f)`` with ``reduce(f)``."""
+        return self.commutes is None or other.commutes is not self.commutes
 
     def __repr__(self) -> str:
         if self.is_reduce:

@@ -25,9 +25,14 @@ from repro.errors import PrivilegeError
 FoldFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReductionOp:
     """A named reduction operator with an identity element.
+
+    Operators are registry singletons (and unpickle as themselves), so
+    one equals only itself and hashes by identity, in C: an operator is
+    the ``commutes`` marker of its reduction privileges, which the tree
+    painter's privilege summaries hash on every launch.
 
     Attributes
     ----------

@@ -52,10 +52,13 @@ class RegionRequirement:
 
     def interferes(self, other: "RegionRequirement") -> bool:
         """Whether two requirements could carry a dependence: same field,
-        interfering privileges, overlapping domains."""
+        interfering privileges (:meth:`Privilege.interferes`, inlined on
+        the ``commutes`` markers: every launch validates its pairs),
+        overlapping domains."""
         if self.field != other.field:
             return False
-        if not self.privilege.interferes(other.privilege):
+        mark = self.privilege.commutes
+        if mark is not None and other.privilege.commutes is mark:
             return False
         return self.region.space.overlaps(other.region.space)
 

@@ -25,6 +25,7 @@ Two stores organize the live equivalence sets:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import Optional
 
 import numpy as np
@@ -61,21 +62,29 @@ class EquivalenceSet:
     set (section 6's invariant, which its store checks), so painting one is
     whole-array work; ray casting's sets stay *stable* instead (section 7):
     reads and reductions record their own sub-domains, and only a write
-    must cover the set.
+    must cover the set.  ``key`` is the set's touch key, ``("eqset", uid,
+    first element)``, kept beside the uid and space it is read off (and,
+    derived, not pickled).
     """
 
-    __slots__ = ("uid", "space", "history")
+    __slots__ = ("uid", "space", "history", "key")
 
     def __init__(self, space: IndexSpace,
                  history: Optional[list[HistoryEntry]] = None) -> None:
-        if space.is_empty:
+        if not space.size:
             raise CoherenceError("equivalence sets must be non-empty")
         self.uid = _eqset_uid.take()
         self.space = space
+        self.key = ("eqset", self.uid, space._lo)
         self.history: list[HistoryEntry] = [] if history is None else history
+
+    def __getstate__(self):
+        return None, {"uid": self.uid, "space": self.space,
+                      "history": self.history}
 
     def __setstate__(self, state) -> None:
         _eqset_uid.restore(self, state)
+        self.key = ("eqset", self.uid, self.space._lo)
 
     # ------------------------------------------------------------------
     def pieces(self, masks: list[np.ndarray]) -> list["EquivalenceSet"]:
@@ -251,7 +260,7 @@ class RefinementStore:
         nodes, the subtrees a BVH descent from them would visit; no memo
         ⌈log₂ L⌉ + 1 nodes per set, a balanced BVH over the L live sets.
         Every answer set is tested once."""
-        if space.is_empty:
+        if not space.size:
             return []
         memo = self._memo.get(region_uid) \
             if (region_uid is not None and self._memoize) else None
@@ -545,13 +554,13 @@ class BucketStore:
         candidates; the set owners at the query's positions test them and
         give each answered piece and its part of the query (:meth:`commons`).
         """
-        if space.is_empty:
+        if not space.size:
             return []
         memo = self._memo.get(region_uid) if region_uid is not None else None
-        if memo is not None and all(uid in self._sets for uid in memo.uids):
+        if memo is not None and all(map(self._sets.__contains__, memo.uids)):
             return memo.sets  # as walked: no set renewed or removed since
         uids = [s.uid for s in memo.sets] if memo is not None else None
-        if memo is not None and all(uid in self._sets for uid in uids):
+        if memo is not None and all(map(self._sets.__contains__, uids)):
             if memo.cost and memo.generation == self._generation:
                 # buckets in partition order, each in insertion (= uid)
                 # order; a walked set sits in exactly one bucket
@@ -664,6 +673,7 @@ class BucketStore:
         the span's bounds hits to remove and again to place, one coalesced,
         one created."""
         old, eqset.uid, eqset.space = eqset.uid, _eqset_uid.take(), space
+        eqset.key = ("eqset", eqset.uid, space._lo)
         eqset.history = []
         visited, placed = self._span[eqset.uid] = self._span.pop(old)
         self._owned()[self._space.positions_of(space)] = eqset.uid
@@ -785,21 +795,25 @@ def _check_memo(memo: _Located, live) -> None:
         raise CoherenceError("region memo diverged from the live sets")
 
 
+_TOUCH_KEY = attrgetter("key")
+
+
 def visit_sets(find, region: Region, meter: CostMeter, led=None) -> list:
     """``find(region.space, region.uid)`` — a store's ``locate`` or
     ``overlapping`` — plus what every caller owes for the answer, in one
     charge: the ``eqsets_visited`` count and one touch per set (each set
-    is its own distributed object), in the order answered; and, when the
-    witness span ``led`` is recording, the BVH-node and set visit totals."""
-    if led is not None:
+    is its own distributed object, touched by its stored ``key``), in the
+    order answered; and, when the witness span ``led`` is recording, the
+    BVH-node and set visit totals."""
+    if led is None:  # the one witness-hook test
+        sets = find(region.space, region.uid)
+    else:
         bvh_before = meter.counters.get("bvh_nodes_visited", 0)
-    sets = find(region.space, region.uid)
-    if led is not None:
+        sets = find(region.space, region.uid)
         led.visit("bvh_nodes",
                   meter.counters.get("bvh_nodes_visited", 0) - bvh_before)
         led.visit("eqsets", len(sets))
-    meter.charge({"eqsets_visited": len(sets)},
-                 [("eqset", s.uid, s.space.bounds[0]) for s in sets])
+    meter.charge({"eqsets_visited": len(sets)}, map(_TOUCH_KEY, sets))
     return sets
 
 

@@ -129,26 +129,30 @@ def scan_dependences(privilege: Privilege, space: IndexSpace,
     A dependence exists when the privileges interfere *and* the domains
     truly overlap (content-based coherence, section 3.2).  Every
     interfering entry is *tested* unless its task is already in ``deps``
-    when the walk reaches it (a summary always is), and the meter is
-    charged that entry-at-a-time total, one ``charge`` a scan (analysis
-    fingerprints hash it).  A test rejects on bounds inline and asks the
-    cached exact ``overlaps`` last; a hit adds the entry's ids.
+    when the walk reaches it (a summary always is), and the meter's
+    counters get that entry-at-a-time total, added once a scan (analysis
+    fingerprints hash it; a zero adds no key).  The interference test is
+    :meth:`Privilege.interferes` inlined on the ``commutes`` markers; a
+    test rejects on bounds inline and asks the operation cache's exact
+    ``overlaps`` last (straight, as :func:`paint_into` does); a hit adds
+    the entry's ids.
 
     ``led`` — the caller's open access span while witnesses are recorded,
     else None — observes the same walk: edge/prune records that never
     touch the meter or alter control flow.
     """
     qlo, qhi = space._lo, space._hi
-    interferes = privilege.interferes
+    mark = privilege.commutes
+    overlaps = active_geometry_cache().overlaps
     tested = 0
     for entry in entries:
-        if not interferes(entry.privilege) or (
+        if (mark is not None and entry.privilege.commutes is mark) or (
                 entry.task_id in deps and not entry.collapsed_ids):
             continue
         tested += 1
         d = entry.domain
         if not (d._hi < qlo or qhi < d._lo or d._hi < d._lo) \
-                and space.overlaps(d):
+                and overlaps(space, d):
             deps.add(entry.task_id)
             if entry.collapsed_ids:
                 deps.update(entry.collapsed_ids)
@@ -159,9 +163,11 @@ def scan_dependences(privilege: Privilege, space: IndexSpace,
                          prov.domain_desc(d), collapsed=entry.collapsed_ids)
         elif led is not None:
             led.prune(entry.task_id, "disjoint", prov.domain_desc(d))
-    if meter is not None:
-        meter.charge({"entries_scanned": len(entries),
-                      "intersection_tests": tested})
+    if meter is not None and entries:
+        counters = meter.counters
+        counters["entries_scanned"] += len(entries)
+        if tested:
+            counters["intersection_tests"] += tested
 
 
 def paint_into(out: Optional[np.ndarray], target: IndexSpace,
@@ -186,31 +192,31 @@ def paint_into(out: Optional[np.ndarray], target: IndexSpace,
     painted over that set) needs no geometry, and one whose bounds miss
     ``clip``'s is rejected inline, before any.
 
-    The meter is charged once, in bulk, what an entry-at-a-time walk
-    charges: ``entries_scanned`` per entry, ``elements_moved`` per visible
-    entry whose bounds meet ``clip``'s (the smaller of the two sizes).
-    With ``out`` None (an analysis-only store) only that walk is made.
+    The meter's counters get, once and in bulk, what an entry-at-a-time
+    walk charges: ``entries_scanned`` per entry, ``elements_moved`` per
+    visible entry whose bounds meet ``clip``'s (the smaller of the two
+    sizes); a zero adds no key.  With ``out`` None (an analysis-only
+    store) only that walk is made.
     """
     if meter is not None and entries:
-        meter.count("entries_scanned", len(entries))
-    if clip.is_empty:
+        meter.counters["entries_scanned"] += len(entries)
+    size = clip.size
+    if not size:
         return
-    lo, hi = clip.bounds
+    lo, hi = clip._lo, clip._hi
+    moved = 0
     if out is None:  # analysis-only: the walk's charges, nothing blended
-        moved = 0
         for entry in entries:
             d = entry.domain
             if entry.values is not None and not (
                     d._hi < lo or hi < d._lo or d._hi < d._lo):
-                moved += min(clip.size, d.size)
+                moved += min(size, d.size)
         if meter is not None and moved:
-            meter.count("elements_moved", moved)
+            meter.counters["elements_moved"] += moved
         return
     # straight at the operation cache the IndexSpace operators dispatch
     # to: a painter-length history asks it about dozens of entries a call
     cache = active_geometry_cache()
-    size = clip.size
-    moved = 0
     for entry in entries:
         values = entry.values
         if values is None:
@@ -236,4 +242,4 @@ def paint_into(out: Optional[np.ndarray], target: IndexSpace,
         else:
             out[dst] = entry.privilege.redop.fold(out[dst], values)
     if meter is not None and moved:
-        meter.count("elements_moved", moved)
+        meter.counters["elements_moved"] += moved

@@ -38,26 +38,13 @@ from repro.visibility.history import (UNVALUED, HistoryEntry, RegionValues,
 from repro.visibility.meter import CostMeter, UidSource
 from repro.obs import provenance as prov
 
-# A privilege summary key: "read", "rw", or ("reduce", opname).
-PrivKey = Union[str, tuple[str, str]]
+# A privilege summary key: a privilege's ``commutes`` marker (None for
+# read-write, which commutes with nothing).  An access commutes with
+# ``{its marker}`` (nothing for read-write); a subtree or view whose
+# summary is a subset of that can be skipped.
+PrivKey = Optional[object]
 
 _view_uid = UidSource()
-
-
-def _priv_key(privilege: Privilege) -> PrivKey:
-    if privilege.is_read:
-        return "read"
-    if privilege.is_write:
-        return "rw"
-    assert privilege.redop is not None
-    return ("reduce", privilege.redop.name)
-
-
-def _compatible(privilege: Privilege) -> frozenset[PrivKey]:
-    """The keys ``privilege`` commutes with; a summary that is a subset
-    can be skipped (read with read, reduce with its own operator)."""
-    key = _priv_key(privilege)
-    return frozenset() if key == "rw" else frozenset((key,))
 
 
 class CompositeView:
@@ -93,7 +80,7 @@ PathItem = Union[HistoryEntry, CompositeView]
 def _keys_of(item: PathItem) -> set[PrivKey]:
     if isinstance(item, CompositeView):
         return item.priv_summary
-    return {_priv_key(item.privilege)}
+    return {item.privilege.commutes}
 
 
 class _NodeState:
@@ -130,7 +117,7 @@ class TreePainterAlgorithm(CoherenceAlgorithm):
             HistoryEntry(READ_WRITE, tree.root.space, root_values,
                          INITIAL_TASK_ID))
         self._bump_counts(tree.root, +1)
-        self._add_summary(tree.root, "rw")
+        self._add_summary(tree.root, READ_WRITE.commutes)
 
     # ------------------------------------------------------------------
     # state plumbing
@@ -229,7 +216,7 @@ class TreePainterAlgorithm(CoherenceAlgorithm):
         st = self._state(node)
         # conservative occlusion: the new view deletes earlier same-node
         # items it fully overwrites
-        if not view.write_domain.is_empty:
+        if view.write_domain.size:
             kept: list[PathItem] = []
             for item in st.entries:
                 self.meter.count("intersection_tests")
@@ -259,7 +246,8 @@ class TreePainterAlgorithm(CoherenceAlgorithm):
         path = region.path_from_root()
         on_path = {r.uid for r in path}
         states = self._states
-        compatible = _compatible(privilege)
+        mark = privilege.commutes
+        compatible = set() if mark is None else {mark}
         space = region.space
         lo, hi = space._lo, space._hi
         for node in path:
@@ -306,8 +294,8 @@ class TreePainterAlgorithm(CoherenceAlgorithm):
         pushing its item list.
         """
         space = region.space
-        compatible = frozenset() if privilege is None \
-            else _compatible(privilege)
+        mark = None if privilege is None else privilege.commutes
+        compatible = set() if mark is None else {mark}
         out: list[HistoryEntry] = []
         for node in region.path_from_root():
             st = self._states.get(node.uid)
@@ -373,7 +361,7 @@ class TreePainterAlgorithm(CoherenceAlgorithm):
             else RegionValues(region.space, values.copy())
         st.entries.append(HistoryEntry(privilege, region.space, rv, task_id))
         self._bump_counts(region, +1)
-        self._add_summary(region, _priv_key(privilege))
+        self._add_summary(region, privilege.commutes)
         self.meter.touch(("treenode", region.uid))
 
     # ------------------------------------------------------------------
@@ -398,8 +386,8 @@ class TreePainterAlgorithm(CoherenceAlgorithm):
         """Counts ≡ entries: every ``subtree_count`` equals a recount of
         its subtree's items, and ``open_children`` holds exactly the
         children whose count is non-zero.  Skips are sound: a
-        ``priv_summary`` holds ``"rw"`` (interferes with everything) or
-        the key of every item in its subtree."""
+        ``priv_summary`` holds read-write's None (interferes with
+        everything) or the key of every item in its subtree."""
         count: dict[int, int] = {}
         keys: dict[int, set[PrivKey]] = {}
         for node in reversed(self.tree.regions):  # children before parents
@@ -418,7 +406,7 @@ class TreePainterAlgorithm(CoherenceAlgorithm):
                 raise CoherenceError(
                     f"{node!r} counts {st.subtree_count} subtree items, "
                     f"holds {total}")
-            if "rw" not in st.priv_summary and not held <= st.priv_summary:
+            if None not in st.priv_summary and not held <= st.priv_summary:
                 raise CoherenceError(
                     f"{node!r}'s privilege summary misses "
                     f"{held - st.priv_summary!r} held in its subtree")

@@ -103,7 +103,7 @@ class RayCastAlgorithm(CoherenceAlgorithm):
 
     def _settle(self, region: Region, sets: list[EquivalenceSet],
                 values: Optional[np.ndarray], led) -> None:
-        if region.space.is_empty:
+        if not region.space.size:
             return  # occludes nothing, and a set is never empty
         if led is not None:
             # A dominating write kills every occluded set (straddlers
@@ -125,11 +125,12 @@ class RayCastAlgorithm(CoherenceAlgorithm):
         fresh.record(HistoryEntry(
             READ_WRITE, region.space, UNVALUED if values is None
             else RegionValues(region.space, values.copy()), INITIAL_TASK_ID))
-        self.meter.touch(("eqset", fresh.uid, fresh.space.bounds[0]))
+        self.meter.touch(fresh.key)
 
     def _record(self, privilege: Privilege, region: Region,
                 values: Optional[np.ndarray], task_id: int, led) -> None:
         sets = visit_sets(self._store.overlapping, region, self.meter)
+        moved = 0
         for eqset, common in zip(sets, self._store.commons(region.uid)):
             kept = None
             if not privilege.is_read:
@@ -138,8 +139,10 @@ class RayCastAlgorithm(CoherenceAlgorithm):
                 kept = UNVALUED if values is None else RegionValues(
                     common, values.copy() if common.size == values.size
                     else values[region.space.positions_of(common)])
-                self.meter.count("elements_moved", common.size)
+                moved += common.size
             eqset.record(HistoryEntry(privilege, common, kept, task_id))
+        if moved:
+            self.meter.counters["elements_moved"] += moved
 
     # ------------------------------------------------------------------
     @property

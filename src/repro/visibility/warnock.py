@@ -57,17 +57,19 @@ class WarnockAlgorithm(CoherenceAlgorithm):
 
     def _collect(self, privilege: Privilege, region: Region,
                  sets: list[EquivalenceSet], deps: set[int], led) -> None:
+        mark, scanned = privilege.commutes, 0
         for eqset in sets:
             if led is not None:
                 led.set_source(("eqset",) + prov.domain_desc(eqset.space))
             # the eqset invariant makes the overlap test implicit (every
             # entry is relevant to every element), so the scan is the
-            # privilege test plus the growing-deps skip
-            if eqset.history:
-                self.meter.count("entries_scanned", len(eqset.history))
+            # privilege test (``interferes``, inlined on the markers) plus
+            # the growing-deps skip
+            scanned += len(eqset.history)
             for entry in eqset.history:
-                if not privilege.interferes(entry.privilege) or (
-                        entry.task_id in deps and not entry.collapsed_ids):
+                if (mark is not None and entry.privilege.commutes is mark) \
+                        or (entry.task_id in deps
+                            and not entry.collapsed_ids):
                     continue
                 deps.add(entry.task_id)
                 if entry.collapsed_ids:
@@ -79,6 +81,8 @@ class WarnockAlgorithm(CoherenceAlgorithm):
                         prov.privilege_label(entry.privilege),
                         prov.domain_desc(eqset.space),
                         collapsed=entry.collapsed_ids)
+        if scanned:
+            self.meter.counters["entries_scanned"] += scanned
 
     def _paint(self, region: Region,
                sets: list[EquivalenceSet]) -> Optional[np.ndarray]:
@@ -90,13 +94,16 @@ class WarnockAlgorithm(CoherenceAlgorithm):
 
     def _record(self, privilege: Privilege, region: Region,
                 values: Optional[np.ndarray], task_id: int, led) -> None:
+        moved = 0
         for eqset in visit_sets(self._store.locate, region, self.meter):
             space, kept = eqset.space, None
             if not privilege.is_read:
                 kept = UNVALUED if values is None else RegionValues(
                     space, values[region.space.positions_of(space)])
-                self.meter.count("elements_moved", space.size)
+                moved += space.size
             eqset.record(HistoryEntry(privilege, space, kept, task_id))
+        if moved:
+            self.meter.counters["elements_moved"] += moved
 
     # ------------------------------------------------------------------
     @property

@@ -25,7 +25,8 @@ from repro.distributed.faults import (FakeClock, FaultEvent, FaultPlan,
                                       RetryPolicy, WorkerLost)
 from repro.distributed.verify import analysis_fingerprint
 from repro.errors import MachineError
-from repro.runtime import Runtime
+from repro.privileges import READ, READ_WRITE
+from repro.runtime import RegionRequirement, Runtime, TaskStream
 from repro.runtime.dependence import DependenceGraph
 
 from tests.conftest import fig1_initial, fig1_stream, make_fig1_tree
@@ -282,6 +283,47 @@ class TestBackoff:
         assert fingerprints == serial
         assert recovery.workers_lost == 1
         assert clock.sleeps == [retry.delay(1), retry.delay(2)]
+
+
+def read_after_read_windows(P) -> list[TaskStream]:
+    """A window writing each piece of ``P``, then three reading them."""
+    windows = []
+    for privilege in (READ_WRITE, READ, READ, READ):
+        stream = TaskStream()
+        for i in range(3):
+            stream.append(f"{privilege!r}[{i}]",
+                          [RegionRequirement(P[i], "up", privilege)],
+                          point=i)
+        windows.append(stream)
+    return windows
+
+
+class TestRestoredPrivileges:
+    def test_restored_reads_commute_with_fresh_reads(self):
+        """A checkpoint pickles the replicas' histories, read entries and
+        all.  A worker restored from one (crashed after the first
+        checkpoint) must find each fresh read commuting with a restored
+        one — the privilege's ``commutes`` marker unpickles as itself —
+        or it adds read-after-read edges the serial replicas lack, and
+        the window fails verification."""
+        def run(backend, **kwargs):
+            tree, P, _ = make_fig1_tree()
+            srt = ShardedRuntime(tree, fig1_initial(tree), shards=2,
+                                 backend=backend, checkpoint_interval=2,
+                                 **kwargs)
+            with srt:
+                for stream in read_after_read_windows(P):
+                    srt.analyze(stream)  # verifies the replicas agree
+                return dependence_rows(srt.graph, 0, 12), srt.recovery
+
+        serial, _ = run("serial")
+        plan = FaultPlan(events=(FaultEvent("crash", worker=0, op=3),))
+        graph, recovery = run("process", faults=plan, recv_timeout=10.0,
+                              retry=FAST_RETRY)
+        assert recovery.restores == 1
+        assert graph == serial
+        # the last window's reads depend on the write alone
+        assert serial[9:] == [(i,) for i in range(3)]
 
 
 class TestCheckpointRoundTrip:

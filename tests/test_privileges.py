@@ -1,11 +1,15 @@
 """Tests for privileges and the interference relation (section 4)."""
 
+import pickle
+
 import pytest
 
 from repro import READ, READ_WRITE, Privilege, PrivilegeError, interferes, \
     reduce
+from repro.geometry.index_space import IndexSpace
 from repro.privileges import PrivilegeKind
 from repro.reductions import SUM
+from repro.visibility.history import UNVALUED, HistoryEntry, scan_dependences
 
 
 class TestConstruction:
@@ -59,3 +63,44 @@ class TestInterference:
         for a in privs:
             for b in privs:
                 assert interferes(a, b) == interferes(b, a)
+
+
+#: Section 4's table over the four privileges below: the pairs that
+#: commute (everything else interferes).
+NAMES = ("read", "read-write", "reduce(sum)", "reduce(max)")
+COMMUTING = {("read", "read"), ("reduce(sum)", "reduce(sum)"),
+             ("reduce(max)", "reduce(max)")}
+
+
+def fresh_and_restored():
+    """Each privilege fresh and after a pickle round trip (checkpoints
+    pickle whole runtimes, privileges included), with its table name."""
+    fresh = [READ, READ_WRITE, reduce("sum"), reduce("max")]
+    return [(name, p) for name, p in zip(NAMES, fresh)
+            for p in (p, pickle.loads(pickle.dumps(p)))]
+
+
+CASES = fresh_and_restored()
+IDS = [f"{name}-{how}" for name, _ in CASES[::2]
+       for how in ("fresh", "restored")]
+
+
+class TestInterferenceSurvivesPickling:
+    """The analysis inlines ``interferes`` as a test on the ``commutes``
+    markers, so a restored privilege's marker must be the very object a
+    fresh one carries: a marker that unpickles as a copy (a plain
+    string) makes a restored read interfere with a fresh one."""
+
+    @pytest.mark.parametrize("a_name,a", CASES, ids=IDS)
+    @pytest.mark.parametrize("b_name,b", CASES, ids=IDS)
+    def test_every_pair(self, a_name, a, b_name, b):
+        want = (a_name, b_name) not in COMMUTING
+        assert a.interferes(b) is want
+        mark = a.commutes
+        assert (not (mark is not None and b.commutes is mark)) is want
+        # the one-entry history scan: ``b`` recorded, ``a`` accessing
+        space = IndexSpace.from_range(0, 4)
+        entry = HistoryEntry(b, space, None if b.is_read else UNVALUED, 7)
+        deps: set[int] = set()
+        scan_dependences(a, space, [entry], deps)
+        assert deps == ({7} if want else set())
