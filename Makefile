@@ -23,7 +23,7 @@ help:
 	@echo "ledger-selftest  the ledger's ~28 s self-test + its own tests"
 	@echo "ledger-pair  BASE=<rev> [N=10] [SEED=1]: N alternating ledger runs of BASE and this tree; wins, medians, quartiles, verdict"
 	@echo "ledger-gate  BASE=<rev> [SEED=1]: one ledger run of BASE, one of this tree, through compare.py; fails on a 'worse' row (the CI gate)"
-	@echo "loc          lines of Python per src/repro package, plus tests/ and benchmarks/"
+	@echo "loc          lines of Python per src/repro package and per-file bar, plus tests/ and benchmarks/"
 	@echo "calls        Python call events per launch for each algorithm (the ledger's py_calls probe)"
 	@echo "clean        remove build output, caches and untracked run output"
 
@@ -225,11 +225,13 @@ ledger-gate:
 		"(repetitions disagree by more than the bound): not a failure"; \
 	exit $$status
 
-# The ROADMAP's size bars ("obs/ vs visibility/", "net negative LOC")
-# as one printed table; nothing gates on it.
+# The ROADMAP's size bars ("obs/ vs visibility/", "net negative LOC",
+# the per-file bars) as one printed table; nothing gates on it.
 loc:
 	@for d in $$(ls -d src/repro/*/ | grep -v __pycache__) \
-			src/repro/cli.py src/repro tests benchmarks; do \
+			src/repro/cli.py src/repro/distributed/backends.py \
+			src/repro/visibility/eqset.py src/repro/visibility/meter.py \
+			src/repro/visibility/painter.py src/repro tests benchmarks; do \
 		printf '%7d  %s\n' \
 			"$$(find $$d -name '*.py' -exec cat {} + | wc -l)" "$$d"; \
 	done

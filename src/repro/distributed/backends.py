@@ -40,11 +40,12 @@ from repro.errors import MachineError
 from repro.geometry.fastpath import reset_geometry_cache
 from repro.geometry.index_space import IndexSpace
 from repro.obs import tracer as obs
-from repro.privileges import READ, READ_WRITE, Privilege, reduce
 from repro.regions.partition import check_partition
 from repro.regions.tree import RegionTree
 from repro.runtime.context import Runtime
-from repro.runtime.task import RegionRequirement, TaskStream
+from repro.runtime.task import (RegionRequirement, TaskStream,
+                                decode_privilege, encode_privilege,
+                                encode_tasks)
 from repro.clock import SystemClock
 from repro.distributed.faults import (HANG_SECONDS, NO_FAULTS, CorruptReply,
                                       FaultPlan, RecoveryReport, RetryPolicy,
@@ -56,38 +57,14 @@ from repro.distributed.verify import (ShardReport, analysis_fingerprint,
 #: Registry names accepted by :func:`make_backend`.
 BACKENDS = ("serial", "thread", "process")
 
+#: Seconds between a process backend's liveness probes of a worker it is
+#: waiting on.
+HEARTBEAT = 0.05
+
 
 # ----------------------------------------------------------------------
-# picklable task-stream encoding
+# picklable region-tree encoding (tasks: :func:`encode_tasks`)
 # ----------------------------------------------------------------------
-def encode_privilege(privilege: Privilege) -> tuple:
-    """A picklable privilege descriptor (reduction ops hold lambdas, so
-    ship the registry name instead of the object)."""
-    if privilege.is_reduce:
-        assert privilege.redop is not None
-        return ("reduce", privilege.redop.name)
-    return ("kind", "read" if privilege.is_read else "read-write")
-
-
-def decode_privilege(desc: tuple) -> Privilege:
-    tag, value = desc
-    if tag == "reduce":
-        return reduce(value)
-    return READ if value == "read" else READ_WRITE
-
-
-def encode_tasks(stream: TaskStream) -> list[tuple]:
-    """Encode a stream for shipping: names, region uids, fields,
-    privilege descriptors and points — everything the analysis observes,
-    nothing it does not (bodies stay behind)."""
-    return [(task.name,
-             tuple((req.region.uid, req.field,
-                    encode_privilege(req.privilege))
-                   for req in task.requirements),
-             task.point)
-            for task in stream]
-
-
 def encode_structure(tree: RegionTree, known_regions: int) -> list[tuple]:
     """Structural delta: every partition whose subregions were created at
     or after region index ``known_regions``, in creation order.
@@ -622,10 +599,11 @@ class ProcessBackend(AnalysisBackend):
     structural delta plus the encoded task stream; they return
     fingerprints and per-shard analysis seconds.  ``max_workers`` caps
     the process count — with fewer workers than remote replicas, workers
-    host several replicas each and analyze them sequentially.
+    host several replicas each and analyze them sequentially.  Workers
+    are forked where the platform allows it, else spawned.
 
     Fault tolerance: every receive is bounded by ``recv_timeout`` with
-    liveness probes every ``heartbeat`` seconds; a crash (EOF / dead
+    liveness probes every :data:`HEARTBEAT` seconds; a crash (EOF / dead
     process), hang (timeout) or corrupt reply triggers recovery — kill,
     exponential-backoff respawn (``retry``), restore from the last
     verified checkpoint (digest-checked), and deterministic replay of
@@ -652,10 +630,8 @@ class ProcessBackend(AnalysisBackend):
 
     def __init__(self, tree, algorithm, replicas,
                  max_workers: Optional[int] = None,
-                 start_method: Optional[str] = None,
                  faults: Optional[FaultPlan] = None,
                  recv_timeout: Optional[float] = 60.0,
-                 heartbeat: float = 0.05,
                  retry: Optional[RetryPolicy] = None,
                  checkpoint_interval: int = 4,
                  clock=None) -> None:
@@ -663,12 +639,8 @@ class ProcessBackend(AnalysisBackend):
         super().__init__(tree, algorithm, replicas)
         import multiprocessing as mp
 
-        if start_method is None:
-            start_method = ("fork" if "fork" in mp.get_all_start_methods()
-                            else "spawn")
         self._faults = faults if faults is not None else NO_FAULTS
         self._recv_timeout = recv_timeout
-        self._heartbeat = heartbeat
         self._retry = retry if retry is not None else RetryPolicy()
         self._checkpoint_interval = max(1, checkpoint_interval)
         self._clock = clock if clock is not None else SystemClock()
@@ -684,7 +656,8 @@ class ProcessBackend(AnalysisBackend):
         remote = list(range(1, replicas))
         if not remote:
             return
-        self._ctx = mp.get_context(start_method)
+        self._ctx = mp.get_context(
+            "fork" if "fork" in mp.get_all_start_methods() else "spawn")
         workers = max(1, min(len(remote), max_workers or len(remote)))
         #: Spawn-time snapshot; respawns-from-scratch and in-process
         #: fallbacks reuse these exact bytes so every incarnation
@@ -780,7 +753,7 @@ class ProcessBackend(AnalysisBackend):
     def _reply(self, handle: _WorkerHandle, message: tuple):
         """Wait for, and parse, the reply to ``message``."""
         return self._parse(handle, handle.recv(
-            self._heartbeat, self._clock, self._recv_timeout), message[0],
+            HEARTBEAT, self._clock, self._recv_timeout), message[0],
             message[3] if message[0] == "dump" else None)
 
     def _parse(self, handle: _WorkerHandle, blob, command: str,
@@ -1026,22 +999,20 @@ def make_backend(spec: str | AnalysisBackend, tree: RegionTree,
                  max_workers: Optional[int] = None,
                  faults: Optional[FaultPlan] = None,
                  recv_timeout: Optional[float] = 60.0,
-                 heartbeat: float = 0.05,
                  retry: Optional[RetryPolicy] = None,
                  checkpoint_interval: int = 4,
                  clock=None) -> AnalysisBackend:
     """Build an analysis backend from a registry name (or pass through an
     already-constructed instance).  The fault-tolerance knobs (``faults``,
-    ``recv_timeout``, ``heartbeat``, ``retry``, ``checkpoint_interval``,
-    ``clock``) apply to the process backend only — an *active* fault plan
+    ``recv_timeout``, ``retry``, ``checkpoint_interval``, ``clock``)
+    apply to the process backend only — an *active* fault plan
     on an in-process backend is a configuration error."""
     if isinstance(spec, AnalysisBackend):
         return spec
     if spec == "process":
         return ProcessBackend(tree, algorithm, replicas,
                               max_workers=max_workers, faults=faults,
-                              recv_timeout=recv_timeout,
-                              heartbeat=heartbeat, retry=retry,
+                              recv_timeout=recv_timeout, retry=retry,
                               checkpoint_interval=checkpoint_interval,
                               clock=clock)
     if faults is not None and faults.active:

@@ -18,13 +18,16 @@ iteration-order nondeterminism in an algorithm fails the check).
 Execution is distributed: each shard owns a local copy of the fields, a
 per-element *owner map* records which shard last produced each element,
 and a task pulls every input element whose owner differs from its shard
-through an explicit message before running.  Tasks execute in program
-order (this is a correctness- and communication-level model, not a timing
-model — the machine simulator covers timing), so eager pulls see exactly
-the sequentially-consistent values; the final distributed state is
-gathered by owner and compared against the sequential reference in the
-tests.  As in DCR, a window's tasks run while the other replicas analyze
-it, and a window that fails to verify (or fails otherwise) rolls back.
+through an explicit message before running (a reduction's, just before its
+own scatter).  The step is the reference executor's gather, body and
+scatter on the shard's row of each field; the pulls and owners are this
+module's.  Tasks execute in program order (this is a correctness- and
+communication-level model, not a timing model — the machine simulator
+covers timing), so eager pulls see exactly the sequentially-consistent
+values; the final distributed state is gathered by owner and compared
+against the sequential reference in the tests.  As in DCR, a window's
+tasks run while the other replicas analyze it, and a window that fails to
+verify (or fails otherwise) rolls back.
 
 Every phase is metered through a :class:`~repro.visibility.meter.PhaseProfile`:
 wall-clock analysis time per shard, merge/verify time, bytes shipped to
@@ -41,10 +44,11 @@ import numpy as np
 from repro.distributed.backends import AnalysisBackend, make_backend
 from repro.distributed.faults import FaultPlan, RecoveryReport, RetryPolicy
 from repro.distributed.verify import ShardReport, check_reports
-from repro.errors import MachineError, TaskError
+from repro.errors import MachineError
 from repro.machine.dcr import ShardingFunctor, dcr_sharding
 from repro.obs import tracer as obs
 from repro.regions.tree import RegionTree
+from repro.runtime.executor import gather, initial_fields, scatter
 from repro.runtime.task import Task, TaskStream, check_tree
 from repro.visibility.meter import PhaseProfile
 
@@ -85,15 +89,12 @@ class ShardedRuntime:
     sharding:
         Task → shard functor; defaults to the canonical
         ``point % shards``.
-    verify_replicas:
-        Check that all replicas computed identical dependence graphs and
-        refinement traces after every executed stream (DCR's determinism
-        contract).
     replicate_analysis:
         When False, run the analysis on a single replica only (execution
-        stays sharded).  Use for communication measurements at scale,
-        where N full analysis replicas would only burn time re-proving
-        determinism.
+        stays sharded, nothing is verified).  Use for communication
+        measurements at scale, where N full analysis replicas would only
+        burn time re-proving determinism.  Otherwise every stream is
+        verified (DCR's determinism contract).
     backend:
         Analysis execution backend: ``"serial"`` (default), ``"thread"``,
         ``"process"``, or a prebuilt
@@ -106,14 +107,13 @@ class ShardedRuntime:
         Records ``analyze`` (total), ``analyze.shard<i>`` (per shard),
         ``verify``, ``execute`` times and ``ship`` bytes.  Under
         :meth:`execute`, ``analyze`` contains the overlapped ``execute``.
-    faults, recv_timeout, heartbeat, retry, checkpoint_interval, clock:
+    faults, recv_timeout, retry, checkpoint_interval, clock:
         Fault-tolerance knobs forwarded to the process backend (see
         :class:`~repro.distributed.backends.ProcessBackend`): a
         deterministic :class:`FaultPlan` for chaos testing, the bounded
-        per-request receive timeout and liveness-probe period, the
-        recovery :class:`RetryPolicy`, how many verified streams elapse
-        between recovery checkpoints, and an injectable clock for
-        sleep-free tests.
+        per-request receive timeout, the recovery :class:`RetryPolicy`,
+        how many verified streams elapse between recovery checkpoints,
+        and an injectable clock for sleep-free tests.
     """
 
     def __init__(self, tree: RegionTree,
@@ -121,14 +121,12 @@ class ShardedRuntime:
                  shards: int,
                  algorithm: str = "raycast",
                  sharding: Optional[ShardingFunctor] = None,
-                 verify_replicas: bool = True,
                  replicate_analysis: bool = True,
                  backend: str | AnalysisBackend = "serial",
                  max_workers: Optional[int] = None,
                  profile: Optional[PhaseProfile] = None,
                  faults: Optional[FaultPlan] = None,
                  recv_timeout: Optional[float] = 60.0,
-                 heartbeat: float = 0.05,
                  retry: Optional[RetryPolicy] = None,
                  checkpoint_interval: int = 4,
                  clock=None) -> None:
@@ -138,31 +136,23 @@ class ShardedRuntime:
         self.shards = shards
         self.sharding = sharding if sharding is not None \
             else dcr_sharding(shards)
-        self.verify_replicas = verify_replicas and replicate_analysis
         self.profile = profile if profile is not None else PhaseProfile()
-        root_size = tree.root.space.size
         # Validate the initial values *before* building the backend: a
         # process backend spawns worker children as a side effect, and a
         # constructor that raises after spawning leaks orphans (there is
         # no runtime object for the caller to close).
         # shard-local memory: values[s] is shard s's copy of each field
-        self._values: dict[str, np.ndarray] = {}
+        self._values = {name: np.tile(base, (shards, 1)) for name, base
+                        in initial_fields(tree, initial).items()}
         # owner[k] = shard that last produced element k of the field
-        self._owners: dict[str, np.ndarray] = {}
-        for name in tree.field_space.names:
-            base = np.asarray(initial[name])
-            if base.shape != (root_size,):
-                raise TaskError(
-                    f"initial values for {name!r} have shape {base.shape}, "
-                    f"expected ({root_size},)")
-            self._values[name] = np.tile(base.copy(), (shards, 1))
-            self._owners[name] = np.zeros(root_size, dtype=np.int64)
+        self._owners = {name: np.zeros(tree.root.space.size, dtype=np.int64)
+                        for name in self._values}
         replicas = shards if replicate_analysis else 1
         self._backend = make_backend(backend, tree, algorithm, replicas,
                                      max_workers=max_workers,
                                      faults=faults,
                                      recv_timeout=recv_timeout,
-                                     heartbeat=heartbeat, retry=retry,
+                                     retry=retry,
                                      checkpoint_interval=checkpoint_interval,
                                      clock=clock)
         self.log = MessageLog()
@@ -221,7 +211,7 @@ class ShardedRuntime:
                                   report.seconds)
         self.profile.add_bytes("ship",
                                self._backend.shipped_bytes - shipped_before)
-        if self.verify_replicas and len(reports) > 1:
+        if len(reports) > 1:
             with self.profile.phase("verify"):
                 check_reports(
                     reports,
@@ -290,38 +280,27 @@ class ShardedRuntime:
             raise MachineError(f"sharding functor returned {shard} "
                                f"for {self.shards} shards")
         root_space = self.tree.root.space
-        buffers = []
-        positions = []
+        rows = {name: values[shard] for name, values in self._values.items()}
+        positions, buffers = [], []
         for req in task.requirements:
             pos = root_space.positions_of(req.region.space)
             positions.append(pos)
-            if req.privilege.is_reduce:
-                assert req.privilege.redop is not None
-                buf = req.privilege.redop.identity_array(
-                    pos.size, self._values[req.field].dtype)
-            else:
+            if not req.privilege.is_reduce:
                 self._pull(req.field, pos, shard)
-                buf = self._values[req.field][shard, pos].copy()
-                if req.privilege.is_read:
-                    buf.setflags(write=False)
-            buffers.append(buf)
+            buffers.append(gather(rows, req, pos))
 
         if task.body is not None:
             task.body(*buffers)
 
         for req, pos, buf in zip(task.requirements, positions, buffers):
-            if req.privilege.is_write:
-                self._values[req.field][shard, pos] = buf
-                self._owners[req.field][pos] = shard
-            elif req.privilege.is_reduce:
-                assert req.privilege.redop is not None
+            if req.privilege.is_read:
+                continue
+            if req.privilege.is_reduce:
                 # fold onto the current values: pull them first so the
                 # contribution lands on the latest state
                 self._pull(req.field, pos, shard)
-                current = self._values[req.field][shard, pos]
-                self._values[req.field][shard, pos] = \
-                    req.privilege.redop.fold(current, buf)
-                self._owners[req.field][pos] = shard
+            scatter(rows, req, pos, buf)
+            self._owners[req.field][pos] = shard
 
     # ------------------------------------------------------------------
     def gather_field(self, name: str) -> np.ndarray:

@@ -28,6 +28,7 @@ from repro.privileges import Privilege
 from repro.regions.partition import Partition
 from repro.regions.tree import RegionTree
 from repro.runtime.dependence import DependenceGraph
+from repro.runtime.executor import initial_fields
 from repro.runtime.task import (RegionRequirement, Task, TaskBody,
                                 check_tree)
 from repro.visibility.base import CoherenceAlgorithm, make_algorithm
@@ -70,17 +71,10 @@ class Runtime:
         self.meter = meter if meter is not None else CostMeter()
         self._algorithms: dict[str, CoherenceAlgorithm] = {}
         self.analysis_only = initial is None
-        root_size = tree.root.space.size
+        fields = {} if initial is None else initial_fields(tree, initial)
         for name in tree.field_space.names:
-            if initial is not None and name not in initial:
-                raise TaskError(f"missing initial values for field {name!r}")
-            values = None if initial is None else np.asarray(initial[name])
-            if values is not None and values.shape != (root_size,):
-                raise TaskError(
-                    f"initial values for {name!r} have shape {values.shape}, "
-                    f"expected ({root_size},)")
             self._algorithms[name] = make_algorithm(
-                algorithm, tree, name, values, self.meter)
+                algorithm, tree, name, fields.get(name), self.meter)
         self.graph = DependenceGraph()
         self._tasks: list[Task] = []
         self._record_costs = record_costs
@@ -256,10 +250,11 @@ class Runtime:
             raise TaskError("an analysis-only runtime keeps no values")
         return self._algorithms[field].read_root()
 
-    def replay(self, stream) -> None:
-        """Launch every task of a :class:`TaskStream` in order."""
-        for task in stream:
-            self.launch(task.name, task.requirements, task.body, task.point)
+    def replay(self, stream) -> list[Task]:
+        """Launch every task of a :class:`TaskStream` in order; returns
+        the launched tasks."""
+        return [self.launch(t.name, t.requirements, t.body, t.point)
+                for t in stream]
 
     def __repr__(self) -> str:
         return (f"Runtime(algorithm={self.algorithm_name!r}, "

@@ -5,11 +5,14 @@ with none of the lazy-reduction or history machinery: a write stores, a
 reduction folds immediately, a read observes.  By section 3.1's definition
 of the blending function ``B``, this *is* the specification each visibility
 algorithm must match; every equivalence test in the suite compares against
-it.
+it.  The eager step lives here once (:func:`gather`, the body,
+:func:`scatter`, over a ``{field: 1-D array}`` store): the parallel
+executor and each shard of the sharded runtime run it too.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from typing import Mapping
 
 import numpy as np
@@ -17,7 +20,49 @@ import numpy as np
 from repro.errors import TaskError
 from repro.obs import tracer as obs
 from repro.regions.tree import RegionTree
-from repro.runtime.task import Task, TaskStream
+from repro.runtime.task import RegionRequirement, Task, TaskStream
+
+_UNLOCKED = nullcontext()
+
+def initial_fields(tree: RegionTree,
+                   initial: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Every field's initial values (not copied), each checked to hold
+    one value per root element; :class:`TaskError` if not."""
+    root_size = tree.root.space.size
+    fields: dict[str, np.ndarray] = {}
+    for name in tree.field_space.names:
+        if name not in initial:
+            raise TaskError(f"missing initial values for field {name!r}")
+        values = np.asarray(initial[name])
+        if values.shape != (root_size,):
+            raise TaskError(
+                f"initial values for {name!r} have shape {values.shape}, "
+                f"expected ({root_size},)")
+        fields[name] = values
+    return fields
+
+
+def gather(fields: Mapping[str, np.ndarray], req: RegionRequirement,
+           positions: np.ndarray) -> np.ndarray:
+    """One requirement's buffer: a copy of the values at ``positions``
+    (write-protected for a read), or the reduction's identity."""
+    if req.privilege.is_reduce:
+        return req.privilege.redop.identity_array(
+            positions.size, fields[req.field].dtype)
+    buf = fields[req.field][positions]  # an index array: a fresh copy
+    if req.privilege.is_read:
+        buf.setflags(write=False)
+    return buf
+
+
+def scatter(fields: Mapping[str, np.ndarray], req: RegionRequirement,
+            positions: np.ndarray, buf: np.ndarray) -> None:
+    """Apply one requirement's buffer: store a write, fold a reduction."""
+    if req.privilege.is_write:
+        fields[req.field][positions] = buf
+    elif req.privilege.is_reduce:
+        current = fields[req.field]
+        current[positions] = req.privilege.redop.fold(current[positions], buf)
 
 
 class SequentialExecutor:
@@ -26,17 +71,8 @@ class SequentialExecutor:
     def __init__(self, tree: RegionTree,
                  initial: Mapping[str, np.ndarray]) -> None:
         self.tree = tree
-        self._fields: dict[str, np.ndarray] = {}
-        root_size = tree.root.space.size
-        for name in tree.field_space.names:
-            if name not in initial:
-                raise TaskError(f"missing initial values for field {name!r}")
-            values = np.asarray(initial[name])
-            if values.shape != (root_size,):
-                raise TaskError(
-                    f"initial values for {name!r} have shape {values.shape}, "
-                    f"expected ({root_size},)")
-            self._fields[name] = values.copy()
+        self._fields = {name: values.copy() for name, values
+                        in initial_fields(tree, initial).items()}
 
     # ------------------------------------------------------------------
     def run(self, task: Task) -> None:
@@ -44,33 +80,21 @@ class SequentialExecutor:
         with obs.span(task.name, "runtime.execute", task_id=task.task_id):
             self._run(task)
 
-    def _run(self, task: Task) -> None:
+    def _run(self, task: Task, lock=_UNLOCKED) -> None:
+        """Gather every requirement's buffer, run the body, scatter; the
+        gather and the scatter each hold ``lock``, the body does not (the
+        parallel executor passes its state lock)."""
         root_space = self.tree.root.space
-        buffers: list[np.ndarray] = []
-        positions: list[np.ndarray] = []
-        for req in task.requirements:
-            pos = root_space.positions_of(req.region.space)
-            positions.append(pos)
-            if req.privilege.is_reduce:
-                assert req.privilege.redop is not None
-                buf = req.privilege.redop.identity_array(
-                    pos.size, self._fields[req.field].dtype)
-            else:
-                buf = self._fields[req.field][pos].copy()
-                if req.privilege.is_read:
-                    buf.setflags(write=False)
-            buffers.append(buf)
-
+        with lock:
+            positions = [root_space.positions_of(req.region.space)
+                         for req in task.requirements]
+            buffers = [gather(self._fields, req, pos)
+                       for req, pos in zip(task.requirements, positions)]
         if task.body is not None:
             task.body(*buffers)
-
-        for req, pos, buf in zip(task.requirements, positions, buffers):
-            if req.privilege.is_write:
-                self._fields[req.field][pos] = buf
-            elif req.privilege.is_reduce:
-                assert req.privilege.redop is not None
-                current = self._fields[req.field]
-                current[pos] = req.privilege.redop.fold(current[pos], buf)
+        with lock:
+            for req, pos, buf in zip(task.requirements, positions, buffers):
+                scatter(self._fields, req, pos, buf)
 
     def run_stream(self, stream: TaskStream) -> None:
         """Execute every task of a stream in program order."""

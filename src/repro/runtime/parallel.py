@@ -8,17 +8,18 @@ complete.  If the graph is sound, the result is identical to sequential
 execution for **every** schedule the pool happens to pick — which is
 exactly what the tests assert, many schedules at a time.
 
-Execution uses eager full-field storage (like the sequential reference
-executor): task inputs are gathered under a state lock before the body
-runs, bodies run concurrently outside the lock, effects are committed
-under the lock.  Dependences guarantee gather-after-commit ordering
-between interfering tasks; the lock only protects the physical arrays
-from torn scatter/gather, not the logical ordering.
+This module owns only the scheduler and a state lock: each task runs
+through a held reference :class:`~repro.runtime.executor.SequentialExecutor`,
+which gathers and scatters under the lock and runs the body outside it.
+Dependences guarantee gather-after-commit ordering between interfering
+tasks; the lock only protects the physical arrays from torn
+scatter/gather, not the logical ordering.
 """
 
 from __future__ import annotations
 
 import threading
+from contextlib import nullcontext
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
@@ -28,6 +29,7 @@ import numpy as np
 from repro.errors import TaskError
 from repro.regions.tree import RegionTree
 from repro.runtime.dependence import DependenceGraph
+from repro.runtime.executor import SequentialExecutor
 from repro.runtime.task import Task
 from repro.visibility.meter import PhaseProfile
 
@@ -56,17 +58,7 @@ class ParallelExecutor:
             raise TaskError("max_workers must be positive")
         self.tree = tree
         self.max_workers = max_workers
-        self._fields: dict[str, np.ndarray] = {}
-        root_size = tree.root.space.size
-        for name in tree.field_space.names:
-            if name not in initial:
-                raise TaskError(f"missing initial values for field {name!r}")
-            values = np.asarray(initial[name])
-            if values.shape != (root_size,):
-                raise TaskError(
-                    f"initial values for {name!r} have shape "
-                    f"{values.shape}, expected ({root_size},)")
-            self._fields[name] = values.copy()
+        self._store = SequentialExecutor(tree, initial)
         self._state_lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -81,14 +73,12 @@ class ParallelExecutor:
         ``profile``, when given, records the run under the
         ``parallel.execute`` phase (wall clock and task count).
         """
-        if profile is not None:
-            with profile.phase("parallel.execute"):
-                self._run(tasks, graph, log)
-            return
-        self._run(tasks, graph, log)
+        with nullcontext() if profile is None else \
+                profile.phase("parallel.execute"):
+            self._run(tasks, graph, ExecutionLog() if log is None else log)
 
     def _run(self, tasks: Sequence[Task], graph: DependenceGraph,
-             log: Optional[ExecutionLog] = None) -> None:
+             log: ExecutionLog) -> None:
         by_id = {t.task_id: t for t in tasks}
         if set(by_id) != set(graph.task_ids):
             raise TaskError("graph and task list disagree on task ids")
@@ -106,10 +96,6 @@ class ParallelExecutor:
         in_flight = 0
         remaining = len(by_id)
         failure: list[BaseException] = []
-
-        if log is None:
-            log = ExecutionLog()
-
         pool = ThreadPoolExecutor(max_workers=self.max_workers)
 
         def submit(tid: int) -> None:
@@ -122,7 +108,7 @@ class ParallelExecutor:
         def execute(tid: int) -> None:
             nonlocal in_flight, remaining
             try:
-                self._execute_one(by_id[tid])
+                self._store._run(by_id[tid], self._state_lock)
             except BaseException as exc:  # propagate to the caller
                 with dispatch_lock:
                     failure.append(exc)
@@ -156,41 +142,11 @@ class ParallelExecutor:
                             "(cycle in dependence graph?)")
 
     # ------------------------------------------------------------------
-    def _execute_one(self, task: Task) -> None:
-        root_space = self.tree.root.space
-        positions = []
-        buffers = []
-        with self._state_lock:
-            for req in task.requirements:
-                pos = root_space.positions_of(req.region.space)
-                positions.append(pos)
-                if req.privilege.is_reduce:
-                    assert req.privilege.redop is not None
-                    buf = req.privilege.redop.identity_array(
-                        pos.size, self._fields[req.field].dtype)
-                else:
-                    buf = self._fields[req.field][pos].copy()
-                    if req.privilege.is_read:
-                        buf.setflags(write=False)
-                buffers.append(buf)
-
-        if task.body is not None:
-            task.body(*buffers)
-
-        with self._state_lock:
-            for req, pos, buf in zip(task.requirements, positions, buffers):
-                if req.privilege.is_write:
-                    self._fields[req.field][pos] = buf
-                elif req.privilege.is_reduce:
-                    assert req.privilege.redop is not None
-                    current = self._fields[req.field]
-                    current[pos] = req.privilege.redop.fold(current[pos], buf)
-
     # ------------------------------------------------------------------
     def field(self, name: str) -> np.ndarray:
         """Current values of a field over the root region (copy)."""
-        return self._fields[name].copy()
+        return self._store.field(name)
 
     def fields(self) -> dict[str, np.ndarray]:
         """Snapshot of every field."""
-        return {k: v.copy() for k, v in self._fields.items()}
+        return self._store.fields()

@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from repro.errors import TaskError
-from repro.privileges import Privilege
+from repro.privileges import READ, READ_WRITE, Privilege, reduce
 from repro.regions.region import Region
 
 #: A task body receives one NumPy buffer per requirement, in declaration
@@ -155,3 +155,33 @@ class TaskStream:
 
     def __repr__(self) -> str:
         return f"TaskStream(n={len(self._tasks)})"
+
+
+# picklable task-stream encoding: what worker replicas are shipped, and
+# the structural signature dynamic tracing keys a trace on
+def encode_privilege(privilege: Privilege) -> tuple:
+    """A picklable privilege descriptor (reduction ops hold lambdas, so
+    ship the registry name instead of the object)."""
+    if privilege.is_reduce:
+        assert privilege.redop is not None
+        return ("reduce", privilege.redop.name)
+    return ("kind", "read" if privilege.is_read else "read-write")
+
+
+def decode_privilege(desc: tuple) -> Privilege:
+    tag, value = desc
+    if tag == "reduce":
+        return reduce(value)
+    return READ if value == "read" else READ_WRITE
+
+
+def encode_tasks(stream: TaskStream) -> list[tuple]:
+    """Encode a stream for shipping: names, region uids, fields,
+    privilege descriptors and points — everything the analysis observes,
+    nothing it does not (bodies stay behind)."""
+    return [(task.name,
+             tuple((req.region.uid, req.field,
+                    encode_privilege(req.privilege))
+                   for req in task.requirements),
+             task.point)
+            for task in stream]

@@ -31,33 +31,24 @@ tests and when diagnosing a suspect trace.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Hashable
+from typing import TYPE_CHECKING
 
 from repro.errors import TaskError
-from repro.runtime.task import Task, TaskStream
+from repro.runtime.task import Task, TaskStream, encode_tasks
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.context import Runtime
 
 
-def _privilege_key(privilege) -> Hashable:
-    if privilege.is_reduce:
-        return ("reduce", privilege.redop.name)
-    return privilege.kind.value
-
-
 def trace_signature(stream: TaskStream) -> tuple:
-    """Structural fingerprint of a task sequence: names, launch points,
-    regions, fields, privileges — everything the dependence analysis can
-    observe.  The point matters even though the scan itself never reads
-    it: sharded runtimes assign tasks to shards by point, so two streams
-    differing only in points must not replay each other's template."""
-    out = []
-    for task in stream:
-        reqs = tuple((r.region.uid, r.field, _privilege_key(r.privilege))
-                     for r in task.requirements)
-        out.append((task.name, task.point, reqs))
-    return tuple(out)
+    """Structural fingerprint of a task sequence: the stream's
+    :func:`~repro.runtime.task.encode_tasks` records (names, regions,
+    fields, privileges, launch points — everything the dependence
+    analysis can observe).  The point matters even though the scan
+    itself never reads it: sharded runtimes assign tasks to shards by
+    point, so two streams differing only in points must not replay each
+    other's template."""
+    return tuple(encode_tasks(stream))
 
 
 def signature_digest(stream: TaskStream) -> str:
@@ -111,9 +102,7 @@ class TraceRecorder:
         # first sighting (or shape change): run untraced, arm the capture
         self._seen[name] = signature
         self._traces.pop(name, None)
-        rt = self._runtime
-        return [rt.launch(t.name, t.requirements, t.body, t.point)
-                for t in stream]
+        return self._runtime.replay(stream)
 
     def trace(self, name: str) -> RecordedTrace:
         """Look up a captured trace (diagnostics/tests)."""
@@ -129,20 +118,21 @@ class TraceRecorder:
     # ------------------------------------------------------------------
     def _capture(self, name: str, signature: tuple,
                  stream: TaskStream) -> list[Task]:
-        rt = self._runtime
-        tasks = [rt.launch(t.name, t.requirements, t.body, t.point)
-                 for t in stream]
-        # Rebase against the first task's *actual* id, not len(rt.tasks):
-        # the two diverge on runtimes whose internal operations consume
-        # task ids, and a wrong base silently records shifted offsets.
-        base = tasks[0].task_id if tasks else rt.next_task_id
-        relative = []
-        for task in tasks:
-            deps = rt.graph.dependences_of(task.task_id)
-            relative.append(tuple(sorted(d - base for d in deps)))
-        self._traces[name] = RecordedTrace(signature, relative)
-        rt.meter.count("traces_captured")
+        tasks = self._runtime.replay(stream)
+        self._traces[name] = RecordedTrace(signature, self._offsets(tasks))
+        self._runtime.meter.count("traces_captured")
         return tasks
+
+    def _offsets(self, tasks: list[Task]) -> list[tuple[int, ...]]:
+        """Each launched task's sorted dependences, as offsets from the
+        first task's *actual* id, not len(rt.tasks): the two diverge on
+        runtimes whose internal operations consume task ids, and a wrong
+        base silently records shifted offsets."""
+        rt = self._runtime
+        base = tasks[0].task_id if tasks else rt.next_task_id
+        return [tuple(sorted(d - base
+                             for d in rt.graph.dependences_of(t.task_id)))
+                for t in tasks]
 
     def _replay(self, trace: RecordedTrace, stream: TaskStream) -> list[Task]:
         rt = self._runtime
@@ -165,13 +155,8 @@ class TraceRecorder:
     def _validate(self, name: str, trace: RecordedTrace,
                   stream: TaskStream) -> list[Task]:
         """Replay with full analysis, checking the memoized template."""
-        rt = self._runtime
-        tasks = [rt.launch(t.name, t.requirements, t.body, t.point)
-                 for t in stream]
-        base = tasks[0].task_id if tasks else rt.next_task_id
-        for k, task in enumerate(tasks):
-            got = tuple(sorted(d - base
-                               for d in rt.graph.dependences_of(task.task_id)))
+        tasks = self._runtime.replay(stream)
+        for k, got in enumerate(self._offsets(tasks)):
             if got != trace.relative_deps[k]:
                 raise TaskError(
                     f"trace {name!r} failed validation at task {k}: "
@@ -179,5 +164,5 @@ class TraceRecorder:
                     f"recomputed {got} — the trace's idempotency "
                     "assumption does not hold for this program")
         trace.replays += 1
-        rt.meter.count("traces_validated")
+        self._runtime.meter.count("traces_validated")
         return tasks
