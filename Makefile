@@ -10,7 +10,7 @@ help:
 	@echo "install      editable install (offline-friendly)"
 	@echo "test         run the full test suite"
 	@echo "check        lint (bytecode compile) + tier-1 tests (CI entry)"
-	@echo "chaos        the CI chaos job: SIGKILL recovery matrix, supervision + fault-plan tests, CLI chaos smoke"
+	@echo "chaos        the CI chaos job: SIGKILL recovery matrix, supervision + fault-plan + request-path tests, CLI chaos smoke"
 	@echo "bench        regenerate every figure + ablation (1-512 nodes)"
 	@echo "bench-quick  same sweep capped at 64 nodes"
 	@echo "report       assemble benchmarks/results into markdown"
@@ -42,7 +42,8 @@ check: lint
 chaos:
 	PYTHONPATH=src $(PYTHON) -m pytest -m chaos -q
 	PYTHONPATH=src $(PYTHON) -m pytest -q tests/distributed/test_faults.py \
-		tests/distributed/test_recovery.py
+		tests/distributed/test_recovery.py tests/distributed/test_wire.py \
+		tests/distributed/test_one_path.py
 	PYTHONPATH=src $(PYTHON) -m repro analyze --app stencil --pieces 4 \
 		--iterations 3 --shards 4 --parallel 3 --chaos 7 --fault-rate 0.2 \
 		--profile

@@ -21,6 +21,9 @@ by :meth:`_Hosting.run`; three backends place and ask the hostings:
 
 A hosting on the driver's tree runs the stream's own launches; a worker's,
 or a lost worker's in-process fallback, decodes the shipped message.
+Every backend asks a hosting one way, :meth:`AnalysisBackend._ask`, which
+checks each reply by shape; the process backend recovers a faulted worker
+in one loop, :meth:`ProcessBackend._recover`.
 Every replica is an analysis-only :class:`~repro.runtime.context.Runtime`:
 DCR replicates the analysis, not the values, which live only in
 :class:`~repro.distributed.sharded.ShardedRuntime`.  The deterministic-merge
@@ -32,7 +35,6 @@ from __future__ import annotations
 import os
 import pickle
 import time
-from abc import ABC, abstractmethod
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -101,30 +103,6 @@ def apply_structure(regions_by_uid: dict, records: Sequence[tuple]) -> None:
 # ----------------------------------------------------------------------
 # backend protocol
 # ----------------------------------------------------------------------
-def _analyze_replica(shard: int, runtime: Runtime, launches, base: int,
-                     count: int) -> tuple:
-    """One replica's analysis of ``(name, requirements, point)`` launches;
-    returns the ``(shard, fingerprint, seconds)`` row and the structure
-    digest that fingerprint covers (computed once).
-
-    Everything it records is attributed to the shard — tid ``shard``
-    always, pid ``shard + 1`` for hosted replicas; the reference (shard
-    0) stays on the driver's pid — wherever the replica lives: driver,
-    pool thread, worker process or the parent-side fallback.
-    """
-    start = time.perf_counter()
-    with obs.active_tracer().scope(pid=shard + 1 if shard else None,
-                                   tid=shard), \
-            obs.span(f"analyze.shard{shard}", "distributed.replica",
-                     shard=shard, tasks=count):
-        for name, requirements, point in launches:
-            runtime.launch(name, requirements, None, point)
-    seconds = time.perf_counter() - start
-    digest = structure_fingerprint(runtime)
-    return (shard, analysis_fingerprint(runtime, base, count, digest),
-            seconds), digest
-
-
 def dependence_rows(graph, base: int, count: int) -> list[tuple[int, ...]]:
     """Sorted dependence lists of tasks ``base .. base + count - 1``: the
     rows a divergence diff compares across shards."""
@@ -132,14 +110,43 @@ def dependence_rows(graph, base: int, count: int) -> list[tuple[int, ...]]:
             for t in range(base, base + count)]
 
 
-class AnalysisBackend(ABC):
+#: The types of one analyze row: ``(shard, fingerprint, seconds)``.
+_ROW_TYPES = (int, str, float)
+
+
+def _rows_fit(rows, shards, types: tuple = _ROW_TYPES,
+              digest: Optional[str] = None) -> bool:
+    """Whether ``rows`` is one row of ``types`` per hosted shard, names
+    no other shard and, if ``digest`` is given, carries it second."""
+    return (type(rows) is list
+            and all(type(row) is tuple and tuple(map(type, row)) == types
+                    and digest in (None, row[1]) for row in rows)
+            and sorted(row[0] for row in rows) == sorted(shards))
+
+
+def _check_knobs(max_workers: Optional[int] = None,
+                 recv_timeout: Optional[float] = None,
+                 checkpoint_interval: int = 1) -> None:
+    """Refuse a worker cap or checkpoint interval below 1, or a receive
+    timeout not above 0 (None: no cap, no bound), before anything spawns."""
+    if not ((max_workers is None or max_workers >= 1)
+            and (recv_timeout is None or recv_timeout > 0)
+            and checkpoint_interval >= 1):
+        raise MachineError(
+            f"need max_workers >= 1, recv_timeout > 0 and "
+            f"checkpoint_interval >= 1; got {max_workers}, {recv_timeout} "
+            f"and {checkpoint_interval}")
+
+
+class AnalysisBackend:
     """Runs the N replicated analyses of each executed stream.
 
     Every replica is a :class:`_Hosting` behind a handle, analysis-only
     and started from ``(tree, algorithm)``.  Shard 0's hosting shares the
     calling process and tree on every backend and is never checkpointed
     or trimmed, so :attr:`reference` holds the whole verified graph;
-    backends differ in where replicas 1..N-1 are hosted.
+    backends differ in where replicas 1..N-1 are hosted.  A hosting is
+    asked through one path, :meth:`_ask`, wherever it lives.
     """
 
     #: Registry name, overridden by each concrete backend.
@@ -147,6 +154,8 @@ class AnalysisBackend(ABC):
     #: Whether every replica is hosted on the driver's tree (else only
     #: shard 0 is).
     _all_local = True
+    #: Total pickled payload shipped to remote replicas so far.
+    shipped_bytes = 0
 
     def __init__(self, tree: RegionTree, algorithm: str,
                  replicas: int) -> None:
@@ -191,18 +200,75 @@ class AnalysisBackend(ABC):
         return [row for handle in self._local
                 for row in handle.hosting.run(launches, len(stream))]
 
-    @abstractmethod
     def _analyze_replicas(self, stream: TaskStream,
                           meanwhile: Callable[[], None]
                           ) -> list[ShardReport]:
         """Run the analysis everywhere, calling ``meanwhile`` once on the
-        way, and report per-shard results."""
+        way, and report per-shard results: here the serial backend's, the
+        driver-tree hostings one after another."""
+        rows = self._run_local(stream)
+        meanwhile()
+        return [ShardReport(*row) for row in rows]
 
-    def _request(self, handle, message: tuple):
-        """Ask one handle's hosting (the process backend supervises it)."""
-        status, result = _dispatch(message, handle.hosting)
+    # ------------------------------------------------------------------
+    # the one request path
+    # ------------------------------------------------------------------
+    def _ask(self, handle, message: tuple):
+        """Ask one handle's hosting: ship ``message``, then wait for the
+        reply and :meth:`_parse` it.  A refused reply is a
+        :class:`CorruptReply`, raised here; the process backend overrides
+        this to recover a faulted worker instead."""
+        self.shipped_bytes += handle.send(message)
+        return self._parse(handle, handle.recv(), message[0],
+                           message[3] if message[0] == "dump" else None)
+
+    def _parse(self, handle, blob, command: str,
+               count: Optional[int] = None):
+        """Decode one reply ``(status, result, fragment)``, rejecting it
+        by shape before trusting its content: anything but a 3-tuple with
+        status ``"ok"``/``"error"`` and a ``None`` or
+        :meth:`~repro.obs.tracer.TraceBuffer.absorbable` fragment, or a
+        result of the wrong shape, is a :class:`CorruptReply`.  Analyze:
+        a row per hosted shard.  Digest: the handle's checkpoint digest
+        per shard.  Dump: ``count`` tuples of ints (any number if None).
+        Checkpoint: ``(base, digests, live blob)`` at this backend's base,
+        every digest the one shard 0 kept from its last run.  The
+        fragment (what a worker's tracer recorded) is absorbed into the
+        active tracer, the result returned."""
+        frame = handle.load(blob)
+        if not (type(frame) is tuple and len(frame) == 3
+                and isinstance(frame[0], str) and frame[0] in ("ok", "error")
+                and (frame[2] is None
+                     or type(frame[2]) is obs.TraceBuffer
+                     and frame[2].absorbable())):
+            raise CorruptReply(
+                f"worker {handle.worker_id} sent a malformed reply frame")
+        status, result, fragment = frame
         if status != "ok":
             raise MachineError(f"analysis replica failed: {result}")
+        if command == "analyze":
+            fits = _rows_fit(result, handle.shards)
+        elif command == "digest":
+            fits = _rows_fit(result, handle.shards, (int, str),
+                             handle.checkpoint.digest)
+        elif command == "dump":
+            fits = (type(result) is list and count in (None, len(result))
+                    and all(type(row) is tuple
+                            and all(type(t) is int for t in row)
+                            for row in result))
+        else:
+            fits = (type(result) is tuple and len(result) == 3
+                    and type(result[0]) is int
+                    and result[0] == self.tasks_analyzed
+                    and _rows_fit(result[1], handle.shards, (int, str),
+                                  self._local[0].hosting.kept[0])
+                    and type(result[2]) is bytes)
+        if not fits:
+            raise CorruptReply(
+                f"worker {handle.worker_id} sent a {command} result that "
+                f"does not fit its shards {handle.shards}")
+        if fragment is not None:
+            obs.active_tracer().absorb(fragment)
         return result
 
     def dump_dependences(self, shard: int, base: int,
@@ -212,7 +278,7 @@ class AnalysisBackend(ABC):
         happy path never calls this)."""
         for handle in self._local + self._handles:
             if shard in handle.shards:
-                return self._request(handle, ("dump", shard, base, count))
+                return self._ask(handle, ("dump", shard, base, count))
         raise MachineError(f"no replica hosts shard {shard}")
 
     def close(self) -> None:
@@ -228,11 +294,6 @@ class AnalysisBackend(ABC):
     #: backends that have no workers to supervise.
     recovery: Optional[RecoveryReport] = None
 
-    @property
-    def shipped_bytes(self) -> int:
-        """Total pickled payload shipped to remote replicas so far."""
-        return 0
-
     def __enter__(self) -> "AnalysisBackend":
         return self
 
@@ -244,11 +305,6 @@ class SerialBackend(AnalysisBackend):
     """The reference backend: replicas analyzed one after another."""
 
     name = "serial"
-
-    def _analyze_replicas(self, stream, meanwhile):
-        rows = self._run_local(stream)
-        meanwhile()
-        return [ShardReport(*row) for row in rows]
 
 
 class ThreadBackend(AnalysisBackend):
@@ -263,10 +319,11 @@ class ThreadBackend(AnalysisBackend):
 
     def __init__(self, tree, algorithm, replicas,
                  max_workers: Optional[int] = None) -> None:
+        _check_knobs(max_workers)
         super().__init__(tree, algorithm, replicas)
-        workers = max(1, min(replicas, max_workers or replicas))
         self._pool = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="shard-analysis")
+            max_workers=min(replicas, max_workers or replicas),
+            thread_name_prefix="shard-analysis")
 
     def _analyze_replicas(self, stream, meanwhile):
         launches = [(task.name, task.requirements, task.point)
@@ -359,15 +416,29 @@ class _Hosting:
     def run(self, launches: list, count: int) -> list[tuple]:
         """Every hosted replica's analysis of ``count`` ``(name,
         requirements, point)`` launches on this hosting's tree: one
-        ``(shard, fingerprint, seconds)`` row each; the structure digests
-        are kept for the checkpoint that may follow."""
-        self.kept = None
-        results = [_analyze_replica(shard, runtime, launches, self.base,
-                                    count)
-                   for shard, runtime in self.runtimes.items()]
+        ``(shard, fingerprint, seconds)`` row each.  A fingerprint covers
+        its replica's structure digest, hashed once and kept for the
+        checkpoint that may follow.  Everything a replica records is
+        attributed to its shard — tid ``shard`` always, pid ``shard + 1``
+        for hosted replicas; the reference (shard 0) stays on the
+        driver's pid — wherever the hosting lives: driver, pool thread,
+        worker process or the parent-side fallback."""
+        self.kept, kept, rows = None, {}, []
+        for shard, runtime in self.runtimes.items():
+            start = time.perf_counter()
+            with obs.active_tracer().scope(pid=shard + 1 if shard else None,
+                                           tid=shard), \
+                    obs.span(f"analyze.shard{shard}", "distributed.replica",
+                             shard=shard, tasks=count):
+                for name, requirements, point in launches:
+                    runtime.launch(name, requirements, None, point)
+            seconds = time.perf_counter() - start
+            kept[shard] = structure_fingerprint(runtime)
+            rows.append((shard, analysis_fingerprint(
+                runtime, self.base, count, kept[shard]), seconds))
         self.base += count
-        self.kept = {row[0]: digest for row, digest in results}
-        return [row for row, _ in results]
+        self.kept = kept
+        return rows
 
     def digests(self) -> list[tuple]:
         """Per-shard structure fingerprints, hashed afresh: all of a
@@ -390,9 +461,14 @@ class _Hosting:
 
 def _open_hosting(spec: dict) -> _Hosting:
     """The hosting a host starts from: a checkpoint's live state
-    (``mode="restore"``), or the genesis snapshot."""
+    (``mode="restore"``), or the genesis snapshot.  A live state that
+    does not unpickle is a :class:`CorruptReply`, as the worker's
+    checkpoint reply it came in would have been."""
     if spec["mode"] == "restore":
-        return _Hosting(*pickle.loads(spec["live"]))
+        try:
+            return _Hosting(*pickle.loads(spec["live"]))
+        except Exception as exc:
+            raise CorruptReply(f"checkpoint does not open: {exc!r}") from exc
     tree, algorithm = pickle.loads(spec["genesis"])
     return _Hosting(tree, {shard: Runtime(tree, None, algorithm=algorithm)
                            for shard in spec["shards"]}, 0)
@@ -409,8 +485,6 @@ def _dispatch(msg: tuple, hosting: _Hosting) -> tuple:
             return ("ok", hosting.analyze(msg[1], msg[2]))
         if msg[0] == "dump":
             _, shard, lo, n = msg
-            if shard not in hosting.runtimes:
-                return ("error", f"shard {shard} not hosted here")
             return ("ok", dependence_rows(hosting.runtimes[shard].graph,
                                           lo, n))
         if msg[0] == "digest":
@@ -444,8 +518,6 @@ def _worker_main(conn, payload: bytes) -> None:  # pragma: no cover - subprocess
     try:
         while True:
             msg = pickle.loads(conn.recv_bytes())
-            if msg[0] == "stop":
-                return
             event = faults.draw(worker, incarnation, op)
             op += 1
             if event is not None:
@@ -477,12 +549,11 @@ def _worker_main(conn, payload: bytes) -> None:  # pragma: no cover - subprocess
 
 
 class _Checkpoint(NamedTuple):
-    """A verified checkpoint as the parent keeps it: the journal index and
-    task base it covers, the reference replica's structure digest at that
-    base, and the live-state blob (None before the first checkpoint)."""
+    """A verified checkpoint as the parent keeps it: the journal index it
+    covers, the reference replica's structure digest at its base, and
+    the live-state blob (None before the first checkpoint)."""
 
     index: int = 0
-    base: int = 0
     digest: str = ""
     live: Optional[bytes] = None
 
@@ -492,39 +563,46 @@ class _WorkerHandle:
     the wire it is reached over: :meth:`send` ships a request,
     :meth:`recv` waits for the reply bytes, :meth:`load` unpickles them
     (the trust boundary: a frame is shape-checked by
-    :meth:`ProcessBackend._parse` before anything in it is used)."""
+    :meth:`AnalysisBackend._parse` before anything in it is used)."""
 
     remote = True
 
-    def __init__(self, worker_id: int, shards) -> None:
+    def __init__(self, worker_id: int, shards, clock=None,
+                 timeout: Optional[float] = None) -> None:
         self.worker_id = worker_id
         self.shards = list(shards)
+        self.clock = clock
+        self.timeout = timeout
         self.proc = None
         self.conn = None
         self.incarnation = -1  # first spawn brings it to 0
         #: Last verified checkpoint (empty before the first).
         self.checkpoint = _Checkpoint()
+        #: The last request sent: the one a recovery answers afresh.
+        self.asked: Optional[tuple] = None
 
     def send(self, message: tuple) -> int:
-        """Ship one request; returns the bytes shipped."""
+        """Ship one request; returns the bytes shipped.  A pipe that
+        cannot take it is left for :meth:`recv` to find dead."""
+        self.asked = message
         blob = pickle.dumps(message)
         try:
             self.conn.send_bytes(blob)
-        except (OSError, AttributeError) as exc:
-            raise WorkerCrashed(
-                f"worker {self.worker_id} unreachable: {exc!r}") from exc
+        except (OSError, AttributeError):
+            pass
         return len(blob)
 
-    def recv(self, heartbeat: float, clock, timeout: Optional[float]):
-        """Bounded receive: poll with ``heartbeat`` granularity, probing
+    def recv(self):
+        """Bounded receive: poll every :data:`HEARTBEAT` seconds, probing
         liveness between polls; raises :class:`WorkerCrashed` on death,
-        :class:`WorkerHung` when ``timeout`` passes."""
-        deadline = None if timeout is None else clock.monotonic() + timeout
+        :class:`WorkerHung` when ``timeout`` passes on ``clock``."""
+        deadline = (None if self.timeout is None
+                    else self.clock.monotonic() + self.timeout)
         while True:
             try:
-                if self.conn.poll(heartbeat):
+                if self.conn.poll(HEARTBEAT):
                     return self.conn.recv_bytes()
-            except (EOFError, OSError) as exc:
+            except (EOFError, OSError, AttributeError) as exc:
                 raise WorkerCrashed(
                     f"worker {self.worker_id} died mid-request: "
                     f"{exc!r}") from exc
@@ -537,10 +615,10 @@ class _WorkerHandle:
                 raise WorkerCrashed(
                     f"worker {self.worker_id} died (exitcode "
                     f"{self.proc.exitcode})")
-            if deadline is not None and clock.monotonic() >= deadline:
+            if deadline is not None and self.clock.monotonic() >= deadline:
                 raise WorkerHung(
                     f"worker {self.worker_id} sent no reply within "
-                    f"{timeout}s")
+                    f"{self.timeout}s")
 
     def load(self, blob: bytes):
         try:
@@ -555,7 +633,8 @@ class _LocalHandle(_WorkerHandle):
     """A hosting in this process — shard 0's, a serial or thread
     replica's, or a lost worker's — asked through the same send/recv/load
     calls, answered synchronously by :func:`_dispatch` with nothing
-    pickled.  It cannot fault."""
+    pickled.  Its reply is checked like a worker's; there is no worker to
+    respawn, so a refused one is raised."""
 
     remote = False
 
@@ -564,30 +643,18 @@ class _LocalHandle(_WorkerHandle):
         super().__init__(worker_id, hosting.runtimes)
         self.checkpoint = checkpoint
         self.hosting = hosting
-        self._reply: Optional[tuple] = None
+        self._frame: Optional[tuple] = None
 
     def send(self, message: tuple) -> int:
-        self._reply = _dispatch(message, self.hosting) + (None,)
+        self.asked = message
+        self._frame = _dispatch(message, self.hosting) + (None,)
         return 0
 
-    def recv(self, *_) -> Optional[tuple]:
-        return self._reply
+    def recv(self) -> Optional[tuple]:
+        return self._frame
 
     def load(self, frame: tuple) -> tuple:
         return frame
-
-
-#: The types of one analyze row: ``(shard, fingerprint, seconds)``.
-_ROW_TYPES = (int, str, float)
-
-
-def _rows_fit(rows, shards, types: tuple = _ROW_TYPES) -> bool:
-    """Whether ``rows`` is one row of ``types`` per hosted shard, and
-    names no other shard."""
-    return (type(rows) is list
-            and all(type(row) is tuple and tuple(map(type, row)) == types
-                    for row in rows)
-            and sorted(row[0] for row in rows) == sorted(shards))
 
 
 class ProcessBackend(AnalysisBackend):
@@ -602,24 +669,24 @@ class ProcessBackend(AnalysisBackend):
     host several replicas each and analyze them sequentially.  Workers
     are forked where the platform allows it, else spawned.
 
-    Fault tolerance: every receive is bounded by ``recv_timeout`` with
-    liveness probes every :data:`HEARTBEAT` seconds; a crash (EOF / dead
-    process), hang (timeout) or corrupt reply triggers recovery — kill,
-    exponential-backoff respawn (``retry``), restore from the last
-    verified checkpoint (digest-checked), and deterministic replay of
-    the journaled task stream since that checkpoint.  Checkpoints are
-    taken every ``checkpoint_interval`` verified streams (see
-    :meth:`after_verified`), and the journal is trimmed behind them.  A
-    checkpoint is a worker's live state alone: its runtimes drop the
-    verified tasks and dependence rows first, and its structure digests
-    must equal shard 0's.  A checkpoint reuses the verified window's
-    digests, on both sides; a restore hashes fresh.
-    When a worker exhausts its retries it is declared lost and its
+    Fault tolerance: every request goes through the one request path
+    (:meth:`_ask`), and every receive is bounded by ``recv_timeout``
+    with liveness probes every :data:`HEARTBEAT` seconds.  A crash (EOF /
+    dead process), hang (timeout) or refused reply is recovered in one
+    loop (:meth:`_recover`): respawn with exponential backoff
+    (``retry``), restore from the last verified checkpoint, replay of
+    the journal; past its retries the worker is declared lost and its
     replicas move in-process (graceful degradation to serial-backend
-    semantics): rebuilt from the same checkpoint and journal a respawn
-    would use, and asked through the same request path.  All activity
-    is counted in :attr:`recovery` (:class:`RecoveryReport`).
+    semantics).  Checkpoints are taken every ``checkpoint_interval``
+    verified streams (see :meth:`after_verified`), and the journal is
+    trimmed behind them.  A checkpoint is a worker's live state alone:
+    its runtimes drop the verified tasks and dependence rows first, and
+    its structure digests must equal shard 0's.  A checkpoint reuses the
+    verified window's digests, on both sides; a restore hashes fresh.
+    All activity is counted in :attr:`recovery` (:class:`RecoveryReport`).
 
+    ``max_workers`` and ``checkpoint_interval`` below 1 and a
+    ``recv_timeout`` not above 0 are refused before any worker spawns.
     ``faults`` injects deterministic failures for chaos testing
     (:class:`FaultPlan`; the default never fires); ``clock`` makes the
     backoff sleeps testable without real waiting.
@@ -636,36 +703,34 @@ class ProcessBackend(AnalysisBackend):
                  checkpoint_interval: int = 4,
                  clock=None) -> None:
         self._closed = False
+        _check_knobs(max_workers, recv_timeout, checkpoint_interval)
         super().__init__(tree, algorithm, replicas)
         import multiprocessing as mp
 
         self._faults = faults if faults is not None else NO_FAULTS
-        self._recv_timeout = recv_timeout
         self._retry = retry if retry is not None else RetryPolicy()
-        self._checkpoint_interval = max(1, checkpoint_interval)
+        self._checkpoint_interval = checkpoint_interval
         self._clock = clock if clock is not None else SystemClock()
         self.recovery = RecoveryReport()
-        self._shipped = 0
         self._known_regions = len(tree.regions)
-        #: Journal of shipped analyze entries: (message, task count).
+        #: Journal of the analyze messages every worker has answered;
         #: ``_journal_base`` is the absolute index of ``_journal[0]``
         #: (entries behind every worker's checkpoint are trimmed).
         self._journal: list[tuple] = []
         self._journal_base = 0
-        self._streams_since_checkpoint = 0
         remote = list(range(1, replicas))
         if not remote:
             return
         self._ctx = mp.get_context(
             "fork" if "fork" in mp.get_all_start_methods() else "spawn")
-        workers = max(1, min(len(remote), max_workers or len(remote)))
+        workers = min(len(remote), max_workers or len(remote))
         #: Spawn-time snapshot; respawns-from-scratch and in-process
         #: fallbacks reuse these exact bytes so every incarnation
         #: observes the identical starting state.
         self._genesis = pickle.dumps((tree, algorithm))
-        groups = [remote[k::workers] for k in range(workers)]
-        for worker_id, shards in enumerate(groups):
-            handle = _WorkerHandle(worker_id, shards)
+        for worker_id in range(workers):
+            handle = _WorkerHandle(worker_id, remote[worker_id::workers],
+                                   self._clock, recv_timeout)
             self._spawn(handle)
             self._handles.append(handle)
 
@@ -676,15 +741,6 @@ class ProcessBackend(AnalysisBackend):
     def handles(self) -> tuple:
         """The live worker/local handles (tests and introspection)."""
         return tuple(self._handles)
-
-    @property
-    def remote_handles(self) -> list:
-        return [h for h in self._handles if h.remote]
-
-    @property
-    def degraded(self) -> bool:
-        """Whether any replicas fell back to in-process hosting."""
-        return any(not h.remote for h in self._handles)
 
     def _host_spec(self, handle: _WorkerHandle) -> dict:
         """What a new host of ``handle``'s replicas starts from (see
@@ -701,7 +757,7 @@ class ProcessBackend(AnalysisBackend):
                                 "worker": handle.worker_id,
                                 "incarnation": handle.incarnation,
                                 **self._host_spec(handle)})
-        self._shipped += len(payload)
+        self.shipped_bytes += len(payload)
         proc = self._ctx.Process(target=_worker_main,
                                  args=(child_conn, payload), daemon=True)
         proc.start()
@@ -711,21 +767,6 @@ class ProcessBackend(AnalysisBackend):
             self.recovery.respawns += 1
             obs.instant("respawn", "recovery", worker=handle.worker_id,
                         incarnation=handle.incarnation)
-        self._check_restore(handle)
-
-    def _check_restore(self, handle: _WorkerHandle) -> None:
-        """Verify a host restored from a checkpoint against shard 0's
-        structure digest at the checkpoint before trusting it
-        with replay; a mismatch is a :class:`CorruptReply`, which a
-        respawn's retry loop catches."""
-        if handle.checkpoint.live is None:
-            return
-        digests = self._roundtrip(handle, ("digest",))
-        if any(digest != handle.checkpoint.digest for _, digest in digests):
-            raise CorruptReply(
-                f"worker {handle.worker_id} restored state digest "
-                f"mismatch at base {handle.checkpoint.base}")
-        self.recovery.restores += 1
 
     def _kill(self, handle: _WorkerHandle) -> None:
         proc, conn = handle.proc, handle.conn
@@ -744,179 +785,107 @@ class ProcessBackend(AnalysisBackend):
                 pass
 
     # ------------------------------------------------------------------
-    # supervised messaging: one request path for every host
+    # supervision: the one request path, and one recovery loop
     # ------------------------------------------------------------------
-    @property
-    def shipped_bytes(self) -> int:
-        return self._shipped
-
-    def _reply(self, handle: _WorkerHandle, message: tuple):
-        """Wait for, and parse, the reply to ``message``."""
-        return self._parse(handle, handle.recv(
-            HEARTBEAT, self._clock, self._recv_timeout), message[0],
-            message[3] if message[0] == "dump" else None)
-
-    def _parse(self, handle: _WorkerHandle, blob, command: str,
-               count: Optional[int] = None):
-        """Decode one reply ``(status, result, fragment)``, rejecting it
-        by shape before trusting its content: anything but a 3-tuple with
-        status ``"ok"``/``"error"`` and a ``None`` or
-        :meth:`~repro.obs.tracer.TraceBuffer.absorbable` fragment — or a
-        result :meth:`_result_fits` refuses — is a :class:`CorruptReply`.
-        The fragment (what the worker's tracer recorded) is absorbed into
-        the active tracer, the result returned."""
-        frame = handle.load(blob)
-        if not (type(frame) is tuple and len(frame) == 3
-                and isinstance(frame[0], str) and frame[0] in ("ok", "error")
-                and (frame[2] is None
-                     or type(frame[2]) is obs.TraceBuffer
-                     and frame[2].absorbable())):
-            raise CorruptReply(
-                f"worker {handle.worker_id} sent a malformed reply frame")
-        status, result, fragment = frame
-        if status != "ok":
-            raise MachineError(f"analysis worker failed: {result}")
-        if not self._result_fits(handle, command, result, count):
-            raise CorruptReply(
-                f"worker {handle.worker_id} sent a {command} result that "
-                f"does not match its shards {handle.shards}")
-        if fragment is not None:
-            obs.active_tracer().absorb(fragment)
-        return result
-
-    def _result_fits(self, handle: _WorkerHandle, command: str, result,
-                     count: Optional[int]) -> bool:
-        """Analyze: a row per hosted shard.  Digest: a digest per shard.
-        Dump: ``count`` tuples of ints (any number if ``count`` is None).
-        Checkpoint: ``(base, digests, live blob)`` at the parent's base,
-        every digest the one shard 0 kept from its last run."""
-        if command == "analyze":
-            return _rows_fit(result, handle.shards)
-        if command == "digest":
-            return _rows_fit(result, handle.shards, (int, str))
-        if command == "dump":
-            return (type(result) is list and count in (None, len(result))
-                    and all(type(row) is tuple
-                            and all(type(t) is int for t in row)
-                            for row in result))
-        return command != "checkpoint" or (
-            type(result) is tuple and len(result) == 3
-            and type(result[0]) is int and result[0] == self.tasks_analyzed
-            and _rows_fit(result[1], handle.shards, (int, str))
-            and all(digest == self._local[0].hosting.kept[0]
-                    for _, digest in result[1])
-            and type(result[2]) is bytes)
-
-    def _roundtrip(self, handle: _WorkerHandle, message: tuple):
-        self._shipped += handle.send(message)
-        return self._reply(handle, message)
-
-    def _fault(self, handle: _WorkerHandle, exc: WorkerFault) -> None:
-        self.recovery.record_fault(exc.kind)
-        obs.instant(f"fault.{exc.kind}", "recovery", worker=handle.worker_id)
-
-    def _request(self, handle: _WorkerHandle, message: tuple):
-        """One supervised request: a fault triggers the recovery path
-        with the request re-issued afterwards."""
+    def _ask(self, handle: _WorkerHandle, message: tuple):
+        """The one request path, supervised: a worker's fault is
+        recovered, and the recovery answers ``message`` afresh."""
         try:
-            return self._roundtrip(handle, message)
+            return super()._ask(handle, message)
         except WorkerFault as exc:
-            self._fault(handle, exc)
-            _, result = self._recover(handle, followup=message)
-            return result
+            return self._recover(handle, exc)
 
-    # ------------------------------------------------------------------
-    # recovery: respawn + checkpoint restore + deterministic replay
-    # ------------------------------------------------------------------
-    def _replay(self, handle: _WorkerHandle):
-        """Replay every journaled stream since the handle's checkpoint;
-        returns the last entry's analyze results (None if nothing to
-        replay)."""
-        entries = self._journal[handle.checkpoint.index - self._journal_base:]
-        if entries:
-            obs.instant("replay", "recovery", worker=handle.worker_id,
-                        streams=len(entries))
-        last = None
-        for entry, count in entries:
-            last = self._roundtrip(handle, entry)
-            self.recovery.replayed_streams += 1
-            self.recovery.replayed_tasks += count * len(handle.shards)
-        return last
+    def _recover(self, handle: _WorkerHandle, fault: WorkerFault):
+        """One recovery episode for a worker that raised ``fault``;
+        returns the answer to the request it faulted on (``handle.asked``).
+        An in-process host's fault is raised: there is no worker to
+        respawn.
 
-    def _recover(self, handle: _WorkerHandle,
-                 followup: Optional[tuple] = None) -> tuple:
-        """Recover one faulted worker.  Returns ``(last_analyze_results,
-        followup_result)``; the first covers the newest journal entry
-        (the in-flight stream during analyze-path recovery), the second
-        answers ``followup`` when given.
-
-        Bounded retries with backoff; on exhaustion the worker is
-        declared lost and its replicas move in-process.
-        """
+        Each attempt kills the worker, backs off and respawns it; the
+        attempt after ``retry.max_retries`` retries declares it lost and
+        hosts its replicas in-process instead.  Either host starts from
+        the handle's checkpoint, and is caught up by one replay: a
+        ``digest`` request that must answer the checkpoint's digest (if
+        restored), every journaled stream since the checkpoint, then the
+        faulted request.  A worker's fault on the way is the episode's
+        next attempt; the in-process host's is :class:`WorkerLost`."""
+        if not handle.remote:
+            raise fault
+        self.recovery.record_fault(fault.kind)
+        obs.instant(f"fault.{fault.kind}", "recovery",
+                    worker=handle.worker_id)
         start = time.perf_counter()
         self.recovery.recoveries += 1
+        restore = [("digest",)] if handle.checkpoint.live is not None else []
+        todo = [*restore, *self._journal[
+            handle.checkpoint.index - self._journal_base:], handle.asked]
+        streams = sum(message[0] == "analyze" for message in todo)
         try:
-            for attempt in range(self._retry.max_retries + 1):
-                self.recovery.retries += 1
+            for attempt in range(self._retry.max_retries + 2):
+                lost = attempt > self._retry.max_retries
                 self._kill(handle)
-                delay = self._retry.delay(attempt, salt=handle.worker_id)
-                if delay > 0:
-                    self._clock.sleep(delay)
-                try:
+                if lost:
+                    self.recovery.workers_lost += 1
+                    self.recovery.local_fallbacks += 1
+                    self._handles.remove(handle)
+                    obs.instant("local_fallback", "recovery",
+                                worker=handle.worker_id,
+                                shards=list(handle.shards))
+                else:
+                    self.recovery.retries += 1
+                    delay = self._retry.delay(attempt)
+                    if delay > 0:
+                        self._clock.sleep(delay)
                     self._spawn(handle)
-                    return self._catch_up(handle, followup)
+                host = handle
+                try:
+                    if lost:
+                        host = _LocalHandle(
+                            _open_hosting(self._host_spec(handle)),
+                            handle.worker_id, handle.checkpoint)
+                        self._handles.append(host)
+                    if streams:
+                        obs.instant("replay", "recovery",
+                                    worker=handle.worker_id, streams=streams)
+                    for message in todo:
+                        answer = super()._ask(host, message)
+                        if message[0] == "digest":
+                            self.recovery.restores += 1
+                        elif message[0] == "analyze":
+                            self.recovery.replayed_streams += 1
+                            self.recovery.replayed_tasks += \
+                                len(message[2]) * len(host.shards)
+                    return answer
                 except WorkerFault as exc:
+                    if lost:
+                        raise WorkerLost(
+                            f"worker {handle.worker_id} lost and its "
+                            f"checkpoint cannot be restored in-process: "
+                            f"{exc!r}") from exc
                     self.recovery.record_fault(exc.kind)
-            self.recovery.workers_lost += 1
-            self._kill(handle)
-            self._handles.remove(handle)
-            self.recovery.local_fallbacks += 1
-            obs.instant("local_fallback", "recovery",
-                        worker=handle.worker_id, shards=list(handle.shards))
-            try:
-                local = _LocalHandle(_open_hosting(self._host_spec(handle)),
-                                     handle.worker_id, handle.checkpoint)
-                self._check_restore(local)
-            except Exception as exc:
-                raise WorkerLost(
-                    f"worker {handle.worker_id} lost and its checkpoint "
-                    f"cannot be restored in-process: {exc!r}") from exc
-            self._handles.append(local)
-            return self._catch_up(local, followup)
         finally:
             self.recovery.recovery_seconds += time.perf_counter() - start
-
-    def _catch_up(self, handle: _WorkerHandle,
-                  followup: Optional[tuple]) -> tuple:
-        """Bring a new host up to date by replay, then answer
-        ``followup``."""
-        last = self._replay(handle)
-        if followup is None:
-            return (last, None)
-        return (last, self._roundtrip(handle, followup))
 
     # ------------------------------------------------------------------
     # checkpoints
     # ------------------------------------------------------------------
     def after_verified(self) -> None:
-        """Take fingerprint-verified recovery checkpoints every
-        ``checkpoint_interval`` streams and trim the journal behind
-        them (so recovery replays from the checkpoint, not task 0)."""
-        remote = self.remote_handles
-        if remote:
-            self._streams_since_checkpoint += 1
-            if self._streams_since_checkpoint < self._checkpoint_interval:
-                return
-            self._streams_since_checkpoint = 0
+        """Take fingerprint-verified recovery checkpoints once
+        ``checkpoint_interval`` streams are journaled since the last, and
+        trim the journal behind them (so recovery replays from the
+        checkpoint, not task 0; the journal holds just those streams)."""
+        remote = [h for h in self._handles if h.remote]
+        if remote and len(self._journal) < self._checkpoint_interval:
+            return
         for handle in remote:
-            base, _, live = self._request(handle, ("checkpoint",))
+            _, _, live = self._ask(handle, ("checkpoint",))
             if handle in self._handles:  # may have been lost during recovery
                 handle.checkpoint = _Checkpoint(
-                    self._journal_base + len(self._journal), base,
+                    self._journal_base + len(self._journal),
                     self._local[0].hosting.kept[0], live)
                 self.recovery.checkpoints += 1
         # only worker processes replay: trim behind the oldest checkpoint
-        floor = min((h.checkpoint.index for h in self.remote_handles),
+        floor = min((h.checkpoint.index for h in self._handles if h.remote),
                     default=self._journal_base + len(self._journal))
         if floor > self._journal_base:
             del self._journal[:floor - self._journal_base]
@@ -926,7 +895,6 @@ class ProcessBackend(AnalysisBackend):
     # the analysis fan-out
     # ------------------------------------------------------------------
     def _analyze_replicas(self, stream, meanwhile):
-        count = len(stream)
         structure = encode_structure(self.tree, self._known_regions)
         self._known_regions = len(self.tree.regions)
         # The active tracer's record level rides on the (journaled)
@@ -934,38 +902,26 @@ class ProcessBackend(AnalysisBackend):
         # home in the reply.
         entry = ("analyze", structure, encode_tasks(stream),
                  obs.active_tracer().level)
-        if self.remote_handles:
-            self._journal.append((entry, count))
-        # phase 1: ship to every host (failures recover later, in phase
-        # 4, once healthy pipes are drained); in-process hosts answer now
-        pending: list[tuple] = []
-        for handle in self._handles:
-            try:
-                self._shipped += handle.send(entry)
-                pending.append((handle, True))
-            except WorkerFault as exc:
-                self._fault(handle, exc)
-                pending.append((handle, False))
+        # phase 1: ship to every host; in-process hosts answer now
+        hosts = list(self._handles)
+        for handle in hosts:
+            self.shipped_bytes += handle.send(entry)
         # phase 2: the local hosting, then ``meanwhile``, while workers run
         rows = self._run_local(stream)
         meanwhile()
         # phase 3: collect replies; remember who faulted
         faulted = []
-        for handle, sent in pending:
-            if not sent:
-                faulted.append(handle)
-                continue
+        for handle in hosts:
             try:
-                rows.extend(self._reply(handle, entry))
+                rows.extend(self._parse(handle, handle.recv(), "analyze"))
             except WorkerFault as exc:
-                self._fault(handle, exc)
-                faulted.append(handle)
+                faulted.append((handle, exc))
         # phase 4: recover faulted workers one at a time (every healthy
         # pipe is drained, so replay requests cannot interleave with
-        # pending replies); the replay covers this entry
-        for handle in faulted:
-            last, _ = self._recover(handle)
-            rows.extend(last)
+        # pending replies); each recovery answers this entry afresh
+        for handle, exc in faulted:
+            rows.extend(self._recover(handle, exc))
+        self._journal.append(entry)  # every worker has answered it
         return sorted((ShardReport(*row) for row in rows),
                       key=lambda r: r.shard)
 
@@ -975,12 +931,6 @@ class ProcessBackend(AnalysisBackend):
             return
         self._closed = True
         for handle in getattr(self, "_handles", []):
-            if handle.conn is not None:
-                try:
-                    handle.conn.send_bytes(pickle.dumps(("stop",)))
-                    handle.proc.join(timeout=5)
-                except Exception:
-                    pass
             self._kill(handle)
         self._handles = []
 
@@ -1006,9 +956,12 @@ def make_backend(spec: str | AnalysisBackend, tree: RegionTree,
     already-constructed instance).  The fault-tolerance knobs (``faults``,
     ``recv_timeout``, ``retry``, ``checkpoint_interval``, ``clock``)
     apply to the process backend only — an *active* fault plan
-    on an in-process backend is a configuration error."""
+    on an in-process backend is a configuration error, and so is a
+    ``max_workers`` below 1, a ``recv_timeout`` not above 0 or a
+    ``checkpoint_interval`` below 1 on any backend."""
     if isinstance(spec, AnalysisBackend):
         return spec
+    _check_knobs(max_workers, recv_timeout, checkpoint_interval)
     if spec == "process":
         return ProcessBackend(tree, algorithm, replicas,
                               max_workers=max_workers, faults=faults,

@@ -15,10 +15,10 @@ digest check.  This module provides the pieces the supervisor in
   runs are reproducible bug reports, not flakes), while a respawned
   worker (next incarnation) gets independent draws — recovery from a
   seeded crash is not doomed to re-crash at the same request.
-* :class:`RetryPolicy` — bounded retries with exponential backoff.  The
-  supervisor sleeps and reads deadlines through an injectable
-  :mod:`repro.clock` (re-exported here), so backoff unit tests never
-  sleep in CI.
+* :class:`RetryPolicy` — bounded retries with exponential backoff (four
+  fields, one schedule for every worker).  The supervisor sleeps and
+  reads deadlines through an injectable :mod:`repro.clock` (re-exported
+  here), so backoff unit tests never sleep in CI.
 * :class:`RecoveryReport` — structured counters of everything the
   supervisor saw and did (faults, retries, respawns, checkpoint
   restores, replayed tasks, workers lost, recovery wall-clock), surfaced
@@ -185,45 +185,21 @@ class RetryPolicy:
     waits ``base_delay * multiplier**(k-1)`` seconds, capped at
     ``max_delay``.  ``max_retries`` counts the *extra* attempts after
     the first, so a recovery makes at most ``max_retries + 1`` tries
-    before declaring the worker permanently lost.
-
-    ``jitter`` desynchronizes simultaneous recoveries: with pure
-    exponential backoff every worker lost to the same event respawns in
-    lockstep, re-colliding on whatever resource killed them.  A nonzero
-    ``jitter`` stretches each wait by up to ``jitter`` of itself, with
-    the fraction drawn from ``SHA-256(seed, salt, attempt)`` — the same
-    ``(policy, salt)`` always sleeps the same schedule (chaos runs stay
-    reproducible), while different salts (worker ids) spread out.  The
-    default ``jitter=0.0`` preserves the exact historical schedule.
+    before declaring the worker permanently lost.  The schedule is the
+    same for every worker and every run: chaos runs stay reproducible.
     """
 
     max_retries: int = 2
     base_delay: float = 0.05
     multiplier: float = 2.0
     max_delay: float = 2.0
-    jitter: float = 0.0
-    seed: int = 0
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.jitter <= 1.0:
-            raise MachineError(f"retry jitter {self.jitter} outside [0, 1]")
-
-    def delay(self, attempt: int, salt: int = 0) -> float:
-        """Backoff before recovery attempt ``attempt`` (0-based).
-
-        ``salt`` identifies the retrying party (the supervisor passes
-        the worker id) so concurrent recoveries draw independent jitter.
-        """
+    def delay(self, attempt: int) -> float:
+        """Backoff before recovery attempt ``attempt`` (0-based)."""
         if attempt <= 0:
             return 0.0
-        base = min(self.base_delay * self.multiplier ** (attempt - 1),
+        return min(self.base_delay * self.multiplier ** (attempt - 1),
                    self.max_delay)
-        if self.jitter <= 0.0:
-            return base
-        digest = hashlib.sha256(
-            f"{self.seed}:{salt}:{attempt}".encode()).digest()
-        frac = int.from_bytes(digest[:8], "little") / 2.0 ** 64
-        return base * (1.0 + self.jitter * frac)
 
 
 # ----------------------------------------------------------------------

@@ -252,9 +252,12 @@ class Runtime:
 
     def replay(self, stream) -> list[Task]:
         """Launch every task of a :class:`TaskStream` in order; returns
-        the launched tasks."""
-        return [self.launch(t.name, t.requirements, t.body, t.point)
-                for t in stream]
+        the launched tasks.  A loop, not a comprehension: before 3.12 a
+        comprehension is a frame of its own, one more call per stream."""
+        tasks = []
+        for t in stream:
+            tasks.append(self.launch(t.name, t.requirements, t.body, t.point))
+        return tasks
 
     def __repr__(self) -> str:
         return (f"Runtime(algorithm={self.algorithm_name!r}, "

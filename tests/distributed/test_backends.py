@@ -8,14 +8,17 @@ pickled task streams and structural deltas — those paths get targeted
 coverage here.
 """
 
+import multiprocessing as mp
+
 import numpy as np
 import pytest
 
 from repro import (READ, READ_WRITE, IndexSpace, MachineError,
                    RegionRequirement, TaskStream, reduce)
 from repro.distributed import BACKENDS, ShardedRuntime, make_backend
-from repro.distributed.backends import (ProcessBackend, decode_privilege,
-                                        encode_privilege, encode_tasks)
+from repro.distributed.backends import (ProcessBackend, ThreadBackend,
+                                        decode_privilege, encode_privilege,
+                                        encode_tasks)
 from repro.distributed.verify import (DeterminismError, ShardReport,
                                       check_reports, diff_dependences,
                                       fingerprint_tokens)
@@ -222,6 +225,30 @@ class TestFactory:
         tree, _, _ = make_fig1_tree()
         with pytest.raises(MachineError):
             make_backend("serial", tree, "raycast", 0)
+
+    @pytest.mark.parametrize("build", [
+        lambda tree: ThreadBackend(tree, "raycast", 2, max_workers=0),
+        lambda tree: ProcessBackend(tree, "raycast", 3, max_workers=-5),
+        lambda tree: ProcessBackend(tree, "raycast", 2, recv_timeout=0),
+        lambda tree: ProcessBackend(tree, "raycast", 2, recv_timeout=-1),
+        lambda tree: ProcessBackend(tree, "raycast", 2,
+                                    checkpoint_interval=-3),
+        lambda tree: make_backend("serial", tree, "raycast", 2,
+                                  max_workers=-5),
+        lambda tree: make_backend("process", tree, "raycast", 2,
+                                  recv_timeout=0.0)],
+        ids=["thread-workers-0", "process-workers-neg", "timeout-0",
+             "timeout-neg", "interval-neg", "factory-workers-neg",
+             "factory-timeout-0"])
+    def test_meaningless_knob_refused_before_spawning(self, build):
+        """A worker cap or checkpoint interval below 1, or a receive
+        timeout not above 0, means nothing: it is refused before any
+        worker spawns."""
+        tree, _, _ = make_fig1_tree()
+        before = mp.active_children()
+        with pytest.raises(MachineError, match="need max_workers >= 1"):
+            build(tree)
+        assert mp.active_children() == before
 
     def test_process_backend_repr_name(self):
         tree, _, _ = make_fig1_tree()

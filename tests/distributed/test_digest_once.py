@@ -66,7 +66,7 @@ def test_restore_check_hashes_afresh(counted):
     # the live hosting's kept digest is not what a digest request answers
     local.hosting.runtimes[1].meter.count("eqsets_split")
     with pytest.raises(CorruptReply):
-        backend._check_restore(local)
+        backends.AnalysisBackend._ask(backend, local, ("digest",))
     # nor is a kept digest carried into a restore: the blob's meter is
     # tampered with, and the restored state is refused
     tree, runtimes, base = pickle.loads(local.checkpoint.live)
@@ -77,5 +77,5 @@ def test_restore_check_hashes_afresh(counted):
     restored = _LocalHandle(_open_hosting(backend._host_spec(local)),
                             local.worker_id, local.checkpoint)
     with pytest.raises(CorruptReply):
-        backend._check_restore(restored)
+        backends.AnalysisBackend._ask(backend, restored, ("digest",))
     assert len(hashed) == 1

@@ -1,6 +1,7 @@
 """Every replica is a hosting: shard 0, the serial and thread replicas
 and the process backend's workers all analyze through one method,
-``_Hosting.run``, once per shard per window."""
+``_Hosting.run``, once per shard per window, and are asked through one
+request path, whose reply check they all meet."""
 
 import multiprocessing as mp
 import os
@@ -8,7 +9,7 @@ import os
 import pytest
 
 from repro.distributed import ShardedRuntime, backends
-from repro.distributed.faults import FakeClock, RetryPolicy
+from repro.distributed.faults import CorruptReply, FakeClock, RetryPolicy
 
 from tests.conftest import fig1_initial, fig1_stream, make_fig1_tree
 
@@ -69,3 +70,22 @@ def test_lying_dump_worker_is_recovered(monkeypatch):
         assert len(dump) == 6
         assert srt.recovery.faults == {"corrupt": 3}
         assert srt.recovery.workers_lost == 1
+
+
+@pytest.mark.parametrize("backend", ["serial", "thread"])
+def test_lying_local_dump_is_refused(backend, monkeypatch):
+    """The same lie from an in-process host (a dump one row short) meets
+    the same check; with no worker to respawn it is raised."""
+    real = backends._dispatch
+
+    def lying(msg, hosting):
+        status, result = real(msg, hosting)
+        return status, result[:-1] if msg[0] == "dump" else result
+
+    monkeypatch.setattr(backends, "_dispatch", lying)
+    tree, P, G = make_fig1_tree()
+    with ShardedRuntime(tree, fig1_initial(tree), shards=2,
+                        backend=backend) as srt:
+        srt.analyze(fig1_stream(tree, P, G, 1))
+        with pytest.raises(CorruptReply):
+            srt.backend.dump_dependences(1, 0, 6)

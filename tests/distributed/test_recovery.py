@@ -227,7 +227,6 @@ class TestPermanentLoss:
             backend = srt.backend
             hosts = {h.remote: sorted(h.shards) for h in backend.handles}
             assert hosts == {True: [2], False: [1, 3]}
-            assert backend.degraded
         assert fingerprints == baseline
         assert recovery.workers_lost == 1
         assert recovery.local_fallbacks == 1
@@ -242,7 +241,7 @@ class TestPermanentLoss:
                              retry=FAST_RETRY, checkpoint_interval=2)
         with srt:
             first = srt.analyze(fig1_stream(tree, P, G, 1))
-            assert srt.backend.degraded
+            assert srt.recovery.local_fallbacks == 1
             second = srt.analyze(fig1_stream(tree, P, G, 1))
             assert len({r.fingerprint for r in second}) == 1
             assert srt.backend.dump_dependences(1, 0, 6) == \

@@ -16,8 +16,7 @@ from repro import MachineError
 from repro.distributed import ShardedRuntime, backends
 from repro.distributed.backends import (ProcessBackend, _dispatch,
                                        _open_hosting, encode_tasks)
-from repro.distributed.faults import (CorruptReply, FakeClock, RetryPolicy,
-                                      SystemClock)
+from repro.distributed.faults import CorruptReply, FakeClock, RetryPolicy
 from repro.obs import tracer as obs
 
 from tests.conftest import fig1_initial, fig1_stream, make_fig1_tree
@@ -39,7 +38,7 @@ def reply():
         handle = backend.handles[0]
         handle.send(("analyze", [], encode_tasks(fig1_stream(tree, P, G, 1)),
                      1))
-        blob = handle.recv(0.05, SystemClock(), 10.0)
+        blob = handle.recv()
     yield backend, handle, blob
     obs.set_tracer(previous)
 
@@ -170,7 +169,7 @@ def checkpoint():
         backend.after_verified()
         handle = backend.handles[0]
         handle.send(("checkpoint",))
-        frame = pickle.loads(handle.recv(0.05, SystemClock(), 10.0))
+        frame = pickle.loads(handle.recv())
     yield backend, handle, frame
 
 
@@ -191,18 +190,20 @@ def test_real_checkpoint_parses(checkpoint):
     ("checkpoint", lambda r: (r[0], [r[1][0], (2, "0" * 64)], r[2])),
     ("digest", lambda r: "ab"),                           # unpacked to 2
     ("digest", lambda r: [(1, "x"), (7, "y")]),
+    ("digest", lambda r: [(1, r[1][0][1]), (2, "0" * 64)]),
     ("dump", lambda r: r),                                # not a list
     ("dump", lambda r: [r[0]]),                           # a row not a tuple
     ("dump", lambda r: [(1, 2), (3, "4")]),               # a task id str
     ("dump", lambda r: [(True,)]),                        # a task id bool
 ], ids=["strings", "base", "foreign-shard", "reference-digest",
-        "digest-string", "digest-foreign-shard", "dump-tuple", "dump-int-row",
-        "dump-string-id", "dump-bool-id"])
+        "digest-string", "digest-foreign-shard", "digest-not-checkpoint",
+        "dump-tuple", "dump-int-row", "dump-string-id", "dump-bool-id"])
 def test_lying_checkpoint_or_digest_is_corrupt(checkpoint, command, lie):
     """A checkpoint or digest result of the wrong shape — a base other
     than the parent's, a digest naming a shard the handle does not host,
-    or one that is not the reference replica's structure digest — is a
-    CorruptReply, which recovery retries."""
+    or one that is not the reference replica's structure digest (for a
+    digest, the handle's checkpoint digest) — is a CorruptReply, which
+    recovery retries."""
     backend, handle, (status, result, fragment) = checkpoint
     with pytest.raises(CorruptReply):
         backend._parse(handle, pickle.dumps((status, lie(result), fragment)),

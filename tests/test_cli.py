@@ -200,6 +200,7 @@ class TestErrorContract:
         "census-diff-directory": ["census-diff", "DIR", "DIR"],
         "census-diff-not-utf8": ["census-diff", "LATIN1", "LATIN1"],
         "analyze-no-pieces": ["analyze", "--pieces", "0"],
+        "analyze-no-workers": ["analyze", "--parallel", "0"],
         "census-no-pieces": ["census", "--pieces", "0"],
         "explain-no-pieces": ["explain", "0", "--pieces", "0"],
         "validate-no-pieces": ["validate", "--pieces", "0"],
