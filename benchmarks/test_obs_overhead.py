@@ -24,9 +24,14 @@ machine moments apart, and the primitive timing averages millions of
 calls.
 """
 
+import os
+import re
+import sys
 import timeit
 
 import pytest
+
+import repro
 
 from repro import Runtime
 from repro.apps import CircuitApp
@@ -41,6 +46,11 @@ OVERHEAD_BUDGET = 0.05
 #: because the hooks got slower, so the bound is 1.5 % — inside the 5 %
 #: total, which is unchanged.
 WITNESS_BUDGET = 0.015
+#: The witness-hook tests one launch evaluates, counted (not timed): one
+#: iteration evaluates 1 948 over 96 launches (20.3 a launch).  The bound
+#: leaves room for a scan a few entries longer, not for one more hook per
+#: scanned entry (~15 a launch).
+WITNESS_TESTS_PER_LAUNCH = 24
 
 
 def make_runtime():
@@ -64,6 +74,38 @@ def _disabled_launch_check():
     return 0
 
 
+def count_witness_tests(run) -> int:
+    """Call ``run()`` under a line tracer and return how many times it
+    evaluated a witness-hook test: a source line of ``repro`` testing
+    ``led is None`` or ``led is not None``."""
+    hook = re.compile(r"\bled is (not )?None\b")
+    sites = set()
+    for folder, _, names in os.walk(os.path.dirname(repro.__file__)):
+        for name in names:
+            if name.endswith(".py"):
+                path = os.path.join(folder, name)
+                with open(path) as source:
+                    sites.update((path, n) for n, line in enumerate(source, 1)
+                                 if hook.search(line.split("#")[0]))
+    files = {path for path, _ in sites}
+    evaluated = 0
+
+    def line(frame, event, arg):
+        nonlocal evaluated
+        if event == "line" and (frame.f_code.co_filename,
+                                frame.f_lineno) in sites:
+            evaluated += 1
+        return line
+
+    sys.settrace(lambda frame, event, arg:
+                 line if frame.f_code.co_filename in files else None)
+    try:
+        run()
+    finally:
+        sys.settrace(None)
+    return evaluated
+
+
 def test_disabled_recorder_overhead_is_below_budget():
     """Every guard a launch evaluates with the tracer disabled, in one
     sum: the launch's one tracer check (a disabled launch opens no span),
@@ -72,7 +114,12 @@ def test_disabled_recorder_overhead_is_below_budget():
     one local-variable ``led is not None`` test per witness hook.  Each
     term of the hook count below names the hook site it bounds: a meter
     count (identical on/off — the differential tests prove it) for the
-    sites inside a loop, the number of accesses for the per-call ones."""
+    sites inside a loop, the number of accesses for the per-call ones.
+
+    The hook tests are also counted as evaluated, by a line tracer: the
+    meter proxy must price every one of them, and a launch may evaluate
+    at most :data:`WITNESS_TESTS_PER_LAUNCH` — a bound a faster launch
+    cannot trip, unlike the timed share."""
     assert not active_tracer().enabled, "benchmark requires default state"
     rt, app = make_runtime()
 
@@ -99,7 +146,7 @@ def test_disabled_recorder_overhead_is_below_budget():
                                  number=calls // 5)) / (calls // 5)
     before = dict(rt.meter.counters)
     stream = app.iteration_stream()
-    rt.replay(stream)
+    tested = count_witness_tests(lambda: rt.replay(stream))
     after = rt.meter.counters
 
     def delta(counter):
@@ -121,13 +168,19 @@ def test_disabled_recorder_overhead_is_below_budget():
         + delta("eqsets_visited")
         + per_call)
     assert hooks > per_call, "analysis scanned nothing — wrong workload?"
+    assert tested <= hooks, (
+        f"{tested} witness-hook tests evaluated, {hooks} priced")
+    assert tested <= WITNESS_TESTS_PER_LAUNCH * len(stream), (
+        f"{tested / len(stream):.1f} witness-hook tests a launch "
+        f"> {WITNESS_TESTS_PER_LAUNCH}")
 
     witness = per_hook * hooks / iter_seconds
     overhead = (per_launch * len(stream) + per_hook * branches) \
         / iter_seconds + witness
     print(f"\ndisabled-recorder overhead: {len(stream)} launch checks x "
           f"{per_launch * 1e9:.0f}ns + {branches} access branches and "
-          f"{hooks} witness hooks x {per_hook * 1e9:.0f}ns over "
+          f"{hooks} witness hooks ({tested} evaluated) x "
+          f"{per_hook * 1e9:.0f}ns over "
           f"{iter_seconds * 1e3:.2f}ms -> {overhead * 100:.3f}% "
           f"(witness hooks {witness * 100:.3f}%)")
     assert witness < WITNESS_BUDGET, (

@@ -909,18 +909,23 @@ class ProcessBackend(AnalysisBackend):
         # phase 2: the local hosting, then ``meanwhile``, while workers run
         rows = self._run_local(stream)
         meanwhile()
-        # phase 3: collect replies; remember who faulted
-        faulted = []
+        # phase 3: collect every reply; remember who faulted and the
+        # first replica that failed (raised once every pipe is read)
+        faulted, failed = [], None
         for handle in hosts:
             try:
                 rows.extend(self._parse(handle, handle.recv(), "analyze"))
             except WorkerFault as exc:
                 faulted.append((handle, exc))
+            except MachineError as exc:
+                failed = failed or exc
         # phase 4: recover faulted workers one at a time (every healthy
         # pipe is drained, so replay requests cannot interleave with
         # pending replies); each recovery answers this entry afresh
         for handle, exc in faulted:
             rows.extend(self._recover(handle, exc))
+        if failed is not None:
+            raise failed
         self._journal.append(entry)  # every worker has answered it
         return sorted((ShardReport(*row) for row in rows),
                       key=lambda r: r.shard)

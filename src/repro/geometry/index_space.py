@@ -320,7 +320,12 @@ class IndexSpace:
             return _EMPTY_SPACE
         if len(arrays) == 1:
             return IndexSpace(arrays[0], trusted=True)
-        return IndexSpace(np.unique(np.concatenate(arrays)), trusted=True)
+        # a sort and a neighbour mask: numpy 2's hash-based ``np.unique``
+        # is several times slower at the sizes a capture unions
+        merged = np.concatenate(arrays)
+        merged.sort()
+        return IndexSpace(merged[np.concatenate(
+            ([True], merged[1:] != merged[:-1]))], trusted=True)
 
     def to_rect_coords(self, extent: Extent) -> np.ndarray:
         """Delinearize back to ``(n, dim)`` coordinates inside ``extent``."""

@@ -231,9 +231,12 @@ class CoherenceAlgorithm(ABC):
         (columns, counts, indexes) disagrees with what it mirrors."""
 
     def _check_valued(self, entries) -> None:
-        """Raise unless the visible ``entries`` are all UNVALUED (in an
-        analysis-only store) or all valued."""
+        """Raise unless every one of ``entries`` keeps the entry rules
+        (:meth:`HistoryEntry.check`, which no store's constructor runs)
+        and the visible ones are all UNVALUED (in an analysis-only store)
+        or all valued."""
         for entry in entries:
+            entry.check()
             if entry.is_visible and \
                     (entry.values is UNVALUED) != (self.dtype is None):
                 raise CoherenceError(f"{entry!r} mixes valued and unvalued")

@@ -155,20 +155,28 @@ class EquivalenceSet:
         return current
 
     def record(self, entry: HistoryEntry) -> None:
-        """Append one operation.
-
-        A write must cover the whole set and occludes the entire prior
-        history — Figure 9 lines 30–31 and Figure 11's simplification of
-        histories by writes.  Histories longer than
-        :data:`HISTORY_COMPACTION_LIMIT` collapse into a summary write.
-        """
+        """Append one operation built outside a store, once it is proved:
+        the entry's own rules (:meth:`HistoryEntry.check`), its domain
+        inside this set, and a write covering the set.  The stores append
+        the entries they build on domains they cut through
+        :meth:`_append`, which proves nothing; ``check_invariants``
+        re-proves every entry."""
+        entry.check()
         if entry.domain is not self.space \
                 and not entry.domain.issubset(self.space):
             raise CoherenceError("entry escapes its equivalence set")
+        if entry.privilege.is_write and entry.domain.size != self.space.size:
+            raise CoherenceError(
+                "write entries must cover their equivalence set")
+        self._append(entry)
+
+    def _append(self, entry: HistoryEntry) -> None:
+        """Append one operation on a subset of this set (a write on all
+        of it).  A write occludes the entire prior history — Figure 9
+        lines 30–31 and Figure 11's simplification of histories by
+        writes; histories longer than :data:`HISTORY_COMPACTION_LIMIT`
+        collapse into a summary write."""
         if entry.privilege.is_write:
-            if entry.domain.size != self.space.size:
-                raise CoherenceError(
-                    "write entries must cover their equivalence set")
             self.history = [entry]
             return
         self.history.append(entry)
@@ -687,13 +695,14 @@ class BucketStore:
 
     def check_invariants(self, root_space: IndexSpace) -> None:
         """Assert: sets pairwise disjoint, union covers the root, every
-        history entry contained in its set, the columns (once filled) ≡ the
-        bucket regions and the live sets, the span memo ≡ a re-derivation
-        from the bucket bounds, every all-live region memo ≡ the live sets
-        overlapping its query (its intersections ≡ ``set & query``), and a
-        cost learned under this generation ≡ the walk re-derived from the
-        buckets: the query's bounds hits plus each hit candidate's span's,
-        every candidate tested."""
+        history entry contained in its set (a write covering it), the
+        columns (once filled) ≡ the bucket regions and the live sets, the
+        span memo ≡ a re-derivation from the bucket bounds, every all-live
+        region memo ≡ the live sets overlapping its query (its
+        intersections ≡ ``set & query``), and a cost learned under this
+        generation ≡ the walk re-derived from the buckets: the query's
+        bounds hits plus each hit candidate's span's, every candidate
+        tested."""
         sets = self.all_sets()
         _check_partition(sets, root_space)
 
@@ -732,6 +741,8 @@ class BucketStore:
             for e in s.history:
                 if not e.domain.issubset(s.space):
                     raise CoherenceError(f"entry escapes {s!r}")
+                if e.privilege.is_write and e.domain.size != s.space.size:
+                    raise CoherenceError(f"write entry narrower than {s!r}")
             if self._kd is None:
                 hits = near(s.space)
                 spans[s.uid] = (len(hits), [r for r in hits

@@ -92,6 +92,11 @@ class HistoryEntry:
     ride along so dependence scans stay sound (conservatively — a summary
     interferes like a write even where the collapsed operations were
     reductions).
+
+    The constructor checks nothing: the stores build entries from values
+    ``commit`` validated and on domains they cut themselves.  The rules
+    (:meth:`check`) are proved where outside data enters — :meth:`checked`
+    and ``EquivalenceSet.record`` — and re-proved by ``check_invariants``.
     """
 
     privilege: Privilege
@@ -100,7 +105,16 @@ class HistoryEntry:
     task_id: int
     collapsed_ids: frozenset[int] = frozenset()
 
-    def __post_init__(self) -> None:
+    @classmethod
+    def checked(cls, *args, **kwargs) -> "HistoryEntry":
+        """An entry built from outside data, once :meth:`check` passes."""
+        entry = cls(*args, **kwargs)
+        entry.check()
+        return entry
+
+    def check(self) -> None:
+        """Raise unless a read carries no values and a visible entry's
+        values (unless :data:`UNVALUED`) live on its domain."""
         if self.privilege.is_read:
             if self.values is not None:
                 raise CoherenceError("read entries must not carry values")

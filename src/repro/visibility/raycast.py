@@ -54,7 +54,7 @@ class RayCastAlgorithm(CoherenceAlgorithm):
                  meter: Optional[CostMeter] = None) -> None:
         super().__init__(tree, field, initial, meter)
         root = EquivalenceSet(tree.root.space)
-        root.record(HistoryEntry(
+        root._append(HistoryEntry(
             READ_WRITE, tree.root.space,
             UNVALUED if initial is None else RegionValues(
                 tree.root.space, np.asarray(initial).copy()),
@@ -122,7 +122,7 @@ class RayCastAlgorithm(CoherenceAlgorithm):
         # coherent even if the task aborts before commit; the commit
         # replaces the seed with the task's real write.
         fresh = self._store.dominate_write(region.space, sets, region.uid)
-        fresh.record(HistoryEntry(
+        fresh._append(HistoryEntry(
             READ_WRITE, region.space, UNVALUED if values is None
             else RegionValues(region.space, values.copy()), INITIAL_TASK_ID))
         self.meter.touch(fresh.key)
@@ -140,7 +140,7 @@ class RayCastAlgorithm(CoherenceAlgorithm):
                     common, values.copy() if common.size == values.size
                     else values[region.space.positions_of(common)])
                 moved += common.size
-            eqset.record(HistoryEntry(privilege, common, kept, task_id))
+            eqset._append(HistoryEntry(privilege, common, kept, task_id))
         if moved:
             self.meter.counters["elements_moved"] += moved
 

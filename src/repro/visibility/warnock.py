@@ -101,7 +101,7 @@ class WarnockAlgorithm(CoherenceAlgorithm):
                 kept = UNVALUED if values is None else RegionValues(
                     space, values[region.space.positions_of(space)])
                 moved += space.size
-            eqset.record(HistoryEntry(privilege, space, kept, task_id))
+            eqset._append(HistoryEntry(privilege, space, kept, task_id))
         if moved:
             self.meter.counters["elements_moved"] += moved
 

@@ -10,6 +10,7 @@ import pytest
 
 from repro.distributed import ShardedRuntime, backends
 from repro.distributed.faults import CorruptReply, FakeClock, RetryPolicy
+from repro.errors import MachineError
 
 from tests.conftest import fig1_initial, fig1_stream, make_fig1_tree
 
@@ -89,3 +90,35 @@ def test_lying_local_dump_is_refused(backend, monkeypatch):
         srt.analyze(fig1_stream(tree, P, G, 1))
         with pytest.raises(CorruptReply):
             srt.backend.dump_dependences(1, 0, 6)
+
+
+@pytest.mark.skipif(not FORK, reason="the error is patched into workers")
+def test_an_errored_window_leaves_no_reply_queued(monkeypatch):
+    """Worker 0 analyzes its second window, then answers it ``("error",
+    ...)``: the window raises that error only once every worker's reply is
+    read, so no pipe holds a stale reply and the next window verifies."""
+    parent, real = os.getpid(), backends._dispatch
+    windows = []
+
+    def failing(msg, hosting):
+        status, result = real(msg, hosting)
+        if msg[0] == "analyze" and os.getpid() != parent \
+                and 1 in hosting.runtimes:
+            windows.append(msg)
+            if len(windows) == 2:
+                return "error", "injected replica failure"
+        return status, result
+
+    monkeypatch.setattr(backends, "_dispatch", failing)
+    tree, P, G = make_fig1_tree()
+    with ShardedRuntime(tree, fig1_initial(tree), shards=3,
+                        backend="process", max_workers=2,
+                        recv_timeout=10.0) as srt:
+        workers = [h for h in srt.backend._handles if h.remote]
+        assert [h.shards for h in workers] == [[1], [2]]
+        srt.analyze(fig1_stream(tree, P, G, 1))
+        with pytest.raises(MachineError, match="injected replica failure"):
+            srt.analyze(fig1_stream(tree, P, G, 1))
+        assert not any(h.conn.poll(0.2) for h in workers)
+        srt.analyze(fig1_stream(tree, P, G, 1))
+        assert srt.recovery.faults == {}

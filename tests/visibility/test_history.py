@@ -166,19 +166,31 @@ class TestRegionValues:
 
 
 class TestHistoryEntry:
+    """The entry rules are proved where outside data enters: the checked
+    constructor here, ``EquivalenceSet.record`` and ``check_invariants``
+    in ``test_loose_eqsets.py``."""
+
     def test_read_entries_carry_no_values(self):
         space = IndexSpace.from_indices([1])
-        with pytest.raises(CoherenceError):
-            HistoryEntry(READ, space, rv([1], [5]), 0)
-        entry = HistoryEntry(READ, space, None, 0)
+        with pytest.raises(CoherenceError, match="must not carry values"):
+            HistoryEntry.checked(READ, space, rv([1], [5]), 0)
+        entry = HistoryEntry.checked(READ, space, None, 0)
         assert not entry.is_visible
 
     def test_visible_entries_need_aligned_values(self):
         space = IndexSpace.from_indices([1, 2])
-        with pytest.raises(CoherenceError):
-            HistoryEntry(READ_WRITE, space, None, 0)
-        with pytest.raises(CoherenceError):
-            HistoryEntry(READ_WRITE, space, rv([1], [5]), 0)
+        with pytest.raises(CoherenceError, match="live on the entry domain"):
+            HistoryEntry.checked(READ_WRITE, space, None, 0)
+        with pytest.raises(CoherenceError, match="live on the entry domain"):
+            HistoryEntry.checked(READ_WRITE, space, rv([1], [5]), 0)
+
+    def test_plain_constructor_proves_nothing(self):
+        """The stores' constructor: a bad entry is built, and ``check``
+        names what is wrong with it."""
+        entry = HistoryEntry(READ, IndexSpace.from_indices([1]),
+                             rv([1], [5]), 0)
+        with pytest.raises(CoherenceError, match="must not carry values"):
+            entry.check()
 
 
 class TestPaintEntry:

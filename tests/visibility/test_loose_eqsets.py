@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import (READ, READ_WRITE, CoherenceError, IndexSpace, RegionTree,
-                   Runtime, reduce)
+from repro import (READ, READ_WRITE, CoherenceError, IndexSpace,
+                   RegionRequirement, RegionTree, Runtime, reduce)
 from repro.apps import APPS
 from repro.distributed.verify import analysis_fingerprint
 from repro.geometry.fastpath import batch_overlaps
@@ -641,3 +641,93 @@ class TestOwnerColumn:
     def test_checkpoint_carries_no_column(self, monkeypatch):
         """83 880 bytes at the parent commit (`fb3ee98`)."""
         checkpoint_round_trip("raycast", 83_880, monkeypatch)
+
+
+class TestEveryGuardTrips:
+    """Each guard of the sets and their stores, tripped through a public
+    path: ``EquivalenceSet.record`` for an entry from outside, ``rebucket``
+    for a set no bucket takes, ``check_invariants`` for a store whose
+    caches or entries went wrong (the stores append their own entries
+    unchecked, so the check re-proves them)."""
+
+    def test_record_proves_the_entry(self):
+        s = TestLooseEquivalenceSet().make()
+        space = IndexSpace.from_indices([1, 2])
+        with pytest.raises(CoherenceError, match="must not carry values"):
+            s.record(HistoryEntry(READ, space, RegionValues(
+                space, np.zeros(2)), 1))
+        with pytest.raises(CoherenceError, match="live on the entry domain"):
+            s.record(HistoryEntry(reduce("sum"), space, RegionValues(
+                IndexSpace.from_indices([1]), np.zeros(1)), 1))
+        with pytest.raises(CoherenceError, match="escapes"):
+            s.record(entry(READ, [9], None, 1))
+        with pytest.raises(CoherenceError, match="must cover"):
+            s.record(entry(READ_WRITE, [1, 2], [0, 0], 1))
+
+    def test_rebucket_onto_a_partial_partition(self):
+        tree, P, store = make_store()
+        half = tree.root.create_partition(
+            "half", [IndexSpace.from_range(0, 8)])
+        with pytest.raises(CoherenceError, match="fits no bucket"):
+            store.rebucket(half)
+
+    @staticmethod
+    def algorithm():
+        tree = RegionTree(16, {"x": np.float64})
+        P = tree.root.create_partition(
+            "P", [IndexSpace.from_range(4 * i, 4 * i + 4) for i in range(4)],
+            disjoint=True, complete=True)
+        rt = Runtime(tree, {"x": np.zeros(16)}, algorithm="raycast")
+        for i in range(4):
+            rt.launch("w", [RegionRequirement(P[i], "x", READ_WRITE)])
+            rt.launch("r", [RegionRequirement(P[i], "x", READ)])
+        algorithm = rt.algorithm_for("x")
+        algorithm.check_invariants()
+        return algorithm, algorithm.store, tree.root.space
+
+    @pytest.mark.parametrize("bad, match", [
+        ("read carries values", "must not carry values"),
+        ("values off the domain", "live on the entry domain"),
+        ("entry escapes", "entry escapes"),
+        ("narrow write", "write entry narrower"),
+    ])
+    def test_invariants_reprove_appended_entries(self, bad, match):
+        algorithm, store, _ = self.algorithm()
+        s = store.all_sets()[0]
+        inside = IndexSpace.from_indices([s.space.indices[0]])
+        outside = IndexSpace.from_indices([99])
+        s._append({
+            "read carries values": HistoryEntry(
+                READ, inside, RegionValues(inside, np.zeros(1)), 7),
+            "values off the domain": HistoryEntry(
+                reduce("sum"), inside, RegionValues(outside, np.zeros(1)), 7),
+            "entry escapes": HistoryEntry(READ, outside, None, 7),
+            "narrow write": HistoryEntry(
+                READ_WRITE, inside, RegionValues(inside, np.zeros(1)), 7),
+        }[bad])
+        with pytest.raises(CoherenceError, match=match):
+            algorithm.check_invariants()
+
+    def test_invariants_notice_a_wrong_cache(self):
+        algorithm, store, root = self.algorithm()
+        uid = next(iter(store._span))
+        visited, placed = store._span[uid]
+        store._span[uid] = (visited + 1, placed)
+        with pytest.raises(CoherenceError, match="bucket-span memo"):
+            store.check_invariants(root)
+        store._span[uid] = (visited, placed)
+        store._fill_columns()[2][0] += 1
+        with pytest.raises(CoherenceError, match="owner column diverged"):
+            store.check_invariants(root)
+
+    def test_invariants_notice_a_wrong_decomposition(self):
+        algorithm, store, root = self.algorithm()
+        first = store.all_sets()[0]
+        del store._sets[first.uid]
+        with pytest.raises(CoherenceError, match="do not cover the root"):
+            store.check_invariants(root)
+        twin = EquivalenceSet(first.space)
+        store._sets[first.uid] = first
+        store._sets[twin.uid] = twin
+        with pytest.raises(CoherenceError, match="sets overlap"):
+            store.check_invariants(root)

@@ -94,6 +94,16 @@ class TestRefinementStore:
         with pytest.raises(CoherenceError, match="narrower"):
             store.check_invariants(IndexSpace.from_range(0, 16))
 
+    def test_columns_are_checked_against_the_sets(self):
+        """The owner column is a cache of the sets: one flipped owner is a
+        divergence ``check_invariants`` names."""
+        store = self.make()
+        store.locate(IndexSpace.from_range(4, 8))
+        store.check_invariants(IndexSpace.from_range(0, 16))
+        store._owner[5] = 1 - store._owner[5]
+        with pytest.raises(CoherenceError, match="columns diverged"):
+            store.check_invariants(IndexSpace.from_range(0, 16))
+
     def test_monotone_refinement_only(self):
         store = self.make()
         store.locate(IndexSpace.from_range(0, 8))
