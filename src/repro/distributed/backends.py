@@ -1,33 +1,25 @@
 """Pluggable execution backends for replicated shard analysis.
 
 :class:`~repro.distributed.sharded.ShardedRuntime` must run the same
-dependence analysis once per control-replicated shard (the DCR contract).
-The analyses are completely independent — they share no mutable state and
-must reach bit-identical conclusions — so they are embarrassingly
-parallel.  Every replica is a :class:`_Hosting` behind a handle, analyzed
-by :meth:`_Hosting.run`; three backends place and ask the hostings:
+dependence analysis once per control-replicated shard (the DCR contract);
+the analyses share no mutable state and must reach bit-identical
+conclusions.  Every replica is an analysis-only
+:class:`~repro.runtime.context.Runtime` in a :class:`_Hosting` behind a
+handle; three backends place and ask the hostings:
 
 * :class:`SerialBackend` — all in-process, one after another (the
   reference semantics, and the fastest option for tiny streams);
-* :class:`ThreadBackend` — all in-process, on a thread pool (cheap to set
-  up; NumPy kernels release the GIL, pure-Python scan code does not);
+* :class:`ThreadBackend` — all in-process, on a thread pool (NumPy
+  kernels release the GIL, pure-Python scan code does not);
 * :class:`ProcessBackend` — shard 0 in-process, the others in persistent
-  worker processes fed by *pickled task-stream shipping*: region trees
-  and task streams are encoded into a compact picklable form (task bodies
-  are never shipped), structural deltas (partitions created since the
-  last ship) ride along, and each worker returns only its analysis
-  fingerprint and timing.  Dependence dumps for divergence diffs are
-  fetched lazily, on mismatch.
+  worker processes fed pickled structural deltas and encoded task streams
+  (never bodies); a worker returns fingerprints and timings, and a
+  dependence dump only when asked, on mismatch.
 
-A hosting on the driver's tree runs the stream's own launches; a worker's,
-or a lost worker's in-process fallback, decodes the shipped message.
 Every backend asks a hosting one way, :meth:`AnalysisBackend._ask`, which
 checks each reply by shape; the process backend recovers a faulted worker
-in one loop, :meth:`ProcessBackend._recover`.
-Every replica is an analysis-only :class:`~repro.runtime.context.Runtime`:
-DCR replicates the analysis, not the values, which live only in
-:class:`~repro.distributed.sharded.ShardedRuntime`.  The deterministic-merge
-verification of the per-shard reports lives in :mod:`repro.distributed.verify`.
+in one loop, :meth:`ProcessBackend._recover`.  The deterministic-merge
+verification of the reports lives in :mod:`repro.distributed.verify`.
 """
 
 from __future__ import annotations
@@ -156,6 +148,9 @@ class AnalysisBackend:
     _all_local = True
     #: Total pickled payload shipped to remote replicas so far.
     shipped_bytes = 0
+    #: ``(base, shard 0's digest)`` a snapshot riding an analyze reply
+    #: must match: the process backend's, once a marked window verifies.
+    _due: Optional[tuple] = None
 
     def __init__(self, tree: RegionTree, algorithm: str,
                  replicas: int) -> None:
@@ -229,12 +224,11 @@ class AnalysisBackend:
         status ``"ok"``/``"error"`` and a ``None`` or
         :meth:`~repro.obs.tracer.TraceBuffer.absorbable` fragment, or a
         result of the wrong shape, is a :class:`CorruptReply`.  Analyze:
-        a row per hosted shard.  Digest: the handle's checkpoint digest
-        per shard.  Dump: ``count`` tuples of ints (any number if None).
-        Checkpoint: ``(base, digests, live blob)`` at this backend's base,
-        every digest the one shard 0 kept from its last run.  The
-        fragment (what a worker's tracer recorded) is absorbed into the
-        active tracer, the result returned."""
+        a row per hosted shard and a snapshot — None, or, if a checkpoint
+        is due, ``(base, digests, live blob)`` at its base with shard 0's
+        digests.  Digest: the handle's checkpoint digest per shard.  Dump:
+        ``count`` tuples of ints (any number if None).  The fragment (what
+        a worker's tracer recorded) is absorbed, the result returned."""
         frame = handle.load(blob)
         if not (type(frame) is tuple and len(frame) == 3
                 and isinstance(frame[0], str) and frame[0] in ("ok", "error")
@@ -247,22 +241,22 @@ class AnalysisBackend:
         if status != "ok":
             raise MachineError(f"analysis replica failed: {result}")
         if command == "analyze":
-            fits = _rows_fit(result, handle.shards)
+            fits = type(result) is tuple and len(result) == 2
+            snap, due = result[1] if fits else None, self._due
+            fits = (fits and _rows_fit(result[0], handle.shards)
+                    and (snap is None or due is None
+                         or type(snap) is tuple
+                         and tuple(map(type, snap)) == (int, list, bytes)
+                         and snap[0] == due[0] and _rows_fit(
+                             snap[1], handle.shards, (int, str), due[1])))
         elif command == "digest":
             fits = _rows_fit(result, handle.shards, (int, str),
                              handle.checkpoint.digest)
-        elif command == "dump":
+        else:
             fits = (type(result) is list and count in (None, len(result))
                     and all(type(row) is tuple
                             and all(type(t) is int for t in row)
                             for row in result))
-        else:
-            fits = (type(result) is tuple and len(result) == 3
-                    and type(result[0]) is int
-                    and result[0] == self.tasks_analyzed
-                    and _rows_fit(result[1], handle.shards, (int, str),
-                                  self._local[0].hosting.kept[0])
-                    and type(result[2]) is bytes)
         if not fits:
             raise CorruptReply(
                 f"worker {handle.worker_id} sent a {command} result that "
@@ -287,7 +281,7 @@ class AnalysisBackend:
     def after_verified(self) -> None:
         """Hook: the caller finished the deterministic-merge verification
         of the last analyzed stream.  The process backend uses this to
-        take fingerprint-verified recovery checkpoints; in-process
+        accept the recovery checkpoint of a verified window; in-process
         backends need nothing."""
 
     #: Supervision counters (:class:`RecoveryReport`); ``None`` for
@@ -347,14 +341,13 @@ class _Hosting:
     """One group of replica runtimes: a region tree (the driver's, or a
     private replica in a worker or a lost worker's fallback), one
     :class:`Runtime` per hosted shard, and the stream base.  Every replica
-    analyzes through :meth:`run`.  A :meth:`checkpoint` trims the
-    runtimes' verified history and pickles the live state that is left
-    (picklable because reduction operators pickle by registry name).
-    Nothing reads a trimmed task or row: hosted replicas only ``launch``
-    (never ``execute_trace``, whose recorder reads the graph), and
-    ``dump`` is only asked for the window being verified, at or past the
-    last checkpoint.  A checkpoint reuses the last run's digests; a
-    ``digest`` request (the restore check) hashes afresh."""
+    analyzes through :meth:`run`.  A :meth:`checkpoint` pickles the live
+    state without the verified history, which the live runtimes drop when
+    the next analyze message arrives: a ``dump`` is only asked for the
+    window awaiting verification, and hosted replicas only ``launch``
+    (never ``execute_trace``, whose recorder reads the graph).  A
+    checkpoint reuses the last run's digests; a ``digest`` request (the
+    restore check) hashes afresh."""
 
     def __init__(self, tree, runtimes: dict, base: int) -> None:
         self.tree = tree
@@ -363,6 +356,9 @@ class _Hosting:
         self.regions = {region.uid: region for region in tree.regions}
         #: ``{shard: structure digest}`` of the last run, if complete.
         self.kept: Optional[dict] = None
+        #: Whether the last analyze message was marked; the snapshot the
+        #: next analyze reply carries.
+        self.marked, self.snapshot = False, None
 
     def check(self, structure, tasks) -> list[tuple]:
         """Raise, naming it, on the first part of an analyze message this
@@ -403,15 +399,21 @@ class _Hosting:
                     raise KeyError(f"unknown field {field!r}")
         return checked
 
-    def analyze(self, structure, tasks) -> list[tuple]:
+    def analyze(self, structure, tasks, mark: bool) -> tuple:
         """:meth:`check` the message, apply its structure, then :meth:`run`
         the decoded tasks, so a message that cannot resolve changes
-        nothing."""
+        nothing.  Returns the rows and the pending snapshot, whose trimmed
+        history the live runtimes drop first; ``mark`` asks for the next."""
         apply_structure(self.regions, self.check(structure, tasks))
-        return self.run([(name, [RegionRequirement(self.regions[uid], field,
+        snapshot, self.snapshot = self.snapshot, None
+        for runtime in self.runtimes.values() if snapshot else ():
+            runtime.trim(snapshot[0])
+        rows = self.run([(name, [RegionRequirement(self.regions[uid], field,
                                                    decode_privilege(priv))
                                  for uid, field, priv in reqs], point)
                          for name, reqs, point in tasks], len(tasks))
+        self.marked = mark
+        return rows, snapshot
 
     def run(self, launches: list, count: int) -> list[tuple]:
         """Every hosted replica's analysis of ``count`` ``(name,
@@ -449,14 +451,18 @@ class _Hosting:
 
     def checkpoint(self) -> tuple:
         """``(base, per-shard structure digests, live blob)``: the last
-        run's digests (hashed afresh if none); then the runtimes are
-        trimmed behind the base (no structure token or meter count moves)
-        and the live state ``(tree, runtimes, base)`` pickled."""
+        run's digests (hashed afresh if none), and the live state ``(tree,
+        runtimes, base)`` pickled with each runtime trimmed behind base."""
         digests = list(self.kept.items()) if self.kept else self.digests()
-        for runtime in self.runtimes.values():
-            runtime.trim(self.base)
-        return (self.base, digests,
-                pickle.dumps((self.tree, self.runtimes, self.base)))
+        return (self.base, digests, pickle.dumps((self.tree, {
+            shard: runtime.trimmed(self.base)
+            for shard, runtime in self.runtimes.items()}, self.base)))
+
+    def idle(self) -> None:
+        """Between requests, once a marked window is answered: take the
+        :meth:`checkpoint` the next analyze reply carries."""
+        if self.marked:
+            self.marked, self.snapshot = False, self.checkpoint()
 
 
 def _open_hosting(spec: dict) -> _Hosting:
@@ -482,15 +488,13 @@ def _dispatch(msg: tuple, hosting: _Hosting) -> tuple:
         if msg[0] == "analyze":
             # msg[3] is the record level — consumed by the worker loop;
             # in-process hosts record straight into the active tracer.
-            return ("ok", hosting.analyze(msg[1], msg[2]))
+            return ("ok", hosting.analyze(msg[1], msg[2], msg[4]))
         if msg[0] == "dump":
             _, shard, lo, n = msg
             return ("ok", dependence_rows(hosting.runtimes[shard].graph,
                                           lo, n))
         if msg[0] == "digest":
             return ("ok", hosting.digests())
-        if msg[0] == "checkpoint":
-            return ("ok", hosting.checkpoint())
         return ("error", f"unknown command {msg[0]!r}")
     except Exception as exc:
         return ("error", repr(exc))
@@ -498,8 +502,10 @@ def _dispatch(msg: tuple, hosting: _Hosting) -> tuple:
 
 def _worker_main(conn, payload: bytes) -> None:  # pragma: no cover - subprocess
     """Worker loop: host replica runtimes, analyze shipped streams, reply
-    with fingerprints; consult the shipped :class:`FaultPlan` before each
-    request (the no-op default never fires)."""
+    with fingerprints, then snapshot a marked window while the driver
+    executes it (:meth:`_Hosting.idle`); consult the shipped
+    :class:`FaultPlan` before each request (the no-op default never
+    fires)."""
     spec = pickle.loads(payload)
     faults: FaultPlan = spec["faults"]
     worker, incarnation = spec["worker"], spec["incarnation"]
@@ -538,22 +544,21 @@ def _worker_main(conn, payload: bytes) -> None:  # pragma: no cover - subprocess
             # pickle-safe and stable across processes (no uids).
             reply = _dispatch(msg, hosting) \
                 + (worker_tracer.drain() if level else None,)
-            if event is not None and event.kind == "drop":
-                continue
-            if event is not None and event.kind == "corrupt":
-                conn.send_bytes(b"\xde\xad\xbe\xef garbled frame")
-                continue
-            conn.send_bytes(pickle.dumps(reply))
+            kind = event.kind if event is not None else None
+            if kind != "drop":
+                conn.send_bytes(b"\xde\xad\xbe\xef garbled frame"
+                                if kind == "corrupt" else pickle.dumps(reply))
+            del reply  # with any snapshot it carried, before the next one
+            hosting.idle()
     except (EOFError, OSError, KeyboardInterrupt):
         return
 
 
 class _Checkpoint(NamedTuple):
-    """A verified checkpoint as the parent keeps it: the journal index it
-    covers, the reference replica's structure digest at its base, and
-    the live-state blob (None before the first checkpoint)."""
+    """A verified checkpoint as the parent keeps it: the reference
+    replica's structure digest at its base, and the live-state blob (None
+    before the first checkpoint)."""
 
-    index: int = 0
     digest: str = ""
     live: Optional[bytes] = None
 
@@ -576,8 +581,9 @@ class _WorkerHandle:
         self.proc = None
         self.conn = None
         self.incarnation = -1  # first spawn brings it to 0
-        #: Last verified checkpoint (empty before the first).
-        self.checkpoint = _Checkpoint()
+        #: Last verified checkpoint (empty before the first), and the
+        #: analyze messages answered since: what a recovery replays.
+        self.checkpoint, self.journal = _Checkpoint(), []
         #: The last request sent: the one a recovery answers afresh.
         self.asked: Optional[tuple] = None
 
@@ -648,6 +654,7 @@ class _LocalHandle(_WorkerHandle):
     def send(self, message: tuple) -> int:
         self.asked = message
         self._frame = _dispatch(message, self.hosting) + (None,)
+        self.hosting.idle()
         return 0
 
     def recv(self) -> Optional[tuple]:
@@ -659,31 +666,28 @@ class _LocalHandle(_WorkerHandle):
 
 class ProcessBackend(AnalysisBackend):
     """Shard 0 hosted in-process, replicas 1..N-1 in persistent,
-    *supervised* worker processes.
+    *supervised* worker processes (forked where the platform allows it).
 
-    Workers receive a pickled genesis snapshot (region tree and
-    algorithm) at spawn and per-``execute`` payloads containing the
-    structural delta plus the encoded task stream; they return
-    fingerprints and per-shard analysis seconds.  ``max_workers`` caps
-    the process count — with fewer workers than remote replicas, workers
-    host several replicas each and analyze them sequentially.  Workers
-    are forked where the platform allows it, else spawned.
+    A worker starts from a pickled genesis snapshot (region tree and
+    algorithm), is sent each stream's structural delta and encoded tasks,
+    and returns fingerprints and per-shard analysis seconds.  With fewer
+    workers (``max_workers``) than remote replicas, one hosts several.
 
     Fault tolerance: every request goes through the one request path
-    (:meth:`_ask`), and every receive is bounded by ``recv_timeout``
-    with liveness probes every :data:`HEARTBEAT` seconds.  A crash (EOF /
-    dead process), hang (timeout) or refused reply is recovered in one
-    loop (:meth:`_recover`): respawn with exponential backoff
-    (``retry``), restore from the last verified checkpoint, replay of
-    the journal; past its retries the worker is declared lost and its
-    replicas move in-process (graceful degradation to serial-backend
-    semantics).  Checkpoints are taken every ``checkpoint_interval``
-    verified streams (see :meth:`after_verified`), and the journal is
-    trimmed behind them.  A checkpoint is a worker's live state alone:
-    its runtimes drop the verified tasks and dependence rows first, and
-    its structure digests must equal shard 0's.  A checkpoint reuses the
-    verified window's digests, on both sides; a restore hashes fresh.
-    All activity is counted in :attr:`recovery` (:class:`RecoveryReport`).
+    (:meth:`_ask`), every receive bounded by ``recv_timeout`` with
+    liveness probes every :data:`HEARTBEAT` seconds.  A crash, hang or
+    refused reply is recovered in one loop (:meth:`_recover`): respawn
+    with backoff (``retry``), restore from the last verified checkpoint,
+    replay of the journal; past its retries the worker is lost and its
+    replicas move in-process.  Every ``checkpoint_interval``-th stream's
+    message is marked: the worker answers it, then snapshots while the
+    driver executes; the snapshot rides its next analyze reply and, the
+    marked window verified (:meth:`after_verified`), is kept as its
+    checkpoint, its journal emptied.  No one waits on a checkpoint.  It
+    is the worker's live state alone, without the verified tasks and
+    dependence rows; its digests, reused from the window's analysis on
+    both sides, must equal shard 0's; a restore hashes afresh.  All
+    activity is counted in :attr:`recovery` (:class:`RecoveryReport`).
 
     ``max_workers`` and ``checkpoint_interval`` below 1 and a
     ``recv_timeout`` not above 0 are refused before any worker spawns.
@@ -713,11 +717,9 @@ class ProcessBackend(AnalysisBackend):
         self._clock = clock if clock is not None else SystemClock()
         self.recovery = RecoveryReport()
         self._known_regions = len(tree.regions)
-        #: Journal of the analyze messages every worker has answered;
-        #: ``_journal_base`` is the absolute index of ``_journal[0]``
-        #: (entries behind every worker's checkpoint are trimmed).
-        self._journal: list[tuple] = []
-        self._journal_base = 0
+        #: Streams every host has answered; every ``checkpoint_interval``-th
+        #: is marked.
+        self._windows = 0
         remote = list(range(1, replicas))
         if not remote:
             return
@@ -806,9 +808,9 @@ class ProcessBackend(AnalysisBackend):
         hosts its replicas in-process instead.  Either host starts from
         the handle's checkpoint, and is caught up by one replay: a
         ``digest`` request that must answer the checkpoint's digest (if
-        restored), every journaled stream since the checkpoint, then the
-        faulted request.  A worker's fault on the way is the episode's
-        next attempt; the in-process host's is :class:`WorkerLost`."""
+        restored), the handle's journal, then the faulted request.  A
+        worker's fault on the way is the episode's next attempt; the
+        in-process host's is :class:`WorkerLost`."""
         if not handle.remote:
             raise fault
         self.recovery.record_fault(fault.kind)
@@ -817,8 +819,7 @@ class ProcessBackend(AnalysisBackend):
         start = time.perf_counter()
         self.recovery.recoveries += 1
         restore = [("digest",)] if handle.checkpoint.live is not None else []
-        todo = [*restore, *self._journal[
-            handle.checkpoint.index - self._journal_base:], handle.asked]
+        todo = [*restore, *handle.journal, handle.asked]
         streams = sum(message[0] == "analyze" for message in todo)
         try:
             for attempt in range(self._retry.max_retries + 2):
@@ -870,26 +871,11 @@ class ProcessBackend(AnalysisBackend):
     # checkpoints
     # ------------------------------------------------------------------
     def after_verified(self) -> None:
-        """Take fingerprint-verified recovery checkpoints once
-        ``checkpoint_interval`` streams are journaled since the last, and
-        trim the journal behind them (so recovery replays from the
-        checkpoint, not task 0; the journal holds just those streams)."""
-        remote = [h for h in self._handles if h.remote]
-        if remote and len(self._journal) < self._checkpoint_interval:
-            return
-        for handle in remote:
-            _, _, live = self._ask(handle, ("checkpoint",))
-            if handle in self._handles:  # may have been lost during recovery
-                handle.checkpoint = _Checkpoint(
-                    self._journal_base + len(self._journal),
-                    self._local[0].hosting.kept[0], live)
-                self.recovery.checkpoints += 1
-        # only worker processes replay: trim behind the oldest checkpoint
-        floor = min((h.checkpoint.index for h in self._handles if h.remote),
-                    default=self._journal_base + len(self._journal))
-        if floor > self._journal_base:
-            del self._journal[:floor - self._journal_base]
-            self._journal_base = floor
+        """The last stream verified: if it was marked, its checkpoint is
+        due — a snapshot riding a next analyze reply must match shard 0's
+        digest at its base, and is kept (recovery replays from there)."""
+        if self._windows % self._checkpoint_interval == 0:
+            self._due = (self.tasks_analyzed, self._local[0].hosting.kept[0])
 
     # ------------------------------------------------------------------
     # the analysis fan-out
@@ -897,36 +883,50 @@ class ProcessBackend(AnalysisBackend):
     def _analyze_replicas(self, stream, meanwhile):
         structure = encode_structure(self.tree, self._known_regions)
         self._known_regions = len(self.tree.regions)
-        # The active tracer's record level rides on the (journaled)
-        # message: workers record as much as the driver does and ship it
-        # home in the reply.
+        # The message carries the tracer's record level (workers record
+        # as much as the driver) and, in a worker's copy, the mark; the
+        # journal keeps it unmarked, so no snapshot rides a recovery.
         entry = ("analyze", structure, encode_tasks(stream),
-                 obs.active_tracer().level)
+                 obs.active_tracer().level, False)
+        marked = entry[:4] + (
+            (self._windows + 1) % self._checkpoint_interval == 0,)
         # phase 1: ship to every host; in-process hosts answer now
         hosts = list(self._handles)
         for handle in hosts:
-            self.shipped_bytes += handle.send(entry)
+            self.shipped_bytes += handle.send(
+                marked if handle.remote else entry)
         # phase 2: the local hosting, then ``meanwhile``, while workers run
         rows = self._run_local(stream)
         meanwhile()
-        # phase 3: collect every reply; remember who faulted and the
-        # first replica that failed (raised once every pipe is read)
+        # phase 3: collect every reply, keeping a due checkpoint that
+        # rides one; remember who faulted and the first replica that
+        # failed (raised once every pipe is read)
         faulted, failed = [], None
         for handle in hosts:
             try:
-                rows.extend(self._parse(handle, handle.recv(), "analyze"))
+                got, snapshot = self._parse(handle, handle.recv(), "analyze")
             except WorkerFault as exc:
                 faulted.append((handle, exc))
             except MachineError as exc:
                 failed = failed or exc
+            else:
+                rows.extend(got)
+                if snapshot is not None and self._due and handle.remote:
+                    handle.checkpoint, handle.journal = _Checkpoint(
+                        self._due[1], snapshot[2]), []
+                    self.recovery.checkpoints += 1
+        self._due = None
         # phase 4: recover faulted workers one at a time (every healthy
         # pipe is drained, so replay requests cannot interleave with
         # pending replies); each recovery answers this entry afresh
         for handle, exc in faulted:
-            rows.extend(self._recover(handle, exc))
+            rows.extend(self._recover(handle, exc)[0])
         if failed is not None:
             raise failed
-        self._journal.append(entry)  # every worker has answered it
+        self._windows += 1  # every host has answered it
+        for handle in self._handles:
+            if handle.remote:
+                handle.journal.append(entry)
         return sorted((ShardReport(*row) for row in rows),
                       key=lambda r: r.shard)
 

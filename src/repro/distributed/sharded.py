@@ -263,16 +263,19 @@ class ShardedRuntime:
     def _pull(self, field_name: str, positions: np.ndarray,
               shard: int) -> None:
         """Move every stale input element to ``shard``, one message per
-        producing shard."""
+        producing shard, in shard order; nothing to sort when none is
+        stale or one shard produced them all."""
         owners = self._owners[field_name][positions]
+        stale = owners != shard
+        if not stale.any():
+            return
+        positions, owners = positions[stale], owners[stale]
         values = self._values[field_name]
-        itemsize = values.itemsize
-        for src in np.unique(owners):
-            if src == shard:
-                continue
-            pulled = positions[owners == src]
+        single = (owners == owners[0]).all()
+        for src in owners[:1] if single else np.unique(owners):
+            pulled = positions if single else positions[owners == src]
             values[shard, pulled] = values[src, pulled]
-            self.log.record(int(src), shard, pulled.size, itemsize)
+            self.log.record(int(src), shard, pulled.size, values.itemsize)
 
     def _execute_one(self, task: Task, shard: int) -> None:
         if not (isinstance(shard, (int, np.integer))

@@ -154,7 +154,7 @@ class IndexSpace:
     def __contains__(self, index: int) -> bool:
         if not self.size or index < self._lo or index > self._hi:
             return False
-        pos = int(np.searchsorted(self._indices, index))
+        pos = int(self._indices.searchsorted(index))
         return pos < self._indices.size and int(self._indices[pos]) == index
 
     def __eq__(self, other: object) -> bool:
@@ -241,9 +241,10 @@ class IndexSpace:
         # membership probe of the smaller into the larger beats a full
         # intersect1d when we only need a yes/no answer
         small, large = (self, other) if self.size <= other.size else (other, self)
-        pos = np.searchsorted(large._indices, small._indices)
+        pos = large._indices.searchsorted(small._indices)
         pos = np.minimum(pos, large._indices.size - 1)
-        return bool((large._indices[pos] == small._indices).any())
+        return bool(np.logical_or.reduce(large._indices[pos]
+                                         == small._indices))
 
     def isdisjoint(self, other: "IndexSpace") -> bool:
         """True when the spaces share no element."""
@@ -262,10 +263,11 @@ class IndexSpace:
             return False
         if self._lo < other._lo or self._hi > other._hi:
             return False
-        pos = np.searchsorted(other._indices, self._indices)
+        pos = other._indices.searchsorted(self._indices)
         if pos[-1] >= other._indices.size:
             return False
-        return bool((other._indices[pos] == self._indices).all())
+        return bool(np.logical_and.reduce(other._indices[pos]
+                                          == self._indices))
 
     def issuperset(self, other: "IndexSpace") -> bool:
         """True when every element of ``other`` is in this space."""
@@ -295,11 +297,11 @@ class IndexSpace:
                                                 subset._indices):
                 return np.arange(self._indices.size)
             raise GeometryError("positions_of: argument is not a subset")
-        pos = np.searchsorted(self._indices, subset._indices)
+        pos = self._indices.searchsorted(subset._indices)
         if subset.size:
-            if pos[-1] >= self._indices.size or not bool(
-                (self._indices[np.minimum(pos, self._indices.size - 1)]
-                 == subset._indices).all()
+            if pos[-1] >= self._indices.size or not np.logical_and.reduce(
+                self._indices[np.minimum(pos, self._indices.size - 1)]
+                == subset._indices
             ):
                 raise GeometryError("positions_of: argument is not a subset")
         return pos

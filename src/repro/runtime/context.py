@@ -17,6 +17,7 @@ The runtime is the public entry point applications use::
 
 from __future__ import annotations
 
+import copy
 from contextlib import nullcontext
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -110,6 +111,14 @@ class Runtime:
         del self._tasks[:first - self.first_task_id]
         self.first_task_id = first
         self.graph.trim(first)
+
+    def trimmed(self, first: int) -> "Runtime":
+        """A shallow copy :meth:`trim`-med behind ``first``, for pickling:
+        this runtime keeps its tasks and rows."""
+        view = copy.copy(self)
+        view._tasks, view.graph = list(self._tasks), copy.copy(self.graph)
+        view.trim(first)
+        return view
 
     def algorithm_for(self, field: str) -> CoherenceAlgorithm:
         """The coherence-algorithm instance tracking one field."""

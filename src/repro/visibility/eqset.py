@@ -135,9 +135,9 @@ class EquivalenceSet:
         """
         if mask is None:
             mask = self.space.membership_mask(space)
-        if not mask.any():
+        if not np.logical_or.reduce(mask):
             raise CoherenceError("split requires overlap")
-        if mask.all():
+        if np.logical_and.reduce(mask):
             return self, None
         inside, outside = self.pieces([mask, ~mask])
         if meter is not None:
@@ -281,7 +281,7 @@ class RefinementStore:
         at = self._space.positions_of(space)
         owners = self._owner[at]
         owned = np.bincount(owners, minlength=len(self._sets))
-        rows = np.flatnonzero(owned)
+        rows = owned.nonzero()[0]
         met = []  # (first element in the query, row, positions to split)
         for row, count in zip(rows.tolist(), owned[rows].tolist()):
             mine = self._positions[row]
@@ -415,7 +415,7 @@ class BucketStore:
         members = np.concatenate([r.space.indices for r in regions])
         rows = np.repeat(np.arange(len(regions)),
                          [r.space.size for r in regions])
-        at = np.minimum(np.searchsorted(root, members), root.size - 1)
+        at = np.minimum(root.searchsorted(members), root.size - 1)
         inside = root[at] == members
         owner = np.full(root.size, -1, dtype=np.intp)
         owner[at[inside]] = rows[inside]
@@ -435,7 +435,7 @@ class BucketStore:
         the vectorized, metered prefilter of the owner column's exact test."""
         lo, hi = space.bounds
         bucket_lo, bucket_hi, _ = self._columns or self._fill_columns()
-        hits = np.flatnonzero((bucket_lo <= hi) & (bucket_hi >= lo))
+        hits = ((bucket_lo <= hi) & (bucket_hi >= lo)).nonzero()[0]
         if self.meter is not None:
             self.meter.count("bvh_nodes_visited", max(1, hits.size))
         return hits
@@ -526,12 +526,12 @@ class BucketStore:
         """
         if len(self._span_of(eqset)) <= 1:
             return [eqset]
-        at = np.flatnonzero(self._owner == eqset.uid)
+        at = (self._owner == eqset.uid).nonzero()[0]
         ids = self._columns[2][at]
         taken = held[ids]
-        touched = np.flatnonzero(self._held(ids[taken])).tolist()
+        touched = self._held(ids[taken]).nonzero()[0].tolist()
         masks = [ids == row for row in touched]
-        if not taken.all():
+        if not np.logical_and.reduce(taken):
             masks.append(~taken)
         pieces = eqset.pieces(masks)
         self._index_remove(eqset)
@@ -645,12 +645,12 @@ class BucketStore:
             fresh = self._renew(only, space)
         else:
             owner = self._owned()
-            ats = [np.flatnonzero(owner == s.uid) for s in overlapping]
+            ats = [(owner == s.uid).nonzero()[0] for s in overlapping]
             owner[self._space.positions_of(space)] = -1  # the fresh set's
             for eqset, at in zip(overlapping, ats):
                 kept = owner[at] == eqset.uid
                 self._index_remove(eqset)
-                if not kept.any():
+                if not np.logical_or.reduce(kept):
                     if self.meter is not None:
                         self.meter.count("eqsets_coalesced")
                     continue

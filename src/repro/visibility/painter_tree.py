@@ -77,10 +77,13 @@ class CompositeView:
         self.flat = CompositeView not in map(type, items)
 
     def __getstate__(self):
-        return None, {k: getattr(self, k) for k in self.__slots__[:-1]}
+        state = {k: getattr(self, k) for k in self.__slots__[:-1]}
+        state["priv_summary"] = _canonical(self.priv_summary)
+        return None, state
 
     def __setstate__(self, state) -> None:
         _view_uid.restore(self, state)
+        self.priv_summary = set(self.priv_summary)
         self.flat = CompositeView not in map(type, self.items)
 
     def __repr__(self) -> str:
@@ -88,6 +91,13 @@ class CompositeView:
 
 
 PathItem = Union[HistoryEntry, CompositeView]
+
+
+def _canonical(keys: set[PrivKey]) -> list[PrivKey]:
+    """A summary's keys in a fixed order, as it pickles: a set iterates
+    in hash order, and its markers hash by identity, which differs from
+    one process to the next."""
+    return sorted(keys, key=repr)
 
 
 def _keys_of(item: PathItem) -> set[PrivKey]:
@@ -110,6 +120,16 @@ class _NodeState:
         # -> {uid: Region}.  Hoisting only ever inspects open children, so
         # launches stay O(open work) instead of O(machine).
         self.open_children: dict[str, dict[int, Region]] = {}
+
+    def __getstate__(self):
+        state = {k: getattr(self, k) for k in self.__slots__}
+        state["priv_summary"] = _canonical(self.priv_summary)
+        return None, state
+
+    def __setstate__(self, state) -> None:
+        for name, value in state[1].items():
+            setattr(self, name, value)
+        self.priv_summary = set(self.priv_summary)
 
 
 class TreePainterAlgorithm(CoherenceAlgorithm):

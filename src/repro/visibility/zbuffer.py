@@ -80,6 +80,29 @@ class ZBufferAlgorithm(CoherenceAlgorithm):
         # ids of the tasks whose writes committed (check_invariants)
         self._writers: set[int] = {INITIAL_TASK_ID}
 
+    def __getstate__(self) -> dict:
+        # Pickled bytes are a function of the state: every set sorted (a
+        # set pickles in its iteration order, which depends on how it was
+        # built); the reverse lookups are derived.
+        state = {k: v for k, v in self.__dict__.items()
+                 if k not in ("_intern", "_op_ids")}
+        state["_sets"] = [tuple(sorted(s)) for s in self._sets]
+        state["_writers"] = sorted(self._writers)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        for name, value in state.items():  # setattr interns, as pickle does
+            setattr(self, name, value)
+        self._sets = [frozenset(s) for s in self._sets]
+        self._intern = {s: sid for sid, s in enumerate(self._sets)}
+        self._op_ids = {op.name: opid for opid, op in enumerate(self._ops)}
+        self._writers = set(self._writers)
+        # arrays unpickle with a private copy of their dtype; take the
+        # shared one, as every other int64 array here has, so the next
+        # pickle of this state writes the dtype once, as the first did
+        for name in ("_last_write", "_reader_sid", "_reducer_sid"):
+            setattr(self, name, np.asarray(getattr(self, name), np.int64))
+
     # ------------------------------------------------------------------
     # interning helpers
     # ------------------------------------------------------------------

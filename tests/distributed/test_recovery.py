@@ -157,7 +157,9 @@ class TestFaultRecovery:
         assert recovery.restores == 1
         # two 6-task windows since the checkpoint, on each of 3 replicas
         assert recovery.replayed_tasks == 2 * 6 * 3
-        assert recovery.checkpoints == 3
+        # kept on the replies after windows 2 and 4; the crashed reply
+        # after window 6 would have carried the third
+        assert recovery.checkpoints == 2
 
     def test_chaos_rate_plan_matches_baseline(self, baseline):
         fingerprints, recovery = run_windows(
@@ -181,10 +183,10 @@ class TestPermanentLoss:
     def test_lost_worker_restores_in_process_from_checkpoint(self):
         """Lost after two checkpoints (every respawn dies on its restore
         check): the three replicas are rebuilt in-process from the last
-        checkpoint, and only the journal since replays."""
+        checkpoint, and only the journal since (two windows) replays."""
         serial, _ = run_windows(windows=6, backend="serial")
         plan = FaultPlan(events=(
-            FaultEvent("crash", worker=0, op=6, incarnation=0),
+            FaultEvent("crash", worker=0, op=5, incarnation=0),
             *(FaultEvent("crash", worker=0, op=0, incarnation=inc)
               for inc in range(1, 4))))
         fingerprints, recovery = run_windows(
@@ -192,7 +194,7 @@ class TestPermanentLoss:
             recv_timeout=10.0, retry=FAST_RETRY, clock=FakeClock())
         assert fingerprints == serial
         assert (recovery.checkpoints, recovery.local_fallbacks,
-                recovery.restores, recovery.replayed_tasks) == (2, 1, 1, 18)
+                recovery.restores, recovery.replayed_tasks) == (2, 1, 1, 36)
 
     def test_unrestorable_checkpoint_is_worker_lost(self):
         """A checkpoint blob that does not unpickle: every respawn dies on
@@ -410,9 +412,9 @@ class TestLiveCheckpoint:
         for iterations in (1, 2, 1):
             stream = fig1_stream(tree, P, G, iterations)
             launch_all(untrimmed, stream)
-            assert _dispatch(("analyze", [], encode_tasks(stream), 0),
+            assert _dispatch(("analyze", [], encode_tasks(stream), 0, False),
                              hosting)[0] == "ok"
-            _, (base, digests, live) = _dispatch(("checkpoint",), hosting)
+            base, digests, live = hosting.checkpoint()
         restored = _open_hosting({"mode": "restore", "live": live})
         assert base == restored.base == 24
         assert restored.digests() == digests
@@ -421,9 +423,9 @@ class TestLiveCheckpoint:
         stream = fig1_stream(tree, P, G, 1)
         launch_all(untrimmed, stream)
         expected = analysis_fingerprint(untrimmed, 24, len(stream))
-        message = ("analyze", [], encode_tasks(stream), 0)
+        message = ("analyze", [], encode_tasks(stream), 0, False)
         for host in (restored, hosting):
-            assert [row[:2] for row in _dispatch(message, host)[1]] \
+            assert [row[:2] for row in _dispatch(message, host)[1][0]] \
                 == [(1, expected), (2, expected)]
 
     def test_trim_keeps_ids(self):
@@ -454,17 +456,18 @@ class TestLiveCheckpoint:
 
     def test_respawn_payload_stays_flat(self):
         """An 8-piece stencil slot under ray casting, checkpointed every 2
-        of 28 streams: what a respawn is sent stays within 1 KiB (with
-        every delta kept it grew 34 657 -> 75 374 B)."""
+        of 29 streams: what a respawn is sent stays within 1 KiB (with
+        every delta kept it grew 34 657 -> 75 374 B).  It is read once a
+        checkpoint is kept: on the reply after each marked stream."""
         app = make_app("stencil", 8)
         with ShardedRuntime(app.tree, app.initial, shards=2,
                             backend="process", checkpoint_interval=2,
                             recv_timeout=30.0) as srt:
             handle = srt.backend.handles[0]
             sizes = []
-            for session in range(28):
+            for session in range(29):
                 srt.analyze(session_stream(app, 2, session == 0))
-                if session % 2:
+                if session and session % 2 == 0:
                     sizes.append(len(pickle.dumps(
                         srt.backend._host_spec(handle))))
         assert len(sizes) == 14 and max(sizes) - min(sizes) <= 1024

@@ -360,7 +360,7 @@ class TestForeignRegion:
             reference.run_stream(first)
             before = _state(srt)
             counts = (srt.backend.tasks_analyzed, srt.backend.shipped_bytes,
-                      len(getattr(srt.backend, "_journal", ())))
+                      getattr(srt.backend, "_windows", 0))
             window = fig1_stream(tree, P, G, 1)
             window.append("stray", [RegionRequirement(foreign[0], "up",
                                                       READ_WRITE)])
@@ -368,7 +368,7 @@ class TestForeignRegion:
                 srt.execute(window)
             _assert_same_state(_state(srt), before)
             assert (srt.backend.tasks_analyzed, srt.backend.shipped_bytes,
-                    len(getattr(srt.backend, "_journal", ()))) == counts
+                    getattr(srt.backend, "_windows", 0)) == counts
             for _ in range(2):
                 good = fig1_stream(tree, P, G, 1)
                 reports = srt.execute(good)

@@ -1,7 +1,8 @@
 """The worker reply is checked by shape before it is trusted: a real
-analyze, checkpoint or digest reply, lied about or mangled, either parses
-or is rejected as a :class:`CorruptReply` (which recovery retries) —
-never another exception."""
+analyze reply (with or without the checkpoint riding it) or digest reply,
+lied about or mangled, either parses or is rejected as a
+:class:`CorruptReply` (which recovery retries) — never another
+exception."""
 
 import multiprocessing as mp
 import os
@@ -37,7 +38,7 @@ def reply():
                         max_workers=1) as backend:
         handle = backend.handles[0]
         handle.send(("analyze", [], encode_tasks(fig1_stream(tree, P, G, 1)),
-                     1))
+                     1, False))
         blob = handle.recv()
     yield backend, handle, blob
     obs.set_tracer(previous)
@@ -45,12 +46,13 @@ def reply():
 
 def test_real_reply_parses(reply):
     backend, handle, blob = reply
-    rows = backend._parse(handle, blob, "analyze")
+    rows, snapshot = backend._parse(handle, blob, "analyze")
     assert sorted(shard for shard, _, _ in rows) == [1, 2]
+    assert snapshot is None
 
 
 def _fragment(**content):
-    return lambda rows: ("ok", rows, obs.TraceBuffer(**content))
+    return lambda result: ("ok", result, obs.TraceBuffer(**content))
 
 
 def _span(span_id, parent_id, start=0.0):
@@ -59,10 +61,10 @@ def _span(span_id, parent_id, start=0.0):
 
 
 @pytest.mark.parametrize("lie", [
-    lambda rows: "okx",                        # unpacked to status "o"
-    lambda rows: ("ok", rows, "frag"),         # absorb: no .clock
-    lambda rows: ("ok", rows, {"spans": 1}),
-    lambda rows: ("ok", [("a",)], None),       # ShardReport(*row) failed
+    lambda result: "okx",                      # unpacked to status "o"
+    lambda result: ("ok", result, "frag"),     # absorb: no .clock
+    lambda result: ("ok", result, {"spans": 1}),
+    lambda result: ("ok", ([("a",)], None), None),  # ShardReport(*row)
     _fragment(spans=[1]),                      # absorb: no .span_id
     _fragment(spans=[_span(1, None, start="0")]),  # "0" + offset
     _fragment(clock="late"),                   # monotonic() - "late"
@@ -73,9 +75,9 @@ def _span(span_id, parent_id, start=0.0):
         "span-parent-cycle"])
 def test_well_formed_lie_is_corrupt(reply, lie):
     backend, handle, blob = reply
-    rows = pickle.loads(blob)[1]
+    result = pickle.loads(blob)[1]
     with pytest.raises(CorruptReply):
-        backend._parse(handle, pickle.dumps(lie(rows)), "analyze")
+        backend._parse(handle, pickle.dumps(lie(result)), "analyze")
 
 
 @st.composite
@@ -83,7 +85,7 @@ def mutated(draw, blob):
     """The reply with one mutation: truncated bytes, or — in the frame or
     its first row — an element dropped, added or swapped for another
     type, or a shard the handle does not host."""
-    status, rows, fragment = frame = pickle.loads(blob)
+    status, (rows, snapshot), fragment = frame = pickle.loads(blob)
     kind = draw(st.sampled_from(["truncate", "drop", "add", "swap",
                                  "shard"]))
     if kind == "truncate":
@@ -101,8 +103,8 @@ def mutated(draw, blob):
             if kind == "shard" else
             VALUES.filter(lambda v: type(v) is not type(target[i]))),) \
             + target[i + 1:]
-    return pickle.dumps((status, [target, *rows[1:]], fragment) if in_row
-                        else target)
+    return pickle.dumps((status, ([target, *rows[1:]], snapshot), fragment)
+                        if in_row else target)
 
 
 @settings(max_examples=100, deadline=None,
@@ -144,43 +146,50 @@ def test_unresolvable_analyze_message_changes_nothing():
              "not a subset"),
             ([good, (root, "Y", [np.arange(2), np.arange(1, 3)], True,
                      False)], tasks, "declared disjoint=True")):
-        status, message = _dispatch(("analyze", structure, stream, 0), used)
+        status, message = _dispatch(("analyze", structure, stream, 0, False),
+                                    used)
         assert status == "error" and why in message
         assert used.base == 0 and len(used.tree) == len(tree)
         assert sorted(used.tree.root.partitions) == ["G", "P"]
         assert all(rt.next_task_id == 0 for rt in used.runtimes.values())
     chained = [good, (made, "Y", [np.arange(1)], True, False)]
     for hosting in (used, clean):
-        assert _dispatch(("analyze", chained, [], 0), hosting)[0] == "ok"
-    good = ("analyze", [], tasks, 0)
-    assert [row[:2] for row in _dispatch(good, used)[1]] \
-        == [row[:2] for row in _dispatch(good, clean)[1]]
+        assert _dispatch(("analyze", chained, [], 0, False),
+                         hosting)[0] == "ok"
+    good = ("analyze", [], tasks, 0, False)
+    assert [row[:2] for row in _dispatch(good, used)[1][0]] \
+        == [row[:2] for row in _dispatch(good, clean)[1][0]]
 
 
 @pytest.fixture(scope="module")
 def checkpoint():
-    """``(backend, handle, frame)``: a real worker's checkpoint reply for
-    shards 1 and 2 after one analyzed stream and a checkpoint round, as
-    the parent receives it."""
+    """``(backend, handle, frame)``: a real worker's analyze reply for
+    shards 1 and 2 carrying the checkpoint of the verified window before
+    it (every window marked), as the parent receives it; the checkpoint
+    of the window before that is already kept."""
     tree, P, G = make_fig1_tree()
     with ProcessBackend(tree, "raycast", 3,
                         max_workers=1, checkpoint_interval=1) as backend:
-        backend.analyze(fig1_stream(tree, P, G, 1))
-        backend.after_verified()
+        for _ in range(2):
+            backend.analyze(fig1_stream(tree, P, G, 1))
+            backend.after_verified()
         handle = backend.handles[0]
-        handle.send(("checkpoint",))
+        handle.send(("analyze", [], encode_tasks(fig1_stream(tree, P, G, 1)),
+                     0, True))
         frame = pickle.loads(handle.recv())
-    yield backend, handle, frame
+        yield backend, handle, frame
 
 
 def test_real_checkpoint_parses(checkpoint):
-    backend, handle, (status, result, fragment) = checkpoint
-    base, digests, live = backend._parse(
-        handle, pickle.dumps((status, result, fragment)), "checkpoint")
-    assert base == backend.tasks_analyzed == 6
-    assert digests == [(1, handle.checkpoint.digest),
-                       (2, handle.checkpoint.digest)]
-    assert _open_hosting({"mode": "restore", "live": live}).base == 6
+    backend, handle, frame = checkpoint
+    rows, (base, digests, live) = backend._parse(
+        handle, pickle.dumps(frame), "analyze")
+    assert sorted(shard for shard, _, _ in rows) == [1, 2]
+    assert base == backend.tasks_analyzed == 12
+    assert len(handle.journal) == 1  # the window after the kept one
+    assert digests == [(1, backend._due[1]),
+                       (2, backend._due[1])]
+    assert _open_hosting({"mode": "restore", "live": live}).base == 12
 
 
 @pytest.mark.parametrize("command, lie", [
@@ -199,29 +208,34 @@ def test_real_checkpoint_parses(checkpoint):
         "digest-string", "digest-foreign-shard", "digest-not-checkpoint",
         "dump-tuple", "dump-int-row", "dump-string-id", "dump-bool-id"])
 def test_lying_checkpoint_or_digest_is_corrupt(checkpoint, command, lie):
-    """A checkpoint or digest result of the wrong shape — a base other
-    than the parent's, a digest naming a shard the handle does not host,
-    or one that is not the reference replica's structure digest (for a
-    digest, the handle's checkpoint digest) — is a CorruptReply, which
-    recovery retries."""
-    backend, handle, (status, result, fragment) = checkpoint
+    """A checkpoint riding an analyze reply, or a digest result, of the
+    wrong shape — a base other than the due checkpoint's, a digest naming
+    a shard the handle does not host, or one that is not the reference
+    replica's structure digest (for a digest, the handle's checkpoint
+    digest) — is a CorruptReply, which recovery retries."""
+    backend, handle, (status, (rows, snapshot), fragment) = checkpoint
+    result = (rows, lie(snapshot)) if command == "checkpoint" \
+        else lie(snapshot)
     with pytest.raises(CorruptReply):
-        backend._parse(handle, pickle.dumps((status, lie(result), fragment)),
-                       command)
+        backend._parse(handle, pickle.dumps((status, result, fragment)),
+                       "analyze" if command == "checkpoint" else command)
 
 
 @pytest.mark.skipif("fork" not in mp.get_all_start_methods(),
                     reason="the lie is patched into forked workers")
 def test_lying_checkpoint_worker_is_recovered(monkeypatch):
-    """End to end: a worker whose every checkpoint reply is a well-formed
-    frame around a wrong result is retried, then lost; its replicas move
-    in-process and the run keeps the serial fingerprints."""
+    """End to end: a worker whose every checkpoint rides its analyze
+    reply as a well-formed lie is refused on each such reply and
+    recovered by a replay, which takes no snapshot; the run keeps the
+    serial fingerprints and no lie is ever kept."""
     parent, real = os.getpid(), backends._dispatch
 
     def lying(msg, hosting):
-        if msg[0] == "checkpoint" and os.getpid() != parent:
-            return ("ok", ("not", "a", "checkpoint", "reply"))
-        return real(msg, hosting)
+        status, result = real(msg, hosting)
+        if msg[0] == "analyze" and status == "ok" \
+                and result[1] is not None and os.getpid() != parent:
+            return ("ok", (result[0], ("not", "a", "checkpoint", "reply")))
+        return status, result
 
     monkeypatch.setattr(backends, "_dispatch", lying)
     fingerprints = {}
@@ -234,7 +248,9 @@ def test_lying_checkpoint_worker_is_recovered(monkeypatch):
                             clock=FakeClock()) as srt:
             fingerprints[backend] = [
                 srt.analyze(fig1_stream(tree, P, G, 1))[0].fingerprint
-                for _ in range(2)]
+                for _ in range(3)]
+            hosts = list(srt.backend._handles)
     assert fingerprints["process"] == fingerprints["serial"]
-    assert srt.recovery.faults == {"corrupt": 3}
-    assert srt.recovery.workers_lost == 1
+    assert srt.recovery.faults == {"corrupt": 2}
+    assert (srt.recovery.workers_lost, srt.recovery.checkpoints) == (0, 0)
+    assert [(h.remote, h.checkpoint.live) for h in hosts] == [(True, None)]
